@@ -38,13 +38,17 @@ under a wall-clock budget (the CI PR job), and ``--compare`` guards
 budget whenever both reports carry the section.
 
 Schema v6 adds the ``service`` section: codec encode/decode frames/sec per
-message type (JSON vs binary wire codec, headlined by the
-digest-advertisement round-trip speedup) plus end-to-end service-demo round
-throughput and rpc p95 latency at a couple of network sizes.  ``--service``
+message type plus end-to-end service-demo round throughput and rpc p95
+latency at a couple of network sizes.  ``--service``
 adds it to a suite run, ``--service-smoke`` runs the quick variant
 standalone under a wall-clock budget (the CI ``service-perf`` job), and
 ``--compare`` guards demo ``rounds_per_sec`` drops and ``rpc_p95_ms``
 increases the same self-activating way as the serving guard.
+
+Schema v7 drops the JSON-vs-binary comparison from the ``service`` section
+(``json_fps``, ``speedup``, ``digest_roundtrip_speedup``): the JSON wire
+path is gone, so ``service.codec.messages`` reports the one codec's
+``binary_fps`` per message type.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 DEFAULT_REPORT_NAME = "BENCH_p3q.json"
 
 #: Macro benchmark network sizes (the issue's N=100/500/1000 trajectory).
@@ -883,17 +887,17 @@ def _service_bench_messages() -> Dict[str, object]:
     }
 
 
-def _codec_roundtrip_fps(codec_name: str, message, batch: int, repeats: int) -> float:
+def _codec_roundtrip_fps(message, batch: int, repeats: int) -> float:
     """Frames/sec through the real service data path: encode the send
-    frame, commit the suppression state (a no-op for JSON), split and
-    decode on a receiver-side codec instance -- steady-state caches and
-    all, exactly what the runtime does per one-way message."""
-    from repro.service.codec import make_codec
+    frame, commit the suppression state, split and decode on a
+    receiver-side codec instance -- steady-state caches and all, exactly
+    what the runtime does per one-way message."""
+    from repro.service.codec import BinaryWireCodec
     from repro.simulator.transport import Envelope
 
     def operation() -> int:
-        sender = make_codec(codec_name)
-        receiver = make_codec(codec_name)
+        sender = BinaryWireCodec()
+        receiver = BinaryWireCodec()
         envelope = Envelope(1, 2, message, None, False, True)
         for _ in range(batch):
             frame = sender.encode_send(envelope)
@@ -911,17 +915,16 @@ def bench_service(
     demo_sizes: Sequence[int] = DEFAULT_SERVICE_DEMO_SIZES,
     trace_path: Optional[str] = None,
 ) -> Dict:
-    """Service-mode data-plane benchmarks (schema v6 ``service`` section).
+    """Service-mode data-plane benchmarks (the ``service`` section).
 
     Two subsections:
 
-    * ``codec`` -- encode+decode frames/sec per message type for the JSON
-      and binary codecs on the real send/decode path (per-message speedup
-      plus the headline ``digest_roundtrip_speedup`` on the
-      digest-advertisement path);
-    * ``demo`` -- end-to-end demo runs with the binary codec at each N in
-      ``demo_sizes``: gossip-round throughput, rpc p95 latency, completed
-      queries and the invariant audit result.  When ``trace_path`` is
+    * ``codec`` -- encode+decode frames/sec per message type on the real
+      send/decode path (``binary_fps``; the digest-advertisement cell is
+      the suppressed steady state);
+    * ``demo`` -- end-to-end demo runs at each N in ``demo_sizes``:
+      gossip-round throughput, rpc p95 latency, completed queries and the
+      invariant audit result.  When ``trace_path`` is
       given the *last* demo's wire trace is dumped there (the CI smoke leg
       uploads it on failure).
     """
@@ -935,12 +938,8 @@ def bench_service(
     messages = _service_bench_messages()
     codec_cells: Dict[str, Dict[str, float]] = {}
     for name, message in messages.items():
-        json_fps = _codec_roundtrip_fps("json", message, batch, repeats)
-        binary_fps = _codec_roundtrip_fps("binary", message, batch, repeats)
         codec_cells[name] = {
-            "json_fps": json_fps,
-            "binary_fps": binary_fps,
-            "speedup": binary_fps / json_fps if json_fps > 0 else 0.0,
+            "binary_fps": _codec_roundtrip_fps(message, batch, repeats)
         }
 
     demo_cells: Dict[str, Dict] = {}
@@ -950,13 +949,11 @@ def bench_service(
             num_users=num_users,
             num_queries=4 if quick else 8,
             seed=seed,
-            codec="binary",
             deadline=3.0 if quick else 5.0,
             trace_path=trace_path if is_last else None,
         )
         demo_cells[str(num_users)] = {
             "num_users": num_users,
-            "codec": report["codec"],
             "completed": report["completed"],
             "num_queries": report["num_queries"],
             "gossip_rounds": report["gossip_rounds"],
@@ -971,10 +968,7 @@ def bench_service(
     return {
         "seed": seed,
         "frame_batch": batch,
-        "codec": {
-            "messages": codec_cells,
-            "digest_roundtrip_speedup": codec_cells["DigestAdvertisement"]["speedup"],
-        },
+        "codec": {"messages": codec_cells},
         "demo": demo_cells,
     }
 
@@ -1194,18 +1188,12 @@ def validate_report(report: Dict) -> List[str]:
                 problems.append("service.codec.messages must be a non-empty object")
             else:
                 for name, entry in cells.items():
-                    for key in ("json_fps", "binary_fps", "speedup"):
-                        value = entry.get(key) if isinstance(entry, dict) else None
-                        if not isinstance(value, (int, float)) or value <= 0:
-                            problems.append(
-                                f"service.codec.messages[{name!r}].{key} must be "
-                                f"a positive number"
-                            )
-            speedup = codec.get("digest_roundtrip_speedup")
-            if not isinstance(speedup, (int, float)) or speedup <= 0:
-                problems.append(
-                    "service.codec.digest_roundtrip_speedup must be a positive number"
-                )
+                    value = entry.get("binary_fps") if isinstance(entry, dict) else None
+                    if not isinstance(value, (int, float)) or value <= 0:
+                        problems.append(
+                            f"service.codec.messages[{name!r}].binary_fps must be "
+                            f"a positive number"
+                        )
             demo = service.get("demo")
             if not isinstance(demo, dict) or not demo:
                 problems.append("service.demo must be a non-empty object")
@@ -1459,18 +1447,8 @@ def _print_summary(report: Dict) -> None:
     service = report.get("service")
     if service:
         codec = service.get("codec") or {}
-        speedup = codec.get("digest_roundtrip_speedup")
-        if speedup:
-            print(
-                f"service codec: digest advertisement binary/json "
-                f"{speedup:.1f}x frames/s"
-            )
         for name, entry in sorted((codec.get("messages") or {}).items()):
-            print(
-                f"  {name}: json {entry['json_fps']:,.0f} f/s, "
-                f"binary {entry['binary_fps']:,.0f} f/s "
-                f"({entry['speedup']:.1f}x)"
-            )
+            print(f"service codec {name}: {entry['binary_fps']:,.0f} frames/s")
         for size, entry in sorted(
             (service.get("demo") or {}).items(), key=lambda kv: int(kv[0])
         ):
@@ -1753,16 +1731,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         start = time.perf_counter()
         service = bench_service(quick=True, trace_path=args.service_trace)
         elapsed = time.perf_counter() - start
-        codec = service["codec"]
-        for name, entry in sorted(codec["messages"].items()):
-            print(
-                f"service smoke codec {name}: json {entry['json_fps']:,.0f} f/s, "
-                f"binary {entry['binary_fps']:,.0f} f/s ({entry['speedup']:.1f}x)"
-            )
-        print(
-            f"service smoke digest round-trip speedup: "
-            f"{codec['digest_roundtrip_speedup']:.1f}x"
-        )
+        for name, entry in sorted(service["codec"]["messages"].items()):
+            print(f"service smoke codec {name}: {entry['binary_fps']:,.0f} frames/s")
         total_completed = 0
         for size, entry in sorted(service["demo"].items(), key=lambda kv: int(kv[0])):
             total_completed += entry["completed"]

@@ -5,7 +5,7 @@ synchronously for reproducibility; this package drives the *same* cores --
 the ``*_effects`` generators of :mod:`repro.gossip` and :mod:`repro.p3q` --
 from an asyncio runtime where every node is a concurrently running task,
 gossip rounds fire on timers instead of engine cycles, and messages travel
-as length-prefixed serialized frames (:mod:`repro.service.codec`) over an
+as length-prefixed binary frames (:mod:`repro.service.codec`) over an
 in-process loopback wire or real UDP sockets.
 
 Live runs record the same :class:`~repro.simulator.transport.WireEvent`
@@ -14,13 +14,12 @@ stream the simulator's transports emit, so the simtest invariant checkers
 simulated one.  See ``docs/ARCHITECTURE.md`` ("Service mode").
 """
 
-from .codec import CODEC_NAMES, BinaryWireCodec, WireCodec, make_codec
+from .codec import BinaryWireCodec, WireCodec
 from .runtime import FrameBatcher, NodeService, ServiceConfig, ServiceRuntime, TimerWheel
 from .trace import ServiceTrace, check_trace
 
 __all__ = [
     "BinaryWireCodec",
-    "CODEC_NAMES",
     "FrameBatcher",
     "NodeService",
     "ServiceConfig",
@@ -29,5 +28,4 @@ __all__ = [
     "TimerWheel",
     "WireCodec",
     "check_trace",
-    "make_codec",
 ]

@@ -24,8 +24,7 @@ from .demo import (
     format_report,
     run_demo_sync,
 )
-from .codec import CODEC_NAMES
-from .runtime import ServiceConfig, WIRE_NAMES
+from .runtime import WIRE_NAMES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", type=str, default=None, metavar="FILE",
         help="dump the recorded WireEvent trace to FILE as JSON Lines",
     )
-    parser.add_argument(
-        "--codec", choices=CODEC_NAMES, default=ServiceConfig.codec, metavar="NAME",
-        help="wire codec: 'binary' (the hot path, default) or 'json' "
-        "(debuggable frames); byte accounting is identical either way",
-    )
     add_common_options(parser, workers=False, transport_choices=WIRE_NAMES)
     return parser
 
@@ -90,7 +84,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_queries=args.queries,
         seed=args.seed,
         wire=args.transport,
-        codec=args.codec,
         deadline=args.deadline,
         storage=args.storage,
         trace_path=args.trace,

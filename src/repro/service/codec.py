@@ -1,37 +1,41 @@
-"""Wire codecs: every transport :class:`Message` as a length-prefixed frame.
+"""The wire codec: every transport :class:`Message` as a length-prefixed frame.
 
 The simulator hands message *objects* between nodes; the service runtime
-hands **bytes**.  This module holds the two encoding layers in between,
-selectable via ``ServiceConfig.codec``:
+hands **bytes**.  This module is the layer in between.  It holds one wire
+format and one description of the message catalogue:
 
-* :class:`WireCodec` (``"json"``) -- a type-tagged compact-JSON body under
-  a 4-byte big-endian length prefix.  JSON keeps frames debuggable
-  (``tcpdump`` of a demo run is readable) and is the fallback reference
-  encoding.
-* :class:`BinaryWireCodec` (``"binary"``) -- the service hot path:
-  struct-packed headers, varint/zigzag integer fields, and Bloom digests
-  as raw little-endian byte rows (the exact ``DigestMatrix`` layout, so
+* :data:`MESSAGE_TABLE` -- ``Message type -> (binary tag, JSON tag,
+  ((attribute, JSON key, kind), ...))``.  A :class:`_Kind` (``_SINT``,
+  ``_DIGESTS``, ...) says once how one sort of field value looks in both
+  forms, in both directions; objects nested in messages (queries, partial
+  results, profiles) are rows of the same shape.  Everything below walks
+  this table, so a new ``Message`` subclass is one row here plus one price
+  in :mod:`repro.gossip.sizes`.
+* :class:`BinaryWireCodec` -- **the** wire codec: struct-packed headers,
+  varint/zigzag integer fields, and Bloom digests as raw little-endian
+  byte rows (the exact ``DigestMatrix`` layout, so
   :meth:`BloomFilter.from_state` round-trips reuse the pinned columnar
-  machinery).  A per-codec ``(user_id, version)``-keyed cache of encoded
-  digest rows skips re-serializing an unchanged digest, and -- when the
-  runtime commits successful sends -- digests the receiver was already
-  sent travel as 1-byte-marker references instead of full rows.
+  machinery).  A ``(user_id, version)``-keyed cache of encoded digest rows
+  skips re-serializing an unchanged digest, and -- when the runtime
+  commits successful sends -- digests the receiver was already sent travel
+  as 1-byte-marker references instead of full rows.
+* :class:`WireCodec` -- the JSON *message* form of the same table.  It is
+  **not** a wire codec (no frames, no addressing): it is what
+  :class:`~repro.service.trace.ServiceTrace` persists as JSON Lines, so a
+  recorded run stays readable and reloadable.
 
-Both codecs decode to *equal messages*: the cross-codec property test
-asserts field-for-field equality and identical pricing under
-:func:`repro.gossip.sizes.total_bytes`.  Byte *accounting* always uses
-that paper cost model, never the frame length, so service-mode traffic
-numbers stay comparable with the simulator's no matter the codec.
+Byte *accounting* always uses :func:`repro.gossip.sizes.total_bytes` on the
+message object, never the frame length, so service-mode traffic numbers
+stay comparable with the simulator's whatever the wire bytes are.
 
 Design rules:
 
-* **Total coverage, loudly enforced.**  ``_ENCODERS`` (JSON) and
-  ``_BIN_ENCODERS`` (binary) must cover every concrete subclass of
-  :class:`Message`; encoding an unregistered type raises ``TypeError``
-  immediately and the round-trip property tests enumerate
-  ``Message.__subclasses__()`` so a new message type added without codec
-  support fails the suite, mirroring how :mod:`repro.gossip.sizes` pins
-  its size table.
+* **Total coverage, loudly enforced.**  :data:`MESSAGE_TABLE` must cover
+  every concrete subclass of :class:`Message`; encoding an unregistered
+  type raises ``TypeError`` immediately and the round-trip property tests
+  enumerate ``Message.__subclasses__()`` so a new message type added
+  without a row fails the suite, mirroring how :mod:`repro.gossip.sizes`
+  pins its size table.
 * **Process-portable payloads.**  Interned action ids are process-local
   (:mod:`repro.data.interning`), so :class:`CommonItemsReply` travels as
   explicit ``(item, tag)`` pairs and is re-interned on decode; Bloom
@@ -40,16 +44,16 @@ Design rules:
   process (the UDP transport) and in-process (the loopback).
 * **Faithful round-trips.**  ``decode_message(encode_message(m))`` must
   compare equal to ``m`` field by field and price identically under
-  ``total_bytes`` -- the property tests assert both, for each codec and
-  across them.
+  ``total_bytes`` -- the property tests assert both, for each form; the
+  two forms cannot disagree on *which* fields a message has because both
+  read them from the same row.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from ..bloom import BloomFilter
 from ..data.interning import action_of, intern_action
@@ -88,15 +92,19 @@ _LEN = struct.Struct(">I")
 MAX_DATAGRAM_BYTES = 60_000
 
 
+def _frame(body: bytearray) -> bytes:
+    """One length-prefixed frame around an already-encoded body."""
+    return _LEN.pack(len(body)) + body
+
+
 def split_frames(payload: bytes) -> Tuple[List[bytes], bytes]:
     """Split a wire payload into raw frame bodies + undecodable leftover.
 
-    Both codecs share the outer framing (4-byte big-endian length prefix),
-    so one scanner serves the batched inbox path: a datagram written by the
-    :class:`~repro.service.runtime.FrameBatcher` carries one or more whole
-    frames back to back.  Anything that does not parse as complete frames
-    -- a truncated tail, a garbage prefix claiming an absurd length -- is
-    returned as ``leftover`` for the caller to drop loudly.
+    A datagram written by the :class:`~repro.service.runtime.FrameBatcher`
+    carries one or more whole frames back to back.  Anything that does not
+    parse as complete frames -- a truncated tail, a garbage prefix claiming
+    an absurd length -- is returned as ``leftover`` for the caller to drop
+    loudly.
     """
     bodies: List[bytes] = []
     view = memoryview(payload)
@@ -116,324 +124,14 @@ def split_frames(payload: bytes) -> Tuple[List[bytes], bytes]:
 
 # ---------------------------------------------------------------- primitives
 
-
-def _encode_digest(digest: ProfileDigest) -> Dict[str, Any]:
-    bloom = digest.bloom
-    return {
-        "u": digest.user_id,
-        "v": digest.version,
-        "nb": bloom.num_bits,
-        "nh": bloom.num_hashes,
-        "c": bloom.approximate_count,
-        "b": format(bloom.raw_bits, "x"),
-    }
-
-
-def _decode_digest(obj: Dict[str, Any]) -> ProfileDigest:
-    bloom = BloomFilter.from_state(obj["nb"], obj["nh"], int(obj["b"], 16), obj["c"])
-    return ProfileDigest(user_id=obj["u"], version=obj["v"], bloom=bloom)
-
-
-def _encode_profile(profile: UserProfile) -> Dict[str, Any]:
-    return {
-        "u": profile.user_id,
-        "v": profile.version,
-        "a": sorted(profile.actions),
-    }
-
-
-def _decode_profile(obj: Dict[str, Any]) -> UserProfile:
-    # The live version counts every mutation since birth, not just the
-    # actions currently present; replica freshness tracking needs it intact.
-    return UserProfile.from_state(
-        obj["u"], ((item, tag) for item, tag in obj["a"]), obj["v"]
-    )
-
-
-def _encode_query(query: Query) -> Dict[str, Any]:
-    return {
-        "id": query.query_id,
-        "qr": query.querier,
-        "t": list(query.tags),
-        "si": query.source_item,
-    }
-
-
-def _decode_query(obj: Dict[str, Any]) -> Query:
-    return Query(
-        query_id=obj["id"],
-        querier=obj["qr"],
-        tags=tuple(obj["t"]),
-        source_item=obj["si"],
-    )
-
-
-def _encode_partial(partial: PartialResult) -> Dict[str, Any]:
-    return {
-        "id": partial.query_id,
-        "s": partial.sender,
-        # JSON objects force string keys; item ids stay ints as pair lists.
-        "sc": sorted(partial.scores.items()),
-        "co": list(partial.contributors),
-        "cy": partial.cycle,
-    }
-
-
-def _decode_partial(obj: Dict[str, Any]) -> PartialResult:
-    return PartialResult(
-        query_id=obj["id"],
-        sender=obj["s"],
-        scores={item: score for item, score in obj["sc"]},
-        contributors=tuple(obj["co"]),
-        cycle=obj["cy"],
-    )
-
-
-# ------------------------------------------------------------- message table
-
-
-def _encode_digest_advertisement(m: DigestAdvertisement) -> Dict[str, Any]:
-    return {"d": [_encode_digest(d) for d in m.digests], "vw": m.view}
-
-
-def _encode_common_items_request(m: CommonItemsRequest) -> Dict[str, Any]:
-    return {"su": m.subject_id, "it": sorted(m.items)}
-
-
-def _encode_common_items_reply(m: CommonItemsReply) -> Dict[str, Any]:
-    actions = None
-    if m.actions is not None:
-        actions = sorted(action_of(action_id) for action_id in m.actions)
-    return {"su": m.subject_id, "a": actions}
-
-
-def _decode_common_items_reply(obj: Dict[str, Any]) -> CommonItemsReply:
-    actions = obj["a"]
-    if actions is not None:
-        actions = frozenset(intern_action(item, tag) for item, tag in actions)
-    return CommonItemsReply(subject_id=obj["su"], actions=actions)
-
-
-def _encode_full_profile_push(m: FullProfilePush) -> Dict[str, Any]:
-    profile = None if m.profile is None else _encode_profile(m.profile)
-    return {"su": m.subject_id, "p": profile}
-
-
-def _decode_full_profile_push(obj: Dict[str, Any]) -> FullProfilePush:
-    profile = None if obj["p"] is None else _decode_profile(obj["p"])
-    return FullProfilePush(subject_id=obj["su"], profile=profile)
-
-
-#: ``type -> (wire tag, encoder)``.  Every concrete Message subclass MUST
-#: appear here; the round-trip test enumerates ``Message.__subclasses__()``.
-_ENCODERS: Dict[Type[Message], Tuple[str, Callable[[Any], Dict[str, Any]]]] = {
-    DigestAdvertisement: ("digests", _encode_digest_advertisement),
-    CommonItemsRequest: ("common_req", _encode_common_items_request),
-    CommonItemsReply: ("common_rep", _encode_common_items_reply),
-    FullProfileRequest: ("profile_req", lambda m: {"su": m.subject_id}),
-    FullProfilePush: ("profile_push", _encode_full_profile_push),
-    QueryForward: (
-        "query_fwd",
-        lambda m: {"q": _encode_query(m.query), "rm": list(m.remaining), "cy": m.cycle},
-    ),
-    RemainingReturn: (
-        "remaining_ret",
-        lambda m: {"id": m.query_id, "rm": list(m.remaining)},
-    ),
-    QueryResult: ("query_res", lambda m: {"pr": _encode_partial(m.partial)}),
-}
-
-_DECODERS: Dict[str, Callable[[Dict[str, Any]], Message]] = {
-    "digests": lambda o: DigestAdvertisement(
-        digests=tuple(_decode_digest(d) for d in o["d"]), view=o["vw"]
-    ),
-    "common_req": lambda o: CommonItemsRequest(
-        subject_id=o["su"], items=frozenset(o["it"])
-    ),
-    "common_rep": _decode_common_items_reply,
-    "profile_req": lambda o: FullProfileRequest(subject_id=o["su"]),
-    "profile_push": _decode_full_profile_push,
-    "query_fwd": lambda o: QueryForward(
-        query=_decode_query(o["q"]), remaining=tuple(o["rm"]), cycle=o["cy"]
-    ),
-    "remaining_ret": lambda o: RemainingReturn(
-        query_id=o["id"], remaining=tuple(o["rm"])
-    ),
-    "query_res": lambda o: QueryResult(partial=_decode_partial(o["pr"])),
-}
-
-
-class WireCodec:
-    """Serialize the message catalogue to frames and back.
-
-    Three layers, each usable on its own:
-
-    * :meth:`encode_message` / :meth:`decode_message` -- one message as a
-      JSON-compatible dict (the property-tested core);
-    * :meth:`encode_request` / :meth:`encode_reply` / :meth:`encode_send` /
-      :meth:`decode` -- a full runtime frame (addressing, rpc correlation
-      id, delivery status) as bytes;
-    * :meth:`frame` / :meth:`feed` -- the length-prefix stream layer.
-
-    The runtime drives any codec through the uniform surface ``split`` /
-    ``decode_body`` / ``encode_request`` / ``encode_reply`` /
-    ``encode_send`` / ``commit_sent`` / ``abort_sent``.
-    """
-
-    #: Registry name (``ServiceConfig.codec``).
-    name = "json"
-
-    # -- message layer --------------------------------------------------------
-
-    def encode_message(self, message: Message) -> Dict[str, Any]:
-        entry = _ENCODERS.get(type(message))
-        if entry is None:
-            raise TypeError(
-                f"no wire encoding registered for {type(message).__name__}; "
-                "add it to repro.service.codec._ENCODERS/_DECODERS"
-            )
-        tag, encoder = entry
-        body = encoder(message)
-        body["t"] = tag
-        return body
-
-    def decode_message(self, obj: Dict[str, Any]) -> Message:
-        decoder = _DECODERS.get(obj.get("t"))
-        if decoder is None:
-            raise ValueError(f"unknown wire message tag {obj.get('t')!r}")
-        return decoder(obj)
-
-    # -- frame layer ----------------------------------------------------------
-
-    def frame(self, body: Dict[str, Any]) -> bytes:
-        """One length-prefixed frame: 4-byte BE length + compact JSON."""
-        payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
-        return _LEN.pack(len(payload)) + payload
-
-    def unframe(self, frame: bytes) -> Dict[str, Any]:
-        """Decode exactly one frame (prefix included)."""
-        if len(frame) < _LEN.size:
-            raise ValueError("short frame: missing length prefix")
-        (length,) = _LEN.unpack_from(frame)
-        if len(frame) - _LEN.size != length:
-            raise ValueError(
-                f"frame length mismatch: header {length}, body {len(frame) - _LEN.size}"
-            )
-        # json.loads accepts bytes directly; decoding to str first would
-        # copy every body a second time on the hot inbound path.
-        return json.loads(frame[_LEN.size :])
-
-    def feed(self, buffer: bytes) -> Tuple[list, bytes]:
-        """Split a byte stream into complete frame bodies + leftover bytes.
-
-        Scans through a memoryview so an incomplete tail is the only copy
-        made (and only when frames were actually consumed); bodies go to
-        ``json.loads`` as bytes without an intermediate ``str``.
-        """
-        bodies = []
-        view = memoryview(buffer)
-        offset = 0
-        total = len(buffer)
-        while total - offset >= _LEN.size:
-            (length,) = _LEN.unpack_from(view, offset)
-            end = offset + _LEN.size + length
-            if total < end:
-                break
-            bodies.append(json.loads(buffer[offset + _LEN.size : end]))
-            offset = end
-        if offset == 0:
-            return bodies, buffer
-        return bodies, bytes(view[offset:])
-
-    # -- runtime frames -------------------------------------------------------
-
-    def encode_request(self, envelope: Envelope, rpc_id: int) -> bytes:
-        """The forward leg of a round-trip (``expects_reply`` preserved)."""
-        return self.frame(
-            {
-                "op": "req",
-                "rpc": rpc_id,
-                "s": envelope.sender,
-                "r": envelope.receiver,
-                "q": envelope.query_id,
-                "er": envelope.expects_reply,
-                "ac": envelope.account,
-                "m": self.encode_message(envelope.message),
-            }
-        )
-
-    def encode_reply(
-        self, rpc_id: int, status: str, reply: Optional[Message]
-    ) -> bytes:
-        return self.frame(
-            {
-                "op": "rep",
-                "rpc": rpc_id,
-                "st": status,
-                "m": None if reply is None else self.encode_message(reply),
-            }
-        )
-
-    def encode_send(self, envelope: Envelope) -> bytes:
-        """A one-way message (no reply expected, no rpc id)."""
-        return self.frame(
-            {
-                "op": "send",
-                "s": envelope.sender,
-                "r": envelope.receiver,
-                "q": envelope.query_id,
-                "ac": envelope.account,
-                "m": self.encode_message(envelope.message),
-            }
-        )
-
-    def decode(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        """Parse a frame body: returns the header with ``m`` decoded.
-
-        ``op == "req" | "send"`` bodies additionally carry an ``envelope``
-        key holding a ready :class:`Envelope`.
-        """
-        out = dict(body)
-        if out.get("m") is not None:
-            out["m"] = self.decode_message(out["m"])
-        if out.get("op") in ("req", "send"):
-            out["envelope"] = Envelope(
-                sender=out["s"],
-                receiver=out["r"],
-                message=out["m"],
-                query_id=out.get("q"),
-                expects_reply=out["op"] == "req" and out.get("er", True),
-                account=out.get("ac", True),
-            )
-        return out
-
-    # -- runtime interface ----------------------------------------------------
-
-    def split(self, payload: bytes) -> Tuple[List[bytes], bytes]:
-        """Outer framing shared with the binary codec: see :func:`split_frames`."""
-        return split_frames(payload)
-
-    def decode_body(self, body: bytes) -> Dict[str, Any]:
-        """One raw frame body (as returned by :meth:`split`) to a decoded dict."""
-        return self.decode(json.loads(body))
-
-    def commit_sent(self, receiver: int) -> None:
-        """No-op: digest-advertisement suppression is a binary-codec feature."""
-
-    def abort_sent(self, receiver: int) -> None:
-        """No-op twin of :meth:`commit_sent`."""
-
-
-# ------------------------------------------------------------- binary codec
-
-
 #: IEEE-754 double, little-endian (partial-result scores).
 _F64 = struct.Struct("<d")
 
-#: Frame op bytes (binary twin of the JSON ``"req"/"rep"/"send"`` strings).
-_BIN_OP_REQ = 0x01
-_BIN_OP_REP = 0x02
-_BIN_OP_SEND = 0x03
+#: Frame op bytes and the names the runtime dispatches on.
+_OP_REQ = 0x01
+_OP_REP = 0x02
+_OP_SEND = 0x03
+_OP_NAMES = {_OP_REQ: "req", _OP_REP: "rep", _OP_SEND: "send"}
 
 #: Delivery statuses as 1-byte indexes (replies only ever carry one of
 #: these; an unknown status fails encode loudly rather than truncating).
@@ -441,10 +139,19 @@ _STATUS_TABLE = (DELIVERED, DROPPED, REPLY_DROPPED, DEFERRED, UNREACHABLE, LOST)
 _STATUS_INDEX = {status: index for index, status in enumerate(_STATUS_TABLE)}
 
 #: Decoder hygiene bounds: a hostile 127.0.0.1 peer must not make us
-#: allocate gigabytes from a forged varint.  Generous vs every real
-#: payload (paper digests are 20 Kbit; counts are view/exchange sized).
+#: allocate gigabytes, or spin in a probe loop, from a forged varint.
+#: Generous vs every real payload (paper digests are 20 Kbit with a
+#: handful of hashes; counts are view/exchange sized).
 _MAX_DIGEST_BITS = 1 << 26
+_MAX_DIGEST_HASHES = 64
 _MAX_SEQUENCE = 1 << 24
+
+#: Cache bounds of one :class:`BinaryWireCodec` (every one is an LRU or a
+#: shed-on-overflow table; none grows with the run).
+_MAX_RECEIVED_DIGESTS = 65536
+_MAX_ENCODED_ROWS = 4096
+#: Never above the receiver's LRU, or references would outlive their rows.
+_MAX_SENT_PER_LINK = 65536
 
 _VIEW_CODES = {VIEW_RANDOM: 0, VIEW_PERSONAL: 1}
 _VIEW_NAMES = {code: name for name, code in _VIEW_CODES.items()}
@@ -458,14 +165,10 @@ def _write_uv(out: bytearray, value: int) -> None:
     """Unsigned LEB128 varint (counts, versions, rpc ids, geometry)."""
     if value < 0:
         raise ValueError(f"unsigned varint cannot encode {value!r}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _read_uv(view: bytes, offset: int) -> Tuple[int, int]:
@@ -508,6 +211,28 @@ def _read_len(view: bytes, offset: int) -> Tuple[int, int]:
     return count, offset
 
 
+def _read_byte(view: bytes, offset: int, what: str) -> Tuple[int, int]:
+    """One raw byte (a presence flag, a code); ``what`` names it on truncation."""
+    if offset >= len(view):
+        raise ValueError(f"truncated {what}")
+    return view[offset], offset + 1
+
+
+def _write_svs(out: bytearray, values) -> None:
+    _write_len(out, len(values))
+    for value in values:
+        _write_sv(out, value)
+
+
+def _read_svs(view: bytes, offset: int, container: Callable):
+    count, offset = _read_len(view, offset)
+    values = []
+    for _ in range(count):
+        value, offset = _read_sv(view, offset)
+        values.append(value)
+    return container(values), offset
+
+
 def _write_actions(out: bytearray, actions) -> None:
     pairs = sorted(actions)
     _write_len(out, len(pairs))
@@ -526,13 +251,316 @@ def _read_actions(view: bytes, offset: int) -> Tuple[List[Tuple[int, int]], int]
     return pairs, offset
 
 
-class BinaryWireCodec:
-    """The service hot-path codec: struct/varint frames, raw digest rows.
+# --------------------------------------------------------------- field kinds
 
-    Same three layers as the JSON :class:`WireCodec` -- message bodies
-    (``encode_message``/``decode_message``, here as bytes), runtime frames,
-    and the shared length-prefix outer framing -- plus two caches that make
-    the digest-advertisement path cheap:
+
+class _Kind(NamedTuple):
+    """One sort of field value: its JSON form and its wire form, both ways."""
+
+    to_json: Callable[[Any], Any]
+    from_json: Callable[[Any], Any]
+    #: ``write(codec, out, value, receiver)``: the encoding
+    #: :class:`BinaryWireCodec` and the link the frame goes out on (``None``
+    #: off-link) ride along for the one kind with per-link state, digests.
+    write: Callable[..., None]
+    #: ``read(codec, view, offset) -> (value, offset)``.
+    read: Callable[..., Tuple[Any, int]]
+
+
+#: What a row is made of: ``(attribute, JSON key, kind)`` per field, in
+#: wire order.  Messages *and* the objects nested in them are described
+#: this way; :func:`_record` turns a row into the kind that walks it.
+Fields = Tuple[Tuple[str, str, _Kind], ...]
+
+
+def _record(build: Callable, fields: Fields) -> _Kind:
+    """The kind of an object with these ``fields``; ``build`` takes the
+    attributes as keywords (a dataclass, ``UserProfile.from_state``)."""
+    writers = tuple((attr, kind.write) for attr, _, kind in fields)
+    readers = tuple((attr, kind.read) for attr, _, kind in fields)
+
+    def to_json(obj) -> Dict[str, Any]:
+        return {key: kind.to_json(getattr(obj, attr)) for attr, key, kind in fields}
+
+    def from_json(body: Dict[str, Any]):
+        return build(**{attr: kind.from_json(body[key]) for attr, key, kind in fields})
+
+    def write(codec, out, obj, receiver) -> None:
+        for attr, write_field in writers:
+            write_field(codec, out, getattr(obj, attr), receiver)
+
+    def read(codec, view, offset):
+        values = {}
+        for attr, read_field in readers:
+            values[attr], offset = read_field(codec, view, offset)
+        return build(**values), offset
+
+    return _Kind(to_json, from_json, write, read)
+
+
+def _plain(to_json, from_json, write, read) -> _Kind:
+    """A leaf kind over stateless primitives ``write(out, value)`` /
+    ``read(view, offset)`` -- every leaf but the digests."""
+    return _Kind(
+        to_json,
+        from_json,
+        lambda codec, out, value, receiver: write(out, value),
+        lambda codec, view, offset: read(view, offset),
+    )
+
+
+def _optional(kind: _Kind) -> _Kind:
+    """``None`` or a ``kind`` value: ``null`` in JSON, a presence byte on the wire."""
+
+    def write(codec, out, value, receiver) -> None:
+        if value is None:
+            out.append(0)
+        else:
+            out.append(1)
+            kind.write(codec, out, value, receiver)
+
+    def read(codec, view, offset):
+        present, offset = _read_byte(view, offset, "optional field")
+        if not present:
+            return None, offset
+        return kind.read(codec, view, offset)
+
+    return _Kind(
+        lambda value: None if value is None else kind.to_json(value),
+        lambda obj: None if obj is None else kind.from_json(obj),
+        write,
+        read,
+    )
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+def _write_view(out: bytearray, name: str) -> None:
+    out.append(_VIEW_CODES[name])
+
+
+def _read_view(view: bytes, offset: int) -> Tuple[str, int]:
+    code, offset = _read_byte(view, offset, "advertisement: missing view byte")
+    if code not in _VIEW_NAMES:
+        raise ValueError(f"unknown view code {code!r}")
+    return _VIEW_NAMES[code], offset
+
+
+def _write_scores(out: bytearray, scores: Dict[int, float]) -> None:
+    pairs = sorted(scores.items())
+    _write_len(out, len(pairs))
+    for item, score in pairs:
+        _write_sv(out, item)
+        out += _F64.pack(score)
+
+
+def _read_scores(view: bytes, offset: int) -> Tuple[Dict[int, float], int]:
+    count, offset = _read_len(view, offset)
+    scores = {}
+    for _ in range(count):
+        item, offset = _read_sv(view, offset)
+        end = offset + _F64.size
+        if end > len(view):
+            raise ValueError("truncated score")
+        scores[item] = _F64.unpack_from(view, offset)[0]
+        offset = end
+    return scores, offset
+
+
+def _digests_to_json(digests) -> List[Dict[str, Any]]:
+    return [
+        {
+            "u": digest.user_id,
+            "v": digest.version,
+            "nb": digest.bloom.num_bits,
+            "nh": digest.bloom.num_hashes,
+            "c": digest.bloom.approximate_count,
+            "b": format(digest.bloom.raw_bits, "x"),
+        }
+        for digest in digests
+    ]
+
+
+def _digests_from_json(objs) -> Tuple[ProfileDigest, ...]:
+    return tuple(
+        ProfileDigest(
+            user_id=obj["u"],
+            version=obj["v"],
+            bloom=BloomFilter.from_state(obj["nb"], obj["nh"], int(obj["b"], 16), obj["c"]),
+        )
+        for obj in objs
+    )
+
+
+def _write_digests(codec, out: bytearray, digests, receiver) -> None:
+    _write_len(out, len(digests))
+    for digest in digests:
+        codec._encode_digest_entry(out, digest, receiver)
+
+
+def _read_digests(codec, view: bytes, offset: int):
+    count, offset = _read_len(view, offset)
+    digests = []
+    for _ in range(count):
+        digest, offset = codec._decode_digest_entry(view, offset)
+        digests.append(digest)
+    return tuple(digests), offset
+
+
+def _pairs_of(action_ids):
+    return (action_of(action_id) for action_id in action_ids)
+
+
+def _intern_pairs(pairs) -> frozenset:
+    return frozenset(intern_action(item, tag) for item, tag in pairs)
+
+
+def _read_interned(view: bytes, offset: int) -> Tuple[frozenset, int]:
+    pairs, offset = _read_actions(view, offset)
+    return _intern_pairs(pairs), offset
+
+
+#: Possibly-negative ints (ids, cycles) and counters that never are.
+_SINT = _plain(_identity, _identity, _write_sv, _read_sv)
+_UINT = _plain(_identity, _identity, _write_uv, _read_uv)
+#: An ordered tuple of ints / a frozenset of ints (carried sorted).
+_SINTS = _plain(list, tuple, _write_svs, lambda view, offset: _read_svs(view, offset, tuple))
+_SINT_SET = _plain(
+    sorted,
+    frozenset,
+    lambda out, values: _write_svs(out, sorted(values)),
+    lambda view, offset: _read_svs(view, offset, frozenset),
+)
+#: Which view an advertisement describes: its name in JSON, a code byte.
+_VIEW = _plain(_identity, _identity, _write_view, _read_view)
+#: ``item -> score``; JSON objects force string keys, so both forms carry
+#: sorted ``(item, score)`` pairs (scores as ``<d`` doubles on the wire).
+_SCORES = _plain(lambda scores: sorted(scores.items()), dict, _write_scores, _read_scores)
+#: A set of ``(item, tag)`` actions, carried sorted.
+_ACTION_PAIRS = _plain(
+    sorted, lambda pairs: [(item, tag) for item, tag in pairs], _write_actions, _read_actions
+)
+#: Interned action ids are process-local (:mod:`repro.data.interning`):
+#: they travel as explicit ``(item, tag)`` pairs and are re-interned.
+_ACTIONS = _plain(
+    lambda ids: sorted(_pairs_of(ids)),
+    _intern_pairs,
+    lambda out, ids: _write_actions(out, _pairs_of(ids)),
+    _read_interned,
+)
+#: A tuple of :class:`ProfileDigest`; on the wire each entry is a full row
+#: or a reference, decided per link by the codec's caches.
+_DIGESTS = _Kind(_digests_to_json, _digests_from_json, _write_digests, _read_digests)
+
+#: A profile is its actions plus its *live* version, which counts every
+#: mutation since birth, not just the actions currently present; replica
+#: freshness tracking needs it intact.
+_PROFILE = _record(
+    UserProfile.from_state,
+    (("user_id", "u", _SINT), ("version", "v", _UINT), ("actions", "a", _ACTION_PAIRS)),
+)
+QUERY_FIELDS: Fields = (
+    ("query_id", "id", _SINT),
+    ("querier", "qr", _SINT),
+    ("tags", "t", _SINTS),
+    ("source_item", "si", _optional(_SINT)),
+)
+PARTIAL_FIELDS: Fields = (
+    ("query_id", "id", _SINT),
+    ("sender", "s", _SINT),
+    ("cycle", "cy", _SINT),
+    ("scores", "sc", _SCORES),
+    ("contributors", "co", _SINTS),
+)
+_QUERY = _record(Query, QUERY_FIELDS)
+_PARTIAL = _record(PartialResult, PARTIAL_FIELDS)
+_OPT_ACTIONS = _optional(_ACTIONS)
+_OPT_PROFILE = _optional(_PROFILE)
+
+
+# ------------------------------------------------------------- message table
+
+#: ``type -> (binary tag, JSON tag, fields)``.  Every concrete Message
+#: subclass MUST have a row, naming each of its dataclass fields exactly
+#: once; the catalogue test enumerates ``Message.__subclasses__()``.
+#: Adding a message type is one row here (reusing the kinds above) plus
+#: its price in ``gossip.sizes``.
+MESSAGE_TABLE: Dict[Type[Message], Tuple[int, str, Fields]] = {
+    DigestAdvertisement: (1, "digests", (("view", "vw", _VIEW), ("digests", "d", _DIGESTS))),
+    CommonItemsRequest: (
+        2, "common_req", (("subject_id", "su", _SINT), ("items", "it", _SINT_SET)),
+    ),
+    CommonItemsReply: (
+        3, "common_rep", (("subject_id", "su", _SINT), ("actions", "a", _OPT_ACTIONS)),
+    ),
+    FullProfileRequest: (4, "profile_req", (("subject_id", "su", _SINT),)),
+    FullProfilePush: (
+        5, "profile_push", (("subject_id", "su", _SINT), ("profile", "p", _OPT_PROFILE)),
+    ),
+    QueryForward: (
+        6,
+        "query_fwd",
+        (("query", "q", _QUERY), ("remaining", "rm", _SINTS), ("cycle", "cy", _SINT)),
+    ),
+    RemainingReturn: (
+        7, "remaining_ret", (("query_id", "id", _SINT), ("remaining", "rm", _SINTS)),
+    ),
+    QueryResult: (8, "query_res", (("partial", "pr", _PARTIAL),)),
+}
+
+#: Derived once at import, never edited: each row's fields as the record
+#: kind that walks them, looked up by type (encode) and by tag (decode).
+_BY_TYPE = {
+    cls: (binary_tag, json_tag, _record(cls, fields))
+    for cls, (binary_tag, json_tag, fields) in MESSAGE_TABLE.items()
+}
+_BY_BINARY_TAG = {binary_tag: kind for binary_tag, _, kind in _BY_TYPE.values()}
+_BY_JSON_TAG = {json_tag: kind for _, json_tag, kind in _BY_TYPE.values()}
+
+
+def _row_of(message: Message) -> Tuple[int, str, _Kind]:
+    row = _BY_TYPE.get(type(message))
+    if row is None:
+        raise TypeError(
+            f"no wire encoding registered for {type(message).__name__}; "
+            "add a row to repro.service.codec.MESSAGE_TABLE"
+        )
+    return row
+
+
+class WireCodec:
+    """The JSON *message* form: one message as a JSON-compatible dict.
+
+    Not a wire codec -- it has no frames, no addressing and no decoder
+    hygiene, and nothing on the network path uses it.  It exists for
+    :class:`~repro.service.trace.ServiceTrace`, which persists recorded
+    wire events as JSON Lines (the CI-uploaded trace ``check_trace``
+    replays), and for debugging: ``encode_message(m)`` is a readable dump
+    of any message.  Same table, same fields as the binary frames.
+    """
+
+    def encode_message(self, message: Message) -> Dict[str, Any]:
+        _, tag, kind = _row_of(message)
+        body = kind.to_json(message)
+        body["t"] = tag
+        return body
+
+    def decode_message(self, obj: Dict[str, Any]) -> Message:
+        kind = _BY_JSON_TAG.get(obj.get("t"))
+        if kind is None:
+            raise ValueError(f"unknown wire message tag {obj.get('t')!r}")
+        return kind.from_json(obj)
+
+
+class BinaryWireCodec:
+    """The wire codec: struct/varint frames, raw digest rows.
+
+    Three layers -- message bodies (``encode_message``/``decode_message``),
+    runtime frames (``encode_request``/``encode_reply``/``encode_send`` and
+    ``split``/``decode_body``), and the length-prefix outer framing -- plus
+    two caches that make the digest-advertisement path cheap:
 
     * **Encoded-row cache**: the wire encoding of a digest is keyed by
       ``(user_id, version)``; re-advertising an unchanged digest is a dict
@@ -549,21 +577,16 @@ class BinaryWireCodec:
       (the replica-freshness invariant), so equal versions mean equal
       digest bits.
 
-    Byte accounting is untouched by all of this: messages are priced by
-    ``gossip.sizes.total_bytes`` on the message *object* before encoding,
-    so a suppressed advertisement costs the same accounted bytes as a full
-    one (the paper's cost model charges per digest, not per wire byte).
+    The caches are per node (what *this* node decoded, what each of *its*
+    peers was sent), so every :class:`~repro.service.runtime.NodeService`
+    owns one instance.  Byte accounting is untouched by all of this:
+    messages are priced by ``gossip.sizes.total_bytes`` on the message
+    *object* before encoding, so a suppressed advertisement costs the same
+    accounted bytes as a full one (the paper's cost model charges per
+    digest, not per wire byte).
     """
 
-    name = "binary"
-
-    def __init__(
-        self,
-        suppress_digests: bool = True,
-        max_received_digests: int = 65536,
-        max_encoded_rows: int = 4096,
-    ) -> None:
-        self._suppress = suppress_digests
+    def __init__(self) -> None:
         #: receiver -> {(user_id, version)} confirmed on that link.
         self._sent: Dict[int, set] = {}
         #: receiver -> [(user_id, version)] encoded but not yet confirmed.
@@ -572,27 +595,20 @@ class BinaryWireCodec:
         self._received: "OrderedDict[Tuple[int, int], ProfileDigest]" = OrderedDict()
         #: (user_id, version) -> encoded full digest entry (LRU-bounded).
         self._rows: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
-        self._max_received = max_received_digests
-        self._max_rows = max_encoded_rows
 
     # -- digest plumbing ------------------------------------------------------
 
     def _encode_digest_entry(self, out: bytearray, digest: ProfileDigest,
                              receiver: Optional[int]) -> None:
         key = (digest.user_id, digest.version)
-        if (
-            self._suppress
-            and receiver is not None
-            and key in self._sent.get(receiver, ())
-        ):
+        if receiver is not None and key in self._sent.get(receiver, ()):
             out.append(_DIGEST_REF)
             _write_sv(out, digest.user_id)
             _write_uv(out, digest.version)
             return
         row = self._rows.get(key)
         if row is None:
-            entry = bytearray()
-            entry.append(_DIGEST_FULL)
+            entry = bytearray((_DIGEST_FULL,))
             _write_sv(entry, digest.user_id)
             _write_uv(entry, digest.version)
             bloom = digest.bloom
@@ -602,19 +618,16 @@ class BinaryWireCodec:
             entry += bloom.raw_bits.to_bytes((bloom.num_bits + 7) // 8, "little")
             row = bytes(entry)
             self._rows[key] = row
-            if len(self._rows) > self._max_rows:
+            if len(self._rows) > _MAX_ENCODED_ROWS:
                 self._rows.popitem(last=False)
         out += row
-        if self._suppress and receiver is not None:
+        if receiver is not None:
             self._pending.setdefault(receiver, []).append(key)
 
     def _decode_digest_entry(
         self, view: bytes, offset: int
     ) -> Tuple[ProfileDigest, int]:
-        if offset >= len(view):
-            raise ValueError("truncated digest entry")
-        marker = view[offset]
-        offset += 1
+        marker, offset = _read_byte(view, offset, "digest entry")
         user_id, offset = _read_sv(view, offset)
         version, offset = _read_uv(view, offset)
         key = (user_id, version)
@@ -632,8 +645,12 @@ class BinaryWireCodec:
         num_bits, offset = _read_uv(view, offset)
         if not 0 < num_bits <= _MAX_DIGEST_BITS:
             raise ValueError(f"digest num_bits {num_bits} out of range")
+        # A probe loops num_hashes times and every distinct geometry is
+        # memoised process-wide, so a forged count must not reach the filter.
         num_hashes, offset = _read_uv(view, offset)
-        count, offset = _read_uv(view, offset)
+        if not 0 < num_hashes <= _MAX_DIGEST_HASHES:
+            raise ValueError(f"digest num_hashes {num_hashes} out of range")
+        count, offset = _read_len(view, offset)
         width = (num_bits + 7) // 8
         end = offset + width
         if end > len(view):
@@ -643,7 +660,7 @@ class BinaryWireCodec:
         bloom = BloomFilter.from_state(num_bits, num_hashes, bits, count)
         digest = ProfileDigest(user_id=user_id, version=version, bloom=bloom)
         self._received[key] = digest
-        if len(self._received) > self._max_received:
+        if len(self._received) > _MAX_RECEIVED_DIGESTS:
             self._received.popitem(last=False)
         return digest, end
 
@@ -656,7 +673,7 @@ class BinaryWireCodec:
             return
         sent = self._sent.setdefault(receiver, set())
         sent.update(pending)
-        if len(sent) > self._max_received:
+        if len(sent) > _MAX_SENT_PER_LINK:
             # Shed the whole link table rather than track precise LRU on the
             # hot path; full rows are always correct.
             sent.clear()
@@ -667,16 +684,15 @@ class BinaryWireCodec:
 
     # -- message layer --------------------------------------------------------
 
+    def _write_message(self, out: bytearray, message: Message,
+                       receiver: Optional[int]) -> None:
+        tag, _, kind = _row_of(message)
+        out.append(tag)
+        kind.write(self, out, message, receiver)
+
     def encode_message(self, message: Message, receiver: Optional[int] = None) -> bytes:
-        entry = _BIN_ENCODERS.get(type(message))
-        if entry is None:
-            raise TypeError(
-                f"no binary wire encoding registered for {type(message).__name__}; "
-                "add it to repro.service.codec._BIN_ENCODERS/_BIN_DECODERS"
-            )
-        tag, encoder = entry
-        out = bytearray((tag,))
-        encoder(self, out, message, receiver)
+        out = bytearray()
+        self._write_message(out, message, receiver)
         return bytes(out)
 
     def decode_message(self, data: bytes) -> Message:
@@ -686,58 +702,42 @@ class BinaryWireCodec:
         return message
 
     def _decode_message_at(self, view: bytes, offset: int) -> Tuple[Message, int]:
-        if offset >= len(view):
-            raise ValueError("truncated message: missing tag")
-        tag = view[offset]
-        decoder = _BIN_DECODERS.get(tag)
-        if decoder is None:
+        tag, offset = _read_byte(view, offset, "message: missing tag")
+        kind = _BY_BINARY_TAG.get(tag)
+        if kind is None:
             raise ValueError(f"unknown binary wire message tag {tag!r}")
-        return decoder(self, view, offset + 1)
-
-    # -- frame layer ----------------------------------------------------------
-
-    def frame(self, body: bytes) -> bytes:
-        """One length-prefixed frame around an already-encoded body."""
-        return _LEN.pack(len(body)) + body
-
-    def unframe(self, frame: bytes) -> bytes:
-        if len(frame) < _LEN.size:
-            raise ValueError("short frame: missing length prefix")
-        (length,) = _LEN.unpack_from(frame)
-        if len(frame) - _LEN.size != length:
-            raise ValueError(
-                f"frame length mismatch: header {length}, body {len(frame) - _LEN.size}"
-            )
-        return frame[_LEN.size :]
+        return kind.read(self, view, offset)
 
     # -- runtime frames -------------------------------------------------------
 
     def encode_request(self, envelope: Envelope, rpc_id: int) -> bytes:
-        out = bytearray((_BIN_OP_REQ,))
+        """The forward leg of a round-trip (carries the rpc correlation id)."""
+        out = bytearray((_OP_REQ,))
         _write_uv(out, rpc_id)
-        self._encode_addressing(out, envelope)
-        return self.frame(bytes(out))
+        self._write_addressed(out, envelope)
+        return _frame(out)
 
     def encode_reply(self, rpc_id: int, status: str, reply: Optional[Message]) -> bytes:
         index = _STATUS_INDEX.get(status)
         if index is None:
             raise ValueError(f"unknown delivery status {status!r}")
-        out = bytearray((_BIN_OP_REP,))
+        out = bytearray((_OP_REP,))
         _write_uv(out, rpc_id)
         out.append(index)
         if reply is None:
             out.append(0)
         else:
             out.append(1)
-            out += self.encode_message(reply)
-        return self.frame(bytes(out))
+            self._write_message(out, reply, None)
+        return _frame(out)
 
     def encode_send(self, envelope: Envelope) -> bytes:
-        out = bytearray((_BIN_OP_SEND,))
-        self._encode_addressing(out, envelope)
-        return self.frame(bytes(out))
+        """A one-way message (no reply expected, no rpc id)."""
+        out = bytearray((_OP_SEND,))
+        self._write_addressed(out, envelope)
+        return _frame(out)
 
-    def _encode_addressing(self, out: bytearray, envelope: Envelope) -> None:
+    def _write_addressed(self, out: bytearray, envelope: Envelope) -> None:
         _write_sv(out, envelope.sender)
         _write_sv(out, envelope.receiver)
         flags = (1 if envelope.account else 0) | (
@@ -746,332 +746,49 @@ class BinaryWireCodec:
         out.append(flags)
         if envelope.query_id is not None:
             _write_sv(out, envelope.query_id)
-        out += self.encode_message(envelope.message, receiver=envelope.receiver)
-
-    # -- runtime interface ----------------------------------------------------
+        self._write_message(out, envelope.message, envelope.receiver)
 
     def split(self, payload: bytes) -> Tuple[List[bytes], bytes]:
+        """The outer framing: see :func:`split_frames`."""
         return split_frames(payload)
 
     def decode_body(self, body: bytes) -> Dict[str, Any]:
-        """One raw frame body to the decoded dict the runtime dispatches on.
+        """One raw frame body to the dict the runtime dispatches on.
 
-        Same shape as :meth:`WireCodec.decode`: ``op``/``rpc``/``st``/``m``
-        plus a ready ``envelope`` for inbound requests and sends.
+        ``op`` is ``"req"``, ``"rep"`` or ``"send"``; ``rpc`` the
+        correlation id (``None`` for a send); ``m`` the decoded message
+        (``None`` for a payload-less reply); requests and sends carry a
+        ready ``envelope``.
         """
-        if not body:
-            raise ValueError("empty frame body")
-        op = body[0]
-        offset = 1
-        if op == _BIN_OP_REP:
-            rpc_id, offset = _read_uv(body, offset)
-            if offset + 2 > len(body):
-                raise ValueError("truncated reply header")
-            status_index = body[offset]
-            has_message = body[offset + 1]
-            offset += 2
+        op, offset = _read_byte(body, 0, "frame: empty frame body")
+        if op not in _OP_NAMES:
+            raise ValueError(f"unknown binary frame op {op!r}")
+        decoded: Dict[str, Any] = {"op": _OP_NAMES[op], "rpc": None, "m": None}
+        if op != _OP_SEND:
+            decoded["rpc"], offset = _read_uv(body, offset)
+        if op == _OP_REP:
+            status_index, offset = _read_byte(body, offset, "reply header")
+            has_message, offset = _read_byte(body, offset, "reply header")
             if status_index >= len(_STATUS_TABLE):
                 raise ValueError(f"unknown delivery status index {status_index}")
-            message: Optional[Message] = None
             if has_message:
-                message, offset = self._decode_message_at(body, offset)
-            if offset != len(body):
-                raise ValueError("trailing bytes after reply")
-            return {
-                "op": "rep",
-                "rpc": rpc_id,
-                "st": _STATUS_TABLE[status_index],
-                "m": message,
-            }
-        if op not in (_BIN_OP_REQ, _BIN_OP_SEND):
-            raise ValueError(f"unknown binary frame op {op!r}")
-        rpc_id = None
-        if op == _BIN_OP_REQ:
-            rpc_id, offset = _read_uv(body, offset)
-        sender, offset = _read_sv(body, offset)
-        receiver, offset = _read_sv(body, offset)
-        if offset >= len(body):
-            raise ValueError("truncated frame: missing flags")
-        flags = body[offset]
-        offset += 1
-        query_id = None
-        if flags & 2:
-            query_id, offset = _read_sv(body, offset)
-        message, offset = self._decode_message_at(body, offset)
+                decoded["m"], offset = self._decode_message_at(body, offset)
+        else:
+            sender, offset = _read_sv(body, offset)
+            receiver, offset = _read_sv(body, offset)
+            flags, offset = _read_byte(body, offset, "frame: missing flags")
+            query_id = None
+            if flags & 2:
+                query_id, offset = _read_sv(body, offset)
+            decoded["m"], offset = self._decode_message_at(body, offset)
+            decoded["envelope"] = Envelope(
+                sender=sender,
+                receiver=receiver,
+                message=decoded["m"],
+                query_id=query_id,
+                expects_reply=op == _OP_REQ,
+                account=bool(flags & 1),
+            )
         if offset != len(body):
             raise ValueError("trailing bytes after message")
-        expects_reply = op == _BIN_OP_REQ
-        decoded: Dict[str, Any] = {
-            "op": "req" if expects_reply else "send",
-            "s": sender,
-            "r": receiver,
-            "q": query_id,
-            "er": expects_reply,
-            "ac": bool(flags & 1),
-            "m": message,
-        }
-        if rpc_id is not None:
-            decoded["rpc"] = rpc_id
-        decoded["envelope"] = Envelope(
-            sender=sender,
-            receiver=receiver,
-            message=message,
-            query_id=query_id,
-            expects_reply=expects_reply,
-            account=bool(flags & 1),
-        )
         return decoded
-
-
-# -- binary message table ----------------------------------------------------
-
-
-def _bin_enc_digests(codec, out, m: DigestAdvertisement, receiver) -> None:
-    out.append(_VIEW_CODES[m.view])
-    _write_len(out, len(m.digests))
-    for digest in m.digests:
-        codec._encode_digest_entry(out, digest, receiver)
-
-
-def _bin_dec_digests(codec, view, offset):
-    if offset >= len(view):
-        raise ValueError("truncated advertisement: missing view byte")
-    view_code = view[offset]
-    if view_code not in _VIEW_NAMES:
-        raise ValueError(f"unknown view code {view_code!r}")
-    offset += 1
-    count, offset = _read_len(view, offset)
-    digests = []
-    for _ in range(count):
-        digest, offset = codec._decode_digest_entry(view, offset)
-        digests.append(digest)
-    return DigestAdvertisement(digests=tuple(digests), view=_VIEW_NAMES[view_code]), offset
-
-
-def _bin_enc_common_req(codec, out, m: CommonItemsRequest, receiver) -> None:
-    _write_sv(out, m.subject_id)
-    items = sorted(m.items)
-    _write_len(out, len(items))
-    for item in items:
-        _write_sv(out, item)
-
-
-def _bin_dec_common_req(codec, view, offset):
-    subject, offset = _read_sv(view, offset)
-    count, offset = _read_len(view, offset)
-    items = []
-    for _ in range(count):
-        item, offset = _read_sv(view, offset)
-        items.append(item)
-    return CommonItemsRequest(subject_id=subject, items=frozenset(items)), offset
-
-
-def _bin_enc_common_rep(codec, out, m: CommonItemsReply, receiver) -> None:
-    _write_sv(out, m.subject_id)
-    if m.actions is None:
-        out.append(0)
-        return
-    out.append(1)
-    _write_actions(out, (action_of(action_id) for action_id in m.actions))
-
-
-def _bin_dec_common_rep(codec, view, offset):
-    subject, offset = _read_sv(view, offset)
-    if offset >= len(view):
-        raise ValueError("truncated common-items reply")
-    has_actions = view[offset]
-    offset += 1
-    actions = None
-    if has_actions:
-        pairs, offset = _read_actions(view, offset)
-        actions = frozenset(intern_action(item, tag) for item, tag in pairs)
-    return CommonItemsReply(subject_id=subject, actions=actions), offset
-
-
-def _bin_enc_profile_req(codec, out, m: FullProfileRequest, receiver) -> None:
-    _write_sv(out, m.subject_id)
-
-
-def _bin_dec_profile_req(codec, view, offset):
-    subject, offset = _read_sv(view, offset)
-    return FullProfileRequest(subject_id=subject), offset
-
-
-def _bin_enc_profile_push(codec, out, m: FullProfilePush, receiver) -> None:
-    _write_sv(out, m.subject_id)
-    profile = m.profile
-    if profile is None:
-        out.append(0)
-        return
-    out.append(1)
-    _write_sv(out, profile.user_id)
-    _write_uv(out, profile.version)
-    _write_actions(out, profile.actions)
-
-
-def _bin_dec_profile_push(codec, view, offset):
-    subject, offset = _read_sv(view, offset)
-    if offset >= len(view):
-        raise ValueError("truncated profile push")
-    has_profile = view[offset]
-    offset += 1
-    profile = None
-    if has_profile:
-        user_id, offset = _read_sv(view, offset)
-        version, offset = _read_uv(view, offset)
-        pairs, offset = _read_actions(view, offset)
-        profile = UserProfile.from_state(user_id, pairs, version)
-    return FullProfilePush(subject_id=subject, profile=profile), offset
-
-
-def _bin_enc_query_fwd(codec, out, m: QueryForward, receiver) -> None:
-    query = m.query
-    _write_sv(out, query.query_id)
-    _write_sv(out, query.querier)
-    _write_len(out, len(query.tags))
-    for tag in query.tags:
-        _write_sv(out, tag)
-    if query.source_item is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _write_sv(out, query.source_item)
-    _write_len(out, len(m.remaining))
-    for user_id in m.remaining:
-        _write_sv(out, user_id)
-    _write_sv(out, m.cycle)
-
-
-def _bin_dec_query_fwd(codec, view, offset):
-    query_id, offset = _read_sv(view, offset)
-    querier, offset = _read_sv(view, offset)
-    num_tags, offset = _read_len(view, offset)
-    tags = []
-    for _ in range(num_tags):
-        tag, offset = _read_sv(view, offset)
-        tags.append(tag)
-    if offset >= len(view):
-        raise ValueError("truncated query forward")
-    has_source = view[offset]
-    offset += 1
-    source_item = None
-    if has_source:
-        source_item, offset = _read_sv(view, offset)
-    num_remaining, offset = _read_len(view, offset)
-    remaining = []
-    for _ in range(num_remaining):
-        user_id, offset = _read_sv(view, offset)
-        remaining.append(user_id)
-    cycle, offset = _read_sv(view, offset)
-    query = Query(
-        query_id=query_id, querier=querier, tags=tuple(tags), source_item=source_item
-    )
-    return QueryForward(query=query, remaining=tuple(remaining), cycle=cycle), offset
-
-
-def _bin_enc_remaining_ret(codec, out, m: RemainingReturn, receiver) -> None:
-    _write_sv(out, m.query_id)
-    _write_len(out, len(m.remaining))
-    for user_id in m.remaining:
-        _write_sv(out, user_id)
-
-
-def _bin_dec_remaining_ret(codec, view, offset):
-    query_id, offset = _read_sv(view, offset)
-    count, offset = _read_len(view, offset)
-    remaining = []
-    for _ in range(count):
-        user_id, offset = _read_sv(view, offset)
-        remaining.append(user_id)
-    return RemainingReturn(query_id=query_id, remaining=tuple(remaining)), offset
-
-
-def _bin_enc_query_res(codec, out, m: QueryResult, receiver) -> None:
-    partial = m.partial
-    _write_sv(out, partial.query_id)
-    _write_sv(out, partial.sender)
-    _write_sv(out, partial.cycle)
-    scores = sorted(partial.scores.items())
-    _write_len(out, len(scores))
-    for item, score in scores:
-        _write_sv(out, item)
-        out += _F64.pack(score)
-    _write_len(out, len(partial.contributors))
-    for user_id in partial.contributors:
-        _write_sv(out, user_id)
-
-
-def _bin_dec_query_res(codec, view, offset):
-    query_id, offset = _read_sv(view, offset)
-    sender, offset = _read_sv(view, offset)
-    cycle, offset = _read_sv(view, offset)
-    num_scores, offset = _read_len(view, offset)
-    scores = {}
-    for _ in range(num_scores):
-        item, offset = _read_sv(view, offset)
-        end = offset + _F64.size
-        if end > len(view):
-            raise ValueError("truncated score")
-        scores[item] = _F64.unpack_from(view, offset)[0]
-        offset = end
-    num_contributors, offset = _read_len(view, offset)
-    contributors = []
-    for _ in range(num_contributors):
-        user_id, offset = _read_sv(view, offset)
-        contributors.append(user_id)
-    partial = PartialResult(
-        query_id=query_id,
-        sender=sender,
-        scores=scores,
-        contributors=tuple(contributors),
-        cycle=cycle,
-    )
-    return QueryResult(partial=partial), offset
-
-
-#: ``type -> (1-byte wire tag, encoder)``.  Total over the catalogue, like
-#: ``_ENCODERS``; the coverage test enforces parity between the two tables.
-_BIN_ENCODERS: Dict[Type[Message], Tuple[int, Callable]] = {
-    DigestAdvertisement: (1, _bin_enc_digests),
-    CommonItemsRequest: (2, _bin_enc_common_req),
-    CommonItemsReply: (3, _bin_enc_common_rep),
-    FullProfileRequest: (4, _bin_enc_profile_req),
-    FullProfilePush: (5, _bin_enc_profile_push),
-    QueryForward: (6, _bin_enc_query_fwd),
-    RemainingReturn: (7, _bin_enc_remaining_ret),
-    QueryResult: (8, _bin_enc_query_res),
-}
-
-_BIN_DECODERS: Dict[int, Callable] = {
-    1: _bin_dec_digests,
-    2: _bin_dec_common_req,
-    3: _bin_dec_common_rep,
-    4: _bin_dec_profile_req,
-    5: _bin_dec_profile_push,
-    6: _bin_dec_query_fwd,
-    7: _bin_dec_remaining_ret,
-    8: _bin_dec_query_res,
-}
-
-
-# ------------------------------------------------------------ codec registry
-
-
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-#: Names accepted by ``ServiceConfig.codec``.
-CODEC_NAMES = (CODEC_JSON, CODEC_BINARY)
-
-
-def make_codec(name: str):
-    """One codec instance for one node.
-
-    The JSON codec is stateless, but the binary codec carries per-node
-    digest caches (what this node has decoded, what each peer was sent),
-    so every :class:`~repro.service.runtime.NodeService` gets its own.
-    """
-    if name == CODEC_BINARY:
-        return BinaryWireCodec()
-    if name == CODEC_JSON:
-        return WireCodec()
-    raise ValueError(f"codec must be one of {CODEC_NAMES}, got {name!r}")

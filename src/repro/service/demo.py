@@ -54,7 +54,6 @@ async def run_demo(
     num_queries: int = DEFAULT_NUM_QUERIES,
     seed: int = 42,
     wire: str = "inproc",
-    codec: Optional[str] = None,
     deadline: Optional[float] = None,
     storage: int = DEFAULT_STORAGE,
     service_config: Optional[ServiceConfig] = None,
@@ -73,12 +72,7 @@ async def run_demo(
 
     workload = build_demo_workload(num_users=num_users, num_queries=num_queries, seed=seed)
     simulation = converged_simulation(workload, storage)
-    if service_config is not None:
-        config = service_config
-    elif codec is not None:
-        config = ServiceConfig(wire=wire, codec=codec)
-    else:
-        config = ServiceConfig(wire=wire)
+    config = service_config if service_config is not None else ServiceConfig(wire=wire)
     runtime = ServiceRuntime(simulation, config)
     loop = asyncio.get_running_loop()
     started = loop.time()
@@ -124,7 +118,6 @@ async def run_demo(
         "num_users": num_users,
         "num_queries": len(per_query),
         "wire": config.wire,
-        "codec": config.codec,
         "seed": seed,
         "wall_seconds": wall,
         "gossip_rounds": runtime.gossip_rounds,
@@ -157,8 +150,7 @@ def format_report(report: Dict[str, Any]) -> str:
     """The human-readable demo summary printed by ``--demo``."""
     lines = [
         f"service demo: {report['num_users']} nodes over the "
-        f"{report['wire']} wire, {report.get('codec', 'json')} codec "
-        f"(seed {report['seed']})",
+        f"{report['wire']} wire (seed {report['seed']})",
         f"  queries completed: {report['completed']}/{report['num_queries']}",
         f"  gossip rounds: {report.get('gossip_rounds', 0)} "
         f"({report.get('rounds_per_sec', 0.0):.1f}/s), "

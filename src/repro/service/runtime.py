@@ -11,9 +11,10 @@ serialized frames:
   :class:`TimerWheel` -- one scheduler task drives every node's jittered
   deadlines from a heap, replacing the two private timer tasks per node
   of the original design;
-* messages travel through a pluggable wire as codec frames (JSON or
-  binary, per ``ServiceConfig.codec``): the in-process :class:`InProcWire`
-  (asyncio queues carrying *encoded bytes*) by default, or :class:`UdpWire`
+* messages travel through a pluggable wire as binary codec frames
+  (:class:`~repro.service.codec.BinaryWireCodec`): the in-process
+  :class:`InProcWire` (asyncio queues carrying *encoded bytes*) by default,
+  or :class:`UdpWire`
   (one real UDP socket per node on 127.0.0.1, frames bounded by
   :data:`~repro.service.codec.MAX_DATAGRAM_BYTES`).  One-way frames
   queued in the same loop tick for the same destination are coalesced by
@@ -33,8 +34,8 @@ The runtime wraps a fully built :class:`~repro.p3q.protocol.P3QSimulation`
 shared with the simulator -- but never runs its engine.  Byte accounting
 follows the transport's exact rules (priced by ``gossip.sizes`` at send
 time; control messages and ``None``-payload replies free) **regardless of
-codec** -- batching and digest suppression change wire bytes, never
-accounted bytes -- every wire action is recorded as a
+the encoded frame** -- batching and digest suppression change wire bytes,
+never accounted bytes -- every wire action is recorded as a
 :class:`~repro.simulator.transport.WireEvent` in a
 :class:`~repro.service.trace.ServiceTrace`, and
 :func:`~repro.service.trace.check_trace` audits the run with the simtest
@@ -84,7 +85,7 @@ from ..simulator.transport import (
     Message,
     WireEvent,
 )
-from .codec import CODEC_BINARY, CODEC_NAMES, MAX_DATAGRAM_BYTES, make_codec
+from .codec import MAX_DATAGRAM_BYTES, BinaryWireCodec
 from .trace import ServiceTrace
 
 logger = logging.getLogger(__name__)
@@ -125,8 +126,6 @@ class ServiceConfig:
     query_deadline: float = 3.0
     #: ``"inproc"`` (asyncio loopback, default) or ``"udp"`` (127.0.0.1 sockets).
     wire: str = WIRE_INPROC
-    #: ``"binary"`` (the hot path, default) or ``"json"`` (debuggable frames).
-    codec: str = CODEC_BINARY
     #: Multiplicative timer jitter range (``1 ± jitter``), desynchronizing
     #: nodes the way real clocks drift apart.
     jitter: float = 0.2
@@ -143,10 +142,6 @@ class ServiceConfig:
         """
         if self.wire not in WIRE_NAMES:
             raise ValueError(f"wire must be one of {WIRE_NAMES}, got {self.wire!r}")
-        if self.codec not in CODEC_NAMES:
-            raise ValueError(
-                f"codec must be one of {CODEC_NAMES}, got {self.codec!r}"
-            )
         positive = (
             ("gossip_interval", self.gossip_interval),
             ("eager_interval", self.eager_interval),
@@ -281,8 +276,8 @@ class FrameBatcher:
     put or one ``sendto`` syscall apiece.  The batcher buffers them per
     destination and flushes the concatenation as one wire write on the
     next loop tick (``call_soon``), under :data:`MAX_DATAGRAM_BYTES` --
-    both codecs share the length-prefix outer framing, so the receiver's
-    ``split`` recovers the individual bodies.
+    every frame carries its own length prefix, so the receiver's ``split``
+    recovers the individual bodies.
 
     Flush rules, in order of precedence:
 
@@ -427,9 +422,9 @@ class NodeService:
         self.node = node
         self.node_id = node.node_id
         self.runtime = runtime
-        #: Per-node codec instance: the binary codec carries digest caches
-        #: (what this node decoded, what each peer was already sent).
-        self.codec = make_codec(runtime.config.codec)
+        #: Per-node codec instance: it carries digest caches (what this
+        #: node decoded, what each peer was already sent).
+        self.codec = BinaryWireCodec()
         self._rpc_futures: Dict[int, asyncio.Future] = {}
         self._rpc_counter = 0
         #: The node's local eager clock: one tick per eager-round firing.
@@ -598,8 +593,8 @@ class NodeService:
         codec = self.codec
         while True:
             payload = await inbox.get()
-            # One wire read may carry several batched frames; both codecs
-            # share the outer length-prefix framing, so one scan splits it.
+            # One wire read may carry several batched frames, each under its
+            # own length prefix, so one scan splits it.
             bodies, leftover = codec.split(payload)
             for body in bodies:
                 try:
@@ -766,8 +761,8 @@ class ServiceRuntime:
         """Transport-identical byte accounting into the shared stats collector.
 
         Priced by :func:`repro.gossip.sizes.total_bytes` on the message
-        object -- never by encoded frame length -- so batching, digest
-        suppression and codec choice leave the traffic numbers untouched.
+        object -- never by encoded frame length -- so batching and digest
+        suppression leave the traffic numbers untouched.
         """
         kind = message.kind
         if kind is None or not message.accountable:

@@ -4,10 +4,10 @@ A live service run emits the same :class:`~repro.simulator.transport.WireEvent`
 stream the simulator's transports emit, so the simtest invariant checkers
 audit a service run without knowing it was not a simulation.
 :class:`ServiceTrace` accumulates the events in memory (and can persist
-them as JSON Lines through the wire codec -- the CI smoke job uploads the
-file when a run fails); :func:`check_trace` replays a trace through the
-checkers that make sense without a fuzz spec: byte conservation, view
-bounds, replica freshness and the query lifecycle rules.
+them as JSON Lines in the codec's JSON message form -- the CI smoke job
+reloads the file and uploads it on failure); :func:`check_trace` replays
+a trace through the checkers that make sense without a fuzz spec: byte
+conservation, view bounds, replica freshness and the query lifecycle rules.
 """
 
 from __future__ import annotations

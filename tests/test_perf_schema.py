@@ -104,18 +104,9 @@ def _valid_report() -> dict:
             "frame_batch": 120,
             "codec": {
                 "messages": {
-                    "DigestAdvertisement": {
-                        "json_fps": 3000.0,
-                        "binary_fps": 42000.0,
-                        "speedup": 14.0,
-                    },
-                    "QueryForward": {
-                        "json_fps": 40000.0,
-                        "binary_fps": 45000.0,
-                        "speedup": 1.1,
-                    },
+                    "DigestAdvertisement": {"binary_fps": 42000.0},
+                    "QueryForward": {"binary_fps": 45000.0},
                 },
-                "digest_roundtrip_speedup": 14.0,
             },
             "demo": {
                 "50": _service_demo_cell(50),
@@ -130,7 +121,6 @@ def _service_demo_cell(num_users: int) -> dict:
         "num_users": num_users,
         "num_queries": 8,
         "completed": 8,
-        "codec": "binary",
         "gossip_rounds": 400,
         "rounds_per_sec": 500.0,
         "rpc_count": 900,
@@ -171,8 +161,8 @@ class TestValidateReportV3:
     def test_valid_report_passes(self):
         assert validate_report(_valid_report()) == []
 
-    def test_schema_version_is_6(self):
-        assert SCHEMA_VERSION == 6
+    def test_schema_version_is_7(self):
+        assert SCHEMA_VERSION == 7
 
     def test_missing_rate_stat_rejected(self):
         report = _valid_report()
@@ -374,15 +364,9 @@ class TestValidateReportV6:
         assert any("service.codec.messages" in p for p in validate_report(report))
 
     def test_nonpositive_fps_rejected(self):
-        for key in ("json_fps", "binary_fps", "speedup"):
-            report = _valid_report()
-            report["service"]["codec"]["messages"]["QueryForward"][key] = 0
-            assert any(key in p for p in validate_report(report))
-
-    def test_nonpositive_digest_speedup_rejected(self):
         report = _valid_report()
-        report["service"]["codec"]["digest_roundtrip_speedup"] = -1
-        assert any("digest_roundtrip_speedup" in p for p in validate_report(report))
+        report["service"]["codec"]["messages"]["QueryForward"]["binary_fps"] = 0
+        assert any("binary_fps" in p for p in validate_report(report))
 
     def test_demo_without_completed_queries_rejected(self):
         report = _valid_report()

@@ -232,10 +232,6 @@ class TestServiceConfigValidation:
         with pytest.raises(ValueError, match="jitter"):
             ServiceConfig(jitter=1.5)
 
-    def test_rejects_unknown_codec(self):
-        with pytest.raises(ValueError, match="codec"):
-            ServiceConfig(codec="protobuf")
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_nonfinite_timings(self, bad):
         with pytest.raises(ValueError, match="rpc_timeout"):
@@ -432,13 +428,12 @@ class TestTimerWheel:
 
 
 class TestCodecParity:
-    """The service path under both codecs: clean invariants, bytes priced
+    """The service path through the codec: clean invariants, bytes priced
     by ``gossip.sizes`` (never by encoded frame length)."""
 
-    @pytest.mark.parametrize("codec_name", ["json", "binary"])
-    def test_run_passes_invariants_and_prices_by_sizes(self, codec_name):
+    def test_run_passes_invariants_and_prices_by_sizes(self):
         workload = build_demo_workload(num_users=16, num_queries=2, seed=9)
-        config = ServiceConfig(codec=codec_name, query_deadline=8.0)
+        config = ServiceConfig(query_deadline=8.0)
         runtime, simulation, sessions = _run(workload, config)
         check_trace(runtime.trace.events, simulation)
         accounted = sum(
@@ -453,7 +448,7 @@ class TestCodecParity:
         """A well-framed body with a bad binary tag drops loudly, inbox lives."""
         workload = build_demo_workload(num_users=8, num_queries=1, seed=5)
         simulation = converged_simulation(workload, 3)
-        config = ServiceConfig(codec="binary")
+        config = ServiceConfig()
         bad_body = bytes([0x03, 0x00, 0x00, 0x00, 0xEE])  # send frame, tag 0xEE
         frame = struct.pack(">I", len(bad_body)) + bad_body
 

@@ -1,9 +1,10 @@
 """Round-trip property tests for the service-mode wire codec.
 
 Contract (mirroring ``test_sizes_catalogue``): every concrete
-:class:`~repro.simulator.transport.Message` subclass has a registered wire
-encoding, ``decode(encode(m))`` reconstructs the message field by field,
-and the decoded message prices identically under
+:class:`~repro.simulator.transport.Message` subclass has one row in
+``codec.MESSAGE_TABLE``; both forms derived from that row -- the binary
+wire frame and the JSON trace form -- reconstruct the message field by
+field, and the decoded message prices identically under
 :func:`repro.gossip.sizes.total_bytes` -- so service-mode byte accounting
 agrees with the simulator's no matter which side of the wire does it.
 The catalogue is enumerated from ``Message.__subclasses__``: adding a
@@ -11,6 +12,9 @@ message type without teaching the codec about it fails loudly here.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,8 @@ from repro.data.queries import Query
 from repro.gossip.digest import ProfileDigest, make_digest
 from repro.gossip.sizes import total_bytes
 from repro.p3q.query import PartialResult
-from repro.service.codec import BinaryWireCodec, WireCodec, make_codec, split_frames
+from repro.service import codec as codec_module
+from repro.service.codec import MESSAGE_TABLE, BinaryWireCodec, WireCodec, split_frames
 from repro.simulator.transport import (
     VIEW_PERSONAL,
     VIEW_RANDOM,
@@ -38,7 +43,8 @@ from repro.simulator.transport import (
     RemainingReturn,
 )
 
-CODEC = WireCodec()
+#: The JSON message form (what ``ServiceTrace`` persists); stateless.
+JSON_FORM = WireCodec()
 
 
 # ------------------------------------------------------------------ builders
@@ -191,23 +197,40 @@ class TestCatalogueCoverage:
         assert _catalogue() == set(STRATEGIES)
 
     def test_codec_registry_covers_the_catalogue(self):
-        from repro.service import codec as codec_module
+        assert _catalogue() == set(MESSAGE_TABLE)
+        binary_tags = [row[0] for row in MESSAGE_TABLE.values()]
+        json_tags = [row[1] for row in MESSAGE_TABLE.values()]
+        assert len(set(binary_tags)) == len(MESSAGE_TABLE), "binary tags must be unique"
+        assert len(set(json_tags)) == len(MESSAGE_TABLE), "JSON tags must be unique"
+        assert all(0 < tag < 256 for tag in binary_tags)
 
-        assert _catalogue() == set(codec_module._ENCODERS)
-        tags = {tag for tag, _ in codec_module._ENCODERS.values()}
-        assert tags == set(codec_module._DECODERS)
-        assert len(tags) == len(codec_module._ENCODERS), "wire tags must be unique"
+    @pytest.mark.parametrize(
+        "record_type, fields",
+        [(cls, row[2]) for cls, row in MESSAGE_TABLE.items()]
+        + [(Query, codec_module.QUERY_FIELDS), (PartialResult, codec_module.PARTIAL_FIELDS)],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_row_names_every_dataclass_field_exactly_once(self, record_type, fields):
+        declared = sorted(field.name for field in dataclasses.fields(record_type))
+        assert sorted(attr for attr, _, _ in fields) == declared
+        keys = [key for _, key, _ in fields]
+        assert len(set(keys)) == len(keys)
+        if record_type in MESSAGE_TABLE:
+            assert "t" not in keys, "a message body keeps its type tag under 't'"
+        for _, _, kind in fields:
+            for direction in ("to_json", "from_json", "write", "read"):
+                assert callable(getattr(kind, direction))
 
     def test_unregistered_message_type_fails_loudly(self):
         class Bogus(Message):
             __slots__ = ()
 
         with pytest.raises(TypeError, match="Bogus"):
-            CODEC.encode_message(Bogus())
+            JSON_FORM.encode_message(Bogus())
 
     def test_unknown_tag_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown wire message tag"):
-            CODEC.decode_message({"t": "nope"})
+            JSON_FORM.decode_message({"t": "nope"})
 
 
 @pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
@@ -215,71 +238,13 @@ def test_round_trip_preserves_fields_and_price(message_type):
     @settings(max_examples=25, deadline=None)
     @given(message=STRATEGIES[message_type])
     def check(message):
-        body = CODEC.encode_message(message)
-        decoded = CODEC.decode_message(CODEC.unframe(CODEC.frame(body)))
+        # Through JSON text, the way ``ServiceTrace.dump``/``load`` carry it.
+        text = json.dumps(JSON_FORM.encode_message(message), separators=(",", ":"))
+        decoded = JSON_FORM.decode_message(json.loads(text))
         assert_message_equal(message, decoded)
         assert total_bytes(decoded) == total_bytes(message)
 
     check()
-
-
-class TestFrameLayer:
-    def test_feed_reassembles_partial_stream(self):
-        frames = [CODEC.frame({"n": i}) for i in range(3)]
-        stream = b"".join(frames)
-        # Split mid-frame: nothing decodes until the frame completes.
-        head, tail = stream[:5], stream[5:]
-        bodies, rest = CODEC.feed(head)
-        assert bodies == [] and rest == head
-        bodies, rest = CODEC.feed(rest + tail)
-        assert bodies == [{"n": 0}, {"n": 1}, {"n": 2}]
-        assert rest == b""
-
-    def test_unframe_rejects_truncation(self):
-        frame = CODEC.frame({"n": 1})
-        with pytest.raises(ValueError, match="length mismatch"):
-            CODEC.unframe(frame[:-1])
-
-
-class TestRuntimeFrames:
-    def test_request_frame_round_trip(self):
-        envelope = Envelope(
-            sender=3,
-            receiver=4,
-            message=QueryForward(query=_query(), remaining=(5, 6), cycle=2),
-            query_id=9,
-            expects_reply=True,
-            account=True,
-        )
-        decoded = CODEC.decode(CODEC.unframe(CODEC.encode_request(envelope, rpc_id=17)))
-        assert decoded["op"] == "req" and decoded["rpc"] == 17
-        assert decoded["envelope"] == envelope
-
-    def test_reply_frame_round_trip(self):
-        reply = RemainingReturn(query_id=9, remaining=(1, 2))
-        decoded = CODEC.decode(CODEC.unframe(CODEC.encode_reply(17, "delivered", reply)))
-        assert decoded["op"] == "rep" and decoded["rpc"] == 17
-        assert decoded["st"] == "delivered"
-        assert decoded["m"] == reply
-
-    def test_none_reply_frame(self):
-        decoded = CODEC.decode(CODEC.unframe(CODEC.encode_reply(17, "delivered", None)))
-        assert decoded["m"] is None
-
-    def test_send_frame_round_trip(self):
-        envelope = Envelope(
-            sender=2,
-            receiver=1,
-            message=QueryResult(partial=_partial(2, 1)),
-            query_id=9,
-            expects_reply=False,
-            account=True,
-        )
-        decoded = CODEC.decode(CODEC.unframe(CODEC.encode_send(envelope)))
-        assert decoded["op"] == "send"
-        assert decoded["envelope"].sender == 2
-        assert decoded["envelope"].expects_reply is False
-        assert_message_equal(decoded["envelope"].message, envelope.message)
 
 
 # ------------------------------------------------------------- binary codec
@@ -287,12 +252,14 @@ class TestRuntimeFrames:
 
 class TestBinaryCatalogueCoverage:
     def test_binary_registry_matches_json_registry(self):
-        from repro.service import codec as codec_module
-
-        assert set(codec_module._BIN_ENCODERS) == set(codec_module._ENCODERS)
-        tags = {tag for tag, _ in codec_module._BIN_ENCODERS.values()}
-        assert tags == set(codec_module._BIN_DECODERS)
-        assert len(tags) == len(codec_module._BIN_ENCODERS), "tags must be unique"
+        # Both decode-side lookups are derived from the one table, so they
+        # cover the same types with the same field rows.
+        by_type = codec_module._BY_TYPE
+        assert set(by_type) == set(MESSAGE_TABLE)
+        for cls, (binary_tag, json_tag, kind) in by_type.items():
+            assert (binary_tag, json_tag) == MESSAGE_TABLE[cls][:2]
+            assert codec_module._BY_BINARY_TAG[binary_tag] is kind
+            assert codec_module._BY_JSON_TAG[json_tag] is kind
 
     def test_unregistered_message_type_fails_loudly(self):
         class Bogus(Message):
@@ -305,16 +272,10 @@ class TestBinaryCatalogueCoverage:
         with pytest.raises(ValueError, match="unknown binary wire message tag"):
             BinaryWireCodec().decode_message(bytes([0xEE]))
 
-    def test_make_codec_registry(self):
-        assert isinstance(make_codec("json"), WireCodec)
-        assert isinstance(make_codec("binary"), BinaryWireCodec)
-        with pytest.raises(ValueError, match="codec"):
-            make_codec("protobuf")
-
 
 @pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
 def test_cross_codec_equivalence(message_type):
-    """Satellite: both codecs decode to equal messages with equal pricing.
+    """Both forms of the table decode to equal messages with equal pricing.
 
     Fresh binary codec instances per example keep digest suppression out
     of the picture: this is the pure encoding contract.
@@ -326,7 +287,7 @@ def test_cross_codec_equivalence(message_type):
         binary = BinaryWireCodec()
         body = binary.encode_message(message)
         from_binary = BinaryWireCodec().decode_message(body)
-        from_json = CODEC.decode_message(CODEC.encode_message(message))
+        from_json = JSON_FORM.decode_message(JSON_FORM.encode_message(message))
         assert_message_equal(message, from_binary)
         assert_message_equal(from_json, from_binary)
         assert total_bytes(from_binary) == total_bytes(message)
@@ -351,21 +312,23 @@ class TestBinaryRuntimeFrames:
         decoded = BinaryWireCodec().decode_body(bodies[0])
         assert decoded["op"] == "req" and decoded["rpc"] == 17
         assert decoded["envelope"] == envelope
+        # Only what the runtime reads.
+        assert set(decoded) == {"op", "rpc", "m", "envelope"}
 
     def test_reply_frame_round_trip(self):
         codec = BinaryWireCodec()
         reply = RemainingReturn(query_id=9, remaining=(1, 2))
         bodies, _ = codec.split(codec.encode_reply(17, "delivered", reply))
         decoded = BinaryWireCodec().decode_body(bodies[0])
-        assert decoded["op"] == "rep" and decoded["rpc"] == 17
-        assert decoded["st"] == "delivered"
-        assert decoded["m"] == reply
+        assert decoded == {"op": "rep", "rpc": 17, "m": reply}
 
     def test_none_reply_frame(self):
         codec = BinaryWireCodec()
         bodies, _ = codec.split(codec.encode_reply(17, "dropped", None))
         decoded = BinaryWireCodec().decode_body(bodies[0])
-        assert decoded["m"] is None and decoded["st"] == "dropped"
+        assert decoded == {"op": "rep", "rpc": 17, "m": None}
+        with pytest.raises(ValueError, match="unknown delivery status"):
+            codec.encode_reply(17, "teleported", None)
 
     def test_send_frame_round_trip_negative_ids(self):
         codec = BinaryWireCodec()
@@ -379,7 +342,7 @@ class TestBinaryRuntimeFrames:
         )
         bodies, _ = codec.split(codec.encode_send(envelope))
         decoded = BinaryWireCodec().decode_body(bodies[0])
-        assert decoded["op"] == "send"
+        assert decoded["op"] == "send" and decoded["rpc"] is None
         assert decoded["envelope"].sender == -2
         assert decoded["envelope"].receiver == -1
         assert decoded["envelope"].query_id == -9
@@ -429,6 +392,26 @@ class TestBinaryMalformedFrames:
         evil2 += b"\xff\xff\xff\xff\x7f"  # item count ~= 2**34
         with pytest.raises(ValueError, match="sequence length"):
             BinaryWireCodec().decode_message(bytes(evil2))
+
+    def test_forged_digest_geometry_rejected(self):
+        # num_hashes drives a Python loop per probe and every geometry is
+        # memoised process-wide; count is a forged varint like any length.
+        def advertisement(num_hashes: bytes, count: bytes) -> bytes:
+            evil = bytearray([0x01, 0x00, 0x01, 0x00])  # tag, view, one full row
+            evil += bytes([0x00, 0x00])  # user_id=0, version=0
+            evil += bytes([0x40])  # num_bits=64
+            evil += num_hashes + count
+            evil += bytes(8)  # the row itself
+            return bytes(evil)
+
+        BinaryWireCodec().decode_message(advertisement(b"\x03", b"\x05"))  # sane: decodes
+        for forged in (b"\x00", b"\x41", b"\xc0\x8d\xb7\x01"):  # 0, 65, 3_000_000
+            with pytest.raises(ValueError, match="num_hashes"):
+                BinaryWireCodec().decode_message(advertisement(forged, b"\x05"))
+        with pytest.raises(ValueError, match="sequence length"):
+            BinaryWireCodec().decode_message(
+                advertisement(b"\x03", b"\xff\xff\xff\xff\x7f")
+            )
 
     def test_unbounded_varint_rejected(self):
         with pytest.raises(ValueError, match="varint"):
@@ -519,6 +502,62 @@ class TestDigestSuppression:
         assert_message_equal(fresh.decode_body(bodies[0])["m"], adv2)
 
 
+class TestCacheBounds:
+    """Every codec cache is bounded; overflow degrades to full rows or a
+    loud drop, never to growth."""
+
+    @pytest.fixture(autouse=True)
+    def _small_bounds(self, monkeypatch):
+        monkeypatch.setattr(codec_module, "_MAX_RECEIVED_DIGESTS", 2)
+        monkeypatch.setattr(codec_module, "_MAX_ENCODED_ROWS", 3)
+        monkeypatch.setattr(codec_module, "_MAX_SENT_PER_LINK", 4)
+
+    def _send(self, sender, user_ids, receiver=7):
+        adv = DigestAdvertisement(
+            digests=tuple(_digest(uid) for uid in user_ids), view=VIEW_PERSONAL
+        )
+        frame = sender.encode_send(Envelope(1, receiver, adv, None, False, True))
+        sender.commit_sent(receiver)
+        return adv, frame
+
+    def _decode(self, receiver, frame):
+        bodies, leftover = receiver.split(frame)
+        assert leftover == b""
+        return receiver.decode_body(bodies[0])["m"]
+
+    def test_evicted_received_digest_makes_the_reference_fail_loudly(self):
+        sender, receiver = BinaryWireCodec(), BinaryWireCodec()
+        for uid in (1, 2, 3):  # the third full row evicts user 1's
+            self._decode(receiver, self._send(sender, [uid])[1])
+            assert len(receiver._received) <= 2
+        adv, referenced = self._send(sender, [3])
+        assert_message_equal(self._decode(receiver, referenced), adv)
+        _, stale = self._send(sender, [1])
+        with pytest.raises(ValueError, match="digest reference"):
+            self._decode(receiver, stale)
+
+    def test_encoded_row_lru_stays_within_bound(self):
+        sender = BinaryWireCodec()
+        for uid in range(10):
+            self._send(sender, [uid])
+            assert len(sender._rows) <= 3
+        assert set(sender._rows) == {(uid, _digest(uid).version) for uid in (7, 8, 9)}
+
+    def test_sent_table_sheds_and_falls_back_to_full_rows(self):
+        sender = BinaryWireCodec()
+        _, full = self._send(sender, [1, 2])
+        _, referenced = self._send(sender, [1, 2])
+        assert len(referenced) < len(full) / 2
+        self._send(sender, [3, 4])
+        assert len(sender._sent[7]) == 4
+        self._send(sender, [5])  # the fifth pair overflows: the link table is shed
+        assert len(sender._sent[7]) <= 4
+        adv, again = self._send(sender, [1, 2])
+        assert len(again) == len(full)
+        assert_message_equal(self._decode(BinaryWireCodec(), again), adv)
+        assert not sender._pending
+
+
 class TestSplitFrames:
     def test_splits_batched_frames(self):
         codec = BinaryWireCodec()
@@ -569,11 +608,12 @@ class TestProfileFromState:
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_version_survives_codec_round_trip(self, codec_name):
         profile = self._versioned_profile()
-        codec = make_codec(codec_name)
         push = FullProfilePush(subject_id=4, profile=profile)
         if codec_name == "json":
-            decoded = codec.decode_message(codec.encode_message(push))
+            decoded = JSON_FORM.decode_message(JSON_FORM.encode_message(push))
         else:
-            decoded = BinaryWireCodec().decode_message(codec.encode_message(push))
+            decoded = BinaryWireCodec().decode_message(
+                BinaryWireCodec().encode_message(push)
+            )
         assert decoded.profile.version == profile.version
         assert decoded.profile.actions == profile.actions

@@ -1,0 +1,218 @@
+"""Golden wire bytes: the binary frames and the JSON trace form, pinned as data.
+
+``tests/data/wire_golden.json`` was generated by running :func:`build_golden`
+against the tree *before* the codec was rebuilt on one per-message field
+table (two hand-written codecs, four tables).  The tests assert that the
+table-driven codec still produces exactly those frames, byte for byte, and
+that a ``ServiceTrace`` JSONL written by that tree loads to equal messages
+-- the ``transport_golden.json`` pattern: old behaviour pinned as data, not
+as code.
+
+Regenerate (only ever against a tree whose wire format is known-good) with::
+
+    PYTHONPATH=src python tests/test_wire_golden.py --regen
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+from repro.data.interning import intern_action
+from repro.data.models import UserProfile
+from repro.data.queries import Query
+from repro.gossip.digest import make_digest
+from repro.p3q.query import PartialResult
+from repro.service.codec import BinaryWireCodec, WireCodec
+from repro.service.trace import ServiceTrace
+from repro.simulator.transport import (
+    DELIVERED,
+    DROPPED,
+    OP_REPLY,
+    OP_REQUEST,
+    OP_SEND,
+    VIEW_PERSONAL,
+    VIEW_RANDOM,
+    CommonItemsReply,
+    CommonItemsRequest,
+    DigestAdvertisement,
+    Envelope,
+    FullProfilePush,
+    FullProfileRequest,
+    Message,
+    QueryForward,
+    QueryResult,
+    RemainingReturn,
+    WireEvent,
+)
+from test_wire_codec import assert_message_equal
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "wire_golden.json"
+
+
+def _profile(user_id: int, num_actions: int) -> UserProfile:
+    profile = UserProfile(user_id, [(item, item + 100) for item in range(num_actions)])
+    profile.add(900 + user_id, 77)  # the live version outruns the initial action count
+    return profile
+
+
+def _digest(user_id: int, num_actions: int):
+    return make_digest(_profile(user_id, num_actions), num_bits=256, num_hashes=3)
+
+
+def golden_messages() -> List[Tuple[str, Message]]:
+    """One message per catalogue type plus the ``None``-payload variants."""
+    query = Query(query_id=9, querier=-3, tags=(101, 205, 7), source_item=None)
+    sourced = Query(query_id=10, querier=4, tags=(5,), source_item=321)
+    partial = PartialResult(
+        query_id=9,
+        sender=12,
+        scores={40: 1.5, 3: 0.25, 70000: 1e-9},
+        contributors=(12, -1, 300),
+        cycle=4,
+    )
+    return [
+        (
+            "digests",
+            DigestAdvertisement(
+                digests=(_digest(1, 3), _digest(200, 6), _digest(-5, 2)), view=VIEW_PERSONAL
+            ),
+        ),
+        ("digests_empty", DigestAdvertisement(digests=(), view=VIEW_RANDOM)),
+        ("common_req", CommonItemsRequest(subject_id=8, items=frozenset({5, 1, 130, 70000}))),
+        (
+            "common_rep",
+            CommonItemsReply(
+                subject_id=8,
+                actions=frozenset(intern_action(i, t) for i, t in ((5, 9), (1, 300), (5, 2))),
+            ),
+        ),
+        ("common_rep_none", CommonItemsReply(subject_id=8, actions=None)),
+        ("profile_req", FullProfileRequest(subject_id=-2)),
+        ("profile_push", FullProfilePush(subject_id=6, profile=_profile(6, 5))),
+        ("profile_push_none", FullProfilePush(subject_id=6, profile=None)),
+        ("query_fwd", QueryForward(query=query, remaining=(4, 5, 900), cycle=2)),
+        ("query_fwd_sourced", QueryForward(query=sourced, remaining=(), cycle=0)),
+        ("remaining_ret", RemainingReturn(query_id=9, remaining=(7, 8))),
+        ("query_res", QueryResult(partial=partial)),
+    ]
+
+
+def build_frames() -> Dict[str, str]:
+    """Hex of every runtime frame shape, one fresh codec per message."""
+    frames: Dict[str, str] = {}
+    for name, message in golden_messages():
+        codec = BinaryWireCodec()
+        request = Envelope(3, 4, message, 9, True, True)
+        send = Envelope(-2, 130, message, None, False, False)
+        frames[f"{name}/request"] = codec.encode_request(request, 17).hex()
+        codec.abort_sent(4)
+        frames[f"{name}/send_no_query"] = codec.encode_send(send).hex()
+        codec.abort_sent(130)
+        frames[f"{name}/reply"] = codec.encode_reply(300, DELIVERED, message).hex()
+    codec = BinaryWireCodec()
+    frames["none/reply_dropped"] = codec.encode_reply(1, DROPPED, None).hex()
+    # Suppression: a committed advertisement is referenced on the same link,
+    # shipped in full on another, and a new digest mixes with references.
+    first = dict(golden_messages())["digests"]
+    frames["suppression/first"] = codec.encode_send(Envelope(1, 7, first, None, False, True)).hex()
+    codec.commit_sent(7)
+    frames["suppression/referenced"] = codec.encode_send(
+        Envelope(1, 7, first, None, False, True)
+    ).hex()
+    codec.commit_sent(7)
+    mixed = DigestAdvertisement(digests=first.digests[:1] + (_digest(31, 4),), view=VIEW_RANDOM)
+    frames["suppression/mixed"] = codec.encode_request(
+        Envelope(1, 7, mixed, None, True, True), 2
+    ).hex()
+    frames["suppression/other_link"] = codec.encode_send(
+        Envelope(1, 8, first, None, False, True)
+    ).hex()
+    return frames
+
+
+def golden_events() -> List[WireEvent]:
+    ops = (OP_REQUEST, OP_REPLY, OP_SEND)
+    return [
+        WireEvent(
+            op=ops[index % 3],
+            sender=index,
+            receiver=-index,
+            message=message,
+            status=DELIVERED if index % 2 else DROPPED,
+            accounted=bool(index % 2),
+            query_id=None if index % 4 == 0 else index,
+        )
+        for index, (_, message) in enumerate(golden_messages())
+    ]
+
+
+def build_trace_lines(tmp_path: Path) -> List[str]:
+    trace = ServiceTrace()
+    for event in golden_events():
+        trace.record(event)
+    path = tmp_path / "trace.jsonl"
+    trace.dump(str(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def build_golden(tmp_path: Path) -> Dict:
+    return {"frames": build_frames(), "trace_lines": build_trace_lines(tmp_path)}
+
+
+def _golden() -> Dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_binary_frames_are_byte_identical_to_the_golden():
+    golden = _golden()["frames"]
+    frames = build_frames()
+    assert set(frames) == set(golden)
+    for name, frame_hex in golden.items():
+        assert frames[name] == frame_hex, name
+
+
+def test_golden_frames_decode_to_the_messages_that_made_them():
+    golden = _golden()["frames"]
+    for name, message in golden_messages():
+        for shape in ("request", "send_no_query", "reply"):
+            codec = BinaryWireCodec()
+            bodies, leftover = codec.split(bytes.fromhex(golden[f"{name}/{shape}"]))
+            assert leftover == b"" and len(bodies) == 1
+            assert_message_equal(codec.decode_body(bodies[0])["m"], message)
+
+
+def test_parent_written_trace_loads_to_equal_messages(tmp_path):
+    lines = _golden()["trace_lines"]
+    path = tmp_path / "parent_trace.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = ServiceTrace.load(str(path))
+    expected = golden_events()
+    assert len(loaded) == len(expected) == len(lines)
+    codec = WireCodec()
+    for line, event, want in zip(lines, loaded.events, expected):
+        assert event._replace(message=None) == want._replace(message=None)
+        assert_message_equal(event.message, want.message)
+        # Dict equality, not key order: the JSON form is a trace format, so
+        # what must hold is that re-encoding yields the same object.
+        reencoded = json.loads(json.dumps(codec.encode_message(event.message)))
+        assert reencoded == json.loads(line)["m"]
+
+
+def test_trace_dump_matches_the_golden_lines_as_objects(tmp_path):
+    lines = build_trace_lines(tmp_path)
+    golden = _golden()["trace_lines"]
+    assert [json.loads(line) for line in lines] == [json.loads(line) for line in golden]
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    import sys
+    import tempfile
+
+    if "--regen" not in sys.argv:
+        sys.exit("pass --regen to overwrite the golden (see the module docstring)")
+    with tempfile.TemporaryDirectory() as scratch:
+        payload = build_golden(Path(scratch))
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH}")
