@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 #: Sizing used in the paper's cost analysis: 20 Kbit per digest.
 PAPER_DIGEST_BITS = 20_000
@@ -176,6 +176,18 @@ def clear_hash_cache() -> None:
         positions.clear()
 
 
+def pack_row(bits: int, num_bits: int) -> bytes:
+    """A packed bit array as its wire/columnar *row*: raw filter bits,
+    little-endian, ``ceil(num_bits / 8)`` bytes.
+
+    The one spelling of the layout shared by the wire codec's digest
+    entries, the :class:`~repro.data.columnar.DigestMatrix` rows and
+    :meth:`BloomFilter.row_bytes`; :meth:`BloomFilter.from_columnar` is its
+    inverse.
+    """
+    return bits.to_bytes((num_bits + 7) // 8, "little")
+
+
 def optimal_num_hashes(num_bits: int, expected_items: int) -> int:
     """The false-positive-minimizing number of hash functions ``k``.
 
@@ -208,7 +220,7 @@ class BloomFilter:
     the standard estimate.
     """
 
-    __slots__ = ("num_bits", "num_hashes", "_bits", "_count", "_masks", "_mask_limit")
+    __slots__ = ("num_bits", "num_hashes", "_bits", "_count", "_masks", "_mask_limit", "_row")
 
     def __init__(self, num_bits: int = PAPER_DIGEST_BITS, num_hashes: int = 14) -> None:
         if num_bits <= 0:
@@ -220,6 +232,9 @@ class BloomFilter:
         #: The bit array, packed into one arbitrary-precision integer.
         self._bits = 0
         self._count = 0
+        #: Memoised :meth:`row_bytes` of the current bits (``None``: not
+        #: serialised since the last insert).
+        self._row: Optional[bytes] = None
         #: The shared probe-mask cache for this filter's geometry, capped so
         #: the cache costs at most ~_MASK_CACHE_BYTES_PER_GEOMETRY bytes.
         self._masks = _MASKS.setdefault((num_bits, num_hashes), {})
@@ -272,6 +287,7 @@ class BloomFilter:
         """Insert ``key`` into the filter."""
         self._bits |= self._probe_mask(key)
         self._count += 1
+        self._row = None
 
     def update(self, keys: Iterable[object]) -> None:
         for key in keys:
@@ -328,6 +344,19 @@ class BloomFilter:
         """The packed bit array as an int (state transfer between processes)."""
         return self._bits
 
+    def row_bytes(self) -> bytes:
+        """The bit array as its :func:`pack_row` row, serialised at most once.
+
+        A digest is an immutable snapshot that every holder re-advertises
+        round after round; the row is memoised on the filter (and dropped
+        by the next insert), so all of them append the same ``bytes``
+        object instead of each re-serialising -- or each caching -- its own.
+        """
+        row = self._row
+        if row is None:
+            row = self._row = pack_row(self._bits, self.num_bits)
+        return row
+
     @classmethod
     def from_state(
         cls, num_bits: int, num_hashes: int, bits: int, count: int
@@ -353,9 +382,13 @@ class BloomFilter:
         by construction the OR of the same per-item probe masks ``update``
         would have ORed -- so the resulting filter is bit-identical to one
         built item by item.  ``count`` is the number of distinct items the
-        row encodes.
+        row encodes.  A ``bytes`` row of the geometry's exact width is kept
+        as the filter's memoised :meth:`row_bytes` (it *is* that value).
         """
-        return cls.from_state(num_bits, num_hashes, int.from_bytes(row, "little"), count)
+        bloom = cls.from_state(num_bits, num_hashes, int.from_bytes(row, "little"), count)
+        if type(row) is bytes and len(row) == bloom.size_in_bytes:
+            bloom._row = row
+        return bloom
 
     # -- introspection --------------------------------------------------------
 

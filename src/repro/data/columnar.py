@@ -40,7 +40,7 @@ import os
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..bloom.bloom import probe_positions
+from ..bloom.bloom import pack_row, probe_positions
 from .models import Dataset, TaggingAction, UserProfile
 
 #: Per-geometry caches of probe-mask *integers*: the OR of a key's probe
@@ -334,9 +334,7 @@ class DigestMatrix:
         for item in items:
             bits |= mask_int(item, num_bits, num_hashes)
         start = row * self.row_bytes
-        self._rows[start : start + self.row_bytes] = bits.to_bytes(
-            self.row_bytes, "little"
-        )
+        self._rows[start : start + self.row_bytes] = pack_row(bits, num_bits)
         self._versions[row] = version
 
     def built_count(self) -> int:
@@ -372,7 +370,7 @@ class DigestMatrix:
                     mask = mask_int(item, num_bits, num_hashes)
                 bits |= mask
             start = row * row_bytes
-            buffer[start : start + row_bytes] = bits.to_bytes(row_bytes, "little")
+            buffer[start : start + row_bytes] = pack_row(bits, num_bits)
             self._versions[row] = versions[row]
             built += 1
         return built

@@ -19,6 +19,7 @@ lazy exchange is built on.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -82,6 +83,37 @@ def make_digest(
     """Build the digest of a profile: a Bloom filter over its items."""
     bloom = BloomFilter.from_items(profile.items, num_bits=num_bits, num_hashes=num_hashes)
     return ProfileDigest(user_id=profile.user_id, version=profile.version, bloom=bloom)
+
+
+#: Process-wide intern table of digests that arrived as bytes: full content
+#: ``(user_id, version, num_bits, num_hashes, count, row)`` -> the one
+#: :class:`ProfileDigest` object holding it.  Weak-valued: an entry lives
+#: exactly as long as some view, in-flight message or codec reference LRU
+#: holds the digest, so the table needs no bound of its own.
+_INTERNED: "weakref.WeakValueDictionary[tuple, ProfileDigest]" = weakref.WeakValueDictionary()
+
+
+def intern_digest(
+    user_id: int, version: int, num_bits: int, num_hashes: int, count: int, row: bytes
+) -> ProfileDigest:
+    """The shared :class:`ProfileDigest` of a received digest row.
+
+    A digest is an immutable snapshot that every node of the overlay
+    re-advertises, so N in-process receivers decode the same <= N distinct
+    rows over and over; resolving them here keeps one object (one 20 Kbit
+    integer) per digest instead of one per receiver.  The key is the *whole*
+    content, row bytes included: a forged row under an honest ``(user_id,
+    version)`` is a different key and can never alias the honest digest.
+    ``row`` is the filter's :meth:`~repro.bloom.BloomFilter.row_bytes`
+    (callers bound the geometry and the row length first).
+    """
+    key = (user_id, version, num_bits, num_hashes, count, row)
+    digest = _INTERNED.get(key)
+    if digest is None:
+        bloom = BloomFilter.from_columnar(num_bits, num_hashes, row, count)
+        digest = ProfileDigest(user_id=user_id, version=version, bloom=bloom)
+        _INTERNED[key] = digest
+    return digest
 
 
 class DigestProvider:

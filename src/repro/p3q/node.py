@@ -56,7 +56,7 @@ from ..simulator.transport import (
 )
 from .config import P3QConfig
 from .eager import EagerGossipProtocol
-from .query import CycleSnapshot, ForwardedQueryState, PartialResult, QuerySession
+from .query import ForwardedQueryState, PartialResult, QuerySession
 from .scoring import partial_scores
 
 
@@ -105,8 +105,15 @@ class P3QNode(Node):
             account_traffic=config.account_traffic,
             maintain_networks=config.eager_maintains_networks,
         )
-        #: Query sessions for queries issued *by this node*.
+        #: Query sessions for queries issued *by this node*: the record the
+        #: caller reads results from, one per query ever issued.
         self.sessions: Dict[int, QuerySession] = {}
+        #: The subset the eager rounds still have to look at, in the same
+        #: (issue) order: unfinished sessions, and finished ones that still
+        #: hold a remaining list.  The rest are *retired*
+        #: (:meth:`retire_finished_sessions`): a round costs O(open queries),
+        #: not O(queries ever issued).
+        self._live_sessions: Dict[int, QuerySession] = {}
         #: Remaining-list responsibilities for queries issued by other nodes.
         self.forwarded: Dict[int, ForwardedQueryState] = {}
         #: query_id -> profiles this node has already contributed to it.
@@ -219,7 +226,7 @@ class P3QNode(Node):
         # issue_query) may insert entries mid-round.  Queries arriving during
         # the round wait for the next tick, exactly as in the engine.
         # Own queries: the querier is also a gossip initiator (Algorithm 2).
-        for session in list(self.sessions.values()):
+        for session in list(self._live_sessions.values()):
             if session.remaining:
                 session.remaining = yield from self.eager.gossip_query_effects(
                     self, session.query, session.remaining, cycle
@@ -261,7 +268,11 @@ class P3QNode(Node):
         session.add_local_result(scores, contributors, cycle=cycle)
         session.set_remaining(self.personal_network.unstored_ids())
         self.mark_contributed(query.query_id, contributors)
+        reissued = query.query_id in self.sessions
         self.sessions[query.query_id] = session
+        self._live_sessions[query.query_id] = session
+        if reissued:
+            self._restore_issue_order()
         if self._network is not None:
             self._network.note_query_session(self.node_id)
         return session
@@ -271,13 +282,47 @@ class P3QNode(Node):
         if session is not None:
             session.receive_partial(partial)
 
-    def close_eager_cycle(self, cycle: int) -> List[CycleSnapshot]:
-        """Merge the partial results of this cycle for every own query."""
-        return [session.close_cycle(cycle) for session in self.sessions.values()]
+    def close_open_sessions(self, cycle: int) -> None:
+        """Merge the partial results of this cycle for every own *open* query.
+
+        The service runtime's cycle boundary.  A finished session is left
+        alone -- its result is final and late partials are dropped at
+        receipt -- so a node's per-tick cost does not grow with the queries
+        it has answered.  (The cycle engine instead closes *every* session
+        every cycle: its ``run_eager`` callback contract restates them.)
+        """
+        for session in self._live_sessions.values():
+            if not session.closed:
+                session.close_cycle(cycle)
+        self.retire_finished_sessions()
+
+    def retire_finished_sessions(self) -> None:
+        """Drop sessions with nothing left to do from the eager-round scans.
+
+        Retired means closed *and* no remaining list: exactly the sessions
+        :meth:`has_active_queries` and :meth:`eager_round_effects` would
+        skip anyway, so retiring changes no behaviour.
+        """
+        self._live_sessions = {
+            query_id: session
+            for query_id, session in self._live_sessions.items()
+            if session.remaining or not session.closed
+        }
+
+    def _restore_issue_order(self) -> None:
+        """Re-sort the live sessions into ``sessions`` order after an
+        out-of-order entry; the round scans draw from the node rng, so
+        their order is behaviour."""
+        live = self._live_sessions
+        self._live_sessions = {
+            query_id: session
+            for query_id, session in self.sessions.items()
+            if query_id in live
+        }
 
     def has_active_queries(self) -> bool:
         """True while any query this node participates in still has work."""
-        if any(session.remaining for session in self.sessions.values()):
+        if any(session.remaining for session in self._live_sessions.values()):
             return True
         return any(state.active for state in self.forwarded.values())
 
@@ -404,6 +449,10 @@ class P3QNode(Node):
         session = self.sessions.get(message.query_id)
         if session is not None:
             session.remaining = sorted(set(session.remaining) | set(message.remaining))
+            if session.remaining and message.query_id not in self._live_sessions:
+                # A late share revives a retired session.
+                self._live_sessions[message.query_id] = session
+                self._restore_issue_order()
             self.network.note_eager_work(self.node_id)
             return None
         state = self.forwarded.get(message.query_id)

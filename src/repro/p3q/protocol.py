@@ -434,9 +434,11 @@ class P3QSimulation:
                 # registry iterates in the same ascending-id order as the
                 # full node table did.
                 for uid in self.network.session_holders():
-                    for session in self.nodes[uid].sessions.values():
+                    node = self.nodes[uid]
+                    for session in node.sessions.values():
                         snapshot = session.close_cycle(self._eager_cycles_run)
                         snapshots[session.query.query_id] = snapshot
+                    node.retire_finished_sessions()
                 if callback is not None:
                     callback(self._eager_cycles_run, snapshots)
         return run

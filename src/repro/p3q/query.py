@@ -136,19 +136,26 @@ class QuerySession:
         )
 
     def receive_partial(self, partial: PartialResult) -> None:
-        """Buffer a partial result until the end of the current cycle."""
-        self._pending.append(partial)
+        """Buffer a partial result until the end of the current cycle.
+
+        Once the session is closed the querier has read off the exact
+        result: a partial arriving after that (a straggler retry under loss
+        or latency) must not perturb it, and nothing will fold it any more
+        -- service mode stops closing cycles on a finished session -- so it
+        is dropped here, at receipt, instead of being buffered.
+        """
+        if not self.closed:
+            self._pending.append(partial)
 
     # -- per-cycle processing -------------------------------------------------
 
     def close_cycle(self, cycle: int) -> CycleSnapshot:
         """Merge the partial results received during ``cycle`` (Algorithm 4)."""
         if self.closed:
-            # The querier already read off the exact result: a partial result
-            # arriving after that (a straggler retry under loss or latency)
-            # must not perturb it.  The snapshot simply restates the final
-            # top-k at the new cycle.
-            self._pending.clear()
+            # The querier already read off the exact result (late partials
+            # are dropped at receipt): the snapshot restates the final top-k
+            # at the new cycle.  Only the cycle engine asks for this -- its
+            # ``run_eager`` callback reports every session every cycle.
             snapshot = CycleSnapshot(
                 cycle=cycle,
                 top_k=list(self.snapshots[-1].top_k) if self.snapshots else [],

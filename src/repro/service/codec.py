@@ -13,12 +13,13 @@ format and one description of the message catalogue:
   in :mod:`repro.gossip.sizes`.
 * :class:`BinaryWireCodec` -- **the** wire codec: struct-packed headers,
   varint/zigzag integer fields, and Bloom digests as raw little-endian
-  byte rows (the exact ``DigestMatrix`` layout, so
-  :meth:`BloomFilter.from_state` round-trips reuse the pinned columnar
-  machinery).  A ``(user_id, version)``-keyed cache of encoded digest rows
-  skips re-serializing an unchanged digest, and -- when the runtime
-  commits successful sends -- digests the receiver was already sent travel
-  as 1-byte-marker references instead of full rows.
+  byte rows (the exact ``DigestMatrix`` layout,
+  :meth:`BloomFilter.row_bytes`, serialised once per filter whoever sends
+  it).  Received rows resolve through the process-wide content-keyed
+  intern table (:func:`repro.gossip.digest.intern_digest`), so however
+  many nodes decode a digest there is one object for it, and -- when the
+  runtime commits successful sends -- digests the receiver was already
+  sent travel as 1-byte-marker references instead of full rows.
 * :class:`WireCodec` -- the JSON *message* form of the same table.  It is
   **not** a wire codec (no frames, no addressing): it is what
   :class:`~repro.service.trace.ServiceTrace` persists as JSON Lines, so a
@@ -39,8 +40,7 @@ Design rules:
 * **Process-portable payloads.**  Interned action ids are process-local
   (:mod:`repro.data.interning`), so :class:`CommonItemsReply` travels as
   explicit ``(item, tag)`` pairs and is re-interned on decode; Bloom
-  filters travel as their full state and are rebuilt with
-  :meth:`BloomFilter.from_state`.  Frames decode identically in another
+  filters travel as their full state and are rebuilt from it.  Frames decode identically in another
   process (the UDP transport) and in-process (the loopback).
 * **Faithful round-trips.**  ``decode_message(encode_message(m))`` must
   compare equal to ``m`` field by field and price identically under
@@ -59,7 +59,7 @@ from ..bloom import BloomFilter
 from ..data.interning import action_of, intern_action
 from ..data.models import UserProfile
 from ..data.queries import Query
-from ..gossip.digest import ProfileDigest
+from ..gossip.digest import ProfileDigest, intern_digest
 from ..p3q.query import PartialResult
 from ..simulator.transport import (
     DEFERRED,
@@ -146,10 +146,9 @@ _MAX_DIGEST_BITS = 1 << 26
 _MAX_DIGEST_HASHES = 64
 _MAX_SEQUENCE = 1 << 24
 
-#: Cache bounds of one :class:`BinaryWireCodec` (every one is an LRU or a
-#: shed-on-overflow table; none grows with the run).
+#: Cache bounds of one :class:`BinaryWireCodec` (an LRU and a
+#: shed-on-overflow table; neither grows with the run).
 _MAX_RECEIVED_DIGESTS = 65536
-_MAX_ENCODED_ROWS = 4096
 #: Never above the receiver's LRU, or references would outlive their rows.
 _MAX_SENT_PER_LINK = 65536
 
@@ -560,11 +559,12 @@ class BinaryWireCodec:
     Three layers -- message bodies (``encode_message``/``decode_message``),
     runtime frames (``encode_request``/``encode_reply``/``encode_send`` and
     ``split``/``decode_body``), and the length-prefix outer framing -- plus
-    two caches that make the digest-advertisement path cheap:
+    what makes the digest-advertisement path cheap:
 
-    * **Encoded-row cache**: the wire encoding of a digest is keyed by
-      ``(user_id, version)``; re-advertising an unchanged digest is a dict
-      hit + blob copy instead of a fresh big-int serialization.
+    * **Shared rows**: a full digest entry is a small header plus the
+      filter's own memoised :meth:`BloomFilter.row_bytes`, and a decoded
+      row resolves to the one interned :class:`ProfileDigest` of that
+      content -- no codec keeps a private copy of either.
     * **Suppression**: when the runtime confirms a send (``commit_sent``),
       the ``(user_id, version)`` pairs shipped to that receiver are
       remembered, and later advertisements carry a small *reference* entry
@@ -577,8 +577,8 @@ class BinaryWireCodec:
       (the replica-freshness invariant), so equal versions mean equal
       digest bits.
 
-    The caches are per node (what *this* node decoded, what each of *its*
-    peers was sent), so every :class:`~repro.service.runtime.NodeService`
+    The reference tables are per node (what *this* node decoded, what each
+    of *its* peers was sent), so every :class:`~repro.service.runtime.NodeService`
     owns one instance.  Byte accounting is untouched by all of this:
     messages are priced by ``gossip.sizes.total_bytes`` on the message
     *object* before encoding, so a suppressed advertisement costs the same
@@ -591,10 +591,10 @@ class BinaryWireCodec:
         self._sent: Dict[int, set] = {}
         #: receiver -> [(user_id, version)] encoded but not yet confirmed.
         self._pending: Dict[int, List[Tuple[int, int]]] = {}
-        #: (user_id, version) -> ProfileDigest decoded earlier (LRU-bounded).
+        #: (user_id, version) -> ProfileDigest decoded earlier (LRU-bounded):
+        #: what a reference from a peer resolves to.  Protocol state, so it
+        #: is per node even though the digests it points at are shared.
         self._received: "OrderedDict[Tuple[int, int], ProfileDigest]" = OrderedDict()
-        #: (user_id, version) -> encoded full digest entry (LRU-bounded).
-        self._rows: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
 
     # -- digest plumbing ------------------------------------------------------
 
@@ -606,21 +606,14 @@ class BinaryWireCodec:
             _write_sv(out, digest.user_id)
             _write_uv(out, digest.version)
             return
-        row = self._rows.get(key)
-        if row is None:
-            entry = bytearray((_DIGEST_FULL,))
-            _write_sv(entry, digest.user_id)
-            _write_uv(entry, digest.version)
-            bloom = digest.bloom
-            _write_uv(entry, bloom.num_bits)
-            _write_uv(entry, bloom.num_hashes)
-            _write_uv(entry, bloom.approximate_count)
-            entry += bloom.raw_bits.to_bytes((bloom.num_bits + 7) // 8, "little")
-            row = bytes(entry)
-            self._rows[key] = row
-            if len(self._rows) > _MAX_ENCODED_ROWS:
-                self._rows.popitem(last=False)
-        out += row
+        out.append(_DIGEST_FULL)
+        _write_sv(out, digest.user_id)
+        _write_uv(out, digest.version)
+        bloom = digest.bloom
+        _write_uv(out, bloom.num_bits)
+        _write_uv(out, bloom.num_hashes)
+        _write_uv(out, bloom.approximate_count)
+        out += bloom.row_bytes()
         if receiver is not None:
             self._pending.setdefault(receiver, []).append(key)
 
@@ -655,10 +648,9 @@ class BinaryWireCodec:
         end = offset + width
         if end > len(view):
             raise ValueError("truncated digest row")
-        # The row is the DigestMatrix layout: raw filter bits, little-endian.
-        bits = int.from_bytes(view[offset:end], "little")
-        bloom = BloomFilter.from_state(num_bits, num_hashes, bits, count)
-        digest = ProfileDigest(user_id=user_id, version=version, bloom=bloom)
+        digest = intern_digest(
+            user_id, version, num_bits, num_hashes, count, bytes(view[offset:end])
+        )
         self._received[key] = digest
         if len(self._received) > _MAX_RECEIVED_DIGESTS:
             self._received.popitem(last=False)

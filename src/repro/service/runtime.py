@@ -697,9 +697,9 @@ class NodeService:
             if self.node.has_active_queries():
                 await self.drive(self.node.eager_round_effects(self.tick))
             # Fold the partial results this tick delivered into snapshots
-            # (the engine does this at each eager cycle boundary).
-            for session in self.node.sessions.values():
-                session.close_cycle(self.tick)
+            # (the engine does this at each eager cycle boundary); finished
+            # sessions are left alone.
+            self.node.close_open_sessions(self.tick)
         runtime.wheel.schedule(
             self._pause(runtime.config.eager_interval), self._fire_eager
         )
@@ -813,7 +813,7 @@ class ServiceRuntime:
         to completion (cancelling one between its accounting and its
         WireEvent would break byte conservation), then in-flight inbound
         handlers and batched frames drain, pending partial results are
-        folded into a final snapshot per session, and the inbox readers --
+        folded into a final snapshot per open session, and the inbox readers --
         pure readers, safe to cancel -- go away.
         """
         self.running = False
@@ -837,11 +837,8 @@ class ServiceRuntime:
                 break
             await asyncio.sleep(0)
         for service in services:
-            node = service.node
-            if node.sessions:
-                service.tick += 1
-                for session in node.sessions.values():
-                    session.close_cycle(service.tick)
+            service.tick += 1
+            service.node.close_open_sessions(service.tick)
         for service in services:
             await service.close()
         await self.wire.stop()

@@ -17,7 +17,7 @@ from .metrics import (
     overlap_score,
     overlap_score_from_actions,
 )
-from .knn import IdealNetworkIndex, Neighbour, pairwise_overlap_counts
+from .knn import IdealNetworkIndex, Neighbour
 
 __all__ = [
     "SIMILARITY_METRICS",
@@ -31,5 +31,4 @@ __all__ = [
     "jaccard_score",
     "overlap_score",
     "overlap_score_from_actions",
-    "pairwise_overlap_counts",
 ]

@@ -17,9 +17,11 @@ paper scale.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence
 
 from ..data.models import Dataset
 from .metrics import SimilarityFunction, overlap_score
@@ -34,28 +36,6 @@ class Neighbour:
 
     def __lt__(self, other: "Neighbour") -> bool:  # deterministic ordering
         return (self.score, -self.user_id) < (other.score, -other.user_id)
-
-
-def pairwise_overlap_counts(dataset: Dataset) -> Dict[Tuple[int, int], int]:
-    """Number of common tagging actions for every user pair that shares any.
-
-    Keys are ``(min_id, max_id)`` pairs.  Pairs with zero common actions are
-    absent.
-    """
-    action_to_users: Dict[int, List[int]] = defaultdict(list)
-    for profile in dataset.profiles():
-        user_id = profile.user_id
-        for action_id in profile.action_ids:
-            action_to_users[action_id].append(user_id)
-    counts: Dict[Tuple[int, int], int] = defaultdict(int)
-    for users in action_to_users.values():
-        if len(users) < 2:
-            continue
-        users.sort()
-        for i, ua in enumerate(users):
-            for ub in users[i + 1:]:
-                counts[(ua, ub)] += 1
-    return dict(counts)
 
 
 class IdealNetworkIndex:
@@ -88,15 +68,29 @@ class IdealNetworkIndex:
             self._build_brute_force()
 
     def _build_from_inverted_index(self) -> None:
-        counts = pairwise_overlap_counts(self.dataset)
-        per_user: Dict[int, List[Neighbour]] = defaultdict(list)
-        for (ua, ub), count in counts.items():
-            per_user[ua].append(Neighbour(ub, float(count)))
-            per_user[ub].append(Neighbour(ua, float(count)))
-        for user_id in self.dataset.user_ids:
-            neighbours = per_user.get(user_id, [])
-            neighbours.sort(key=lambda n: (-n.score, n.user_id))
-            self._networks[user_id] = neighbours[: self.size]
+        # One pass per user over the posting lists of her own actions: the
+        # multiset of users met there is her overlap count with each of
+        # them.  Only one user's counts are alive at a time -- never a
+        # global (user, user) table, which is quadratic in the size of
+        # every popular action's posting list.
+        postings: Dict[int, List[int]] = defaultdict(list)
+        for profile in self.dataset.profiles():
+            user_id = profile.user_id
+            for action_id in profile.action_ids:
+                postings[action_id].append(user_id)
+        size = self.size
+        for profile in self.dataset.profiles():
+            user_id = profile.user_id
+            counts = Counter(
+                chain.from_iterable(postings[action_id] for action_id in profile.action_ids)
+            )
+            counts.pop(user_id, None)
+            best = heapq.nsmallest(
+                size, counts.items(), key=lambda pair: (-pair[1], pair[0])
+            )
+            self._networks[user_id] = [
+                Neighbour(other, float(count)) for other, count in best
+            ]
 
     def _build_brute_force(self) -> None:
         user_ids = self.dataset.user_ids

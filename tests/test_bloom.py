@@ -122,3 +122,30 @@ class TestBloomProperties:
         bloom = BloomFilter(num_bits=4096, num_hashes=5)
         bloom.update(actions)
         assert all(action in bloom for action in actions)
+
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 6),
+        st.lists(st.integers(0, 1000), max_size=30),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=60)
+    def test_row_bytes_is_the_little_endian_bit_image(self, num_bits, num_hashes, keys, late):
+        """``row_bytes`` is memoised, so it must track inserts; the row
+        rebuilds an equal filter through both state constructors."""
+        bloom = BloomFilter.from_items(keys, num_bits=num_bits, num_hashes=num_hashes)
+        width = (num_bits + 7) // 8
+        row = bloom.row_bytes()
+        assert row == bloom.raw_bits.to_bytes(width, "little")
+        assert bloom.row_bytes() is row
+        bloom.add(late)
+        assert bloom.row_bytes() == bloom.raw_bits.to_bytes(width, "little")
+        row = bloom.row_bytes()
+        count = bloom.approximate_count
+        rebuilt = BloomFilter.from_state(
+            num_bits, num_hashes, int.from_bytes(row, "little"), count
+        )
+        adopted = BloomFilter.from_columnar(num_bits, num_hashes, row, count)
+        assert rebuilt == bloom == adopted
+        assert rebuilt.row_bytes() == row and adopted.row_bytes() is row
+        assert bloom.copy().row_bytes() == row

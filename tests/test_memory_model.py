@@ -1,0 +1,154 @@
+"""The service-mode memory model, as object counts rather than megabytes.
+
+``docs/ARCHITECTURE.md`` ("Service mode" -> memory model) states who owns
+every cache and queue of a live deployment and what bounds it.  RSS is
+too noisy to assert on a shared box; these tests pin the *structure* that
+keeps it flat instead:
+
+* however many nodes decode a digest, the process holds one object for it
+  (the content-keyed intern table of :mod:`repro.gossip.digest`);
+* a finished query costs nothing per eager tick: no further snapshot, no
+  buffered late partial -- in service mode and in the cycle engine.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from dataclasses import replace
+
+from repro.experiments.runner import converged_simulation
+from repro.gossip.digest import ProfileDigest
+from repro.p3q.query import PartialResult
+from repro.service import ServiceConfig, ServiceRuntime
+from repro.service.demo import build_demo_workload
+from repro.simulator.transport import Envelope, QueryResult, RemainingReturn
+
+FAST = ServiceConfig(gossip_interval=0.02, eager_interval=0.005, query_deadline=8.0)
+
+
+def _late_partial(session) -> PartialResult:
+    """A straggler: a contributor the closed session already counted."""
+    return PartialResult(
+        query_id=session.query.query_id,
+        sender=next(iter(session.expected_profiles)),
+        scores={999_999: 5.0},
+        contributors=tuple(session.expected_profiles),
+        cycle=session.closed_cycle,
+    )
+
+
+def _digest_holders(simulation, services):
+    """Every digest reachable from a view or a codec's reference LRU."""
+    held = []
+    for node in simulation.nodes.values():
+        held.extend(entry.digest for entry in node.personal_network.ranked_entries())
+        held.extend(node.random_view.digests())
+    for service in services:
+        held.extend(service.codec._received.values())
+    assert all(isinstance(digest, ProfileDigest) for digest in held)
+    return held
+
+
+class TestOneObjectPerDigest:
+    def test_decoded_digests_are_shared_across_nodes(self):
+        workload = build_demo_workload(num_users=20, num_queries=2, seed=9)
+        simulation = converged_simulation(workload, 3)
+
+        async def go():
+            runtime = ServiceRuntime(simulation, FAST)
+            await runtime.start()
+            try:
+                await runtime.run_queries(workload.queries)
+                await asyncio.sleep(0.3)
+                # Read before stop(): it tears the services down.
+                return _digest_holders(simulation, runtime.services.values())
+            finally:
+                await runtime.stop()
+
+        held = asyncio.run(go())
+        pairs = {(digest.user_id, digest.version) for digest in held}
+        # The senders' own digests (the simulation-shared DigestCache) are
+        # the originals; everything else arrived as bytes and was decoded.
+        originals = {id(digest) for digest in simulation.digest_cache._digests.values()}
+        decoded = {id(digest) for digest in held} - originals
+        assert decoded, "the run must have decoded advertisements"
+        # Twenty nodes each decoded (and kept a reference to) the same
+        # digests: without interning this is ~N objects per pair.
+        assert len(held) > 2 * len(pairs)
+        assert len(decoded) <= len(pairs)
+
+
+class TestFinishedSessionsRetire:
+    def test_closed_session_stops_costing_in_service_mode(self):
+        workload = build_demo_workload(num_users=20, num_queries=3, seed=5)
+        simulation = converged_simulation(workload, 3)
+
+        async def go():
+            runtime = ServiceRuntime(simulation, FAST)
+            await runtime.start()
+            try:
+                sessions = await runtime.run_queries(workload.queries)
+                session = next(s for s in sessions.values() if s.closed)
+                querier = session.query.querier
+                service = runtime.services[querier]
+                snapshots = len(session.snapshots)
+                result = session.current_top_k()
+                # A straggler over the real wire, from another node.
+                other = next(uid for uid in runtime.services if uid != querier)
+                runtime.services[other].send(
+                    other, querier, QueryResult(partial=_late_partial(session)),
+                    query_id=session.query.query_id,
+                )
+                start = service.tick
+                while service.tick < start + 50:
+                    await asyncio.sleep(0.01)
+                node = simulation.nodes[querier]
+                return session, snapshots, result, node
+            finally:
+                await runtime.stop()
+
+        session, snapshots, result, node = asyncio.run(go())
+        assert len(session.snapshots) == snapshots  # also across stop()'s fold
+        assert session._pending == []
+        assert session.current_top_k() == result
+        assert session.query.query_id in node.sessions
+        assert session.query.query_id not in node._live_sessions
+
+    def test_late_partial_is_dropped_at_receipt_in_the_cycle_engine(
+        self, warm_simulation, query_workload
+    ):
+        sessions = warm_simulation.issue_queries(query_workload[:3])
+        warm_simulation.run_eager(cycles=30)
+        session = next(s for s in sessions.values() if s.closed)
+        result = session.current_top_k()
+        node = warm_simulation.nodes[session.query.querier]
+        node.handle_message(
+            Envelope(0, node.node_id, QueryResult(partial=_late_partial(session)),
+                     session.query.query_id, False, True)
+        )
+        assert session._pending == []
+        before = len(session.snapshots)
+        warm_simulation.run_eager(cycles=2, stop_when_idle=False)
+        # The engine keeps restating a closed session (its callback
+        # contract), with the same result.
+        assert len(session.snapshots) == before + 2
+        assert session.snapshots[-1].top_k == session.snapshots[before - 1].top_k
+        assert session.current_top_k() == result
+
+    def test_retired_session_revives_in_issue_order(self, warm_simulation, query_workload):
+        """A late remaining-list share puts a retired session back into the
+        round scans at its original position (the scans draw from the rng)."""
+        node = warm_simulation.nodes[query_workload[0].querier]
+        for query_id in (1000, 1001, 1002):
+            session = node.issue_query(replace(query_workload[0], query_id=query_id))
+            session.remaining = []
+            session.closed = True
+        node.retire_finished_sessions()
+        assert not node._live_sessions
+        for query_id in (1002, 1000):
+            node.handle_message(
+                Envelope(1, node.node_id, RemainingReturn(query_id=query_id, remaining=(7,)),
+                         query_id, False, True)
+            )
+        assert list(node._live_sessions) == [1000, 1002]
+        assert node.has_active_queries()

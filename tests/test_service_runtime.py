@@ -170,7 +170,7 @@ class TestServiceHardening:
         gen = node.eager_round_effects(1)
         effect = gen.send(None)  # suspend mid-iteration, as the runtime does
         # A concurrent inbound QueryForward / issue_query lands meanwhile.
-        node.sessions[10_001] = SimpleNamespace(remaining=[])
+        node.sessions[10_001] = node._live_sessions[10_001] = SimpleNamespace(remaining=[])
         node.forwarded[10_002] = SimpleNamespace(active=False)
         with pytest.raises(StopIteration):
             while True:

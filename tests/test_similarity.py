@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.models import UserProfile
+from repro.data.models import Dataset, UserProfile
 from repro.similarity import (
     IdealNetworkIndex,
     common_actions,
@@ -15,12 +15,17 @@ from repro.similarity import (
     jaccard_score,
     overlap_score,
     overlap_score_from_actions,
-    pairwise_overlap_counts,
 )
 
 action_lists = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40
 )
+
+
+def _brute_force_overlap(dataset, size: int) -> IdealNetworkIndex:
+    """The reference: all-pairs overlap through the generic-metric path
+    (any metric that is not ``overlap_score`` itself is scored pair by pair)."""
+    return IdealNetworkIndex(dataset, size, metric=lambda a, b: overlap_score(a, b))
 
 
 def _profile(user_id: int, actions) -> UserProfile:
@@ -96,27 +101,6 @@ class TestMetrics:
         assert common_actions(a, b) == set(a.actions) & set(b.actions)
 
 
-class TestPairwiseCounts:
-    def test_counts_match_direct_overlap(self, tiny_dataset):
-        counts = pairwise_overlap_counts(tiny_dataset)
-        for (ua, ub), count in counts.items():
-            assert count == overlap_score(tiny_dataset.profile(ua), tiny_dataset.profile(ub))
-
-    def test_zero_pairs_absent(self, tiny_dataset):
-        counts = pairwise_overlap_counts(tiny_dataset)
-        assert (0, 3) not in counts  # disjoint profiles never appear
-
-    def test_matches_brute_force_on_synthetic_data(self, synthetic_dataset):
-        counts = pairwise_overlap_counts(synthetic_dataset)
-        user_ids = synthetic_dataset.user_ids[:15]
-        for i, ua in enumerate(user_ids):
-            for ub in user_ids[i + 1:]:
-                expected = overlap_score(
-                    synthetic_dataset.profile(ua), synthetic_dataset.profile(ub)
-                )
-                assert counts.get((ua, ub), 0) == expected
-
-
 class TestIdealNetworkIndex:
     def test_rejects_non_positive_size(self, tiny_dataset):
         with pytest.raises(ValueError):
@@ -142,15 +126,28 @@ class TestIdealNetworkIndex:
         slow = IdealNetworkIndex(tiny_dataset, size=4, metric=jaccard_score)
         # Different metrics rank differently, but the overlap-metric index
         # must agree with a brute-force overlap computation.
-        brute = IdealNetworkIndex.__new__(IdealNetworkIndex)
-        brute.dataset = tiny_dataset
-        brute.size = 4
-        brute.metric = overlap_score
-        brute._networks = {}
-        brute._build_brute_force()
+        brute = _brute_force_overlap(tiny_dataset, size=4)
         for uid in tiny_dataset.user_ids:
             assert fast.neighbour_ids(uid) == brute.neighbour_ids(uid)
         assert slow.network_of(0)  # jaccard path exercised
+
+    @given(
+        # A tiny action universe: many score ties, users sharing nothing
+        # with anyone, empty profiles.
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=8),
+            min_size=1,
+            max_size=9,
+        ),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_posting_list_pass_matches_brute_force_on_any_corpus(self, corpus, size):
+        dataset = Dataset.from_actions(dict(enumerate(corpus)))
+        fast = IdealNetworkIndex(dataset, size=size)
+        brute = _brute_force_overlap(dataset, size=size)
+        for uid in dataset.user_ids:
+            assert fast.network_of(uid) == brute.network_of(uid)
 
     def test_top_c_ids_prefix_of_network(self, synthetic_ideal, synthetic_dataset):
         uid = synthetic_dataset.user_ids[0]

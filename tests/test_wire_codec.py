@@ -502,6 +502,56 @@ class TestDigestSuppression:
         assert_message_equal(fresh.decode_body(bodies[0])["m"], adv2)
 
 
+class TestDigestInterning:
+    """Decoded digests resolve through the content-keyed intern table of
+    ``repro.gossip.digest``: one object per content, whoever decodes it."""
+
+    def _frame(self, digest):
+        adv = DigestAdvertisement(digests=(digest,), view=VIEW_PERSONAL)
+        return BinaryWireCodec().encode_send(Envelope(1, 7, adv, None, False, True))
+
+    def _decode(self, codec, frame):
+        bodies, _ = codec.split(frame)
+        return codec.decode_body(bodies[0])["m"].digests[0]
+
+    def test_every_receiver_gets_the_same_object(self):
+        frame = self._frame(_digest(1))
+        first, second = BinaryWireCodec(), BinaryWireCodec()
+        decoded = self._decode(first, frame)
+        assert self._decode(second, frame) is decoded
+        assert first._received[(1, decoded.version)] is decoded
+        assert second._received[(1, decoded.version)] is decoded
+        # The adopted row is the filter's wire row: forwarding the digest
+        # re-serialises nothing.
+        assert decoded.bloom.row_bytes() in frame
+
+    def test_one_flipped_bit_is_a_different_digest(self):
+        honest = _digest(1)
+        frame = self._frame(honest)
+        forged = bytearray(frame)
+        forged[-1] ^= 0x01  # the last byte of the row
+        honest_decoded = self._decode(BinaryWireCodec(), frame)
+        forged_decoded = self._decode(BinaryWireCodec(), bytes(forged))
+        assert (forged_decoded.user_id, forged_decoded.version) == (1, honest.version)
+        assert forged_decoded is not honest_decoded
+        assert forged_decoded.bloom.raw_bits != honest_decoded.bloom.raw_bits
+        assert honest_decoded.bloom.raw_bits == honest.bloom.raw_bits
+        # The honest content still resolves to the honest object afterwards.
+        assert self._decode(BinaryWireCodec(), frame) is honest_decoded
+
+    def test_entries_die_with_their_last_holder(self):
+        import gc
+
+        from repro.gossip.digest import _INTERNED
+
+        codec = BinaryWireCodec()
+        decoded = self._decode(codec, self._frame(_digest(12345)))
+        key = next(key for key, value in _INTERNED.items() if value is decoded)
+        del decoded, codec
+        gc.collect()
+        assert key not in _INTERNED
+
+
 class TestCacheBounds:
     """Every codec cache is bounded; overflow degrades to full rows or a
     loud drop, never to growth."""
@@ -509,7 +559,6 @@ class TestCacheBounds:
     @pytest.fixture(autouse=True)
     def _small_bounds(self, monkeypatch):
         monkeypatch.setattr(codec_module, "_MAX_RECEIVED_DIGESTS", 2)
-        monkeypatch.setattr(codec_module, "_MAX_ENCODED_ROWS", 3)
         monkeypatch.setattr(codec_module, "_MAX_SENT_PER_LINK", 4)
 
     def _send(self, sender, user_ids, receiver=7):
@@ -535,13 +584,6 @@ class TestCacheBounds:
         _, stale = self._send(sender, [1])
         with pytest.raises(ValueError, match="digest reference"):
             self._decode(receiver, stale)
-
-    def test_encoded_row_lru_stays_within_bound(self):
-        sender = BinaryWireCodec()
-        for uid in range(10):
-            self._send(sender, [uid])
-            assert len(sender._rows) <= 3
-        assert set(sender._rows) == {(uid, _digest(uid).version) for uid in (7, 8, 9)}
 
     def test_sent_table_sheds_and_falls_back_to_full_rows(self):
         sender = BinaryWireCodec()
