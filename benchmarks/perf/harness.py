@@ -1090,10 +1090,10 @@ def validate_report(report: Dict) -> List[str]:
                 )
             # Schema v4: every macro entry names the executor that actually
             # ran and the pool-reuse count (0 for non-pool executors).
-            if entry.get("engine_executor") not in ("inline", "fork", "pool"):
+            if entry.get("engine_executor") not in ("inline", "pool"):
                 problems.append(
                     f"macro[{size!r}].engine_executor must be "
-                    f"'inline', 'fork' or 'pool'"
+                    f"'inline' or 'pool'"
                 )
             reuse = entry.get("pool_reuse_count")
             if not isinstance(reuse, int) or reuse < 0:
@@ -1245,10 +1245,10 @@ def validate_report(report: Dict) -> List[str]:
                             f"worker_scaling[{size!r}].{key} must be a "
                             f"positive number"
                         )
-                if entry.get("engine_executor") not in ("inline", "fork", "pool"):
+                if entry.get("engine_executor") not in ("inline", "pool"):
                     problems.append(
                         f"worker_scaling[{size!r}].engine_executor must be "
-                        f"'inline', 'fork' or 'pool'"
+                        f"'inline' or 'pool'"
                     )
     return problems
 
@@ -1537,14 +1537,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=("auto", "inline", "fork", "pool"),
+        choices=("auto", "inline", "pool"),
         default="auto",
         help="sharded-engine executor (default: auto -- persistent pool "
         "when the machine has at least two cores, inline otherwise)",
     )
     parser.add_argument(
         "--require-executor",
-        choices=("inline", "fork", "pool"),
+        choices=("inline", "pool"),
         default=None,
         metavar="KIND",
         help="fail (exit 2) unless the requested workers/executor resolve "

@@ -14,10 +14,8 @@ Each subcommand delegates to the tool's own ``main(argv)`` with the
 remaining arguments, so every tool keeps its established flags;
 :func:`add_common_options` is the one definition of the shared
 ``--seed`` / ``--workers`` / ``--transport`` trio the newer tools attach
-to their parsers.  The legacy module invocations (``python -m
-repro.simtest``, ``python -m repro.experiments.cli``, ``python -m
-benchmarks.perf``, ``python -m repro.service``) keep working as thin
-shims that raise a :class:`DeprecationWarning`.
+to their parsers.  This is the only invocation surface of the ``repro``
+package; ``python -m benchmarks.perf`` alone keeps a deprecated shim.
 """
 
 from __future__ import annotations

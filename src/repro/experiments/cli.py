@@ -2,12 +2,12 @@
 
 Examples::
 
-    python -m repro.experiments.cli --list
-    python -m repro.experiments.cli fig2 fig4
-    python -m repro.experiments.cli table1 --scale tiny
-    python -m repro.experiments.cli all --scale small --output results/
-    python -m repro.experiments.cli all --workers 4
-    python -m repro.experiments.cli fig-loss
+    python -m repro experiments --list
+    python -m repro experiments fig2 fig4
+    python -m repro experiments table1 --scale tiny
+    python -m repro experiments all --scale small --output results/
+    python -m repro experiments all --workers 4
+    python -m repro experiments fig-loss
 
 Each experiment prints its rows/series as an aligned text table and, with
 ``--output``, also writes it to ``<output>/<experiment>.txt``.  With
@@ -19,7 +19,6 @@ serial run).
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from pathlib import Path
 from typing import Dict, Optional
@@ -250,13 +249,3 @@ def _emit(description: str, elapsed: float, report: str, name: str, output: Opti
         output.mkdir(parents=True, exist_ok=True)
         (output / f"{name}.txt").write_text(report + "\n", encoding="utf-8")
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised through main() in tests
-    import warnings
-
-    warnings.warn(
-        "'python -m repro.experiments.cli' is deprecated; "
-        "use 'python -m repro experiments'",
-        DeprecationWarning,
-    )
-    sys.exit(main())

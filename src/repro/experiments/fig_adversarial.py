@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..metrics.bandwidth import average_query_bytes, query_traffic_breakdown
 from ..metrics.recall import fraction_below_full_recall, recall_per_cycle
-from ..simulator.conditions import PartitionSpec
+from ..simulator.conditions import PartitionCut, PartitionSpec
 from .report import format_series, format_table
 from .runner import PreparedWorkload, converged_simulation, prepare_workload
 from .scenarios import ExperimentScale
@@ -116,7 +116,7 @@ def run_partition_heal(
     cut_drops = 0
     variants = [
         ("healthy", {}),
-        ("partitioned", {"transport": "conditioned", "partition": partition}),
+        ("partitioned", {"partition": partition}),
     ]
     for name, overrides in variants:
         simulation = converged_simulation(
@@ -134,7 +134,7 @@ def run_partition_heal(
         }
         incomplete[name] = fraction_below_full_recall(final_results, workload.references)
         if overrides:
-            cut_drops = simulation.network.transport.cut_drops
+            cut_drops = simulation.network.transport.condition(PartitionCut).cut_drops
     return PartitionHealResult(
         cycles=list(range(cycles + 1)),
         recall_series=recall_series,

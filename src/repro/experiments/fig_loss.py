@@ -4,7 +4,8 @@ This experiment goes beyond the paper: the published evaluation assumes a
 lossless network (PeerSim's direct exchanges), while the transport layer
 lets the same protocol run under packet loss.  For each drop probability the
 converged system answers the shared query workload over a
-:class:`~repro.simulator.transport.LossyTransport`; the sweep reports
+:class:`~repro.simulator.transport.Transport` carrying a
+:class:`~repro.simulator.conditions.Loss` condition; the sweep reports
 
 * average recall per eager cycle (how loss slows convergence to the exact
   answer -- dropped forwards are retried, dropped returns lose their
@@ -97,7 +98,7 @@ def run_loss_sweep(
         simulation = converged_simulation(
             workload,
             storage=storage,
-            config_overrides={"transport": "lossy", "loss_rate": float(rate)},
+            config_overrides={"loss_rate": float(rate)},
         )
         sessions = simulation.issue_queries(workload.queries)
         simulation.run_eager(cycles, stop_when_idle=False)

@@ -96,7 +96,7 @@ def converged_simulation(
     The dataset is copied so that experiments mutating profiles (dynamics)
     or taking nodes offline (churn) never leak state into the shared
     workload.  ``config_overrides`` patches arbitrary :class:`P3QConfig`
-    fields (e.g. ``{"transport": "lossy", "loss_rate": 0.2}`` for the loss
+    fields (e.g. ``{"loss_rate": 0.2}`` for the loss
     sweep) on top of the scale-derived configuration.
     """
     config = build_config(

@@ -32,7 +32,7 @@ from .sizes import DIGEST_BYTES
 #: Shared empty common-item set (most probes find nothing in common).
 _EMPTY_ITEMS: "FrozenSet[int]" = frozenset()
 
-#: One priced (receiver, subject) pair as recorded by a pricing worker:
+#: One priced (receiver, subject) pair as computed by a pricing worker:
 #: ``(receiver_id, receiver_version, subject_id, digest_version, common)``.
 PricedPair = Tuple[int, int, int, int, FrozenSet[int]]
 
@@ -196,9 +196,7 @@ class DigestCache:
         self._digests: Dict[int, ProfileDigest] = {}
         #: When not ``None``, every memo *miss* also appends its
         #: ``(receiver_id, receiver_version, subject_id, digest_version,
-        #: common_items)`` entry here.  The sharded engine's pricing workers
-        #: record the entries they compute against their snapshot so the
-        #: merge barrier can install them into the live cache.
+        #: common_items)`` entry here (see :meth:`record_pricing`).
         self._recorder: Optional[List[PricedPair]] = None
         #: user_id -> (profile_version, first-position keys, first-position ->
         #: ((item, probe_positions), ...) buckets).  The first-position index
@@ -368,28 +366,13 @@ class DigestCache:
         """
         return bool(self.common_items(receiver, digest))
 
-    def install_digest(self, user_id: int, version: int, bits: int, count: int) -> None:
-        """Adopt a digest built by a shard-parallel worker.
-
-        ``bits``/``count`` are the worker's :attr:`BloomFilter.raw_bits` /
-        ``approximate_count`` for the user's profile at ``version`` -- by
-        construction identical to what :meth:`digest_for` would build here.
-        The set-bit index set is not shipped (it would dwarf the payload);
-        the first probe decomposes the bit array lazily, yielding the same
-        positions the eager seeding would have produced.
-        """
-        bloom = BloomFilter.from_state(self.num_bits, self.num_hashes, bits, count)
-        self._digests[user_id] = ProfileDigest(user_id=user_id, version=version, bloom=bloom)
-
     # -- sharded-engine pricing hand-off --------------------------------------
 
     def record_pricing(self, sink: Optional[List["PricedPair"]]) -> None:
         """Start (or, with ``None``, stop) recording memo misses into ``sink``.
 
-        Used inside pricing workers: the entries a worker computes against
-        its snapshot are exactly the memo rows the serial apply phase would
-        compute, so shipping them back and installing them warms the live
-        cache without any behavioural effect.
+        A measurement tap: the end-to-end benchmark counts misses through it
+        to report the memo's hit rate where the work happens.
         """
         self._recorder = sink
 
@@ -401,7 +384,7 @@ class DigestCache:
         versions it names*: entries priced against a superseded snapshot
         are inert (at worst they waste a slot).  Callers must supply
         internally consistent entries -- value computed by the pricing
-        function from the content those versions denote -- which recorded
+        function from the content those versions denote -- which pool
         worker entries are by construction, since workers run the same pure
         pricing code.  Entries are installed in the order given (the engine
         feeds shards in shard-index order, so the final memo content is

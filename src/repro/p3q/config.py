@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fraction
-from ..simulator.transport import TRANSPORT_NAMES
 
 #: Storage budgets can be uniform (one int) or heterogeneous (per-user map).
 StorageSpec = Union[int, Mapping[int, int]]
@@ -50,16 +49,15 @@ class P3QConfig:
     lazy_cycle_seconds: float = 60.0
     #: Wall-clock duration of one eager cycle (paper: 5 s).
     eager_cycle_seconds: float = 5.0
-    #: Network conditions: ``"direct"`` (seed-identical synchronous delivery),
-    #: ``"lossy"`` or ``"latency"`` (see :mod:`repro.simulator.transport`).
-    transport: str = "direct"
-    #: Per-message drop probability (lossy / latency transports).
+    # Network conditions (see repro.simulator.conditions); all four at their
+    # defaults is the seed-identical direct wire.
+    #: Per-message drop probability.
     loss_rate: float = 0.0
-    #: Maximum per-exchange delay in cycles (latency transport).
+    #: Maximum per-exchange delay in cycles.
     delay_cycles: int = 0
-    #: Network partition condition (``"conditioned"`` transport only).
+    #: Network partition condition.
     partition: Optional[PartitionSpec] = None
-    #: Asymmetric-link / NAT condition (``"conditioned"`` transport only).
+    #: Asymmetric-link / NAT condition.
     asymmetry: Optional[AsymmetrySpec] = None
     #: Seeded fraction of nodes that gossip digests but never answer
     #: common-items requests, profile requests or query forwards.
@@ -70,9 +68,8 @@ class P3QConfig:
     #: :mod:`repro.simulator.shard`).
     workers: int = 1
     #: Executor of the sharded engine: ``"auto"`` (persistent pool when the
-    #: machine has the cores for it, inline otherwise), ``"inline"``,
-    #: ``"fork"`` (re-fork every cycle) or ``"pool"`` (long-lived workers
-    #: over shared columnar state).
+    #: machine has the cores for it, inline otherwise), ``"inline"`` or
+    #: ``"pool"`` (long-lived workers over shared columnar state).
     engine_executor: str = "auto"
     #: When set, the traffic collector folds its raw row buffer into the
     #: aggregates every ``stats_flush_every`` cycles, bounding memory on
@@ -120,26 +117,11 @@ class P3QConfig:
                         f"storage must be non-negative for every user; "
                         f"user {user_id} has {budget!r}"
                     )
-        if self.transport not in TRANSPORT_NAMES:
-            raise ValueError(
-                f"transport must be one of {TRANSPORT_NAMES}, got {self.transport!r}"
-            )
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate!r}")
         if self.delay_cycles < 0:
             raise ValueError(
                 f"delay_cycles must be non-negative, got {self.delay_cycles!r}"
-            )
-        # Reject conditions the named transport would silently ignore: a
-        # config carrying them describes a run that will not happen.
-        if self.transport == "direct" and (self.loss_rate or self.delay_cycles):
-            raise ValueError(
-                "transport 'direct' ignores loss_rate/delay_cycles; "
-                "use 'lossy' or 'latency'"
-            )
-        if self.transport == "lossy" and self.delay_cycles:
-            raise ValueError(
-                "transport 'lossy' ignores delay_cycles; use 'latency'"
             )
         if self.partition is not None and not isinstance(self.partition, PartitionSpec):
             raise TypeError(
@@ -149,19 +131,12 @@ class P3QConfig:
             raise TypeError(
                 f"asymmetry must be an AsymmetrySpec or None, got {self.asymmetry!r}"
             )
-        if self.transport != "conditioned" and (
-            self.partition is not None or self.asymmetry is not None
-        ):
-            raise ValueError(
-                f"transport {self.transport!r} ignores partition/asymmetry "
-                "conditions; use 'conditioned'"
-            )
         validate_fraction("free_rider_fraction", self.free_rider_fraction)
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers!r}")
-        if self.engine_executor not in ("auto", "inline", "fork", "pool"):
+        if self.engine_executor not in ("auto", "inline", "pool"):
             raise ValueError(
-                f"engine_executor must be 'auto', 'inline', 'fork' or 'pool', "
+                f"engine_executor must be 'auto', 'inline' or 'pool', "
                 f"got {self.engine_executor!r}"
             )
         if self.stats_flush_every is not None and self.stats_flush_every < 1:
@@ -187,9 +162,8 @@ class P3QConfig:
         """A copy of this config with a different split parameter."""
         return replace(self, alpha=alpha)
 
-    def with_transport(
+    def with_conditions(
         self,
-        transport: str,
         loss_rate: float = 0.0,
         delay_cycles: int = 0,
         partition: Optional[PartitionSpec] = None,
@@ -198,7 +172,6 @@ class P3QConfig:
         """A copy of this config running under different network conditions."""
         return replace(
             self,
-            transport=transport,
             loss_rate=loss_rate,
             delay_cycles=delay_cycles,
             partition=partition,

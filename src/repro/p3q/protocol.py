@@ -21,34 +21,15 @@ from ..gossip.profile_exchange import LazyExchangeProtocol
 from ..gossip.views import PersonalNetwork
 from ..similarity.knn import IdealNetworkIndex
 from ..simulator.engine import PHASE_EAGER, PHASE_LAZY, SimulationEngine, paused_gc
-from ..simulator.shard import (
-    EXECUTOR_FORK,
-    EXECUTOR_POOL,
-    ShardedEngine,
-    partition_shards,
-    run_forked_shards,
-)
+from ..simulator.shard import EXECUTOR_POOL, ShardedEngine
 from ..simulator.network import Network
 from ..simulator.rng import derive_rng
 from ..simulator.stats import KIND_REMAINING_FORWARD, StatsCollector
-from ..simulator.transport import make_transport
+from ..simulator.transport import Transport
 from .config import P3QConfig
 from .eager import EagerGossipProtocol
 from .node import P3QNode
 from .query import CycleSnapshot, QuerySession
-
-
-def _build_digest_shard(sim: "P3QSimulation", shard_index: int):
-    """Worker: build one shard's digests against the fork snapshot."""
-    cache = sim.digest_cache
-    out = []
-    for user_id in sim._bootstrap_shards[shard_index]:
-        profile = sim.nodes[user_id].profile
-        digest = cache.digest_for(profile)
-        out.append(
-            (user_id, digest.version, digest.bloom.raw_bits, digest.bloom.approximate_count)
-        )
-    return out
 
 
 class P3QSimulation:
@@ -60,8 +41,7 @@ class P3QSimulation:
         self.stats = StatsCollector(flush_every=config.stats_flush_every)
         self.network = Network(
             stats=self.stats,
-            transport=make_transport(
-                config.transport,
+            transport=Transport(
                 loss_rate=config.loss_rate,
                 delay_cycles=config.delay_cycles,
                 seed=config.seed,
@@ -185,11 +165,11 @@ class P3QSimulation:
         any user currently in the system" through peer sampling; seeding each
         view with ``r`` random digests reproduces that starting point.
 
-        On the sharded engine with the fork executor, the expensive part --
-        building every user's Bloom digest -- runs shard-parallel first
-        (pure per-user work, merged deterministically); the RNG-driven
-        contact draws then replay serially against the warm digest cache,
-        so the seeded views are identical for any worker count.
+        With a columnar digest matrix attached, the expensive part --
+        building every user's Bloom digest -- runs first, in bulk (pure
+        per-user work, shard-parallel on the pool executor); the RNG-driven
+        contact draws then replay serially against the warm digest rows, so
+        the seeded views are identical for any worker count.
         """
         count = contacts_per_node or self.config.random_view_size
         self._build_digests()
@@ -220,16 +200,15 @@ class P3QSimulation:
         With a columnar digest matrix attached the digest rows are built in
         bulk -- shard-parallel into the shared block on the pool executor,
         vectorized in-process otherwise -- and the digest cache adopts them
-        on first use.  Without one, the fork executor's shard-parallel
-        cache warm-up runs (:meth:`_parallel_digest_build`).  Pure warm-up
-        either way: every adoption and every cache read validates versions.
+        on first use.  Pure warm-up: every adoption and every cache read
+        validates versions.  Returns the number of rows built.
         """
-        if self.digest_matrix is not None:
-            engine = self.engine
-            if isinstance(engine, ShardedEngine) and engine.executor == EXECUTOR_POOL:
-                return engine.build_digest_rows()
-            return self.digest_matrix.build_rows(self.columnar_store)
-        return self._parallel_digest_build()
+        if self.digest_matrix is None:
+            return 0
+        engine = self.engine
+        if isinstance(engine, ShardedEngine) and engine.executor == EXECUTOR_POOL:
+            return engine.build_digest_rows()
+        return self.digest_matrix.build_rows(self.columnar_store)
 
     def _predict_pricing_pairs(self, acting: Iterable[int]) -> List[tuple]:
         """Over-approximate the digest probes of the coming lazy cycle.
@@ -283,43 +262,6 @@ class P3QSimulation:
                 if entry.user_id != partner_id:
                     append((partner_id, entry.user_id))
         return pairs
-
-    def _parallel_digest_build(self) -> int:
-        """Shard-parallel digest construction for the whole population.
-
-        A pure cache warm-up: each worker builds the digests of its shard's
-        profiles against the fork snapshot and ships back ``(user_id,
-        version, raw_bits, count)``; the parent installs them in shard
-        order.  Any entry superseded by a later profile change is simply
-        rebuilt on first use (every cache read validates versions).  Returns
-        the number of digests installed; 0 when the engine is serial, the
-        executor is inline, or the population is too small to pay the fork.
-        """
-        engine = self.engine
-        if not isinstance(engine, ShardedEngine) or engine.executor != EXECUTOR_FORK:
-            return 0
-        if len(self.nodes) < 4 * engine.workers:
-            return 0
-
-        shards = partition_shards(list(self.nodes), engine.workers)
-        self._bootstrap_shards = shards
-        try:
-            results = run_forked_shards(
-                self, _build_digest_shard, len(shards), engine.workers
-            )
-        finally:
-            self._bootstrap_shards = ()
-        if results is None:
-            return 0  # advisory warm-up: the serial path rebuilds on demand
-
-        installed = 0
-        cache = self.digest_cache
-        for shard_entries in results:
-            for user_id, version, bits, bloom_count in shard_entries:
-                if self.nodes[user_id].profile.version == version:
-                    cache.install_digest(user_id, version, bits, bloom_count)
-                    installed += 1
-        return installed
 
     def warm_start(self, ideal: Optional[IdealNetworkIndex] = None) -> IdealNetworkIndex:
         """Install the ideal personal networks directly (converged state).

@@ -102,6 +102,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py
-    sys.exit(main())

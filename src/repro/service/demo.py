@@ -7,8 +7,7 @@ with per-query deadlines, audits the recorded wire trace with the simtest
 invariant checkers and reports recall against the centralized references
 plus bytes on the wire.  Three callers share it:
 
-* ``python -m repro service --demo`` (and the deprecated
-  ``python -m repro.service --demo``);
+* ``python -m repro service --demo``;
 * the ``fig-service`` experiment;
 * the CI ``service-smoke`` job (``--smoke`` asserts at least one query
   completed and the invariants passed, exiting nonzero otherwise).

@@ -6,7 +6,7 @@ specs (network size, view sizes, alpha, churn schedule, loss rate, delay
 cycles, profile-dynamics mix, query workload) as frozen dataclasses, a
 registry of :class:`InvariantChecker` objects hooks the engine and transport
 to assert cross-cutting system properties on every run, and a driver
-(``python -m repro.simtest``) runs seeded batches, greedily shrinking any
+(``python -m repro simtest``) runs seeded batches, greedily shrinking any
 failing spec to a minimal, replayable repro.
 
 See ``docs/TESTING.md`` for where this sits in the test pyramid and how to
@@ -21,7 +21,6 @@ from .invariants import (
 )
 from .runner import (
     CRASH,
-    ZERO_CONDITION_EQUIVALENCE,
     RunContext,
     ScenarioResult,
     build_simulation,
@@ -41,7 +40,6 @@ __all__ = [
     "CRASH",
     "REGISTRY",
     "TRANSFORMS",
-    "ZERO_CONDITION_EQUIVALENCE",
     "ChurnEvent",
     "DynamicsSpec",
     "GeneratorRanges",

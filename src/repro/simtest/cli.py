@@ -2,10 +2,10 @@
 
 Examples::
 
-    python -m repro.simtest --seeds 50 --seed 0      # a fuzzing batch
-    python -m repro.simtest --spec-json '{...}'      # replay one failing spec
-    python -m repro.simtest --list-invariants
-    python -m repro.simtest --self-check             # prove the alarm rings
+    python -m repro simtest --seeds 50 --seed 0      # a fuzzing batch
+    python -m repro simtest --spec-json '{...}'      # replay one failing spec
+    python -m repro simtest --list-invariants
+    python -m repro simtest --self-check             # prove the alarm rings
 
 Output is deliberately free of timings and absolute paths so that two runs
 of the same batch are byte-identical -- determinism of the *driver* is part
@@ -24,7 +24,6 @@ alarm never rings is indistinguishable from a green one.
 from __future__ import annotations
 
 import argparse
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional
@@ -218,7 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, cls in sorted(REGISTRY.items()):
             summary = (cls.__doc__ or "").strip().splitlines()[0]
             print(f"{name:<22} {summary}")
-        print(f"{'zero-condition-equivalence':<22} checked by the runner on zero-rate stochastic transports")
         return 0
 
     if args.seeds < 1:
@@ -238,6 +236,3 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     return _run_batch(args)
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised through main() in tests
-    sys.exit(main())

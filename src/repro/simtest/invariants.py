@@ -20,7 +20,7 @@ The byte-accounting checker deliberately re-derives the paper's cost model
 (Section 3.3.2 constants) instead of calling
 :func:`repro.gossip.sizes.total_bytes`: the whole point is an *independent*
 pricing of the observed wire traffic, so a regression in the production
-sizers -- the kind injected by ``python -m repro.simtest --self-check`` --
+sizers -- the kind injected by ``python -m repro simtest --self-check`` --
 shows up as a disagreement instead of being trusted twice.
 """
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Type
 
+from ..simulator.conditions import PartitionCut
 from ..simulator.transport import (
     DEFERRED,
     DELIVERED,
@@ -418,7 +419,7 @@ class QueryProgressChecker(InvariantChecker):
 class PartitionIsolationChecker(InvariantChecker):
     """While a partition cut is active, no message crosses it.
 
-    The conditioned transport must drop (synchronous sends) or hold
+    The partition cut must drop (synchronous sends) or hold
     (in-flight envelopes) everything whose endpoints sit in different
     components between the split and heal cycles.  Any wire event that
     reached a handler across the cut -- a delivered request / send / drain,
@@ -436,11 +437,11 @@ class PartitionIsolationChecker(InvariantChecker):
         # REPLY_DROPPED still means the request leg crossed and was processed.
         if event.status not in (DELIVERED, REPLY_DROPPED):
             return
-        transport = self.ctx.simulation.network.transport
-        if not transport.partition_active():
+        cut = self.ctx.simulation.network.transport.condition(PartitionCut)
+        if not cut.active():
             return
-        sender_side = transport.partition_component(event.sender)
-        receiver_side = transport.partition_component(event.receiver)
+        sender_side = cut.component(event.sender)
+        receiver_side = cut.component(event.receiver)
         if sender_side != receiver_side:
             self.fail(
                 f"{event.op} of {type(event.message).__name__} from node "
@@ -521,8 +522,8 @@ class FreeRiderContainmentChecker(InvariantChecker):
 class RecallConvergenceChecker(InvariantChecker):
     """Recall converges to the exact answer under the direct wire.
 
-    Applies to direct-equivalent scenarios (direct transport, or lossy /
-    latency at zero rates) without profile dynamics, against the fixed
+    Applies to direct-equivalent scenarios (no wire condition, no free
+    riders) without profile dynamics, against the fixed
     reference: the exact top-k over the profiles the querier expected at
     issue time.
 

@@ -15,9 +15,8 @@ A run never half-fails: the first :class:`InvariantViolation` (or crash)
 aborts it and is reported in the :class:`ScenarioResult` together with the
 spec that produced it.  Runs also produce a *fingerprint* -- the same exact
 traffic/view/result digest the transport golden test uses -- which is how
-zero-condition scenarios (a lossy or latency transport configured with zero
-loss and zero delay) are proven to degrade bit-identically to the direct
-wire: the runner executes the direct twin of the spec and compares
+a scenario on the sharded engine is proven bit-identical to the serial one:
+the runner executes the ``workers=1`` twin of the spec and compares
 fingerprints.
 """
 
@@ -42,8 +41,6 @@ from .spec import ScenarioSpec
 
 #: Violation name used when a scenario crashes rather than failing a checker.
 CRASH = "crash"
-#: Violation name of the zero-condition bit-equivalence property.
-ZERO_CONDITION_EQUIVALENCE = "zero-condition-equivalence"
 #: Violation name of the sharded-engine bit-equivalence property.
 WORKER_COUNT_EQUIVALENCE = "worker-count-equivalence"
 
@@ -103,7 +100,6 @@ def build_simulation(spec: ScenarioSpec) -> P3QSimulation:
         digest_bits=spec.digest_bits,
         digest_hashes=spec.digest_hashes,
         seed=spec.seed,
-        transport=spec.transport,
         loss_rate=spec.loss_rate,
         delay_cycles=spec.delay_cycles,
         partition=spec.partition,
@@ -112,9 +108,8 @@ def build_simulation(spec: ScenarioSpec) -> P3QSimulation:
         workers=spec.workers,
         # Fuzzing must exercise the real multi-process path even on
         # one-core CI runners, where "auto" would (correctly) fall back to
-        # inline.  The spec picks fork (re-fork per cycle) or pool
-        # (persistent workers over shared columnar state).
-        engine_executor=spec.engine_executor if spec.workers > 1 else "auto",
+        # inline.
+        engine_executor="pool",
     )
     simulation = P3QSimulation(dataset, config)
     # Ground-truth community membership, inverted for the correlated-churn
@@ -385,33 +380,5 @@ def run_scenario(
                 checked=names + [WORKER_COUNT_EQUIVALENCE],
             )
         names = names + [WORKER_COUNT_EQUIVALENCE]
-
-    if spec.transport != "direct" and spec.direct_equivalent:
-        try:
-            # A direct-equivalent spec may still carry an all-zero asymmetry
-            # object; the direct transport rejects conditions outright, so
-            # the twin drops them (they impose nothing by definition here).
-            twin = _execute(
-                spec.but(transport="direct", partition=None, asymmetry=None), ()
-            )
-        except Exception as error:  # noqa: BLE001
-            violation = InvariantViolation(CRASH, f"direct twin crashed: {error}")
-            return ScenarioResult(spec=spec, violation=violation, fingerprint=fp, checked=names)
-        if twin != fp:
-            diverging = sorted(
-                key for key in fp if fp[key] != twin.get(key)
-            )
-            violation = InvariantViolation(
-                ZERO_CONDITION_EQUIVALENCE,
-                f"{spec.transport} transport at zero loss/delay diverges from the "
-                f"direct wire in: {', '.join(diverging)}",
-            )
-            return ScenarioResult(
-                spec=spec,
-                violation=violation,
-                fingerprint=fp,
-                checked=names + [ZERO_CONDITION_EQUIVALENCE],
-            )
-        names = names + [ZERO_CONDITION_EQUIVALENCE]
 
     return ScenarioResult(spec=spec, violation=None, fingerprint=fp, checked=names)

@@ -3,8 +3,8 @@
 When a scenario violates an invariant, the raw spec usually mixes several
 stressors (churn + loss + dynamics + a large population) of which only one
 matters.  The shrinker repeatedly applies *simplifying transformations* --
-drop the dynamics, drop the churn, zero the loss, collapse to the direct
-transport, halve the population / workload / horizons -- keeping a candidate
+drop the dynamics, drop the churn, drop each wire condition, halve the
+population / workload / horizons -- keeping a candidate
 only when it still fails **the same invariant** (failing differently would
 trade one bug report for another).  The pass list is ordered from most to
 least semantic: removing a whole stressor beats shaving numbers, so the
@@ -77,18 +77,6 @@ def _zero_loss(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
 
 def _zero_delay(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
     return spec.but(delay_cycles=0) if spec.delay_cycles > 0 else None
-
-
-def _direct_transport(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
-    if spec.transport == "direct":
-        return None
-    return spec.but(
-        transport="direct",
-        loss_rate=0.0,
-        delay_cycles=0,
-        partition=None,
-        asymmetry=None,
-    )
 
 
 def _serial_engine(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
@@ -185,7 +173,6 @@ TRANSFORMS: List[Transform] = [
     ("resume crashed nodes", _resume_crashes),
     ("zero loss rate", _zero_loss),
     ("zero delay", _zero_delay),
-    ("direct transport", _direct_transport),
     ("serial engine", _serial_engine),
     ("halve users", _halve_users),
     ("halve queries", _halve_queries),

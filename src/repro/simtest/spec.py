@@ -34,6 +34,17 @@ from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fracti
 from ..simulator.engine import PHASE_EAGER, PHASE_LAZY
 from ..simulator.rng import derive_rng
 
+#: Stream-alignment constants of :class:`ScenarioGenerator` (not tunable:
+#: ``(master_seed, index)`` must keep naming the same scenario, and published
+#: failure reports cite those pairs).  The first ``_RESERVED_BAND`` of the
+#: condition draw -- and the one extra main-stream draw taken inside it --
+#: yields a condition-free scenario, as does a seeded ``_CALM_SHARE`` of the
+#: scenarios that carry neither a partition nor an asymmetry: both pin the
+#: share of direct-wire scenarios, whose stronger invariants (exact recall)
+#: only apply there.
+_RESERVED_BAND = 0.1
+_CALM_SHARE = 0.05
+
 #: How a churn departure comes back: ``"resume"`` rejoins with whatever the
 #: dataset holds now (graceful restart); ``"crash"`` snapshots the profile at
 #: departure and restores it on rejoin (restart from pre-crash state).
@@ -150,25 +161,20 @@ class ScenarioSpec:
     digest_bits: int = 1_024
     digest_hashes: int = 4
 
-    # -- transport conditions -------------------------------------------------
-    transport: str = "direct"
+    # -- wire conditions (all at their defaults: the direct wire) -------------
     loss_rate: float = 0.0
     delay_cycles: int = 0
-    #: Network partition condition (``"conditioned"`` transport only).
+    #: Network partition condition.
     partition: Optional[PartitionSpec] = None
-    #: Asymmetric-link / NAT condition (``"conditioned"`` transport only).
+    #: Asymmetric-link / NAT condition.
     asymmetry: Optional[AsymmetrySpec] = None
     #: Seeded fraction of nodes that never answer requests or forwards.
     free_rider_fraction: float = 0.0
 
     #: Worker count of the sharded cycle engine (1 = serial reference).  A
-    #: spec with ``workers > 1`` runs the real multi-process executor and
-    #: the runner cross-checks its fingerprint against the serial twin.
+    #: spec with ``workers > 1`` runs the real multi-process pool executor
+    #: and the runner cross-checks its fingerprint against the serial twin.
     workers: int = 1
-    #: Executor of the sharded engine when ``workers > 1``: ``"fork"``
-    #: (re-fork every cycle) or ``"pool"`` (persistent workers over shared
-    #: columnar state).  Both must fingerprint-match the serial twin.
-    engine_executor: str = "fork"
 
     # -- schedule -------------------------------------------------------------
     lazy_cycles: int = 6
@@ -223,13 +229,6 @@ class ScenarioSpec:
                 )
         if self.dynamics is not None and self.dynamics.at_cycle >= self.lazy_cycles:
             raise ValueError("dynamics.at_cycle is outside the lazy horizon")
-        if self.transport != "conditioned" and (
-            self.partition is not None or self.asymmetry is not None
-        ):
-            raise ValueError(
-                f"transport {self.transport!r} ignores partition/asymmetry "
-                "conditions; use 'conditioned'"
-            )
         if (
             self.partition is not None
             and self.partition.split_cycle >= self.lazy_cycles + self.eager_cycles
@@ -241,10 +240,6 @@ class ScenarioSpec:
         validate_fraction("free_rider_fraction", self.free_rider_fraction)
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.engine_executor not in ("fork", "pool"):
-            raise ValueError(
-                f"engine_executor must be 'fork' or 'pool', got {self.engine_executor!r}"
-            )
 
     # -- derived views --------------------------------------------------------
 
@@ -273,7 +268,6 @@ class ScenarioSpec:
             f"s={self.network_size}",
             f"c={self.storage}",
             f"alpha={self.alpha}",
-            f"transport={self.transport}",
         ]
         if self.loss_rate:
             parts.append(f"loss={self.loss_rate}")
@@ -302,7 +296,7 @@ class ScenarioSpec:
         if self.dynamics is not None:
             parts.append("dynamics")
         if self.workers > 1:
-            parts.append(f"workers={self.workers}({self.engine_executor})")
+            parts.append(f"workers={self.workers}")
         return " ".join(parts)
 
     # -- serialisation --------------------------------------------------------
@@ -344,7 +338,7 @@ class ScenarioSpec:
     def repro_command(self) -> str:
         """The shell command replaying exactly this scenario."""
         return (
-            "PYTHONPATH=src python -m repro.simtest "
+            "PYTHONPATH=src python -m repro simtest "
             f"--spec-json {shlex.quote(self.to_json())}"
         )
 
@@ -373,11 +367,10 @@ class GeneratorRanges:
     alphas: Tuple[float, ...] = (0.0, 0.3, 0.5, 0.7, 1.0)
     loss_rates: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.4)
     delay_choices: Tuple[int, ...] = (1, 2, 3)
-    #: Probability of a lossy / latency / zero-condition-stochastic scenario
-    #: (the remainder runs the direct transport).
+    #: Probability of a loss-only / delay(+loss) scenario (the remainder
+    #: runs the direct wire).
     p_lossy: float = 0.3
     p_latency: float = 0.25
-    p_zero_conditions: float = 0.1
     p_churn: float = 0.35
     p_rejoin: float = 0.5
     p_dynamics: float = 0.3
@@ -393,7 +386,7 @@ class GeneratorRanges:
     p_large_users: float = 0.06
 
     #: Sharded-engine fuzzing: with probability ``p_workers`` the scenario
-    #: runs on the sharded engine (fork executor) with a worker count drawn
+    #: runs on the sharded engine (pool executor) with a worker count drawn
     #: from ``worker_choices``, and the runner requires its fingerprint to
     #: match the serial twin.  Drawn from an independent seeded stream, so
     #: enabling or tuning it leaves every other field of every scenario
@@ -403,11 +396,8 @@ class GeneratorRanges:
 
     #: Adversarial conditions, each drawn from its own independent seeded
     #: stream (tuning one never perturbs another dimension or the main
-    #: scenario stream).  A partition or asymmetry draw upgrades the
-    #: transport to ``"conditioned"`` (composing with any sampled
-    #: loss/delay); ``p_zero_adversarial`` samples the conditioned transport
-    #: with *no* conditions at all, which the runner pins bit-identical to
-    #: the direct twin.
+    #: scenario stream).  A partition or asymmetry draw composes with any
+    #: sampled loss/delay.
     partition_components: Tuple[int, ...] = (2, 3)
     p_partition: float = 0.12
     degraded_fractions: Tuple[float, ...] = (0.2, 0.5)
@@ -421,7 +411,6 @@ class GeneratorRanges:
     #: snapshot restored on rejoin) instead of a graceful resume.
     p_crash: float = 0.4
     p_community_churn: float = 0.1
-    p_zero_adversarial: float = 0.05
 
     @classmethod
     def adversarial(cls) -> "GeneratorRanges":
@@ -438,7 +427,6 @@ class GeneratorRanges:
             p_free_riders=0.3,
             p_crash=0.6,
             p_community_churn=0.25,
-            p_zero_adversarial=0.08,
         )
 
     def capped(self, max_users: int) -> "GeneratorRanges":
@@ -491,7 +479,7 @@ class ScenarioGenerator:
                 lazy_cycles = min(lazy_cycles, large_rng.randint(2, 4))
                 eager_cycles = min(eager_cycles, large_rng.randint(4, 8))
 
-        transport, loss_rate, delay_cycles = self._sample_conditions(rng)
+        loss_rate, delay_cycles = self._sample_conditions(rng)
         churn = self._sample_churn(rng, lazy_cycles, eager_cycles)
         dynamics = self._sample_dynamics(rng, lazy_cycles)
 
@@ -515,14 +503,10 @@ class ScenarioGenerator:
         # Worker-count dimension from an independent stream (same pattern as
         # the large-N override: the main scenario stream is untouched).
         workers = 1
-        engine_executor = "fork"
         if r.p_workers > 0.0 and r.worker_choices:
             worker_rng = derive_rng(self.master_seed, "simtest", "workers", index)
             if worker_rng.random() < r.p_workers:
                 workers = worker_rng.choice(r.worker_choices)
-                # Fork and pool executors are both pinned bit-identical to
-                # the serial twin; fuzz alternates between them.
-                engine_executor = worker_rng.choice(("fork", "pool"))
 
         # Adversarial dimensions, one independent stream each.
         partition = self._sample_partition(index, lazy_cycles + eager_cycles)
@@ -532,12 +516,8 @@ class ScenarioGenerator:
         community_churn = self._sample_community_churn(
             index, lazy_cycles, eager_cycles, num_communities
         )
-        if partition is not None or asymmetry is not None:
-            transport = "conditioned"
-        elif self._sample_zero_adversarial(index):
-            # Conditioned transport with no conditions at all: the runner
-            # pins its fingerprint bit-identical to the direct twin.
-            transport, loss_rate, delay_cycles = ("conditioned", 0.0, 0)
+        if partition is None and asymmetry is None and self._sample_calm(index):
+            loss_rate, delay_cycles = 0.0, 0
 
         return ScenarioSpec(
             master_seed=self.master_seed,
@@ -556,14 +536,12 @@ class ScenarioGenerator:
             exchange_size=exchange_size,
             digest_bits=digest_bits,
             digest_hashes=digest_hashes,
-            transport=transport,
             loss_rate=loss_rate,
             delay_cycles=delay_cycles,
             partition=partition,
             asymmetry=asymmetry,
             free_rider_fraction=free_rider_fraction,
             workers=workers,
-            engine_executor=engine_executor,
             lazy_cycles=lazy_cycles,
             eager_cycles=eager_cycles,
             num_queries=num_queries,
@@ -580,19 +558,19 @@ class ScenarioGenerator:
 
     # -- sampling pieces ------------------------------------------------------
 
-    def _sample_conditions(self, rng: random.Random) -> Tuple[str, float, int]:
+    def _sample_conditions(self, rng: random.Random) -> Tuple[float, int]:
+        """The ``(loss_rate, delay_cycles)`` of one scenario."""
         r = self.ranges
         draw = rng.random()
-        if draw < r.p_zero_conditions:
-            # Stochastic transports at zero rates: the runner double-checks
-            # these degrade bit-identically to the direct wire.
-            return (rng.choice(("lossy", "latency")), 0.0, 0)
-        if draw < r.p_zero_conditions + r.p_lossy:
-            return ("lossy", rng.choice(r.loss_rates), 0)
-        if draw < r.p_zero_conditions + r.p_lossy + r.p_latency:
+        if draw < _RESERVED_BAND:
+            rng.choice((0, 1))
+            return (0.0, 0)
+        if draw < _RESERVED_BAND + r.p_lossy:
+            return (rng.choice(r.loss_rates), 0)
+        if draw < _RESERVED_BAND + r.p_lossy + r.p_latency:
             loss = rng.choice((0.0,) + r.loss_rates)
-            return ("latency", loss, rng.choice(r.delay_choices))
-        return ("direct", 0.0, 0)
+            return (loss, rng.choice(r.delay_choices))
+        return (0.0, 0)
 
     def _sample_churn(
         self, rng: random.Random, lazy_cycles: int, eager_cycles: int
@@ -709,12 +687,9 @@ class ScenarioGenerator:
             ),
         )
 
-    def _sample_zero_adversarial(self, index: int) -> bool:
-        r = self.ranges
-        if r.p_zero_adversarial <= 0.0:
-            return False
+    def _sample_calm(self, index: int) -> bool:
         rng = derive_rng(self.master_seed, "simtest", "zero-adversarial", index)
-        return rng.random() < r.p_zero_adversarial
+        return rng.random() < _CALM_SHARE
 
     def _sample_dynamics(self, rng: random.Random, lazy_cycles: int) -> Optional[DynamicsSpec]:
         if rng.random() >= self.ranges.p_dynamics:

@@ -1,10 +1,16 @@
-"""Adversarial network conditions: partitions, asymmetric links, NAT nodes.
+"""Network conditions: what the wire does to a message besides delivering it.
 
-The paper's evaluation assumes benign churn and uniform links.  This module
-supplies the adversarial side as *composable, deterministic* fault-injection
-conditions layered on the transport:
+The paper's evaluation assumes benign churn and uniform, lossless links.
+This module supplies everything else as *composable, deterministic*
+conditions that :class:`~repro.simulator.transport.Transport` evaluates in a
+fixed order.  A transport with no condition is the direct wire; each
+condition below perturbs exactly the legs it overrides:
 
-* :class:`PartitionSpec` -- a seeded split of the population into ``>= 2``
+* :class:`NatBlock` -- a seeded ``nat_fraction`` of nodes refuses *inbound*
+  connections (NAT without hole punching): contacting them fails like
+  contacting an offline node, before any bytes are charged, while their own
+  outbound traffic flows normally.
+* :class:`PartitionCut` -- a seeded split of the population into ``>= 2``
   components between a split cycle and a heal cycle (global engine cycles).
   While the cut is active, every freshly sent message whose endpoints sit on
   opposite sides is dropped -- and, like a lossy drop, still charged to its
@@ -12,23 +18,26 @@ conditions layered on the transport:
   send time).  Envelopes already in flight across the cut are *held* until
   the heal cycle instead of being lost: their bytes were spent exactly once,
   and delivery resumes when the components merge.
-
-* :class:`AsymmetrySpec` -- per-*direction* link degradation.  A seeded
+* :class:`Loss` -- every message is independently dropped with a seeded
+  per-message probability.
+* :class:`Delay` -- deferrable (top-level exchange) messages are delayed by
+  a seeded ``0..delay_cycles`` engine cycles.
+* :class:`DegradedLinks` -- per-*direction* link degradation.  A seeded
   fraction of ordered ``(sender, receiver)`` pairs is marked degraded; a
   degraded direction adds an extra loss roll and an extra delivery delay on
-  top of whatever the base loss/latency conditions already impose.  Because
-  directions are sampled independently, ``a -> b`` can be perfect while
-  ``b -> a`` loses every message.  A seeded ``nat_fraction`` of nodes
-  additionally refuses *inbound* connections entirely (NAT without hole
-  punching): contacting them fails like contacting an offline node, before
-  any bytes are charged, while their own outbound traffic flows normally.
+  top of the base conditions.  Because directions are sampled independently,
+  ``a -> b`` can be perfect while ``b -> a`` loses every message.
 
-Both specs are frozen config objects (carried by ``P3QConfig`` and
-``ScenarioSpec``) with hardened constructors, and every random decision is
-drawn from its own seeded stream -- independent of the node RNGs and of the
-base loss/delay streams -- so a zero-rate condition consumes no randomness
-and a conditioned transport with no conditions is bit-identical to
-:class:`~repro.simulator.transport.DirectTransport`.
+:func:`build_conditions` derives the tuple from the five configuration
+values ``(loss_rate, delay_cycles, partition, asymmetry, seed)``; a condition
+whose rate is zero is not built at all, so it consumes no randomness and the
+run is bit-identical to the direct wire.  Every random decision is drawn
+from the condition's own seeded stream -- independent of the node RNGs and
+of every other condition.
+
+:class:`PartitionSpec` and :class:`AsymmetrySpec` are the frozen config
+objects (carried by ``P3QConfig`` and ``ScenarioSpec``) with hardened
+constructors.
 """
 
 from __future__ import annotations
@@ -36,28 +45,39 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
-from .transport import (
-    Envelope,
-    LatencyTransport,
-    Message,
-    _validate_delay_cycles,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from .network import Network
+    from .transport import Envelope, Message
 
 
 def validate_fraction(name: str, value: float) -> float:
-    """A population/link fraction must be a finite real number in [0, 1].
+    """A rate or population/link fraction must be a finite real in [0, 1].
 
-    Mirrors ``_validate_loss_rate``: booleans are almost certainly a
-    mixed-up argument and NaN would silently disable comparison-based
-    sampling, so both are rejected.
+    NaN would silently disable every comparison-based roll and booleans are
+    almost certainly a mixed-up argument, so both are rejected rather than
+    accepted as degenerate probabilities.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
+
+
+def validate_delay_cycles(delay_cycles: int) -> int:
+    """A delay bound must be a non-negative integer.
+
+    A float (even an integral one) would only blow up cycles later inside
+    ``randint``, mid-simulation; failing at construction keeps the error at
+    the configuration site.
+    """
+    if isinstance(delay_cycles, bool) or not isinstance(delay_cycles, int):
+        raise TypeError(f"delay_cycles must be an int, got {delay_cycles!r}")
+    if delay_cycles < 0:
+        raise ValueError(f"delay_cycles must be non-negative, got {delay_cycles!r}")
+    return delay_cycles
 
 
 def _validate_count(name: str, value: int, minimum: int) -> int:
@@ -112,7 +132,7 @@ class AsymmetrySpec:
     def __post_init__(self) -> None:
         validate_fraction("degraded_fraction", self.degraded_fraction)
         validate_fraction("link_loss_rate", self.link_loss_rate)
-        _validate_delay_cycles(self.link_delay_cycles)
+        validate_delay_cycles(self.link_delay_cycles)
         validate_fraction("nat_fraction", self.nat_fraction)
 
     @property
@@ -126,150 +146,203 @@ class AsymmetrySpec:
         )
 
 
-class ConditionedTransport(LatencyTransport):
-    """Composes partition + asymmetric-link conditions with loss/latency.
+# ----------------------------------------------------------------- conditions
 
-    Condition evaluation order per message (matching the base delivery
-    path): NAT inbound block (before accounting, like an offline peer) ->
-    byte accounting -> partition cut drop (accounted, counted in
-    :attr:`cut_drops`) -> base loss roll -> degraded-link loss roll -> base
-    delay roll + degraded-link delay.  In-flight envelopes that would cross
-    an active cut when drained are re-queued to the heal cycle.
+
+class Condition:
+    """One wire condition; subclasses override the legs they perturb.
+
+    The transport asks every attached condition, in tuple order, at four
+    points: :meth:`blocks_inbound` before accounting, :meth:`drops` and
+    :meth:`delay` after it, and :meth:`hold` when a deferred envelope comes
+    due.  The defaults perturb nothing.
     """
 
-    name = "conditioned"
+    network: Optional["Network"] = None
 
-    def __init__(
-        self,
-        seed: int = 0,
-        loss_rate: float = 0.0,
-        delay_cycles: int = 0,
-        partition: Optional[PartitionSpec] = None,
-        asymmetry: Optional[AsymmetrySpec] = None,
-    ) -> None:
-        super().__init__(delay_cycles, seed=seed, loss_rate=loss_rate)
-        if partition is not None and not isinstance(partition, PartitionSpec):
-            raise TypeError(f"partition must be a PartitionSpec, got {partition!r}")
-        if asymmetry is not None and not isinstance(asymmetry, AsymmetrySpec):
-            raise TypeError(f"asymmetry must be an AsymmetrySpec, got {asymmetry!r}")
-        self.partition = partition
-        self.asymmetry = asymmetry
+    def attach(self, network: "Network") -> None:
+        """Bind to the network (population and clock are read lazily: the
+        transport is attached before the nodes are registered)."""
+        self.network = network
+
+    def blocks_inbound(self, sender: int, receiver: int) -> bool:
+        """True when the receiver cannot accept this connection at all.
+
+        Checked before accounting: like contacting an offline node, the
+        connection never opens, so no bytes are charged.
+        """
+        return False
+
+    def drops(self, message: "Message", sender: int, receiver: int) -> bool:
+        """True when this (already accounted) message is lost on the wire."""
+        return False
+
+    def delay(self, message: "Message", sender: int, receiver: int) -> int:
+        """Cycles of delivery delay this condition adds to the message."""
+        return 0
+
+    def hold(self, envelope: "Envelope") -> int:
+        """Cycles a *due* deferred envelope must stay in flight (0: deliver)."""
+        return 0
+
+
+class NatBlock(Condition):
+    """A seeded fraction of nodes refuses inbound connections."""
+
+    def __init__(self, fraction: float, seed: int) -> None:
+        self.fraction = fraction
         self._seed = seed
-        #: node id -> partition component index; assigned lazily because the
-        #: transport is attached before the population is registered.
+        self._ids: Optional[FrozenSet[int]] = None
+
+    def ids(self) -> FrozenSet[int]:
+        """Ids of the NAT'd nodes (stable, seeded; sampled on first use)."""
+        if self._ids is None:
+            ids = self.network.node_ids()
+            count = int(round(self.fraction * len(ids)))
+            rng = random.Random(f"{self._seed}/transport/nat")
+            self._ids = frozenset(rng.sample(ids, count))
+        return self._ids
+
+    def blocks_inbound(self, sender: int, receiver: int) -> bool:
+        return receiver in self.ids()
+
+
+class PartitionCut(Condition):
+    """Drops fresh messages across an active cut; holds in-flight ones."""
+
+    def __init__(self, spec: PartitionSpec, seed: int) -> None:
+        self.spec = spec
+        self._seed = seed
+        #: node id -> component index; dealt on first use (see ``attach``).
         self._components: Optional[Dict[int, int]] = None
-        self._nat: Optional[FrozenSet[int]] = None
-        #: Memoized per-(sender, receiver) degraded decisions.  Each ordered
-        #: pair gets its own hash-seeded stream, so the decision does not
-        #: depend on the order in which links are first exercised.
-        self._degraded: Dict[Tuple[int, int], bool] = {}
-        self._link_drop_rng = random.Random(f"{seed}/transport/asymmetry/loss")
-        self._link_delay_rng = random.Random(f"{seed}/transport/asymmetry/delay")
-        #: Messages dropped at an active partition cut (accounted drops).
+        #: Messages dropped at the active cut (accounted drops).
         self.cut_drops = 0
 
-    # -- condition state -------------------------------------------------------
-
-    def partition_component(self, node_id: int) -> int:
-        """The partition component a node belongs to (0 with no partition)."""
-        if self.partition is None:
-            return 0
+    def component(self, node_id: int) -> int:
+        """The partition component a node belongs to."""
         components = self._components
         if components is None:
-            components = self._assign_components()
+            ids = self.network.node_ids()
+            random.Random(f"{self._seed}/transport/partition").shuffle(ids)
+            k = self.spec.components
+            components = self._components = {
+                nid: index % k for index, nid in enumerate(ids)
+            }
         return components[node_id]
 
-    def _assign_components(self) -> Dict[int, int]:
-        ids = self._network.node_ids()
-        rng = random.Random(f"{self._seed}/transport/partition")
-        rng.shuffle(ids)
-        k = self.partition.components
-        self._components = {nid: index % k for index, nid in enumerate(ids)}
-        return self._components
+    def active(self) -> bool:
+        """Whether the cut is up at the network's current cycle."""
+        spec = self.spec
+        return spec.split_cycle <= self.network.current_cycle < spec.heal_cycle
 
-    def partition_active(self, cycle: Optional[int] = None) -> bool:
-        """Whether the cut is up at ``cycle`` (default: the current cycle)."""
-        partition = self.partition
-        if partition is None:
-            return False
-        if cycle is None:
-            cycle = self._network.current_cycle
-        return partition.split_cycle <= cycle < partition.heal_cycle
+    def _severs(self, sender: int, receiver: int) -> bool:
+        return self.active() and self.component(sender) != self.component(receiver)
 
-    def _crosses_cut(self, sender: int, receiver: int) -> bool:
-        return self.partition_component(sender) != self.partition_component(receiver)
+    def drops(self, message: "Message", sender: int, receiver: int) -> bool:
+        if self._severs(sender, receiver):
+            self.cut_drops += 1
+            return True
+        return False
 
-    def nat_ids(self) -> FrozenSet[int]:
-        """Ids of nodes that refuse inbound connections (stable, seeded)."""
-        nat = self._nat
-        if nat is None:
-            asymmetry = self.asymmetry
-            if asymmetry is None or asymmetry.nat_fraction <= 0.0:
-                nat = frozenset()
-            else:
-                ids = self._network.node_ids()
-                count = int(round(asymmetry.nat_fraction * len(ids)))
-                rng = random.Random(f"{self._seed}/transport/nat")
-                nat = frozenset(rng.sample(ids, count))
-            self._nat = nat
-        return nat
+    def hold(self, envelope: "Envelope") -> int:
+        if self._severs(envelope.sender, envelope.receiver):
+            return self.spec.heal_cycle - self.network.current_cycle
+        return 0
 
-    def _link_degraded(self, sender: int, receiver: int) -> bool:
+
+class Loss(Condition):
+    """Drops each message independently with probability ``rate``."""
+
+    def __init__(self, rate: float, seed: int) -> None:
+        self.rate = rate
+        self.rng = random.Random(f"{seed}/transport/loss")
+
+    def drops(self, message: "Message", sender: int, receiver: int) -> bool:
+        return self.rng.random() < self.rate
+
+
+class Delay(Condition):
+    """Delays deferrable messages by a seeded ``0..cycles`` engine cycles.
+
+    Only ``DEFERRABLE`` messages are ever queued; the control sub-requests
+    of an exchange stay synchronous (see the transport module docstring).
+    """
+
+    def __init__(self, cycles: int, seed: int) -> None:
+        self.cycles = cycles
+        self.rng = random.Random(f"{seed}/transport/delay")
+
+    def delay(self, message: "Message", sender: int, receiver: int) -> int:
+        return self.rng.randint(0, self.cycles) if message.DEFERRABLE else 0
+
+
+class DegradedLinks(Condition):
+    """Extra loss and delay on a seeded fraction of ordered node pairs."""
+
+    def __init__(self, spec: AsymmetrySpec, seed: int) -> None:
+        self.spec = spec
+        self._seed = seed
+        #: Memoized per-(sender, receiver) decisions.  Each ordered pair gets
+        #: its own hash-seeded stream, so the decision does not depend on
+        #: the order in which links are first exercised.
+        self._degraded: Dict[Tuple[int, int], bool] = {}
+        self.loss_rng = random.Random(f"{seed}/transport/asymmetry/loss")
+        self.delay_rng = random.Random(f"{seed}/transport/asymmetry/delay")
+
+    def degraded(self, sender: int, receiver: int) -> bool:
         key = (sender, receiver)
         hit = self._degraded.get(key)
         if hit is None:
-            fraction = self.asymmetry.degraded_fraction
-            hit = self._degraded[key] = bool(
-                fraction > 0.0
-                and random.Random(
-                    f"{self._seed}/transport/asymmetry/link/{sender}/{receiver}"
-                ).random()
-                < fraction
+            stream = random.Random(
+                f"{self._seed}/transport/asymmetry/link/{sender}/{receiver}"
             )
+            hit = self._degraded[key] = stream.random() < self.spec.degraded_fraction
         return hit
 
-    # -- condition hooks -------------------------------------------------------
-
-    def _inbound_blocked(self, sender: int, receiver: int) -> bool:
-        return receiver in self.nat_ids()
-
-    def _roll_drop(self, message: Message, sender: int, receiver: int) -> bool:
-        if (
-            self.partition is not None
-            and self.partition_active()
-            and self._crosses_cut(sender, receiver)
-        ):
-            self.cut_drops += 1
-            return True
-        if super()._roll_drop(message, sender, receiver):
-            return True
-        asymmetry = self.asymmetry
-        if (
-            asymmetry is not None
-            and asymmetry.link_loss_rate > 0.0
-            and self._link_degraded(sender, receiver)
-        ):
-            return self._link_drop_rng.random() < asymmetry.link_loss_rate
+    def drops(self, message: "Message", sender: int, receiver: int) -> bool:
+        rate = self.spec.link_loss_rate
+        if rate > 0.0 and self.degraded(sender, receiver):
+            return self.loss_rng.random() < rate
         return False
 
-    def _roll_delay(self, message: Message, sender: int, receiver: int) -> int:
-        delay = super()._roll_delay(message, sender, receiver)
-        asymmetry = self.asymmetry
-        if (
-            asymmetry is not None
-            and asymmetry.link_delay_cycles > 0
-            and message.DEFERRABLE
-            and self._link_degraded(sender, receiver)
-        ):
-            delay += self._link_delay_rng.randint(1, asymmetry.link_delay_cycles)
-        return delay
+    def delay(self, message: "Message", sender: int, receiver: int) -> int:
+        cycles = self.spec.link_delay_cycles
+        if cycles > 0 and message.DEFERRABLE and self.degraded(sender, receiver):
+            return self.delay_rng.randint(1, cycles)
+        return 0
 
-    def _drain_blocked(self, envelope: Envelope) -> Optional[int]:
-        partition = self.partition
-        if (
-            partition is not None
-            and self.partition_active()
-            and self._crosses_cut(envelope.sender, envelope.receiver)
-        ):
-            return partition.heal_cycle - self._network.current_cycle
-        return None
+
+def build_conditions(
+    loss_rate: float = 0.0,
+    delay_cycles: int = 0,
+    partition: Optional[PartitionSpec] = None,
+    asymmetry: Optional[AsymmetrySpec] = None,
+    seed: int = 0,
+) -> Tuple[Condition, ...]:
+    """The condition tuple a configuration describes, in evaluation order.
+
+    NAT block -> partition cut -> base loss -> base delay -> degraded links:
+    drops short-circuit in that order and delays sum in that order.  A
+    condition at zero rate is left out, so the all-zero configuration yields
+    the empty tuple -- the direct wire.
+    """
+    validate_fraction("loss_rate", loss_rate)
+    validate_delay_cycles(delay_cycles)
+    if partition is not None and not isinstance(partition, PartitionSpec):
+        raise TypeError(f"partition must be a PartitionSpec, got {partition!r}")
+    if asymmetry is not None and not isinstance(asymmetry, AsymmetrySpec):
+        raise TypeError(f"asymmetry must be an AsymmetrySpec, got {asymmetry!r}")
+    conditions = []
+    if asymmetry is not None and asymmetry.nat_fraction > 0.0:
+        conditions.append(NatBlock(asymmetry.nat_fraction, seed))
+    if partition is not None:
+        conditions.append(PartitionCut(partition, seed))
+    if loss_rate > 0.0:
+        conditions.append(Loss(loss_rate, seed))
+    if delay_cycles > 0:
+        conditions.append(Delay(delay_cycles, seed))
+    if asymmetry is not None and asymmetry.degraded_fraction > 0.0 and (
+        asymmetry.link_loss_rate > 0.0 or asymmetry.link_delay_cycles > 0
+    ):
+        conditions.append(DegradedLinks(asymmetry, seed))
+    return tuple(conditions)

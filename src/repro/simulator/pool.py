@@ -1,11 +1,10 @@
 """Persistent shard worker pool over shared columnar state.
 
-The fork executor of :mod:`repro.simulator.shard` re-forks the whole
-simulation every cycle: correct by construction, but the fork itself is a
-per-cycle tax that grows with the heap -- at N=1,000,000 the snapshot costs
-more than the pricing it buys.  This module replaces the per-cycle fork
-with **long-lived worker processes** over the columnar state of
-:mod:`repro.data.columnar`:
+The parallel executor of :mod:`repro.simulator.shard`: **long-lived worker
+processes** over the columnar state of :mod:`repro.data.columnar`.
+Snapshotting the whole simulation per cycle (a fork per barrier) is a tax
+that grows with the heap -- at N=1,000,000 the snapshot costs more than the
+pricing it buys -- so the pool pays the fork exactly once:
 
 * **Attach once.**  Workers are forked exactly once, at pool creation, and
   inherit the :class:`~repro.data.columnar.ColumnarStore` (static action
@@ -19,14 +18,13 @@ with **long-lived worker processes** over the columnar state of
   subject)`` pairs for the worker's shard.  Workers keep a tiny overlay
   ``uid -> (version, items)`` over the static store; everything else they
   read straight from shared memory.
-* **Pure replies.**  A worker's reply is the same version-tagged
-  ``PricedPair`` list the fork executor records: value entries the parent
-  installs through :meth:`DigestCache.install_common_entries`, where every
-  memo read re-validates versions -- a mispredicted or stale entry is
-  recomputed exactly as if it had never been installed.  Bit-identity to
-  the serial engine therefore holds for any worker count, exactly as for
-  the fork executor (see the merge-barrier contract in
-  ``repro/simulator/shard.py``).
+* **Pure replies.**  A worker's reply is a version-tagged ``PricedPair``
+  list: value entries the parent installs through
+  :meth:`DigestCache.install_common_entries`, where every memo read
+  re-validates versions -- a mispredicted or stale entry is recomputed
+  exactly as if it had never been installed.  Bit-identity to the serial
+  engine therefore holds for any worker count (see the merge-barrier
+  contract in ``repro/simulator/shard.py``).
 
 Failure is loud, not hanging: a worker that dies mid-barrier raises
 :class:`ShardWorkerError` naming the shard and the cycle instead of

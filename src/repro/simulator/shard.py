@@ -2,34 +2,35 @@
 
 :class:`ShardedEngine` runs each cycle as
 
-    snapshot -> parallel per-shard exchange pricing -> deterministic
+    predict -> parallel per-shard exchange pricing -> deterministic
     merge barrier -> apply
 
 and is **bit-identical to the serial** :class:`~repro.simulator.engine.
 SimulationEngine` **for any worker count** -- not by luck, but by
 construction:
 
-* **Snapshot.**  Worker processes are forked at the cycle boundary, so each
-  worker owns a private copy-on-write image of the entire simulation state
-  (profiles, views, RNG streams, caches) exactly as it stood when the cycle
-  began.  Nothing a worker does can touch the parent's state.
-* **Parallel per-shard pricing.**  The online nodes are partitioned into
-  ``workers`` shards (round-robin over the cycle's id order, a pure function
-  of the ids -- worker count changes *which worker* prices a node, never
-  what is priced).  Each worker executes the cycle for its shard's
-  initiators against its snapshot and records every digest-pricing result
-  it computes -- the ``(receiver, subject)`` common-item sets of
-  :class:`~repro.gossip.digest.DigestCache` -- as version-tagged entries.
-  These are *pure values*: the common-item set is a function of the
-  receiver's item set at ``receiver_version`` and the subject's digest at
-  ``digest_version``, nothing else.
-* **Deterministic merge barrier.**  The parent installs the recorded
-  entries shard by shard, in shard-index order.  Installing an entry can
-  never change behaviour: every memo read re-validates both versions
-  against the live objects, so a mispredicted or stale entry is recomputed
-  exactly as if it had never been installed.  The merge is therefore a
-  cache warm-up, and the only nondeterminism workers could introduce --
-  which pairs they happened to price -- is erased by the validation.
+* **Prediction.**  At the cycle boundary the parent enumerates, through a
+  protocol-level predictor that consumes no RNG, an over-approximation of
+  the ``(receiver, subject)`` digest probes the coming cycle can perform.
+* **Parallel per-shard pricing.**  The unique pairs are grouped by subject
+  and the subjects dealt round-robin over ``workers`` shards (a pure
+  function of the pair set -- worker count changes *which worker* prices a
+  pair, never what is priced).  **Persistent worker processes**, attached
+  once to shared columnar state (:mod:`repro.data.columnar`), receive their
+  shard's pairs together with the cycle's profile-delta set over per-worker
+  queues and compute the common-item sets of
+  :class:`~repro.gossip.digest.DigestCache` as version-tagged entries --
+  see :mod:`repro.simulator.pool`.  These are *pure values*: the
+  common-item set is a function of the receiver's item set at
+  ``receiver_version`` and the subject's digest at ``digest_version``,
+  nothing else.
+* **Deterministic merge barrier.**  The parent installs the replies shard by
+  shard, in shard-index order.  Installing an entry can never change
+  behaviour: every memo read re-validates both versions against the live
+  objects, so a mispredicted or stale entry is recomputed exactly as if it
+  had never been installed.  The merge is therefore a cache warm-up, and
+  the only nondeterminism workers could introduce -- which pairs they
+  happened to price -- is erased by the validation.
 * **Apply.**  The parent then runs the *unmodified serial schedule*
   (:meth:`SimulationEngine.run_cycle`): same scheduler shuffle, same
   per-node RNG draws, same message order, same accounting rows.  The
@@ -40,91 +41,34 @@ which cache entries are pre-warmed, and the apply phase is the serial
 reference schedule regardless.  ``workers=1`` (or the inline executor) is
 *literally* the serial engine.
 
-Two executors implement the barrier:
-
-* ``fork`` re-forks the whole simulation every cycle -- the fork IS the
-  snapshot.  Correct and simple, but the per-cycle fork cost grows with
-  the heap.
-* ``pool`` (the default resolution of ``auto`` on multi-core machines)
-  keeps **persistent worker processes** attached once to shared columnar
-  state (:mod:`repro.data.columnar`): the parent predicts the coming
-  cycle's ``(receiver, subject)`` digest probes, ships them with the
-  cycle's profile-delta set over per-worker queues, and installs the
-  version-tagged replies -- see :mod:`repro.simulator.pool`.  Predicted
-  pairs are an over-approximation and every installed entry is validated
-  on read, so the same merge-barrier contract applies unchanged: the
-  barrier is a cache warm-up, the apply phase is the serial schedule.
-
 Executor selection is honest about the hardware: with fewer than two CPU
-cores (or on platforms without ``fork``) speculative pricing cannot pay for
-itself, so ``executor="auto"`` degrades to the inline pass-through and the
-engine reports that choice (:attr:`ShardedEngine.executor`).  Benchmarks
-record the resolved executor next to the requested worker count.
+cores (or on platforms without ``fork``, which the pool uses once, to
+attach its workers) speculative pricing cannot pay for itself, so
+``executor="auto"`` degrades to the inline pass-through and the engine
+reports that choice (:attr:`ShardedEngine.executor`).  Benchmarks record the
+resolved executor next to the requested worker count.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .engine import PHASE_LAZY, SimulationEngine
 from .network import Network
 
 #: Executor names.
 EXECUTOR_INLINE = "inline"
-EXECUTOR_FORK = "fork"
 EXECUTOR_POOL = "pool"
 EXECUTOR_AUTO = "auto"
-
-#: Module-level slot the forked workers read their work from: ``(worker_fn,
-#: payload)``.  Set only for the duration of one fork barrier; the ``fork``
-#: start method makes children inherit it together with the full snapshot.
-_FORK_STATE: Optional[Tuple[Callable, object]] = None
-
-
-def _fork_entry(index: int):
-    worker_fn, payload = _FORK_STATE
-    return worker_fn(payload, index)
-
-
-def run_forked_shards(
-    payload: object,
-    worker_fn: Callable,
-    count: int,
-    workers: int,
-) -> Optional[List]:
-    """Run ``worker_fn(payload, index)`` for ``index in range(count)`` in a
-    forked worker pool and return the results in index order.
-
-    The fork IS the snapshot: each worker starts from a private
-    copy-on-write image of the caller's state, reached through the
-    module-level slot the children inherit (``payload`` itself is never
-    pickled; only the shard index crosses the pipe going in).  Shared by
-    the cycle-pricing barrier and the shard-parallel bootstrap so the
-    fork/global-slot/degrade-on-failure mechanics live in exactly one
-    place.  Returns ``None`` when the pool fails wholesale -- callers
-    treat the barrier as advisory and fall back to serial work.
-    """
-    global _FORK_STATE
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    _FORK_STATE = (worker_fn, payload)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(_fork_entry, range(count))
-    except Exception:
-        return None
-    finally:
-        _FORK_STATE = None
 
 
 def partition_shards(node_ids: Sequence[int], workers: int) -> List[Tuple[int, ...]]:
     """Round-robin partition of ``node_ids`` into ``workers`` shards.
 
     A pure function of the id sequence and the worker count; shards own
-    disjoint initiator sets and their union is the input.
+    disjoint id sets and their union is the input.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -141,52 +85,19 @@ def _fork_supported() -> bool:
 def resolve_executor(requested: str, workers: int) -> str:
     """The executor actually used for ``workers`` on this machine.
 
-    ``auto`` picks a parallel executor only when it can plausibly help:
-    more than one worker, a machine with at least two CPU cores, and a
-    platform with ``fork`` -- and then prefers the persistent ``pool``
-    (attach-once workers) over the per-cycle ``fork``.  An explicit
-    ``fork`` or ``pool`` request is honoured whenever the platform
-    supports it (tests force them on single-core machines to exercise the
-    real code paths).
+    ``auto`` picks the persistent ``pool`` only when it can plausibly
+    help: more than one worker, a machine with at least two CPU cores, and
+    a platform with ``fork``.  An explicit ``pool`` request is honoured
+    whenever the platform supports it (tests force it on single-core
+    machines to exercise the real code path).
     """
-    if requested not in (EXECUTOR_AUTO, EXECUTOR_INLINE, EXECUTOR_FORK, EXECUTOR_POOL):
+    if requested not in (EXECUTOR_AUTO, EXECUTOR_INLINE, EXECUTOR_POOL):
         raise ValueError(f"unknown executor {requested!r}")
-    if workers <= 1:
+    if workers <= 1 or requested == EXECUTOR_INLINE or not _fork_supported():
         return EXECUTOR_INLINE
-    if requested == EXECUTOR_INLINE:
-        return EXECUTOR_INLINE
-    if not _fork_supported():
-        return EXECUTOR_INLINE
-    if requested in (EXECUTOR_FORK, EXECUTOR_POOL):
-        return requested
+    if requested == EXECUTOR_POOL:
+        return EXECUTOR_POOL
     return EXECUTOR_POOL if (os.cpu_count() or 1) >= 2 else EXECUTOR_INLINE
-
-
-def _price_shard(engine: "ShardedEngine", shard_index: int) -> Tuple[int, List]:
-    """Worker entry point: price one shard's cycle against the fork snapshot.
-
-    Runs in a forked child.  Executes the pending cycle restricted to the
-    shard's initiators on the child's private state copy, recording every
-    common-item set the digest cache computes.  The child's mutations die
-    with the process; only the recorded pure entries travel back.
-    """
-    assert engine._pricing_cache is not None
-    recorded: List = []
-    cache = engine._pricing_cache
-    cache.record_pricing(recorded)
-    # Passive observers (fuzzing checkers) are parent-side concerns; the
-    # speculative run must not feed them.
-    engine.network.transport._observers.clear()
-    shard = engine._current_shards[shard_index]
-    try:
-        SimulationEngine.run_cycle(engine, phase=engine._pricing_phase, participants=shard)
-    except Exception:
-        # Speculation is advisory: a worker crash (e.g. an exotic protocol
-        # state that only manifests mid-shard) must never fail the cycle.
-        return shard_index, recorded
-    finally:
-        cache.record_pricing(None)
-    return shard_index, recorded
 
 
 class ShardedEngine(SimulationEngine):
@@ -211,8 +122,6 @@ class ShardedEngine(SimulationEngine):
         #: Phases whose cycles are priced in parallel (exchange pricing only
         #: exists in the lazy phase).
         self._pricing_phases = {PHASE_LAZY}
-        self._pricing_phase: str = PHASE_LAZY
-        self._current_shards: List[Tuple[int, ...]] = []
         #: Persistent-pool state (pool executor only): columnar backing,
         #: long-lived workers, the pair predictor and the delta bookkeeping.
         self._columnar_store = None
@@ -264,43 +173,15 @@ class ShardedEngine(SimulationEngine):
     # -- execution ------------------------------------------------------------
 
     def run_cycle(self, phase: str = PHASE_LAZY, participants=None) -> int:
-        if self._pricing_cache is not None and phase in self._pricing_phases:
-            if self.executor == EXECUTOR_FORK:
-                self._pricing_barrier(phase, participants)
-            elif (
-                self.executor == EXECUTOR_POOL
-                and self._pair_predictor is not None
-                and self._columnar_store is not None
-            ):
-                self._pool_pricing_barrier(phase, participants)
+        if (
+            self.executor == EXECUTOR_POOL
+            and phase in self._pricing_phases
+            and self._pricing_cache is not None
+            and self._pair_predictor is not None
+            and self._columnar_store is not None
+        ):
+            self._pool_pricing_barrier(phase, participants)
         return super().run_cycle(phase=phase, participants=participants)
-
-    def _pricing_barrier(self, phase: str, participants) -> None:
-        """Snapshot, price every shard in parallel, merge deterministically."""
-        if participants is None:
-            acting = self.network.online_ids()
-        else:
-            acting = [nid for nid in participants if self.network.is_online(nid)]
-        if len(acting) < self.workers:
-            return
-        self._current_shards = partition_shards(acting, self.workers)
-        self._pricing_phase = phase
-        try:
-            results = run_forked_shards(self, _price_shard, self.workers, self.workers)
-        finally:
-            self._current_shards = []
-        if results is None:
-            self.pricing_stats["worker_failures"] += 1
-            return
-
-        # Deterministic merge barrier: shard-index order.
-        stats = self.pricing_stats
-        stats["cycles_priced"] += 1
-        for _shard_index, entries in sorted(results, key=lambda item: item[0]):
-            stats["entries_recorded"] += len(entries)
-            stats["entries_installed"] += self._pricing_cache.install_common_entries(
-                entries
-            )
 
     # -- persistent-pool barrier ----------------------------------------------
 
@@ -313,7 +194,6 @@ class ShardedEngine(SimulationEngine):
         the profile deltas accumulated since the last barrier -- to the
         persistent workers, and installs the version-tagged replies in
         shard-index order.  Everything installed is validated on read, so
-        the barrier obeys the same contract as the fork executor's:
         worker count changes which entries are pre-warmed, never what any
         cycle computes.
         """
@@ -333,13 +213,15 @@ class ShardedEngine(SimulationEngine):
         deltas = self._collect_deltas()
         # Unique pairs, grouped by subject so each worker's digest-row cache
         # sees every probe of a subject; subjects round-robin over shards --
-        # a pure function of the pair set, like partition_shards.
+        # a pure function of the pair set.
         unique_pairs = sorted(set(pairs))
-        shard_of: Dict[int, int] = {}
         workers = self.workers
-        for _receiver, subject in unique_pairs:
-            if subject not in shard_of:
-                shard_of[subject] = len(shard_of) % workers
+        subjects = list(dict.fromkeys(subject for _receiver, subject in unique_pairs))
+        shard_of = {
+            subject: index
+            for index, shard in enumerate(partition_shards(subjects, workers))
+            for subject in shard
+        }
         shard_pairs: List[List[Tuple[int, int]]] = [[] for _ in range(workers)]
         for pair in unique_pairs:
             shard_pairs[shard_of[pair[1]]].append(pair)

@@ -19,16 +19,13 @@ message                       meaning
 ============================  =============================================
 
 Reifying the wire protocol as data is what makes network conditions
-pluggable: the same protocol code runs unchanged over
-
-* :class:`DirectTransport` -- synchronous and lossless, bit-identical to the
-  seed's direct method calls (the default; all reproduced figures use it);
-* :class:`LossyTransport` -- every message is independently dropped with a
-  seeded per-message probability (gossip under packet loss);
-* :class:`LatencyTransport` -- top-level exchanges are delayed by a seeded
-  number of cycles and drained by the engine at the start of later cycles
-  (stale digests, late partial results, churn mid-exchange); it composes
-  with a loss rate.
+composable: the same protocol code runs unchanged over the one
+:class:`Transport`, which carries a tuple of condition objects
+(:mod:`repro.simulator.conditions`: loss, delay, partition cut, degraded
+links, NAT).  With no condition it is synchronous and lossless,
+bit-identical to the seed's direct method calls -- the default, under which
+all reproduced figures run -- and it is importable as
+:class:`DirectTransport` under that reading.
 
 Delivery semantics
 ------------------
@@ -42,7 +39,7 @@ message (itself subject to delay).  The control sub-requests *inside* an
 exchange (:class:`CommonItemsRequest`, :class:`FullProfileRequest`) always
 complete within the cycle in which the exchange is processed -- real
 round-trip times are far below the paper's 60 s / 5 s cycle lengths -- but
-remain individually droppable by a lossy transport.
+remain individually droppable by a loss condition.
 
 Byte accounting happens in exactly one place, :meth:`Transport._account`:
 every payload-bearing message is priced by
@@ -55,7 +52,7 @@ seed's accounting exactly.
 Observation
 -----------
 
-Every transport accepts *observers* (:meth:`Transport.add_observer`): callables
+The transport accepts *observers* (:meth:`Transport.add_observer`): callables
 receiving one :class:`WireEvent` per wire action -- request legs, reply legs,
 one-way sends and deferred (drained) deliveries, each with its final delivery
 status and whether the accounting hook ran for it.  Observers are passive:
@@ -67,11 +64,21 @@ lifecycle invariants against an independent model of the wire.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
+from .conditions import AsymmetrySpec, Condition, PartitionSpec, build_conditions
 from .stats import (
     KIND_COMMON_ITEMS,
     KIND_DIGESTS,
@@ -88,6 +95,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..gossip.digest import ProfileDigest
     from ..p3q.query import PartialResult
     from .network import Network
+
+ConditionT = TypeVar("ConditionT", bound=Condition)
 
 #: ``DigestAdvertisement.view`` values.
 VIEW_RANDOM = "random"
@@ -114,7 +123,7 @@ class Message:
 
     ``kind`` is the traffic kind recorded by the stats collector (``None``
     for control messages the cost model does not charge); ``DEFERRABLE``
-    marks the top-level exchange messages a latency transport may delay.
+    marks the top-level exchange messages a delay condition may defer.
     """
 
     __slots__ = ()
@@ -309,20 +318,36 @@ _DEFERRED_DISPATCH = Dispatch(DEFERRED, None)
 _DELIVERED_SILENT_DISPATCH = Dispatch(DELIVERED, None)
 
 
-# ----------------------------------------------------------------- transports
+# ------------------------------------------------------------------ transport
 
 
 class Transport:
-    """Routes envelopes between nodes; :class:`DirectTransport` semantics.
+    """Routes envelopes between nodes, through whatever conditions it carries.
 
-    The base class is synchronous and lossless; subclasses perturb delivery
-    through the :meth:`_roll_drop` / :meth:`_roll_delay` hooks only, so every
-    transport shares one delivery and accounting path.
+    ``conditions`` is a tuple of :class:`~repro.simulator.conditions.Condition`
+    objects in evaluation order, built from the five configuration values by
+    :func:`~repro.simulator.conditions.build_conditions`.  The empty tuple
+    *is* the direct wire -- synchronous and lossless, the paper's semantics
+    -- and every leg reaches it through one falsy check, the same pattern as
+    ``if self._observers``.  Per message the order is: NAT inbound block
+    (before accounting, like an offline peer) -> byte accounting -> partition
+    cut drop -> base loss roll -> degraded-link loss roll -> base delay +
+    degraded-link delay; a due envelope that would cross an active cut is
+    held until the heal cycle.  Tests replace ``conditions`` with scripted
+    fakes; nothing else about the wire is pluggable.
     """
 
-    name = "direct"
-
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        loss_rate: float = 0.0,
+        delay_cycles: int = 0,
+        partition: Optional[PartitionSpec] = None,
+        asymmetry: Optional[AsymmetrySpec] = None,
+        seed: int = 0,
+    ) -> None:
+        self.conditions: Tuple[Condition, ...] = build_conditions(
+            loss_rate, delay_cycles, partition, asymmetry, seed
+        )
         self._network: Optional["Network"] = None
         self._total_bytes = None
         #: absolute global cycle -> envelopes due at that cycle (FIFO).
@@ -345,6 +370,15 @@ class Transport:
 
         self._network = network
         self._total_bytes = total_bytes
+        for condition in self.conditions:
+            condition.attach(network)
+
+    def condition(self, kind: Type[ConditionT]) -> Optional[ConditionT]:
+        """The attached condition of class ``kind``, or ``None``."""
+        for condition in self.conditions:
+            if isinstance(condition, kind):
+                return condition
+        return None
 
     # -- observation ----------------------------------------------------------
 
@@ -369,34 +403,25 @@ class Transport:
         for observer in self._observers:
             observer(event)
 
-    # -- condition hooks (overridden by lossy/latency/conditioned transports) --
-    #
-    # All hooks receive the (sender, receiver) pair so that conditions can be
-    # link-local (asymmetric links, partition cuts) as well as global.
-
-    def _roll_drop(self, message: Message, sender: int, receiver: int) -> bool:
-        return False
-
-    def _roll_delay(self, message: Message, sender: int, receiver: int) -> int:
-        return 0
+    # -- condition evaluation (reached only with a non-empty tuple) -----------
 
     def _inbound_blocked(self, sender: int, receiver: int) -> bool:
-        """True when the receiver cannot accept *inbound* connections (NAT).
-
-        Checked before accounting: like contacting an offline node, the
-        connection never opens, so no bytes are charged.
-        """
+        for condition in self.conditions:
+            if condition.blocks_inbound(sender, receiver):
+                return True
         return False
 
-    def _drain_blocked(self, envelope: Envelope) -> Optional[int]:
-        """Cycles to re-queue a due envelope for, or ``None`` to deliver now.
+    def _dropped(self, message: Message, sender: int, receiver: int) -> bool:
+        for condition in self.conditions:
+            if condition.drops(message, sender, receiver):
+                return True
+        return False
 
-        A conditioned transport holds an in-flight envelope whose endpoints
-        sit on opposite sides of an active partition cut until the heal
-        cycle: the bytes were spent at send time, so delivery resumes once
-        the cut heals rather than being silently lost.
-        """
-        return None
+    def _delay(self, message: Message, sender: int, receiver: int) -> int:
+        delay = 0
+        for condition in self.conditions:
+            delay += condition.delay(message, sender, receiver)
+        return delay
 
     # -- sending --------------------------------------------------------------
 
@@ -413,24 +438,25 @@ class Transport:
         A deferred request is queued whole; its reply will eventually reach
         the sender through :meth:`drain` as a one-way message.
         """
-        node = self._network.try_contact(receiver)
-        handler = getattr(node, "handle_message", None)
-        if handler is None or self._inbound_blocked(sender, receiver):
+        handler = getattr(self._network.try_contact(receiver), "handle_message", None)
+        conditions = self.conditions
+        if handler is None or (conditions and self._inbound_blocked(sender, receiver)):
             if self._observers:
                 self._notify(OP_REQUEST, sender, receiver, message, UNREACHABLE, False, query_id)
             return _UNREACHABLE_DISPATCH
         if account:
             self._account(sender, receiver, message, query_id)
-        if self._roll_drop(message, sender, receiver):
-            if self._observers:
-                self._notify(OP_REQUEST, sender, receiver, message, DROPPED, account, query_id)
-            return _DROPPED_DISPATCH
-        delay = self._roll_delay(message, sender, receiver)
-        if delay > 0:
-            self._enqueue(Envelope(sender, receiver, message, query_id, True, account), delay)
-            if self._observers:
-                self._notify(OP_REQUEST, sender, receiver, message, DEFERRED, account, query_id)
-            return _DEFERRED_DISPATCH
+        if conditions:
+            if self._dropped(message, sender, receiver):
+                if self._observers:
+                    self._notify(OP_REQUEST, sender, receiver, message, DROPPED, account, query_id)
+                return _DROPPED_DISPATCH
+            delay = self._delay(message, sender, receiver)
+            if delay > 0:
+                self._enqueue(Envelope(sender, receiver, message, query_id, True, account), delay)
+                if self._observers:
+                    self._notify(OP_REQUEST, sender, receiver, message, DEFERRED, account, query_id)
+                return _DEFERRED_DISPATCH
         reply = handler(Envelope(sender, receiver, message, query_id, True, account))
         if reply is None:
             if self._observers:
@@ -438,7 +464,7 @@ class Transport:
             return _DELIVERED_SILENT_DISPATCH
         if account:
             self._account(receiver, sender, reply, query_id)
-        if self._roll_drop(reply, receiver, sender):
+        if conditions and self._dropped(reply, receiver, sender):
             # The receiver DID process the request; only its answer is lost.
             # Distinguished from DROPPED so callers do not retry work the
             # other side already performed.
@@ -460,24 +486,25 @@ class Transport:
         account: bool = True,
     ) -> str:
         """One-way, fire-and-forget send; returns the dispatch status."""
-        node = self._network.try_contact(receiver)
-        handler = getattr(node, "handle_message", None)
-        if handler is None or self._inbound_blocked(sender, receiver):
+        handler = getattr(self._network.try_contact(receiver), "handle_message", None)
+        conditions = self.conditions
+        if handler is None or (conditions and self._inbound_blocked(sender, receiver)):
             if self._observers:
                 self._notify(OP_SEND, sender, receiver, message, UNREACHABLE, False, query_id)
             return UNREACHABLE
         if account:
             self._account(sender, receiver, message, query_id)
-        if self._roll_drop(message, sender, receiver):
-            if self._observers:
-                self._notify(OP_SEND, sender, receiver, message, DROPPED, account, query_id)
-            return DROPPED
-        delay = self._roll_delay(message, sender, receiver)
-        if delay > 0:
-            self._enqueue(Envelope(sender, receiver, message, query_id, False, account), delay)
-            if self._observers:
-                self._notify(OP_SEND, sender, receiver, message, DEFERRED, account, query_id)
-            return DEFERRED
+        if conditions:
+            if self._dropped(message, sender, receiver):
+                if self._observers:
+                    self._notify(OP_SEND, sender, receiver, message, DROPPED, account, query_id)
+                return DROPPED
+            delay = self._delay(message, sender, receiver)
+            if delay > 0:
+                self._enqueue(Envelope(sender, receiver, message, query_id, False, account), delay)
+                if self._observers:
+                    self._notify(OP_SEND, sender, receiver, message, DEFERRED, account, query_id)
+                return DEFERRED
         handler(Envelope(sender, receiver, message, query_id, False, account))
         if self._observers:
             self._notify(OP_SEND, sender, receiver, message, DELIVERED, account, query_id)
@@ -497,74 +524,48 @@ class Transport:
         Called by the engine at the start of each cycle, after scheduled
         events (so churn applies first: a message to a node that departed
         while it was in flight is simply lost -- its bytes were already
-        spent).  Replies to deferred round-trips are routed back through
-        :meth:`send` and may themselves be dropped or delayed.
+        spent).  An envelope whose endpoints sit on opposite sides of an
+        active partition cut stays in flight until the heal cycle.  Replies
+        to deferred round-trips are routed back through :meth:`send` and may
+        themselves be dropped or delayed.
         """
         if not self._queue:
             return 0
         now = self._network.current_cycle
         due = sorted(cycle for cycle in self._queue if cycle <= now)
+        observers = self._observers
         delivered = 0
         for cycle in due:
             for envelope in self._queue.pop(cycle):
-                node = self._network.try_contact(envelope.receiver)
-                handler = getattr(node, "handle_message", None)
+                sender, receiver, message, query_id, expects_reply, account = envelope
+                handler = getattr(
+                    self._network.try_contact(receiver), "handle_message", None
+                )
                 if handler is None:
-                    if self._observers:
-                        self._notify(
-                            OP_DRAIN,
-                            envelope.sender,
-                            envelope.receiver,
-                            envelope.message,
-                            LOST,
-                            False,
-                            envelope.query_id,
-                        )
+                    if observers:
+                        self._notify(OP_DRAIN, sender, receiver, message, LOST, False, query_id)
                     continue
-                hold = self._drain_blocked(envelope)
-                if hold is not None and hold > 0:
-                    # An active partition cut: the envelope stays in flight
-                    # (its bytes were spent once, at send time) and becomes
-                    # due again when the condition lifts.
+                hold = max((condition.hold(envelope) for condition in self.conditions), default=0)
+                if hold > 0:
+                    # The bytes were spent once, at send time; the envelope
+                    # becomes due again when the condition lifts.
                     self._queue.setdefault(now + hold, []).append(envelope)
-                    if self._observers:
-                        self._notify(
-                            OP_DRAIN,
-                            envelope.sender,
-                            envelope.receiver,
-                            envelope.message,
-                            DEFERRED,
-                            False,
-                            envelope.query_id,
-                        )
+                    if observers:
+                        self._notify(OP_DRAIN, sender, receiver, message, DEFERRED, False, query_id)
                     continue
                 delivered += 1
-                if self._observers:
-                    self._notify(
-                        OP_DRAIN,
-                        envelope.sender,
-                        envelope.receiver,
-                        envelope.message,
-                        DELIVERED,
-                        False,
-                        envelope.query_id,
-                    )
+                if observers:
+                    self._notify(OP_DRAIN, sender, receiver, message, DELIVERED, False, query_id)
                 reply = handler(envelope)
-                if reply is not None and envelope.expects_reply:
-                    self.send(
-                        envelope.receiver,
-                        envelope.sender,
-                        reply,
-                        query_id=envelope.query_id,
-                        account=envelope.account,
-                    )
+                if reply is not None and expects_reply:
+                    self.send(receiver, sender, reply, query_id=query_id, account=account)
         return delivered
 
     def _enqueue(self, envelope: Envelope, delay: int) -> None:
         due = self._network.current_cycle + delay
         self._queue.setdefault(due, []).append(envelope)
 
-    # -- delivery internals ---------------------------------------------------
+    # -- accounting -----------------------------------------------------------
 
     def _account(
         self,
@@ -580,212 +581,13 @@ class Transport:
         by :func:`repro.gossip.sizes.total_bytes`.
         """
         kind = message.kind
-        if kind is None or not message.accountable:
-            return
-        self._network.account(
-            sender, receiver, kind, self._total_bytes(message), query_id=query_id
-        )
-
-
-class DirectTransport(Transport):
-    """Synchronous, lossless delivery -- the seed's semantics, bit-identical.
-
-    Overrides the send paths without the drop/delay hooks: this transport
-    carries every message of every reproduced figure, so the round-trip is
-    kept as lean as resolve -> account -> deliver -> account.  Accounting is
-    inlined (the same row :meth:`Transport._account` would record through
-    :meth:`Network.account`, without the two intermediate frames): tens of
-    thousands of round-trips per cycle make every call frame measurable.
-    """
-
-    name = "direct"
-
-    def request(
-        self,
-        sender: int,
-        receiver: int,
-        message: Message,
-        query_id: Optional[int] = None,
-        account: bool = True,
-    ) -> Dispatch:
-        network = self._network
-        handler = getattr(network.try_contact(receiver), "handle_message", None)
-        if handler is None:
-            if self._observers:
-                self._notify(OP_REQUEST, sender, receiver, message, UNREACHABLE, False, query_id)
-            return _UNREACHABLE_DISPATCH
-        if account:
-            kind = message.kind
-            if kind is not None and message.accountable:
-                network.stats.record(
-                    network.current_cycle, sender, receiver, kind,
-                    self._total_bytes(message), query_id,
-                )
-        reply = handler(Envelope(sender, receiver, message, query_id, True, account))
-        if reply is None:
-            if self._observers:
-                self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, account, query_id)
-            return _DELIVERED_SILENT_DISPATCH
-        if account:
-            kind = reply.kind
-            if kind is not None and reply.accountable:
-                network.stats.record(
-                    network.current_cycle, receiver, sender, kind,
-                    self._total_bytes(reply), query_id,
-                )
-        if self._observers:
-            self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, account, query_id)
-            self._notify(OP_REPLY, receiver, sender, reply, DELIVERED, account, query_id)
-        return Dispatch(DELIVERED, reply)
-
-    def send(
-        self,
-        sender: int,
-        receiver: int,
-        message: Message,
-        query_id: Optional[int] = None,
-        account: bool = True,
-    ) -> str:
-        handler = getattr(self._network.try_contact(receiver), "handle_message", None)
-        if handler is None:
-            if self._observers:
-                self._notify(OP_SEND, sender, receiver, message, UNREACHABLE, False, query_id)
-            return UNREACHABLE
-        if account:
-            self._account(sender, receiver, message, query_id)
-        handler(Envelope(sender, receiver, message, query_id, False, account))
-        if self._observers:
-            self._notify(OP_SEND, sender, receiver, message, DELIVERED, account, query_id)
-        return DELIVERED
-
-
-class LossyTransport(Transport):
-    """Drops each message independently with probability ``loss_rate``.
-
-    The drop stream is seeded and separate from every node's RNG stream, so
-    a ``loss_rate`` of 0 is bit-identical to :class:`DirectTransport` and a
-    fixed seed yields a fully deterministic run.
-    """
-
-    name = "lossy"
-
-    def __init__(self, loss_rate: float, seed: int = 0) -> None:
-        super().__init__()
-        self.loss_rate = _validate_loss_rate(loss_rate)
-        self._drop_rng = random.Random(f"{seed}/transport/loss")
-
-    def _roll_drop(self, message: Message, sender: int, receiver: int) -> bool:
-        if self.loss_rate <= 0.0:
-            return False
-        return self._drop_rng.random() < self.loss_rate
-
-    @property
-    def drop_rng(self) -> random.Random:
-        return self._drop_rng
-
-
-class LatencyTransport(LossyTransport):
-    """Delays top-level exchanges by 0..``delay_cycles`` engine cycles.
-
-    Delays are drawn from a seeded stream separate from the drop stream;
-    ``delay_cycles=0`` (with ``loss_rate=0``) is bit-identical to
-    :class:`DirectTransport`.  Only ``DEFERRABLE`` messages are ever queued;
-    the control sub-requests of an exchange stay synchronous (see the module
-    docstring for the semantics).
-    """
-
-    name = "latency"
-
-    def __init__(self, delay_cycles: int, seed: int = 0, loss_rate: float = 0.0) -> None:
-        super().__init__(loss_rate, seed=seed)
-        self.delay_cycles = _validate_delay_cycles(delay_cycles)
-        self._delay_rng = random.Random(f"{seed}/transport/delay")
-
-    def _roll_delay(self, message: Message, sender: int, receiver: int) -> int:
-        if self.delay_cycles <= 0 or not message.DEFERRABLE:
-            return 0
-        return self._delay_rng.randint(0, self.delay_cycles)
-
-
-#: Transport names accepted by :func:`make_transport` / ``P3QConfig.transport``.
-TRANSPORT_NAMES = ("direct", "lossy", "latency", "conditioned")
-
-
-def _validate_loss_rate(loss_rate: float) -> float:
-    """A loss rate must be a finite real number in [0, 1].
-
-    NaN would silently disable every comparison-based drop roll and booleans
-    are almost certainly a mixed-up argument, so both are rejected rather
-    than accepted as degenerate probabilities.
-    """
-    if isinstance(loss_rate, bool) or not isinstance(loss_rate, (int, float)):
-        raise TypeError(f"loss_rate must be a number, got {loss_rate!r}")
-    if not math.isfinite(loss_rate) or not 0.0 <= loss_rate <= 1.0:
-        raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate!r}")
-    return float(loss_rate)
-
-
-def _validate_delay_cycles(delay_cycles: int) -> int:
-    """A delay bound must be a non-negative integer.
-
-    A float (even an integral one) would only blow up cycles later inside
-    ``randint``, mid-simulation; failing at construction keeps the error at
-    the configuration site.
-    """
-    if isinstance(delay_cycles, bool) or not isinstance(delay_cycles, int):
-        raise TypeError(f"delay_cycles must be an int, got {delay_cycles!r}")
-    if delay_cycles < 0:
-        raise ValueError(f"delay_cycles must be non-negative, got {delay_cycles!r}")
-    return delay_cycles
-
-
-def make_transport(
-    name: str,
-    loss_rate: float = 0.0,
-    delay_cycles: int = 0,
-    seed: int = 0,
-    partition=None,
-    asymmetry=None,
-) -> Transport:
-    """Build a transport from configuration values.
-
-    Network-condition parameters that the named transport would silently
-    ignore (a loss rate on ``direct``, a delay on ``lossy``, a partition on
-    anything but ``conditioned``) are rejected: a config carrying them
-    describes a run the transport will not perform.
-    """
-    _validate_loss_rate(loss_rate)
-    _validate_delay_cycles(delay_cycles)
-    if name != "conditioned" and (partition is not None or asymmetry is not None):
-        raise ValueError(
-            f"partition/asymmetry conditions require the 'conditioned' transport; got {name!r}"
-        )
-    if name == "direct":
-        if loss_rate or delay_cycles:
-            raise ValueError(
-                "the direct transport is lossless and synchronous; "
-                f"got loss_rate={loss_rate!r}, delay_cycles={delay_cycles!r} "
-                "(use 'lossy' or 'latency')"
+        if kind is not None and message.accountable:
+            network = self._network
+            network.stats.record(
+                network.current_cycle, sender, receiver, kind,
+                self._total_bytes(message), query_id,
             )
-        return DirectTransport()
-    if name == "lossy":
-        if delay_cycles:
-            raise ValueError(
-                f"the lossy transport cannot delay messages; got delay_cycles={delay_cycles!r} "
-                "(use 'latency', which composes delay with a loss rate)"
-            )
-        return LossyTransport(loss_rate, seed=seed)
-    if name == "latency":
-        return LatencyTransport(delay_cycles, seed=seed, loss_rate=loss_rate)
-    if name == "conditioned":
-        # Imported here: the conditions module builds on this one.
-        from .conditions import ConditionedTransport
 
-        return ConditionedTransport(
-            seed=seed,
-            loss_rate=loss_rate,
-            delay_cycles=delay_cycles,
-            partition=partition,
-            asymmetry=asymmetry,
-        )
-    raise ValueError(f"unknown transport {name!r} (expected one of {TRANSPORT_NAMES})")
+
+#: The condition-free :class:`Transport` under its historical name.
+DirectTransport = Transport

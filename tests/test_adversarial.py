@@ -19,7 +19,7 @@ from repro.p3q.config import P3QConfig
 from repro.p3q.protocol import P3QSimulation
 from repro.simtest import run_scenario
 from repro.simtest.spec import ChurnEvent, CommunityChurnEvent, DynamicsSpec, ScenarioSpec
-from repro.simulator.conditions import AsymmetrySpec, PartitionSpec
+from repro.simulator.conditions import AsymmetrySpec, PartitionCut, PartitionSpec
 from repro.simulator.transport import DELIVERED, REPLY_DROPPED
 
 #: The fast spec of ``test_simtest`` restated here (the module is standalone).
@@ -76,29 +76,25 @@ class TestPartitionProperties:
     def test_no_message_crosses_an_active_cut(self):
         """Direct observation: every delivered wire event respects the cut."""
         partition = PartitionSpec(components=2, split_cycle=2, heal_cycle=5)
-        simulation = _small_simulation(
-            {"transport": "conditioned", "partition": partition}
-        )
+        simulation = _small_simulation({"partition": partition})
         transport = simulation.network.transport
+        cut = transport.condition(PartitionCut)
         breaches = []
 
         def observer(event):
-            if event.status in (DELIVERED, REPLY_DROPPED) and transport.partition_active():
-                if transport.partition_component(
-                    event.sender
-                ) != transport.partition_component(event.receiver):
+            if event.status in (DELIVERED, REPLY_DROPPED) and cut.active():
+                if cut.component(event.sender) != cut.component(event.receiver):
                     breaches.append(event)
 
         transport.add_observer(observer)
         simulation.bootstrap_random_views()
         simulation.run_lazy(8)
         assert not breaches
-        assert transport.cut_drops > 0  # the cut actually saw traffic
+        assert cut.cut_drops > 0  # the cut actually saw traffic
 
     def test_partition_scenario_passes_all_invariants(self):
         """The checker stack (isolation + byte conservation) stays green."""
         spec = FAST_SPEC.but(
-            transport="conditioned",
             partition=PartitionSpec(components=2, split_cycle=2, heal_cycle=6),
         )
         result = run_scenario(spec)
@@ -109,9 +105,7 @@ class TestPartitionProperties:
     def test_lazy_phase_partition_still_reaches_full_recall(self):
         """A cut confined to the lazy phase cannot wedge query processing."""
         partition = PartitionSpec(components=2, split_cycle=1, heal_cycle=4)
-        simulation = _small_simulation(
-            {"transport": "conditioned", "partition": partition}
-        )
+        simulation = _small_simulation({"partition": partition})
         simulation.bootstrap_random_views()
         simulation.run_lazy(6)  # global cycles 0..5: the cut is over by 4
         generator = QueryWorkloadGenerator(simulation.dataset, seed=5)
@@ -128,7 +122,6 @@ class TestPartitionProperties:
     def test_held_envelopes_are_delivered_after_heal(self):
         """Nothing stays stuck in flight once the components merge."""
         spec = FAST_SPEC.but(
-            transport="conditioned",
             delay_cycles=2,
             partition=PartitionSpec(components=2, split_cycle=3, heal_cycle=7),
         )
@@ -138,7 +131,6 @@ class TestPartitionProperties:
     def test_permanent_partition_is_valid_and_contained(self):
         """A heal cycle beyond the horizon = a cut that never heals."""
         spec = FAST_SPEC.but(
-            transport="conditioned",
             partition=PartitionSpec(components=3, split_cycle=1, heal_cycle=99),
         )
         result = run_scenario(spec)
@@ -312,9 +304,9 @@ class TestCommunityChurn:
 class TestZeroConditionEquivalence:
     """Every condition's zero form collapses to the direct wire, bit for bit.
 
-    These run through the simtest runner, whose zero-condition-equivalence
-    check compares against an explicitly direct twin; the assertions below
-    additionally pin the fingerprints against the plain direct spec.
+    These run through the simtest runner and pin the fingerprints against
+    the plain condition-free spec (``tests/test_transport.py`` checks every
+    combination of zero forms at the unit level).
     """
 
     def _direct_fingerprint(self):
@@ -323,24 +315,26 @@ class TestZeroConditionEquivalence:
         return result.fingerprint
 
     def test_conditioned_with_no_conditions(self):
-        result = run_scenario(FAST_SPEC.but(transport="conditioned"))
+        """Every zero form at once, through the runner and its checkers."""
+        spec = FAST_SPEC.but(
+            loss_rate=0.0,
+            delay_cycles=0,
+            asymmetry=AsymmetrySpec(),
+            partition=PartitionSpec(components=2, split_cycle=10, heal_cycle=999),
+        )
+        result = run_scenario(spec)
         assert result.ok, result.violation
-        assert "zero-condition-equivalence" in result.checked
         assert result.fingerprint == self._direct_fingerprint()
 
     def test_null_asymmetry_spec(self):
-        result = run_scenario(
-            FAST_SPEC.but(transport="conditioned", asymmetry=AsymmetrySpec())
-        )
+        result = run_scenario(FAST_SPEC.but(asymmetry=AsymmetrySpec()))
         assert result.ok, result.violation
-        assert "zero-condition-equivalence" in result.checked
         assert result.fingerprint == self._direct_fingerprint()
 
     def test_out_of_horizon_partition_window(self):
         """A partition is never 'zero', but one after the horizon never
         activates -- it must not consume randomness either."""
         spec = FAST_SPEC.but(
-            transport="conditioned",
             partition=PartitionSpec(components=2, split_cycle=10, heal_cycle=999),
         )
         result = run_scenario(spec)
@@ -372,17 +366,10 @@ class TestAdversarialSpecValidation:
                 )
             )
 
-    def test_spec_rejects_conditions_without_conditioned_transport(self):
-        with pytest.raises(ValueError, match="use 'conditioned'"):
-            FAST_SPEC.but(partition=PartitionSpec(split_cycle=1, heal_cycle=2))
-        with pytest.raises(ValueError, match="use 'conditioned'"):
-            FAST_SPEC.but(transport="lossy", asymmetry=AsymmetrySpec(nat_fraction=0.1))
-
     def test_spec_rejects_partition_split_outside_horizon(self):
         with pytest.raises(ValueError, match="split"):
             FAST_SPEC.but(
-                transport="conditioned",
-                partition=PartitionSpec(split_cycle=50, heal_cycle=60),
+                    partition=PartitionSpec(split_cycle=50, heal_cycle=60),
             )
 
     def test_spec_rejects_bad_free_rider_fraction(self):

@@ -1,8 +1,8 @@
 """Unit tests for the adversarial network conditions.
 
 Covers the hardened constructors (:class:`PartitionSpec`,
-:class:`AsymmetrySpec`, :class:`ConditionedTransport`, the ``P3QConfig``
-fields riding them), the partition-cut semantics at the transport level
+:class:`AsymmetrySpec`, :class:`Transport`, the ``P3QConfig`` fields
+riding them), the partition-cut semantics at the transport level
 (accounted drops, held in-flight envelopes, balanced seeded components) and
 the asymmetric-link semantics (per-direction degradation, NAT inbound
 blocks, extra loss/delay on degraded links).
@@ -16,7 +16,9 @@ from repro.p3q.config import P3QConfig
 from repro.p3q.node import P3QNode
 from repro.simulator.conditions import (
     AsymmetrySpec,
-    ConditionedTransport,
+    DegradedLinks,
+    NatBlock,
+    PartitionCut,
     PartitionSpec,
     validate_fraction,
 )
@@ -30,7 +32,7 @@ from repro.simulator.transport import (
     CommonItemsRequest,
     DigestAdvertisement,
     Envelope,
-    make_transport,
+    Transport,
 )
 
 
@@ -59,23 +61,21 @@ def _digest_ad(node):
 
 def _cross_pair(transport, nodes):
     """A (sender, receiver) pair on opposite sides of the partition."""
+    cut = transport.condition(PartitionCut)
     ids = sorted(nodes)
     for sender in ids:
         for receiver in ids:
-            if sender != receiver and transport.partition_component(
-                sender
-            ) != transport.partition_component(receiver):
+            if sender != receiver and cut.component(sender) != cut.component(receiver):
                 return sender, receiver
     raise AssertionError("no cross-component pair found")
 
 
 def _same_pair(transport, nodes):
+    cut = transport.condition(PartitionCut)
     ids = sorted(nodes)
     for sender in ids:
         for receiver in ids:
-            if sender != receiver and transport.partition_component(
-                sender
-            ) == transport.partition_component(receiver):
+            if sender != receiver and cut.component(sender) == cut.component(receiver):
                 return sender, receiver
     raise AssertionError("no same-component pair found")
 
@@ -154,46 +154,15 @@ class TestAsymmetrySpecValidation:
 class TestConstructorHardening:
     def test_conditioned_transport_rejects_wrong_spec_types(self):
         with pytest.raises(TypeError, match="partition must be a PartitionSpec"):
-            ConditionedTransport(partition=(0, 5))
+            Transport(partition=(0, 5))
         with pytest.raises(TypeError, match="asymmetry must be an AsymmetrySpec"):
-            ConditionedTransport(asymmetry={"nat_fraction": 0.1})
-
-    def test_make_transport_rejects_conditions_elsewhere(self):
-        for name in ("direct", "lossy", "latency"):
-            with pytest.raises(ValueError, match="require the 'conditioned' transport"):
-                make_transport(name, partition=PartitionSpec())
-            with pytest.raises(ValueError, match="require the 'conditioned' transport"):
-                make_transport(name, asymmetry=AsymmetrySpec(nat_fraction=0.1))
-
-    def test_make_transport_builds_conditioned(self):
-        transport = make_transport(
-            "conditioned",
-            loss_rate=0.1,
-            delay_cycles=1,
-            seed=9,
-            partition=PartitionSpec(split_cycle=1, heal_cycle=2),
-            asymmetry=AsymmetrySpec(nat_fraction=0.1),
-        )
-        assert isinstance(transport, ConditionedTransport)
-        assert transport.name == "conditioned"
-
-    def test_config_rejects_conditions_on_other_transports(self):
-        with pytest.raises(ValueError, match="ignores partition/asymmetry"):
-            P3QConfig(network_size=4, storage=2, partition=PartitionSpec())
-        with pytest.raises(ValueError, match="ignores partition/asymmetry"):
-            P3QConfig(
-                network_size=4,
-                storage=2,
-                transport="lossy",
-                loss_rate=0.1,
-                asymmetry=AsymmetrySpec(),
-            )
+            Transport(asymmetry={"nat_fraction": 0.1})
 
     def test_config_rejects_wrong_spec_types(self):
         with pytest.raises(TypeError, match="partition must be a PartitionSpec"):
-            P3QConfig(network_size=4, storage=2, transport="conditioned", partition=3)
+            P3QConfig(network_size=4, storage=2, partition=3)
         with pytest.raises(TypeError, match="asymmetry must be an AsymmetrySpec"):
-            P3QConfig(network_size=4, storage=2, transport="conditioned", asymmetry=0.2)
+            P3QConfig(network_size=4, storage=2, asymmetry=0.2)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_config_rejects_bad_free_rider_fraction(self, bad):
@@ -208,7 +177,6 @@ class TestConstructorHardening:
         config = P3QConfig(
             network_size=4,
             storage=2,
-            transport="conditioned",
             partition=PartitionSpec(split_cycle=0, heal_cycle=3),
             asymmetry=AsymmetrySpec(nat_fraction=0.2),
             free_rider_fraction=0.25,
@@ -221,7 +189,7 @@ class TestConstructorHardening:
 
 class TestPartitionTransport:
     def _transport(self, split=1, heal=4, components=2, seed=7):
-        return ConditionedTransport(
+        return Transport(
             seed=seed,
             partition=PartitionSpec(
                 components=components, split_cycle=split, heal_cycle=heal
@@ -231,14 +199,16 @@ class TestPartitionTransport:
     def test_components_are_balanced_and_deterministic(self, tiny_dataset):
         transport = self._transport()
         _wire(transport, tiny_dataset)
-        assignment = {uid: transport.partition_component(uid) for uid in range(5)}
+        cut = transport.condition(PartitionCut)
+        assignment = {uid: cut.component(uid) for uid in range(5)}
         sizes = sorted(
             list(assignment.values()).count(c) for c in set(assignment.values())
         )
         assert sizes == [2, 3]
         twin = self._transport()
         _wire(twin, tiny_dataset)
-        assert assignment == {uid: twin.partition_component(uid) for uid in range(5)}
+        twin_cut = twin.condition(PartitionCut)
+        assert assignment == {uid: twin_cut.component(uid) for uid in range(5)}
 
     def test_cut_drops_are_accounted(self, tiny_dataset):
         transport = self._transport()
@@ -247,7 +217,7 @@ class TestPartitionTransport:
         network.current_cycle = 2  # inside [split, heal)
         dispatch = transport.request(sender, receiver, _digest_ad(nodes[sender]))
         assert dispatch.status == DROPPED
-        assert transport.cut_drops == 1
+        assert transport.condition(PartitionCut).cut_drops == 1
         # Accounted like a lossy drop: the sender paid for the attempt.
         assert network.stats.total_bytes() > 0
 
@@ -265,10 +235,10 @@ class TestPartitionTransport:
         network, nodes = _wire(transport, tiny_dataset)
         sender, receiver = _cross_pair(transport, nodes)
         network.current_cycle = cycle
-        assert not transport.partition_active()
+        assert not transport.condition(PartitionCut).active()
         dispatch = transport.request(sender, receiver, _digest_ad(nodes[sender]))
         assert dispatch.status == DELIVERED
-        assert transport.cut_drops == 0
+        assert transport.condition(PartitionCut).cut_drops == 0
 
     def test_in_flight_envelope_is_held_until_heal(self, tiny_dataset):
         transport = self._transport(split=1, heal=4)
@@ -296,11 +266,9 @@ class TestPartitionTransport:
 
 class TestAsymmetricLinks:
     def test_nat_nodes_are_unreachable_inbound_only(self, tiny_dataset):
-        transport = ConditionedTransport(
-            seed=5, asymmetry=AsymmetrySpec(nat_fraction=0.4)
-        )
+        transport = Transport(seed=5, asymmetry=AsymmetrySpec(nat_fraction=0.4))
         network, nodes = _wire(transport, tiny_dataset)
-        nat = transport.nat_ids()
+        nat = transport.condition(NatBlock).ids()
         assert len(nat) == 2  # round(0.4 * 5)
         nat_node = min(nat)
         open_node = min(set(nodes) - nat)
@@ -318,20 +286,18 @@ class TestAsymmetricLinks:
         )
 
     def test_zero_nat_fraction_samples_nothing(self, tiny_dataset):
-        transport = ConditionedTransport(seed=5, asymmetry=AsymmetrySpec())
+        transport = Transport(seed=5, asymmetry=AsymmetrySpec())
         _wire(transport, tiny_dataset)
-        assert transport.nat_ids() == frozenset()
+        assert transport.condition(NatBlock) is None
 
     def test_degraded_links_are_per_direction_and_order_independent(self, tiny_dataset):
         spec = AsymmetrySpec(degraded_fraction=0.5, link_loss_rate=1.0)
-        first = ConditionedTransport(seed=11, asymmetry=spec)
-        second = ConditionedTransport(seed=11, asymmetry=spec)
-        _wire(first, tiny_dataset)
-        _wire(second, tiny_dataset)
+        first = DegradedLinks(spec, seed=11)
+        second = DegradedLinks(spec, seed=11)
         pairs = [(a, b) for a in range(5) for b in range(5) if a != b]
-        forward = {pair: first._link_degraded(*pair) for pair in pairs}
+        forward = {pair: first.degraded(*pair) for pair in pairs}
         # Same seed, reversed first-touch order: identical decisions.
-        reverse = {pair: second._link_degraded(*pair) for pair in reversed(pairs)}
+        reverse = {pair: second.degraded(*pair) for pair in reversed(pairs)}
         assert forward == reverse
         assert any(forward.values()) and not all(forward.values())
         # Per direction: at least one pair differs from its mirror.
@@ -340,7 +306,7 @@ class TestAsymmetricLinks:
         )
 
     def test_fully_degraded_link_drops_everything(self, tiny_dataset):
-        transport = ConditionedTransport(
+        transport = Transport(
             seed=2, asymmetry=AsymmetrySpec(degraded_fraction=1.0, link_loss_rate=1.0)
         )
         network, nodes = _wire(transport, tiny_dataset)
@@ -349,7 +315,7 @@ class TestAsymmetricLinks:
         assert network.stats.total_bytes() > 0  # charged at send time
 
     def test_degraded_link_delay_defers_deferrable_messages(self, tiny_dataset):
-        transport = ConditionedTransport(
+        transport = Transport(
             seed=2, asymmetry=AsymmetrySpec(degraded_fraction=1.0, link_delay_cycles=2)
         )
         network, nodes = _wire(transport, tiny_dataset)

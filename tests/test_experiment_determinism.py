@@ -18,7 +18,7 @@ held envelopes, heal-cycle delivery) and the free-rider paths end to end.
 
 Regenerate a pin (only after an *intentional* behaviour change) with::
 
-    PYTHONPATH=src python -m repro.experiments.cli fig-loss --output results/
+    PYTHONPATH=src python -m repro experiments fig-loss --output results/
     mv results/fig-loss.txt results/test_fig_loss.txt
 
 (and analogously ``fig-partition`` -> ``test_fig_partition.txt``,

@@ -4,7 +4,7 @@ These pin the v5 report contract: everything v4 required -- macro entries
 report ``setup_seconds`` separately from the timed cycle loops, declare how
 the eager phase was warmed, carry the per-repeat rate samples behind
 the headline rate together with the statistic that produced it, name the
-engine executor that actually ran (``inline``/``fork``/``pool``) with its
+engine executor that actually ran (``inline``/``pool``) with its
 pool-reuse count, and the ``columnar`` / ``worker_scaling`` sections carry
 positive throughput rates -- plus the ``serving`` section: per
 ``workload@concurrency`` cell, positive QPS, non-decreasing latency
@@ -267,7 +267,7 @@ class TestValidateReportV4:
         assert validate_report(report) == []
         assert isinstance(report["cpu_count"], int) and report["cpu_count"] >= 1
         for entry in report["macro"].values():
-            assert entry["engine_executor"] in ("inline", "fork", "pool")
+            assert entry["engine_executor"] in ("inline", "pool")
             assert entry["pool_reuse_count"] >= 0
         assert report["columnar"]  # quick runs include the micro-benchmark
         assert report["serving"]["workloads"]  # ...and the serving sweep
@@ -421,10 +421,10 @@ class TestRequireExecutor:
     def test_suite_path_fails_fast_on_degradation(self):
         from benchmarks.perf.harness import main
 
-        # Explicit inline can never satisfy a 'fork' requirement, on any
+        # Explicit inline can never satisfy a 'pool' requirement, on any
         # runner -- the check fires before the suite runs.
         assert main(["--workers", "2", "--executor", "inline",
-                     "--require-executor", "fork"]) == 2
+                     "--require-executor", "pool"]) == 2
 
     def test_scale_smoke_reports_resolved_executor_and_fails(self, capsys):
         from benchmarks.perf.harness import main

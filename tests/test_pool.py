@@ -1,8 +1,7 @@
 """Persistent shard worker pool: bit-identity, reuse, loud failure.
 
-The pool executor (see ``repro/simulator/pool.py``) replaces fork-per-cycle
-with long-lived workers over shared columnar state.  Its contract is the
-fork executor's, sharpened:
+The pool executor (see ``repro/simulator/pool.py``) prices each cycle on
+long-lived workers over shared columnar state.  Its contract:
 
 * **bit-identity for any worker count** -- pool runs must match the serial
   engine fingerprint (and the transport golden) exactly, because installs
@@ -113,9 +112,7 @@ class TestWorkerCountInvariance:
         assert run(_simulation(workers=2, executor="pool")) == reference
 
     def test_simtest_twin_check_covers_the_pool_executor(self):
-        spec = ScenarioSpec(
-            workers=2, engine_executor="pool", lazy_cycles=3, eager_cycles=4
-        )
+        spec = ScenarioSpec(workers=2, lazy_cycles=3, eager_cycles=4)
         result = run_simtest_scenario(spec)
         assert result.ok, result.violation
         assert "worker-count-equivalence" in result.checked

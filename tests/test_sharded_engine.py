@@ -5,15 +5,15 @@ sharded engine is **bit-identical to the serial engine for any worker
 count**: the parallel phase only pre-warms version-validated cache entries
 and the apply phase is the unmodified serial schedule.  The strongest pins:
 
-* the transport golden fixture, replayed through the sharded engine with a
-  real forked worker pool, must match byte for byte;
+* the transport golden fixture, replayed through the sharded engine, must
+  match byte for byte (``test_pool.py`` replays it through real workers);
 * randomized simtest scenarios must fingerprint-match across
   ``workers in {1, 2, 4}``;
 * deliberately *corrupt* pricing installs (wrong versions, wrong pair)
   must change nothing -- the read-side version validation is what the
   whole design leans on.
 
-The fork executor is forced in these tests so the real multi-process path
+The pool executor is forced in these tests so the real multi-process path
 runs even on single-core CI machines (where ``auto`` would pick inline).
 """
 
@@ -35,7 +35,7 @@ from repro.simulator import (
     resolve_executor,
 )
 from repro.simulator.rng import SeededRngFactory
-from repro.simulator.shard import EXECUTOR_FORK, EXECUTOR_INLINE
+from repro.simulator.shard import EXECUTOR_INLINE, EXECUTOR_POOL
 from repro.simtest.runner import _execute, run_scenario as run_simtest_scenario
 from repro.simtest.spec import ScenarioGenerator, ScenarioSpec
 
@@ -71,17 +71,18 @@ class TestPartitioning:
 class TestExecutorResolution:
     def test_one_worker_is_always_inline(self):
         assert resolve_executor("auto", 1) == EXECUTOR_INLINE
-        assert resolve_executor("fork", 1) == EXECUTOR_INLINE
+        assert resolve_executor("pool", 1) == EXECUTOR_INLINE
 
     def test_explicit_inline_honoured(self):
         assert resolve_executor("inline", 4) == EXECUTOR_INLINE
 
-    def test_explicit_fork_honoured_on_posix(self):
-        assert resolve_executor("fork", 2) == EXECUTOR_FORK
+    def test_explicit_pool_honoured_on_posix(self):
+        assert resolve_executor("pool", 2) == EXECUTOR_POOL
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_executor("threads", 2)
+        for name in ("threads", "fork"):
+            with pytest.raises(ValueError):
+                resolve_executor(name, 2)
 
 
 # ------------------------------------------------------------ counter streams
@@ -116,11 +117,6 @@ class TestCounterRng:
 
 
 class TestGoldenBitIdentity:
-    def test_sharded_fork_engine_matches_the_transport_golden(self):
-        """The strongest pin: forked pricing workers, golden-identical run."""
-        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        assert golden_scenario({"workers": 2, "engine_executor": "fork"}) == golden
-
     def test_inline_sharded_engine_matches_the_transport_golden(self):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert golden_scenario({"workers": 4, "engine_executor": "inline"}) == golden
@@ -236,16 +232,6 @@ class TestPricingInstallSafety:
         poisoned.run_lazy(3)
         assert _state_fingerprint(poisoned) == reference
 
-    def test_fork_engine_reports_pricing_activity(self):
-        sim = _tiny_simulation(workers=2, executor="fork")
-        assert isinstance(sim.engine, ShardedEngine)
-        assert sim.engine.executor == "fork"
-        sim.run_lazy(2)
-        stats = sim.engine.pricing_stats
-        assert stats["cycles_priced"] == 2
-        assert stats["entries_installed"] > 0
-        assert stats["worker_failures"] == 0
-
     def test_inline_executor_is_a_pass_through(self):
         sim = _tiny_simulation(workers=4, executor="inline")
         assert isinstance(sim.engine, ShardedEngine)
@@ -267,9 +253,9 @@ class TestPricingInstallSafety:
 
 
 class TestParallelBootstrap:
-    def test_fork_bootstrap_matches_serial_bootstrap(self):
+    def test_pool_bootstrap_matches_serial_bootstrap(self):
         serial = _tiny_simulation(workers=1)
-        forked = _tiny_simulation(workers=2, executor="fork")
+        forked = _tiny_simulation(workers=2, executor="pool")
         assert {
             uid: node.random_view.member_ids() for uid, node in sorted(serial.nodes.items())
         } == {
@@ -279,17 +265,21 @@ class TestParallelBootstrap:
         serial.run_lazy(2)
         forked.run_lazy(2)
         assert _state_fingerprint(serial) == _state_fingerprint(forked)
+        forked.close()
 
     def test_installed_digests_match_locally_built_ones(self):
+        """Digest rows built by the pool workers are adopted as-is; they
+        must equal what the serial engine builds per profile."""
         sim = _tiny_simulation()
-        installed = sim._parallel_digest_build()  # inline engine: no-op
-        assert installed == 0
-        forked = _tiny_simulation(workers=2, executor="fork")
+        assert sim.digest_matrix is None  # serial, object dataset: no rows
+        forked = _tiny_simulation(workers=2, executor="pool")
+        assert forked.digest_matrix is not None
         for uid, node in forked.nodes.items():
             digest = forked.digest_cache.digest_for(node.profile)
             rebuilt = sim.digest_cache.digest_for(sim.nodes[uid].profile)
             assert digest.bloom == rebuilt.bloom
             assert digest.version == rebuilt.version
+        forked.close()
 
 
 # ------------------------------------------------------------- spec plumbing
@@ -317,8 +307,7 @@ class TestSpecWorkersDimension:
         for index in range(30):
             a = with_dim.spec(index)
             b = without.spec(index)
-            # workers AND the executor choice belong to the dimension.
-            assert a.but(workers=1, engine_executor="fork") == b
+            assert a.but(workers=1) == b
 
     def test_generator_samples_workers_eventually(self):
         generator = ScenarioGenerator(master_seed=5)

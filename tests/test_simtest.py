@@ -1,7 +1,7 @@
 """Tests for the simulation-fuzzing subsystem (``repro.simtest``).
 
 Covers the spec/generator layer (determinism, JSON round-trips), the runner
-(clean runs, checker neutrality, zero-condition equivalence), the invariant
+(clean runs, checker neutrality), the invariant
 checkers (each must fire on a purpose-built mutation of the system), the
 greedy shrinker, and the CLI driver including its self-check mode.
 """
@@ -70,7 +70,6 @@ class TestSpec:
         from repro.simulator.conditions import AsymmetrySpec, PartitionSpec
 
         spec = FAST_SPEC.but(
-            transport="conditioned",
             partition=PartitionSpec(components=3, split_cycle=2, heal_cycle=6),
             asymmetry=AsymmetrySpec(
                 degraded_fraction=0.2,
@@ -95,7 +94,7 @@ class TestSpec:
     def test_repro_command_embeds_the_spec(self):
         spec = FAST_SPEC
         command = spec.repro_command()
-        assert "python -m repro.simtest" in command
+        assert "python -m repro simtest" in command
         assert "--spec-json" in command
 
     def test_spec_validation(self):
@@ -132,13 +131,11 @@ class TestSpec:
 
     def test_generated_specs_are_valid_and_varied(self):
         specs = list(ScenarioGenerator(3).specs(40))
-        transports = {spec.transport for spec in specs}
-        assert transports == {"direct", "lossy", "latency", "conditioned"}
+        assert any(spec.direct_equivalent for spec in specs)
+        assert any(spec.loss_rate and not spec.delay_cycles for spec in specs)
+        assert any(spec.delay_cycles for spec in specs)
         assert any(spec.churn for spec in specs)
         assert any(spec.dynamics for spec in specs)
-        assert any(
-            spec.transport != "direct" and spec.direct_equivalent for spec in specs
-        )
 
     def test_generated_specs_cover_adversarial_dimensions(self):
         specs = list(ScenarioGenerator(3).specs(120))
@@ -194,17 +191,11 @@ class TestRunner:
     def test_same_spec_same_fingerprint(self):
         assert run_scenario(FAST_SPEC).fingerprint == run_scenario(FAST_SPEC).fingerprint
 
-    def test_zero_condition_lossy_matches_direct_twin(self):
-        result = run_scenario(FAST_SPEC.but(transport="lossy"))
-        assert result.ok, result.violation
-        assert "zero-condition-equivalence" in result.checked
-        assert result.fingerprint == run_scenario(FAST_SPEC).fingerprint
-
     def test_stochastic_scenarios_pass(self):
-        lossy = run_scenario(FAST_SPEC.but(transport="lossy", loss_rate=0.3))
+        lossy = run_scenario(FAST_SPEC.but(loss_rate=0.3))
         assert lossy.ok, lossy.violation
         latency = run_scenario(
-            FAST_SPEC.but(transport="latency", delay_cycles=2, loss_rate=0.1)
+            FAST_SPEC.but(delay_cycles=2, loss_rate=0.1)
         )
         assert latency.ok, latency.violation
 
@@ -268,7 +259,7 @@ class TestInvariantsFire:
             return result if result else kept
 
         monkeypatch.setattr(EagerGossipProtocol, "gossip_query_effects", retrying)
-        spec = FAST_SPEC.but(transport="lossy", loss_rate=0.4, eager_cycles=10)
+        spec = FAST_SPEC.but(loss_rate=0.4, eager_cycles=10)
         result = run_scenario(spec)
         assert result.invariant == "query-lifecycle"
         assert "re-forwarded" in result.violation.detail
@@ -321,8 +312,7 @@ class TestShrink:
         # The stressors irrelevant to a pricing bug must all be gone.
         assert minimal.churn == ()
         assert minimal.dynamics is None
-        assert minimal.transport == "direct"
-        assert minimal.loss_rate == 0.0
+        assert minimal.direct_equivalent
         assert minimal.num_users < spec.num_users
         # The minimal spec replays the failure standalone.
         with broken_byte_pricing():
@@ -378,7 +368,7 @@ class TestCli:
 class TestRegistry:
     def test_applicability_filters(self):
         lossy = ScenarioSpec.from_json(
-            FAST_SPEC.but(transport="lossy", loss_rate=0.2).to_json()
+            FAST_SPEC.but(loss_rate=0.2).to_json()
         )
         names = {checker.name for checker in default_checkers(lossy)}
         assert "recall-convergence" not in names

@@ -17,6 +17,16 @@ from repro.gossip.sizes import (
 from repro.p3q.config import P3QConfig
 from repro.p3q.node import P3QNode
 from repro.p3q.query import PartialResult
+from repro.simulator.conditions import (
+    AsymmetrySpec,
+    Condition,
+    DegradedLinks,
+    Delay,
+    Loss,
+    NatBlock,
+    PartitionCut,
+    PartitionSpec,
+)
 from repro.simulator.network import Network
 from repro.simulator.stats import (
     KIND_COMMON_ITEMS,
@@ -42,11 +52,9 @@ from repro.simulator.transport import (
     DirectTransport,
     FullProfilePush,
     FullProfileRequest,
-    LatencyTransport,
-    LossyTransport,
     QueryResult,
     RemainingReturn,
-    make_transport,
+    Transport,
 )
 
 
@@ -183,48 +191,46 @@ class TestDirectTransport:
 class TestLossyTransport:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LossyTransport(loss_rate=1.5)
+            Transport(loss_rate=1.5)
         with pytest.raises(ValueError):
-            LatencyTransport(delay_cycles=-1)
-        with pytest.raises(ValueError):
-            make_transport("bogus")
+            Transport(delay_cycles=-1)
 
     @pytest.mark.parametrize("rate", [-0.01, 1.01, float("nan"), float("inf"), -float("inf")])
     def test_out_of_range_and_non_finite_loss_rates_rejected(self, rate):
         with pytest.raises(ValueError, match="loss_rate"):
-            LossyTransport(loss_rate=rate)
+            Transport(loss_rate=rate)
         with pytest.raises(ValueError, match="loss_rate"):
-            LatencyTransport(delay_cycles=1, loss_rate=rate)
+            Transport(delay_cycles=1, loss_rate=rate)
 
     @pytest.mark.parametrize("rate", ["0.5", None, True, [0.5]])
     def test_non_numeric_loss_rates_rejected(self, rate):
         with pytest.raises(TypeError, match="loss_rate"):
-            LossyTransport(loss_rate=rate)
+            Transport(loss_rate=rate)
 
     @pytest.mark.parametrize("delay", [-1, -100])
     def test_negative_delays_rejected(self, delay):
         with pytest.raises(ValueError, match="delay_cycles"):
-            LatencyTransport(delay_cycles=delay)
+            Transport(delay_cycles=delay)
 
     @pytest.mark.parametrize("delay", [1.5, 2.0, "3", None, True])
     def test_non_integer_delays_rejected(self, delay):
         """A float delay would only explode later inside randint; the
         constructor is where the error belongs."""
         with pytest.raises(TypeError, match="delay_cycles"):
-            LatencyTransport(delay_cycles=delay)
+            Transport(delay_cycles=delay)
 
     def test_boundary_rates_accepted(self):
-        assert LossyTransport(loss_rate=0.0).loss_rate == 0.0
-        assert LossyTransport(loss_rate=1.0).loss_rate == 1.0
-        assert LossyTransport(loss_rate=0).loss_rate == 0.0  # int zero coerced
-        assert LatencyTransport(delay_cycles=0).delay_cycles == 0
+        assert Transport(loss_rate=0.0).conditions == ()
+        assert Transport(loss_rate=1.0).condition(Loss).rate == 1.0
+        assert Transport(loss_rate=0).conditions == ()  # int zero accepted
+        assert Transport(delay_cycles=0).conditions == ()
 
     def test_full_loss_drops_everything(self, pair, tiny_dataset):
         config = P3QConfig(
             network_size=4, storage=2, random_view_size=3,
             digest_bits=1_024, digest_hashes=4, seed=3,
         )
-        network = Network(transport=LossyTransport(loss_rate=1.0, seed=1))
+        network = Network(transport=Transport(loss_rate=1.0, seed=1))
         nodes = {}
         for profile in tiny_dataset.profiles():
             node = P3QNode(profile, config)
@@ -237,30 +243,30 @@ class TestLossyTransport:
         assert dispatch.reply is None
 
     def test_drop_stream_is_deterministic(self):
-        a = LossyTransport(loss_rate=0.5, seed=9)
-        b = LossyTransport(loss_rate=0.5, seed=9)
+        a = Loss(0.5, seed=9)
+        b = Loss(0.5, seed=9)
         message = FullProfileRequest(subject_id=1)
-        rolls_a = [a._roll_drop(message, 0, 1) for _ in range(50)]
-        rolls_b = [b._roll_drop(message, 0, 1) for _ in range(50)]
+        rolls_a = [a.drops(message, 0, 1) for _ in range(50)]
+        rolls_b = [b.drops(message, 0, 1) for _ in range(50)]
         assert rolls_a == rolls_b
         assert any(rolls_a) and not all(rolls_a)
 
     def test_zero_rate_consumes_no_randomness(self):
-        transport = LossyTransport(loss_rate=0.0, seed=9)
-        state = transport.drop_rng.getstate()
-        assert not transport._roll_drop(FullProfileRequest(subject_id=1), 0, 1)
-        assert transport.drop_rng.getstate() == state
+        """A zero rate builds no condition at all: there is no stream to
+        advance, and the legs never reach condition evaluation."""
+        transport = Transport(loss_rate=0.0, seed=9)
+        assert transport.conditions == ()
+        assert not transport._dropped(FullProfileRequest(subject_id=1), 0, 1)
 
     def test_dropped_reply_is_distinguished_from_dropped_request(self, tiny_dataset):
         """A lost reply must not look like a lost request: the receiver's
         side effects already happened, so callers must not retry."""
 
-        class ScriptedDropTransport(LossyTransport):
+        class ScriptedDrops(Condition):
             def __init__(self, script):
-                super().__init__(loss_rate=0.5, seed=0)  # rate only enables rolling
                 self.script = list(script)
 
-            def _roll_drop(self, message, sender, receiver):
+            def drops(self, message, sender, receiver):
                 return self.script.pop(0) if self.script else False
 
         config = P3QConfig(
@@ -268,7 +274,9 @@ class TestLossyTransport:
             digest_bits=1_024, digest_hashes=4, seed=3,
         )
         # Script: request leg delivered (False), reply leg dropped (True).
-        network = Network(transport=ScriptedDropTransport([False, True]))
+        transport = Transport()
+        transport.conditions = (ScriptedDrops([False, True]),)
+        network = Network(transport=transport)
         nodes = {}
         for profile in tiny_dataset.profiles():
             node = P3QNode(profile, config)
@@ -288,13 +296,10 @@ class TestLossyTransport:
         from repro.data.queries import QueryWorkloadGenerator
         from repro.p3q.protocol import P3QSimulation
 
-        class ReplyDropTransport(LossyTransport):
+        class DropsReturns(Condition):
             """Drops exactly the replies to QueryForward messages."""
 
-            def __init__(self):
-                super().__init__(loss_rate=0.5, seed=0)
-
-            def _roll_drop(self, message, sender, receiver):
+            def drops(self, message, sender, receiver):
                 return isinstance(message, RemainingReturn)
 
         config = P3QConfig(
@@ -302,9 +307,7 @@ class TestLossyTransport:
             digest_bits=2_048, digest_hashes=5, seed=5,
         )
         simulation = P3QSimulation(synthetic_dataset.copy(), config)
-        # Swap the transport for the scripted one (attach rebinds it).
-        simulation.network.transport = ReplyDropTransport()
-        simulation.network.transport.attach(simulation.network)
+        simulation.network.transport.conditions = (DropsReturns(),)
         simulation.warm_start()
         query = QueryWorkloadGenerator(simulation.dataset, seed=9).query_for(
             simulation.dataset.user_ids[0]
@@ -338,7 +341,7 @@ class TestLatencyTransport:
         return network, nodes
 
     def test_deferrable_messages_queue_and_drain(self, tiny_dataset):
-        transport = LatencyTransport(delay_cycles=3, seed=2)
+        transport = Transport(delay_cycles=3, seed=2)
         network, nodes = self._network(tiny_dataset, transport)
         # Try until a non-zero delay is rolled (delays are uniform on 0..3).
         deferred = None
@@ -360,7 +363,7 @@ class TestLatencyTransport:
         assert 0 in nodes[1].random_view
 
     def test_control_requests_are_never_deferred(self, tiny_dataset):
-        transport = LatencyTransport(delay_cycles=5, seed=2)
+        transport = Transport(delay_cycles=5, seed=2)
         network, nodes = self._network(tiny_dataset, transport)
         for _ in range(20):
             dispatch = network.transport.request(
@@ -369,15 +372,15 @@ class TestLatencyTransport:
             assert dispatch.status == DELIVERED
 
     def test_delay_stream_is_deterministic(self):
-        a = LatencyTransport(delay_cycles=4, seed=11)
-        b = LatencyTransport(delay_cycles=4, seed=11)
+        a = Delay(4, seed=11)
+        b = Delay(4, seed=11)
         message = RemainingReturn(query_id=1, remaining=(1,))
-        assert [a._roll_delay(message, 0, 1) for _ in range(50)] == [
-            b._roll_delay(message, 0, 1) for _ in range(50)
+        assert [a.delay(message, 0, 1) for _ in range(50)] == [
+            b.delay(message, 0, 1) for _ in range(50)
         ]
 
     def test_message_to_departed_node_is_lost(self, tiny_dataset):
-        transport = LatencyTransport(delay_cycles=2, seed=4)
+        transport = Transport(delay_cycles=2, seed=4)
         network, nodes = self._network(tiny_dataset, transport)
         deferred = False
         for _ in range(16):
@@ -433,9 +436,9 @@ class TestObservers:
         config = P3QConfig(
             network_size=4, storage=2, random_view_size=3,
             digest_bits=1_024, digest_hashes=4, seed=3,
-            transport="lossy", loss_rate=1.0,
+            loss_rate=1.0,
         )
-        network = Network(transport=LossyTransport(loss_rate=1.0, seed=1))
+        network = Network(transport=Transport(loss_rate=1.0, seed=1))
         nodes = {}
         for profile in tiny_dataset.profiles():
             node = P3QNode(profile, config)
@@ -451,9 +454,9 @@ class TestObservers:
         config = P3QConfig(
             network_size=4, storage=2, random_view_size=3,
             digest_bits=1_024, digest_hashes=4, seed=3,
-            transport="latency", delay_cycles=3,
+            delay_cycles=3,
         )
-        transport = LatencyTransport(delay_cycles=3, seed=2)
+        transport = Transport(delay_cycles=3, seed=2)
         network = Network(transport=transport)
         nodes = {}
         for profile in tiny_dataset.profiles():
@@ -474,35 +477,201 @@ class TestObservers:
 
 class TestMakeTransport:
     def test_builds_each_flavour(self):
-        assert isinstance(make_transport("direct"), DirectTransport)
-        lossy = make_transport("lossy", loss_rate=0.3, seed=5)
-        assert isinstance(lossy, LossyTransport) and lossy.loss_rate == 0.3
-        latency = make_transport("latency", delay_cycles=2, loss_rate=0.1, seed=5)
-        assert isinstance(latency, LatencyTransport)
-        assert latency.delay_cycles == 2 and latency.loss_rate == 0.1
+        """The condition tuple is a function of the five config values."""
+
+        def kinds(**config):
+            return [type(c) for c in Transport(**config).conditions]
+
+        assert DirectTransport is Transport
+        assert kinds() == []
+        assert kinds(loss_rate=0.3, seed=5) == [Loss]
+        assert kinds(delay_cycles=2, loss_rate=0.1, seed=5) == [Loss, Delay]
+        full = Transport(
+            loss_rate=0.1,
+            delay_cycles=2,
+            partition=PartitionSpec(split_cycle=1, heal_cycle=2),
+            asymmetry=AsymmetrySpec(
+                degraded_fraction=0.5, link_loss_rate=0.3, nat_fraction=0.1
+            ),
+            seed=5,
+        )
+        assert [type(c) for c in full.conditions] == [
+            NatBlock, PartitionCut, Loss, Delay, DegradedLinks,
+        ]
+        assert full.condition(Loss).rate == 0.1
+        assert full.condition(Delay).cycles == 2
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            P3QConfig(transport="carrier-pigeon")
         with pytest.raises(ValueError):
             P3QConfig(loss_rate=2.0)
         with pytest.raises(ValueError):
             P3QConfig(delay_cycles=-1)
-        config = P3QConfig().with_transport("latency", loss_rate=0.1, delay_cycles=3)
-        assert (config.transport, config.loss_rate, config.delay_cycles) == ("latency", 0.1, 3)
+        config = P3QConfig().with_conditions(loss_rate=0.1, delay_cycles=3)
+        assert (config.loss_rate, config.delay_cycles) == (0.1, 3)
+        # Conditions compose freely: no combination names a run that the
+        # wire would not perform.
+        P3QConfig(loss_rate=0.2, partition=PartitionSpec())
+        P3QConfig(delay_cycles=2, asymmetry=AsymmetrySpec(nat_fraction=0.1))
 
-    def test_ignored_conditions_rejected(self):
-        """Conditions the named transport would silently ignore are errors."""
-        with pytest.raises(ValueError, match="direct"):
-            make_transport("direct", loss_rate=0.2)
-        with pytest.raises(ValueError, match="direct"):
-            make_transport("direct", delay_cycles=1)
-        with pytest.raises(ValueError, match="lossy"):
-            make_transport("lossy", loss_rate=0.2, delay_cycles=1)
-        with pytest.raises(ValueError, match="direct"):
-            P3QConfig(transport="direct", loss_rate=0.2)
-        with pytest.raises(ValueError, match="lossy"):
-            P3QConfig(transport="lossy", delay_cycles=2)
-        # Zero-valued conditions remain fine on every transport.
-        assert isinstance(make_transport("direct"), DirectTransport)
-        assert isinstance(make_transport("lossy", loss_rate=0.0), LossyTransport)
+
+# ------------------------------------------------------------ zero conditions
+
+
+def _zero_condition_subsets():
+    zero_forms = {
+        "loss_rate": 0.0,
+        "delay_cycles": 0,
+        "asymmetry": AsymmetrySpec(),
+        # Never zero, but its window lies beyond the run: it must impose
+        # nothing and deal no components.
+        "partition": PartitionSpec(components=2, split_cycle=10_000, heal_cycle=10_001),
+    }
+    names = sorted(zero_forms)
+    for mask in range(1 << len(names)):
+        chosen = [name for bit, name in enumerate(names) if mask >> bit & 1]
+        yield pytest.param(
+            {name: zero_forms[name] for name in chosen}, id="+".join(chosen) or "none"
+        )
+
+
+class TestZeroConditions:
+    """Every zero form of every condition, in every combination, IS the
+    direct wire: same fingerprint as ``Transport()`` on the golden scenario
+    and not one condition stream created or advanced."""
+
+    @pytest.mark.parametrize("overrides", _zero_condition_subsets())
+    def test_zero_subsets_are_the_direct_wire(self, overrides):
+        import json
+
+        from test_transport_equivalence import GOLDEN_PATH, _fingerprint, run_simulation
+
+        simulation, eager_cycles = run_simulation(overrides)
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert _fingerprint(simulation, eager_cycles) == golden
+        # Zero rates build no condition (so no stream exists); the idle
+        # partition is carried but never dealt its seeded components.
+        conditions = simulation.network.transport.conditions
+        if "partition" in overrides:
+            (cut,) = conditions
+            assert isinstance(cut, PartitionCut)
+            assert cut._components is None and cut.cut_drops == 0
+        else:
+            assert conditions == ()
+
+
+# ----------------------------------------------------------- evaluation order
+
+
+class _Recording(Condition):
+    """A scripted condition that logs every question the transport asks."""
+
+    def __init__(self, name, log, blocks=False, drops=False, delay=0, holds=()):
+        self.name, self.log = name, log
+        self._blocks, self._drops, self._delay = blocks, drops, delay
+        self._holds = list(holds)
+
+    def blocks_inbound(self, sender, receiver):
+        self.log.append(("blocks", self.name, sender, receiver))
+        return self._blocks
+
+    def drops(self, message, sender, receiver):
+        self.log.append(("drops", self.name, sender, receiver))
+        return self._drops
+
+    def delay(self, message, sender, receiver):
+        self.log.append(("delay", self.name, sender, receiver))
+        return self._delay
+
+    def hold(self, envelope):
+        self.log.append(("hold", self.name, envelope.sender, envelope.receiver))
+        return self._holds.pop(0) if self._holds else 0
+
+
+class TestEvaluationOrder:
+    """NAT block -> account -> cut -> loss -> link loss -> summed delay.
+
+    The tuple order is pinned by ``test_builds_each_flavour``; this pins the
+    order in which each leg consults the tuple, with recording fakes standing
+    in for (nat, cut, loss, link).
+    """
+
+    NAMES = ("nat", "cut", "loss", "link")
+
+    def _wire(self, pair, **scripts):
+        network, nodes = pair
+        log = []
+        network.transport.conditions = tuple(
+            _Recording(name, log, **scripts.get(name, {})) for name in self.NAMES
+        )
+        record = network.stats.record
+
+        def recording_record(cycle, sender, receiver, *rest):
+            log.append(("account", sender, receiver))
+            record(cycle, sender, receiver, *rest)
+
+        network.stats.record = recording_record
+        return network, nodes, log
+
+    def _asked(self, question, sender, receiver, names=NAMES):
+        return [(question, name, sender, receiver) for name in names]
+
+    def test_request_and_reply_legs(self, pair):
+        network, nodes, log = self._wire(pair)
+        dispatch = network.transport.request(0, 1, _digest_ad(nodes[0]))
+        assert dispatch.status == DELIVERED and dispatch.reply is not None
+        assert log == (
+            self._asked("blocks", 0, 1)
+            + [("account", 0, 1)]
+            + self._asked("drops", 0, 1)
+            + self._asked("delay", 0, 1)
+            # Reply leg: accounted, then droppable; never blocked or delayed.
+            + [("account", 1, 0)]
+            + self._asked("drops", 1, 0)
+        )
+
+    def test_inbound_block_precedes_accounting(self, pair):
+        network, nodes, log = self._wire(pair, nat={"blocks": True})
+        assert network.transport.request(0, 1, _digest_ad(nodes[0])).status == UNREACHABLE
+        assert network.transport.send(0, 1, RemainingReturn(1, (2,))) == UNREACHABLE
+        assert log == [("blocks", "nat", 0, 1)] * 2
+
+    def test_a_drop_short_circuits_later_conditions(self, pair):
+        network, nodes, log = self._wire(pair, loss={"drops": True})
+        assert network.transport.request(0, 1, _digest_ad(nodes[0])).status == DROPPED
+        assert log == (
+            self._asked("blocks", 0, 1)
+            + [("account", 0, 1)]
+            + self._asked("drops", 0, 1, names=("nat", "cut", "loss"))
+        )
+
+    def test_send_sums_delays_and_drain_holds_until_released(self, pair):
+        network, nodes, log = self._wire(
+            pair, cut={"delay": 1, "holds": [2]}, link={"delay": 2}
+        )
+        transport = network.transport
+        events = []
+        transport.add_observer(events.append)
+        assert transport.send(0, 1, RemainingReturn(1, (2,))) == DEFERRED
+        assert log == (
+            self._asked("blocks", 0, 1)
+            + [("account", 0, 1)]
+            + self._asked("drops", 0, 1)
+            + self._asked("delay", 0, 1)
+        )
+        # Due after the *summed* delay, not before.
+        network.current_cycle = 2
+        assert transport.drain() == 0 and transport.pending_count() == 1
+        del log[:]
+        network.current_cycle = 3
+        assert transport.drain() == 0  # due, but held two more cycles
+        assert log == self._asked("hold", 0, 1)
+        assert (events[-1].op, events[-1].status, events[-1].accounted) == (
+            OP_DRAIN, DEFERRED, False,
+        )
+        network.current_cycle = 4
+        assert transport.drain() == 0
+        network.current_cycle = 5
+        assert transport.drain() == 1 and transport.pending_count() == 0
+        assert (events[-1].op, events[-1].status) == (OP_DRAIN, DELIVERED)
+        # Accounted exactly once, at send time.
+        assert log.count(("account", 0, 1)) == 0

@@ -1,16 +1,17 @@
 """Transport-equivalence tests.
 
-The transport refactor's contract is that :class:`DirectTransport` (the
-default) reproduces the seed's direct-call semantics *bit-identically*.  The
+The transport layer's contract is that a :class:`Transport` with no
+condition (the default) reproduces the seed's direct-call semantics
+*bit-identically*.  The
 golden fixture ``tests/data/transport_golden.json`` was generated by running
 :func:`run_scenario` against the seed tree (before the transport layer
 existed); the tests assert that the refactored stack still produces exactly
 the same traffic totals, views, replicas and query results.  This mirrors the
 bloom-equivalence pattern: the old behaviour is pinned as data, not as code.
 
-The lossy/latency tests assert the two stochastic transports are
-deterministic under a fixed seed, that their lossless configurations degrade
-to the direct semantics, and that loss actually perturbs the run.
+The lossy/latency tests assert the stochastic conditions are deterministic
+under a fixed seed, that their zero configurations degrade to the direct
+semantics, and that loss actually perturbs the run.
 
 Regenerate the golden (only ever against a tree known to be seed-equivalent)
 with::
@@ -53,7 +54,12 @@ ALL_KINDS = (
 
 
 def run_scenario(overrides: Optional[Dict] = None) -> Dict:
-    """One deterministic end-to-end simulation, fingerprinted exactly.
+    """One deterministic end-to-end simulation, fingerprinted exactly."""
+    return _fingerprint(*run_simulation(overrides))
+
+
+def run_simulation(overrides: Optional[Dict] = None):
+    """The golden scenario, returned live as ``(simulation, eager_cycles)``.
 
     The scenario exercises every message type: bootstrap, organic lazy
     convergence, query issuing, eager drain, churn mid-run and a final lazy
@@ -93,7 +99,7 @@ def run_scenario(overrides: Optional[Dict] = None) -> Dict:
     simulation.depart_users(simulation.dataset.user_ids[40:44])
     simulation.run_lazy(3)
 
-    return _fingerprint(simulation, eager_cycles)
+    return simulation, eager_cycles
 
 
 def _fingerprint(simulation: P3QSimulation, eager_cycles: int) -> Dict:
@@ -152,36 +158,35 @@ def test_direct_transport_is_bit_identical_to_seed():
 
 def test_explicit_direct_transport_matches_default():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_scenario({"transport": "direct"}) == golden
+    explicit = {"loss_rate": 0.0, "delay_cycles": 0, "partition": None, "asymmetry": None}
+    assert run_scenario(explicit) == golden
 
 
 def test_lossless_lossy_transport_degrades_to_direct():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_scenario({"transport": "lossy", "loss_rate": 0.0}) == golden
+    assert run_scenario({"loss_rate": 0.0}) == golden
 
 
 def test_zero_delay_latency_transport_degrades_to_direct():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_scenario({"transport": "latency", "delay_cycles": 0}) == golden
+    assert run_scenario({"delay_cycles": 0}) == golden
 
 
 def test_conditioned_transport_with_no_conditions_degrades_to_direct():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_scenario({"transport": "conditioned"}) == golden
+    assert run_scenario({"loss_rate": 0.0, "delay_cycles": 0}) == golden
 
 
 def test_null_asymmetry_degrades_to_direct():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_scenario(
-        {"transport": "conditioned", "asymmetry": AsymmetrySpec()}
-    ) == golden
+    assert run_scenario({"asymmetry": AsymmetrySpec()}) == golden
 
 
 def test_never_active_partition_degrades_to_direct():
     """A partition whose window lies beyond the run consumes no randomness."""
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     partition = PartitionSpec(components=2, split_cycle=10_000, heal_cycle=10_001)
-    assert run_scenario({"transport": "conditioned", "partition": partition}) == golden
+    assert run_scenario({"partition": partition}) == golden
 
 
 def test_free_rider_fraction_rounding_to_zero_degrades_to_direct():
@@ -194,20 +199,20 @@ def test_free_rider_fraction_rounding_to_zero_degrades_to_direct():
 
 
 def test_lossy_transport_is_deterministic_under_fixed_seed():
-    first = run_scenario({"transport": "lossy", "loss_rate": 0.25})
-    second = run_scenario({"transport": "lossy", "loss_rate": 0.25})
+    first = run_scenario({"loss_rate": 0.25})
+    second = run_scenario({"loss_rate": 0.25})
     assert first == second
 
 
 def test_lossy_transport_actually_perturbs_the_run():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    lossy = run_scenario({"transport": "lossy", "loss_rate": 0.25})
+    lossy = run_scenario({"loss_rate": 0.25})
     assert lossy["total_bytes"] != golden["total_bytes"]
 
 
 def test_latency_transport_is_deterministic_under_fixed_seed():
-    first = run_scenario({"transport": "latency", "delay_cycles": 2})
-    second = run_scenario({"transport": "latency", "delay_cycles": 2})
+    first = run_scenario({"delay_cycles": 2})
+    second = run_scenario({"delay_cycles": 2})
     assert first == second
 
 

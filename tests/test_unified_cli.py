@@ -1,4 +1,4 @@
-"""Tests for the unified ``python -m repro`` CLI and the deprecated shims."""
+"""Tests for the unified ``python -m repro`` CLI (the one invocation surface)."""
 
 from __future__ import annotations
 
@@ -85,34 +85,13 @@ class TestCommonOptions:
 
 
 class TestDeprecatedShims:
-    """The legacy module entry points still run, with a DeprecationWarning."""
-
-    def test_simtest_module_shim(self):
-        result = _run_module(["-m", "repro.simtest", "--list-invariants"])
-        assert result.returncode == 0
-        assert "byte-conservation" in result.stdout
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro simtest" in result.stderr
-
-    def test_experiments_module_shim(self):
-        result = _run_module(["-m", "repro.experiments.cli", "--list"])
-        assert result.returncode == 0
-        assert "fig2" in result.stdout
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro experiments" in result.stderr
+    """The one remaining legacy entry point (out of the package's scope)."""
 
     def test_perf_module_shim(self):
         result = _run_module(["-m", "benchmarks.perf", "--help"])
         assert result.returncode == 0
         assert "DeprecationWarning" in result.stderr
         assert "python -m repro perf" in result.stderr
-
-    def test_service_module_shim(self):
-        result = _run_module(["-m", "repro.service", "--help"])
-        assert result.returncode == 0
-        assert "--demo" in result.stdout
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro service" in result.stderr
 
 
 class TestServiceEndToEnd:
