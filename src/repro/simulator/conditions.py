@@ -9,7 +9,8 @@ condition below perturbs exactly the legs it overrides:
 * :class:`NatBlock` -- a seeded ``nat_fraction`` of nodes refuses *inbound*
   connections (NAT without hole punching): contacting them fails like
   contacting an offline node, before any bytes are charged, while their own
-  outbound traffic flows normally.
+  outbound traffic flows normally -- including the replies to their own
+  round-trips, synchronous or deferred.
 * :class:`PartitionCut` -- a seeded split of the population into ``>= 2``
   components between a split cycle and a heal cycle (global engine cycles).
   While the cut is active, every freshly sent message whose endpoints sit on

@@ -484,11 +484,22 @@ class Transport:
         message: Message,
         query_id: Optional[int] = None,
         account: bool = True,
+        *,
+        over_open_connection: bool = False,
     ) -> str:
-        """One-way, fire-and-forget send; returns the dispatch status."""
+        """One-way, fire-and-forget send; returns the dispatch status.
+
+        ``over_open_connection`` marks the reply to a drained round-trip: it
+        rides the connection its receiver opened, so an inbound block (NAT)
+        does not apply to it.  Loss, delay and cuts still do.
+        """
         handler = getattr(self._network.try_contact(receiver), "handle_message", None)
         conditions = self.conditions
-        if handler is None or (conditions and self._inbound_blocked(sender, receiver)):
+        if handler is None or (
+            conditions
+            and not over_open_connection
+            and self._inbound_blocked(sender, receiver)
+        ):
             if self._observers:
                 self._notify(OP_SEND, sender, receiver, message, UNREACHABLE, False, query_id)
             return UNREACHABLE
@@ -526,8 +537,9 @@ class Transport:
         while it was in flight is simply lost -- its bytes were already
         spent).  An envelope whose endpoints sit on opposite sides of an
         active partition cut stays in flight until the heal cycle.  Replies
-        to deferred round-trips are routed back through :meth:`send` and may
-        themselves be dropped or delayed.
+        to deferred round-trips are routed back through :meth:`send`, over
+        the connection the initiator opened, and may themselves be dropped
+        or delayed.
         """
         if not self._queue:
             return 0
@@ -558,7 +570,10 @@ class Transport:
                     self._notify(OP_DRAIN, sender, receiver, message, DELIVERED, False, query_id)
                 reply = handler(envelope)
                 if reply is not None and expects_reply:
-                    self.send(receiver, sender, reply, query_id=query_id, account=account)
+                    self.send(
+                        receiver, sender, reply, query_id=query_id, account=account,
+                        over_open_connection=True,
+                    )
         return delivered
 
     def _enqueue(self, envelope: Envelope, delay: int) -> None:

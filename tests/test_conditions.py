@@ -285,6 +285,39 @@ class TestAsymmetricLinks:
             == DELIVERED
         )
 
+    def test_nat_initiator_gets_the_reply_to_its_deferred_round_trip(self, tiny_dataset):
+        """A NAT'd node's own exchanges complete whether or not they are
+        delayed: the reply to a drained round-trip rides the connection the
+        initiator opened, so the inbound block does not apply to it."""
+        transport = Transport(
+            seed=5, delay_cycles=2, asymmetry=AsymmetrySpec(nat_fraction=0.4)
+        )
+        network, nodes = _wire(transport, tiny_dataset)
+        nat = transport.condition(NatBlock).ids()
+        nat_node = min(nat)
+        open_node = min(set(nodes) - nat)
+        events = []
+        transport.add_observer(events.append)
+        outcomes = set()
+        for _ in range(32):
+            del events[:]
+            status = transport.request(nat_node, open_node, _digest_ad(nodes[nat_node])).status
+            if status == DEFERRED:
+                network.current_cycle += 3
+                transport.drain()
+            # The request leg reached the open node and its reply came back
+            # to the NAT'd initiator (possibly deferred again, never refused).
+            reply = [e for e in events if (e.sender, e.receiver) == (open_node, nat_node)]
+            assert reply and all(e.status in (DELIVERED, DEFERRED) for e in reply), (
+                status, [(e.op, e.status) for e in events],
+            )
+            outcomes.add(status)
+            network.current_cycle += 3
+            transport.drain()
+        assert outcomes == {DELIVERED, DEFERRED}  # both paths were exercised
+        # Unsolicited inbound traffic is still refused.
+        assert transport.send(open_node, nat_node, _digest_ad(nodes[open_node])) == UNREACHABLE
+
     def test_zero_nat_fraction_samples_nothing(self, tiny_dataset):
         transport = Transport(seed=5, asymmetry=AsymmetrySpec())
         _wire(transport, tiny_dataset)
