@@ -194,21 +194,22 @@ class P3QSimulation:
             ]
             node.bootstrap_random_view(digests)
 
-    def _build_digests(self) -> int:
+    def _build_digests(self) -> None:
         """Population-wide digest warm-up before the bootstrap contact draws.
 
         With a columnar digest matrix attached the digest rows are built in
         bulk -- shard-parallel into the shared block on the pool executor,
         vectorized in-process otherwise -- and the digest cache adopts them
         on first use.  Pure warm-up: every adoption and every cache read
-        validates versions.  Returns the number of rows built.
+        validates versions.
         """
         if self.digest_matrix is None:
-            return 0
+            return
         engine = self.engine
         if isinstance(engine, ShardedEngine) and engine.executor == EXECUTOR_POOL:
-            return engine.build_digest_rows()
-        return self.digest_matrix.build_rows(self.columnar_store)
+            engine.build_digest_rows()
+        else:
+            self.digest_matrix.build_rows(self.columnar_store)
 
     def _predict_pricing_pairs(self, acting: Iterable[int]) -> List[tuple]:
         """Over-approximate the digest probes of the coming lazy cycle.

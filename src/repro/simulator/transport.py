@@ -417,11 +417,32 @@ class Transport:
                 return True
         return False
 
-    def _delay(self, message: Message, sender: int, receiver: int) -> int:
-        delay = 0
-        for condition in self.conditions:
-            delay += condition.delay(message, sender, receiver)
-        return delay
+    def _intercept(
+        self,
+        op: str,
+        sender: int,
+        receiver: int,
+        message: Message,
+        query_id: Optional[int],
+        expects_reply: bool,
+        account: bool,
+    ) -> Optional[str]:
+        """Drop or defer a freshly accounted message; ``None`` lets it through."""
+        status = None
+        if self._dropped(message, sender, receiver):
+            status = DROPPED
+        else:
+            delay = 0
+            for condition in self.conditions:
+                delay += condition.delay(message, sender, receiver)
+            if delay > 0:
+                self._enqueue(
+                    Envelope(sender, receiver, message, query_id, expects_reply, account), delay
+                )
+                status = DEFERRED
+        if status is not None and self._observers:
+            self._notify(op, sender, receiver, message, status, account, query_id)
+        return status
 
     # -- sending --------------------------------------------------------------
 
@@ -447,16 +468,11 @@ class Transport:
         if account:
             self._account(sender, receiver, message, query_id)
         if conditions:
-            if self._dropped(message, sender, receiver):
-                if self._observers:
-                    self._notify(OP_REQUEST, sender, receiver, message, DROPPED, account, query_id)
-                return _DROPPED_DISPATCH
-            delay = self._delay(message, sender, receiver)
-            if delay > 0:
-                self._enqueue(Envelope(sender, receiver, message, query_id, True, account), delay)
-                if self._observers:
-                    self._notify(OP_REQUEST, sender, receiver, message, DEFERRED, account, query_id)
-                return _DEFERRED_DISPATCH
+            status = self._intercept(
+                OP_REQUEST, sender, receiver, message, query_id, True, account
+            )
+            if status is not None:
+                return _DROPPED_DISPATCH if status == DROPPED else _DEFERRED_DISPATCH
         reply = handler(Envelope(sender, receiver, message, query_id, True, account))
         if reply is None:
             if self._observers:
@@ -506,16 +522,9 @@ class Transport:
         if account:
             self._account(sender, receiver, message, query_id)
         if conditions:
-            if self._dropped(message, sender, receiver):
-                if self._observers:
-                    self._notify(OP_SEND, sender, receiver, message, DROPPED, account, query_id)
-                return DROPPED
-            delay = self._delay(message, sender, receiver)
-            if delay > 0:
-                self._enqueue(Envelope(sender, receiver, message, query_id, False, account), delay)
-                if self._observers:
-                    self._notify(OP_SEND, sender, receiver, message, DEFERRED, account, query_id)
-                return DEFERRED
+            status = self._intercept(OP_SEND, sender, receiver, message, query_id, False, account)
+            if status is not None:
+                return status
         handler(Envelope(sender, receiver, message, query_id, False, account))
         if self._observers:
             self._notify(OP_SEND, sender, receiver, message, DELIVERED, account, query_id)
