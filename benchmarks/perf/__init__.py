@@ -2,12 +2,12 @@
 
 Usage (from the repository root)::
 
-    python -m benchmarks.perf                 # full run, writes BENCH_p3q.json
-    python -m benchmarks.perf --quick         # CI smoke run on a tiny network
-    python -m benchmarks.perf --validate BENCH_p3q.json
-    python -m benchmarks.perf --compare /tmp/BENCH_now.json --against BENCH_p3q.json
-    python -m benchmarks.perf --scale --profile  # adds N=5000/10000 + phase timings
-    python -m benchmarks.perf --scale-smoke 10000 --budget-seconds 120
+    PYTHONPATH=src python -m repro perf                 # full run, writes BENCH_p3q.json
+    PYTHONPATH=src python -m repro perf --quick         # CI smoke run on a tiny network
+    PYTHONPATH=src python -m repro perf --validate BENCH_p3q.json
+    PYTHONPATH=src python -m repro perf --compare /tmp/BENCH_now.json --against BENCH_p3q.json
+    PYTHONPATH=src python -m repro perf --scale --profile  # adds N=5000/10000 + phase timings
+    PYTHONPATH=src python -m repro perf --scale-smoke 10000 --budget-seconds 120
 
 The harness measures the two hot paths the performance layer optimizes --
 Bloom-digest operations and similarity scoring -- against their seed
@@ -16,25 +16,13 @@ several network sizes, and persists everything to ``BENCH_p3q.json`` so the
 repository's performance trajectory is tracked PR over PR.
 """
 
-import sys
-from pathlib import Path
-
-# Allow `python -m benchmarks.perf` without an explicit PYTHONPATH=src.
-_SRC = Path(__file__).resolve().parent.parent.parent / "src"
-if _SRC.is_dir() and str(_SRC) not in sys.path:
-    try:
-        import repro  # noqa: F401
-    except ImportError:
-        sys.path.insert(0, str(_SRC))
-
-from .harness import (  # noqa: E402
+from .harness import (
     DEFAULT_REPORT_NAME,
     SCALE_MACRO_SIZES,
     SCHEMA_VERSION,
     bench_digest,
     bench_macro,
     bench_scale_smoke,
-    bench_serving,
     bench_similarity,
     compare_reports,
     main,
@@ -50,7 +38,6 @@ __all__ = [
     "bench_digest",
     "bench_macro",
     "bench_scale_smoke",
-    "bench_serving",
     "bench_similarity",
     "compare_reports",
     "main",

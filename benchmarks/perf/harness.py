@@ -16,53 +16,33 @@ Four benchmark families:
 * **macro** -- end-to-end simulator cycles/sec (lazy gossip and eager query
   processing) at several network sizes.
 
-The report format is versioned JSON; :func:`validate_report` is the schema
-check CI runs against the smoke report.  All numbers are best-of-``repeats``
-wall-clock rates, so background noise biases results low, never high.
+The report format is versioned JSON described by one field table,
+:data:`REPORT_SECTIONS`, read by :func:`validate_report` (the schema check
+CI runs against the smoke report) and :func:`compare_reports` (the macro
+throughput guard).  All numbers are best-of-``repeats`` wall-clock rates, so
+background noise biases results low, never high.  ``--require-executor``
+turns a silent executor degradation (requested workers resolving to the
+inline pass-through) into a hard failure -- CI's multi-core jobs use it so
+a mis-provisioned runner cannot greenwash the parallel path.
 
-Schema v4 adds per-phase peak-RSS accounting (cumulative ``ru_maxrss``
-observed after each phase), the resolved executor kind plus pool-reuse
-count on sharded entries, the ``columnar`` micro section, and the optional
-``worker_scaling`` serial-vs-sharded section.  ``--require-executor`` turns
-a silent executor degradation (requested workers resolving to the inline
-pass-through) into a hard failure -- CI's multi-core jobs use it so a
-mis-provisioned runner cannot greenwash the parallel path.
-
-Schema v5 adds the ``serving`` section: the query-serving sweep
-(:mod:`repro.serving`) reporting QPS (per cycle and per wall-second),
-p50/p95/p99 latency-in-cycles, coverage-at-cutoff for abandoned queries
-and the CPU/RSS envelope, per ``workload@concurrency`` cell.  ``--serving``
-adds it to a suite run, ``--serving-smoke`` runs a small sweep standalone
-under a wall-clock budget (the CI PR job), and ``--compare`` guards
-``qps_wall`` drops and ``latency_p95`` increases beyond the regression
-budget whenever both reports carry the section.
-
-Schema v6 adds the ``service`` section: codec encode/decode frames/sec per
-message type plus end-to-end service-demo round throughput and rpc p95
-latency at a couple of network sizes.  ``--service``
-adds it to a suite run, ``--service-smoke`` runs the quick variant
-standalone under a wall-clock budget (the CI ``service-perf`` job), and
-``--compare`` guards demo ``rounds_per_sec`` drops and ``rpc_p95_ms``
-increases the same self-activating way as the serving guard.
-
-Schema v7 drops the JSON-vs-binary comparison from the ``service`` section
-(``json_fps``, ``speedup``, ``digest_roundtrip_speedup``): the JSON wire
-path is gone, so ``service.codec.messages`` reports the one codec's
-``binary_fps`` per message type.
+Query-serving and service-mode performance are measured by the
+``benchmarks/e2e`` workloads (one fresh process each) and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import platform
-import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from statistics import median
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 DEFAULT_REPORT_NAME = "BENCH_p3q.json"
 
 #: Macro benchmark network sizes (the issue's N=100/500/1000 trajectory).
@@ -82,19 +62,28 @@ LAZY_WARM_THRESHOLD = 2_000
 XL_SIZE_THRESHOLD = 50_000
 
 
-_median = statistics.median
-
-
-def _peak_rss_bytes() -> Optional[int]:
-    """The process's lifetime peak RSS in bytes (``None`` off-POSIX).
-
-    Delegates to the serving layer's shared probe
-    (:func:`repro.serving.resources.peak_rss_bytes`) -- one implementation
-    of the ``ru_maxrss`` unit handling serves both harnesses.
-    """
+def _record_peak_rss(peaks: Dict[str, int], phase: str) -> None:
+    """Note the peak RSS observed by the end of ``phase`` (POSIX only): the
+    cumulative high-water mark, not the phase's own allocation."""
     from repro.serving.resources import peak_rss_bytes
 
-    return peak_rss_bytes()
+    rss = peak_rss_bytes()
+    if rss is not None:
+        peaks[phase] = rss
+
+
+def _sim_config(size: int, seed: int, workers: int, engine_executor: str):
+    """The configuration every macro-style benchmark runs ``size`` nodes under."""
+    from repro.p3q import P3QConfig
+
+    return P3QConfig(
+        network_size=max(10, min(50, size // 4)),
+        storage=3,
+        seed=seed,
+        workers=workers,
+        engine_executor=engine_executor,
+        stats_flush_every=1 if size >= XL_SIZE_THRESHOLD else None,
+    )
 
 
 def _pool_reuse_count(sim) -> int:
@@ -411,7 +400,7 @@ def bench_worker_scaling(
     import gc
 
     from repro.data import SyntheticConfig, load_or_generate_synthetic
-    from repro.p3q import P3QConfig, P3QSimulation
+    from repro.p3q import P3QSimulation
     from repro.simulator.shard import resolve_executor
 
     dataset, cache_status = load_or_generate_synthetic(
@@ -419,14 +408,7 @@ def bench_worker_scaling(
     )
 
     def run(run_workers: int, executor: str):
-        config = P3QConfig(
-            network_size=max(10, min(50, size // 4)),
-            storage=3,
-            seed=seed,
-            workers=run_workers,
-            engine_executor=executor,
-        )
-        sim = P3QSimulation(dataset.copy(), config)
+        sim = P3QSimulation(dataset.copy(), _sim_config(size, seed, run_workers, executor))
         sim.bootstrap_random_views()
         gc.collect()
         start = time.perf_counter()
@@ -497,7 +479,7 @@ def bench_macro(
     import gc
 
     from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_synthetic
-    from repro.p3q import P3QConfig, P3QSimulation
+    from repro.p3q import P3QSimulation
     from repro.simulator.shard import resolve_executor
 
     if quick:
@@ -518,14 +500,7 @@ def bench_macro(
         )
         dataset_seconds = time.perf_counter() - start
 
-        config = P3QConfig(
-            network_size=max(10, min(50, size // 4)),
-            storage=3,
-            seed=seed,
-            workers=workers,
-            engine_executor=engine_executor,
-            stats_flush_every=1 if xl else None,
-        )
+        config = _sim_config(size, seed, workers, engine_executor)
         ideal_warm = size < LAZY_WARM_THRESHOLD
         lazy_samples: List[float] = []
         eager_samples: List[float] = []
@@ -536,9 +511,7 @@ def bench_macro(
         peak_rss: Dict[str, int] = {}
         for _ in range(size_repeats):
             phases: Dict[str, float] = {"dataset_seconds": dataset_seconds}
-            rss = _peak_rss_bytes()
-            if rss is not None:
-                peak_rss["dataset"] = rss
+            _record_peak_rss(peak_rss, "dataset")
 
             start = time.perf_counter()
             sim = P3QSimulation(dataset.copy(), config)
@@ -547,18 +520,14 @@ def bench_macro(
             start = time.perf_counter()
             sim.bootstrap_random_views()
             phases["bootstrap_seconds"] = time.perf_counter() - start
-            rss = _peak_rss_bytes()
-            if rss is not None:
-                peak_rss["bootstrap"] = rss
+            _record_peak_rss(peak_rss, "bootstrap")
 
             gc.collect()
             start = time.perf_counter()
             sim.run_lazy(size_lazy_cycles)
             lazy_elapsed = time.perf_counter() - start
             phases["lazy_seconds"] = lazy_elapsed
-            rss = _peak_rss_bytes()
-            if rss is not None:
-                peak_rss["lazy"] = rss
+            _record_peak_rss(peak_rss, "lazy")
 
             # The eager phase needs populated personal networks with unstored
             # neighbours (that is where the remaining lists come from).  Small
@@ -583,9 +552,7 @@ def bench_macro(
             run = sim.run_eager(cycles=50, stop_when_idle=not xl)
             eager_elapsed = time.perf_counter() - start
             phases["eager_seconds"] = eager_elapsed
-            rss = _peak_rss_bytes()
-            if rss is not None:
-                peak_rss["eager"] = rss
+            _record_peak_rss(peak_rss, "eager")
             if eager_elapsed > 0:
                 eager_samples.append(run / eager_elapsed)
                 eager_run = run
@@ -597,9 +564,9 @@ def bench_macro(
 
         # Headline selection: median sample with >= 3 repeats, best otherwise.
         use_median = len(lazy_samples) >= 3
-        headline_lazy = _median(lazy_samples) if use_median else max(lazy_samples, default=0.0)
+        headline_lazy = median(lazy_samples) if use_median else max(lazy_samples, default=0.0)
         headline_eager = (
-            _median(eager_samples) if len(eager_samples) >= 3 else max(eager_samples, default=0.0)
+            median(eager_samples) if len(eager_samples) >= 3 else max(eager_samples, default=0.0)
         )
         # The reported breakdown describes the repeat whose lazy rate is the
         # headline (the closest sample, for an even-count median).
@@ -636,9 +603,6 @@ def bench_macro(
             "dataset_cache": cache_status,
         }
         if peak_rss:
-            # Cumulative high-water marks: peak_rss["lazy"] is the peak RSS
-            # observed by the end of the lazy phase, not the phase's own
-            # allocation (ru_maxrss never decreases).
             entry["peak_rss_bytes"] = peak_rss
         if profile_phases:
             entry["phases"] = {
@@ -673,7 +637,7 @@ def bench_scale_smoke(
     import gc
 
     from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_columnar
-    from repro.p3q import P3QConfig, P3QSimulation
+    from repro.p3q import P3QSimulation
     from repro.simulator.shard import resolve_executor
 
     if size <= 0:
@@ -689,29 +653,17 @@ def bench_scale_smoke(
     dataset, cache_status = load_or_generate_columnar(
         SyntheticConfig(num_users=size, seed=seed), dataset_cache
     )
-    config = P3QConfig(
-        network_size=max(10, min(50, size // 4)),
-        storage=3,
-        seed=seed,
-        workers=workers,
-        engine_executor=engine_executor,
-        stats_flush_every=1 if size >= XL_SIZE_THRESHOLD else None,
-    )
-    sim = P3QSimulation(dataset, config)
+    sim = P3QSimulation(dataset, _sim_config(size, seed, workers, engine_executor))
     sim.bootstrap_random_views()
     setup_seconds = time.perf_counter() - start
     peak_rss: Dict[str, int] = {}
-    rss = _peak_rss_bytes()
-    if rss is not None:
-        peak_rss["setup"] = rss
+    _record_peak_rss(peak_rss, "setup")
 
     gc.collect()
     start = time.perf_counter()
     sim.run_lazy(1)
     lazy_seconds = time.perf_counter() - start
-    rss = _peak_rss_bytes()
-    if rss is not None:
-        peak_rss["lazy"] = rss
+    _record_peak_rss(peak_rss, "lazy")
 
     workload = QueryWorkloadGenerator(dataset, seed=seed)
     queriers = dataset.user_ids[: min(num_queries, len(dataset))]
@@ -720,9 +672,7 @@ def bench_scale_smoke(
     start = time.perf_counter()
     sim.run_eager(cycles=1, stop_when_idle=False)
     eager_seconds = time.perf_counter() - start
-    rss = _peak_rss_bytes()
-    if rss is not None:
-        peak_rss["eager"] = rss
+    _record_peak_rss(peak_rss, "eager")
 
     cycle_seconds = lazy_seconds + eager_seconds
     result = {
@@ -744,235 +694,6 @@ def bench_scale_smoke(
     return result
 
 
-# ------------------------------------------------------------------- serving
-
-#: Catalogue workloads swept by the serving benchmark.
-DEFAULT_SERVING_WORKLOADS = ("hot-topic", "long-tail", "mixed")
-#: Concurrency levels (max simultaneously open sessions) per workload.
-DEFAULT_SERVING_CONCURRENCY = (4, 16)
-#: Serving network size: small enough that the O(N^2) ideal warm start
-#: stays in the seconds range, large enough that personal networks do not
-#: trivially cover the population.
-DEFAULT_SERVING_NODES = 300
-DEFAULT_SERVING_QUERIES = 48
-
-
-def bench_serving(
-    num_nodes: int = DEFAULT_SERVING_NODES,
-    num_queries: int = DEFAULT_SERVING_QUERIES,
-    workloads: Sequence[str] = DEFAULT_SERVING_WORKLOADS,
-    concurrency_levels: Sequence[int] = DEFAULT_SERVING_CONCURRENCY,
-    quick: bool = False,
-    seed: int = 17,
-    max_cycles: int = 120,
-    cutoff_cycles: int = 30,
-) -> Dict:
-    """The query-serving sweep: workload catalogue x concurrency levels.
-
-    Every cell runs a fresh warm-started simulation (the ideal index is
-    built once and shared, so the O(N^2) setup is paid once) and drives the
-    workload through :func:`repro.serving.run_serving`.  Reported per cell:
-    QPS per cycle and per wall-second, nearest-rank p50/p95/p99
-    latency-in-cycles over completed queries, coverage-at-cutoff over
-    abandoned ones, and the CPU/RSS envelope.  QPS-per-cycle and the
-    latency percentiles are deterministic in the seed; only the wall-clock
-    rates are machine-dependent.
-    """
-    from repro.data import SyntheticConfig, generate_dataset
-    from repro.p3q import P3QConfig, P3QSimulation
-    from repro.serving import ServingConfig, build_workload, run_serving
-    from repro.similarity.knn import IdealNetworkIndex
-
-    if quick:
-        num_nodes = min(num_nodes, 60)
-        num_queries = min(num_queries, 12)
-        concurrency_levels = (2, 4)
-        max_cycles = 60
-        cutoff_cycles = 15
-
-    dataset = generate_dataset(SyntheticConfig(num_users=num_nodes, seed=seed))
-    network_size = max(10, min(50, num_nodes // 4))
-    ideal = IdealNetworkIndex(dataset, size=network_size)
-
-    cells: Dict[str, Dict[str, float]] = {}
-    for workload_name in workloads:
-        serving_workload = build_workload(
-            workload_name, dataset, num_queries, seed=seed
-        )
-        for level in concurrency_levels:
-            config = P3QConfig(
-                network_size=network_size,
-                storage=3,
-                seed=seed,
-            )
-            sim = P3QSimulation(dataset.copy(), config)
-            sim.warm_start(ideal=ideal)
-            sim.bootstrap_random_views()
-            result = run_serving(
-                sim,
-                serving_workload,
-                ServingConfig(
-                    concurrency=level,
-                    arrivals_per_cycle=max(1, level // 2),
-                    max_cycles=max_cycles,
-                    cutoff_cycles=cutoff_cycles,
-                ),
-            )
-            cells[f"{workload_name}@c{level}"] = result.as_dict()
-            sim.close()
-    return {
-        "num_nodes": num_nodes,
-        "num_queries": num_queries,
-        "network_size": network_size,
-        "seed": seed,
-        "workloads": cells,
-    }
-
-
-# -------------------------------------------------------------- service mode
-
-#: End-to-end service demo sizes for the v6 ``service`` section.
-DEFAULT_SERVICE_DEMO_SIZES = (50, 200)
-QUICK_SERVICE_DEMO_SIZES = (30,)
-
-
-def _service_bench_messages() -> Dict[str, object]:
-    """One realistic instance per wire message type (paper-sized digests)."""
-    from repro.data.interning import intern_action
-    from repro.data.models import UserProfile
-    from repro.data.queries import Query
-    from repro.gossip.digest import make_digest
-    from repro.p3q.query import PartialResult
-    from repro.simulator.transport import (
-        VIEW_PERSONAL,
-        CommonItemsReply,
-        CommonItemsRequest,
-        DigestAdvertisement,
-        FullProfilePush,
-        FullProfileRequest,
-        QueryForward,
-        QueryResult,
-        RemainingReturn,
-    )
-
-    profiles = [
-        UserProfile(uid, [(uid * 100 + i, i % 25) for i in range(50)])
-        for uid in range(8)
-    ]
-    # Paper-sized Bloom digests (DIGEST_BYTES = 2500 -> 20,000 bits): the
-    # digest-advertisement path is the acceptance-criterion headline.
-    digests = tuple(make_digest(profile) for profile in profiles)
-    query = Query(query_id=9, querier=1, tags=(3, 4), source_item=7)
-    partial = PartialResult(
-        query_id=9,
-        sender=2,
-        scores={item: item + 0.5 for item in range(20)},
-        contributors=tuple(range(8)),
-        cycle=3,
-    )
-    return {
-        "DigestAdvertisement": DigestAdvertisement(digests=digests, view=VIEW_PERSONAL),
-        "CommonItemsRequest": CommonItemsRequest(
-            subject_id=3, items=frozenset(range(100, 130))
-        ),
-        "CommonItemsReply": CommonItemsReply(
-            subject_id=3,
-            actions=frozenset(intern_action(item, item % 25) for item in range(30)),
-        ),
-        "FullProfileRequest": FullProfileRequest(subject_id=3),
-        "FullProfilePush": FullProfilePush(subject_id=3, profile=profiles[0]),
-        "QueryForward": QueryForward(query=query, remaining=tuple(range(16)), cycle=3),
-        "RemainingReturn": RemainingReturn(query_id=9, remaining=tuple(range(16))),
-        "QueryResult": QueryResult(partial=partial),
-    }
-
-
-def _codec_roundtrip_fps(message, batch: int, repeats: int) -> float:
-    """Frames/sec through the real service data path: encode the send
-    frame, commit the suppression state, split and decode on a
-    receiver-side codec instance -- steady-state caches and all, exactly
-    what the runtime does per one-way message."""
-    from repro.service.codec import BinaryWireCodec
-    from repro.simulator.transport import Envelope
-
-    def operation() -> int:
-        sender = BinaryWireCodec()
-        receiver = BinaryWireCodec()
-        envelope = Envelope(1, 2, message, None, False, True)
-        for _ in range(batch):
-            frame = sender.encode_send(envelope)
-            sender.commit_sent(2)
-            bodies, _ = receiver.split(frame)
-            receiver.decode_body(bodies[0])
-        return batch
-
-    return _best_rate(operation, repeats)
-
-
-def bench_service(
-    quick: bool = False,
-    seed: int = 23,
-    demo_sizes: Sequence[int] = DEFAULT_SERVICE_DEMO_SIZES,
-    trace_path: Optional[str] = None,
-) -> Dict:
-    """Service-mode data-plane benchmarks (the ``service`` section).
-
-    Two subsections:
-
-    * ``codec`` -- encode+decode frames/sec per message type on the real
-      send/decode path (``binary_fps``; the digest-advertisement cell is
-      the suppressed steady state);
-    * ``demo`` -- end-to-end demo runs at each N in ``demo_sizes``:
-      gossip-round throughput, rpc p95 latency, completed queries and the
-      invariant audit result.  When ``trace_path`` is
-      given the *last* demo's wire trace is dumped there (the CI smoke leg
-      uploads it on failure).
-    """
-    from repro.service.demo import run_demo_sync
-
-    batch = 30 if quick else 120
-    repeats = 2 if quick else 3
-    if quick:
-        demo_sizes = QUICK_SERVICE_DEMO_SIZES
-
-    messages = _service_bench_messages()
-    codec_cells: Dict[str, Dict[str, float]] = {}
-    for name, message in messages.items():
-        codec_cells[name] = {
-            "binary_fps": _codec_roundtrip_fps(message, batch, repeats)
-        }
-
-    demo_cells: Dict[str, Dict] = {}
-    for index, num_users in enumerate(demo_sizes):
-        is_last = index == len(demo_sizes) - 1
-        report = run_demo_sync(
-            num_users=num_users,
-            num_queries=4 if quick else 8,
-            seed=seed,
-            deadline=3.0 if quick else 5.0,
-            trace_path=trace_path if is_last else None,
-        )
-        demo_cells[str(num_users)] = {
-            "num_users": num_users,
-            "completed": report["completed"],
-            "num_queries": report["num_queries"],
-            "gossip_rounds": report["gossip_rounds"],
-            "rounds_per_sec": report["rounds_per_sec"],
-            "rpc_count": report["rpc_count"],
-            "rpc_p95_ms": report["rpc_p95_ms"],
-            "wall_seconds": report["wall_seconds"],
-            "bytes_total": report["bytes_total"],
-            "invariant_error": report["invariant_error"],
-        }
-
-    return {
-        "seed": seed,
-        "frame_batch": batch,
-        "codec": {"messages": codec_cells},
-        "demo": demo_cells,
-    }
-
-
 # --------------------------------------------------------------------- report
 
 
@@ -986,8 +707,6 @@ def run_suite(
     dataset_cache: Optional[Path] = None,
     columnar: bool = False,
     worker_scaling_size: Optional[int] = None,
-    serving: bool = False,
-    service: bool = False,
 ) -> Dict:
     """Run the full benchmark suite and return the report dictionary."""
     started = time.time()
@@ -1008,17 +727,13 @@ def run_suite(
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "cpu_count": __import__("os").cpu_count(),
+        "cpu_count": os.cpu_count(),
         "digest": digest,
         "similarity": similarity,
         "macro": macro,
     }
     if columnar or quick:
         report["columnar"] = bench_columnar(quick=quick)
-    if serving or quick:
-        report["serving"] = bench_serving(quick=quick)
-    if service or quick:
-        report["service"] = bench_service(quick=quick)
     if worker_scaling_size is not None:
         report["worker_scaling"] = {
             str(worker_scaling_size): bench_worker_scaling(
@@ -1037,6 +752,104 @@ def run_suite(
     return report
 
 
+# The one description of the report: every field the schema check or the
+# perf guard looks at is named here and nowhere else.  A check is a key of
+# _CHECKS, or the tuple of values the field may take.
+POSITIVE = "a positive number"
+NON_NEGATIVE = "a non-negative number"
+COUNT = "a non-negative integer"
+SAMPLES = "a non-empty list"
+PHASE_BYTES = "absent or a map of phases to positive byte counts"
+HIGHER = "higher"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+_CHECKS: Dict[str, Callable[[object], bool]] = {
+    POSITIVE: lambda value: _is_number(value) and value > 0,
+    NON_NEGATIVE: lambda value: _is_number(value) and value >= 0,
+    COUNT: lambda value: isinstance(value, int) and value >= 0,
+    SAMPLES: lambda value: isinstance(value, (list, tuple)) and bool(value),
+    PHASE_BYTES: lambda value: value is None
+    or isinstance(value, dict)
+    and all(isinstance(count, int) and count > 0 for count in value.values()),
+}
+
+
+class Field(NamedTuple):
+    name: str
+    check: object
+    #: ``HIGHER``: ``--compare`` fails when the field drops by more than the
+    #: regression budget.  ``spread`` then names the fields holding the
+    #: statistic behind the headline rate and its per-repeat samples, which
+    #: the failure message quotes as the run-to-run spread.
+    guard: Optional[str] = None
+    spread: Tuple[str, str] = ()
+
+
+class Section(NamedTuple):
+    name: str
+    required: bool  # optional sections are validated only when present
+    keyed: bool  # one entry per size N, or (flat) the section is the entry
+    fields: Tuple[Field, ...]
+
+
+REPORT_SECTIONS = (
+    Section("digest", required=True, keyed=False, fields=(
+        Field("membership_ops_per_sec", POSITIVE),
+        Field("membership_speedup", POSITIVE),
+        Field("build_per_sec", POSITIVE),
+    )),
+    Section("similarity", required=True, keyed=False, fields=(
+        Field("overlap_pairs_per_sec", POSITIVE),
+        Field("overlap_speedup", POSITIVE),
+    )),
+    Section("macro", required=True, keyed=True, fields=(
+        Field("lazy_cycles_per_sec", POSITIVE, HIGHER, ("rate_stat", "lazy_rate_samples")),
+        Field("eager_cycles_per_sec", POSITIVE, HIGHER, ("rate_stat", "eager_rate_samples")),
+        # Setup is reported separately from the timed cycle loops, so
+        # cycles/sec provably measures cycles only.
+        Field("setup_seconds", NON_NEGATIVE),
+        Field("eager_warm", ("ideal", "lazy")),
+        # The headline rate declares its statistic and carries the
+        # per-repeat samples it was derived from.
+        Field("rate_stat", ("median", "best")),
+        Field("lazy_rate_samples", SAMPLES),
+        # Every entry names the executor that actually ran and the
+        # pool-reuse count (0 for the inline executor).
+        Field("engine_executor", ("inline", "pool")),
+        Field("pool_reuse_count", COUNT),
+        Field("peak_rss_bytes", PHASE_BYTES),
+    )),
+    Section("columnar", required=False, keyed=True, fields=(
+        Field("build_rows_per_sec", POSITIVE),
+        Field("probe_ops_per_sec", POSITIVE),
+        Field("probe_speedup", POSITIVE),
+    )),
+    Section("worker_scaling", required=False, keyed=True, fields=(
+        Field("serial_lazy_cycles_per_sec", POSITIVE),
+        Field("sharded_lazy_cycles_per_sec", POSITIVE),
+        Field("speedup", POSITIVE),
+        Field("engine_executor", ("inline", "pool")),
+    )),
+)
+
+
+def _entries(section: Section, report: Dict) -> Dict[str, Dict]:
+    """``{label: entry}`` for a section of ``report``.  A malformed entry
+    reads as an empty one, so each of its fields fails its own check."""
+    payload = report.get(section.name)
+    if not section.keyed:
+        entries = {section.name: payload}
+    elif isinstance(payload, dict):
+        entries = {f"{section.name}[{key}]": entry for key, entry in payload.items()}
+    else:
+        entries = {}
+    return {label: entry if isinstance(entry, dict) else {} for label, entry in entries.items()}
+
+
 def validate_report(report: Dict) -> List[str]:
     """Schema-check a report; returns a list of problems (empty when valid)."""
     problems: List[str] = []
@@ -1046,210 +859,24 @@ def validate_report(report: Dict) -> List[str]:
         problems.append(
             f"schema_version must be {SCHEMA_VERSION}, got {report.get('schema_version')!r}"
         )
-    for section, keys in (
-        ("digest", ("membership_ops_per_sec", "membership_speedup", "build_per_sec")),
-        ("similarity", ("overlap_pairs_per_sec", "overlap_speedup")),
-    ):
-        payload = report.get(section)
-        if not isinstance(payload, dict):
-            problems.append(f"missing section {section!r}")
+    for section in REPORT_SECTIONS:
+        if report.get(section.name) is None:
+            if section.required:
+                problems.append(f"missing section {section.name!r}")
             continue
-        for key in keys:
-            value = payload.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append(f"{section}.{key} must be a positive number, got {value!r}")
-    macro = report.get("macro")
-    if not isinstance(macro, dict) or not macro:
-        problems.append("missing section 'macro'")
-    else:
-        for size, entry in macro.items():
-            if not isinstance(entry, dict):
-                problems.append(f"macro[{size!r}] must be an object")
-                continue
-            for key in ("lazy_cycles_per_sec", "eager_cycles_per_sec"):
-                value = entry.get(key)
-                if not isinstance(value, (int, float)) or value <= 0:
-                    problems.append(f"macro[{size!r}].{key} must be a positive number")
-            # Schema v2: setup must be reported separately from the timed
-            # cycle loops, so cycles/sec provably measures cycles only.
-            setup = entry.get("setup_seconds")
-            if not isinstance(setup, (int, float)) or setup < 0:
-                problems.append(
-                    f"macro[{size!r}].setup_seconds must be a non-negative number"
-                )
-            if entry.get("eager_warm") not in ("ideal", "lazy"):
-                problems.append(f"macro[{size!r}].eager_warm must be 'ideal' or 'lazy'")
-            # Schema v3: the headline rate must declare its statistic and
-            # carry the per-repeat samples it was derived from.
-            if entry.get("rate_stat") not in ("median", "best"):
-                problems.append(f"macro[{size!r}].rate_stat must be 'median' or 'best'")
-            samples = entry.get("lazy_rate_samples")
-            if not isinstance(samples, (list, tuple)) or not samples:
-                problems.append(
-                    f"macro[{size!r}].lazy_rate_samples must be a non-empty list"
-                )
-            # Schema v4: every macro entry names the executor that actually
-            # ran and the pool-reuse count (0 for non-pool executors).
-            if entry.get("engine_executor") not in ("inline", "pool"):
-                problems.append(
-                    f"macro[{size!r}].engine_executor must be "
-                    f"'inline' or 'pool'"
-                )
-            reuse = entry.get("pool_reuse_count")
-            if not isinstance(reuse, int) or reuse < 0:
-                problems.append(
-                    f"macro[{size!r}].pool_reuse_count must be a "
-                    f"non-negative integer"
-                )
-            rss = entry.get("peak_rss_bytes")
-            if rss is not None:
-                if not isinstance(rss, dict) or not all(
-                    isinstance(value, int) and value > 0 for value in rss.values()
-                ):
-                    problems.append(
-                        f"macro[{size!r}].peak_rss_bytes must map phases to "
-                        f"positive byte counts"
-                    )
-    columnar = report.get("columnar")
-    if columnar is not None:
-        if not isinstance(columnar, dict) or not columnar:
-            problems.append("section 'columnar' must be a non-empty object")
-        else:
-            for size, entry in columnar.items():
-                for key in ("build_rows_per_sec", "probe_ops_per_sec", "probe_speedup"):
-                    value = entry.get(key) if isinstance(entry, dict) else None
-                    if not isinstance(value, (int, float)) or value <= 0:
-                        problems.append(
-                            f"columnar[{size!r}].{key} must be a positive number"
-                        )
-    serving = report.get("serving")
-    if serving is not None:
-        if not isinstance(serving, dict):
-            problems.append("section 'serving' must be an object")
-        else:
-            cells = serving.get("workloads")
-            if not isinstance(cells, dict) or not cells:
-                problems.append("serving.workloads must be a non-empty object")
-            else:
-                for cell, entry in cells.items():
-                    if not isinstance(entry, dict):
-                        problems.append(f"serving.workloads[{cell!r}] must be an object")
-                        continue
-                    for key in ("qps_cycle", "qps_wall"):
-                        value = entry.get(key)
-                        if not isinstance(value, (int, float)) or value <= 0:
-                            problems.append(
-                                f"serving.workloads[{cell!r}].{key} must be a "
-                                f"positive number (the sweep must complete queries)"
-                            )
-                    percentiles = []
-                    for key in ("latency_p50", "latency_p95", "latency_p99"):
-                        value = entry.get(key)
-                        if not isinstance(value, (int, float)) or value < 0:
-                            problems.append(
-                                f"serving.workloads[{cell!r}].{key} must be a "
-                                f"non-negative number"
-                            )
-                        else:
-                            percentiles.append(value)
-                    if len(percentiles) == 3 and not (
-                        percentiles[0] <= percentiles[1] <= percentiles[2]
-                    ):
-                        problems.append(
-                            f"serving.workloads[{cell!r}] latency percentiles "
-                            f"must be non-decreasing (p50 <= p95 <= p99)"
-                        )
-                    completed = entry.get("completed")
-                    if not isinstance(completed, int) or completed < 1:
-                        problems.append(
-                            f"serving.workloads[{cell!r}].completed must be a "
-                            f"positive integer"
-                        )
-                    coverage = entry.get("coverage_at_cutoff")
-                    if not isinstance(coverage, (int, float)) or not 0 <= coverage <= 1:
-                        problems.append(
-                            f"serving.workloads[{cell!r}].coverage_at_cutoff "
-                            f"must be in [0, 1]"
-                        )
-                    rss = entry.get("peak_rss_bytes")
-                    if rss is not None and (not isinstance(rss, int) or rss <= 0):
-                        problems.append(
-                            f"serving.workloads[{cell!r}].peak_rss_bytes must "
-                            f"be a positive byte count"
-                        )
-    service = report.get("service")
-    if service is not None:
-        if not isinstance(service, dict):
-            problems.append("section 'service' must be an object")
-        else:
-            codec = service.get("codec") or {}
-            cells = codec.get("messages")
-            if not isinstance(cells, dict) or not cells:
-                problems.append("service.codec.messages must be a non-empty object")
-            else:
-                for name, entry in cells.items():
-                    value = entry.get("binary_fps") if isinstance(entry, dict) else None
-                    if not isinstance(value, (int, float)) or value <= 0:
-                        problems.append(
-                            f"service.codec.messages[{name!r}].binary_fps must be "
-                            f"a positive number"
-                        )
-            demo = service.get("demo")
-            if not isinstance(demo, dict) or not demo:
-                problems.append("service.demo must be a non-empty object")
-            else:
-                for size, entry in demo.items():
-                    if not isinstance(entry, dict):
-                        problems.append(f"service.demo[{size!r}] must be an object")
-                        continue
-                    for key in ("rounds_per_sec", "wall_seconds"):
-                        value = entry.get(key)
-                        if not isinstance(value, (int, float)) or value <= 0:
-                            problems.append(
-                                f"service.demo[{size!r}].{key} must be a positive number"
-                            )
-                    p95 = entry.get("rpc_p95_ms")
-                    if not isinstance(p95, (int, float)) or p95 < 0:
-                        problems.append(
-                            f"service.demo[{size!r}].rpc_p95_ms must be a "
-                            f"non-negative number"
-                        )
-                    completed = entry.get("completed")
-                    if not isinstance(completed, int) or completed < 1:
-                        problems.append(
-                            f"service.demo[{size!r}].completed must be a "
-                            f"positive integer (the demo must answer queries)"
-                        )
-                    if entry.get("invariant_error") is not None:
-                        problems.append(
-                            f"service.demo[{size!r}] recorded an invariant "
-                            f"violation: {entry['invariant_error']!r}"
-                        )
-    scaling = report.get("worker_scaling")
-    if scaling is not None:
-        if not isinstance(scaling, dict) or not scaling:
-            problems.append("section 'worker_scaling' must be a non-empty object")
-        else:
-            for size, entry in scaling.items():
-                if not isinstance(entry, dict):
-                    problems.append(f"worker_scaling[{size!r}] must be an object")
-                    continue
-                for key in (
-                    "serial_lazy_cycles_per_sec",
-                    "sharded_lazy_cycles_per_sec",
-                    "speedup",
-                ):
-                    value = entry.get(key)
-                    if not isinstance(value, (int, float)) or value <= 0:
-                        problems.append(
-                            f"worker_scaling[{size!r}].{key} must be a "
-                            f"positive number"
-                        )
-                if entry.get("engine_executor") not in ("inline", "pool"):
-                    problems.append(
-                        f"worker_scaling[{size!r}].engine_executor must be "
-                        f"'inline' or 'pool'"
-                    )
+        entries = _entries(section, report)
+        if not entries:
+            problems.append(f"section {section.name!r} must be a non-empty object")
+        for label, entry in entries.items():
+            for field in section.fields:
+                value = entry.get(field.name)
+                if isinstance(field.check, tuple):
+                    valid = value in field.check
+                    expected = " or ".join(map(repr, field.check))
+                else:
+                    valid, expected = _CHECKS[field.check](value), field.check
+                if not valid:
+                    problems.append(f"{label}.{field.name} must be {expected}, got {value!r}")
     return problems
 
 
@@ -1258,131 +885,68 @@ def compare_reports(
     baseline: Dict,
     max_regression: float = 0.10,
 ) -> List[str]:
-    """Macro-throughput guard: current vs baseline cycles/sec.
+    """The perf guard: current vs baseline on every guarded field.
 
-    Returns one problem string per macro metric (``lazy_cycles_per_sec`` /
-    ``eager_cycles_per_sec``, at every network size present in *both*
-    reports) that regressed by more than ``max_regression``.  Quick (smoke)
-    baselines are compared only against quick runs and vice versa -- mixing
-    the two would compare different workloads.
-
-    When *both* reports carry a ``serving`` section, its shared
-    ``workload@concurrency`` cells are guarded too: a ``qps_wall`` drop or
-    a ``latency_p95`` increase beyond ``max_regression`` fails.  A baseline
-    predating schema v5 simply has no serving section, so the guard
-    self-activates once the baseline carries one (same transition behaviour
-    as the v3 ``rate_stat`` parity rule).
+    Returns one problem string per guarded field of :data:`REPORT_SECTIONS`
+    (the macro cycles/sec rates), at every entry present in *both* reports,
+    that regressed by more than ``max_regression`` -- or that the baseline
+    carries and the current report lacks or carries as a non-number: a
+    malformed head must not compare clean.  Quick (smoke) baselines are
+    compared only against quick runs and vice versa -- mixing the two would
+    compare different workloads.
     """
     problems: List[str] = []
     if current.get("quick") != baseline.get("quick"):
         return ["cannot compare a quick report against a full one"]
-    current_macro = current.get("macro") or {}
-    baseline_macro = baseline.get("macro") or {}
-    shared = sorted(set(current_macro) & set(baseline_macro), key=int)
-    if not shared:
-        return ["no common macro sizes between the two reports"]
-    for size in shared:
-        for key in ("lazy_cycles_per_sec", "eager_cycles_per_sec"):
-            old = baseline_macro[size].get(key)
-            new = current_macro[size].get(key)
-            if not isinstance(old, (int, float)) or not isinstance(new, (int, float)) or old <= 0:
+    for section in REPORT_SECTIONS:
+        guarded = [field for field in section.fields if field.guard == HIGHER]
+        if not guarded:
+            continue
+        new_entries, old_entries = _entries(section, current), _entries(section, baseline)
+        shared = [label for label in new_entries if label in old_entries]
+        if not shared:
+            return [f"no common {section.name} sizes between the two reports"]
+        for label, field in itertools.product(shared, guarded):
+            new_entry, old_entry = new_entries[label], old_entries[label]
+            old, new = old_entry.get(field.name), new_entry.get(field.name)
+            if not _CHECKS[POSITIVE](old):
                 continue
-            # Statistic parity: a pre-v3 baseline reports best-of-N while a
-            # v3 current may report the median.  Comparing median(new)
-            # against best(old) would bias the guard toward false
-            # regressions by the run-to-run spread, so against an old-style
-            # baseline the current side is judged by its best sample too.
-            # Self-retiring: once the baseline carries `rate_stat`, both
-            # sides use their declared headline.
-            if "rate_stat" not in baseline_macro[size]:
-                samples = current_macro[size].get(key.replace("_cycles_per_sec", "_rate_samples"))
-                if isinstance(samples, (list, tuple)) and samples:
-                    new = max(new, max(samples))
-            if new < old * (1.0 - max_regression):
+            if not _is_number(new):
+                problems.append(
+                    f"{label}.{field.name} is missing or not a number in the "
+                    f"current report (got {new!r}, baseline {old:.2f})"
+                )
+            elif new < old * (1.0 - max_regression):
                 message = (
-                    f"macro[{size}].{key} regressed {100 * (1 - new / old):.1f}% "
-                    f"({old:.2f} -> {new:.2f} cycles/s, budget {max_regression:.0%})"
+                    f"{label}.{field.name} regressed {100 * (1 - new / old):.1f}% "
+                    f"({old:.2f} -> {new:.2f}, budget {max_regression:.0%})"
                 )
                 # Spread context: on noisy runners the per-repeat samples
                 # tell reviewers whether the regression exceeds run-to-run
                 # variance or hides inside it.
-                sample_key = key.replace("_cycles_per_sec", "_rate_samples")
-                for label, entry in (("new", current_macro[size]), ("old", baseline_macro[size])):
-                    samples = entry.get(sample_key)
-                    if isinstance(samples, (list, tuple)) and samples:
-                        stat = entry.get("rate_stat", "best")
+                stat_field, samples_field = field.spread
+                for side, entry in (("new", new_entry), ("old", old_entry)):
+                    samples = entry.get(samples_field)
+                    if _CHECKS[SAMPLES](samples):
                         message += (
-                            f"; {label} {stat}-of-{len(samples)} spread "
-                            f"{min(samples):.2f}..{max(samples):.2f}"
+                            f"; {side} {entry.get(stat_field, 'best')}-of-{len(samples)} "
+                            f"spread {min(samples):.2f}..{max(samples):.2f}"
                         )
                 problems.append(message)
-    current_serving = (current.get("serving") or {}).get("workloads") or {}
-    baseline_serving = (baseline.get("serving") or {}).get("workloads") or {}
-    for cell in sorted(set(current_serving) & set(baseline_serving)):
-        old_entry, new_entry = baseline_serving[cell], current_serving[cell]
-        old_qps, new_qps = old_entry.get("qps_wall"), new_entry.get("qps_wall")
-        if (
-            isinstance(old_qps, (int, float))
-            and isinstance(new_qps, (int, float))
-            and old_qps > 0
-            and new_qps < old_qps * (1.0 - max_regression)
-        ):
-            problems.append(
-                f"serving[{cell}].qps_wall regressed "
-                f"{100 * (1 - new_qps / old_qps):.1f}% "
-                f"({old_qps:.2f} -> {new_qps:.2f} q/s, budget {max_regression:.0%})"
-            )
-        old_p95, new_p95 = old_entry.get("latency_p95"), new_entry.get("latency_p95")
-        if (
-            isinstance(old_p95, (int, float))
-            and isinstance(new_p95, (int, float))
-            and old_p95 > 0
-            and new_p95 > old_p95 * (1.0 + max_regression)
-        ):
-            problems.append(
-                f"serving[{cell}].latency_p95 regressed "
-                f"{100 * (new_p95 / old_p95 - 1):.1f}% "
-                f"({old_p95:.0f} -> {new_p95:.0f} cycles, budget {max_regression:.0%})"
-            )
-    # Service-mode guard: same self-activation rule as the serving one
-    # above -- a pre-v6 baseline has no `service` section, so the guard
-    # switches on the first time both sides carry one.
-    current_service = (current.get("service") or {}).get("demo") or {}
-    baseline_service = (baseline.get("service") or {}).get("demo") or {}
-    for size in sorted(set(current_service) & set(baseline_service), key=int):
-        old_entry, new_entry = baseline_service[size], current_service[size]
-        old_rps = old_entry.get("rounds_per_sec")
-        new_rps = new_entry.get("rounds_per_sec")
-        if (
-            isinstance(old_rps, (int, float))
-            and isinstance(new_rps, (int, float))
-            and old_rps > 0
-            and new_rps < old_rps * (1.0 - max_regression)
-        ):
-            problems.append(
-                f"service[{size}].rounds_per_sec regressed "
-                f"{100 * (1 - new_rps / old_rps):.1f}% "
-                f"({old_rps:.1f} -> {new_rps:.1f} rounds/s, "
-                f"budget {max_regression:.0%})"
-            )
-        old_p95 = old_entry.get("rpc_p95_ms")
-        new_p95 = new_entry.get("rpc_p95_ms")
-        if (
-            isinstance(old_p95, (int, float))
-            and isinstance(new_p95, (int, float))
-            and old_p95 > 0
-            and new_p95 > old_p95 * (1.0 + max_regression)
-        ):
-            problems.append(
-                f"service[{size}].rpc_p95_ms regressed "
-                f"{100 * (new_p95 / old_p95 - 1):.1f}% "
-                f"({old_p95:.2f} -> {new_p95:.2f} ms, budget {max_regression:.0%})"
-            )
     return problems
 
 
 def write_report(report: Dict, path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _load_report(path: Path) -> Optional[Dict]:
+    """The parsed report at ``path``, or ``None`` after saying why not."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"{path}: unreadable report: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_summary(report: Dict) -> None:
@@ -1427,38 +991,6 @@ def _print_summary(report: Dict) -> None:
             f"probe {entry['probe_ops_per_sec']:,.0f} ops/s "
             f"({entry['probe_speedup']:.1f}x)"
         )
-    serving = report.get("serving")
-    if serving:
-        print(
-            f"serving N={serving['num_nodes']}: "
-            f"{len(serving['workloads'])} workload/concurrency cells, "
-            f"{serving['num_queries']} queries each"
-        )
-        for cell, entry in serving["workloads"].items():
-            rss = entry.get("peak_rss_bytes")
-            rss_text = f", rss {rss / 1e6:.0f}MB" if rss else ""
-            print(
-                f"  {cell}: {entry['completed']}/{entry['num_queries']} completed, "
-                f"{entry['qps_cycle']:.2f} q/cycle, {entry['qps_wall']:.1f} q/s, "
-                f"latency p50/p95/p99 {entry['latency_p50']:.0f}/"
-                f"{entry['latency_p95']:.0f}/{entry['latency_p99']:.0f} cycles"
-                f"{rss_text}"
-            )
-    service = report.get("service")
-    if service:
-        codec = service.get("codec") or {}
-        for name, entry in sorted((codec.get("messages") or {}).items()):
-            print(f"service codec {name}: {entry['binary_fps']:,.0f} frames/s")
-        for size, entry in sorted(
-            (service.get("demo") or {}).items(), key=lambda kv: int(kv[0])
-        ):
-            print(
-                f"service demo N={size}: {entry['completed']}/"
-                f"{entry['num_queries']} queries, "
-                f"{entry['rounds_per_sec']:.1f} gossip rounds/s, "
-                f"rpc p95 {entry['rpc_p95_ms']:.2f}ms, "
-                f"wall {entry['wall_seconds']:.2f}s"
-            )
     for size, entry in sorted(
         (report.get("worker_scaling") or {}).items(), key=lambda kv: int(kv[0])
     ):
@@ -1473,7 +1005,7 @@ def _print_summary(report: Dict) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m benchmarks.perf",
+        prog="python -m repro perf",
         description="P3Q performance-tracking benchmark harness",
     )
     parser.add_argument(
@@ -1561,42 +1093,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "JSON fragment (uploaded as a CI artifact)",
     )
     parser.add_argument(
-        "--serving",
-        action="store_true",
-        help="include the query-serving sweep (workload catalogue x "
-        f"concurrency levels {DEFAULT_SERVING_CONCURRENCY}; always on "
-        "for --quick)",
-    )
-    parser.add_argument(
-        "--serving-smoke",
-        action="store_true",
-        help="run a small serving sweep standalone and exit non-zero if it "
-        "exceeds --budget-seconds or completes no queries (no report "
-        "written)",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="include the service-mode section (codec frames/sec per message "
-        f"type plus demo round throughput at N in {DEFAULT_SERVICE_DEMO_SIZES}; "
-        "always on for --quick)",
-    )
-    parser.add_argument(
-        "--service-smoke",
-        action="store_true",
-        help="run the quick service-mode bench standalone and exit non-zero "
-        "if it exceeds --budget-seconds or completes no demo queries (no "
-        "report written)",
-    )
-    parser.add_argument(
-        "--service-trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="with --service-smoke: record the demo's wire trace here "
-        "(uploaded as a CI artifact on failure)",
-    )
-    parser.add_argument(
         "--columnar",
         action="store_true",
         help="include the columnar micro-benchmark section "
@@ -1630,7 +1126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=Path,
         default=None,
         metavar="REPORT",
-        help="compare an existing report's macro numbers against --against and exit",
+        help="compare an existing report's guarded macro rates against --against and exit",
     )
     parser.add_argument(
         "--against",
@@ -1651,13 +1147,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def check_required_executor(resolved: str) -> bool:
         """False (after a loud stderr message) on executor degradation."""
         if args.require_executor is not None and resolved != args.require_executor:
-            import os as _os
-
             print(
                 f"executor requirement FAILED: requested workers={args.workers} "
                 f"executor={args.executor!r} resolved to {resolved!r}, "
                 f"required {args.require_executor!r} "
-                f"(cpu_count={_os.cpu_count()}) -- this runner cannot "
+                f"(cpu_count={os.cpu_count()}) -- this runner cannot "
                 f"exercise the parallel path it was asked to measure",
                 file=sys.stderr,
             )
@@ -1674,10 +1168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         if args.fragment_output is not None:
             fragment = {"schema_version": SCHEMA_VERSION, "scale_smoke": result}
-            args.fragment_output.write_text(
-                json.dumps(fragment, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            write_report(fragment, args.fragment_output)
         print(
             f"scale smoke N={result['num_nodes']}: "
             f"setup {result['setup_seconds']:.1f}s "
@@ -1699,81 +1190,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("scale smoke ok")
         return 0
 
-    if args.serving_smoke:
-        start = time.perf_counter()
-        serving = bench_serving(quick=True)
-        elapsed = time.perf_counter() - start
-        total_completed = 0
-        for cell, entry in serving["workloads"].items():
-            total_completed += entry["completed"]
-            print(
-                f"serving smoke {cell}: {entry['completed']}/{entry['num_queries']} "
-                f"completed, {entry['qps_cycle']:.2f} q/cycle, "
-                f"p95 {entry['latency_p95']:.0f} cycles"
-            )
-        if total_completed == 0:
-            print(
-                "serving smoke FAILED: no query completed in any cell",
-                file=sys.stderr,
-            )
-            return 1
-        if elapsed > args.budget_seconds:
-            print(
-                f"serving smoke FAILED: {elapsed:.1f}s exceeds the "
-                f"{args.budget_seconds:.0f}s budget",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"serving smoke ok ({elapsed:.1f}s)")
-        return 0
-
-    if args.service_smoke:
-        start = time.perf_counter()
-        service = bench_service(quick=True, trace_path=args.service_trace)
-        elapsed = time.perf_counter() - start
-        for name, entry in sorted(service["codec"]["messages"].items()):
-            print(f"service smoke codec {name}: {entry['binary_fps']:,.0f} frames/s")
-        total_completed = 0
-        for size, entry in sorted(service["demo"].items(), key=lambda kv: int(kv[0])):
-            total_completed += entry["completed"]
-            print(
-                f"service smoke demo N={size}: {entry['completed']}/"
-                f"{entry['num_queries']} completed, "
-                f"{entry['rounds_per_sec']:.1f} rounds/s, "
-                f"rpc p95 {entry['rpc_p95_ms']:.2f}ms"
-            )
-            if entry.get("invariant_error"):
-                print(
-                    f"service smoke FAILED: demo N={size} violated trace "
-                    f"invariants: {entry['invariant_error']}",
-                    file=sys.stderr,
-                )
-                return 1
-        if total_completed == 0:
-            print(
-                "service smoke FAILED: no demo query completed at any size",
-                file=sys.stderr,
-            )
-            return 1
-        if elapsed > args.budget_seconds:
-            print(
-                f"service smoke FAILED: {elapsed:.1f}s exceeds the "
-                f"{args.budget_seconds:.0f}s budget",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"service smoke ok ({elapsed:.1f}s)")
-        return 0
-
     if args.compare is not None:
-        reports = []
-        for path in (args.compare, args.against):
-            try:
-                reports.append(json.loads(path.read_text(encoding="utf-8")))
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"{path}: unreadable report: {exc}", file=sys.stderr)
-                return 1
-        problems = compare_reports(reports[0], reports[1], max_regression=args.max_regression)
+        current, baseline = _load_report(args.compare), _load_report(args.against)
+        if current is None or baseline is None:
+            return 1
+        problems = compare_reports(current, baseline, max_regression=args.max_regression)
         if problems:
             for problem in problems:
                 print(f"{args.compare} vs {args.against}: {problem}", file=sys.stderr)
@@ -1785,10 +1206,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.validate is not None:
-        try:
-            report = json.loads(args.validate.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"{args.validate}: unreadable report: {exc}", file=sys.stderr)
+        report = _load_report(args.validate)
+        if report is None:
             return 1
         problems = validate_report(report)
         if problems:
@@ -1820,8 +1239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dataset_cache=args.dataset_cache,
         columnar=args.columnar,
         worker_scaling_size=args.worker_scaling,
-        serving=args.serving,
-        service=args.service,
     )
     write_report(report, args.output)
     _print_summary(report)

@@ -15,7 +15,7 @@ remaining arguments, so every tool keeps its established flags;
 :func:`add_common_options` is the one definition of the shared
 ``--seed`` / ``--workers`` / ``--transport`` trio the newer tools attach
 to their parsers.  This is the only invocation surface of the ``repro``
-package; ``python -m benchmarks.perf`` alone keeps a deprecated shim.
+package and of the perf harness (``benchmarks/perf`` has no ``__main__``).
 """
 
 from __future__ import annotations

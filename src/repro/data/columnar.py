@@ -243,9 +243,6 @@ class ColumnarStore:
     def user_ids(self) -> List[int]:
         return list(self.uids)
 
-    def version_of_row(self, row: int) -> int:
-        return self.versions[row]
-
     def actions_of_row(self, row: int) -> List[TaggingAction]:
         """The user's action list in stored (generation) order."""
         start, end = self.offsets[row], self.offsets[row + 1]

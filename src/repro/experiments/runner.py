@@ -122,17 +122,6 @@ def _dataset_mutated(workload: PreparedWorkload) -> bool:
     return False
 
 
-def recall_series_from_snapshots(
-    snapshots_by_query: Mapping[int, Sequence[object]],
-    references: Mapping[int, Sequence[int]],
-    cycles: int,
-) -> List[float]:
-    """Average recall after cycles 0..cycles (thin wrapper for experiments)."""
-    from ..metrics.recall import recall_per_cycle
-
-    return recall_per_cycle(snapshots_by_query, references, cycles)
-
-
 # ---------------------------------------------------------------- parallelism
 
 

@@ -173,7 +173,3 @@ class ExperimentScale:
 
     def build_dataset(self) -> Dataset:
         return generate_dataset(self.synthetic_config())
-
-    def storage_for_level_index(self, index: int) -> int:
-        """The storage level standing in for the paper's i-th level."""
-        return self.storage_levels[min(index, len(self.storage_levels) - 1)]

@@ -47,11 +47,6 @@ class NeighbourEntry:
     #: Local replica of the neighbour's profile (only for the top-c entries).
     profile: Optional[UserProfile] = None
 
-    @property
-    def stored_version(self) -> Optional[int]:
-        """Version of the stored replica, or ``None`` when nothing is stored."""
-        return self.profile.version if self.profile is not None else None
-
 
 def _rank_key(entry: NeighbourEntry) -> Tuple[float, int]:
     """Total-order ranking key: descending score, ascending user id."""
@@ -317,10 +312,6 @@ class PersonalNetwork:
     def stored_profile_length(self) -> int:
         """Sum of stored replica lengths (the paper's Figure 5 metric)."""
         return sum(len(entry.profile) for entry in self._entries.values() if entry.profile)
-
-    def total_profile_length(self, profile_lengths: Dict[int, int]) -> int:
-        """Sum of *all* neighbours' profile lengths (storage upper bound)."""
-        return sum(profile_lengths.get(uid, 0) for uid in self._entries)
 
 
 class RandomView:

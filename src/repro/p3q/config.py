@@ -177,7 +177,3 @@ class P3QConfig:
             partition=partition,
             asymmetry=asymmetry,
         )
-
-    def with_workers(self, workers: int, engine_executor: str = "auto") -> "P3QConfig":
-        """A copy of this config running on the sharded engine."""
-        return replace(self, workers=workers, engine_executor=engine_executor)

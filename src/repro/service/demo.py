@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional
 from ..experiments.runner import PreparedWorkload, converged_simulation, prepare_workload
 from ..experiments.scenarios import ExperimentScale
 from ..metrics.recall import recall
+from ..serving.driver import percentile
 from .runtime import ServiceConfig, ServiceRuntime
 
 #: Demo defaults: big enough to gossip meaningfully, small enough for CI.
@@ -81,12 +82,7 @@ async def run_demo(
     finally:
         await runtime.stop()
     wall = loop.time() - started
-    latencies = sorted(runtime.rpc_latencies)
-    rpc_p95_ms = (
-        latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))] * 1e3
-        if latencies
-        else 0.0
-    )
+    rpc_p95_ms = percentile(runtime.rpc_latencies, 95) * 1e3
 
     if trace_path is not None:
         runtime.trace.dump(trace_path)
@@ -122,7 +118,7 @@ async def run_demo(
         "gossip_rounds": runtime.gossip_rounds,
         "eager_ticks": runtime.eager_ticks,
         "rounds_per_sec": runtime.gossip_rounds / wall if wall > 0 else 0.0,
-        "rpc_count": len(latencies),
+        "rpc_count": len(runtime.rpc_latencies),
         "rpc_p95_ms": rpc_p95_ms,
         "completed": completed,
         "mean_recall": (

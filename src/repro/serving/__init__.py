@@ -1,11 +1,13 @@
-"""Query-serving benchmark subsystem.
+"""Query-serving library.
 
-Layers a serving harness on the cycle simulator: a workload catalogue
+Layers a serving driver on the cycle simulator: a workload catalogue
 (:mod:`~repro.serving.workloads`), a driver injecting queries at
 configurable concurrency and arrival rates (:mod:`~repro.serving.driver`),
-and the resource plumbing shared with the perf harness
-(:mod:`~repro.serving.resources`).  ``python -m benchmarks.perf --serving``
-sweeps the catalogue across concurrency levels into the BENCH report.
+and the process resource probes the benchmarks share
+(:mod:`~repro.serving.resources`).  ``python -m repro serving`` runs one
+workload, ``fig-serving`` tabulates the catalogue in cycle counts, and the
+``benchmarks/e2e`` workloads are where serving wall-clock performance is
+measured and gated.
 """
 
 from .driver import (

@@ -3,9 +3,9 @@
 A thin command-line front on :func:`repro.serving.driver.run_serving`: build
 a catalogue workload (``hot-topic`` / ``long-tail`` / ``mixed``) over an
 experiment-scale dataset, drive it through a converged simulation and print
-the serving measurements (QPS, latency percentiles, outcome counts).  The
-full workload x concurrency sweep lives in ``python -m repro perf
---serving``; this entry point is for looking at a single cell quickly.
+the serving measurements (QPS, latency percentiles, outcome counts).  This
+entry point is for looking at a single run quickly; serving performance is
+gated by the ``benchmarks/e2e`` workloads.
 """
 
 from __future__ import annotations

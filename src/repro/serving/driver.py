@@ -45,10 +45,6 @@ class ServingConfig:
     max_cycles: int = 200
     #: A session still open this many cycles after issue is abandoned.
     cutoff_cycles: int = 25
-    #: Quality threshold reported over abandoned queries: the fraction whose
-    #: coverage reached this value is still a served-at-degraded-quality
-    #: answer, not a loss.
-    coverage_cutoff: float = 0.9
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -59,8 +55,6 @@ class ServingConfig:
             raise ValueError("max_cycles must be positive")
         if self.cutoff_cycles < 1:
             raise ValueError("cutoff_cycles must be positive")
-        if not 0.0 <= self.coverage_cutoff <= 1.0:
-            raise ValueError("coverage_cutoff must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -165,19 +159,10 @@ class ServingResult:
             return 1.0
         return sum(coverages) / len(coverages)
 
-    @property
-    def abandoned_at_quality_fraction(self) -> float:
-        """Fraction of abandoned queries at or above the coverage cutoff."""
-        coverages = self.abandoned_coverages()
-        if not coverages:
-            return 1.0
-        met = sum(1 for c in coverages if c >= self.config.coverage_cutoff)
-        return met / len(coverages)
-
     # -- reporting ------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
-        """The flat metrics dictionary the BENCH serving section stores."""
+        """The flat metrics dictionary ``python -m repro serving`` prints."""
         out: Dict[str, object] = {
             "workload": self.workload,
             "concurrency": self.config.concurrency,
@@ -192,7 +177,6 @@ class ServingResult:
             "latency_p50": self.latency_percentile(50),
             "latency_p95": self.latency_percentile(95),
             "latency_p99": self.latency_percentile(99),
-            "coverage_cutoff": self.config.coverage_cutoff,
             "coverage_at_cutoff": self.coverage_at_cutoff,
             "messages": self.messages,
             "messages_per_cycle": self.messages / self.cycles if self.cycles else 0.0,

@@ -1,9 +1,9 @@
-"""Process resource accounting shared by the serving and perf harnesses.
+"""Process resource accounting shared by the serving driver and the benchmarks.
 
-``peak_rss_bytes`` is the PR 7 plumbing the macro benchmarks already report
-(moved here so the serving driver can reuse it without importing the
-benchmark package from library code); ``cpu_seconds`` adds the CPU-time
-side of the resource envelope.  Both are cumulative process-level counters,
+``peak_rss_bytes`` is what the ``benchmarks/perf`` macro phases and the
+``benchmarks/e2e`` children report (it lives here so the serving driver can
+use it without importing a benchmark package from library code);
+``cpu_seconds`` adds the CPU-time side of the resource envelope.  Both are cumulative process-level counters,
 so per-phase values are computed by differencing snapshots.
 """
 

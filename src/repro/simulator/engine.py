@@ -91,10 +91,6 @@ class SimulationEngine:
             raise ValueError("event cycle must be non-negative")
         self._events.setdefault((event.phase, event.cycle), []).append(event)
 
-    def pending_events(self) -> int:
-        """Number of scheduled events that have not fired yet."""
-        return sum(len(bucket) for bucket in self._events.values())
-
     def add_pre_cycle_hook(self, hook: CycleHook) -> None:
         self._pre_hooks.append(hook)
 

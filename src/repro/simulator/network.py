@@ -194,10 +194,6 @@ class Network:
         for node_id in self.node_ids():
             yield self._nodes[node_id]
 
-    def online_nodes(self) -> Iterator[Node]:
-        for node_id in self.online_ids():
-            yield self._nodes[node_id]
-
     # -- churn ----------------------------------------------------------------
 
     def depart(self, node_ids: Iterable[int]) -> None:

@@ -1,168 +1,90 @@
 """Schema tests for the perf harness report (``benchmarks.perf``).
 
-These pin the v5 report contract: everything v4 required -- macro entries
-report ``setup_seconds`` separately from the timed cycle loops, declare how
-the eager phase was warmed, carry the per-repeat rate samples behind
-the headline rate together with the statistic that produced it, name the
-engine executor that actually ran (``inline``/``pool``) with its
-pool-reuse count, and the ``columnar`` / ``worker_scaling`` sections carry
-positive throughput rates -- plus the ``serving`` section: per
-``workload@concurrency`` cell, positive QPS, non-decreasing latency
-percentiles, a positive completed count, coverage-at-cutoff in [0, 1],
-and an optional positive peak-RSS byte count.  ``compare_reports`` guards
-serving QPS and p95 latency when both reports carry the section.
+These pin the v8 report contract as the harness's one field table
+(``REPORT_SECTIONS``) states it: macro entries report ``setup_seconds``
+separately from the timed cycle loops, declare how the eager phase was
+warmed, carry the per-repeat rate samples behind the headline rate together
+with the statistic that produced it, name the engine executor that actually
+ran (``inline``/``pool``) with its pool-reuse count, and the ``columnar`` /
+``worker_scaling`` sections carry positive throughput rates.
+``compare_reports`` guards the table's guarded fields (the macro cycles/sec
+rates).  The fixture report is built from the same table, so a field is
+named once.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks.perf import (  # noqa: E402
     SCHEMA_VERSION,
     bench_macro,
     bench_scale_smoke,
     compare_reports,
+    run_suite,
     validate_report,
 )
+from benchmarks.perf.harness import (  # noqa: E402
+    COUNT,
+    NON_NEGATIVE,
+    PHASE_BYTES,
+    POSITIVE,
+    REPORT_SECTIONS,
+    SAMPLES,
+)
+
+#: One passing value per check of the field table.
+_PASSING = {
+    POSITIVE: 20.0,
+    NON_NEGATIVE: 0.5,
+    COUNT: 0,
+    SAMPLES: [19.0, 20.0, 21.0],
+    PHASE_BYTES: {"dataset": 100_000_000, "lazy": 150_000_000},
+}
+
+
+def _valid_entry(section) -> dict:
+    entry = {
+        field.name: field.check[0] if isinstance(field.check, tuple) else _PASSING[field.check]
+        for field in section.fields
+    }
+    for field in section.fields:
+        if field.spread:
+            entry[field.spread[1]] = _PASSING[SAMPLES]
+    return copy.deepcopy(entry)
 
 
 def _valid_report() -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "quick": False,
-        "digest": {
-            "membership_ops_per_sec": 1e6,
-            "membership_speedup": 5.0,
-            "build_per_sec": 1e4,
-        },
-        "similarity": {"overlap_pairs_per_sec": 1e6, "overlap_speedup": 8.0},
-        "macro": {
-            "100": {
-                "num_nodes": 100,
-                "lazy_cycles_per_sec": 20.0,
-                "lazy_rate_samples": [19.0, 20.0, 21.0],
-                "eager_cycles_per_sec": 90.0,
-                "eager_rate_samples": [88.0, 90.0, 92.0],
-                "rate_stat": "median",
-                "setup_seconds": 0.5,
-                "eager_warm": "ideal",
-                "engine_executor": "inline",
-                "pool_reuse_count": 0,
-            },
-            "10000": {
-                "num_nodes": 10000,
-                "lazy_cycles_per_sec": 0.2,
-                "lazy_rate_samples": [0.19, 0.2, 0.21],
-                "eager_cycles_per_sec": 2.0,
-                "eager_rate_samples": [1.9, 2.0, 2.1],
-                "rate_stat": "median",
-                "setup_seconds": 12.0,
-                "eager_warm": "lazy",
-                "engine_executor": "pool",
-                "pool_reuse_count": 6,
-                "peak_rss_bytes": {"dataset": 100_000_000, "lazy": 150_000_000},
-            },
-        },
-        "columnar": {
-            "10000": {
-                "build_rows_per_sec": 9e4,
-                "object_build_rows_per_sec": 8e4,
-                "build_speedup": 1.1,
-                "probe_ops_per_sec": 1.2e6,
-                "object_probe_ops_per_sec": 1.1e6,
-                "probe_speedup": 1.05,
-            }
-        },
-        "worker_scaling": {
-            "10000": {
-                "workers": 2,
-                "engine_executor": "pool",
-                "serial_lazy_cycles_per_sec": 0.2,
-                "sharded_lazy_cycles_per_sec": 0.3,
-                "speedup": 1.5,
-                "pool_reuse_count": 2,
-            }
-        },
-        "serving": {
-            "num_nodes": 300,
-            "num_queries": 48,
-            "network_size": 50,
-            "seed": 17,
-            "workloads": {
-                "hot-topic@c4": _serving_cell("hot-topic", 4),
-                "long-tail@c16": _serving_cell("long-tail", 16),
-            },
-        },
-        "service": {
-            "seed": 23,
-            "frame_batch": 120,
-            "codec": {
-                "messages": {
-                    "DigestAdvertisement": {"binary_fps": 42000.0},
-                    "QueryForward": {"binary_fps": 45000.0},
-                },
-            },
-            "demo": {
-                "50": _service_demo_cell(50),
-                "200": _service_demo_cell(200),
-            },
-        },
-    }
+    """A report carrying every section of the table, keyed ones at two sizes."""
+    report = {"schema_version": SCHEMA_VERSION, "quick": False}
+    for section in REPORT_SECTIONS:
+        report[section.name] = (
+            {"100": _valid_entry(section), "10000": _valid_entry(section)}
+            if section.keyed
+            else _valid_entry(section)
+        )
+    return report
 
 
-def _service_demo_cell(num_users: int) -> dict:
-    return {
-        "num_users": num_users,
-        "num_queries": 8,
-        "completed": 8,
-        "gossip_rounds": 400,
-        "rounds_per_sec": 500.0,
-        "rpc_count": 900,
-        "rpc_p95_ms": 3.0,
-        "wall_seconds": 0.8,
-        "bytes_total": 1_000_000,
-        "invariant_error": None,
-    }
-
-
-def _serving_cell(workload: str, concurrency: int) -> dict:
-    return {
-        "workload": workload,
-        "concurrency": concurrency,
-        "arrivals_per_cycle": max(1, concurrency // 2),
-        "num_queries": 48,
-        "completed": 48,
-        "abandoned": 0,
-        "rejected": 0,
-        "cycles": 18,
-        "qps_cycle": 2.5,
-        "qps_wall": 120.0,
-        "latency_p50": 6.0,
-        "latency_p95": 6.0,
-        "latency_p99": 7.0,
-        "coverage_cutoff": 0.9,
-        "coverage_at_cutoff": 1.0,
-        "messages": 40_000,
-        "messages_per_cycle": 2_222.2,
-        "change_days_applied": 0,
-        "wall_seconds": 0.4,
-        "cpu_seconds": 0.4,
-        "peak_rss_bytes": 70_000_000,
-    }
+@pytest.fixture(scope="module")
+def quick_report():
+    return run_suite(quick=True)
 
 
 class TestValidateReportV3:
     def test_valid_report_passes(self):
         assert validate_report(_valid_report()) == []
 
-    def test_schema_version_is_7(self):
-        assert SCHEMA_VERSION == 7
+    def test_schema_version_is_8(self):
+        assert SCHEMA_VERSION == 8
 
     def test_missing_rate_stat_rejected(self):
         report = _valid_report()
@@ -259,10 +181,8 @@ class TestValidateReportV4:
         assert any("worker_scaling" in p and "engine_executor" in p
                    for p in validate_report(report))
 
-    def test_quick_suite_produces_a_valid_report(self):
-        from benchmarks.perf import run_suite
-
-        report = run_suite(quick=True)
+    def test_quick_suite_produces_a_valid_report(self, quick_report):
+        report = quick_report
         assert report["schema_version"] == SCHEMA_VERSION
         assert validate_report(report) == []
         assert isinstance(report["cpu_count"], int) and report["cpu_count"] >= 1
@@ -270,149 +190,30 @@ class TestValidateReportV4:
             assert entry["engine_executor"] in ("inline", "pool")
             assert entry["pool_reuse_count"] >= 0
         assert report["columnar"]  # quick runs include the micro-benchmark
-        assert report["serving"]["workloads"]  # ...and the serving sweep
-        assert report["service"]["codec"]["messages"]  # ...and the service bench
 
 
-class TestValidateReportV5:
-    """The serving section: QPS, latency percentiles and coverage per cell."""
+class TestFieldTable:
+    """One table describes the fixture, a real run and the committed report."""
 
-    def test_serving_section_is_optional(self):
-        report = _valid_report()
-        del report["serving"]
-        assert validate_report(report) == []
-
-    def test_empty_workloads_rejected(self):
-        report = _valid_report()
-        report["serving"]["workloads"] = {}
-        assert any("serving.workloads" in p for p in validate_report(report))
-
-    def test_nonpositive_qps_rejected(self):
-        for key in ("qps_cycle", "qps_wall"):
-            report = _valid_report()
-            report["serving"]["workloads"]["hot-topic@c4"][key] = 0
-            assert any(key in p for p in validate_report(report))
-
-    def test_decreasing_percentiles_rejected(self):
-        report = _valid_report()
-        cell = report["serving"]["workloads"]["hot-topic@c4"]
-        cell["latency_p95"] = 10.0  # above p99 (7.0)
-        assert any("non-decreasing" in p for p in validate_report(report))
-
-    def test_zero_completed_rejected(self):
-        report = _valid_report()
-        report["serving"]["workloads"]["hot-topic@c4"]["completed"] = 0
-        assert any("completed" in p for p in validate_report(report))
-
-    def test_out_of_range_coverage_rejected(self):
-        report = _valid_report()
-        report["serving"]["workloads"]["hot-topic@c4"]["coverage_at_cutoff"] = 1.2
-        assert any("coverage_at_cutoff" in p for p in validate_report(report))
-
-    def test_malformed_peak_rss_rejected_but_absent_ok(self):
-        report = _valid_report()
-        report["serving"]["workloads"]["hot-topic@c4"]["peak_rss_bytes"] = -1
-        assert any("peak_rss_bytes" in p for p in validate_report(report))
-        report = _valid_report()
-        del report["serving"]["workloads"]["hot-topic@c4"]["peak_rss_bytes"]
-        assert validate_report(report) == []
-
-
-class TestCompareServing:
-    """The serving guard: QPS drops and p95 jumps fail the comparison."""
-
-    def test_qps_wall_regression_detected(self):
-        current, baseline = _valid_report(), _valid_report()
-        current["serving"]["workloads"]["hot-topic@c4"]["qps_wall"] = 60.0  # was 120
-        problems = compare_reports(current, baseline, max_regression=0.10)
-        assert any("serving[hot-topic@c4].qps_wall" in p for p in problems)
-
-    def test_latency_p95_regression_detected(self):
-        current, baseline = _valid_report(), _valid_report()
-        current["serving"]["workloads"]["long-tail@c16"]["latency_p95"] = 9.0
-        current["serving"]["workloads"]["long-tail@c16"]["latency_p99"] = 9.0
-        problems = compare_reports(current, baseline, max_regression=0.10)
-        assert any("serving[long-tail@c16].latency_p95" in p for p in problems)
-
-    def test_within_tolerance_passes(self):
-        current, baseline = _valid_report(), _valid_report()
-        current["serving"]["workloads"]["hot-topic@c4"]["qps_wall"] = 115.0
-        assert compare_reports(current, baseline, max_regression=0.10) == []
-
-    def test_serving_absent_in_baseline_compares_macro_only(self):
-        # A v4 baseline predating the serving sweep: the guard must not
-        # fire, and macro regressions must still be caught.
-        current, baseline = _valid_report(), _valid_report()
-        del baseline["serving"]
-        assert compare_reports(current, baseline) == []
-        current["macro"]["100"]["lazy_cycles_per_sec"] = 10.0
-        problems = compare_reports(current, baseline)
-        assert any("macro[100].lazy_cycles_per_sec" in p for p in problems)
-
-
-class TestValidateReportV6:
-    """The service section: codec frames/sec and demo round throughput."""
-
-    def test_service_section_is_optional(self):
-        report = _valid_report()
-        del report["service"]
-        assert validate_report(report) == []
-
-    def test_empty_codec_messages_rejected(self):
-        report = _valid_report()
-        report["service"]["codec"]["messages"] = {}
-        assert any("service.codec.messages" in p for p in validate_report(report))
-
-    def test_nonpositive_fps_rejected(self):
-        report = _valid_report()
-        report["service"]["codec"]["messages"]["QueryForward"]["binary_fps"] = 0
-        assert any("binary_fps" in p for p in validate_report(report))
-
-    def test_demo_without_completed_queries_rejected(self):
-        report = _valid_report()
-        report["service"]["demo"]["50"]["completed"] = 0
-        assert any("completed" in p for p in validate_report(report))
-
-    def test_demo_invariant_violation_rejected(self):
-        report = _valid_report()
-        report["service"]["demo"]["50"]["invariant_error"] = "bytes drifted"
-        assert any("invariant" in p for p in validate_report(report))
-
-    def test_nonpositive_rounds_per_sec_rejected(self):
-        report = _valid_report()
-        report["service"]["demo"]["200"]["rounds_per_sec"] = 0
-        assert any("rounds_per_sec" in p for p in validate_report(report))
-
-
-class TestCompareService:
-    """The service guard: demo throughput drops and rpc p95 jumps fail."""
-
-    def test_rounds_per_sec_regression_detected(self):
-        current, baseline = _valid_report(), _valid_report()
-        current["service"]["demo"]["50"]["rounds_per_sec"] = 250.0  # was 500
-        problems = compare_reports(current, baseline, max_regression=0.10)
-        assert any("service[50].rounds_per_sec" in p for p in problems)
-
-    def test_rpc_p95_regression_detected(self):
-        current, baseline = _valid_report(), _valid_report()
-        current["service"]["demo"]["200"]["rpc_p95_ms"] = 6.0  # was 3.0
-        problems = compare_reports(current, baseline, max_regression=0.10)
-        assert any("service[200].rpc_p95_ms" in p for p in problems)
-
-    def test_within_tolerance_passes(self):
-        current, baseline = _valid_report(), _valid_report()
-        current["service"]["demo"]["50"]["rounds_per_sec"] = 480.0
-        assert compare_reports(current, baseline, max_regression=0.10) == []
-
-    def test_service_absent_in_baseline_compares_without_guard(self):
-        # A v5 baseline predating the service bench: the guard must not
-        # fire, and macro regressions must still be caught.
-        current, baseline = _valid_report(), _valid_report()
-        del baseline["service"]
-        assert compare_reports(current, baseline) == []
-        current["macro"]["100"]["lazy_cycles_per_sec"] = 10.0
-        problems = compare_reports(current, baseline)
-        assert any("macro[100].lazy_cycles_per_sec" in p for p in problems)
+    def test_fixture_quick_run_and_committed_report_agree_with_the_table(self, quick_report):
+        committed = json.loads((REPO_ROOT / "BENCH_p3q.json").read_text(encoding="utf-8"))
+        for report in (_valid_report(), quick_report, committed):
+            assert validate_report(report) == []
+        # Every guarded field is one a real run produces: the guard can
+        # never be comparing a name the harness stopped emitting.
+        guarded = [
+            (section, field)
+            for section in REPORT_SECTIONS
+            for field in section.fields
+            if field.guard
+        ]
+        assert guarded
+        for section, field in guarded:
+            for entry in quick_report[section.name].values():
+                assert field.name in entry
+                assert all(name in entry for name in field.spread)
+        stale = dict(committed, schema_version=7)
+        assert validate_report(stale) == ["schema_version must be 8, got 7"]
 
 
 class TestRequireExecutor:
@@ -566,7 +367,7 @@ class TestCompareReports:
 
     def test_n1000_style_extra_sizes_compare_when_shared(self):
         current, baseline = _valid_report(), _valid_report()
-        current["macro"]["10000"]["eager_cycles_per_sec"] = 0.5  # was 2.0
+        current["macro"]["10000"]["eager_cycles_per_sec"] = 0.5  # was 20
         problems = compare_reports(current, baseline)
         assert any("macro[10000].eager_cycles_per_sec" in p for p in problems)
 
@@ -576,3 +377,19 @@ class TestCompareReports:
         assert compare_reports(current, baseline) == [
             "cannot compare a quick report against a full one"
         ]
+
+    def test_malformed_guarded_field_is_a_problem_not_a_skip(self, tmp_path, capsys):
+        from benchmarks.perf.harness import main
+
+        current, baseline = _valid_report(), _valid_report()
+        del current["macro"]["100"]["lazy_cycles_per_sec"]
+        current["macro"]["10000"]["eager_cycles_per_sec"] = "fast"
+        problems = compare_reports(current, baseline)
+        assert any("macro[100].lazy_cycles_per_sec is missing" in p for p in problems)
+        assert any("macro[10000].eager_cycles_per_sec" in p and "'fast'" in p for p in problems)
+        # ...and the same through the front door the perf-guard job uses.
+        head, base = tmp_path / "head.json", tmp_path / "base.json"
+        head.write_text(json.dumps(current), encoding="utf-8")
+        base.write_text(json.dumps(baseline), encoding="utf-8")
+        assert main(["--compare", str(head), "--against", str(base)]) == 1
+        assert "macro[100].lazy_cycles_per_sec" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from repro.p3q.protocol import P3QSimulation
 from repro.serving import (
     ABANDONED,
     COMPLETED,
+    WORKLOADS,
     ServingConfig,
     ServingResult,
     build_workload,
@@ -69,8 +70,6 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(arrivals_per_cycle=0)
         with pytest.raises(ValueError):
-            ServingConfig(coverage_cutoff=1.5)
-        with pytest.raises(ValueError):
             ServingConfig(cutoff_cycles=0)
 
 
@@ -93,10 +92,9 @@ class TestDriver:
         defaults.update(overrides)
         return run_serving(simulation, workload, ServingConfig(**defaults))
 
-    def test_completes_long_tail_on_converged_network(self, warm_simulation):
-        workload = long_tail_workload(
-            warm_simulation.dataset, num_queries=8, seed=3
-        )
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_completes_catalogue_workload_on_converged_network(self, warm_simulation, name):
+        workload = build_workload(name, warm_simulation.dataset, num_queries=8, seed=3)
         result = self._run(warm_simulation, workload)
         assert len(result.outcomes) == 8
         assert result.completed == 8

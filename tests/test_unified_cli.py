@@ -84,14 +84,17 @@ class TestCommonOptions:
         assert not hasattr(args, "transport")
 
 
-class TestDeprecatedShims:
-    """The one remaining legacy entry point (out of the package's scope)."""
+class TestPerfFrontDoor:
+    """``python -m repro perf`` is the perf harness's only entry point."""
 
-    def test_perf_module_shim(self):
-        result = _run_module(["-m", "benchmarks.perf", "--help"])
-        assert result.returncode == 0
-        assert "DeprecationWarning" in result.stderr
-        assert "python -m repro perf" in result.stderr
+    def test_perf_help_lists_no_serving_or_service_flag(self):
+        result = _run_module(["-W", "error::DeprecationWarning", "-m", "repro", "perf", "--help"])
+        assert result.returncode == 0, result.stderr
+        assert "--scale-smoke" in result.stdout
+        # benchmarks/e2e is the one place serving and service are measured.
+        for flag in ("--serving", "--serving-smoke", "--service", "--service-smoke", "--service-trace"):
+            assert flag not in result.stdout
+        assert not (REPO_ROOT / "benchmarks" / "perf" / "__main__.py").exists()
 
 
 class TestServiceEndToEnd:
