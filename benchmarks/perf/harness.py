@@ -1169,6 +1169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.fragment_output is not None:
             fragment = {"schema_version": SCHEMA_VERSION, "scale_smoke": result}
             write_report(fragment, args.fragment_output)
+        peaks = result.get("peak_rss_bytes", {})
         print(
             f"scale smoke N={result['num_nodes']}: "
             f"setup {result['setup_seconds']:.1f}s "
@@ -1177,6 +1178,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"eager cycle {result['eager_cycle_seconds']:.1f}s "
             f"(budget {result['budget_seconds']:.0f}s, "
             f"workers {result['workers']}/{result['engine_executor']})"
+            + "".join(
+                f", peak RSS after {phase} {rss / 1e6:.0f} MB"
+                f" ({rss / result['num_nodes'] / 1e3:.1f} KB/node)"
+                for phase, rss in peaks.items()
+            )
         )
         if not check_required_executor(result["engine_executor"]):
             return 2

@@ -32,11 +32,11 @@ TaggingAction = Tuple[int, int]
 
 _EMPTY_FROZENSET: FrozenSet[int] = frozenset()
 
-#: Per-profile-version cap on the whole-reply memos of
-#: :meth:`UserProfile.actions_for_items` / ``action_ids_for_items``.  The
-#: memo exists for *repeat* requests (popular subjects advertised to many
-#: receivers); past the cap, one-shot request sets are computed without
-#: being remembered, bounding the memo's memory at large N.
+#: Per-profile-version cap on the whole-reply memo of
+#: :meth:`UserProfile.action_ids_for_items`.  The memo exists for *repeat*
+#: multi-item requests (popular subjects advertised to many receivers);
+#: past the cap, one-shot request sets are computed without being
+#: remembered, bounding the memo's memory at large N.
 _REPLY_MEMO_LIMIT = 512
 
 
@@ -251,65 +251,52 @@ class UserProfile:
         return self._frozen(("tag", tag), items)
 
     def actions_for_items(self, items: Iterable[int]) -> AbstractSet[TaggingAction]:
-        """Tagging actions restricted to a set of items.
+        """Tagging actions restricted to a set of items, as a fresh set.
 
-        This is the payload of step 2 of the lazy exchange: only the actions
-        on *common* items are shipped so the peer can compute the exact
-        similarity score without receiving the whole profile.  The returned
-        set must be treated as immutable: frozenset-typed requests are
-        served a shared cached frozenset (see below), other request types a
-        fresh set.
-
-        Two levels of version-keyed caching serve the hot path:
-
-        * per-item ``(item, tag)`` tuples -- the same popular items are
-          requested over and over by different exchange partners, and a hit
-          turns the inner loop into one C-level set update;
-        * whole replies keyed by the request's frozenset -- the digest
-          cache hands every exchange of the same (receiver, subject) pair
-          at the same versions the *same* common-items frozenset, so a
-          repeat request returns one shared frozen reply without touching
-          the indexes at all.  Replicas share this memo through the
-          copy-on-write view cache: any holder of the subject's profile
-          at the same version serves the warm entry.
+        The tuple-level statement of what step 2 of the lazy exchange ships:
+        only the actions on *common* items, so the peer can compute the exact
+        similarity score without receiving the whole profile.  The protocol
+        itself carries the interned form (:meth:`action_ids_for_items`);
+        this one is a single uncached pass kept as its readable reference.
         """
-        cache = self._cache
-        if cache["version"] != self._version:
-            cache.clear()
-            cache["version"] = self._version
-        if type(items) is frozenset:
-            replies = cache.get("afi")
-            if replies is None:
-                replies = cache["afi"] = {}
-            reply = replies.get(items)
-            if reply is None:
-                reply = frozenset(self._collect_actions(items, cache))
-                if len(replies) < _REPLY_MEMO_LIMIT:
-                    replies[items] = reply
-            return reply
-        if not isinstance(items, (set, frozenset)):
-            items = set(items)
-        return self._collect_actions(items, cache)
+        item_tags = self._item_tags
+        return {(item, tag) for item in items for tag in item_tags.get(item, ())}
 
-    def action_ids_for_items(self, items: Iterable[int]) -> FrozenSet[int]:
+    def action_ids_for_items(self, items: Iterable[int]) -> Tuple[int, ...]:
         """Interned ids of the tagging actions restricted to ``items``.
 
-        The id-level sibling of :meth:`actions_for_items`: by bijectivity of
-        the interner the returned set has exactly the cardinality of the
-        tuple-level result, and ``len(receiver.action_ids & ids)`` is
-        exactly the overlap score -- so step 2 of the lazy exchange can
-        price, ship and score replies as C-level small-int sets without ever
-        materializing tuple sets.  Cached like the tuple form: per-item id
-        tuples plus a whole-reply memo keyed by the request frozenset, both
-        in the copy-on-write version cache shared by all replicas of this
-        profile at this version.
+        The step-2 reply of the lazy exchange: a flat *ascending* tuple of
+        interned action ids without repeats.  By bijectivity of the interner
+        ``len(reply)`` is the number of ``(item, tag)`` actions on the
+        requested items -- all the cost model charges -- and
+        ``len(receiver.action_ids.intersection(reply))`` is exactly the
+        overlap score, so replies are priced, shipped and scored without
+        ever materializing tuple sets.
+
+        Two version-keyed levels, both in the copy-on-write view cache that
+        every replica of this profile at this version shares:
+
+        * per-item ascending id tuples (``pairs_ids``).  A request for one
+          item returns that tuple *itself*: no memo entry, no allocation;
+        * whole replies keyed by the request's frozenset (at most
+          :data:`_REPLY_MEMO_LIMIT`).  The digest cache hands every exchange
+          of the same (receiver, subject) pair at the same versions the same
+          common-items frozenset, and popular subjects get the same request
+          from many receivers, so a repeat returns one shared tuple.
+
+        Per-item tuples of distinct items are disjoint, so a ``frozenset``
+        (or ``set``) request is concatenated and sorted once; any other
+        iterable is de-duplicated first and not memoised.
         """
         cache = self._cache
         if cache["version"] != self._version:
             cache.clear()
             cache["version"] = self._version
-        hashable = type(items) is frozenset
-        if hashable:
+        if type(items) is not frozenset and type(items) is not set:
+            items = set(items)
+        single = len(items) == 1
+        memoised = type(items) is frozenset and not single
+        if memoised:
             replies = cache.get("afi_ids")
             if replies is None:
                 replies = cache["afi_ids"] = {}
@@ -320,8 +307,7 @@ class UserProfile:
         pairs_by_item = cache.get("pairs_ids")
         if pairs_by_item is None:
             pairs_by_item = cache["pairs_ids"] = {}
-        ids: Set[int] = set()
-        update = ids.update
+        ids: List[int] = []
         for item in items:
             pairs = pairs_by_item.get(item)
             if pairs is None:
@@ -329,31 +315,15 @@ class UserProfile:
                 if not tags:
                     continue
                 pairs = pairs_by_item[item] = tuple(
-                    intern_action(item, tag) for tag in tags
+                    sorted(intern_action(item, tag) for tag in tags)
                 )
-            update(pairs)
-        reply = frozenset(ids)
-        if hashable and len(replies) < _REPLY_MEMO_LIMIT:
+            if single:
+                return pairs
+            ids += pairs
+        reply = tuple(sorted(ids))
+        if memoised and len(replies) < _REPLY_MEMO_LIMIT:
             replies[items] = reply
         return reply
-
-    def _collect_actions(self, items: Iterable[int], cache: Dict[object, object]) -> Set[TaggingAction]:
-        """The uncached single pass behind :meth:`actions_for_items`."""
-        item_tags = self._item_tags
-        pairs_by_item = cache.get("pairs")
-        if pairs_by_item is None:
-            pairs_by_item = cache["pairs"] = {}
-        actions: Set[TaggingAction] = set()
-        update = actions.update
-        for item in items:
-            pairs = pairs_by_item.get(item)
-            if pairs is None:
-                tags = item_tags.get(item)
-                if not tags:
-                    continue
-                pairs = pairs_by_item[item] = tuple((item, tag) for tag in tags)
-            update(pairs)
-        return actions
 
     def has_item(self, item: int) -> bool:
         return item in self._item_tags

@@ -163,25 +163,30 @@ class DigestCache:
       against the digest's set-bit index set
       (:meth:`BloomFilter.bit_positions`), avoiding a 20 Kbit big-int AND
       per probe.
-    * **common-item memo** -- ``(receiver, subject) -> (receiver_version,
-      digest_version, common_items)``.  A digest that was already probed by
-      the same receiver at the same profile versions is never probed again,
-      which turns steady-state view maintenance from O(N·s) Bloom probes per
-      cycle into O(changes).
+    * **common-item memo** -- one row per receiver: ``receiver_id ->
+      (receiver_version, {subject_id: (digest_version, common_items)})``.
+      A digest that was already probed by the same receiver at the same
+      profile versions is never probed again, which turns steady-state view
+      maintenance from O(N·s) Bloom probes per cycle into O(changes).  A
+      hit allocates nothing (no key tuple), and a receiver whose version
+      moved loses her whole row at once: on :meth:`evict_profiles`, or on
+      the next store under her new version.
 
     Every lookup validates versions, so *stale reads are impossible by
     construction*; explicit invalidation (:meth:`evict_profiles`, driven by
     the engine's post-cycle dirty-set flush) only reclaims memory held by
     superseded entries.  The memo keeps at most one entry per (receiver,
-    subject) pair, so memory is bounded by the number of pairs that actually
-    gossip, not by version churn.
+    subject) pair and no entry of a superseded receiver version, so memory
+    is bounded by the number of pairs that actually gossip, not by version
+    churn.
     """
 
     #: Cap on the (receiver, subject) common-item memo.  The memo exists for
     #: pairs that gossip repeatedly; at large N the stream of one-shot
     #: random-view pairs would otherwise grow it without bound.  Overflow
     #: clears the memo wholesale -- correctness is version-checked on every
-    #: read, so the only effect is a transient dip in hit rate.
+    #: read, so the only effect is a transient dip in hit rate.  Counted in
+    #: pairs (``_common_pairs``), not rows.
     MAX_COMMON_PAIRS = 1 << 19
 
     def __init__(
@@ -208,7 +213,11 @@ class DigestCache:
         ] = {}
         #: subject user_id -> (digest_version, set-bit indices of the digest).
         self._bit_positions: Dict[int, Tuple[int, Set[int]]] = {}
-        self._common: Dict[Tuple[int, int], Tuple[int, int, FrozenSet[int]]] = {}
+        #: receiver user_id -> (receiver_version, {subject user_id ->
+        #: (digest_version, common items)}); ``_common_pairs`` counts the
+        #: inner entries of all rows.
+        self._common: Dict[int, Tuple[int, Dict[int, Tuple[int, FrozenSet[int]]]]] = {}
+        self._common_pairs = 0
         #: Optional columnar digest backing: ``(DigestMatrix, ColumnarStore)``.
         #: When a user's matrix row matches her profile version, digest
         #: construction adopts the prebuilt byte row instead of re-ORing
@@ -295,14 +304,11 @@ class DigestCache:
         if digest.bloom.num_bits != self.num_bits or digest.bloom.num_hashes != self.num_hashes:
             # Foreign geometry (mixed-config tests): fall back to direct probes.
             return frozenset(digest.common_items_with(receiver.items))
-        key = (receiver.user_id, digest.user_id)
-        memo = self._common.get(key)
-        if (
-            memo is not None
-            and memo[0] == receiver.version
-            and memo[1] == digest.version
-        ):
-            return memo[2]
+        row = self._common.get(receiver.user_id)
+        if row is not None and row[0] == receiver.version:
+            memo = row[1].get(digest.user_id)
+            if memo is not None and memo[0] == digest.version:
+                return memo[1]
         # Inlined row/position lookups: this is the hottest miss path of the
         # whole runtime, and every extra frame showed up in profiles.
         rows_entry = self._rows.get(receiver.user_id)
@@ -337,10 +343,9 @@ class DigestCache:
                     if issuperset(positions)
                 }
             )
-        memo_map = self._common
-        if len(memo_map) >= self.MAX_COMMON_PAIRS:
-            memo_map.clear()
-        memo_map[key] = (receiver.version, digest.version, common)
+        self._store_common(
+            receiver.user_id, receiver.version, digest.user_id, digest.version, common
+        )
         if self._recorder is not None:
             self._recorder.append(
                 (receiver.user_id, receiver.version, digest.user_id, digest.version, common)
@@ -382,7 +387,8 @@ class DigestCache:
         Every read of the memo re-validates the stored versions against the
         live profile and digest, so an entry is *served only at the exact
         versions it names*: entries priced against a superseded snapshot
-        are inert (at worst they waste a slot).  Callers must supply
+        are inert (at worst they waste a slot, or displace that receiver's
+        row and cost re-probes).  Callers must supply
         internally consistent entries -- value computed by the pricing
         function from the content those versions denote -- which pool
         worker entries are by construction, since workers run the same pure
@@ -390,14 +396,39 @@ class DigestCache:
         feeds shards in shard-index order, so the final memo content is
         deterministic).  Returns how many entries were installed.
         """
-        memo_map = self._common
         installed = 0
-        for receiver_id, receiver_version, subject_id, digest_version, common in entries:
-            if len(memo_map) >= self.MAX_COMMON_PAIRS:
-                memo_map.clear()
-            memo_map[(receiver_id, subject_id)] = (receiver_version, digest_version, common)
+        for entry in entries:
+            self._store_common(*entry)
             installed += 1
         return installed
+
+    def _store_common(
+        self,
+        receiver_id: int,
+        receiver_version: int,
+        subject_id: int,
+        digest_version: int,
+        common: FrozenSet[int],
+    ) -> None:
+        """Remember one priced pair in its receiver's row.
+
+        A row belongs to one receiver version: storing under another
+        version replaces the row, pairs and all (once her profile moved
+        they can never be read again).
+        """
+        memo_map = self._common
+        if self._common_pairs >= self.MAX_COMMON_PAIRS:
+            memo_map.clear()
+            self._common_pairs = 0
+        row = memo_map.get(receiver_id)
+        if row is None or row[0] != receiver_version:
+            if row is not None:
+                self._common_pairs -= len(row[1])
+            row = memo_map[receiver_id] = (receiver_version, {})
+        pairs = row[1]
+        if subject_id not in pairs:
+            self._common_pairs += 1
+        pairs[subject_id] = (digest_version, common)
 
     # -- invalidation ---------------------------------------------------------
 
@@ -413,12 +444,16 @@ class DigestCache:
             self._digests.pop(user_id, None)
             self._rows.pop(user_id, None)
             self._bit_positions.pop(user_id, None)
+            row = self._common.pop(user_id, None)
+            if row is not None:
+                self._common_pairs -= len(row[1])
 
     def clear(self) -> None:
         self._digests.clear()
         self._rows.clear()
         self._bit_positions.clear()
         self._common.clear()
+        self._common_pairs = 0
 
     def stats(self) -> Dict[str, int]:
         """Cache occupancy counters (exposed for tests and diagnostics)."""
@@ -426,5 +461,5 @@ class DigestCache:
             "digests": len(self._digests),
             "rows": len(self._rows),
             "bit_positions": len(self._bit_positions),
-            "common_pairs": len(self._common),
+            "common_pairs": self._common_pairs,
         }

@@ -9,9 +9,9 @@ baseline node, ...).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional, Protocol, Set, runtime_checkable
+from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
 
-from ..data.models import TaggingAction, UserProfile
+from ..data.models import UserProfile
 from .digest import ProfileDigest
 from .views import PersonalNetwork, RandomView
 
@@ -49,13 +49,6 @@ class GossipPeer(Protocol):
 
         A random subset (at most ``limit``) of the digests of locally stored
         neighbour profiles, always including the node's own digest.
-        """
-
-    def actions_for_items_of(self, subject_id: int, items: Set[int]) -> Optional[Set[TaggingAction]]:
-        """Tagging actions of ``subject_id`` restricted to ``items``.
-
-        Served from the node's own profile or a stored replica; ``None`` when
-        the node does not hold that profile (any more).
         """
 
     def full_profile_of(self, subject_id: int) -> Optional[UserProfile]:

@@ -35,7 +35,7 @@ from ..data.models import UserProfile
 from .digest import ProfileDigest
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighbourEntry:
     """One neighbour of the personal network."""
 
@@ -193,11 +193,9 @@ class PersonalNetwork:
                 # Otherwise the entry moved strictly below the admission
                 # threshold on both sides: the top-c set is untouched.
             if digest.version >= existing.digest.version:
+                # A stored replica older than this digest stays usable (old
+                # opinions stay meaningful) until gossip refreshes it.
                 existing.digest = digest
-                if existing.profile is not None and existing.profile.version < digest.version:
-                    # The stored replica is stale; it remains usable (old
-                    # opinions stay meaningful) until refreshed by gossip.
-                    pass
             return True
         entry = NeighbourEntry(user_id=user_id, score=score, digest=digest)
         self._entries[user_id] = entry

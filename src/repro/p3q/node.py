@@ -30,9 +30,9 @@ scoring runs on the profile's interned indexes.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..data.models import TaggingAction, UserProfile
+from ..data.models import UserProfile
 from ..data.queries import Query
 from ..gossip.digest import DigestCache, ProfileDigest
 from ..gossip.peer_sampling import PeerSamplingProtocol
@@ -143,14 +143,12 @@ class P3QNode(Node):
             digests = self._rng.sample(digests, k=limit)
         return [self.own_digest()] + digests
 
-    def actions_for_items_of(self, subject_id: int, items: Set[int]) -> Optional[Set[TaggingAction]]:
-        profile = self._held_profile(subject_id)
-        if profile is None:
-            return None
-        return profile.actions_for_items(items)
-
-    def action_ids_for_items_of(self, subject_id: int, items: Set[int]) -> Optional[Set[int]]:
-        """Interned-id form of :meth:`actions_for_items_of` (the wire payload)."""
+    def action_ids_for_items_of(
+        self, subject_id: int, items: FrozenSet[int]
+    ) -> Optional[Tuple[int, ...]]:
+        """The step-2 reply payload: ``subject_id``'s interned action ids on
+        ``items``, served from the node's own profile or a stored replica;
+        ``None`` when the node does not hold that profile (any more)."""
         profile = self._held_profile(subject_id)
         if profile is None:
             return None

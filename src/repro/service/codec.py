@@ -412,11 +412,11 @@ def _pairs_of(action_ids):
     return (action_of(action_id) for action_id in action_ids)
 
 
-def _intern_pairs(pairs) -> frozenset:
-    return frozenset(intern_action(item, tag) for item, tag in pairs)
+def _intern_pairs(pairs) -> Tuple[int, ...]:
+    return tuple(sorted({intern_action(item, tag) for item, tag in pairs}))
 
 
-def _read_interned(view: bytes, offset: int) -> Tuple[frozenset, int]:
+def _read_interned(view: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
     pairs, offset = _read_actions(view, offset)
     return _intern_pairs(pairs), offset
 
@@ -442,7 +442,8 @@ _ACTION_PAIRS = _plain(
     sorted, lambda pairs: [(item, tag) for item, tag in pairs], _write_actions, _read_actions
 )
 #: Interned action ids are process-local (:mod:`repro.data.interning`):
-#: they travel as explicit ``(item, tag)`` pairs and are re-interned.
+#: they travel as explicit ``(item, tag)`` pairs (carried sorted) and are
+#: re-interned into the reply's ascending id tuple.
 _ACTIONS = _plain(
     lambda ids: sorted(_pairs_of(ids)),
     _intern_pairs,

@@ -27,7 +27,7 @@ from ..data.models import Dataset
 from .metrics import SimilarityFunction, overlap_score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neighbour:
     """A scored neighbour in an (ideal or discovered) personal network."""
 

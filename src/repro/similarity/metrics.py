@@ -23,7 +23,7 @@ property-tested in ``tests/test_similarity_interning.py``.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Callable, Dict, FrozenSet
+from typing import AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable
 
 from ..data.models import TaggingAction, UserProfile
 
@@ -43,21 +43,23 @@ def overlap_score(a: UserProfile, b: UserProfile) -> float:
 
 
 def overlap_score_from_actions(
-    local_actions: AbstractSet[TaggingAction],
-    remote_actions: AbstractSet[TaggingAction],
+    local_actions: AbstractSet[Hashable],
+    remote_actions: Iterable[Hashable],
 ) -> float:
-    """Overlap computed from raw action sets.
+    """Overlap of the local action set with the actions a peer sent.
 
     This is the form used during the lazy 3-step exchange where the remote
     side only sent the tagging actions for the *common items*; intersecting
     with the local actions yields exactly the same score as intersecting full
-    profiles would.
+    profiles would.  Both sides speak one vocabulary -- interned action ids
+    on the wire, ``(item, tag)`` tuples in the reference tests -- and
+    ``remote_actions`` is any iterable without repeats: the step-2 reply is
+    a flat ascending tuple (:meth:`UserProfile.action_ids_for_items`),
+    scored by one C-level ``intersection`` that builds no set of it.
     """
     if not isinstance(local_actions, (set, frozenset)):
         local_actions = set(local_actions)
-    if not isinstance(remote_actions, (set, frozenset)):
-        remote_actions = set(remote_actions)
-    return float(len(local_actions & remote_actions))
+    return float(len(local_actions.intersection(remote_actions)))
 
 
 def jaccard_score(a: UserProfile, b: UserProfile) -> float:

@@ -166,16 +166,19 @@ class CommonItemsReply(Message):
     """The requested tagging actions; ``None`` when the holder no longer
     stores the subject's profile (the request simply fails).
 
-    ``actions`` carries the subject's actions on the common items as
-    *interned action ids* (:mod:`repro.data.interning`): interning is a
-    bijection, so the set's cardinality -- which is all the cost model
+    ``actions`` carries the subject's actions on the common items as a flat
+    ascending tuple of *interned action ids* without repeats
+    (:mod:`repro.data.interning`,
+    :meth:`~repro.data.models.UserProfile.action_ids_for_items`): interning
+    is a bijection, so ``len(actions)`` -- which is all the cost model
     charges -- and the receiver-side overlap score are exactly those of the
-    tuple representation, while pricing and scoring stay C-level small-int
-    set operations.
+    ``(item, tag)`` representation.  The tuple is shared, never copied: the
+    subject's per-item tuple for a one-item request, her memoised reply
+    otherwise.
     """
 
     subject_id: int
-    actions: Optional[FrozenSet[int]]
+    actions: Optional[Tuple[int, ...]]
 
     kind = KIND_COMMON_ITEMS
 

@@ -182,6 +182,52 @@ class TestDigestCache:
         # Correctness never depended on eviction: the next read rebuilds.
         assert cache.digest_for(profile).version == profile.version
 
+    def test_evict_profiles_drops_the_pair_memo_row_of_a_changed_receiver(self):
+        """Her superseded pairs can never be read again (their receiver
+        version cannot match): they must stop counting against the cap."""
+        cache = DigestCache(num_bits=256, num_hashes=3)
+        receiver = UserProfile(1, [(10, 1), (11, 2)])
+        bystander = UserProfile(2, [(10, 1)])
+        digests = [
+            cache.digest_for(UserProfile(100 + n, [(10 + n, 1)])) for n in range(10)
+        ]
+        for digest in digests:
+            cache.common_items(receiver, digest)
+        cache.common_items(bystander, digests[0])
+        assert cache.stats()["common_pairs"] == 11
+        receiver.add(12, 3)
+        cache.evict_profiles([receiver.user_id])
+        assert cache.stats()["common_pairs"] == 1
+        # Subjects own no row: evicting one leaves her askers' pairs alone.
+        cache.evict_profiles([digests[0].user_id])
+        assert cache.stats()["common_pairs"] == 1
+
+    def test_a_store_under_a_new_receiver_version_replaces_her_row(self):
+        cache = DigestCache(num_bits=256, num_hashes=3)
+        receiver = UserProfile(1, [(10, 1)])
+        digests = [
+            cache.digest_for(UserProfile(100 + n, [(10 + n, 1)])) for n in range(4)
+        ]
+        for digest in digests:
+            cache.common_items(receiver, digest)
+        receiver.add(11, 2)  # no eviction: the next probe finds the stale row
+        assert cache.common_items(receiver, digests[1]) == {10 + 1}
+        assert cache.stats()["common_pairs"] == 1
+
+    def test_the_pair_cap_counts_pairs_not_rows(self):
+        cache = DigestCache(num_bits=256, num_hashes=3)
+        cache.MAX_COMMON_PAIRS = 6
+        receiver = UserProfile(1, [(10, 1)])
+        digests = [
+            cache.digest_for(UserProfile(100 + n, [(10 + n, 1)])) for n in range(8)
+        ]
+        for digest in digests:
+            cache.common_items(receiver, digest)
+            assert cache.stats()["common_pairs"] <= 6
+        # One receiver row throughout; the seventh pair cleared the memo.
+        assert cache.stats()["common_pairs"] == 2
+        assert cache.common_items(receiver, digests[7]) == frozenset()
+
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             DigestCache(num_bits=0)

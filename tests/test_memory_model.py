@@ -1,14 +1,17 @@
-"""The service-mode memory model, as object counts rather than megabytes.
+"""The memory model, as object counts rather than megabytes.
 
-``docs/ARCHITECTURE.md`` ("Service mode" -> memory model) states who owns
-every cache and queue of a live deployment and what bounds it.  RSS is
-too noisy to assert on a shared box; these tests pin the *structure* that
-keeps it flat instead:
+``docs/ARCHITECTURE.md`` ("Memory model") states who owns every cache and
+queue of a live deployment and of the cycle engine, and what bounds it.
+RSS is too noisy to assert on a shared box; these tests pin the *structure*
+that keeps it flat instead:
 
 * however many nodes decode a digest, the process holds one object for it
   (the content-keyed intern table of :mod:`repro.gossip.digest`);
 * a finished query costs nothing per eager tick: no further snapshot, no
-  buffered late partial -- in service mode and in the cycle engine.
+  buffered late partial -- in service mode and in the cycle engine;
+* every per-pair value of the lazy exchange is one small shared object: a
+  step-2 reply is the subject's cached ascending id tuple, the pair memo is
+  one row per receiver, view entries carry no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -16,11 +19,18 @@ from __future__ import annotations
 import asyncio
 from dataclasses import replace
 
+from hypothesis import given, settings, strategies as st
+
+from repro.data.interning import intern_action
+from repro.data.models import UserProfile
 from repro.experiments.runner import converged_simulation
-from repro.gossip.digest import ProfileDigest
+from repro.gossip.digest import ProfileDigest, make_digest
+from repro.gossip.views import NeighbourEntry
+from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
 from repro.service import ServiceConfig, ServiceRuntime
 from repro.service.demo import build_demo_workload
+from repro.similarity.knn import Neighbour
 from repro.simulator.transport import Envelope, QueryResult, RemainingReturn
 
 FAST = ServiceConfig(gossip_interval=0.02, eager_interval=0.005, query_deadline=8.0)
@@ -152,3 +162,82 @@ class TestFinishedSessionsRetire:
             )
         assert list(node._live_sessions) == [1000, 1002]
         assert node.has_active_queries()
+
+
+def _subject() -> UserProfile:
+    """Items 0..7; item ``i`` carries ``i % 3 + 1`` tags, interned out of
+    ascending order so a sorted reply is not an accident of insertion."""
+    return UserProfile(
+        5, [(item, 50 - tag) for item in range(8) for tag in range(item % 3 + 1)]
+    )
+
+
+class TestOneSmallObjectPerPairValue:
+    """The cycle engine's per-(receiver, subject) state."""
+
+    def test_single_item_request_returns_the_cached_per_item_tuple_itself(self):
+        subject = _subject()
+        reply = subject.action_ids_for_items(frozenset({4}))
+        assert type(reply) is tuple and len(reply) == 2
+        assert reply is subject._cache["pairs_ids"][4]
+        assert subject.action_ids_for_items([4, 4]) is reply
+        assert subject.copy().action_ids_for_items({4}) is reply  # replicas share
+        assert "afi_ids" not in subject._cache  # no memo entry either
+        assert subject.action_ids_for_items(frozenset({99})) == ()
+
+    def test_equal_multi_item_requests_share_one_reply_object(self):
+        subject = _subject()
+        replica = subject.copy()
+        first = subject.action_ids_for_items(frozenset({1, 2, 7}))
+        second = replica.action_ids_for_items(frozenset({7, 2, 1}))
+        assert type(first) is tuple
+        assert second is first
+        assert len(subject._cache["afi_ids"]) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        actions=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 6)), max_size=40
+        ),
+        items=st.lists(st.integers(0, 16), max_size=12),
+        as_frozenset=st.booleans(),
+    )
+    def test_a_reply_is_ascending_without_repeats_and_names_the_same_actions(
+        self, actions, items, as_frozenset
+    ):
+        """``items`` reaches past the subject's items (Bloom false
+        positives) and, as a list, repeats itself."""
+        subject = UserProfile(1, actions)
+        request = frozenset(items) if as_frozenset else items
+        reply = subject.action_ids_for_items(request)
+        assert type(reply) is tuple
+        assert all(a < b for a, b in zip(reply, reply[1:]))
+        expected = {intern_action(i, t) for i, t in subject.actions_for_items(items)}
+        assert set(reply) == expected
+        assert len(reply) == len(expected)  # what the cost model charges
+        assert subject.action_ids_for_items(request) == reply
+
+    def test_view_entries_carry_no_instance_dict(self):
+        digest = make_digest(_subject())
+        for instance in (
+            NeighbourEntry(user_id=1, score=2.0, digest=digest),
+            Neighbour(user_id=1, score=2.0),
+        ):
+            assert not hasattr(instance, "__dict__")
+            assert "__slots__" in type(instance).__dict__
+
+    def test_pair_memo_is_one_row_per_receiver(self, synthetic_dataset, small_config):
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        simulation.bootstrap_random_views()
+        simulation.run_lazy(3)
+        cache = simulation.digest_cache
+        memo = cache._common
+        assert memo and set(memo) <= set(simulation.nodes)  # int keys, <= N rows
+        pairs = 0
+        for receiver_id, (version, row) in memo.items():
+            assert version == simulation.nodes[receiver_id].profile.version
+            assert all(type(subject_id) is int for subject_id in row)
+            assert all(type(common) is frozenset for _version, common in row.values())
+            pairs += len(row)
+        assert pairs > len(memo)
+        assert cache.stats()["common_pairs"] == pairs

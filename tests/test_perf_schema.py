@@ -239,7 +239,7 @@ class TestRequireExecutor:
         assert "executor requirement FAILED" in captured.err
         assert "resolved to 'inline'" in captured.err
 
-    def test_satisfied_requirement_passes(self, tmp_path):
+    def test_satisfied_requirement_passes(self, tmp_path, capsys):
         from benchmarks.perf.harness import main
 
         fragment = tmp_path / "fragment.json"
@@ -253,6 +253,11 @@ class TestRequireExecutor:
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["scale_smoke"]["num_nodes"] == 30
         assert payload["scale_smoke"]["engine_executor"] == "inline"
+        # The one summary line names the peak RSS of every phase it measured.
+        summary = capsys.readouterr().out.splitlines()[0]
+        peaks = payload["scale_smoke"].get("peak_rss_bytes", {})  # POSIX only
+        assert all(f"peak RSS after {phase} " in summary for phase in peaks)
+        assert summary.count("KB/node") == len(peaks)
 
 
 class TestMacroSetupSplit:

@@ -74,8 +74,8 @@ def _partial(num_items: int, num_contributors: int) -> PartialResult:
     )
 
 
-def _interned(num_actions: int) -> frozenset:
-    return frozenset(intern_action(item, item + 100) for item in range(num_actions))
+def _interned(num_actions: int) -> tuple:
+    return tuple(sorted(intern_action(item, item + 100) for item in range(num_actions)))
 
 
 #: type -> strategy producing instances of exactly that type.  Every concrete

@@ -85,7 +85,9 @@ def golden_messages() -> List[Tuple[str, Message]]:
             "common_rep",
             CommonItemsReply(
                 subject_id=8,
-                actions=frozenset(intern_action(i, t) for i, t in ((5, 9), (1, 300), (5, 2))),
+                actions=tuple(
+                    sorted(intern_action(i, t) for i, t in ((5, 9), (1, 300), (5, 2)))
+                ),
             ),
         ),
         ("common_rep_none", CommonItemsReply(subject_id=8, actions=None)),
