@@ -1,6 +1,6 @@
 """Micro and macro performance benchmarks writing ``BENCH_p3q.json``.
 
-Four benchmark families:
+Three benchmark families:
 
 * **digest** -- Bloom-filter construction and membership throughput of the
   bit-packed :class:`repro.bloom.BloomFilter` versus the seed
@@ -10,9 +10,6 @@ Four benchmark families:
   (:func:`repro.similarity.overlap_score` on cached action-id sets) versus
   a naive baseline that rebuilds tuple sets per comparison, the seed's
   behaviour;
-* **columnar** -- digest-row build and pair-probe throughput of the
-  columnar store (:mod:`repro.data.columnar`) versus the object-level
-  big-int path, at large N;
 * **macro** -- end-to-end simulator cycles/sec (lazy gossip and eager query
   processing) at several network sizes.
 
@@ -20,10 +17,7 @@ The report format is versioned JSON described by one field table,
 :data:`REPORT_SECTIONS`, read by :func:`validate_report` (the schema check
 CI runs against the smoke report) and :func:`compare_reports` (the macro
 throughput guard).  All numbers are best-of-``repeats`` wall-clock rates, so
-background noise biases results low, never high.  ``--require-executor``
-turns a silent executor degradation (requested workers resolving to the
-inline pass-through) into a hard failure -- CI's multi-core jobs use it so
-a mis-provisioned runner cannot greenwash the parallel path.
+background noise biases results low, never high.
 
 Query-serving and service-mode performance are measured by the
 ``benchmarks/e2e`` workloads (one fresh process each) and nowhere else.
@@ -42,7 +36,7 @@ from pathlib import Path
 from statistics import median
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 DEFAULT_REPORT_NAME = "BENCH_p3q.json"
 
 #: Macro benchmark network sizes (the issue's N=100/500/1000 trajectory).
@@ -72,7 +66,7 @@ def _record_peak_rss(peaks: Dict[str, int], phase: str) -> None:
         peaks[phase] = rss
 
 
-def _sim_config(size: int, seed: int, workers: int, engine_executor: str):
+def _sim_config(size: int, seed: int):
     """The configuration every macro-style benchmark runs ``size`` nodes under."""
     from repro.p3q import P3QConfig
 
@@ -80,19 +74,8 @@ def _sim_config(size: int, seed: int, workers: int, engine_executor: str):
         network_size=max(10, min(50, size // 4)),
         storage=3,
         seed=seed,
-        workers=workers,
-        engine_executor=engine_executor,
         stats_flush_every=1 if size >= XL_SIZE_THRESHOLD else None,
     )
-
-
-def _pool_reuse_count(sim) -> int:
-    """Barriers served by the simulation's persistent pool incarnation."""
-    engine = sim.engine
-    pool = getattr(engine, "_pool", None)
-    if pool is not None:
-        return pool.barriers_served
-    return 0
 
 
 def _best_rate(operation: Callable[[], int], repeats: int) -> float:
@@ -241,200 +224,6 @@ def bench_similarity(
     }
 
 
-# ------------------------------------------------------------------- columnar
-
-#: Columnar micro-benchmark population sizes (the issue's 1e4 / 1e5 points).
-DEFAULT_COLUMNAR_SIZES = (10_000, 100_000)
-QUICK_COLUMNAR_SIZES = (1_000,)
-
-
-def bench_columnar(
-    sizes: Sequence[int] = DEFAULT_COLUMNAR_SIZES,
-    repeats: int = 3,
-    quick: bool = False,
-    seed: int = 5,
-    num_bits: int = 20_000,
-    num_hashes: int = 14,
-    object_build_cap: int = 2_000,
-    num_probe_pairs: int = 200,
-) -> Dict[str, Dict[str, float]]:
-    """Digest-row build and pair-probe throughput, columnar vs object path.
-
-    Per population size:
-
-    * **build** -- rows/sec of :meth:`DigestMatrix.build_rows` over the
-      whole store (the cache-hoisted bulk path the setup pipeline uses)
-      versus profiles/sec of ``BloomFilter.from_items`` over a capped
-      sample (the PR-1 per-profile object path; building all N that way
-      is exactly the cost the columnar build replaces, so the sample keeps
-      the benchmark honest *and* finite).
-    * **probe** -- item probes/sec of the shard workers' pricing loop
-      (``mask_int`` AND against the row's bits integer) versus the
-      object path (``item in bloom`` positional probes), over the same
-      ``(receiver, subject)`` pair sample.
-    """
-    from repro.bloom import BloomFilter
-    from repro.data.columnar import (
-        ColumnarStore,
-        DigestMatrix,
-        geometry_mask_cache,
-        mask_int,
-    )
-    from repro.data.synthetic import SyntheticConfig, SyntheticTraceGenerator
-
-    if quick:
-        sizes = QUICK_COLUMNAR_SIZES
-        repeats = 2
-        object_build_cap = 200
-        num_probe_pairs = 50
-
-    results: Dict[str, Dict[str, float]] = {}
-    for size in sizes:
-        generator = SyntheticTraceGenerator(SyntheticConfig(num_users=size, seed=seed))
-        store = ColumnarStore.from_action_stream(generator.iter_user_actions())
-        matrix = DigestMatrix(len(store), num_bits, num_hashes)
-
-        def build_columnar() -> int:
-            return matrix.build_rows(store)
-
-        sample = list(range(0, len(store), max(1, len(store) // object_build_cap)))
-        sample = sample[:object_build_cap]
-
-        def build_object() -> int:
-            for row in sample:
-                BloomFilter.from_items(
-                    store.distinct_items_of_row(row),
-                    num_bits=num_bits,
-                    num_hashes=num_hashes,
-                )
-            return len(sample)
-
-        build_rows_per_sec = _best_rate(build_columnar, repeats)
-        object_rows_per_sec = _best_rate(build_object, repeats)
-
-        # Probe benchmark: the same pair set through both representations.
-        step = max(1, len(store) // num_probe_pairs)
-        pairs = [
-            (row, (row + 7) % len(store)) for row in range(0, len(store), step)
-        ][:num_probe_pairs]
-        probes_per_round = sum(
-            len(store.distinct_items_of_row(receiver)) for receiver, _ in pairs
-        )
-        blooms = {
-            subject: BloomFilter.from_state(
-                num_bits, num_hashes, matrix.row_bits_int(subject), 0
-            )
-            for _, subject in pairs
-        }
-
-        mask_cache = geometry_mask_cache(num_bits, num_hashes)
-
-        def probe_columnar() -> int:
-            cache_get = mask_cache.get
-            for receiver, subject in pairs:
-                bits = matrix.row_bits_int(subject)
-                for item in store.distinct_items_of_row(receiver):
-                    mask = cache_get(item)
-                    if mask is None:
-                        mask = mask_int(item, num_bits, num_hashes)
-                    if bits & mask == mask:
-                        pass
-            return probes_per_round
-
-        def probe_object() -> int:
-            for receiver, subject in pairs:
-                bloom = blooms[subject]
-                for item in store.distinct_items_of_row(receiver):
-                    if item in bloom:
-                        pass
-            return probes_per_round
-
-        probe_columnar_per_sec = _best_rate(probe_columnar, repeats)
-        probe_object_per_sec = _best_rate(probe_object, repeats)
-
-        results[str(size)] = {
-            "num_users": size,
-            "num_actions": store.num_actions,
-            "digest_bits": num_bits,
-            "digest_hashes": num_hashes,
-            "build_rows_per_sec": build_rows_per_sec,
-            "object_build_rows_per_sec": object_rows_per_sec,
-            "object_build_sampled_rows": len(sample),
-            "build_speedup": (
-                build_rows_per_sec / object_rows_per_sec if object_rows_per_sec else 0.0
-            ),
-            "probe_pairs": len(pairs),
-            "probe_ops_per_sec": probe_columnar_per_sec,
-            "object_probe_ops_per_sec": probe_object_per_sec,
-            "probe_speedup": (
-                probe_columnar_per_sec / probe_object_per_sec
-                if probe_object_per_sec
-                else 0.0
-            ),
-        }
-        matrix.close()
-    return results
-
-
-# ------------------------------------------------------------- worker scaling
-
-
-def bench_worker_scaling(
-    size: int = 10_000,
-    workers: int = 4,
-    engine_executor: str = "auto",
-    lazy_cycles: int = 2,
-    seed: int = 1,
-    dataset_cache: Optional[Path] = None,
-) -> Dict[str, float]:
-    """Serial vs sharded lazy throughput at one size, same process, same data.
-
-    The committed report's evidence that the requested worker count
-    resolved to a real parallel executor and what it bought: records both
-    lazy cycles/sec rates, the resolved executor, the pool-reuse count and
-    the speedup.  On a single-core runner the executor honestly resolves
-    to ``inline`` (or the explicit executor runs without a core to win on)
-    and the speedup reads below one -- ``--require-executor`` is how CI
-    rejects that outcome on machines that should do better.
-    """
-    import gc
-
-    from repro.data import SyntheticConfig, load_or_generate_synthetic
-    from repro.p3q import P3QSimulation
-    from repro.simulator.shard import resolve_executor
-
-    dataset, cache_status = load_or_generate_synthetic(
-        SyntheticConfig(num_users=size, seed=seed), dataset_cache
-    )
-
-    def run(run_workers: int, executor: str):
-        sim = P3QSimulation(dataset.copy(), _sim_config(size, seed, run_workers, executor))
-        sim.bootstrap_random_views()
-        gc.collect()
-        start = time.perf_counter()
-        sim.run_lazy(lazy_cycles)
-        elapsed = time.perf_counter() - start
-        rate = lazy_cycles / elapsed if elapsed > 0 else 0.0
-        reuse = _pool_reuse_count(sim)
-        sim.close()
-        return rate, reuse
-
-    serial_rate, _ = run(1, "inline")
-    sharded_rate, pool_reuse = run(workers, engine_executor)
-
-    return {
-        "num_nodes": size,
-        "lazy_cycles": lazy_cycles,
-        "workers": workers,
-        "engine_executor": resolve_executor(engine_executor, workers),
-        "serial_lazy_cycles_per_sec": serial_rate,
-        "sharded_lazy_cycles_per_sec": sharded_rate,
-        "speedup": sharded_rate / serial_rate if serial_rate else 0.0,
-        "pool_reuse_count": pool_reuse,
-        "dataset_cache": cache_status,
-    }
-
-
 # ---------------------------------------------------------------------- macro
 
 
@@ -446,8 +235,6 @@ def bench_macro(
     seed: int = 1,
     repeats: int = 2,
     profile_phases: bool = False,
-    workers: int = 1,
-    engine_executor: str = "auto",
     dataset_cache: Optional[Path] = None,
 ) -> Dict[str, Dict[str, float]]:
     """End-to-end simulator throughput: lazy and eager cycles/sec per size.
@@ -469,18 +256,14 @@ def bench_macro(
     personal networks (``eager_warm: "lazy"``) instead of the O(N^2)
     offline ideal index; sizes at or above :data:`XL_SIZE_THRESHOLD` run a
     single timed lazy cycle once (and fold traffic rows every cycle --
-    ``stats_flush_every=1`` -- to bound memory).  ``workers`` runs the
-    sharded engine; each entry records both the requested worker count and
-    the executor that actually resolved on this machine, so a report from
-    a single-core runner is legible as such.  With ``profile_phases`` each
-    size also carries a ``phases`` dict of per-phase wall-clock seconds
-    (the ``--profile`` flag).
+    ``stats_flush_every=1`` -- to bound memory).  With ``profile_phases``
+    each size also carries a ``phases`` dict of per-phase wall-clock
+    seconds (the ``--profile`` flag).
     """
     import gc
 
     from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_synthetic
     from repro.p3q import P3QSimulation
-    from repro.simulator.shard import resolve_executor
 
     if quick:
         sizes = QUICK_MACRO_SIZES
@@ -500,14 +283,13 @@ def bench_macro(
         )
         dataset_seconds = time.perf_counter() - start
 
-        config = _sim_config(size, seed, workers, engine_executor)
+        config = _sim_config(size, seed)
         ideal_warm = size < LAZY_WARM_THRESHOLD
         lazy_samples: List[float] = []
         eager_samples: List[float] = []
         eager_run = 0
         #: Per-repeat phase breakdowns, parallel to ``lazy_samples``.
         phase_runs: List[Dict[str, float]] = []
-        pool_reuse = 0
         peak_rss: Dict[str, int] = {}
         for _ in range(size_repeats):
             phases: Dict[str, float] = {"dataset_seconds": dataset_seconds}
@@ -559,8 +341,6 @@ def bench_macro(
             if lazy_elapsed > 0:
                 lazy_samples.append(size_lazy_cycles / lazy_elapsed)
                 phase_runs.append(phases)
-            pool_reuse = max(pool_reuse, _pool_reuse_count(sim))
-            sim.close()
 
         # Headline selection: median sample with >= 3 repeats, best otherwise.
         use_median = len(lazy_samples) >= 3
@@ -597,9 +377,6 @@ def bench_macro(
             "node_cycles_per_sec": size * headline_lazy,
             "setup_seconds": round(setup_seconds, 6),
             "eager_warm": "ideal" if ideal_warm else "lazy",
-            "workers": workers,
-            "engine_executor": resolve_executor(engine_executor, workers),
-            "pool_reuse_count": pool_reuse,
             "dataset_cache": cache_status,
         }
         if peak_rss:
@@ -620,8 +397,6 @@ def bench_scale_smoke(
     budget_seconds: float = 120.0,
     seed: int = 1,
     num_queries: int = 10,
-    workers: int = 1,
-    engine_executor: str = "auto",
     dataset_cache: Optional[Path] = None,
 ) -> Dict[str, float]:
     """One lazy + one eager cycle at large N under a wall-clock budget.
@@ -629,16 +404,14 @@ def bench_scale_smoke(
     This is the CI scale gate: it proves the incremental runtime completes
     full cycles at production scale, and fails (``within_budget`` False)
     when the *steady-state* cycle time -- not the one-off setup -- exceeds
-    the budget.  ``workers`` runs the sharded engine (the CI job exercises
-    a workers dimension); ``dataset_cache`` serves the trace from the
-    spec-hash disk cache so repeated jobs skip generation.  Returns the
-    timing breakdown either way; the CLI exit code carries the verdict.
+    the budget.  ``dataset_cache`` serves the trace from the spec-hash disk
+    cache so repeated jobs skip generation.  Returns the timing breakdown
+    either way; the CLI exit code carries the verdict.
     """
     import gc
 
     from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_columnar
     from repro.p3q import P3QSimulation
-    from repro.simulator.shard import resolve_executor
 
     if size <= 0:
         raise ValueError("size must be positive")
@@ -653,7 +426,7 @@ def bench_scale_smoke(
     dataset, cache_status = load_or_generate_columnar(
         SyntheticConfig(num_users=size, seed=seed), dataset_cache
     )
-    sim = P3QSimulation(dataset, _sim_config(size, seed, workers, engine_executor))
+    sim = P3QSimulation(dataset, _sim_config(size, seed))
     sim.bootstrap_random_views()
     setup_seconds = time.perf_counter() - start
     peak_rss: Dict[str, int] = {}
@@ -683,14 +456,10 @@ def bench_scale_smoke(
         "cycle_seconds": round(cycle_seconds, 3),
         "budget_seconds": budget_seconds,
         "within_budget": cycle_seconds <= budget_seconds,
-        "workers": workers,
-        "engine_executor": resolve_executor(engine_executor, workers),
-        "pool_reuse_count": _pool_reuse_count(sim),
         "dataset_cache": cache_status,
     }
     if peak_rss:
         result["peak_rss_bytes"] = peak_rss
-    sim.close()
     return result
 
 
@@ -702,11 +471,7 @@ def run_suite(
     sizes: Optional[Sequence[int]] = None,
     macro_repeats: int = 2,
     profile_phases: bool = False,
-    workers: int = 1,
-    engine_executor: str = "auto",
     dataset_cache: Optional[Path] = None,
-    columnar: bool = False,
-    worker_scaling_size: Optional[int] = None,
 ) -> Dict:
     """Run the full benchmark suite and return the report dictionary."""
     started = time.time()
@@ -717,11 +482,9 @@ def run_suite(
         quick=quick,
         repeats=macro_repeats,
         profile_phases=profile_phases,
-        workers=workers,
-        engine_executor=engine_executor,
         dataset_cache=dataset_cache,
     )
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "quick": quick,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
@@ -731,25 +494,8 @@ def run_suite(
         "digest": digest,
         "similarity": similarity,
         "macro": macro,
+        "wall_seconds": round(time.time() - started, 3),
     }
-    if columnar or quick:
-        report["columnar"] = bench_columnar(quick=quick)
-    if worker_scaling_size is not None:
-        report["worker_scaling"] = {
-            str(worker_scaling_size): bench_worker_scaling(
-                size=worker_scaling_size,
-                workers=max(2, workers),
-                # The section exists to measure the real parallel executor,
-                # so "auto" must not quietly degrade it to inline on a
-                # small machine -- force the pool and report honestly.
-                engine_executor=(
-                    engine_executor if engine_executor != "auto" else "pool"
-                ),
-                dataset_cache=dataset_cache,
-            )
-        }
-    report["wall_seconds"] = round(time.time() - started, 3)
-    return report
 
 
 # The one description of the report: every field the schema check or the
@@ -757,7 +503,6 @@ def run_suite(
 # _CHECKS, or the tuple of values the field may take.
 POSITIVE = "a positive number"
 NON_NEGATIVE = "a non-negative number"
-COUNT = "a non-negative integer"
 SAMPLES = "a non-empty list"
 PHASE_BYTES = "absent or a map of phases to positive byte counts"
 HIGHER = "higher"
@@ -770,7 +515,6 @@ def _is_number(value) -> bool:
 _CHECKS: Dict[str, Callable[[object], bool]] = {
     POSITIVE: lambda value: _is_number(value) and value > 0,
     NON_NEGATIVE: lambda value: _is_number(value) and value >= 0,
-    COUNT: lambda value: isinstance(value, int) and value >= 0,
     SAMPLES: lambda value: isinstance(value, (list, tuple)) and bool(value),
     PHASE_BYTES: lambda value: value is None
     or isinstance(value, dict)
@@ -791,22 +535,21 @@ class Field(NamedTuple):
 
 class Section(NamedTuple):
     name: str
-    required: bool  # optional sections are validated only when present
     keyed: bool  # one entry per size N, or (flat) the section is the entry
     fields: Tuple[Field, ...]
 
 
 REPORT_SECTIONS = (
-    Section("digest", required=True, keyed=False, fields=(
+    Section("digest", keyed=False, fields=(
         Field("membership_ops_per_sec", POSITIVE),
         Field("membership_speedup", POSITIVE),
         Field("build_per_sec", POSITIVE),
     )),
-    Section("similarity", required=True, keyed=False, fields=(
+    Section("similarity", keyed=False, fields=(
         Field("overlap_pairs_per_sec", POSITIVE),
         Field("overlap_speedup", POSITIVE),
     )),
-    Section("macro", required=True, keyed=True, fields=(
+    Section("macro", keyed=True, fields=(
         Field("lazy_cycles_per_sec", POSITIVE, HIGHER, ("rate_stat", "lazy_rate_samples")),
         Field("eager_cycles_per_sec", POSITIVE, HIGHER, ("rate_stat", "eager_rate_samples")),
         # Setup is reported separately from the timed cycle loops, so
@@ -817,22 +560,7 @@ REPORT_SECTIONS = (
         # per-repeat samples it was derived from.
         Field("rate_stat", ("median", "best")),
         Field("lazy_rate_samples", SAMPLES),
-        # Every entry names the executor that actually ran and the
-        # pool-reuse count (0 for the inline executor).
-        Field("engine_executor", ("inline", "pool")),
-        Field("pool_reuse_count", COUNT),
         Field("peak_rss_bytes", PHASE_BYTES),
-    )),
-    Section("columnar", required=False, keyed=True, fields=(
-        Field("build_rows_per_sec", POSITIVE),
-        Field("probe_ops_per_sec", POSITIVE),
-        Field("probe_speedup", POSITIVE),
-    )),
-    Section("worker_scaling", required=False, keyed=True, fields=(
-        Field("serial_lazy_cycles_per_sec", POSITIVE),
-        Field("sharded_lazy_cycles_per_sec", POSITIVE),
-        Field("speedup", POSITIVE),
-        Field("engine_executor", ("inline", "pool")),
     )),
 )
 
@@ -861,8 +589,7 @@ def validate_report(report: Dict) -> List[str]:
         )
     for section in REPORT_SECTIONS:
         if report.get(section.name) is None:
-            if section.required:
-                problems.append(f"missing section {section.name!r}")
+            problems.append(f"missing section {section.name!r}")
             continue
         entries = _entries(section, report)
         if not entries:
@@ -964,8 +691,6 @@ def _print_summary(report: Dict) -> None:
     )
     for size, entry in sorted(report["macro"].items(), key=lambda kv: int(kv[0])):
         extras = ""
-        if entry.get("workers", 1) != 1:
-            extras += f", workers={entry['workers']}/{entry.get('engine_executor', '?')}"
         if entry.get("dataset_cache", "off") != "off":
             extras += f", dataset-cache={entry['dataset_cache']}"
         print(
@@ -982,25 +707,6 @@ def _print_summary(report: Dict) -> None:
                 for name, value in phases.items()
             )
             print(f"  phases: {breakdown}")
-    for size, entry in sorted(
-        (report.get("columnar") or {}).items(), key=lambda kv: int(kv[0])
-    ):
-        print(
-            f"columnar N={size}: build {entry['build_rows_per_sec']:,.0f} rows/s "
-            f"({entry['build_speedup']:.1f}x vs object), "
-            f"probe {entry['probe_ops_per_sec']:,.0f} ops/s "
-            f"({entry['probe_speedup']:.1f}x)"
-        )
-    for size, entry in sorted(
-        (report.get("worker_scaling") or {}).items(), key=lambda kv: int(kv[0])
-    ):
-        print(
-            f"worker scaling N={size}: serial "
-            f"{entry['serial_lazy_cycles_per_sec']:.2f} -> sharded "
-            f"{entry['sharded_lazy_cycles_per_sec']:.2f} lazy cycles/s "
-            f"({entry['speedup']:.2f}x, workers={entry['workers']}/"
-            f"{entry['engine_executor']}, pool reuse {entry['pool_reuse_count']})"
-        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1060,51 +766,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="steady-state cycle budget for --scale-smoke (default: 120)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run the macro simulations on the sharded engine with N workers "
-        "(bit-identical to serial; the report records the resolved executor)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "inline", "pool"),
-        default="auto",
-        help="sharded-engine executor (default: auto -- persistent pool "
-        "when the machine has at least two cores, inline otherwise)",
-    )
-    parser.add_argument(
-        "--require-executor",
-        choices=("inline", "pool"),
-        default=None,
-        metavar="KIND",
-        help="fail (exit 2) unless the requested workers/executor resolve "
-        "to KIND on this machine -- CI's multi-core jobs pass this so a "
-        "single-core runner cannot silently degrade the parallel path "
-        "to the inline pass-through",
-    )
-    parser.add_argument(
         "--fragment-output",
         type=Path,
         default=None,
         metavar="PATH",
         help="with --scale-smoke: also write the timing breakdown as a "
         "JSON fragment (uploaded as a CI artifact)",
-    )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="include the columnar micro-benchmark section "
-        f"(sizes {DEFAULT_COLUMNAR_SIZES}; always on for --quick)",
-    )
-    parser.add_argument(
-        "--worker-scaling",
-        type=int,
-        default=None,
-        metavar="N",
-        help="include a serial-vs-sharded lazy-throughput comparison at N "
-        "nodes (uses --workers/--executor for the sharded side)",
     )
     parser.add_argument(
         "--dataset-cache",
@@ -1144,26 +811,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def check_required_executor(resolved: str) -> bool:
-        """False (after a loud stderr message) on executor degradation."""
-        if args.require_executor is not None and resolved != args.require_executor:
-            print(
-                f"executor requirement FAILED: requested workers={args.workers} "
-                f"executor={args.executor!r} resolved to {resolved!r}, "
-                f"required {args.require_executor!r} "
-                f"(cpu_count={os.cpu_count()}) -- this runner cannot "
-                f"exercise the parallel path it was asked to measure",
-                file=sys.stderr,
-            )
-            return False
-        return True
-
     if args.scale_smoke is not None:
         result = bench_scale_smoke(
             size=args.scale_smoke,
             budget_seconds=args.budget_seconds,
-            workers=args.workers,
-            engine_executor=args.executor,
             dataset_cache=args.dataset_cache,
         )
         if args.fragment_output is not None:
@@ -1176,16 +827,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"(dataset cache {result['dataset_cache']}), "
             f"lazy cycle {result['lazy_cycle_seconds']:.1f}s, "
             f"eager cycle {result['eager_cycle_seconds']:.1f}s "
-            f"(budget {result['budget_seconds']:.0f}s, "
-            f"workers {result['workers']}/{result['engine_executor']})"
+            f"(budget {result['budget_seconds']:.0f}s)"
             + "".join(
                 f", peak RSS after {phase} {rss / 1e6:.0f} MB"
                 f" ({rss / result['num_nodes'] / 1e3:.1f} KB/node)"
                 for phase, rss in peaks.items()
             )
         )
-        if not check_required_executor(result["engine_executor"]):
-            return 2
         if not result["within_budget"]:
             print(
                 f"scale smoke FAILED: {result['cycle_seconds']:.1f}s of cycle time "
@@ -1230,21 +878,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # dict.fromkeys dedupes while preserving order: a size listed both
         # in --sizes and in the scale set must not run (minutes) twice.
         sizes = tuple(dict.fromkeys(tuple(sizes or DEFAULT_MACRO_SIZES) + SCALE_MACRO_SIZES))
-    if args.require_executor is not None:
-        from repro.simulator.shard import resolve_executor
-
-        if not check_required_executor(resolve_executor(args.executor, args.workers)):
-            return 2
     report = run_suite(
         quick=args.quick,
         sizes=sizes,
         macro_repeats=args.macro_repeats,
         profile_phases=args.profile,
-        workers=args.workers,
-        engine_executor=args.executor,
         dataset_cache=args.dataset_cache,
-        columnar=args.columnar,
-        worker_scaling_size=args.worker_scaling,
     )
     write_report(report, args.output)
     _print_summary(report)

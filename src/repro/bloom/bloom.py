@@ -177,13 +177,12 @@ def clear_hash_cache() -> None:
 
 
 def pack_row(bits: int, num_bits: int) -> bytes:
-    """A packed bit array as its wire/columnar *row*: raw filter bits,
+    """A packed bit array as its wire *row*: raw filter bits,
     little-endian, ``ceil(num_bits / 8)`` bytes.
 
     The one spelling of the layout shared by the wire codec's digest
-    entries, the :class:`~repro.data.columnar.DigestMatrix` rows and
-    :meth:`BloomFilter.row_bytes`; :meth:`BloomFilter.from_columnar` is its
-    inverse.
+    entries and :meth:`BloomFilter.row_bytes`;
+    :meth:`BloomFilter.from_columnar` is its inverse.
     """
     return bits.to_bytes((num_bits + 7) // 8, "little")
 
@@ -364,8 +363,7 @@ class BloomFilter:
         """Rebuild a filter from ``(raw_bits, approximate_count)``.
 
         The inverse of reading :attr:`raw_bits` / :attr:`approximate_count`:
-        used to adopt filters built by shard-parallel workers, where only
-        the two integers travel across the process boundary.
+        used to adopt a filter that travelled as those two integers.
         """
         bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
         bloom._bits = bits
@@ -376,7 +374,7 @@ class BloomFilter:
     def from_columnar(
         cls, num_bits: int, num_hashes: int, row: bytes, count: int
     ) -> "BloomFilter":
-        """Adopt a digest row of a :class:`~repro.data.columnar.DigestMatrix`.
+        """Adopt a digest row (the inverse of :meth:`row_bytes`).
 
         The row is the little-endian byte image of the packed bit array --
         by construction the OR of the same per-item probe masks ``update``

@@ -23,7 +23,7 @@ from .dynamics import (
     massive_departure,
 )
 from .queries import Query, QueryWorkloadGenerator
-from .columnar import ColumnarDataset, ColumnarStore, DigestMatrix
+from .columnar import ColumnarDataset, ColumnarStore
 from .loader import (
     DatasetFormatError,
     load_dataset,
@@ -51,7 +51,6 @@ __all__ = [
     "Dataset",
     "DatasetFormatError",
     "DatasetStats",
-    "DigestMatrix",
     "DynamicsConfig",
     "ImportResult",
     "ProfileChange",

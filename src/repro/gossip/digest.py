@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..bloom import PAPER_DIGEST_BITS, BloomFilter
 from ..bloom.bloom import probe_positions
@@ -32,8 +32,9 @@ from .sizes import DIGEST_BYTES
 #: Shared empty common-item set (most probes find nothing in common).
 _EMPTY_ITEMS: "FrozenSet[int]" = frozenset()
 
-#: One priced (receiver, subject) pair as computed by a pricing worker:
-#: ``(receiver_id, receiver_version, subject_id, digest_version, common)``.
+#: One priced (receiver, subject) pair as :meth:`DigestCache.record_pricing`
+#: taps it: ``(receiver_id, receiver_version, subject_id, digest_version,
+#: common)``.
 PricedPair = Tuple[int, int, int, int, FrozenSet[int]]
 
 
@@ -218,26 +219,6 @@ class DigestCache:
         #: inner entries of all rows.
         self._common: Dict[int, Tuple[int, Dict[int, Tuple[int, FrozenSet[int]]]]] = {}
         self._common_pairs = 0
-        #: Optional columnar digest backing: ``(DigestMatrix, ColumnarStore)``.
-        #: When a user's matrix row matches her profile version, digest
-        #: construction adopts the prebuilt byte row instead of re-ORing
-        #: per-item masks (identical bits by construction).
-        self._columnar = None
-
-    # -- wiring ----------------------------------------------------------------
-
-    def attach_columnar(self, matrix, store) -> None:
-        """Adopt prebuilt digest rows from a columnar digest matrix.
-
-        Only a matrix in this cache's exact geometry is accepted: adoption
-        must be bit-identical to building the digest here.
-        """
-        if matrix.num_bits != self.num_bits or matrix.num_hashes != self.num_hashes:
-            raise ValueError(
-                f"digest matrix geometry ({matrix.num_bits}, {matrix.num_hashes}) "
-                f"does not match cache geometry ({self.num_bits}, {self.num_hashes})"
-            )
-        self._columnar = (matrix, store)
 
     # -- digests --------------------------------------------------------------
 
@@ -247,17 +228,10 @@ class DigestCache:
         Building a digest also seeds its set-bit index set (the union of the
         inserted items' probe positions -- by construction identical to
         decomposing the finished bit array), so probing a cache-built digest
-        never has to walk its 20 Kbit integer.  With a columnar digest
-        matrix attached, a row whose stored version matches the profile is
-        adopted wholesale (the row bytes are the same OR of the same probe
-        masks); the set-bit index set then comes from decomposing the row.
+        never has to walk its 20 Kbit integer.
         """
         cached = self._digests.get(profile.user_id)
         if cached is None or cached.version != profile.version:
-            if self._columnar is not None:
-                adopted = self._adopt_columnar(profile)
-                if adopted is not None:
-                    return adopted
             cached = make_digest(
                 profile, num_bits=self.num_bits, num_hashes=self.num_hashes
             )
@@ -268,25 +242,6 @@ class DigestCache:
                 positions.update(probe_positions(item, num_bits, num_hashes))
             self._bit_positions[profile.user_id] = (cached.version, positions)
         return cached
-
-    def _adopt_columnar(self, profile: UserProfile) -> Optional[ProfileDigest]:
-        """Adopt the profile's prebuilt digest row, if current; else ``None``."""
-        matrix, store = self._columnar
-        row = store.row_of(profile.user_id)
-        if row is None or matrix.row_version(row) != profile.version:
-            return None
-        bloom = BloomFilter.from_state(
-            self.num_bits,
-            self.num_hashes,
-            matrix.row_bits_int(row),
-            len(profile.items),
-        )
-        digest = ProfileDigest(
-            user_id=profile.user_id, version=profile.version, bloom=bloom
-        )
-        self._digests[profile.user_id] = digest
-        self._bit_positions[profile.user_id] = (digest.version, bloom.bit_positions())
-        return digest
 
     # -- batch probing --------------------------------------------------------
 
@@ -352,16 +307,6 @@ class DigestCache:
             )
         return common
 
-    def common_items_batch(
-        self, receiver: UserProfile, digests: Sequence[ProfileDigest]
-    ) -> Dict[int, FrozenSet[int]]:
-        """Price one exchange's whole candidate set in a single pass.
-
-        Returns ``subject_id -> common items`` for every digest.  The
-        receiver's probe rows are resolved once and reused across the batch.
-        """
-        return {digest.user_id: self.common_items(receiver, digest) for digest in digests}
-
     def shares_item(self, receiver: UserProfile, digest: ProfileDigest) -> bool:
         """Whether ``digest`` shares at least one item with the receiver.
 
@@ -371,7 +316,7 @@ class DigestCache:
         """
         return bool(self.common_items(receiver, digest))
 
-    # -- sharded-engine pricing hand-off --------------------------------------
+    # -- measurement tap ------------------------------------------------------
 
     def record_pricing(self, sink: Optional[List["PricedPair"]]) -> None:
         """Start (or, with ``None``, stop) recording memo misses into ``sink``.
@@ -380,27 +325,6 @@ class DigestCache:
         to report the memo's hit rate where the work happens.
         """
         self._recorder = sink
-
-    def install_common_entries(self, entries: Iterable["PricedPair"]) -> int:
-        """Merge-barrier install of priced (receiver, subject) pairs.
-
-        Every read of the memo re-validates the stored versions against the
-        live profile and digest, so an entry is *served only at the exact
-        versions it names*: entries priced against a superseded snapshot
-        are inert (at worst they waste a slot, or displace that receiver's
-        row and cost re-probes).  Callers must supply
-        internally consistent entries -- value computed by the pricing
-        function from the content those versions denote -- which pool
-        worker entries are by construction, since workers run the same pure
-        pricing code.  Entries are installed in the order given (the engine
-        feeds shards in shard-index order, so the final memo content is
-        deterministic).  Returns how many entries were installed.
-        """
-        installed = 0
-        for entry in entries:
-            self._store_common(*entry)
-            installed += 1
-        return installed
 
     def _store_common(
         self,

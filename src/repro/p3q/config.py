@@ -62,15 +62,6 @@ class P3QConfig:
     #: Seeded fraction of nodes that gossip digests but never answer
     #: common-items requests, profile requests or query forwards.
     free_rider_fraction: float = 0.0
-    #: Worker count of the sharded cycle engine.  ``1`` runs the serial
-    #: reference engine; higher counts enable parallel per-shard exchange
-    #: pricing, which is bit-identical to serial for any value (see
-    #: :mod:`repro.simulator.shard`).
-    workers: int = 1
-    #: Executor of the sharded engine: ``"auto"`` (persistent pool when the
-    #: machine has the cores for it, inline otherwise), ``"inline"`` or
-    #: ``"pool"`` (long-lived workers over shared columnar state).
-    engine_executor: str = "auto"
     #: When set, the traffic collector folds its raw row buffer into the
     #: aggregates every ``stats_flush_every`` cycles, bounding memory on
     #: long large-N runs (per-record views then only cover retained rows).
@@ -132,13 +123,6 @@ class P3QConfig:
                 f"asymmetry must be an AsymmetrySpec or None, got {self.asymmetry!r}"
             )
         validate_fraction("free_rider_fraction", self.free_rider_fraction)
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers!r}")
-        if self.engine_executor not in ("auto", "inline", "pool"):
-            raise ValueError(
-                f"engine_executor must be 'auto', 'inline' or 'pool', "
-                f"got {self.engine_executor!r}"
-            )
         if self.stats_flush_every is not None and self.stats_flush_every < 1:
             raise ValueError(
                 f"stats_flush_every must be positive when set, "

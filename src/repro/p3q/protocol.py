@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from ..data.columnar import ColumnarDataset, ColumnarStore, DigestMatrix
 from ..data.models import ChangeDay, Dataset
 from ..data.dynamics import apply_change_day
 from ..data.queries import Query
@@ -21,7 +20,6 @@ from ..gossip.profile_exchange import LazyExchangeProtocol
 from ..gossip.views import PersonalNetwork
 from ..similarity.knn import IdealNetworkIndex
 from ..simulator.engine import PHASE_EAGER, PHASE_LAZY, SimulationEngine, paused_gc
-from ..simulator.shard import EXECUTOR_POOL, ShardedEngine
 from ..simulator.network import Network
 from ..simulator.rng import derive_rng
 from ..simulator.stats import KIND_REMAINING_FORWARD, StatsCollector
@@ -49,18 +47,7 @@ class P3QSimulation:
                 asymmetry=config.asymmetry,
             ),
         )
-        # ``workers > 1`` runs the sharded engine (bit-identical to serial
-        # for any worker count -- see repro.simulator.shard); ``workers=1``
-        # is the serial reference engine itself.
-        if config.workers > 1:
-            self.engine: SimulationEngine = ShardedEngine(
-                self.network,
-                seed=config.seed,
-                workers=config.workers,
-                executor=config.engine_executor,
-            )
-        else:
-            self.engine = SimulationEngine(self.network, seed=config.seed)
+        self.engine = SimulationEngine(self.network, seed=config.seed)
         # The incremental runtime's shared cache: one digest / probe-row set
         # per profile version for the whole deployment.  The engine flushes
         # the per-cycle dirty set into it at each cycle boundary.
@@ -68,8 +55,6 @@ class P3QSimulation:
             num_bits=config.digest_bits, num_hashes=config.digest_hashes
         )
         self.network.add_profile_dirty_listener(self.digest_cache.evict_profiles)
-        if isinstance(self.engine, ShardedEngine):
-            self.engine.attach_pricing(self.digest_cache)
         # One shared instance of each protocol: they are stateless apart from
         # bounded caches, and sharing keeps memory linear in the user count.
         self.peer_sampling = PeerSamplingProtocol(account_traffic=config.account_traffic)
@@ -111,47 +96,8 @@ class P3QSimulation:
                 self.free_rider_ids = frozenset(rider_rng.sample(ids, count))
                 for uid in self.free_rider_ids:
                     self.nodes[uid].free_rider = True
-        # Columnar backing.  A columnar dataset brings its store along; the
-        # persistent-pool executor needs one either way (snapshotting an
-        # object dataset if that is what we were given).  The digest matrix
-        # mirrors every user's digest bits as fixed-width rows -- in shared
-        # memory when pool workers will attach to it -- and the digest
-        # cache adopts current rows instead of rebuilding filters.
-        self.columnar_store: Optional[ColumnarStore] = (
-            dataset.store if isinstance(dataset, ColumnarDataset) else None
-        )
-        self.digest_matrix: Optional[DigestMatrix] = None
-        engine_is_pool = (
-            isinstance(self.engine, ShardedEngine)
-            and self.engine.executor == EXECUTOR_POOL
-        )
-        if engine_is_pool and self.columnar_store is None:
-            self.columnar_store = ColumnarStore.from_dataset(dataset)
-        if self.columnar_store is not None:
-            self.digest_matrix = DigestMatrix(
-                len(self.columnar_store),
-                config.digest_bits,
-                config.digest_hashes,
-                shared=engine_is_pool,
-            )
-            self.digest_cache.attach_columnar(self.digest_matrix, self.columnar_store)
-            if engine_is_pool:
-                self.engine.attach_columnar(self.columnar_store, self.digest_matrix)
-                self.engine.attach_pair_predictor(self._predict_pricing_pairs)
         self._bootstrap_rng = self.engine.rng_factory.for_purpose("bootstrap")
         self._eager_cycles_run = 0
-
-    def close(self) -> None:
-        """Release pool workers and the shared digest block (idempotent).
-
-        Safe to skip for serial runs (finalizers cover leaks); long-lived
-        benchmark processes call it between repetitions.
-        """
-        engine = self.engine
-        if isinstance(engine, ShardedEngine):
-            engine.close()
-        if self.digest_matrix is not None:
-            self.digest_matrix.close()
 
     # ------------------------------------------------------------------ setup
 
@@ -164,15 +110,8 @@ class P3QSimulation:
         The paper assumes users first discover "the contact information of
         any user currently in the system" through peer sampling; seeding each
         view with ``r`` random digests reproduces that starting point.
-
-        With a columnar digest matrix attached, the expensive part --
-        building every user's Bloom digest -- runs first, in bulk (pure
-        per-user work, shard-parallel on the pool executor); the RNG-driven
-        contact draws then replay serially against the warm digest rows, so
-        the seeded views are identical for any worker count.
         """
         count = contacts_per_node or self.config.random_view_size
-        self._build_digests()
         user_ids = list(self.nodes)
         total = len(user_ids)
         if total <= 1:
@@ -193,76 +132,6 @@ class P3QSimulation:
                 for j in positions
             ]
             node.bootstrap_random_view(digests)
-
-    def _build_digests(self) -> None:
-        """Population-wide digest warm-up before the bootstrap contact draws.
-
-        With a columnar digest matrix attached the digest rows are built in
-        bulk -- shard-parallel into the shared block on the pool executor,
-        vectorized in-process otherwise -- and the digest cache adopts them
-        on first use.  Pure warm-up: every adoption and every cache read
-        validates versions.
-        """
-        if self.digest_matrix is None:
-            return
-        engine = self.engine
-        if isinstance(engine, ShardedEngine) and engine.executor == EXECUTOR_POOL:
-            engine.build_digest_rows()
-        else:
-            self.digest_matrix.build_rows(self.columnar_store)
-
-    def _predict_pricing_pairs(self, acting: Iterable[int]) -> List[tuple]:
-        """Over-approximate the digest probes of the coming lazy cycle.
-
-        Mirrors the read pattern of :class:`LazyExchangeProtocol` without
-        touching any state or RNG stream:
-
-        * random-view refresh -- every view digest not yet evaluated at its
-          version and not already a personal-network member;
-        * the symmetric exchange with ``select_oldest()`` (a pure min, no
-          RNG): both directions of the partners' advertised digest sets
-          (own digest + all stored entries -- a superset of the
-          ``exchange_size`` sample, which *does* draw RNG and is therefore
-          not replayed here).
-
-        The random-partner fallback of nodes with empty personal networks
-        draws RNG and is deliberately not predicted; those pairs are priced
-        serially.  Over-predicted pairs are priced into version-validated
-        memo slots -- inert unless the cycle actually probes them.
-        """
-        nodes = self.nodes
-        evaluated_map = self.lazy._evaluated
-        pairs: List[tuple] = []
-        append = pairs.append
-        for user_id in acting:
-            node = nodes.get(user_id)
-            if node is None:
-                continue
-            personal = node.personal_network
-            evaluated = evaluated_map.get(user_id)
-            for digest in node.random_view.digests():
-                subject_id = digest.user_id
-                if (
-                    evaluated is not None
-                    and evaluated.get(subject_id, -1) >= digest.version
-                ):
-                    continue
-                if subject_id in personal:
-                    continue
-                append((user_id, subject_id))
-            partner_id = personal.select_oldest()
-            if partner_id is None or partner_id not in nodes:
-                continue
-            partner = nodes[partner_id]
-            append((user_id, partner_id))
-            append((partner_id, user_id))
-            for entry in partner.personal_network.stored_entries():
-                if entry.user_id != user_id:
-                    append((user_id, entry.user_id))
-            for entry in personal.stored_entries():
-                if entry.user_id != partner_id:
-                    append((partner_id, entry.user_id))
-        return pairs
 
     def warm_start(self, ideal: Optional[IdealNetworkIndex] = None) -> IdealNetworkIndex:
         """Install the ideal personal networks directly (converged state).

@@ -13,10 +13,10 @@ format and one description of the message catalogue:
   in :mod:`repro.gossip.sizes`.
 * :class:`BinaryWireCodec` -- **the** wire codec: struct-packed headers,
   varint/zigzag integer fields, and Bloom digests as raw little-endian
-  byte rows (the exact ``DigestMatrix`` layout,
-  :meth:`BloomFilter.row_bytes`, serialised once per filter whoever sends
-  it).  Received rows resolve through the process-wide content-keyed
-  intern table (:func:`repro.gossip.digest.intern_digest`), so however
+  byte rows (:meth:`BloomFilter.row_bytes`, serialised once per filter
+  whoever sends it).  Received rows resolve through the process-wide
+  content-keyed intern table
+  (:func:`repro.gossip.digest.intern_digest`), so however
   many nodes decode a digest there is one object for it, and -- when the
   runtime commits successful sends -- digests the receiver was already
   sent travel as 1-byte-marker references instead of full rows.

@@ -24,6 +24,7 @@ alarm never rings is indistinguishable from a green one.
 from __future__ import annotations
 
 import argparse
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional
@@ -229,10 +230,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.self_check:
         return _self_check(args)
 
-    if args.spec_json is not None:
-        return _run_single(ScenarioSpec.from_json(args.spec_json), args)
+    spec_text = args.spec_json
     if args.spec is not None:
-        return _run_single(ScenarioSpec.from_json(args.spec.read_text(encoding="utf-8")), args)
+        spec_text = args.spec.read_text(encoding="utf-8")
+    if spec_text is not None:
+        try:
+            spec = ScenarioSpec.from_json(spec_text)
+        except ValueError as error:
+            # Malformed JSON, an out-of-range value or a field this commit
+            # does not have: a usage error, not a crash.
+            print(error, file=sys.stderr)
+            return 2
+        return _run_single(spec, args)
 
     return _run_batch(args)
 

@@ -79,11 +79,6 @@ def _zero_delay(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
     return spec.but(delay_cycles=0) if spec.delay_cycles > 0 else None
 
 
-def _serial_engine(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
-    """Drop the sharded engine -- most failures are not about the workers."""
-    return spec.but(workers=1) if spec.workers > 1 else None
-
-
 def _clamp_schedule(spec: ScenarioSpec, lazy: int, eager: int) -> ScenarioSpec:
     """Shrink horizons, discarding or trimming events that fall outside.
 
@@ -173,7 +168,6 @@ TRANSFORMS: List[Transform] = [
     ("resume crashed nodes", _resume_crashes),
     ("zero loss rate", _zero_loss),
     ("zero delay", _zero_delay),
-    ("serial engine", _serial_engine),
     ("halve users", _halve_users),
     ("halve queries", _halve_queries),
     ("halve eager cycles", _halve_eager),

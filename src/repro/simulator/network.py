@@ -105,16 +105,6 @@ class Network:
         """Register a callback for the per-cycle dirty-profile flush."""
         self._dirty_listeners.append(listener)
 
-    def pending_dirty_profiles(self) -> FrozenSet[int]:
-        """The not-yet-flushed dirty set (read-only peek, no drain).
-
-        The persistent-pool engine reads it at barrier start so profile
-        changes applied between cycles reach the shard workers before the
-        cycle that prices them; the set itself still drains through
-        :meth:`flush_dirty_profiles` at the cycle boundary.
-        """
-        return frozenset(self._dirty_profiles)
-
     def flush_dirty_profiles(self) -> FrozenSet[int]:
         """Drain the dirty set and fan it out to the listeners.
 

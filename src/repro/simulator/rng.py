@@ -4,14 +4,6 @@ Each simulation owns a root seed; every node derives its own independent
 ``random.Random`` stream from that seed and its node id.  This keeps runs
 reproducible regardless of the order in which nodes execute, which matters
 when comparing scenarios (e.g. with/without churn) that share a seed.
-
-Next to the cached per-node/per-purpose streams the factory hands out
-**counter-based streams**: a fresh ``random.Random`` derived purely from
-``(root_seed, name, counter)``.  Counter streams carry no mutable factory
-state, so any worker of the sharded engine can derive the stream for, say,
-``("shard-3", cycle=17)`` independently and obtain bit-identical draws --
-the schedule they feed is a function of the coordinates, never of which
-process asked first or how many workers exist.
 """
 
 from __future__ import annotations
@@ -24,9 +16,8 @@ def derive_rng(root_seed: int, *path: object) -> random.Random:
     """A fresh deterministic stream named by ``(root_seed, *path)``.
 
     Pure: equal coordinates give equal streams in every process, with no
-    shared state to advance.  This is the primitive behind
-    :meth:`SeededRngFactory.counter_stream` and the simtest/scenario seed
-    derivations.
+    shared state to advance.  This is the primitive behind the
+    simtest/scenario seed derivations.
     """
     return random.Random("/".join(str(part) for part in (root_seed,) + path))
 
@@ -45,18 +36,6 @@ class SeededRngFactory:
     def for_purpose(self, name: str) -> random.Random:
         """RNG stream for a named global purpose (bootstrap, churn, ...)."""
         return self._get(f"purpose:{name}")
-
-    def counter_stream(self, name: str, counter: int) -> random.Random:
-        """A counter-based stream for ``(name, counter)`` -- never cached.
-
-        Unlike :meth:`for_purpose`, the stream's draws depend only on the
-        coordinates: two calls with the same arguments return independent
-        ``random.Random`` objects positioned at the same start, and calls
-        for different counters never interact.  The sharded engine uses
-        these for per-(shard, cycle) decisions so its schedule is
-        independent of worker count and execution order.
-        """
-        return derive_rng(self.root_seed, "counter", name, counter)
 
     def _get(self, key: str) -> random.Random:
         stream = self._streams.get(key)

@@ -211,21 +211,6 @@ class TestCrashRecovery:
         assert second.ok, second.violation
         assert first.fingerprint != second.fingerprint
 
-    def test_crash_spec_is_bit_identical_across_worker_counts(self):
-        """The sharded engine pin: workers=2 runs the same crash schedule."""
-        spec = FAST_SPEC.but(
-            workers=2,
-            churn=(
-                ChurnEvent(
-                    phase="lazy", cycle=1, fraction=0.4, rejoin_after=1, mode="crash"
-                ),
-            ),
-            dynamics=DynamicsSpec(at_cycle=1, change_fraction=0.5),
-        )
-        result = run_scenario(spec)
-        assert result.ok, result.violation
-        assert "worker-count-equivalence" in result.checked
-
 
 # ---------------------------------------------------------------- free riders
 

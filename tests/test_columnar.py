@@ -1,16 +1,15 @@
-"""Columnar node state: store, digest matrix, zero-copy object crossing.
+"""Columnar node state: the store and the object crossing.
 
 The contract under test (see ``repro/data/columnar.py``) is that the
-columnar representation is an *encoding*, never a behaviour change:
+columnar representation is a *layout*, never a behaviour change:
 
 * a :class:`ColumnarStore` holds exactly the action lists the generator
-  emitted (same order, same distinct-item sequence, same versions);
-* :class:`DigestMatrix` rows are byte-identical to ``BloomFilter``s built
-  item by item, and probing a row with the memoized masks answers exactly
-  ``item in bloom``;
+  emitted (same order, same versions);
 * :meth:`UserProfile.from_columnar` / :meth:`BloomFilter.from_columnar`
   reproduce the object pipeline bit for bit, so a :class:`ColumnarDataset`
-  is indistinguishable from the object dataset it replaces.
+  is indistinguishable from the object dataset it replaces -- down to the
+  digest bytes a simulation built on it gossips;
+* nothing else lives here: no second digest form, no process-wide memo.
 """
 
 from __future__ import annotations
@@ -21,13 +20,14 @@ from repro.bloom import BloomFilter
 from repro.data import (
     ColumnarDataset,
     ColumnarStore,
-    DigestMatrix,
     SyntheticConfig,
     SyntheticTraceGenerator,
     UserProfile,
     generate_dataset,
+    load_or_generate_columnar,
 )
-from repro.data.columnar import geometry_mask_cache, mask_int
+from repro.data import columnar as columnar_module
+from repro.p3q import P3QConfig, P3QSimulation
 
 CONFIG = SyntheticConfig(
     num_users=40,
@@ -59,7 +59,7 @@ class TestColumnarStore:
     def test_rows_mirror_the_generated_action_lists(self, store, dataset):
         assert len(store) == len(dataset)
         raw = dict(SyntheticTraceGenerator(CONFIG).iter_user_actions())
-        for row, uid in store.iter_rows():
+        for row, uid in enumerate(store.uids):
             profile = dataset.profile(uid)
             # Stored order is the exact generation order; the profile's set
             # holds the same actions (its own iteration order is pinned by
@@ -67,14 +67,6 @@ class TestColumnarStore:
             assert store.actions_of_row(row) == raw[uid]
             assert set(store.actions_of_row(row)) == set(profile)
             assert store.versions[row] == profile.version
-
-    def test_distinct_items_keep_first_seen_order(self, store):
-        for row in range(len(store)):
-            seen = []
-            for item, _tag in store.actions_of_row(row):
-                if item not in seen:
-                    seen.append(item)
-            assert list(store.distinct_items_of_row(row)) == seen
 
     def test_row_of_dense_and_sparse_ids(self):
         dense = ColumnarStore.from_action_stream([(0, [(1, 2)]), (1, [(3, 4)])])
@@ -84,17 +76,6 @@ class TestColumnarStore:
         assert sparse.row_of(5) == 0
         assert sparse.row_of(90) == 1
         assert sparse.row_of(0) is None
-
-    def test_from_dataset_snapshots_live_versions(self, dataset):
-        snapshot = ColumnarStore.from_dataset(dataset)
-        for row, uid in snapshot.iter_rows():
-            assert snapshot.versions[row] == dataset.profile(uid).version
-
-    def test_max_item_tracks_the_universe(self, store, dataset):
-        assert store.max_item == max(
-            item for p in dataset.profiles() for item, _tag in p
-        )
-        assert ColumnarStore().max_item == -1
 
     def test_from_cache_arrays_equals_streaming_construction(self, store):
         uids = list(store.uids)
@@ -107,88 +88,7 @@ class TestColumnarStore:
         assert list(adopted.uids) == uids
         for row in range(len(store)):
             assert adopted.actions_of_row(row) == store.actions_of_row(row)
-            assert list(adopted.distinct_items_of_row(row)) == list(
-                store.distinct_items_of_row(row)
-            )
             assert adopted.versions[row] == store.versions[row]
-
-
-# ----------------------------------------------------------------- probe masks
-
-
-class TestProbeMasks:
-    def test_mask_int_matches_bloom_membership(self, store):
-        bloom = BloomFilter(num_bits=BITS, num_hashes=HASHES)
-        members = list(store.distinct_items_of_row(0))
-        for item in members:
-            bloom.add(item)
-        for item in range(300):
-            mask = mask_int(item, BITS, HASHES)
-            assert (bloom.raw_bits & mask == mask) == (item in bloom)
-
-    def test_geometry_cache_is_filled_by_mask_int(self):
-        cache = geometry_mask_cache(BITS, HASHES)
-        value = mask_int(123_456, BITS, HASHES)
-        assert cache[123_456] == value
-
-
-# --------------------------------------------------------------- digest matrix
-
-
-class TestDigestMatrix:
-    def test_rows_are_byte_identical_to_object_filters(self, store):
-        matrix = DigestMatrix(len(store), BITS, HASHES)
-        assert matrix.build_rows(store) == len(store)
-        for row in range(len(store)):
-            bloom = BloomFilter.from_items(
-                store.distinct_items_of_row(row), num_bits=BITS, num_hashes=HASHES
-            )
-            assert matrix.row_bits_int(row) == bloom.raw_bits
-            assert matrix.row_bytes_of(row) == bloom.raw_bits.to_bytes(
-                matrix.row_bytes, "little"
-            )
-            assert matrix.row_version(row) == store.versions[row]
-
-    def test_unbuilt_rows_carry_version_minus_one(self, store):
-        matrix = DigestMatrix(len(store), BITS, HASHES)
-        assert matrix.built_count() == 0
-        assert matrix.build_rows(store, rows=[0, 2]) == 2
-        assert matrix.row_version(0) >= 0
-        assert matrix.row_version(1) == -1
-        assert matrix.built_count() == 2
-
-    def test_set_row_from_items_rebuilds_in_place(self, store):
-        matrix = DigestMatrix(len(store), BITS, HASHES)
-        matrix.build_rows(store)
-        matrix.set_row_from_items(3, [1, 2, 3], version=99)
-        expected = BloomFilter.from_items([1, 2, 3], num_bits=BITS, num_hashes=HASHES)
-        assert matrix.row_bits_int(3) == expected.raw_bits
-        assert matrix.row_version(3) == 99
-
-    def test_shared_matrix_same_bytes_and_clean_close(self, store):
-        local = DigestMatrix(len(store), BITS, HASHES)
-        shared = DigestMatrix(len(store), BITS, HASHES, shared=True)
-        try:
-            local.build_rows(store)
-            shared.build_rows(store)
-            for row in range(len(store)):
-                assert shared.row_bytes_of(row) == local.row_bytes_of(row)
-        finally:
-            shared.close()
-            shared.close()  # idempotent
-
-    def test_from_columnar_filter_probes_like_the_original(self, store):
-        matrix = DigestMatrix(len(store), BITS, HASHES)
-        matrix.build_rows(store)
-        row = 5
-        items = list(store.distinct_items_of_row(row))
-        bloom = BloomFilter.from_columnar(
-            BITS, HASHES, matrix.row_bytes_of(row), len(items)
-        )
-        reference = BloomFilter.from_items(items, num_bits=BITS, num_hashes=HASHES)
-        assert bloom.raw_bits == reference.raw_bits
-        assert bloom.approximate_count == len(items)
-        assert all(item in bloom for item in items)
 
 
 # ------------------------------------------------------------- object crossing
@@ -207,6 +107,16 @@ class TestObjectCrossing:
     def test_profile_from_columnar_unknown_user(self, store):
         with pytest.raises(KeyError):
             UserProfile.from_columnar(store, 10_000)
+
+    def test_from_columnar_filter_probes_like_the_original(self, store):
+        items = sorted({item for item, _tag in store.actions_of_row(5)})
+        reference = BloomFilter.from_items(items, num_bits=BITS, num_hashes=HASHES)
+        bloom = BloomFilter.from_columnar(
+            BITS, HASHES, reference.row_bytes(), len(items)
+        )
+        assert bloom.raw_bits == reference.raw_bits
+        assert bloom.approximate_count == len(items)
+        assert all(item in bloom for item in items)
 
     def test_columnar_dataset_equals_object_dataset(self, store, dataset):
         columnar = ColumnarDataset(store)
@@ -232,3 +142,32 @@ class TestObjectCrossing:
         assert clone.profile(0) is not profile
         # Untouched users stay columnar in the clone.
         assert set(clone._profiles) == {0}
+
+
+# ----------------------------------------------------------------- layout only
+
+
+class TestLayoutOnly:
+    """One digest form: a columnar dataset changes where the actions sit
+    until a profile is touched, and nothing about the digests built on it."""
+
+    TRACE = SyntheticConfig(num_users=200, seed=3)
+
+    def _bootstrapped(self, dataset) -> P3QSimulation:
+        simulation = P3QSimulation(dataset, P3QConfig(network_size=20, storage=3, seed=3))
+        simulation.bootstrap_random_views()
+        return simulation
+
+    def test_digest_bytes_equal_the_object_datasets(self):
+        flat = self._bootstrapped(load_or_generate_columnar(self.TRACE)[0])
+        objects = self._bootstrapped(generate_dataset(self.TRACE))
+        assert list(flat.nodes) == list(objects.nodes)
+        for uid, node in flat.nodes.items():
+            assert (
+                node.own_digest().bloom.row_bytes()
+                == objects.nodes[uid].own_digest().bloom.row_bytes()
+            )
+        assert not hasattr(flat, "digest_matrix")
+
+    def test_module_holds_no_process_wide_memo(self):
+        assert not hasattr(columnar_module, "_MASK_INTS")

@@ -154,10 +154,8 @@ class TestDigestCache:
         receiver = UserProfile(1, [(10, 1), (20, 2)])
         subjects = [UserProfile(2, [(10, 5)]), UserProfile(3, [(30, 5)])]
         digests = [cache.digest_for(s) for s in subjects]
-        batch = cache.common_items_batch(receiver, digests)
-        assert set(batch) == {2, 3}
         for digest in digests:
-            assert batch[digest.user_id] == frozenset(
+            assert cache.common_items(receiver, digest) == frozenset(
                 digest.common_items_with(receiver.items)
             )
 

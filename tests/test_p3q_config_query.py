@@ -36,6 +36,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             P3QConfig(storage=-1)
 
+    def test_retired_engine_knobs_are_unknown_fields(self):
+        """One cycle engine: the parallel-engine knobs are not accepted and
+        ignored, they are gone (see "Measured and removed" in
+        docs/ARCHITECTURE.md)."""
+        with pytest.raises(TypeError):
+            P3QConfig(workers=2)
+        with pytest.raises(TypeError):
+            P3QConfig(engine_executor="pool")
+
     def test_with_storage_and_with_alpha_preserve_other_fields(self):
         config = P3QConfig(network_size=33, storage=4, alpha=0.3, seed=9)
         other = config.with_storage({1: 2}).with_alpha(0.7)

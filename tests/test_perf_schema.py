@@ -1,12 +1,10 @@
 """Schema tests for the perf harness report (``benchmarks.perf``).
 
-These pin the v8 report contract as the harness's one field table
+These pin the v9 report contract as the harness's one field table
 (``REPORT_SECTIONS``) states it: macro entries report ``setup_seconds``
 separately from the timed cycle loops, declare how the eager phase was
-warmed, carry the per-repeat rate samples behind the headline rate together
-with the statistic that produced it, name the engine executor that actually
-ran (``inline``/``pool``) with its pool-reuse count, and the ``columnar`` /
-``worker_scaling`` sections carry positive throughput rates.
+warmed, and carry the per-repeat rate samples behind the headline rate
+together with the statistic that produced it.
 ``compare_reports`` guards the table's guarded fields (the macro cycles/sec
 rates).  The fixture report is built from the same table, so a field is
 named once.
@@ -33,7 +31,6 @@ from benchmarks.perf import (  # noqa: E402
     validate_report,
 )
 from benchmarks.perf.harness import (  # noqa: E402
-    COUNT,
     NON_NEGATIVE,
     PHASE_BYTES,
     POSITIVE,
@@ -45,7 +42,6 @@ from benchmarks.perf.harness import (  # noqa: E402
 _PASSING = {
     POSITIVE: 20.0,
     NON_NEGATIVE: 0.5,
-    COUNT: 0,
     SAMPLES: [19.0, 20.0, 21.0],
     PHASE_BYTES: {"dataset": 100_000_000, "lazy": 150_000_000},
 }
@@ -83,8 +79,8 @@ class TestValidateReportV3:
     def test_valid_report_passes(self):
         assert validate_report(_valid_report()) == []
 
-    def test_schema_version_is_8(self):
-        assert SCHEMA_VERSION == 8
+    def test_schema_version_is_9(self):
+        assert SCHEMA_VERSION == 9
 
     def test_missing_rate_stat_rejected(self):
         report = _valid_report()
@@ -124,27 +120,7 @@ class TestValidateReportV3:
 
 
 class TestValidateReportV4:
-    """The executor dimension: every macro entry says what actually ran."""
-
-    def test_missing_engine_executor_rejected(self):
-        report = _valid_report()
-        del report["macro"]["100"]["engine_executor"]
-        assert any("engine_executor" in p for p in validate_report(report))
-
-    def test_unknown_engine_executor_rejected(self):
-        report = _valid_report()
-        report["macro"]["100"]["engine_executor"] = "threads"
-        assert any("engine_executor" in p for p in validate_report(report))
-
-    def test_missing_pool_reuse_count_rejected(self):
-        report = _valid_report()
-        del report["macro"]["100"]["pool_reuse_count"]
-        assert any("pool_reuse_count" in p for p in validate_report(report))
-
-    def test_negative_pool_reuse_count_rejected(self):
-        report = _valid_report()
-        report["macro"]["10000"]["pool_reuse_count"] = -1
-        assert any("pool_reuse_count" in p for p in validate_report(report))
+    """Per-phase peak RSS, and a real quick run against the table."""
 
     def test_peak_rss_is_optional(self):
         report = _valid_report()
@@ -158,38 +134,11 @@ class TestValidateReportV4:
         report["macro"]["10000"]["peak_rss_bytes"] = "big"
         assert any("peak_rss_bytes" in p for p in validate_report(report))
 
-    def test_columnar_section_is_optional_but_validated(self):
-        report = _valid_report()
-        del report["columnar"]
-        assert validate_report(report) == []
-        report = _valid_report()
-        report["columnar"]["10000"]["probe_ops_per_sec"] = 0
-        assert any("probe_ops_per_sec" in p for p in validate_report(report))
-        report = _valid_report()
-        report["columnar"] = {}
-        assert any("columnar" in p for p in validate_report(report))
-
-    def test_worker_scaling_section_is_optional_but_validated(self):
-        report = _valid_report()
-        del report["worker_scaling"]
-        assert validate_report(report) == []
-        report = _valid_report()
-        report["worker_scaling"]["10000"]["speedup"] = 0
-        assert any("speedup" in p for p in validate_report(report))
-        report = _valid_report()
-        report["worker_scaling"]["10000"]["engine_executor"] = "magic"
-        assert any("worker_scaling" in p and "engine_executor" in p
-                   for p in validate_report(report))
-
     def test_quick_suite_produces_a_valid_report(self, quick_report):
         report = quick_report
         assert report["schema_version"] == SCHEMA_VERSION
         assert validate_report(report) == []
         assert isinstance(report["cpu_count"], int) and report["cpu_count"] >= 1
-        for entry in report["macro"].values():
-            assert entry["engine_executor"] in ("inline", "pool")
-            assert entry["pool_reuse_count"] >= 0
-        assert report["columnar"]  # quick runs include the micro-benchmark
 
 
 class TestFieldTable:
@@ -212,52 +161,8 @@ class TestFieldTable:
             for entry in quick_report[section.name].values():
                 assert field.name in entry
                 assert all(name in entry for name in field.spread)
-        stale = dict(committed, schema_version=7)
-        assert validate_report(stale) == ["schema_version must be 8, got 7"]
-
-
-class TestRequireExecutor:
-    """CI guard: requested parallelism must not silently degrade to inline."""
-
-    def test_suite_path_fails_fast_on_degradation(self):
-        from benchmarks.perf.harness import main
-
-        # Explicit inline can never satisfy a 'pool' requirement, on any
-        # runner -- the check fires before the suite runs.
-        assert main(["--workers", "2", "--executor", "inline",
-                     "--require-executor", "pool"]) == 2
-
-    def test_scale_smoke_reports_resolved_executor_and_fails(self, capsys):
-        from benchmarks.perf.harness import main
-
-        code = main([
-            "--scale-smoke", "30", "--workers", "2",
-            "--executor", "inline", "--require-executor", "pool",
-        ])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "executor requirement FAILED" in captured.err
-        assert "resolved to 'inline'" in captured.err
-
-    def test_satisfied_requirement_passes(self, tmp_path, capsys):
-        from benchmarks.perf.harness import main
-
-        fragment = tmp_path / "fragment.json"
-        code = main([
-            "--scale-smoke", "30", "--workers", "1",
-            "--require-executor", "inline",
-            "--fragment-output", str(fragment),
-        ])
-        assert code == 0
-        payload = json.loads(fragment.read_text(encoding="utf-8"))
-        assert payload["schema_version"] == SCHEMA_VERSION
-        assert payload["scale_smoke"]["num_nodes"] == 30
-        assert payload["scale_smoke"]["engine_executor"] == "inline"
-        # The one summary line names the peak RSS of every phase it measured.
-        summary = capsys.readouterr().out.splitlines()[0]
-        peaks = payload["scale_smoke"].get("peak_rss_bytes", {})  # POSIX only
-        assert all(f"peak RSS after {phase} " in summary for phase in peaks)
-        assert summary.count("KB/node") == len(peaks)
+        stale = dict(committed, schema_version=8)
+        assert validate_report(stale) == ["schema_version must be 9, got 8"]
 
 
 class TestMacroSetupSplit:
@@ -317,6 +222,21 @@ class TestScaleSmoke:
             "cycle_seconds",
         ):
             assert result[key] >= 0
+
+    def test_front_door_writes_the_fragment_and_one_summary_line(self, tmp_path, capsys):
+        from benchmarks.perf.harness import main
+
+        fragment = tmp_path / "fragment.json"
+        code = main(["--scale-smoke", "30", "--fragment-output", str(fragment)])
+        assert code == 0
+        payload = json.loads(fragment.read_text(encoding="utf-8"))
+        assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["scale_smoke"]["num_nodes"] == 30
+        # The one summary line names the peak RSS of every phase it measured.
+        summary = capsys.readouterr().out.splitlines()[0]
+        peaks = payload["scale_smoke"].get("peak_rss_bytes", {})  # POSIX only
+        assert all(f"peak RSS after {phase} " in summary for phase in peaks)
+        assert summary.count("KB/node") == len(peaks)
 
     def test_budget_violation_detected(self):
         result = bench_scale_smoke(size=40, budget_seconds=1e-9, num_queries=2)
@@ -382,6 +302,26 @@ class TestCompareReports:
         assert compare_reports(current, baseline) == [
             "cannot compare a quick report against a full one"
         ]
+
+    def test_v9_head_compares_against_a_v8_merge_base(self):
+        """The perf-guard job compares the head's report against one the
+        merge base generated: across the v8 -> v9 cut that baseline still
+        carries the retired sections and per-entry keys, and the two guarded
+        macro rates must still be compared."""
+        baseline = _valid_report()
+        baseline["schema_version"] = 8
+        for entry in baseline["macro"].values():
+            entry.update(workers=1, engine_executor="inline", pool_reuse_count=0)
+        baseline["columnar"] = {"10000": {"probe_speedup": 0.9}}
+        baseline["worker_scaling"] = {"10000": {"speedup": 0.52}}
+        current = _valid_report()
+        assert compare_reports(current, baseline) == []
+        current["macro"]["100"]["lazy_cycles_per_sec"] = 10.0  # was 20
+        current["macro"]["10000"]["eager_cycles_per_sec"] = 10.0
+        problems = compare_reports(current, baseline)
+        assert len(problems) == 2
+        assert any("macro[100].lazy_cycles_per_sec" in p for p in problems)
+        assert any("macro[10000].eager_cycles_per_sec" in p for p in problems)
 
     def test_malformed_guarded_field_is_a_problem_not_a_skip(self, tmp_path, capsys):
         from benchmarks.perf.harness import main

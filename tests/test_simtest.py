@@ -8,6 +8,8 @@ greedy shrinker, and the CLI driver including its self-check mode.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.gossip import sizes
@@ -90,6 +92,14 @@ class TestSpec:
             ),
         )
         assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    def test_from_dict_names_every_unknown_field(self):
+        """A spec written by another commit (retired or future fields) is a
+        ValueError naming all of them, not a TypeError on the first."""
+        payload = dict(FAST_SPEC.to_dict(), workers=2, engine_executor="pool")
+        with pytest.raises(ValueError) as error:
+            ScenarioSpec.from_dict(payload)
+        assert str(error.value) == "unknown scenario field(s): engine_executor, workers"
 
     def test_repro_command_embeds_the_spec(self):
         spec = FAST_SPEC
@@ -335,6 +345,13 @@ class TestCli:
         assert main(["--spec-json", FAST_SPEC.to_json()]) == 0
         out = capsys.readouterr().out
         assert "[spec] ok" in out
+
+    def test_spec_from_another_commit_is_one_line_and_exit_2(self, capsys):
+        payload = dict(FAST_SPEC.to_dict(), workers=2)
+        assert main(["--spec-json", json.dumps(payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "unknown scenario field(s): workers\n"
+        assert captured.out == ""
 
     def test_list_invariants(self, capsys):
         assert main(["--list-invariants"]) == 0

@@ -16,6 +16,7 @@ from repro.simulator import (
     SimulationEngine,
     StatsCollector,
     UnknownNodeError,
+    derive_rng,
 )
 
 
@@ -51,6 +52,9 @@ class TestRng:
     def test_stream_is_cached(self):
         factory = SeededRngFactory(0)
         assert factory.for_purpose("x") is factory.for_purpose("x")
+
+    def test_derive_rng_is_pure(self):
+        assert derive_rng(1, "a", 2).random() == derive_rng(1, "a", 2).random()
 
 
 class TestStatsCollector:

@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.data.loader import load_or_generate_columnar
 from repro.data.queries import QueryWorkloadGenerator
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.p3q.config import P3QConfig
@@ -53,17 +54,19 @@ ALL_KINDS = (
 )
 
 
-def run_scenario(overrides: Optional[Dict] = None) -> Dict:
+def run_scenario(overrides: Optional[Dict] = None, columnar: bool = False) -> Dict:
     """One deterministic end-to-end simulation, fingerprinted exactly."""
-    return _fingerprint(*run_simulation(overrides))
+    return _fingerprint(*run_simulation(overrides, columnar))
 
 
-def run_simulation(overrides: Optional[Dict] = None):
+def run_simulation(overrides: Optional[Dict] = None, columnar: bool = False):
     """The golden scenario, returned live as ``(simulation, eager_cycles)``.
 
     The scenario exercises every message type: bootstrap, organic lazy
     convergence, query issuing, eager drain, churn mid-run and a final lazy
-    stretch over the shrunken population.
+    stretch over the shrunken population.  With ``columnar`` the same trace
+    is streamed into flat arrays instead of profile objects (the set-up path
+    of ``python -m repro perf --scale-smoke``).
     """
     config_kwargs = dict(
         network_size=12,
@@ -77,16 +80,15 @@ def run_simulation(overrides: Optional[Dict] = None):
     )
     config_kwargs.update(overrides or {})
     config = P3QConfig(**config_kwargs)
-    dataset = generate_dataset(
-        SyntheticConfig(
-            num_users=48,
-            num_items=300,
-            num_tags=90,
-            num_communities=5,
-            mean_actions_per_user=25,
-            seed=11,
-        )
+    trace = SyntheticConfig(
+        num_users=48,
+        num_items=300,
+        num_tags=90,
+        num_communities=5,
+        mean_actions_per_user=25,
+        seed=11,
     )
+    dataset = load_or_generate_columnar(trace)[0] if columnar else generate_dataset(trace)
     simulation = P3QSimulation(dataset, config)
     simulation.bootstrap_random_views()
     simulation.run_lazy(6)
@@ -160,6 +162,13 @@ def test_explicit_direct_transport_matches_default():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     explicit = {"loss_rate": 0.0, "delay_cycles": 0, "partition": None, "asymmetry": None}
     assert run_scenario(explicit) == golden
+
+
+def test_columnar_dataset_reproduces_the_golden():
+    """The only simulation-level pin of the columnar set-up path: profiles
+    materialized from flat arrays run the exact schedule of object ones."""
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert run_scenario(columnar=True) == golden
 
 
 def test_lossless_lossy_transport_degrades_to_direct():

@@ -94,6 +94,9 @@ class TestPerfFrontDoor:
         # benchmarks/e2e is the one place serving and service are measured.
         for flag in ("--serving", "--serving-smoke", "--service", "--service-smoke", "--service-trace"):
             assert flag not in result.stdout
+        # One cycle engine: the flags that selected or measured another are gone.
+        for flag in ("--workers", "--executor", "--require-executor", "--worker-scaling", "--columnar"):
+            assert flag not in result.stdout
         assert not (REPO_ROOT / "benchmarks" / "perf" / "__main__.py").exists()
 
 
