@@ -133,31 +133,15 @@ def synthetic_cache_path(config: SyntheticConfig, cache_dir: Union[str, Path]) -
     return Path(cache_dir) / f"{synthetic_cache_key(config)}.trace"
 
 
-def save_trace_cache(
-    records: Iterable[Tuple[int, List[TaggingAction]]],
-    key: str,
-    path: Union[str, Path],
+def _write_cache_file(
+    path: Union[str, Path], key: str, uids: array, counts: array, items: array, tags: array
 ) -> None:
-    """Write ``(user_id, actions)`` records as a flat binary trace.
+    """Publish the four ``int32`` arrays of a trace cache atomically.
 
-    Layout: one JSON header line, then four little-endian ``int32`` arrays
-    (user ids, per-user action counts, items, tags).  ``records`` must carry
-    the action lists in the exact order the generator handed them to
-    :meth:`UserProfile.from_distinct_actions`: replaying the stored lists
-    through the same constructor is what makes a cache load reproduce the
-    generated profiles bit for bit, down to set layout.
+    Layout: one JSON header line, then the arrays little-endian (user ids,
+    per-user action counts, items, tags).
     """
     path = Path(path)
-    uids = array("i")
-    counts = array("i")
-    items = array("i")
-    tags = array("i")
-    for user_id, actions in records:
-        uids.append(user_id)
-        counts.append(len(actions))
-        for item, tag in actions:
-            items.append(item)
-            tags.append(tag)
     header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
@@ -184,52 +168,53 @@ def save_trace_cache(
         raise
 
 
+def save_trace_cache(
+    records: Iterable[Tuple[int, List[TaggingAction]]],
+    key: str,
+    path: Union[str, Path],
+) -> None:
+    """Write ``(user_id, actions)`` records as a flat binary trace.
+
+    ``records`` must carry the action lists in the exact order the generator
+    handed them to :meth:`UserProfile.from_distinct_actions`: replaying the
+    stored lists through the same constructor is what makes a cache load
+    reproduce the generated profiles bit for bit, down to set layout.
+    """
+    uids = array("i")
+    counts = array("i")
+    items = array("i")
+    tags = array("i")
+    for user_id, actions in records:
+        uids.append(user_id)
+        counts.append(len(actions))
+        for item, tag in actions:
+            items.append(item)
+            tags.append(tag)
+    _write_cache_file(path, key, uids, counts, items, tags)
+
+
 def load_trace_cache(path: Union[str, Path], expected_key: Optional[str] = None) -> Dataset:
     """Load a binary trace written by :func:`save_trace_cache`."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: unreadable cache header") from exc
-        if header.get("format") != CACHE_FORMAT or header.get("version") != CACHE_VERSION:
-            raise DatasetFormatError(f"{path} is not a {CACHE_FORMAT} v{CACHE_VERSION} file")
-        if expected_key is not None and header.get("key") != expected_key:
-            raise DatasetFormatError(f"{path}: cache key mismatch")
-        num_users = int(header["num_users"])
-        num_actions = int(header["num_actions"])
-        uids = array("i")
-        counts = array("i")
-        items = array("i")
-        tags = array("i")
-        uids.frombytes(handle.read(4 * num_users))
-        counts.frombytes(handle.read(4 * num_users))
-        items.frombytes(handle.read(4 * num_actions))
-        tags.frombytes(handle.read(4 * num_actions))
-    if (
-        len(uids) != num_users
-        or len(counts) != num_users
-        or len(items) != num_actions
-        or len(tags) != num_actions
-    ):
-        raise DatasetFormatError(f"{path}: truncated cache file")
+    uids, counts, items, tags = _read_cache_arrays(Path(path), expected_key)
     pairs = list(zip(items, tags))
     profiles: Dict[int, UserProfile] = {}
     offset = 0
     for uid, count in zip(uids, counts):
         profiles[uid] = UserProfile.from_distinct_actions(uid, pairs[offset:offset + count])
         offset += count
-    if offset != num_actions:
-        raise DatasetFormatError(f"{path}: action counts disagree with payload")
     return Dataset(profiles)
 
 
 def _read_cache_arrays(
     path: Path, expected_key: Optional[str] = None
 ) -> Tuple[array, array, array, array]:
-    """The four raw arrays of a binary trace cache (uids, counts, items, tags)."""
-    path = Path(path)
+    """The four validated arrays of a binary trace cache (uids, counts, items, tags).
+
+    Every count is non-negative, the counts sum to the payload and no user
+    id repeats, so slicing the payload by the counts cannot hand one user
+    another's actions: a file that fails any of these is rejected, never
+    served.
+    """
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
@@ -257,8 +242,10 @@ def _read_cache_arrays(
         or len(tags) != num_actions
     ):
         raise DatasetFormatError(f"{path}: truncated cache file")
-    if sum(counts) != num_actions:
+    if sum(counts) != num_actions or (num_users and min(counts) < 0):
         raise DatasetFormatError(f"{path}: action counts disagree with payload")
+    if len(set(uids)) != num_users:
+        raise DatasetFormatError(f"{path}: repeated user id")
     return uids, counts, items, tags
 
 
@@ -307,36 +294,9 @@ def _save_store_cache(store, key: str, path: Union[str, Path]) -> None:
     ``(user_id, actions)`` records: the store's flat columns are exactly
     the cache arrays.
     """
-    path = Path(path)
-    uids = array("i", store.uids)
-    counts = array(
-        "i",
-        (
-            store.offsets[row + 1] - store.offsets[row]
-            for row in range(len(store))
-        ),
-    )
-    header = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "key": key,
-        "num_users": len(uids),
-        "num_actions": store.num_actions,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for blob in (uids, counts, store.items, store.tags):
-                handle.write(blob.tobytes())
-        os.replace(tmp_name, path)  # atomic publish
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    offsets = store.offsets
+    counts = array("i", (offsets[row + 1] - offsets[row] for row in range(len(store))))
+    _write_cache_file(path, key, array("i", store.uids), counts, store.items, store.tags)
 
 
 def load_or_generate_synthetic(

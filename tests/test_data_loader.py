@@ -251,3 +251,41 @@ class TestColumnarDatasetCache:
         assert status2 == "miss"
         _, status3 = load_or_generate_columnar(config, tmp_path)
         assert status3 == "hit"
+
+
+def _tamper_user_table(path, how: str) -> None:
+    """Corrupt a trace cache's user table while keeping header and sizes valid."""
+    from array import array
+
+    blob = path.read_bytes()
+    header, _, body = blob.partition(b"\n")
+    num_users = json.loads(header)["num_users"]
+    table = array("i")
+    table.frombytes(body[: 8 * num_users])
+    uids, counts = table[:num_users], table[num_users:]
+    if how == "negative_count":
+        # Still sums to num_actions: user 0 swallows user 1's actions and more.
+        counts[0] += counts[1] + 7
+        counts[1] = -7
+    else:
+        uids[1] = uids[0]
+    path.write_bytes(header + b"\n" + uids.tobytes() + counts.tobytes() + body[8 * num_users:])
+
+
+@pytest.mark.parametrize("how", ["negative_count", "repeated_user"])
+@pytest.mark.parametrize("loader_name", ["load_or_generate_synthetic", "load_or_generate_columnar"])
+def test_cache_with_a_corrupt_user_table_regenerates(tmp_path, loader_name, how):
+    """A count column that still sums to ``num_actions`` used to be served as
+    a hit with wrong profiles; it must regenerate, on both load paths."""
+    import repro.data as data
+    from repro.data.loader import synthetic_cache_path
+
+    loader = getattr(data, loader_name)
+    config = data.SyntheticConfig(**TestSyntheticDatasetCache.CONFIG_KW)
+    reference, _ = loader(config, tmp_path)
+    _tamper_user_table(synthetic_cache_path(config, tmp_path), how)
+    dataset, status = loader(config, tmp_path)
+    assert status == "miss"
+    fingerprint = TestSyntheticDatasetCache._fingerprint
+    assert fingerprint(None, dataset) == fingerprint(None, reference)
+    assert loader(config, tmp_path)[1] == "hit"  # the rewritten file is sound
