@@ -1,12 +1,13 @@
 """Columnar node state: flat arrays behind the object-level data model.
 
 At N=1,000,000 the per-user Python objects of the setup pipeline -- one
-action list, one :class:`~repro.data.models.UserProfile` with four index
-containers -- dominate both memory and setup time.  This module stores the
-same information *columnarly*, as a **layout** only (digests are built and
-probed by :class:`~repro.gossip.digest.DigestCache` from materialized
-profiles; see "Measured and removed" in ``docs/ARCHITECTURE.md`` for the
-columnar digest rows this module used to carry):
+action list, one :class:`~repro.data.models.UserProfile` with its id set
+and two index dicts -- dominate both memory and setup time.  This module
+stores the same information *columnarly*, as a **layout** only (digests
+are built and probed by :class:`~repro.gossip.digest.DigestCache` from
+materialized profiles; see "Measured and removed" in
+``docs/ARCHITECTURE.md`` for the columnar digest rows this module used to
+carry):
 
 * **Action columns.**  All tagging actions of all users live in two flat
   ``int32`` arrays (``items``, ``tags``) with a per-user ``offsets`` table,
@@ -14,8 +15,8 @@ columnar digest rows this module used to carry):
   (:mod:`repro.data.loader`) -- a cache hit IS a columnar load.
 * **Object API compatibility.**  :meth:`ColumnarDataset.profile`
   materializes a :class:`~repro.data.models.UserProfile` from the columns
-  through ``UserProfile.from_columnar`` on first access -- same sets, same
-  insertion order, same version counter as the object pipeline, pinned by
+  through ``UserProfile.from_columnar`` on first access -- same id set,
+  same index tuples, same version counter as the object pipeline, pinned by
   the dataset fingerprint tests -- so everything downstream of a dataset
   keeps working unchanged at small N while large-N setup stays columnar
   until a profile is actually needed.
@@ -129,8 +130,8 @@ class ColumnarDataset(Dataset):
 
     Profiles are materialized lazily through
     :meth:`UserProfile.from_columnar` -- bit-identical to the object
-    pipeline's ``from_distinct_actions`` (same action order, same set
-    layout, same version) -- so holding the dataset costs four flat arrays
+    pipeline's ``from_distinct_actions`` (same action order, same index
+    tuples, same version) -- so holding the dataset costs four flat arrays
     until a consumer actually touches a profile.
     """
 

@@ -5,8 +5,8 @@ actions, i.e. ``(item, tag)`` pairs.  Hashing a tuple costs a tuple-hash per
 probe and every profile comparison used to rebuild tuple sets from scratch.
 Interning maps each distinct action to a *small dense int* exactly once, so
 
-* profiles can maintain a parallel ``frozenset[int]`` of action ids
-  incrementally (one dict hit per ``add``);
+* a profile stores its actions as one ``frozenset[int]`` of action ids (one
+  dict hit per action when it is built) and derives the tuple view from it;
 * similarity scores become C-level intersections of int sets
   (:mod:`repro.similarity.metrics`);
 * the offline k-NN index buckets users by action id instead of tuple
@@ -66,3 +66,4 @@ GLOBAL_INTERNER = ActionInterner()
 
 intern_action = GLOBAL_INTERNER.intern
 action_of = GLOBAL_INTERNER.action_of
+id_of = GLOBAL_INTERNER.id_of

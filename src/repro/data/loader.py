@@ -23,7 +23,7 @@ per spec and every later run streams the identical trace back in a few
 C-level array reads.  The cached file preserves the exact insertion order
 of every action list, and profiles are rebuilt through
 :meth:`~repro.data.models.UserProfile.from_distinct_actions` -- a cache hit
-is bit-identical to regeneration, down to set iteration order.
+is bit-identical to regeneration, down to the order of every index tuple.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def save_trace_cache(
     ``records`` must carry the action lists in the exact order the generator
     handed them to :meth:`UserProfile.from_distinct_actions`: replaying the
     stored lists through the same constructor is what makes a cache load
-    reproduce the generated profiles bit for bit, down to set layout.
+    reproduce the generated profiles bit for bit, down to index tuple order.
     """
     uids = array("i")
     counts = array("i")
@@ -242,7 +242,7 @@ def _read_cache_arrays(
         or len(tags) != num_actions
     ):
         raise DatasetFormatError(f"{path}: truncated cache file")
-    if sum(counts) != num_actions or (num_users and min(counts) < 0):
+    if sum(counts) != num_actions or min(counts, default=0) < 0:
         raise DatasetFormatError(f"{path}: action counts disagree with payload")
     if len(set(uids)) != num_users:
         raise DatasetFormatError(f"{path}: repeated user id")

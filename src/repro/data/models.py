@@ -10,27 +10,25 @@ Users, items and tags are identified by small integers.  Keeping identifiers
 numeric keeps profiles hashable and cheap to intersect, and matches the
 paper's cost model (4-byte user ids, 16-byte hashed items / tags).
 
-Profiles are *interned*: next to the raw ``(item, tag)`` tuple set each
-profile incrementally maintains a parallel set of dense integer action ids
-(:mod:`repro.data.interning`) plus per-version cached frozen views.  The
-similarity layer intersects the id sets instead of rebuilding tuple sets per
-comparison -- see ``docs/ARCHITECTURE.md`` for the full design and its
-invariants.
+Profiles are *interned* and hold **one immutable copy** of their state: a
+``frozenset`` of dense integer action ids (:mod:`repro.data.interning`) plus
+``item -> tags`` and ``tag -> items`` dicts of tuples.  The ``(item, tag)``
+tuple view is derived from that state on demand.  The similarity layer
+intersects the id sets instead of rebuilding tuple sets per comparison --
+see ``docs/ARCHITECTURE.md`` for the full design and its invariants.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
-from .interning import intern_action
+from .interning import action_of, id_of, intern_action
 
 #: A tagging action is the pair (item, tag).  The user is implied by the
 #: profile that contains the action.
 TaggingAction = Tuple[int, int]
-
-_EMPTY_FROZENSET: FrozenSet[int] = frozenset()
 
 #: Per-profile-version cap on the whole-reply memo of
 #: :meth:`UserProfile.action_ids_for_items`.  The memo exists for *repeat*
@@ -45,23 +43,24 @@ class UserProfile:
 
     A profile supports the three views P3Q needs:
 
-    * the raw set of ``(item, tag)`` actions (similarity scores are
-      intersection sizes over this set);
+    * the set of actions, as interned ids (similarity scores are
+      intersection sizes over this set) or as ``(item, tag)`` tuples;
     * the set of distinct items (this is what the Bloom-filter digest
       encodes);
     * an item -> tags index (used to answer queries and to transfer only the
-      tags of *common* items during the lazy 3-step exchange).
+      tags of *common* items during the lazy 3-step exchange) and a tag ->
+      items index (query scoring).
 
-    All indexes -- including the interned action-id set, a tag -> items index
-    for query scoring, and the frozen views handed out by the read-access
-    properties -- are maintained incrementally on ``add`` or cached per
-    profile version, so the hot paths (similarity scoring, digest building,
-    query evaluation) never rebuild them per call.
+    Stored, once and immutably: the ``frozenset`` of action ids that
+    :attr:`action_ids` hands out, and the two indexes as dicts of tuples in
+    insertion order.  Everything else (``actions``, ``items``, step-2
+    replies) is derived, and cached per profile version only once someone
+    asks.  Bulk construction and :meth:`add_all` build the state in one
+    pass; a lone :meth:`add` rebuilds the id set, O(profile length).
     """
 
     __slots__ = (
         "user_id",
-        "_actions",
         "_action_ids",
         "_item_tags",
         "_tag_items",
@@ -72,19 +71,17 @@ class UserProfile:
 
     def __init__(self, user_id: int, actions: Iterable[TaggingAction] = ()) -> None:
         self.user_id = user_id
-        self._actions: Set[TaggingAction] = set()
-        self._action_ids: Set[int] = set()
-        self._item_tags: Dict[int, Set[int]] = defaultdict(set)
-        self._tag_items: Dict[int, Set[int]] = defaultdict(set)
+        self._action_ids: FrozenSet[int] = frozenset()
+        self._item_tags: Dict[int, Tuple[int, ...]] = {}
+        self._tag_items: Dict[int, Tuple[int, ...]] = {}
         self._version = 0
-        #: Per-version cache of frozen views; cleared whenever the stored
+        #: Per-version cache of derived views; cleared whenever the stored
         #: version key no longer matches :attr:`version`.
         self._cache: Dict[object, object] = {"version": -1}
-        #: True while this profile's index containers are shared with a
+        #: True while this profile's index dicts are shared with a
         #: copy-on-write snapshot; any mutation materializes private ones.
         self._shared = False
-        for item, tag in actions:
-            self.add(item, tag)
+        self.add_all(actions)
 
     # -- mutation -----------------------------------------------------------
 
@@ -95,52 +92,47 @@ class UserProfile:
         the profile.  Every new action bumps the profile version so that
         replicas (stored copies on other nodes) can detect staleness.
         """
-        action = (item, tag)
-        if action in self._actions:
-            return False
-        if self._shared:
-            self._materialize()
-        self._actions.add(action)
-        self._action_ids.add(intern_action(item, tag))
-        self._item_tags[item].add(tag)
-        self._tag_items[tag].add(item)
-        self._version += 1
-        return True
+        return self.add_all(((item, tag),)) == 1
 
     def add_all(self, actions: Iterable[TaggingAction]) -> int:
-        """Add many actions; returns how many were actually new."""
-        return sum(1 for item, tag in actions if self.add(item, tag))
+        """Add many actions in one pass; returns how many were actually new.
+
+        The one write path: the id set is rebuilt once for the whole batch
+        and each new action extends its item's and its tag's tuple.  Repeats
+        inside ``actions`` count once, and the version moves by the number
+        of new actions, exactly as one :meth:`add` per action would.
+        """
+        known = self._action_ids
+        fresh: Dict[int, TaggingAction] = {}
+        for item, tag in actions:
+            action_id = intern_action(item, tag)
+            if action_id not in known:
+                fresh[action_id] = (item, tag)
+        if not fresh:
+            return 0
+        if self._shared:
+            self._materialize()
+        self._action_ids = known.union(fresh)
+        item_tags, tag_items = self._item_tags, self._tag_items
+        for item, tag in fresh.values():
+            item_tags[item] = item_tags.get(item, ()) + (tag,)
+            tag_items[tag] = tag_items.get(tag, ()) + (item,)
+        self._version += len(fresh)
+        return len(fresh)
 
     @classmethod
     def from_distinct_actions(
-        cls, user_id: int, actions: Sequence[TaggingAction]
+        cls, user_id: int, actions: Iterable[TaggingAction]
     ) -> "UserProfile":
         """Build a profile from an action list in one direct pass.
 
-        State-identical to ``UserProfile(user_id, actions)`` -- same sets
-        with the same insertion order, same version counter (the number of
-        distinct actions) -- but every index is constructed exactly once at
-        C speed instead of through per-action ``add`` calls.  This is the
-        bulk-load path of the setup pipeline (synthetic generation and the
-        dataset disk cache); duplicate entries in ``actions`` are tolerated
-        and counted once, exactly as ``add`` would.
+        The bulk-load path of the setup pipeline (synthetic generation and
+        the dataset disk cache), and the same thing as ``UserProfile(user_id,
+        actions)``: the id set is built once, the index tuples follow the
+        order of ``actions``, and the version is the number of distinct
+        actions.  Duplicate entries are tolerated and counted once.
         """
-        profile = cls.__new__(cls)
-        profile.user_id = user_id
-        action_set = set(actions)
-        profile._actions = action_set
-        profile._action_ids = {intern_action(item, tag) for item, tag in actions}
-        item_tags: Dict[int, Set[int]] = defaultdict(set)
-        tag_items: Dict[int, Set[int]] = defaultdict(set)
-        for item, tag in actions:
-            item_tags[item].add(tag)
-            tag_items[tag].add(item)
-        profile._item_tags = item_tags
-        profile._tag_items = tag_items
-        profile._version = len(action_set)
-        profile._cache = {"version": -1}
-        profile._shared = False
-        return profile
+        return cls(user_id, actions)
 
     @classmethod
     def from_state(
@@ -157,7 +149,7 @@ class UserProfile:
         """
         if version < 0:
             raise ValueError(f"profile version must be non-negative, got {version!r}")
-        profile = cls.from_distinct_actions(user_id, list(actions))
+        profile = cls(user_id, actions)
         profile._version = version
         return profile
 
@@ -167,46 +159,41 @@ class UserProfile:
 
         State-identical to feeding the row's action list (stored in the
         exact order the generator emitted it) through
-        :meth:`from_distinct_actions`: same sets with the same insertion
-        order, same version.  The columnar pipeline keeps users as flat
-        array rows until a consumer needs the object API; this is the
-        crossing point.
+        :meth:`from_distinct_actions`: same id set, same index tuples, same
+        version.  The columnar pipeline keeps users as flat array rows until
+        a consumer needs the object API; this is the crossing point.
         """
         row = store.row_of(user_id)
         if row is None:
             raise KeyError(f"user {user_id} not in columnar store")
-        profile = cls.from_distinct_actions(user_id, store.actions_of_row(row))
+        profile = cls(user_id, store.actions_of_row(row))
         profile._version = store.versions[row]
         return profile
 
     def _materialize(self) -> None:
-        """Replace shared index containers with private copies (COW write).
+        """Replace the shared index dicts with private ones (COW write).
 
-        Every holder of the shared containers checks ``_shared`` before its
-        own first mutation, so it never observes this writer's changes; the
-        other holders keep sharing the (now frozen-in-practice) originals --
-        including the warm view cache, which the writer leaves behind for a
-        private one (its version is about to diverge).
+        Two shallow copies: the tuples inside and the id set are immutable,
+        so only the dicts themselves can be written through.  Every holder
+        checks ``_shared`` before its own first mutation, so it never
+        observes this writer's changes; the other holders keep sharing the
+        originals -- including the warm view cache, which the writer leaves
+        behind for a private one (its version is about to diverge).
         """
-        self._actions = set(self._actions)
-        self._action_ids = set(self._action_ids)
-        self._item_tags = defaultdict(set, {i: set(t) for i, t in self._item_tags.items()})
-        self._tag_items = defaultdict(set, {t: set(i) for t, i in self._tag_items.items()})
+        self._item_tags = dict(self._item_tags)
+        self._tag_items = dict(self._tag_items)
         self._cache = {"version": -1}
         self._shared = False
 
     # -- read access --------------------------------------------------------
 
-    def _frozen(self, key: object, source: Iterable) -> FrozenSet:
-        """A frozen view of ``source``, cached until the next profile change."""
+    def _views(self) -> Dict[object, object]:
+        """The derived-view cache, emptied first if the profile has changed."""
         cache = self._cache
         if cache["version"] != self._version:
             cache.clear()
             cache["version"] = self._version
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = frozenset(source)
-        return value  # type: ignore[return-value]
+        return cache
 
     @property
     def version(self) -> int:
@@ -215,8 +202,18 @@ class UserProfile:
 
     @property
     def actions(self) -> FrozenSet[TaggingAction]:
-        """The (immutable view of the) set of tagging actions."""
-        return self._frozen("actions", self._actions)
+        """The set of tagging actions as ``(item, tag)`` tuples.
+
+        Derived from the action ids through the interner on first request
+        and cached for this version: the protocol never asks (it prices and
+        scores on :attr:`action_ids`), so a profile at rest holds no tuple
+        set.
+        """
+        views = self._views()
+        actions = views.get("actions")
+        if actions is None:
+            actions = views["actions"] = frozenset(map(action_of, self._action_ids))
+        return actions  # type: ignore[return-value]
 
     @property
     def action_ids(self) -> FrozenSet[int]:
@@ -224,31 +221,33 @@ class UserProfile:
 
         ``a.action_ids & b.action_ids`` has the same cardinality as the
         intersection of the tuple-action sets; the similarity metrics score
-        on this view.
+        on this view.  This is the stored container itself, not a copy.
         """
-        return self._frozen("action_ids", self._action_ids)
+        return self._action_ids
 
     @property
     def items(self) -> FrozenSet[int]:
         """Distinct items this user has tagged (content of the digest)."""
-        return self._frozen("items", self._item_tags)
+        views = self._views()
+        items = views.get("items")
+        if items is None:
+            items = views["items"] = frozenset(self._item_tags)
+        return items  # type: ignore[return-value]
 
     def tags_for(self, item: int) -> FrozenSet[int]:
         """Tags this user attached to ``item`` (empty if never tagged)."""
         return frozenset(self._item_tags.get(item, ()))
 
-    def items_for_tag(self, tag: int) -> FrozenSet[int]:
+    def items_for_tag(self, tag: int) -> Tuple[int, ...]:
         """Items this user annotated with ``tag`` (empty if never used).
 
         Query scoring iterates the (few) query tags and walks this index,
-        instead of scanning every action of the profile.  Absent tags share
-        one empty frozenset rather than caching an entry per queried tag --
-        long-lived replicas would otherwise grow with the query-tag universe.
+        instead of scanning every action of the profile.  The stored tuple
+        is returned itself, in the order the items were first tagged: a
+        read allocates nothing and caches nothing, so long-lived replicas
+        do not grow with the query-tag universe.
         """
-        items = self._tag_items.get(tag)
-        if not items:
-            return _EMPTY_FROZENSET
-        return self._frozen(("tag", tag), items)
+        return self._tag_items.get(tag, ())
 
     def actions_for_items(self, items: Iterable[int]) -> AbstractSet[TaggingAction]:
         """Tagging actions restricted to a set of items, as a fresh set.
@@ -280,18 +279,15 @@ class UserProfile:
           item returns that tuple *itself*: no memo entry, no allocation;
         * whole replies keyed by the request's frozenset (at most
           :data:`_REPLY_MEMO_LIMIT`).  The digest cache hands every exchange
-          of the same (receiver, subject) pair at the same versions the same
-          common-items frozenset, and popular subjects get the same request
-          from many receivers, so a repeat returns one shared tuple.
+          that prices an equal common-items set the same frozenset object,
+          and popular subjects get the same request from many receivers, so
+          a repeat returns one shared tuple.
 
         Per-item tuples of distinct items are disjoint, so a ``frozenset``
         (or ``set``) request is concatenated and sorted once; any other
         iterable is de-duplicated first and not memoised.
         """
-        cache = self._cache
-        if cache["version"] != self._version:
-            cache.clear()
-            cache["version"] = self._version
+        cache = self._views()
         if type(items) is not frozenset and type(items) is not set:
             items = set(items)
         single = len(items) == 1
@@ -329,51 +325,56 @@ class UserProfile:
         return item in self._item_tags
 
     def __len__(self) -> int:
-        return len(self._actions)
+        return len(self._action_ids)
 
     def __contains__(self, action: TaggingAction) -> bool:
-        return action in self._actions
+        # A probe never allocates an id: an action the interner has not seen
+        # is in no profile.
+        action_id = id_of(*action)
+        return action_id is not None and action_id in self._action_ids
 
     def __iter__(self) -> Iterator[TaggingAction]:
-        return iter(self._actions)
+        """The actions, grouped by item in first-tagged order.
+
+        Walks the stored index rather than the id set, so the order depends
+        on this profile's own history only -- not on which ids the process-
+        wide interner happened to hand out -- and nothing is allocated.
+        """
+        return (
+            (item, tag) for item, tags in self._item_tags.items() for tag in tags
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UserProfile):
             return NotImplemented
-        return self.user_id == other.user_id and self._actions == other._actions
+        return self.user_id == other.user_id and self._action_ids == other._action_ids
 
     def __hash__(self) -> int:  # pragma: no cover - identity-style hashing
-        return hash((self.user_id, len(self._actions)))
+        return hash((self.user_id, len(self._action_ids)))
 
     def __repr__(self) -> str:
-        return f"UserProfile(user_id={self.user_id}, actions={len(self._actions)})"
+        return f"UserProfile(user_id={self.user_id}, actions={len(self._action_ids)})"
 
     def copy(self) -> "UserProfile":
         """A logically deep snapshot of this profile (replicas on peers).
 
-        The snapshot is copy-on-write: both profiles share the index
-        containers until either side mutates, at which point the writer
-        materializes private copies first (:meth:`_materialize`).  Replica
-        stores happen on every gossip exchange while replica *mutation*
-        never happens (replicas are replaced wholesale), so sharing makes
-        the common case O(1) instead of O(profile length).
+        The snapshot is copy-on-write: both profiles share the index dicts
+        until either side mutates, at which point the writer materializes
+        private ones first (:meth:`_materialize`); the id set is immutable
+        and needs no protection.  Replica stores happen on every gossip
+        exchange while replica *mutation* never happens (replicas are
+        replaced wholesale), so sharing makes the common case O(1) instead
+        of O(profile length).
 
         The version-keyed view cache is shared as well: every replica of a
-        subject then reuses one warm set of frozen views and per-item pair
+        subject then reuses one warm set of derived views and per-item pair
         tuples, and each read re-validates the cache against its own
         version, so a sharer that mutated (and took a private cache with a
         bumped version) can never poison the others.
         """
-        self._shared = True
         clone = UserProfile.__new__(UserProfile)
         clone.user_id = self.user_id
-        clone._actions = self._actions
-        clone._action_ids = self._action_ids
-        clone._item_tags = self._item_tags
-        clone._tag_items = self._tag_items
-        clone._version = self._version
-        clone._cache = self._cache
-        clone._shared = True
+        clone._adopt(self)
         return clone
 
     def restore(self, snapshot: "UserProfile") -> None:
@@ -396,13 +397,16 @@ class UserProfile:
                 f"cannot restore profile {self.user_id} from a snapshot of "
                 f"profile {snapshot.user_id}"
             )
-        snapshot._shared = True
-        self._actions = snapshot._actions
-        self._action_ids = snapshot._action_ids
-        self._item_tags = snapshot._item_tags
-        self._tag_items = snapshot._tag_items
-        self._version = snapshot._version
-        self._cache = snapshot._cache
+        self._adopt(snapshot)
+
+    def _adopt(self, source: "UserProfile") -> None:
+        """Share ``source``'s state copy-on-write (both sides marked shared)."""
+        source._shared = True
+        self._action_ids = source._action_ids
+        self._item_tags = source._item_tags
+        self._tag_items = source._tag_items
+        self._version = source._version
+        self._cache = source._cache
         self._shared = True
 
 

@@ -157,7 +157,7 @@ class SyntheticTraceGenerator:
         The yielded list is exactly what
         :meth:`UserProfile.from_distinct_actions` receives on the generation
         path -- persisting it and replaying it through the same constructor
-        reproduces the profile bit for bit, including set layout.  The
+        reproduces the profile bit for bit, index tuple order included.  The
         stream shares the generator's single RNG, so it can only run
         forward once.
         """

@@ -171,7 +171,10 @@ class DigestCache:
       maintenance from O(N·s) Bloom probes per cycle into O(changes).  A
       hit allocates nothing (no key tuple), and a receiver whose version
       moved loses her whole row at once: on :meth:`evict_profiles`, or on
-      the next store under her new version.
+      the next store under her new version.  Non-empty values are interned
+      through a value table (``value -> the one object``): receivers that
+      price equal common-item sets hold the *same* frozenset, which is
+      also the key their step-2 requests share in the subject's reply memo.
 
     Every lookup validates versions, so *stale reads are impossible by
     construction*; explicit invalidation (:meth:`evict_profiles`, driven by
@@ -219,6 +222,9 @@ class DigestCache:
         #: inner entries of all rows.
         self._common: Dict[int, Tuple[int, Dict[int, Tuple[int, FrozenSet[int]]]]] = {}
         self._common_pairs = 0
+        #: Non-empty common-items value -> the one object every pair holding
+        #: that value shares.  Cleared with the memo; never larger than it.
+        self._common_values: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     # -- digests --------------------------------------------------------------
 
@@ -298,7 +304,7 @@ class DigestCache:
                     if issuperset(positions)
                 }
             )
-        self._store_common(
+        common = self._store_common(
             receiver.user_id, receiver.version, digest.user_id, digest.version, common
         )
         if self._recorder is not None:
@@ -333,17 +339,17 @@ class DigestCache:
         subject_id: int,
         digest_version: int,
         common: FrozenSet[int],
-    ) -> None:
-        """Remember one priced pair in its receiver's row.
+    ) -> FrozenSet[int]:
+        """Remember one priced pair in its receiver's row; returns its value.
 
         A row belongs to one receiver version: storing under another
         version replaces the row, pairs and all (once her profile moved
-        they can never be read again).
+        they can never be read again).  The returned object is the one the
+        value table keeps for ``common``'s value.
         """
         memo_map = self._common
         if self._common_pairs >= self.MAX_COMMON_PAIRS:
-            memo_map.clear()
-            self._common_pairs = 0
+            self._clear_common()
         row = memo_map.get(receiver_id)
         if row is None or row[0] != receiver_version:
             if row is not None:
@@ -352,7 +358,27 @@ class DigestCache:
         pairs = row[1]
         if subject_id not in pairs:
             self._common_pairs += 1
+        if common:
+            common = self._common_values.setdefault(common, common)
         pairs[subject_id] = (digest_version, common)
+        self._bound_common_values()
+        return common
+
+    def _bound_common_values(self) -> None:
+        """Keep the value table no larger than the memo it serves.
+
+        Dropped or re-priced pairs may have been the last holders of their
+        values.  The table does not track holders; when it outgrows the pair
+        count it is emptied instead (the surviving pairs keep their objects,
+        only later equal values stop finding them).
+        """
+        if len(self._common_values) > self._common_pairs:
+            self._common_values.clear()
+
+    def _clear_common(self) -> None:
+        self._common.clear()
+        self._common_values.clear()
+        self._common_pairs = 0
 
     # -- invalidation ---------------------------------------------------------
 
@@ -371,13 +397,13 @@ class DigestCache:
             row = self._common.pop(user_id, None)
             if row is not None:
                 self._common_pairs -= len(row[1])
+        self._bound_common_values()
 
     def clear(self) -> None:
         self._digests.clear()
         self._rows.clear()
         self._bit_positions.clear()
-        self._common.clear()
-        self._common_pairs = 0
+        self._clear_common()
 
     def stats(self) -> Dict[str, int]:
         """Cache occupancy counters (exposed for tests and diagnostics)."""
@@ -386,4 +412,5 @@ class DigestCache:
             "rows": len(self._rows),
             "bit_positions": len(self._bit_positions),
             "common_pairs": self._common_pairs,
+            "common_values": len(self._common_values),
         }

@@ -79,6 +79,8 @@ class IdealNetworkIndex:
             for action_id in profile.action_ids:
                 postings[action_id].append(user_id)
         size = self.size
+        # One float object per distinct overlap count, shared by the index.
+        score_of: Dict[int, float] = {}
         for profile in self.dataset.profiles():
             user_id = profile.user_id
             counts = Counter(
@@ -89,7 +91,8 @@ class IdealNetworkIndex:
                 size, counts.items(), key=lambda pair: (-pair[1], pair[0])
             )
             self._networks[user_id] = [
-                Neighbour(other, float(count)) for other, count in best
+                Neighbour(other, score_of.setdefault(count, float(count)))
+                for other, count in best
             ]
 
     def _build_brute_force(self) -> None:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.data.interning import intern_action
 from repro.data.models import ChangeDay, ProfileChange, UserProfile
 
 
@@ -84,6 +87,112 @@ class TestUserProfile:
     def test_items_match_actions(self, actions):
         profile = UserProfile(0, actions)
         assert profile.items == {item for item, _ in set(actions)}
+
+
+class _NaiveProfile:
+    """Dict-of-sets reference for :class:`UserProfile`; every copy is deep."""
+
+    def __init__(self, user_id, actions=(), version=None):
+        self.user_id = user_id
+        self.item_tags = {}
+        self.version = 0
+        self.add_all(actions)
+        if version is not None:
+            self.version = version
+
+    def add_all(self, actions):
+        added = 0
+        for item, tag in actions:
+            tags = self.item_tags.setdefault(item, set())
+            if tag not in tags:
+                tags.add(tag)
+                added += 1
+        self.version += added
+        return added
+
+    def actions(self):
+        return {(item, tag) for item, tags in self.item_tags.items() for tag in tags}
+
+    def copy(self):
+        return _NaiveProfile(self.user_id, self.actions(), self.version)
+
+    def restore(self, snapshot):
+        self.item_tags = snapshot.copy().item_tags
+        self.version = snapshot.version
+
+
+def _assert_profile_matches(profile: UserProfile, model: _NaiveProfile, rng) -> None:
+    """Every read API of ``profile`` against the naive model."""
+    actions = model.actions()
+    assert profile.version == model.version
+    assert len(profile) == len(actions)
+    assert profile.actions == actions
+    assert profile.action_ids == {intern_action(item, tag) for item, tag in actions}
+    listed = list(profile)
+    assert len(listed) == len(actions) and set(listed) == actions
+    assert profile.items == set(model.item_tags)
+    items = sorted(model.item_tags) + [77]
+    tags = sorted({tag for _item, tag in actions}) + [77]
+    for item in items:
+        assert profile.tags_for(item) == model.item_tags.get(item, set())
+        assert profile.has_item(item) == (item in model.item_tags)
+    for tag in tags:
+        found = profile.items_for_tag(tag)
+        assert len(found) == len(set(found))
+        assert set(found) == {item for item, t in actions if t == tag}
+    for item in items:
+        for tag in tags:
+            assert ((item, tag) in profile) == ((item, tag) in actions)
+    request = frozenset(rng.sample(items, min(3, len(items))))
+    assert set(profile.action_ids_for_items(request)) == {
+        intern_action(item, tag) for item, tag in actions if item in request
+    }
+    assert profile == UserProfile(model.user_id, actions)
+    assert profile != UserProfile(model.user_id + 1, actions)
+    assert profile != UserProfile(model.user_id, actions | {(78, 78)})
+
+
+class TestProfileAgainstNaiveModel:
+    """The one-copy representation behaves as a plain set of actions."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_interleavings_match_the_reference(self, seed):
+        rng = random.Random(seed)
+
+        def batch(size):  # small universe: repeats and already-known actions
+            return [(rng.randrange(6), rng.randrange(5)) for _ in range(rng.randrange(size))]
+
+        first = batch(14)
+        build = rng.choice(("init", "bulk", "state"))
+        if build == "state":
+            live = [(UserProfile.from_state(3, first, 40), _NaiveProfile(3, first, 40))]
+        elif build == "bulk":
+            live = [(UserProfile.from_distinct_actions(3, first), _NaiveProfile(3, first))]
+        else:
+            live = [(UserProfile(3, first), _NaiveProfile(3, first))]
+        for _step in range(60):
+            profile, model = rng.choice(live)
+            op = rng.choice(("add", "add_all", "copy", "restore"))
+            if op == "add":
+                action = (rng.randrange(6), rng.randrange(5))
+                assert profile.add(*action) == bool(model.add_all([action]))
+            elif op == "add_all":
+                actions = batch(6)
+                assert profile.add_all(iter(actions)) == model.add_all(actions)
+            elif op == "copy" and len(live) < 8:
+                live.append((profile.copy(), model.copy()))
+            elif op == "restore":
+                snapshot, snapshot_model = rng.choice(live)
+                profile.restore(snapshot)
+                model.restore(snapshot_model)
+            # Copy-on-write isolation, both directions: a write through any
+            # holder must leave every other holder as its own model says.
+            for other, other_model in live:
+                _assert_profile_matches(other, other_model, rng)
+
+    def test_restore_rejects_another_users_snapshot(self):
+        with pytest.raises(ValueError):
+            UserProfile(1, [(1, 1)]).restore(UserProfile(2, [(1, 1)]))
 
 
 class TestDataset:

@@ -11,20 +11,26 @@ that keeps it flat instead:
   buffered late partial -- in service mode and in the cycle engine;
 * every per-pair value of the lazy exchange is one small shared object: a
   step-2 reply is the subject's cached ascending id tuple, the pair memo is
-  one row per receiver, view entries carry no ``__dict__``.
+  one row per receiver, equal common-item sets are one frozenset, view
+  entries carry no ``__dict__``;
+* a profile at rest holds one immutable copy of its state: a frozenset of
+  action ids and two dicts of tuples, no ``set`` and no tuple-action set.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.data.interning import intern_action
+from repro.data.interning import GLOBAL_INTERNER, intern_action
 from repro.data.models import UserProfile
+from repro.data.queries import QueryWorkloadGenerator
+from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.experiments.runner import converged_simulation
-from repro.gossip.digest import ProfileDigest, make_digest
+from repro.gossip.digest import DigestCache, ProfileDigest, make_digest
 from repro.gossip.views import NeighbourEntry
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
@@ -241,3 +247,123 @@ class TestOneSmallObjectPerPairValue:
             pairs += len(row)
         assert pairs > len(memo)
         assert cache.stats()["common_pairs"] == pairs
+
+    def test_equal_common_item_sets_are_one_object(self):
+        """Two receivers pricing the same subject to the same value hold the
+        *same* frozenset; the value table is reported and never outgrows the
+        pair memo."""
+        cache = DigestCache()
+        subject = UserProfile(1, [(item, 9) for item in (1, 2, 3)])
+        digest = cache.digest_for(subject)
+        first = cache.common_items(UserProfile(2, [(i, 7) for i in (1, 2, 3, 40)]), digest)
+        second = cache.common_items(UserProfile(3, [(i, 8) for i in (1, 2, 3, 50)]), digest)
+        assert first == {1, 2, 3}
+        assert second is first
+        assert cache.common_items(UserProfile(4, [(60, 1)]), digest) == frozenset()
+        assert cache.stats()["common_pairs"] == 3
+        assert cache.stats()["common_values"] == 1  # the empty set is not tabled
+        cache.evict_profiles([2, 3, 4])
+        assert cache.stats()["common_values"] == cache.stats()["common_pairs"] == 0
+
+    def test_value_table_empties_with_the_memo(self):
+        cache = DigestCache()
+        cache.MAX_COMMON_PAIRS = 2
+        digest = cache.digest_for(UserProfile(1, [(1, 9), (2, 9)]))
+        for receiver_id, item in ((2, 1), (3, 2)):
+            cache.common_items(UserProfile(receiver_id, [(item, 7)]), digest)
+        assert cache.stats()["common_values"] == cache.stats()["common_pairs"] == 2
+        # Overflow: the memo and the table are dropped together before the
+        # third pair is stored.
+        cache.common_items(UserProfile(4, [(1, 7), (2, 7)]), digest)
+        assert cache.stats()["common_values"] == cache.stats()["common_pairs"] == 1
+        cache.clear()
+        assert cache.stats()["common_values"] == 0
+
+    def test_value_table_stays_under_the_memo_through_a_run(
+        self, synthetic_dataset, small_config
+    ):
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        simulation.bootstrap_random_views()
+        simulation.run_lazy(3)
+        cache = simulation.digest_cache
+        stats = cache.stats()
+        assert 0 < stats["common_values"] <= stats["common_pairs"]
+        held = [
+            common
+            for _version, row in cache._common.values()
+            for _digest_version, common in row.values()
+            if common
+        ]
+        # One object per distinct value: that is the whole table.
+        assert len({id(common) for common in held}) == len(set(held)) == stats["common_values"]
+        assert len(held) > stats["common_values"]
+
+
+#: ``sys.getsizeof`` over the at-rest containers of :func:`_sixty_actions`
+#: at the parent commit (tuple set + id set + a ``set`` per item and per
+#: tag): 17 144 B.  The one-copy form measures 7 024 B.
+PARENT_STATE_BYTES = 17_144
+
+
+def _sixty_actions():
+    """30 items with 2 tags each, drawn from 20 tags."""
+    return [(item, (item * 7 + k) % 20) for item in range(30) for k in range(2)]
+
+
+def _state_containers(profile: UserProfile):
+    """Every container a profile holds outside its derived-view cache."""
+    slots = [s for s in UserProfile.__slots__ if s not in ("user_id", "_version", "_cache", "_shared")]
+    for slot in slots:
+        container = getattr(profile, slot)
+        yield container
+        if isinstance(container, dict):
+            yield from container.values()
+
+
+class TestOneCopyOfAProfileAtRest:
+    def test_a_bulk_built_profile_holds_no_set(self):
+        profile = UserProfile.from_distinct_actions(1, _sixty_actions())
+        assert len(profile) == 60
+        assert "_actions" not in UserProfile.__slots__
+        containers = list(_state_containers(profile))
+        assert {type(c) for c in containers} == {frozenset, dict, tuple}
+        assert sum(type(c) is frozenset for c in containers) == 1  # the action ids
+
+    def test_action_ids_is_the_stored_container(self):
+        profile = UserProfile.from_distinct_actions(1, _sixty_actions())
+        assert profile.action_ids is profile.action_ids
+        assert profile.action_ids is profile._action_ids
+        assert profile.copy().action_ids is profile.action_ids
+
+    def test_at_rest_state_is_at_most_half_the_parents(self):
+        profile = UserProfile.from_distinct_actions(1, _sixty_actions())
+        state = sum(sys.getsizeof(c) for c in _state_containers(profile))
+        assert state <= PARENT_STATE_BYTES // 2, state
+
+    def test_gossip_and_scoring_reads_cache_no_copy_of_the_state(self, small_config):
+        # A corpus of its own: replicas share ``_cache`` with the dataset's
+        # profiles, and another test may have asked the shared fixture's
+        # profiles for ``actions``.
+        dataset = generate_dataset(SyntheticConfig(num_users=40, num_items=300, seed=11))
+        simulation = P3QSimulation(dataset, small_config)
+        simulation.warm_start()
+        simulation.bootstrap_random_views()
+        simulation.run_lazy(2)
+        simulation.issue_queries(QueryWorkloadGenerator(dataset, seed=5).generate(range(5)))
+        simulation.run_eager(cycles=10)
+        profiles = []
+        for node in simulation.nodes.values():
+            profiles.append(node.profile)
+            profiles.extend(node.personal_network.stored_profiles().values())
+        assert len(profiles) > len(simulation.nodes)
+        keys = set().union(*(profile._cache for profile in profiles))
+        assert "items" in keys  # the read paths did run
+        assert keys <= {"version", "items", "pairs_ids", "afi_ids"}
+
+    def test_a_membership_probe_never_allocates_an_id(self):
+        profile = UserProfile(1, [(1, 2)])
+        before = len(GLOBAL_INTERNER)
+        assert (987_654_321, 123_456_789) not in profile
+        assert (1, 987_654_321) not in profile
+        assert (1, 2) in profile
+        assert len(GLOBAL_INTERNER) == before
