@@ -99,7 +99,7 @@ class ProfileDynamicsGenerator:
     def _new_actions_for(self, user_id: int) -> List[TaggingAction]:
         rng = self._rng
         profile = self.dataset.profile(user_id)
-        existing = set(profile.actions)
+        chosen: set = set()
         own_items = sorted(profile.items)
         count = _new_action_count(rng, self.config.mean_new_actions, self.config.max_new_actions)
         actions: List[TaggingAction] = []
@@ -112,9 +112,9 @@ class ProfileDynamicsGenerator:
                 item = rng.choice(self._all_items)
             tag = rng.choice(self._all_tags)
             action = (item, tag)
-            if action in existing:
+            if action in profile or action in chosen:
                 continue
-            existing.add(action)
+            chosen.add(action)
             actions.append(action)
         return actions
 

@@ -287,7 +287,10 @@ class UserProfile:
         (or ``set``) request is concatenated and sorted once; any other
         iterable is de-duplicated first and not memoised.
         """
-        cache = self._views()
+        cache = self._cache  # _views(), inlined: once per step-2 exchange
+        if cache["version"] != self._version:
+            cache.clear()
+            cache["version"] = self._version
         if type(items) is not frozenset and type(items) is not set:
             items = set(items)
         single = len(items) == 1

@@ -223,7 +223,10 @@ class DigestCache:
         self._common: Dict[int, Tuple[int, Dict[int, Tuple[int, FrozenSet[int]]]]] = {}
         self._common_pairs = 0
         #: Non-empty common-items value -> the one object every pair holding
-        #: that value shares.  Cleared with the memo; never larger than it.
+        #: that value shares.  Cleared with the memo and never larger than
+        #: it: the table does not track holders, so when dropped or re-priced
+        #: pairs leave it above the pair count it is emptied (surviving pairs
+        #: keep their objects, only later equal values stop finding them).
         self._common_values: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     # -- digests --------------------------------------------------------------
@@ -358,22 +361,13 @@ class DigestCache:
         pairs = row[1]
         if subject_id not in pairs:
             self._common_pairs += 1
+        values = self._common_values
         if common:
-            common = self._common_values.setdefault(common, common)
+            common = values.setdefault(common, common)
         pairs[subject_id] = (digest_version, common)
-        self._bound_common_values()
+        if len(values) > self._common_pairs:
+            values.clear()
         return common
-
-    def _bound_common_values(self) -> None:
-        """Keep the value table no larger than the memo it serves.
-
-        Dropped or re-priced pairs may have been the last holders of their
-        values.  The table does not track holders; when it outgrows the pair
-        count it is emptied instead (the surviving pairs keep their objects,
-        only later equal values stop finding them).
-        """
-        if len(self._common_values) > self._common_pairs:
-            self._common_values.clear()
 
     def _clear_common(self) -> None:
         self._common.clear()
@@ -397,7 +391,8 @@ class DigestCache:
             row = self._common.pop(user_id, None)
             if row is not None:
                 self._common_pairs -= len(row[1])
-        self._bound_common_values()
+        if len(self._common_values) > self._common_pairs:
+            self._common_values.clear()
 
     def clear(self) -> None:
         self._digests.clear()
