@@ -363,9 +363,17 @@ class BloomFilter:
         """Rebuild a filter from ``(raw_bits, approximate_count)``.
 
         The inverse of reading :attr:`raw_bits` / :attr:`approximate_count`:
-        used to adopt a filter that travelled as those two integers.
+        used to adopt a filter that travelled as those two integers.  The
+        bit array must fit the geometry's row: a negative integer would
+        report every key present, and neither it nor a wider one has a
+        :meth:`row_bytes`.
         """
         bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
+        if bits < 0 or bits.bit_length() > 8 * bloom.size_in_bytes:
+            raise ValueError(
+                f"bit array of {bits.bit_length()} bits{' (negative)' if bits < 0 else ''} "
+                f"does not fit a {num_bits}-bit filter's {bloom.size_in_bytes}-byte row"
+            )
         bloom._bits = bits
         bloom._count = count
         return bloom

@@ -85,6 +85,15 @@ class TestBloomFilter:
         b.add(4)
         assert a != b
 
+    @pytest.mark.parametrize("bits", [-5, 1 << 40], ids=["negative", "wider-than-the-row"])
+    def test_from_state_rejects_a_bit_array_outside_the_geometry(self, bits):
+        """A negative array reports every key present and has no row; one
+        wider than the geometry has no row either."""
+        with pytest.raises(ValueError, match="16-bit"):
+            BloomFilter.from_state(16, 2, bits, 1)
+        # Up to the row's last byte is the widest a received row can be.
+        assert BloomFilter.from_state(13, 2, 0xFFFF, 1).row_bytes() == b"\xff\xff"
+
     def test_for_capacity_hits_target_fp_rate(self):
         bloom = BloomFilter.for_capacity(200, false_positive_rate=0.01)
         bloom.update(range(200))

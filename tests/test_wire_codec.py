@@ -232,6 +232,20 @@ class TestCatalogueCoverage:
         with pytest.raises(ValueError, match="unknown wire message tag"):
             JSON_FORM.decode_message({"t": "nope"})
 
+    @pytest.mark.parametrize(
+        "bits", ["-5", format(1 << 300, "x")], ids=["negative", "wider-than-the-row"]
+    )
+    def test_digest_bit_array_outside_its_geometry_fails_loudly(self, bits):
+        # The JSON form carries the bit array as a hex string: a negative or
+        # over-wide one must not become a filter that claims every key or
+        # has no wire row.
+        obj = JSON_FORM.encode_message(
+            DigestAdvertisement(digests=(_digest(1),), view=VIEW_RANDOM)
+        )
+        obj["d"][0]["b"] = bits
+        with pytest.raises(ValueError, match="256-bit"):
+            JSON_FORM.decode_message(obj)
+
 
 @pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
 def test_round_trip_preserves_fields_and_price(message_type):
