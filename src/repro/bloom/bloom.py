@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 #: Sizing used in the paper's cost analysis: 20 Kbit per digest.
 PAPER_DIGEST_BITS = 20_000
@@ -131,49 +131,17 @@ def hash_bases(key: object) -> Tuple[int, int]:
     return bases
 
 
-#: Per-geometry caches of probe *positions*: ``(num_bits, num_hashes) ->
-#: {key -> (pos_0, ..., pos_{k-1})}``.  The positions are the same bit
-#: indices a probe mask ORs together, kept unpacked for set-membership
-#: probing against :meth:`BloomFilter.bit_positions` -- the sparse-filter
-#: fast path where a big-int AND (O(num_bits) words) would dominate.
-_POSITIONS: Dict[Tuple[int, int], Dict[object, Tuple[int, ...]]] = {}
-_POSITIONS_CACHE_LIMIT = 1 << 20
-
-
-def probe_positions(key: object, num_bits: int, num_hashes: int) -> Tuple[int, ...]:
-    """The ``k`` probe bit indices of ``key`` for a filter geometry, memoized.
-
-    Exactly the positions :meth:`BloomFilter._probe_mask` ORs into the probe
-    mask -- ``bits & mask == mask`` iff every one of these indices is set.
-    """
-    cache = _POSITIONS.setdefault((num_bits, num_hashes), {})
-    cache_key = _cache_key(key)
-    positions = cache.get(cache_key) if cache_key is not None else None
-    if positions is None:
-        h1, h2 = hash_bases(key)
-        out = []
-        for _ in range(num_hashes):
-            out.append(h1 % num_bits)
-            h1 += h2
-        positions = tuple(out)
-        if cache_key is not None and len(cache) < _POSITIONS_CACHE_LIMIT:
-            cache[cache_key] = positions
-    return positions
-
-
 def clear_hash_cache() -> None:
-    """Drop the shared hash-base, probe-mask and probe-position caches.
+    """Drop the shared hash-base and probe-mask caches.
 
     Safe at any time: the caches only memoize pure functions of the key
     (and filter geometry), so clearing them changes nothing observable
-    except speed.  Mask/position dicts are cleared *in place* because live
-    filters hold references to them; those filters simply re-populate on use.
+    except speed.  Mask dicts are cleared *in place* because live filters
+    hold references to them; those filters simply re-populate on use.
     """
     _HASH_BASES.clear()
     for masks in _MASKS.values():
         masks.clear()
-    for positions in _POSITIONS.values():
-        positions.clear()
 
 
 def pack_row(bits: int, num_bits: int) -> bytes:
@@ -266,8 +234,15 @@ class BloomFilter:
 
     # -- core operations ------------------------------------------------------
 
-    def _probe_mask(self, key: object) -> int:
-        """The OR of ``key``'s ``k`` probe bits, memoized per geometry."""
+    def probe_mask(self, key: object) -> int:
+        """The OR of ``key``'s ``k`` probe bits, memoized per geometry.
+
+        ``key`` is (possibly) present iff ``raw_bits & mask == mask``.  The
+        mask is the one object every filter of the geometry probes and
+        inserts with, so a caller that keeps it per key (the probe rows of
+        :class:`repro.gossip.digest.DigestCache`) holds a reference, not a
+        copy.
+        """
         masks = self._masks
         cache_key = _cache_key(key)
         mask = masks.get(cache_key) if cache_key is not None else None
@@ -284,7 +259,7 @@ class BloomFilter:
 
     def add(self, key: object) -> None:
         """Insert ``key`` into the filter."""
-        self._bits |= self._probe_mask(key)
+        self._bits |= self.probe_mask(key)
         self._count += 1
         self._row = None
 
@@ -293,7 +268,7 @@ class BloomFilter:
             self.add(key)
 
     def __contains__(self, key: object) -> bool:
-        mask = self._probe_mask(key)
+        mask = self.probe_mask(key)
         return self._bits & mask == mask
 
     def might_contain(self, key: object) -> bool:
@@ -308,33 +283,6 @@ class BloomFilter:
         item the local user also tagged.
         """
         return any(key in self for key in keys)
-
-    def bit_positions(self) -> Set[int]:
-        """Indices of the set bits of the bit array.
-
-        The sparse dual of the packed representation: membership of a key is
-        ``positions.issuperset(probe_positions(key, ...))``, which for the
-        paper's 20 Kbit digests replaces an O(num_bits)-word big-int AND per
-        probe with a few C-level set lookups (early-exiting on the first
-        missing bit -- the overwhelmingly common case on a miss).
-        """
-        bits = self._bits
-        out: Set[int] = set()
-        if not bits:
-            return out
-        # Walk 64-bit words (one C-level shift each), then decompose each
-        # non-zero word with small-int bit tricks -- O(words + set bits)
-        # rather than a Python loop over every byte of the array.
-        data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-        add = out.add
-        for offset in range(0, len(data), 8):
-            word = int.from_bytes(data[offset : offset + 8], "little")
-            base = offset << 3
-            while word:
-                low = word & -word
-                add(base + low.bit_length() - 1)
-                word ^= low
-        return out
 
     # -- state transfer -------------------------------------------------------
 

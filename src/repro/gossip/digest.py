@@ -14,7 +14,9 @@ membership is one C-level big-int ``AND`` against the key's cached probe
 mask, with masks and hash bases memoized process-wide and shared between
 digest construction and probing (see ``docs/ARCHITECTURE.md``).  ``common_items_with`` exposes
 the one-pass "which of my items might she have?" probe that step 2 of the
-lazy exchange is built on.
+lazy exchange is built on; :class:`DigestCache` prices the same question
+for a whole simulation, reading each digest in the one other form it
+already has -- the wire row its holders send.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..bloom import PAPER_DIGEST_BITS, BloomFilter
-from ..bloom.bloom import probe_positions
+from ..bloom import PAPER_DIGEST_BITS, BloomFilter, hash_bases
 from ..data.models import UserProfile
 from .sizes import DIGEST_BYTES
 
@@ -156,14 +157,17 @@ class DigestCache:
     * **digests** -- ``user_id -> ProfileDigest`` of that user's *current*
       profile.  Replaces per-node digest rebuilding: a node's 20 Kbit Bloom
       filter is constructed once per profile version for the whole system.
-    * **probe rows** -- ``user_id -> ((item, probe_positions), ...)`` for
-      the user's item set, in the cache's digest geometry.  These are the
-      precomputed left-hand sides of batch membership tests: pricing one
-      exchange's candidate set against a receiver is a single pass of
-      early-exiting set-containment checks of each row's probe positions
-      against the digest's set-bit index set
-      (:meth:`BloomFilter.bit_positions`), avoiding a 20 Kbit big-int AND
-      per probe.
+    * **probe rows** -- ``user_id -> ((byte_index, bit, item, probe_mask),
+      ...)`` for the user's item set, in the cache's digest geometry, plus
+      the OR of the items' first probe bits.  These are the precomputed
+      left-hand sides of batch membership tests.  The right-hand side is
+      the digest itself, in the two forms it already has: its packed
+      integer and its wire row (:meth:`BloomFilter.row_bytes`, memoised on
+      the filter, so every circulating version of a user's digest carries
+      its own and nothing here is keyed by the subject).  Pricing one pair
+      is one big-int AND against the first-bits mask, which ends most
+      pairs, then a byte test of the row per item; only an item whose
+      first bit is set pays the full 20 Kbit probe.
     * **common-item memo** -- one row per receiver: ``receiver_id ->
       (receiver_version, {subject_id: (digest_version, common_items)})``.
       A digest that was already probed by the same receiver at the same
@@ -207,16 +211,12 @@ class DigestCache:
         #: ``(receiver_id, receiver_version, subject_id, digest_version,
         #: common_items)`` entry here (see :meth:`record_pricing`).
         self._recorder: Optional[List[PricedPair]] = None
-        #: user_id -> (profile_version, first-position keys, first-position ->
-        #: ((item, probe_positions), ...) buckets).  The first-position index
-        #: lets one C-level set intersection reject almost every row of a
-        #: probe batch before any per-row work happens.
-        self._rows: Dict[
-            int,
-            Tuple[int, FrozenSet[int], Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]],
-        ] = {}
-        #: subject user_id -> (digest_version, set-bit indices of the digest).
-        self._bit_positions: Dict[int, Tuple[int, Set[int]]] = {}
+        #: user_id -> (profile_version, ((byte_index, bit, item, probe_mask),
+        #: ...), firsts_mask): per item, where its first probe bit sits in a
+        #: digest's wire row and the geometry's shared probe mask; the OR of
+        #: those first bits lets one big-int AND reject a digest that has
+        #: none of them before any per-item work happens.
+        self._rows: Dict[int, Tuple[int, Tuple[Tuple[int, int, int, int], ...], int]] = {}
         #: receiver user_id -> (receiver_version, {subject user_id ->
         #: (digest_version, common items)}); ``_common_pairs`` counts the
         #: inner entries of all rows.
@@ -232,24 +232,13 @@ class DigestCache:
     # -- digests --------------------------------------------------------------
 
     def digest_for(self, profile: UserProfile) -> ProfileDigest:
-        """The digest of ``profile``'s current version, built at most once.
-
-        Building a digest also seeds its set-bit index set (the union of the
-        inserted items' probe positions -- by construction identical to
-        decomposing the finished bit array), so probing a cache-built digest
-        never has to walk its 20 Kbit integer.
-        """
+        """The digest of ``profile``'s current version, built at most once."""
         cached = self._digests.get(profile.user_id)
         if cached is None or cached.version != profile.version:
             cached = make_digest(
                 profile, num_bits=self.num_bits, num_hashes=self.num_hashes
             )
             self._digests[profile.user_id] = cached
-            positions: Set[int] = set()
-            num_bits, num_hashes = self.num_bits, self.num_hashes
-            for item in profile.items:
-                positions.update(probe_positions(item, num_bits, num_hashes))
-            self._bit_positions[profile.user_id] = (cached.version, positions)
         return cached
 
     # -- batch probing --------------------------------------------------------
@@ -258,14 +247,15 @@ class DigestCache:
         """The receiver's items that ``digest`` (probably) contains, memoized.
 
         Semantically identical to ``digest.common_items_with(receiver.items)``
-        (same Bloom filter, same probe positions) but priced incrementally:
-        the receiver's probe rows and the digest's set-bit index set are
-        cached per profile/digest version, and a (receiver, subject) pair is
-        re-probed only when either side's version changed since the last
-        probe.  A probe is ``bits.issuperset(row_positions)`` -- C-level with
-        an early exit on the first missing bit.
+        (same Bloom filter, same probe masks) but priced incrementally: the
+        receiver's probe rows are cached per profile version, and a
+        (receiver, subject) pair is re-probed only when either side's
+        version changed since the last probe.  A probe reads one byte of the
+        digest's own wire row -- the item's first probe bit -- and runs the
+        full ``bits & mask == mask`` only when that bit is set.
         """
-        if digest.bloom.num_bits != self.num_bits or digest.bloom.num_hashes != self.num_hashes:
+        bloom = digest.bloom
+        if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
             # Foreign geometry (mixed-config tests): fall back to direct probes.
             return frozenset(digest.common_items_with(receiver.items))
         row = self._common.get(receiver.user_id)
@@ -273,39 +263,35 @@ class DigestCache:
             memo = row[1].get(digest.user_id)
             if memo is not None and memo[0] == digest.version:
                 return memo[1]
-        # Inlined row/position lookups: this is the hottest miss path of the
-        # whole runtime, and every extra frame showed up in profiles.
+        # Inlined row lookup: this is the hottest miss path of the whole
+        # runtime, and every extra frame showed up in profiles.
         rows_entry = self._rows.get(receiver.user_id)
         if rows_entry is None or rows_entry[0] != receiver.version:
-            num_bits, num_hashes = self.num_bits, self.num_hashes
-            buckets: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]] = {}
+            num_bits = self.num_bits
+            probe_mask = bloom.probe_mask
+            probes = []
+            firsts_mask = 0
             for item in receiver.items:
-                positions = probe_positions(item, num_bits, num_hashes)
-                first = positions[0]
-                buckets[first] = buckets.get(first, ()) + ((item, positions),)
-            rows_entry = (receiver.version, frozenset(buckets), buckets)
+                first = hash_bases(item)[0] % num_bits
+                firsts_mask |= 1 << first
+                probes.append((first >> 3, 1 << (first & 7), item, probe_mask(item)))
+            rows_entry = (receiver.version, tuple(probes), firsts_mask)
             self._rows[receiver.user_id] = rows_entry
-        positions_entry = self._bit_positions.get(digest.user_id)
-        if positions_entry is None or positions_entry[0] != digest.version:
-            positions_entry = (digest.version, digest.bloom.bit_positions())
-            self._bit_positions[digest.user_id] = positions_entry
-        digest_bits = positions_entry[1]
-        # One C-level intersection rejects every item whose first probe bit
-        # is clear (the overwhelmingly common case); only the survivors pay
-        # a full probe-position check.
-        live_firsts = digest_bits.intersection(rows_entry[1])
-        if not live_firsts:
+        bits = bloom.raw_bits
+        # One big-int AND rejects a digest with none of the receiver's first
+        # probe bits set (the overwhelmingly common case); otherwise each
+        # item costs one byte of the digest's wire row, and only those whose
+        # first bit is set pay a full probe.
+        if not bits & rows_entry[2]:
             common: FrozenSet[int] = _EMPTY_ITEMS
         else:
-            issuperset = digest_bits.issuperset
-            buckets = rows_entry[2]
+            wire_row = bloom.row_bytes()
             common = frozenset(
-                {
+                [
                     item
-                    for first in live_firsts
-                    for item, positions in buckets[first]
-                    if issuperset(positions)
-                }
+                    for byte_index, bit, item, mask in rows_entry[1]
+                    if wire_row[byte_index] & bit and bits & mask == mask
+                ]
             )
         common = self._store_common(
             receiver.user_id, receiver.version, digest.user_id, digest.version, common
@@ -387,7 +373,6 @@ class DigestCache:
         for user_id in user_ids:
             self._digests.pop(user_id, None)
             self._rows.pop(user_id, None)
-            self._bit_positions.pop(user_id, None)
             row = self._common.pop(user_id, None)
             if row is not None:
                 self._common_pairs -= len(row[1])
@@ -397,7 +382,6 @@ class DigestCache:
     def clear(self) -> None:
         self._digests.clear()
         self._rows.clear()
-        self._bit_positions.clear()
         self._clear_common()
 
     def stats(self) -> Dict[str, int]:
@@ -405,7 +389,6 @@ class DigestCache:
         return {
             "digests": len(self._digests),
             "rows": len(self._rows),
-            "bit_positions": len(self._bit_positions),
             "common_pairs": self._common_pairs,
             "common_values": len(self._common_values),
         }

@@ -44,8 +44,10 @@ datagram wire.
 This module sits on the hot path of every lazy cycle.  It leans on the
 performance layer described in ``docs/ARCHITECTURE.md``: the receiver's item
 and action views (``profile.items`` / ``profile.actions``) are per-version
-cached frozensets, digest probes hit the bit-packed Bloom filter through the
-shared hash-base cache, and similarity scores are C-level set intersections
+cached frozensets, digest probes read the digest's own wire row and packed
+integer against the receiver's cached probe masks
+(:meth:`repro.gossip.digest.DigestCache.common_items`), and similarity
+scores are C-level set intersections
 (:func:`repro.similarity.metrics.overlap_score_from_actions`).
 """
 
