@@ -165,9 +165,9 @@ class DigestCache:
       integer and its wire row (:meth:`BloomFilter.row_bytes`, memoised on
       the filter, so every circulating version of a user's digest carries
       its own and nothing here is keyed by the subject).  Pricing one pair
-      is one big-int AND against the first-bits mask, which ends most
-      pairs, then a byte test of the row per item; only an item whose
-      first bit is set pays the full 20 Kbit probe.
+      is one big-int AND against the first-bits mask, which ends a pair
+      sharing none of them, then a byte test of the row per item; only an
+      item whose first bit is set pays the full 20 Kbit probe.
     * **common-item memo** -- one row per receiver: ``receiver_id ->
       (receiver_version, {subject_id: (digest_version, common_items)})``.
       A digest that was already probed by the same receiver at the same
@@ -279,7 +279,7 @@ class DigestCache:
             self._rows[receiver.user_id] = rows_entry
         bits = bloom.raw_bits
         # One big-int AND rejects a digest with none of the receiver's first
-        # probe bits set (the overwhelmingly common case); otherwise each
+        # probe bits set (a third to a half of all misses); otherwise each
         # item costs one byte of the digest's wire row, and only those whose
         # first bit is set pay a full probe.
         if not bits & rows_entry[2]:
@@ -287,11 +287,11 @@ class DigestCache:
         else:
             wire_row = bloom.row_bytes()
             common = frozenset(
-                [
+                {
                     item
                     for byte_index, bit, item, mask in rows_entry[1]
                     if wire_row[byte_index] & bit and bits & mask == mask
-                ]
+                }
             )
         common = self._store_common(
             receiver.user_id, receiver.version, digest.user_id, digest.version, common
