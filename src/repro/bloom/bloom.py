@@ -319,8 +319,8 @@ class BloomFilter:
         bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
         if bits < 0 or bits.bit_length() > 8 * bloom.size_in_bytes:
             raise ValueError(
-                f"bit array of {bits.bit_length()} bits{' (negative)' if bits < 0 else ''} "
-                f"does not fit a {num_bits}-bit filter's {bloom.size_in_bytes}-byte row"
+                f"the bit array of a {num_bits}-bit filter must be a non-negative "
+                f"integer that fits its {bloom.size_in_bytes}-byte row"
             )
         bloom._bits = bits
         bloom._count = count

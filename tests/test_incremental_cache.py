@@ -12,18 +12,22 @@ state.  A stale-cache bug -- the classic failure mode of incremental systems
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from repro.bloom import hash_bases
 from repro.data import SyntheticConfig, generate_dataset
-from repro.data.models import ChangeDay, ProfileChange
+from repro.data.models import ChangeDay, ProfileChange, UserProfile
 from repro.data.queries import QueryWorkloadGenerator
-from repro.gossip.digest import make_digest
+from repro.gossip.digest import DigestCache, intern_digest, make_digest
 from repro.p3q import P3QConfig, P3QSimulation
+from repro.service.codec import WireCodec
+from repro.simulator.transport import VIEW_RANDOM, DigestAdvertisement
 
 
-def _build(seed: int) -> P3QSimulation:
+def _build(seed: int, digest_bits: int = 1_024, digest_hashes: int = 4) -> P3QSimulation:
     dataset = generate_dataset(
         SyntheticConfig(num_users=36, num_items=220, num_tags=70, seed=seed)
     )
@@ -31,8 +35,8 @@ def _build(seed: int) -> P3QSimulation:
         network_size=10,
         storage=4,
         random_view_size=5,
-        digest_bits=1_024,
-        digest_hashes=4,
+        digest_bits=digest_bits,
+        digest_hashes=digest_hashes,
         seed=seed,
     )
     sim = P3QSimulation(dataset, config)
@@ -187,3 +191,74 @@ def test_dirty_set_flush_evicts_superseded_state():
     assert cache.digest_for(sim.nodes[victim].profile).version == (
         sim.nodes[victim].profile.version
     )
+
+
+def _through_json(digests):
+    """``digests`` as a trace file carries them: JSON text and back."""
+    form = WireCodec()
+    message = DigestAdvertisement(digests=tuple(digests), view=VIEW_RANDOM)
+    return form.decode_message(json.loads(json.dumps(form.encode_message(message)))).digests
+
+
+@pytest.mark.parametrize("geometry", [(64, 3), (37, 2)], ids=["64x3", "37x2"])
+@pytest.mark.parametrize("seed", range(20))
+def test_cached_probe_equals_the_naive_probe_in_every_digest_form(seed, geometry):
+    """``DigestCache.common_items`` is ``digest.common_items_with``, whatever
+    form the digest arrived in and whichever of a user's versions it is.
+
+    The geometries are tiny (37 bits is not a whole number of row bytes) so
+    that false positives are the rule: many items find their first probe bit
+    set in the digest's row and fail the full probe.
+    """
+    num_bits, num_hashes = geometry
+    rng = random.Random(f"probe-forms/{seed}/{num_bits}")
+    sim = _build(seed, digest_bits=num_bits, digest_hashes=num_hashes)
+    profiles = [node.profile for node in sim.nodes.values()]
+    profiles.append(UserProfile(9_001, []))  # empty, as receiver and as subject
+    first_bit_only = 0
+
+    def check(cache, digests):
+        nonlocal first_bit_only
+        for digest in digests:
+            bloom = digest.bloom
+            for receiver in profiles:
+                naive = digest.common_items_with(receiver.items)
+                assert cache.common_items(receiver, digest) == naive
+                assert cache.shares_item(receiver, digest) == bool(naive)
+                if bloom.num_bits == num_bits:
+                    first_bit_only += sum(
+                        bloom.raw_bits >> (hash_bases(item)[0] % num_bits) & 1
+                        for item in receiver.items - naive
+                    )
+
+    built = DigestCache(num_bits, num_hashes)
+    originals = [built.digest_for(profile) for profile in profiles]
+    check(built, originals)
+    # A cache of its own per form: the pair memo would otherwise answer for
+    # the (user, version) pairs priced above without touching the digest.
+    check(
+        DigestCache(num_bits, num_hashes),
+        [
+            intern_digest(
+                digest.user_id, digest.version, num_bits, num_hashes,
+                digest.bloom.approximate_count, bytes(digest.bloom.row_bytes()),
+            )
+            for digest in originals
+        ],
+    )
+    check(DigestCache(num_bits, num_hashes), _through_json(originals))
+    # Foreign geometry: priced by direct probes, never through the rows.
+    check(built, [make_digest(profile, num_bits=128, num_hashes=2) for profile in profiles[:5]])
+
+    # Two versions of the same users in circulation, old and new in turn.
+    day = _random_change_day(sim, rng, day=1)
+    sim.apply_profile_changes(day)
+    changed = {change.user_id for change in day.changes}
+    old = [digest for digest in originals if digest.user_id in changed]
+    built.evict_profiles(changed)
+    new = [built.digest_for(sim.nodes[digest.user_id].profile) for digest in old]
+    assert all(after.version > before.version for before, after in zip(old, new))
+    for _ in range(3):
+        check(built, old)
+        check(built, new)
+    assert first_bit_only > 0

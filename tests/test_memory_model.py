@@ -14,30 +14,42 @@ that keeps it flat instead:
   one row per receiver, equal common-item sets are one frozenset, view
   entries carry no ``__dict__``;
 * a profile at rest holds one immutable copy of its state: a frozenset of
-  action ids and two dicts of tuples, no ``set`` and no tuple-action set.
+  action ids and two dicts of tuples, no ``set`` and no tuple-action set;
+* a digest at rest is its packed integer and its wire row, and the row is
+  what it is probed in: the cache derives nothing else from it, whichever
+  of a user's versions is probed.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import sys
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bloom import BloomFilter
 from repro.data.interning import GLOBAL_INTERNER, intern_action
 from repro.data.models import UserProfile
 from repro.data.queries import QueryWorkloadGenerator
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.experiments.runner import converged_simulation
-from repro.gossip.digest import DigestCache, ProfileDigest, make_digest
+from repro.gossip.digest import DigestCache, ProfileDigest, intern_digest, make_digest
 from repro.gossip.views import NeighbourEntry
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
 from repro.service import ServiceConfig, ServiceRuntime
+from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
 from repro.similarity.knn import Neighbour
-from repro.simulator.transport import Envelope, QueryResult, RemainingReturn
+from repro.simulator.transport import (
+    VIEW_RANDOM,
+    DigestAdvertisement,
+    Envelope,
+    QueryResult,
+    RemainingReturn,
+)
 
 FAST = ServiceConfig(gossip_interval=0.02, eager_interval=0.005, query_deadline=8.0)
 
@@ -367,3 +379,96 @@ class TestOneCopyOfAProfileAtRest:
         assert (1, 987_654_321) not in profile
         assert (1, 2) in profile
         assert len(GLOBAL_INTERNER) == before
+
+
+#: ``sys.getsizeof`` of what the parent commit held for the digest of
+#: :func:`_sixty_actions` (30 items, 416 set bits): the packed integer
+#: (2 688 B), the wire row (2 533 B) and a ``set`` of the set-bit indices
+#: (32 984 B; 15.9 KiB on average over the N=600 benchmark corpus).
+PARENT_DIGEST_BYTES = 2_688 + 2_533 + 32_984
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through containers and instance
+    attributes (slots included), ``root`` included; classes are not entered."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+class TestOneDigestFormAtRest:
+    def test_no_set_hangs_off_a_cached_digest_or_probe_row(
+        self, synthetic_dataset, small_config
+    ):
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        cache = simulation.digest_cache
+        for node in simulation.nodes.values():
+            cache.digest_for(node.profile)
+        simulation.bootstrap_random_views()
+        simulation.run_lazy(1)
+        stats = cache.stats()
+        assert stats["digests"] == len(simulation.nodes) and stats["rows"] > 0
+        held = _reachable(cache._digests) + _reachable(cache._rows)
+        assert any(type(obj) is bytes for obj in held)  # probed rows are memoised
+        assert not [obj for obj in held if type(obj) is set]
+        # One counter per structure the cache owns: nothing per digest
+        # besides the digest.
+        assert set(stats) == {"digests", "rows", "common_pairs", "common_values"}
+
+    def test_a_digest_at_rest_is_its_integer_and_its_row(self):
+        cache = DigestCache()
+        subject = UserProfile.from_distinct_actions(1, _sixty_actions())
+        digest = cache.digest_for(subject)
+        assert cache.common_items(UserProfile(2, [(3, 1), (500, 1)]), digest) == {3}
+        # Everything the filter owns (``_masks`` is the geometry's shared
+        # probe-mask table): a few small ints, the packed integer, the row.
+        owned = [getattr(digest.bloom, slot) for slot in BloomFilter.__slots__ if slot != "_masks"]
+        assert {type(value) for value in owned} == {int, bytes}
+        big = [value for value in owned if sys.getsizeof(value) > 64]
+        assert [sys.getsizeof(value) for value in big] == [2_688, 2_533]
+        at_rest = sum(sys.getsizeof(value) for value in owned)
+        assert at_rest <= PARENT_DIGEST_BYTES // 7, at_rest
+
+    def test_the_probed_row_is_the_row_the_codec_sends(self, monkeypatch):
+        cache = DigestCache()
+        digest = cache.digest_for(UserProfile(1, [(item, 9) for item in range(12)]))
+        row = digest.bloom.row_bytes()
+        assert digest.bloom.row_bytes() is row
+        assert cache.common_items(UserProfile(2, [(3, 1), (4, 1)]), digest) == {3, 4}
+        assert digest.bloom.row_bytes() is row
+        appended = []
+        row_bytes = BloomFilter.row_bytes
+        monkeypatch.setattr(
+            BloomFilter, "row_bytes", lambda bloom: appended.append(row_bytes(bloom)) or appended[-1]
+        )
+        frame = BinaryWireCodec().encode_message(
+            DigestAdvertisement(digests=(digest,), view=VIEW_RANDOM)
+        )
+        assert len(appended) == 1 and appended[0] is row and row in frame
+
+    def test_alternating_versions_of_one_user_rederive_nothing(self):
+        """Both versions of a changed user's digest circulate for a while;
+        each carries its own row, so probing them in turn misses the pair
+        memo every time and still builds nothing."""
+        cache = DigestCache()
+        subject = UserProfile(1, [(item, 9) for item in range(12)])
+        old = cache.digest_for(subject)
+        subject.add(40, 9)
+        new = cache.digest_for(subject)
+        # The old version as a peer that decoded it from the wire holds it.
+        old = intern_digest(1, old.version, 20_000, 14, 12, bytes(old.bloom.row_bytes()))
+        rows = (old.bloom.row_bytes(), new.bloom.row_bytes())
+        receiver = UserProfile(2, [(3, 1), (40, 1), (77, 1)])
+        misses = []
+        cache.record_pricing(misses)
+        for _ in range(50):
+            assert cache.common_items(receiver, old) == {3}
+            assert cache.common_items(receiver, new) == {3, 40}
+        assert len(misses) == 100
+        assert old.bloom.row_bytes() is rows[0] and new.bloom.row_bytes() is rows[1]
+        assert cache.stats()["digests"] == cache.stats()["rows"] == 1
