@@ -675,6 +675,12 @@ class BinaryWireCodec:
         """The wire refused the frame: forget its would-be references."""
         self._pending.pop(receiver, None)
 
+    def forget_sent(self, receiver: int) -> None:
+        """A round trip to ``receiver`` timed out: the frame that seeded its
+        digests may never have been decoded, so reference nothing on that
+        link until it is re-shipped (full rows are always correct)."""
+        self._sent.pop(receiver, None)
+
     # -- message layer --------------------------------------------------------
 
     def _write_message(self, out: bytearray, message: Message,

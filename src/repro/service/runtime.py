@@ -552,6 +552,8 @@ class NodeService:
             reply = await asyncio.wait_for(future, runtime.config.rpc_timeout)
         except asyncio.TimeoutError:
             self._rpc_futures.pop(rpc_id, None)
+            # The frame may have been lost with the digests it seeded.
+            self.codec.forget_sent(receiver)
             # The sender-side timeout of a real gossip: indistinguishable
             # from a lost request, so the protocol sees DROPPED (it must
             # not assume the other side processed anything).
