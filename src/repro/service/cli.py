@@ -13,6 +13,7 @@ Two modes share :func:`repro.service.demo.run_demo`:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -78,6 +79,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--nodes must be at least 3")
     if args.queries < 1:
         parser.error("--queries must be positive")
+    if args.deadline is not None and not (
+        math.isfinite(args.deadline) and args.deadline > 0
+    ):
+        parser.error(
+            f"--deadline must be a positive finite number, got {args.deadline!r}"
+        )
 
     report = run_demo_sync(
         num_users=args.nodes,

@@ -862,7 +862,13 @@ class ServiceRuntime:
         The per-query deadline replaces the engine's eager cycle cutoff: an
         incomplete session is returned with whatever coverage it reached.
         """
-        deadline = deadline if deadline is not None else self.config.query_deadline
+        if deadline is None:
+            deadline = self.config.query_deadline
+        elif not math.isfinite(deadline) or deadline <= 0:
+            # nan or a past cutoff would return before the first poll.
+            raise ValueError(
+                f"deadline must be a positive finite number, got {deadline!r}"
+            )
         sessions = {q.query_id: self.issue_query(q) for q in queries}
         loop = asyncio.get_running_loop()
         cutoff = loop.time() + deadline

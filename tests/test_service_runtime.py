@@ -247,6 +247,38 @@ class TestServiceConfigValidation:
         ServiceConfig().validate()
 
 
+#: ``nan`` and a past cutoff used to run a zero-length deployment and exit 0.
+BAD_DEADLINES = [float("nan"), float("inf"), 0, -1]
+
+
+class TestDeadlineValidation:
+    @pytest.mark.parametrize("bad", BAD_DEADLINES)
+    def test_run_queries_rejects_it_before_issuing_anything(self, bad):
+        workload = build_demo_workload(num_users=8, num_queries=1, seed=5)
+        simulation = converged_simulation(workload, 3)
+
+        async def go():
+            runtime = ServiceRuntime(simulation, ServiceConfig())
+            await runtime.start()
+            try:
+                with pytest.raises(ValueError, match="deadline must be a positive finite"):
+                    await runtime.run_queries(workload.queries, deadline=bad)
+            finally:
+                await runtime.stop()
+
+        asyncio.run(go())
+        assert not any(node.sessions for node in simulation.nodes.values())
+
+    @pytest.mark.parametrize("bad", BAD_DEADLINES)
+    def test_cli_rejects_it_as_a_usage_error(self, bad, capsys):
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--demo", "--deadline", str(bad)])
+        assert exit_info.value.code == 2
+        assert "--deadline must be a positive finite number" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- PR 10 paths
 
 
