@@ -190,7 +190,8 @@ class QuerySession:
         if self.is_complete():
             # Every neighbour's profile has contributed: the querier knows the
             # processing is over and reads off the exact result (recall 1).
-            top_k = self._merger.finalize()
+            # The merger keeps that answer and drops its merge state.
+            top_k = self._merger.freeze()
         snapshot = CycleSnapshot(
             cycle=cycle,
             top_k=top_k,

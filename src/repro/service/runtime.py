@@ -412,6 +412,11 @@ class TimerWheel:
             self._wakeup.clear()
 
 
+#: ``ServiceRuntime.account`` folds the traffic rows into the aggregates
+#: whenever this many are buffered (~400 KB of row tuples).
+STATS_FOLD_ROWS = 4096
+
+
 # ------------------------------------------------------------- node service
 
 
@@ -737,7 +742,9 @@ class ServiceRuntime:
         self.batcher = FrameBatcher(self.wire)
         self.wheel = TimerWheel()
         self.trace = ServiceTrace()
-        self._observers = [self.trace.record]
+        #: Extra per-event callbacks (:meth:`add_observer`); the trace
+        #: itself records columns and needs no ``WireEvent``.
+        self._observers: List[Callable[[WireEvent], None]] = []
         self.services: Dict[int, NodeService] = {}
         self._started = False
         #: Wheel callbacks initiate new rounds only while True; cleared by
@@ -769,9 +776,12 @@ class ServiceRuntime:
         kind = message.kind
         if kind is None or not message.accountable:
             return
-        self.simulation.network.account(
-            sender, receiver, kind, total_bytes(message), query_id=query_id
-        )
+        network = self.simulation.network
+        network.account(sender, receiver, kind, total_bytes(message), query_id=query_id)
+        # The service has no cycle boundary to tick ``maybe_flush`` at:
+        # fold by row count (every aggregate view is exact across flushes).
+        if network.stats.buffered_rows >= STATS_FOLD_ROWS:
+            network.stats.flush()
 
     def observe(
         self,
@@ -783,9 +793,11 @@ class ServiceRuntime:
         accounted: bool,
         query_id: Optional[int],
     ) -> None:
-        event = WireEvent(op, sender, receiver, message, status, accounted, query_id)
-        for observer in self._observers:
-            observer(event)
+        self.trace.append(op, sender, receiver, message, status, accounted, query_id)
+        if self._observers:
+            event = WireEvent(op, sender, receiver, message, status, accounted, query_id)
+            for observer in self._observers:
+                observer(event)
 
     def add_observer(self, observer) -> None:
         self._observers.append(observer)

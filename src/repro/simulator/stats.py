@@ -159,6 +159,15 @@ class StatsCollector:
         self._cycles_since_flush = 0
         return dropped
 
+    @property
+    def buffered_rows(self) -> int:
+        """Rows recorded since the last flush (what :meth:`flush` would drop).
+
+        For callers with no cycle boundary to tick :meth:`maybe_flush` at
+        (the service runtime folds by row count instead).
+        """
+        return len(self._rows)
+
     # -- aggregate views ------------------------------------------------------
 
     @property

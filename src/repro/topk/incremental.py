@@ -61,6 +61,10 @@ class IncrementalNRA:
         self._lists: Dict[int, _ListState] = {}
         self._next_list_id = 0
         self._total_accesses = 0
+        #: The exact top-k once :meth:`freeze` ran (``None`` while merging).
+        self._answer: Optional[List[Tuple[int, float]]] = None
+        #: ``(num_lists, num_candidates)`` as they stood when it froze.
+        self._frozen_counts = (0, 0)
 
     # -- feeding lists --------------------------------------------------------
 
@@ -71,6 +75,8 @@ class IncrementalNRA:
         are kept (the paper's partial results only contain items with positive
         partial scores).  Returns the internal list id.
         """
+        if self._answer is not None:
+            raise RuntimeError("merger is frozen: its answer is final")
         if list_id is None:
             list_id = self._next_list_id
         if list_id in self._lists:
@@ -88,6 +94,8 @@ class IncrementalNRA:
         Returns the current top-k as ``(item, worst_case_score)`` pairs; the
         worst-case score equals the exact score once processing is complete.
         """
+        if self._answer is not None:
+            raise RuntimeError("merger is frozen: its answer is final")
         new_ids = [self.add_list(scores) for scores in new_lists]
         self._scan(new_ids)
         return self.current_top_k()
@@ -144,6 +152,8 @@ class IncrementalNRA:
 
     def current_top_k(self) -> List[Tuple[int, float]]:
         """The current best answer given everything scanned so far."""
+        if self._answer is not None:
+            return list(self._answer)
         return self._heap.top_k(self.k, self._last_seen_bounds())
 
     def current_items(self) -> List[int]:
@@ -156,6 +166,8 @@ class IncrementalNRA:
         (all neighbours' profiles have been used) and wants the final answer
         regardless of the early-stop condition.
         """
+        if self._answer is not None:
+            return list(self._answer)
         pending = [list_id for list_id, state in self._lists.items() if not state.exhausted]
         while pending:
             for list_id in pending:
@@ -169,10 +181,30 @@ class IncrementalNRA:
             pending = [list_id for list_id, state in self._lists.items() if not state.exhausted]
         return self.current_top_k()
 
+    def freeze(self) -> List[Tuple[int, float]]:
+        """:meth:`finalize`, then keep only the answer.
+
+        A finished merger *is* its exact top-k: the candidate heap and the
+        ranked lists are dropped (~9 KB per answered query that nothing
+        reads again), every result accessor keeps answering what it
+        answered at this point, and feeding it again raises.  The counters
+        (:attr:`num_lists`, :attr:`num_candidates`,
+        :attr:`sequential_accesses`) stay at their final values.
+        """
+        if self._answer is None:
+            answer = self.finalize()
+            self._frozen_counts = (len(self._lists), len(self._heap))
+            self._answer = answer
+            self._lists = None
+            self._heap = None
+        return list(self._answer)
+
     # -- introspection --------------------------------------------------------
 
     @property
     def num_lists(self) -> int:
+        if self._answer is not None:
+            return self._frozen_counts[0]
         return len(self._lists)
 
     @property
@@ -181,4 +213,6 @@ class IncrementalNRA:
 
     @property
     def num_candidates(self) -> int:
+        if self._answer is not None:
+            return self._frozen_counts[1]
         return len(self._heap)
