@@ -412,9 +412,81 @@ class TimerWheel:
             self._wakeup.clear()
 
 
+# ------------------------------------------------------------ rpc deadlines
+
+#: What an expired round trip's future resolves to (a reply may be ``None``).
+RPC_EXPIRED = object()
+
 #: ``ServiceRuntime.account`` folds the traffic rows into the aggregates
 #: whenever this many are buffered (~400 KB of row tuples).
 STATS_FOLD_ROWS = 4096
+
+
+class RpcDeadlines:
+    """One FIFO of ``(deadline, future)`` guarding every round trip in flight.
+
+    ``rpc_timeout`` is one constant per runtime, so deadlines arrive in
+    order: a deque and a single ``call_at`` handle, re-armed at the head's
+    deadline, replace one ``asyncio.wait_for`` (a waiter future, a timer
+    handle and two callbacks) per rpc.  An overdue future resolves to
+    :data:`RPC_EXPIRED`; :meth:`settle`, called as each round trip
+    resolves, pops finished heads, so under steady traffic the queue holds
+    the round trips in flight (plus answered ones queued behind an
+    unanswered head, for at most ``timeout`` -- under loss that is the
+    rpc rate times the timeout, 16 bytes of deque slot and a 2-tuple each).
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self._timeout = timeout
+        self._queue: Deque[Tuple[float, asyncio.Future]] = deque()
+        self._handle: Optional[asyncio.TimerHandle] = None
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def watch(self, future: asyncio.Future, now: float) -> None:
+        """Expire ``future`` unless it resolves within the timeout of ``now``."""
+        deadline = now + self._timeout
+        self._queue.append((deadline, future))
+        if self._handle is None:
+            self._handle = asyncio.get_running_loop().call_at(deadline, self._expire)
+
+    def settle(self) -> None:
+        """Drop the finished round trips at the head of the queue."""
+        queue = self._queue
+        while queue and queue[0][1].done():
+            queue.popleft()
+
+    def _expire(self) -> None:
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        queue = self._queue
+        self._handle = None
+        while queue:
+            deadline, future = queue[0]
+            if future.done():
+                queue.popleft()
+            elif deadline <= now:
+                queue.popleft()
+                future.set_result(RPC_EXPIRED)
+            else:
+                self._handle = loop.call_at(deadline, self._expire)
+                return
+
+    def close(self) -> None:
+        """Cancel the timer; a round trip still waiting expires now.
+
+        The runtime's own round trips have all resolved when it calls this
+        (rounds and handlers waited theirs out); one a caller started
+        outside them must not be left waiting on a timer that is gone.
+        """
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        for _, future in self._queue:
+            if not future.done():
+                future.set_result(RPC_EXPIRED)
+        self._queue.clear()
 
 
 # ------------------------------------------------------------- node service
@@ -484,22 +556,22 @@ class NodeService:
 
     # -- effect driving -------------------------------------------------------
 
-    async def drive(self, gen: WireEffects) -> Any:
-        """Async twin of :func:`repro.simulator.effects.drive`."""
+    def _advance(self, gen: WireEffects, result: Any = None) -> Tuple[bool, Any]:
+        """Step ``gen`` through every effect that cannot suspend.
+
+        Sends ``result`` in, then answers one-way sends, probes and digest
+        peeks on the spot.  Returns ``(True, value)`` when the generator
+        finished, ``(False, effect)`` at a :class:`RequestEffect` -- the
+        one effect whose outcome must be awaited.
+        """
         runtime = self.runtime
         try:
-            effect = gen.send(None)
+            effect = gen.send(result)
             while True:
                 etype = type(effect)
                 if etype is RequestEffect:
-                    result: Any = await self.request(
-                        effect.sender,
-                        effect.receiver,
-                        effect.message,
-                        query_id=effect.query_id,
-                        account=effect.account,
-                    )
-                elif etype is SendEffect:
+                    return False, effect
+                if etype is SendEffect:
                     result = self.send(
                         effect.sender,
                         effect.receiver,
@@ -517,7 +589,28 @@ class NodeService:
                     raise TypeError(f"unknown wire effect {effect!r}")
                 effect = gen.send(result)
         except StopIteration as stop:
-            return stop.value
+            return True, stop.value
+
+    async def drive(self, gen: WireEffects, pending: Optional[RequestEffect] = None) -> Any:
+        """Async twin of :func:`repro.simulator.effects.drive`.
+
+        ``pending`` is the request an earlier :meth:`_advance` of ``gen``
+        stopped at (an inbound handler stepped inline up to there).
+        """
+        if pending is None:
+            done, value = self._advance(gen)
+        else:
+            done, value = False, pending
+        while not done:
+            dispatch = await self.request(
+                value.sender,
+                value.receiver,
+                value.message,
+                query_id=value.query_id,
+                account=value.account,
+            )
+            done, value = self._advance(gen, dispatch)
+        return value
 
     # -- outbound -------------------------------------------------------------
 
@@ -553,9 +646,10 @@ class NodeService:
             runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, account, query_id)
             return Dispatch(DROPPED, None)
         self.codec.commit_sent(receiver)
-        try:
-            reply = await asyncio.wait_for(future, runtime.config.rpc_timeout)
-        except asyncio.TimeoutError:
+        runtime.rpc_deadlines.watch(future, started)
+        reply = await future
+        runtime.rpc_deadlines.settle()
+        if reply is RPC_EXPIRED:
             self._rpc_futures.pop(rpc_id, None)
             # The frame may have been lost with the digests it seeded.
             self.codec.forget_sent(receiver)
@@ -629,21 +723,42 @@ class NodeService:
             if future is not None and not future.done():
                 future.set_result(decoded["m"])
             return
-        # One task per inbound frame: a handler may issue nested
-        # round-trips back at the node that is currently awaiting us
-        # (digest integration, the eager alpha split), so serial
-        # processing would deadlock two mutually-requesting nodes.
-        task = asyncio.create_task(self._handle_inbound(decoded))
+        # Most handlers never wait (a one-way frame, a request answered
+        # from local state): those run to their reply right here.  One that
+        # reaches a round trip becomes a task at that point -- handlers
+        # cannot be serialised, because a nested request may go back to the
+        # node that is currently awaiting us (digest integration, the eager
+        # alpha split) and two mutually-requesting nodes would deadlock.
+        try:
+            gen = self.node.handle_message_effects(decoded["envelope"])
+            done, value = self._advance(gen)
+            if done:
+                self._reply(decoded, value)
+                return
+        except Exception:
+            # What ``_report_task_failure`` does for a handler task: the
+            # inbox reader must outlive a crashing handler.
+            logger.error(
+                "service task inbound-%d crashed", self.node_id, exc_info=True
+            )
+            return
+        task = asyncio.create_task(self._handle_inbound(decoded, gen, value))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
         task.add_done_callback(_report_task_failure)
 
-    async def _handle_inbound(self, decoded: Dict[str, Any]) -> None:
-        runtime = self.runtime
-        envelope: Envelope = decoded["envelope"]
-        reply = await self.drive(self.node.handle_message_effects(envelope))
+    async def _handle_inbound(
+        self, decoded: Dict[str, Any], gen: WireEffects, pending: RequestEffect
+    ) -> None:
+        """The rest of a handler that reached a round trip at ``pending``."""
+        self._reply(decoded, await self.drive(gen, pending))
+
+    def _reply(self, decoded: Dict[str, Any], reply: Optional[Message]) -> None:
+        """Answer a handled request frame (a one-way frame has no answer)."""
         if decoded["op"] != "req":
             return
+        runtime = self.runtime
+        envelope: Envelope = decoded["envelope"]
         if reply is not None:
             # Reply legs are accounted and observed at the replier, the side
             # that actually spends the uplink bytes; the requester's timeout
@@ -745,6 +860,7 @@ class ServiceRuntime:
         #: Extra per-event callbacks (:meth:`add_observer`); the trace
         #: itself records columns and needs no ``WireEvent``.
         self._observers: List[Callable[[WireEvent], None]] = []
+        self.rpc_deadlines = RpcDeadlines(self.config.rpc_timeout)
         self.services: Dict[int, NodeService] = {}
         self._started = False
         #: Wheel callbacks initiate new rounds only while True; cleared by
@@ -850,6 +966,9 @@ class ServiceRuntime:
             if self.batcher.empty() and all(service.idle() for service in services):
                 break
             await asyncio.sleep(0)
+        # Every round trip has resolved by now (rounds and handlers waited
+        # theirs out): only then may the expiry timer go.
+        self.rpc_deadlines.close()
         for service in services:
             service.tick += 1
             service.node.close_open_sessions(service.tick)
