@@ -17,7 +17,10 @@ that keeps it flat instead:
   action ids and two dicts of tuples, no ``set`` and no tuple-action set;
 * a digest at rest is its packed integer and its wire row, and the row is
   what it is probed in: the cache derives nothing else from it, whichever
-  of a user's versions is probed.
+  of a user's versions is probed;
+* what a service run keeps per wire event and per answered query: the audit
+  trail is five columns (no ``WireEvent`` at rest), the traffic rows are
+  folded before they pass a constant, and a finished merger is its answer.
 """
 
 from __future__ import annotations
@@ -40,15 +43,20 @@ from repro.gossip.views import NeighbourEntry
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
 from repro.service import ServiceConfig, ServiceRuntime
+from repro.service import runtime as service_runtime
 from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
 from repro.similarity.knn import Neighbour
+from repro.simulator.stats import StatsCollector
+from repro.topk.heap import Candidate
+from repro.topk.nra import RankedList
 from repro.simulator.transport import (
     VIEW_RANDOM,
     DigestAdvertisement,
     Envelope,
     QueryResult,
     RemainingReturn,
+    WireEvent,
 )
 
 FAST = ServiceConfig(gossip_interval=0.02, eager_interval=0.005, query_deadline=8.0)
@@ -472,3 +480,102 @@ class TestOneDigestFormAtRest:
         assert len(misses) == 100
         assert old.bloom.row_bytes() is rows[0] and new.bloom.row_bytes() is rows[1]
         assert cache.stats()["digests"] == cache.stats()["rows"] == 1
+
+
+# ------------------------------------------- per wire event, per answered query
+
+
+def _service_run(simulation, workload, keep_up: float = 0.5):
+    """A short in-process deployment: answers the workload's queries, then
+    keeps gossiping for ``keep_up`` seconds."""
+
+    async def go():
+        runtime = ServiceRuntime(simulation, FAST)
+        await runtime.start()
+        try:
+            await runtime.run_queries(workload.queries)
+            await asyncio.sleep(keep_up)
+        finally:
+            await runtime.stop()
+        return runtime
+
+    return asyncio.run(go())
+
+
+class TestWhatAServiceRunKeeps:
+    def test_the_audit_trail_is_columns_not_wire_events(self):
+        workload = build_demo_workload(num_users=20, num_queries=3, seed=5)
+        runtime = _service_run(converged_simulation(workload, 3), workload)
+        trace = runtime.trace
+        events = len(trace.events)
+        assert events > 500
+        held = _reachable(trace)
+        assert not [obj for obj in held if isinstance(obj, WireEvent)]
+        columns = (
+            trace._flags, trace._senders, trace._receivers, trace._query_ids,
+            trace._messages,
+        )
+        assert all(len(column) == events for column in columns)
+        # The parent held a 104-byte tuple and an 8-byte list slot per event.
+        assert sum(sys.getsizeof(column) for column in columns) <= 32 * events
+        # Reading the view leaves nothing behind either.
+        assert trace.events[0] == next(iter(trace.events))
+        assert not [obj for obj in _reachable(trace) if isinstance(obj, WireEvent)]
+
+    def test_traffic_rows_fold_before_they_pass_the_constant(self, monkeypatch):
+        # A short run records a few thousand rows: shrink the constant so
+        # it folds many times.
+        monkeypatch.setattr(service_runtime, "STATS_FOLD_ROWS", 64)
+        workload = build_demo_workload(num_users=20, num_queries=3, seed=5)
+        simulation = converged_simulation(workload, 3)
+        stats = simulation.stats
+        twin = StatsCollector()  # never folded
+        buffered = []
+        record = stats.record
+
+        def record_both(**row):
+            record(**row)
+            twin.record(**row)
+            buffered.append(stats.buffered_rows)
+
+        stats.record = record_both
+        _service_run(simulation, workload)
+        assert len(buffered) > 10 * 64
+        assert max(buffered) <= 64
+        assert stats.buffered_rows < 64 and twin.buffered_rows == len(buffered)
+        assert stats.bytes_by_kind() == twin.bytes_by_kind()
+        assert stats.total_messages() == twin.total_messages() == len(buffered)
+        assert stats.query_ids() == twin.query_ids() != []
+        for query_id in twin.query_ids():
+            assert stats.query_bytes(query_id) == twin.query_bytes(query_id)
+            for kind in twin.query_bytes(query_id):
+                assert stats.query_receivers(query_id, kind) == twin.query_receivers(
+                    query_id, kind
+                )
+
+    def test_a_finished_merger_is_its_answer(self, warm_simulation, query_workload):
+        sessions = warm_simulation.issue_queries(query_workload[:5])
+        warm_simulation.run_eager(cycles=30)
+        closed = [session for session in sessions.values() if session.closed]
+        assert closed
+        for session in closed:
+            merge_state = [
+                obj for obj in _reachable(session._merger)
+                if isinstance(obj, (Candidate, RankedList))
+            ]
+            assert merge_state == []
+            closing = next(
+                snapshot for snapshot in session.snapshots
+                if snapshot.cycle == session.closed_cycle
+            )
+            assert closing.top_k and len(closing.top_k) <= session.k
+            assert session.current_top_k() == closing.top_k
+            assert session.current_items() == closing.items
+            assert session.current_items(exact=True) == closing.items
+            # Its numbers outlive the state they counted.
+            assert session._merger.num_lists > 0
+            assert session._merger.num_candidates >= len(closing.top_k)
+            assert session._merger.sequential_accesses >= session._merger.num_candidates
+        still_open = [session for session in sessions.values() if not session.closed]
+        for session in still_open:
+            assert session._merger.num_candidates == len(session._merger._heap)

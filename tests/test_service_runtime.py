@@ -29,7 +29,20 @@ from repro.service.demo import (
 )
 from repro.service.runtime import FrameBatcher, TimerWheel, _report_task_failure
 from repro.simulator.effects import ProbeEffect, RequestEffect
-from repro.simulator.transport import DROPPED, OP_REPLY, OP_REQUEST, Dispatch
+from repro.simulator.transport import (
+    DEFERRED,
+    DELIVERED,
+    DROPPED,
+    LOST,
+    OP_DRAIN,
+    OP_REPLY,
+    OP_REQUEST,
+    OP_SEND,
+    UNREACHABLE,
+    Dispatch,
+    RemainingReturn,
+    WireEvent,
+)
 
 
 def _run(workload, config, storage=3):
@@ -106,6 +119,107 @@ class TestInProcRun:
             assert original.accounted == reloaded.accounted
             assert original.query_id == reloaded.query_id
             assert type(original.message) is type(reloaded.message)
+
+
+class TestEventsView:
+    """``trace.events`` reads like the list of ``WireEvent``s it replaced."""
+
+    @pytest.fixture(scope="class")
+    def observed(self):
+        workload = build_demo_workload(num_users=20, num_queries=3, seed=5)
+        simulation = converged_simulation(workload, 3)
+        collected = []
+        message = RemainingReturn(query_id=0, remaining=(4,))
+
+        async def go():
+            runtime = ServiceRuntime(
+                simulation, ServiceConfig(gossip_interval=0.02, eager_interval=0.005)
+            )
+            runtime.add_observer(collected.append)
+            await runtime.start()
+            try:
+                await runtime.run_queries(workload.queries)
+                # The protocols probe before they send, so a run rarely
+                # meets a departed peer: address one directly.
+                here, gone = list(runtime.services)[:2]
+                simulation.network.depart([gone])
+                service = runtime.services[here]
+                assert service.send(here, gone, message, query_id=0) == UNREACHABLE
+                dispatch = await service.request(here, gone, message)
+                assert dispatch.status == UNREACHABLE
+            finally:
+                await runtime.stop()
+            # What this run did not emit, recorded by hand.
+            runtime.observe(OP_REQUEST, 3, -4, message, DROPPED, True, 5)
+            runtime.observe(OP_DRAIN, 3, -4, message, LOST, False, 0)
+            runtime.observe(OP_DRAIN, 3, -4, message, DEFERRED, True, None)
+            return runtime
+
+        return asyncio.run(go()), collected
+
+    def test_view_equals_what_an_observer_collected(self, observed):
+        runtime, collected = observed
+        events = runtime.trace.events
+        assert len(events) == len(runtime.trace) == len(collected) > 100
+        assert list(events) == collected
+        assert all(type(event) is WireEvent for event in events)
+        # Same message objects, not copies.
+        assert all(
+            mine.message is theirs.message for mine, theirs in zip(events, collected)
+        )
+        seen = {(event.op, event.status) for event in collected}
+        assert {
+            (OP_REQUEST, DELIVERED), (OP_REPLY, DELIVERED), (OP_SEND, DELIVERED),
+            (OP_REQUEST, UNREACHABLE), (OP_SEND, UNREACHABLE), (OP_REQUEST, DROPPED),
+            (OP_DRAIN, LOST), (OP_DRAIN, DEFERRED),
+        } <= seen
+        assert {True, False} == {event.accounted for event in collected}
+
+    def test_no_query_and_query_zero_stay_apart(self, observed):
+        runtime, _ = observed
+        zero, none = runtime.trace.events[-2:]
+        assert zero.query_id == 0 and zero.query_id is not None
+        assert none.query_id is None
+        assert any(event.query_id is None for event in runtime.trace.events[:-2])
+
+    def test_indexing_like_a_list(self, observed):
+        runtime, collected = observed
+        events = runtime.trace.events
+        assert events[0] == collected[0] and events[-1] == collected[-1]
+        assert events[5:9] == collected[5:9]
+        assert events[-3:] == collected[-3:]
+        assert events[::50] == collected[::50]
+        assert events[len(collected):] == []
+        with pytest.raises(IndexError):
+            events[len(collected)]
+        with pytest.raises(TypeError):
+            events[0] = collected[0]
+        assert not hasattr(events, "append")
+
+    def test_dump_load_dump_is_byte_identical(self, observed, tmp_path):
+        runtime, collected = observed
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert runtime.trace.dump(str(first)) == len(collected)
+        loaded = ServiceTrace.load(str(first))
+        assert loaded.dump(str(second)) == len(collected)
+        assert first.read_bytes() == second.read_bytes()
+        for mine, theirs in zip(loaded.events, collected):
+            assert mine._replace(message=None) == theirs._replace(message=None)
+
+    def test_an_unknown_op_or_status_is_refused_loudly(self):
+        trace = ServiceTrace()
+        message = RemainingReturn(query_id=0, remaining=())
+        with pytest.raises(KeyError):
+            trace.append("teleport", 1, 2, message, DELIVERED, True, None)
+        with pytest.raises(KeyError):
+            trace.append(OP_SEND, 1, 2, message, "misplaced", True, None)
+        with pytest.raises(OverflowError):
+            trace.append(OP_SEND, 1, 1 << 40, message, DELIVERED, True, None)
+        # A refused event leaves every column as long as the others.
+        trace.append(OP_SEND, 1, 2, message, DELIVERED, True, 7)
+        assert list(trace.events) == [
+            WireEvent(OP_SEND, 1, 2, message, DELIVERED, True, 7)
+        ]
 
 
 class TestUdpRun:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,3 +134,59 @@ class TestAgainstOracle:
         for item, score in true_scores.items():
             if score > kth_true + 1e-9:
                 assert item in returned
+
+
+def _seeded_batches(seed: int):
+    """A few cycles of partial result lists, ties and empty cycles included."""
+    rng = random.Random(seed)
+    cycles = []
+    for _ in range(rng.randint(1, 5)):
+        cycles.append(
+            [
+                {
+                    item: float(rng.randint(1, 8))
+                    for item in rng.sample(range(30), rng.randint(1, 12))
+                }
+                for _ in range(rng.randint(0, 4))
+            ]
+        )
+    return cycles, rng.randint(1, 6)
+
+
+class TestFrozen:
+    """A merger frozen after its last list is its answer and nothing else."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_answers_like_a_finalized_twin(self, seed):
+        cycles, k = _seeded_batches(seed)
+        frozen, twin = IncrementalNRA(k), IncrementalNRA(k)
+        for batch in cycles:
+            assert frozen.process_cycle(batch) == twin.process_cycle(batch)
+        exact = twin.finalize()
+        assert frozen.freeze() == exact
+        assert frozen._heap is None and frozen._lists is None
+        assert frozen.current_top_k() == twin.current_top_k() == exact
+        assert frozen.current_items() == twin.current_items()
+        assert frozen.finalize() == exact and frozen.freeze() == exact
+        assert frozen.sequential_accesses == twin.sequential_accesses
+        assert frozen.num_lists == twin.num_lists
+        assert frozen.num_candidates == twin.num_candidates
+
+    def test_the_answer_handed_out_is_a_copy(self):
+        nra = IncrementalNRA(2)
+        nra.process_cycle([{1: 3.0, 2: 1.0}])
+        nra.freeze().clear()
+        nra.current_top_k().clear()
+        assert nra.current_top_k() == [(1, 3.0), (2, 1.0)]
+
+    def test_feeding_a_frozen_merger_raises(self):
+        nra = IncrementalNRA(2)
+        nra.process_cycle([{1: 3.0}])
+        nra.freeze()
+        with pytest.raises(RuntimeError, match="frozen"):
+            nra.add_list({2: 9.0})
+        with pytest.raises(RuntimeError, match="frozen"):
+            nra.process_cycle([{2: 9.0}])
+        with pytest.raises(RuntimeError, match="frozen"):
+            nra.process_cycle()
+        assert nra.current_top_k() == [(1, 3.0)]
