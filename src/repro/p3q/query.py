@@ -4,7 +4,9 @@ Two kinds of state exist during eager-mode processing:
 
 * the **query session** at the querier: the incremental NRA merger, the set
   of profiles already accounted for, the per-cycle result snapshots and the
-  querier's own remaining list;
+  querier's own remaining list.  A session is kept after it closes (it is
+  the result record), so at the closing cycle its merger is frozen down to
+  the exact top-k;
 * the **forwarded query state** at every other node reached by the query:
   the query itself plus the remaining list that node is responsible for
   (``L_Q(u)``).

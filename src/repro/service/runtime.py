@@ -5,8 +5,10 @@ iteration; this runtime executes the *same protocol cores* -- the
 ``*_effects`` generators -- as independent asyncio tasks exchanging
 serialized frames:
 
-* each node is a :class:`NodeService`: an inbox task (one sub-task per
-  inbound frame, so nested round-trips between two nodes cannot deadlock)
+* each node is a :class:`NodeService`: an inbox task that runs every
+  inbound handler on the spot up to its first round trip (most never make
+  one) and only then hands it to a sub-task -- handlers are never
+  serialised, so nested round-trips between two nodes cannot deadlock --
   plus gossip/eager rounds fired by the runtime's shared
   :class:`TimerWheel` -- one scheduler task drives every node's jittered
   deadlines from a heap, replacing the two private timer tasks per node
@@ -24,7 +26,9 @@ serialized frames:
 * round-trips are rpc-correlated and guarded by a timeout: a request whose
   reply does not arrive in time resolves to ``DROPPED``, the same status a
   lossy transport hands the protocol, so the sans-io cores need no notion
-  of time;
+  of time.  The requester awaits its reply future directly; one
+  :class:`RpcDeadlines` queue per runtime, with a single timer handle,
+  expires the overdue ones;
 * per-query **deadlines** replace the engine's cycle cutoffs: a query that
   has not completed when its deadline expires is reported with whatever
   coverage it reached.
@@ -35,11 +39,13 @@ shared with the simulator -- but never runs its engine.  Byte accounting
 follows the transport's exact rules (priced by ``gossip.sizes`` at send
 time; control messages and ``None``-payload replies free) **regardless of
 the encoded frame** -- batching and digest suppression change wire bytes,
-never accounted bytes -- every wire action is recorded as a
-:class:`~repro.simulator.transport.WireEvent` in a
-:class:`~repro.service.trace.ServiceTrace`, and
+never accounted bytes -- every wire action is recorded in a
+:class:`~repro.service.trace.ServiceTrace` (columns at rest, a
+:class:`~repro.simulator.transport.WireEvent` per event on access), and
 :func:`~repro.service.trace.check_trace` audits the run with the simtest
-invariant checkers.
+invariant checkers.  What grows with a run is kept small: ~25 bytes and
+the message reference per wire event, at most :data:`STATS_FOLD_ROWS`
+unfolded traffic rows, and the answer alone of a finished query's merger.
 
 Two effect outcomes differ from the engine driver by design (documented in
 ``docs/ARCHITECTURE.md``):
@@ -429,16 +435,24 @@ class RpcDeadlines:
     order: a deque and a single ``call_at`` handle, re-armed at the head's
     deadline, replace one ``asyncio.wait_for`` (a waiter future, a timer
     handle and two callbacks) per rpc.  An overdue future resolves to
-    :data:`RPC_EXPIRED`; :meth:`settle`, called as each round trip
-    resolves, pops finished heads, so under steady traffic the queue holds
-    the round trips in flight (plus answered ones queued behind an
-    unanswered head, for at most ``timeout`` -- under loss that is the
-    rpc rate times the timeout, 16 bytes of deque slot and a 2-tuple each).
+    :data:`RPC_EXPIRED`.
+
+    :meth:`settle`, called as each round trip resolves, pops finished
+    heads, so without loss the queue holds the round trips in flight.  A
+    lost frame keeps its entry at the head for the whole timeout and the
+    answered ones queue up behind it: :meth:`watch` drops those whenever
+    the queue has doubled since it last looked, which bounds it by
+    ``max(_COMPACT_FLOOR, 2 x round trips in flight)`` entries whatever
+    the loss rate.
     """
+
+    #: The queue is not scanned for answered entries below this length.
+    _COMPACT_FLOOR = 1024
 
     def __init__(self, timeout: float) -> None:
         self._timeout = timeout
         self._queue: Deque[Tuple[float, asyncio.Future]] = deque()
+        self._compact_at = self._COMPACT_FLOOR
         self._handle: Optional[asyncio.TimerHandle] = None
 
     def __len__(self) -> int:
@@ -446,6 +460,9 @@ class RpcDeadlines:
 
     def watch(self, future: asyncio.Future, now: float) -> None:
         """Expire ``future`` unless it resolves within the timeout of ``now``."""
+        if len(self._queue) >= self._compact_at:
+            self._queue = deque(entry for entry in self._queue if not entry[1].done())
+            self._compact_at = max(self._COMPACT_FLOOR, 2 * len(self._queue))
         deadline = now + self._timeout
         self._queue.append((deadline, future))
         if self._handle is None:

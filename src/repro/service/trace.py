@@ -3,9 +3,12 @@
 A live service run emits the same :class:`~repro.simulator.transport.WireEvent`
 stream the simulator's transports emit, so the simtest invariant checkers
 audit a service run without knowing it was not a simulation.
-:class:`ServiceTrace` accumulates the events in memory (and can persist
-them as JSON Lines in the codec's JSON message form -- the CI smoke job
-reloads the file and uploads it on failure); :func:`check_trace` replays
+:class:`ServiceTrace` accumulates the events in memory -- as typed columns,
+because a deployment records one per wire action for as long as it is up:
+``events`` is a read-only sequence that builds each ``WireEvent`` when it is
+read -- and can persist them as JSON Lines in the codec's JSON message form
+(the CI smoke job reloads the file and uploads it on failure);
+:func:`check_trace` replays
 a trace through the checkers that make sense without a fuzz spec: byte
 conservation, view bounds, replica freshness and the query lifecycle rules.
 """
@@ -120,9 +123,12 @@ class ServiceTrace:
         self._receivers = array("i")
         self._query_ids = array("q")
         self._messages: List[Message] = []
-        #: The recorded events, in order, each built on access.
-        self.events: Sequence[WireEvent] = _EventsView(self)
         self._codec = WireCodec()
+
+    @property
+    def events(self) -> Sequence[WireEvent]:
+        """The recorded events, in order, each built on access."""
+        return _EventsView(self)
 
     def append(
         self,

@@ -17,7 +17,10 @@ the paper adapts NRA to this setting:
   displayed to the user.
 
 The final top-k (once every neighbour's profile has contributed) equals the
-exact personalized top-k the centralized baseline would compute.
+exact personalized top-k the centralized baseline would compute.  A merger
+that has produced it is *frozen* (:meth:`IncrementalNRA.freeze`): it keeps
+that answer and its counters and lets go of the heap and the lists, since a
+querier holds her finished sessions for as long as the node runs.
 """
 
 from __future__ import annotations

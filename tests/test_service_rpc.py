@@ -183,6 +183,34 @@ class TestTimeoutPath:
         assert queued == 0 and futures == {}
         assert len(runtime.rpc_latencies) == 200
 
+    def test_answered_round_trips_do_not_pile_up_behind_a_lost_one(self):
+        simulation, runtime = _deployment(rpc_timeout=30.0)
+        sender, victim, *others = list(simulation.nodes)
+        message = _advertisement(simulation)
+        floor = runtime.rpc_deadlines._COMPACT_FLOOR
+
+        async def go():
+            await runtime.start()
+            _SwallowFirst(runtime.wire, victim)
+            service = runtime.services[sender]
+            lost = asyncio.create_task(
+                service.request(sender, victim, message, account=False)
+            )
+            await asyncio.sleep(0)
+            longest = 0
+            for index in range(3 * floor):
+                await service.request(
+                    sender, others[index % len(others)], message, account=False
+                )
+                longest = max(longest, len(runtime.rpc_deadlines))
+            await runtime.stop()
+            return longest, (await lost).status
+
+        longest, status = asyncio.run(go())
+        # The lost head pins what follows it, but only up to the next scan.
+        assert floor // 2 < longest <= floor
+        assert status == DROPPED
+
     def test_stop_waits_out_a_round_trip_in_flight_and_leaves_no_timer(self):
         simulation, runtime = _deployment(rpc_timeout=0.2)
         sender, receiver = list(simulation.nodes)[:2]
