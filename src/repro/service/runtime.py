@@ -423,10 +423,6 @@ class TimerWheel:
 #: What an expired round trip's future resolves to (a reply may be ``None``).
 RPC_EXPIRED = object()
 
-#: ``ServiceRuntime.account`` folds the traffic rows into the aggregates
-#: whenever this many are buffered (~400 KB of row tuples).
-STATS_FOLD_ROWS = 4096
-
 
 class RpcDeadlines:
     """One FIFO of ``(deadline, future)`` guarding every round trip in flight.
@@ -852,6 +848,10 @@ class NodeService:
 
 
 # ----------------------------------------------------------------- runtime
+
+#: ``ServiceRuntime.account`` folds the traffic rows into the aggregates
+#: whenever this many are buffered (~400 KB of row tuples).
+STATS_FOLD_ROWS = 4096
 
 
 class ServiceRuntime:

@@ -78,8 +78,7 @@ class IncrementalNRA:
         are kept (the paper's partial results only contain items with positive
         partial scores).  Returns the internal list id.
         """
-        if self._answer is not None:
-            raise RuntimeError("merger is frozen: its answer is final")
+        self._require_merging()
         if list_id is None:
             list_id = self._next_list_id
         if list_id in self._lists:
@@ -89,6 +88,10 @@ class IncrementalNRA:
         self._lists[list_id] = _ListState(ranked=ranked)
         return list_id
 
+    def _require_merging(self) -> None:
+        if self._answer is not None:
+            raise RuntimeError("merger is frozen: its answer is final")
+
     # -- per-cycle processing -------------------------------------------------
 
     def process_cycle(self, new_lists: Sequence[Dict[int, float]] = ()) -> List[Tuple[int, float]]:
@@ -97,8 +100,7 @@ class IncrementalNRA:
         Returns the current top-k as ``(item, worst_case_score)`` pairs; the
         worst-case score equals the exact score once processing is complete.
         """
-        if self._answer is not None:
-            raise RuntimeError("merger is frozen: its answer is final")
+        self._require_merging()
         new_ids = [self.add_list(scores) for scores in new_lists]
         self._scan(new_ids)
         return self.current_top_k()
