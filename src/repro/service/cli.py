@@ -5,8 +5,8 @@ Two modes share :func:`repro.service.demo.run_demo`:
 * ``--demo`` -- a human-facing run printing recall, coverage, bytes by
   kind and the invariant audit;
 * ``--smoke`` -- the CI gate: same run, but the exit status is nonzero
-  unless at least one query completed and the recorded trace passed the
-  invariant checkers.  ``--trace`` dumps the trace as JSON Lines (written
+  unless at least one query completed, the run recorded wire events and
+  the recorded trace passed the invariant checkers.  ``--trace`` dumps the trace as JSON Lines (written
   before the audit, so a failing run still leaves the artifact).
 """
 
@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="demo with a strict exit status (CI): fail unless >=1 query "
-        "completed and the trace passed the invariant checkers",
+        "completed, the run touched the wire and the trace passed the "
+        "invariant checkers",
     )
     parser.add_argument(
         "--nodes", type=int, default=DEFAULT_NUM_USERS, metavar="N",
@@ -98,10 +99,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(format_report(report))
     if not demo_succeeded(report):
         if args.smoke:
+            cause = (
+                "no wire events recorded (every query was answered from local "
+                "replicas; keep --storage below the personal-network size)"
+                if report["wire_events"] == 0
+                else f"invariant error: {report['invariant_error']!r}"
+            )
             print(
                 "service smoke FAILED: "
                 f"{report['completed']}/{report['num_queries']} queries completed, "
-                f"invariant error: {report['invariant_error']!r}",
+                + cause,
                 file=sys.stderr,
             )
             return 1

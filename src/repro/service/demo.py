@@ -10,7 +10,8 @@ plus bytes on the wire.  Three callers share it:
 * ``python -m repro service --demo``;
 * the ``fig-service`` experiment;
 * the CI ``service-smoke`` job (``--smoke`` asserts at least one query
-  completed and the invariants passed, exiting nonzero otherwise).
+  completed, the run recorded wire events and the invariants passed,
+  exiting nonzero otherwise).
 """
 
 from __future__ import annotations
@@ -167,5 +168,15 @@ def format_report(report: Dict[str, Any]) -> str:
 
 
 def demo_succeeded(report: Dict[str, Any]) -> bool:
-    """The smoke criterion: at least one completed query, clean invariants."""
-    return report["completed"] >= 1 and report["invariant_error"] is None
+    """The smoke criterion: at least one completed query, at least one wire
+    event, clean invariants.
+
+    A run that never touched the wire (storage at or above the
+    personal-network size answers every query from local replicas) proves
+    nothing about the service, so it does not pass.
+    """
+    return (
+        report["completed"] >= 1
+        and report["wire_events"] > 0
+        and report["invariant_error"] is None
+    )

@@ -256,9 +256,27 @@ class TestDemo:
         assert "bytes on the wire" in text
 
     def test_demo_succeeded_requires_completion_and_clean_invariants(self):
-        assert not demo_succeeded({"completed": 0, "invariant_error": None})
-        assert not demo_succeeded({"completed": 3, "invariant_error": "boom"})
-        assert demo_succeeded({"completed": 1, "invariant_error": None})
+        def report(completed, wire_events, invariant_error):
+            return {
+                "completed": completed,
+                "wire_events": wire_events,
+                "invariant_error": invariant_error,
+            }
+
+        assert not demo_succeeded(report(0, 10, None))
+        assert not demo_succeeded(report(3, 10, "boom"))
+        assert not demo_succeeded(report(3, 0, None))
+        assert demo_succeeded(report(1, 10, None))
+
+    def test_smoke_fails_a_run_that_never_touched_the_wire(self, capsys):
+        # Three nodes: the personal network is two peers, below the default
+        # storage, so every query is answered from local replicas.
+        from repro.service.cli import main
+
+        assert main(["--smoke", "--nodes", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "wire events recorded: 0" in captured.out
+        assert "no wire events recorded" in captured.err
 
 
 class TestServiceHardening:
