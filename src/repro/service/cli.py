@@ -80,6 +80,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--nodes must be at least 3")
     if args.queries < 1:
         parser.error("--queries must be positive")
+    if args.storage < 0:
+        parser.error("--storage must not be negative")
     if args.deadline is not None and not (
         math.isfinite(args.deadline) and args.deadline > 0
     ):

@@ -411,6 +411,16 @@ class TestDeadlineValidation:
         assert "--deadline must be a positive finite number" in capsys.readouterr().err
 
 
+class TestStorageOption:
+    def test_cli_rejects_negative_storage_as_a_usage_error(self, capsys):
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--demo", "--storage", "-2"])
+        assert exit_info.value.code == 2
+        assert "--storage must not be negative" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- PR 10 paths
 
 
