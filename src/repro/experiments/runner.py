@@ -86,40 +86,27 @@ def converged_simulation(
     workload: PreparedWorkload,
     storage: StorageSpec,
     alpha: float = 0.5,
-    seed: Optional[int] = None,
     account_traffic: bool = True,
-    three_step_exchange: bool = True,
     config_overrides: Optional[Mapping[str, object]] = None,
 ) -> P3QSimulation:
     """A warm-started simulation (personal networks already converged).
 
     The dataset is copied so that experiments mutating profiles (dynamics)
     or taking nodes offline (churn) never leak state into the shared
-    workload.  ``config_overrides`` patches arbitrary :class:`P3QConfig`
+    workload, so the shared ideal index stays a valid warm start.
+    ``config_overrides`` patches arbitrary :class:`P3QConfig`
     fields (e.g. ``{"loss_rate": 0.2}`` for the loss
     sweep) on top of the scale-derived configuration.
     """
     config = build_config(
-        workload.scale,
-        storage,
-        alpha=alpha,
-        seed=seed,
-        account_traffic=account_traffic,
-        three_step_exchange=three_step_exchange,
+        workload.scale, storage, alpha=alpha, account_traffic=account_traffic
     )
     if config_overrides:
         config = replace(config, **config_overrides)
     simulation = P3QSimulation(workload.dataset.copy(), config)
-    simulation.warm_start(ideal=None if _dataset_mutated(workload) else workload.ideal)
+    simulation.warm_start(ideal=workload.ideal)
     simulation.bootstrap_random_views()
     return simulation
-
-
-def _dataset_mutated(workload: PreparedWorkload) -> bool:
-    """Warm-starting from the shared ideal index is only valid while the
-    shared dataset has not been mutated; currently experiments copy the
-    dataset before mutating, so the shared index stays valid."""
-    return False
 
 
 # ---------------------------------------------------------------- parallelism
