@@ -17,9 +17,9 @@ The package implements, in pure Python:
 * baselines (:mod:`repro.baselines`), evaluation metrics
   (:mod:`repro.metrics`) and the per-figure experiment runners
   (:mod:`repro.experiments`);
-* the query-serving driver (:mod:`repro.serving`), the simulation fuzzer
-  (:mod:`repro.simtest`) and the asyncio service runtime speaking
-  serialized frames (:mod:`repro.service`).
+* the simulation fuzzer (:mod:`repro.simtest`), the asyncio service
+  runtime speaking serialized frames (:mod:`repro.service`) and the names
+  the closed-loop serving paths share (:mod:`repro.serving`).
 
 Every runnable tool is a subcommand of ``python -m repro`` (see
 :mod:`repro.cli`); the names re-exported here are the curated library
@@ -49,7 +49,6 @@ from .data import (
 )
 from .p3q import P3QConfig, P3QNode, P3QSimulation
 from .baselines import CentralizedTopK
-from .serving import ServingConfig, ServingWorkload, run_serving
 from .service import NodeService, ServiceConfig, ServiceRuntime
 from .simtest import ScenarioSpec
 
@@ -67,11 +66,8 @@ __all__ = [
     "ScenarioSpec",
     "ServiceConfig",
     "ServiceRuntime",
-    "ServingConfig",
-    "ServingWorkload",
     "SyntheticConfig",
     "UserProfile",
     "generate_dataset",
-    "run_serving",
     "__version__",
 ]

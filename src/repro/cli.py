@@ -1,70 +1,24 @@
 """``python -m repro``: the single front door to every runnable tool.
 
-The repository grew five entry points -- the figure experiments, the
-simulation fuzzer, the performance harness, the query-serving driver and
-the asyncio service runtime.  This module unifies them as subcommands::
+The repository has four entry points -- the figure experiments, the
+simulation fuzzer, the performance harness and the asyncio service
+runtime.  This module unifies them as subcommands::
 
     python -m repro experiments --list
     python -m repro simtest --seeds 50
     python -m repro perf --quick
-    python -m repro serving --workload mixed
     python -m repro service --demo
 
 Each subcommand delegates to the tool's own ``main(argv)`` with the
-remaining arguments, so every tool keeps its established flags;
-:func:`add_common_options` is the one definition of the shared
-``--seed`` / ``--workers`` / ``--transport`` trio the newer tools attach
-to their parsers.  This is the only invocation surface of the ``repro``
-package and of the perf harness (``benchmarks/perf`` has no ``__main__``).
+remaining arguments, so every tool keeps its established flags.  This is
+the only invocation surface of the ``repro`` package and of the perf
+harness (``benchmarks/perf`` has no ``__main__``).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-
-def add_common_options(
-    parser: argparse.ArgumentParser,
-    *,
-    seed: bool = True,
-    seed_default: Optional[int] = 42,
-    workers: bool = True,
-    transport_choices: Optional[Sequence[str]] = None,
-) -> argparse.ArgumentParser:
-    """Attach the shared ``--seed`` / ``--workers`` / ``--transport`` options.
-
-    One definition instead of five drifting copies: subcommand parsers call
-    this with the pieces they honor (``workers=False`` for single-process
-    tools, ``transport_choices`` naming the wire/transport flavours the
-    tool accepts).
-    """
-    if seed:
-        parser.add_argument(
-            "--seed",
-            type=int,
-            default=seed_default,
-            metavar="S",
-            help="master random seed"
-            + ("" if seed_default is None else f" (default: {seed_default})"),
-        )
-    if workers:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="parallel worker processes (default: 1)",
-        )
-    if transport_choices is not None:
-        parser.add_argument(
-            "--transport",
-            choices=list(transport_choices),
-            default=list(transport_choices)[0],
-            help=f"message transport (default: {list(transport_choices)[0]})",
-        )
-    return parser
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 # --------------------------------------------------------------- subcommands
@@ -95,12 +49,6 @@ def _run_perf(argv: List[str]) -> int:
     return main(argv)
 
 
-def _run_serving(argv: List[str]) -> int:
-    from .serving.cli import main
-
-    return main(argv)
-
-
 def _run_service(argv: List[str]) -> int:
     from .service.cli import main
 
@@ -120,10 +68,6 @@ SUBCOMMANDS: Dict[str, Tuple[str, Callable[[List[str]], int]]] = {
     "perf": (
         "performance-tracking benchmark harness (benchmarks.perf)",
         _run_perf,
-    ),
-    "serving": (
-        "one query-serving run over a converged simulation (repro.serving)",
-        _run_serving,
     ),
     "service": (
         "live asyncio deployment speaking serialized frames (repro.service)",

@@ -172,14 +172,14 @@ class P3QSimulation:
 
     @property
     def eager_cycles_run(self) -> int:
-        """Eager cycles executed so far (the serving driver's clock)."""
+        """Eager cycles executed so far (the closed-loop serving clock)."""
         return self._eager_cycles_run
 
     def issue_queries(self, queries: Iterable[Query]) -> Dict[int, QuerySession]:
         """Issue queries at their queriers and record the issue-cycle snapshots.
 
-        Queries issued after some eager cycles already ran (the serving
-        driver's steady-state injection) are stamped with the current eager
+        Queries issued after some eager cycles already ran (closed-loop
+        serving's steady-state injection) are stamped with the current eager
         cycle so ``latency_cycles`` measures from injection, not from 0.
         """
         sessions: Dict[int, QuerySession] = {}

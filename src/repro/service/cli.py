@@ -29,8 +29,6 @@ from .runtime import WIRE_NAMES
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cli import add_common_options
-
     parser = argparse.ArgumentParser(
         prog="repro service",
         description="P3Q as a live asyncio service speaking serialized frames.",
@@ -67,7 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", type=str, default=None, metavar="FILE",
         help="dump the recorded WireEvent trace to FILE as JSON Lines",
     )
-    add_common_options(parser, workers=False, transport_choices=WIRE_NAMES)
+    parser.add_argument(
+        "--seed", type=int, default=42, metavar="S",
+        help="master random seed (default: 42)",
+    )
+    parser.add_argument(
+        "--transport", choices=list(WIRE_NAMES), default=WIRE_NAMES[0],
+        help=f"message transport (default: {WIRE_NAMES[0]})",
+    )
     return parser
 
 

@@ -1,52 +1,22 @@
-"""Query-serving library.
+"""What the closed-loop serving paths share.
 
-Layers a serving driver on the cycle simulator: a workload catalogue
-(:mod:`~repro.serving.workloads`), a driver injecting queries at
-configurable concurrency and arrival rates (:mod:`~repro.serving.driver`),
-and the process resource probes the benchmarks share
-(:mod:`~repro.serving.resources`).  ``python -m repro serving`` runs one
-workload, ``fig-serving`` tabulates the catalogue in cycle counts, and the
-``benchmarks/e2e`` workloads are where serving wall-clock performance is
-measured and gated.
+Query serving runs in two places: ``serve_closed_loop`` in
+``benchmarks/e2e/workloads.py`` (the cycle-engine workloads the benchmark
+gates) and the asyncio service runtime (:mod:`repro.service`).  The
+``fig-serving`` experiment tabulates the coverage-versus-latency
+trade-off.  This package holds only the names they share: the three
+outcome states and :func:`percentile` (:mod:`~repro.serving.driver`), and
+:func:`peak_rss_bytes` (:mod:`~repro.serving.resources`).  The benchmark
+imports both modules by path, so the paths stay.
 """
 
-from .driver import (
-    ABANDONED,
-    COMPLETED,
-    REJECTED,
-    QueryOutcome,
-    ServingConfig,
-    ServingResult,
-    percentile,
-    run_serving,
-)
-from .resources import ResourceEnvelope, ResourceProbe, cpu_seconds, peak_rss_bytes
-from .workloads import (
-    WORKLOADS,
-    ServingWorkload,
-    build_workload,
-    hot_topic_workload,
-    long_tail_workload,
-    mixed_workload,
-)
+from .driver import ABANDONED, COMPLETED, REJECTED, percentile
+from .resources import peak_rss_bytes
 
 __all__ = [
     "ABANDONED",
     "COMPLETED",
     "REJECTED",
-    "QueryOutcome",
-    "ServingConfig",
-    "ServingResult",
     "percentile",
-    "run_serving",
-    "ResourceEnvelope",
-    "ResourceProbe",
-    "cpu_seconds",
     "peak_rss_bytes",
-    "WORKLOADS",
-    "ServingWorkload",
-    "build_workload",
-    "hot_topic_workload",
-    "long_tail_workload",
-    "mixed_workload",
 ]

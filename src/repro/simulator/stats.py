@@ -3,7 +3,7 @@
 Bandwidth consumption is a first-class result in the paper (Section 3.3.2,
 Figure 6, the Section 3.5 summary in Kbps), so every message sent through
 the simulated network carries a size in bytes and a traffic *kind*.  The
-collector aggregates per-cycle, per-node and per-kind totals that the
+collector aggregates per-kind, per-cycle and per-query totals that the
 experiment harness turns into the paper's series.
 """
 
@@ -45,7 +45,7 @@ class StatsCollector:
     """Aggregate message counts and byte volumes across a simulation.
 
     Recording sits on the per-message hot path, so it only appends one row;
-    the per-kind/cycle/node/query aggregates are folded in lazily (and
+    the per-kind/cycle/query aggregates are folded in lazily (and
     incrementally -- each row is processed exactly once) the first time an
     aggregate view is read after new traffic arrived.
 
@@ -77,10 +77,8 @@ class StatsCollector:
         self._flushed_receivers: Dict[tuple, set] = {}
         self._bytes_by_kind: Dict[str, int] = defaultdict(int)
         self._bytes_by_cycle: Dict[int, int] = defaultdict(int)
-        self._bytes_by_node: Dict[int, int] = defaultdict(int)
         self._bytes_by_query: Dict[int, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
         self._messages_by_kind: Dict[str, int] = defaultdict(int)
-        self._messages_by_cycle: Dict[int, int] = defaultdict(int)
         self._messages_by_query: Dict[int, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
 
     # -- recording ------------------------------------------------------------
@@ -106,15 +104,11 @@ class StatsCollector:
             return
         bytes_by_kind = self._bytes_by_kind
         bytes_by_cycle = self._bytes_by_cycle
-        bytes_by_node = self._bytes_by_node
         messages_by_kind = self._messages_by_kind
-        messages_by_cycle = self._messages_by_cycle
-        for cycle, sender, _receiver, kind, size_bytes, query_id in rows[start:]:
+        for cycle, _sender, _receiver, kind, size_bytes, query_id in rows[start:]:
             bytes_by_kind[kind] += size_bytes
             bytes_by_cycle[cycle] += size_bytes
-            bytes_by_node[sender] += size_bytes
             messages_by_kind[kind] += 1
-            messages_by_cycle[cycle] += 1
             if query_id is not None:
                 self._bytes_by_query[query_id][kind] += size_bytes
                 self._messages_by_query[query_id][kind] += 1
@@ -139,9 +133,10 @@ class StatsCollector:
     def flush(self) -> int:
         """Fold every buffered row into the aggregates and drop the buffer.
 
-        Aggregate views (bytes/messages by kind, cycle, node and query, and
-        :meth:`query_receivers`) are unaffected -- they answer identically
-        before and after a flush.  Returns the number of rows dropped.
+        Aggregate views (bytes by kind, cycle and query, messages by kind
+        and query, and :meth:`query_receivers`) are unaffected -- they
+        answer identically before and after a flush.  Returns the number of
+        rows dropped.
         """
         self._catch_up()
         receivers = self._flushed_receivers
@@ -217,18 +212,6 @@ class StatsCollector:
         self._catch_up()
         return dict(self._bytes_by_cycle)
 
-    def messages_by_cycle(self) -> Dict[int, int]:
-        """Message counts per cycle (the serving harness's traffic series).
-
-        Exact across flushes, like every other aggregate view.
-        """
-        self._catch_up()
-        return dict(self._messages_by_cycle)
-
-    def bytes_by_node(self) -> Dict[int, int]:
-        self._catch_up()
-        return dict(self._bytes_by_node)
-
     def query_bytes(self, query_id: int) -> Dict[str, int]:
         """Per-kind byte totals attributed to one query (Figure 6 rows)."""
         self._catch_up()
@@ -270,41 +253,3 @@ class StatsCollector:
         if num_nodes:
             bits_per_second /= num_nodes
         return bits_per_second
-
-    def merge(self, other: "StatsCollector") -> None:
-        """Fold another collector's records into this one.
-
-        Exact even when either side has flushed: both sides' aggregates are
-        brought up to date and added, the other's retained rows are adopted
-        (pre-folded, so they are never double counted), and the flushed
-        receiver sets are united.
-        """
-        self._catch_up()
-        other._catch_up()
-        for kind, value in other._bytes_by_kind.items():
-            self._bytes_by_kind[kind] += value
-        for cycle, value in other._bytes_by_cycle.items():
-            self._bytes_by_cycle[cycle] += value
-        for node, value in other._bytes_by_node.items():
-            self._bytes_by_node[node] += value
-        for kind, value in other._messages_by_kind.items():
-            self._messages_by_kind[kind] += value
-        for cycle, value in other._messages_by_cycle.items():
-            self._messages_by_cycle[cycle] += value
-        for query_id, per_kind in other._bytes_by_query.items():
-            bucket = self._bytes_by_query[query_id]
-            for kind, value in per_kind.items():
-                bucket[kind] += value
-        for query_id, per_kind in other._messages_by_query.items():
-            bucket = self._messages_by_query[query_id]
-            for kind, value in per_kind.items():
-                bucket[kind] += value
-        for key, receivers in other._flushed_receivers.items():
-            mine = self._flushed_receivers.get(key)
-            if mine is None:
-                self._flushed_receivers[key] = set(receivers)
-            else:
-                mine |= receivers
-        self._rows.extend(other._rows)
-        self._aggregated = len(self._rows)
-        self._flushed_rows += other._flushed_rows

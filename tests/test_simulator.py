@@ -83,15 +83,6 @@ class TestStatsCollector:
         with pytest.raises(ValueError):
             StatsCollector().average_bandwidth_bps(0.0)
 
-    def test_merge(self):
-        a = StatsCollector()
-        a.record(0, 1, 2, "x", 10)
-        b = StatsCollector()
-        b.record(0, 2, 1, "y", 20)
-        a.merge(b)
-        assert a.total_bytes() == 30
-        assert a.bytes_by_kind() == {"x": 10, "y": 20}
-
 
 class TestNetwork:
     def test_add_and_lookup(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -10,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import SUBCOMMANDS, add_common_options, main
+from repro.cli import SUBCOMMANDS, main
+from repro.service.cli import build_parser as build_service_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +47,13 @@ class TestDispatch:
         assert main(["frobnicate"]) == 2
         assert "unknown subcommand" in capsys.readouterr().err
 
+    def test_serving_is_no_longer_a_subcommand(self, capsys):
+        assert "serving" not in SUBCOMMANDS
+        assert main(["serving"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown subcommand 'serving'" in err
+        assert "usage: python -m repro" in err
+
     def test_experiments_subcommand_delegates(self, capsys):
         assert main(["experiments", "--list"]) == 0
         out = capsys.readouterr().out
@@ -58,30 +65,28 @@ class TestDispatch:
         assert "byte-conservation" in capsys.readouterr().out
 
 
-class TestCommonOptions:
-    def test_full_trio(self):
-        parser = argparse.ArgumentParser()
-        add_common_options(parser, transport_choices=("inproc", "udp"))
-        args = parser.parse_args(["--seed", "7", "--workers", "3", "--transport", "udp"])
-        assert args.seed == 7
-        assert args.workers == 3
-        assert args.transport == "udp"
+class TestServiceOptions:
+    """``--seed`` and ``--transport`` as the service parser defines them."""
 
     def test_defaults(self):
-        parser = argparse.ArgumentParser()
-        add_common_options(parser, transport_choices=("inproc", "udp"))
-        args = parser.parse_args([])
+        args = build_service_parser().parse_args([])
         assert args.seed == 42
-        assert args.workers == 1
         assert args.transport == "inproc"
 
-    def test_pieces_are_optional(self):
-        parser = argparse.ArgumentParser()
-        add_common_options(parser, workers=False)
-        args = parser.parse_args(["--seed", "1"])
-        assert args.seed == 1
-        assert not hasattr(args, "workers")
-        assert not hasattr(args, "transport")
+    def test_transport_udp_and_seed_parse(self):
+        args = build_service_parser().parse_args(["--seed", "7", "--transport", "udp"])
+        assert args.seed == 7
+        assert args.transport == "udp"
+
+
+class TestSubcommandHelp:
+    """Every table entry resolves to a tool whose parser still loads."""
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_help_exits_zero(self, name):
+        result = _run_module(["-m", "repro", name, "--help"])
+        assert result.returncode == 0, result.stderr
+        assert "usage" in result.stdout
 
 
 class TestPerfFrontDoor:
