@@ -6,8 +6,9 @@ Two modes share :func:`repro.service.demo.run_demo`:
   kind and the invariant audit;
 * ``--smoke`` -- the CI gate: same run, but the exit status is nonzero
   unless at least one query completed, the run recorded wire events and
-  the recorded trace passed the invariant checkers.  ``--trace`` dumps the trace as JSON Lines (written
-  before the audit, so a failing run still leaves the artifact).
+  the recorded trace passed the invariant checkers.  ``--trace`` dumps the
+  trace as JSON Lines (written before the audit, so a failing run still
+  leaves the artifact).
 """
 
 from __future__ import annotations
