@@ -221,12 +221,18 @@ def _read_cache_arrays(
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}: unreadable cache header") from exc
-        if header.get("format") != CACHE_FORMAT or header.get("version") != CACHE_VERSION:
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != CACHE_FORMAT
+            or header.get("version") != CACHE_VERSION
+        ):
             raise DatasetFormatError(f"{path} is not a {CACHE_FORMAT} v{CACHE_VERSION} file")
         if expected_key is not None and header.get("key") != expected_key:
             raise DatasetFormatError(f"{path}: cache key mismatch")
-        num_users = int(header["num_users"])
-        num_actions = int(header["num_actions"])
+        num_users = header.get("num_users")
+        num_actions = header.get("num_actions")
+        if not all(type(size) is int and size >= 0 for size in (num_users, num_actions)):
+            raise DatasetFormatError(f"{path}: cache header sizes must be non-negative ints")
         uids = array("i")
         counts = array("i")
         items = array("i")

@@ -272,6 +272,33 @@ def _tamper_user_table(path, how: str) -> None:
     path.write_bytes(header + b"\n" + uids.tobytes() + counts.tobytes() + body[8 * num_users:])
 
 
+@pytest.mark.parametrize("how", ["not_an_object", "missing_num_users", "null_num_users"])
+def test_cache_with_a_malformed_header_regenerates(tmp_path, how):
+    """A header that is not an object, or whose sizes are not non-negative
+    ints, used to crash the load; it must regenerate like any other corrupt
+    cache file.  The key stays right, so only the header's shape is wrong."""
+    from repro.data import SyntheticConfig, load_or_generate_synthetic
+    from repro.data.loader import synthetic_cache_path
+
+    config = SyntheticConfig(**TestSyntheticDatasetCache.CONFIG_KW)
+    reference, _ = load_or_generate_synthetic(config, tmp_path)
+    path = synthetic_cache_path(config, tmp_path)
+    line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    if how == "not_an_object":
+        header = 123
+    elif how == "missing_num_users":
+        del header["num_users"]
+    else:
+        header["num_users"] = None
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    dataset, status = load_or_generate_synthetic(config, tmp_path)
+    assert status == "miss"
+    fingerprint = TestSyntheticDatasetCache._fingerprint
+    assert fingerprint(None, dataset) == fingerprint(None, reference)
+    assert load_or_generate_synthetic(config, tmp_path)[1] == "hit"
+
+
 @pytest.mark.parametrize("how", ["negative_count", "repeated_user"])
 @pytest.mark.parametrize("loader_name", ["load_or_generate_synthetic", "load_or_generate_columnar"])
 def test_cache_with_a_corrupt_user_table_regenerates(tmp_path, loader_name, how):
