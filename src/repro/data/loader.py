@@ -99,6 +99,8 @@ def load_dataset(path: Union[str, Path]) -> Dataset:
             user_id = int(key)
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"non-integer user id {key!r} in {path}") from exc
+        if not isinstance(raw_actions, list):
+            raise DatasetFormatError(f"malformed action list for user {key} in {path}")
         actions: List[TaggingAction] = []
         for entry in raw_actions:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:

@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("raw_actions", [5, None])
+    def test_rejects_an_action_list_that_is_not_a_list(self, tmp_path, raw_actions):
+        path = tmp_path / "bad.json"
+        payload = {"format": "repro-tagging-trace", "version": 1, "users": {"0": raw_actions}}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetFormatError, match=r"user 0 in .*bad\.json"):
+            load_dataset(path)
+
 
 class TestSyntheticDatasetCache:
     """The spec-hash disk cache: hits are bit-identical to regeneration."""
