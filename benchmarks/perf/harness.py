@@ -405,12 +405,15 @@ def bench_scale_smoke(
     full cycles at production scale, and fails (``within_budget`` False)
     when the *steady-state* cycle time -- not the one-off setup -- exceeds
     the budget.  ``dataset_cache`` serves the trace from the spec-hash disk
-    cache so repeated jobs skip generation.  Returns the timing breakdown
-    either way; the CLI exit code carries the verdict.
+    cache so repeated jobs skip generation.  Set-up goes through the one
+    dataset loader, which builds every profile one user at a time in each
+    cache state (off, miss, hit); the simulation then holds all of them, so
+    the peak RSS after set-up is profiles, nodes and views.  Returns the
+    timing breakdown either way; the CLI exit code carries the verdict.
     """
     import gc
 
-    from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_columnar
+    from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_synthetic
     from repro.p3q import P3QSimulation
 
     if size <= 0:
@@ -419,11 +422,7 @@ def bench_scale_smoke(
         raise ValueError("budget_seconds must be positive")
 
     start = time.perf_counter()
-    # The columnar loader streams the trace straight into flat arrays (and
-    # adopts the cache file's arrays directly on a hit) -- the large-N setup
-    # path this smoke is meant to gate.  Profile materialization is
-    # bit-identical to the object loader, so the run itself is unchanged.
-    dataset, cache_status = load_or_generate_columnar(
+    dataset, cache_status = load_or_generate_synthetic(
         SyntheticConfig(num_users=size, seed=seed), dataset_cache
     )
     sim = P3QSimulation(dataset, _sim_config(size, seed))

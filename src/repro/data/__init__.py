@@ -23,11 +23,9 @@ from .dynamics import (
     massive_departure,
 )
 from .queries import Query, QueryWorkloadGenerator
-from .columnar import ColumnarDataset, ColumnarStore
 from .loader import (
     DatasetFormatError,
     load_dataset,
-    load_or_generate_columnar,
     load_or_generate_synthetic,
     save_dataset,
     synthetic_cache_key,
@@ -46,8 +44,6 @@ __all__ = [
     "intern_action",
     "ChangeDay",
     "ChurnEvent",
-    "ColumnarDataset",
-    "ColumnarStore",
     "Dataset",
     "DatasetFormatError",
     "DatasetStats",
@@ -67,7 +63,6 @@ __all__ = [
     "import_tagging_trace",
     "iter_tagging_rows",
     "load_dataset",
-    "load_or_generate_columnar",
     "load_or_generate_synthetic",
     "massive_departure",
     "paper_scale_config",

@@ -19,11 +19,12 @@ disk cache** used by the setup pipeline: :func:`load_or_generate_synthetic`
 keys a binary trace file on the SHA-256 of the
 :class:`~repro.data.synthetic.SyntheticConfig` *and* the generator
 fingerprint, so a benchmark or CI job pays the O(N) generation cost once
-per spec and every later run streams the identical trace back in a few
-C-level array reads.  The cached file preserves the exact insertion order
-of every action list, and profiles are rebuilt through
+per spec and every later run reads the identical trace back as four flat
+arrays.  The cached file preserves the exact insertion order of every
+action list, and profiles are rebuilt one user at a time through
 :meth:`~repro.data.models.UserProfile.from_distinct_actions` -- a cache hit
 is bit-identical to regeneration, down to the order of every index tuple.
+Neither a hit nor a miss holds the corpus as per-user action lists.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .models import Dataset, TaggingAction, UserProfile
 from .synthetic import (
@@ -48,7 +49,7 @@ from .synthetic import (
 FORMAT_NAME = "repro-tagging-trace"
 FORMAT_VERSION = 1
 
-#: Binary cache format written by :func:`save_trace_cache`.
+#: Binary cache format written by :func:`_write_cache_file`.
 CACHE_FORMAT = "repro-trace-cache"
 CACHE_VERSION = 1
 
@@ -160,7 +161,7 @@ def _write_cache_file(
         with os.fdopen(fd, "wb") as handle:
             handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
             for blob in (uids, counts, items, tags):
-                handle.write(blob.tobytes())
+                blob.tofile(handle)
         os.replace(tmp_name, path)  # atomic publish
     except BaseException:
         try:
@@ -170,40 +171,26 @@ def _write_cache_file(
         raise
 
 
-def save_trace_cache(
-    records: Iterable[Tuple[int, List[TaggingAction]]],
-    key: str,
-    path: Union[str, Path],
-) -> None:
-    """Write ``(user_id, actions)`` records as a flat binary trace.
-
-    ``records`` must carry the action lists in the exact order the generator
-    handed them to :meth:`UserProfile.from_distinct_actions`: replaying the
-    stored lists through the same constructor is what makes a cache load
-    reproduce the generated profiles bit for bit, down to index tuple order.
-    """
-    uids = array("i")
-    counts = array("i")
-    items = array("i")
-    tags = array("i")
-    for user_id, actions in records:
-        uids.append(user_id)
-        counts.append(len(actions))
-        for item, tag in actions:
-            items.append(item)
-            tags.append(tag)
-    _write_cache_file(path, key, uids, counts, items, tags)
-
-
 def load_trace_cache(path: Union[str, Path], expected_key: Optional[str] = None) -> Dataset:
-    """Load a binary trace written by :func:`save_trace_cache`."""
+    """Load a binary trace written by :func:`_write_cache_file`.
+
+    Each user's actions are sliced from the item and tag columns as that
+    profile is built, so the corpus is never held as one list of tuples.
+    Every value read from an array is a fresh ``int``; mapping each through
+    one shared object per distinct value (as the generator's pools do)
+    keeps ~2 KB/node of duplicates and their fragmentation out of the
+    profiles at N=10 000.
+    """
     uids, counts, items, tags = _read_cache_arrays(Path(path), expected_key)
-    pairs = list(zip(items, tags))
+    shared = {value: value for value in set(items).union(tags)}.__getitem__
     profiles: Dict[int, UserProfile] = {}
-    offset = 0
+    start = 0
     for uid, count in zip(uids, counts):
-        profiles[uid] = UserProfile.from_distinct_actions(uid, pairs[offset:offset + count])
-        offset += count
+        end = start + count
+        profiles[uid] = UserProfile.from_distinct_actions(
+            uid, zip(map(shared, items[start:end]), map(shared, tags[start:end]))
+        )
+        start = end
     return Dataset(profiles)
 
 
@@ -257,56 +244,6 @@ def _read_cache_arrays(
     return uids, counts, items, tags
 
 
-def load_or_generate_columnar(
-    config: SyntheticConfig,
-    cache_dir: Optional[Union[str, Path]] = None,
-    refresh: bool = False,
-):
-    """Columnar twin of :func:`load_or_generate_synthetic`.
-
-    Returns ``(ColumnarDataset, status)``.  The trace streams straight into
-    a :class:`~repro.data.columnar.ColumnarStore` -- no per-user action
-    lists or profile objects are built at load time -- and a cache hit
-    adopts the cache file's arrays directly (the binary cache layout IS the
-    columnar layout).  Materializing any profile of the returned dataset
-    reproduces the object pipeline's profile bit for bit, so the two load
-    paths have equal dataset fingerprints (pinned by tests).
-    """
-    from .columnar import ColumnarDataset, ColumnarStore
-
-    if cache_dir is None:
-        generator = SyntheticTraceGenerator(config)
-        store = ColumnarStore.from_action_stream(generator.iter_user_actions())
-        return ColumnarDataset(store), "off"
-    key = synthetic_cache_key(config)
-    path = Path(cache_dir) / f"{key}.trace"
-    if not refresh and path.exists():
-        try:
-            store = ColumnarStore.from_cache_arrays(*_read_cache_arrays(path, key))
-            return ColumnarDataset(store), "hit"
-        except (OSError, DatasetFormatError, ValueError):
-            pass  # fall through to regeneration
-    generator = SyntheticTraceGenerator(config)
-    store = ColumnarStore.from_action_stream(generator.iter_user_actions())
-    try:
-        _save_store_cache(store, key, path)
-    except OSError:
-        pass  # read-only cache dir: generation still succeeded
-    return ColumnarDataset(store), "miss"
-
-
-def _save_store_cache(store, key: str, path: Union[str, Path]) -> None:
-    """Write a columnar store as a binary trace cache (same file format).
-
-    Byte-identical to :func:`save_trace_cache` over the equivalent
-    ``(user_id, actions)`` records: the store's flat columns are exactly
-    the cache arrays.
-    """
-    offsets = store.offsets
-    counts = array("i", (offsets[row + 1] - offsets[row] for row in range(len(store))))
-    _write_cache_file(path, key, array("i", store.uids), counts, store.items, store.tags)
-
-
 def load_or_generate_synthetic(
     config: SyntheticConfig,
     cache_dir: Optional[Union[str, Path]] = None,
@@ -328,16 +265,21 @@ def load_or_generate_synthetic(
             return load_trace_cache(path, expected_key=key), "hit"
         except (OSError, DatasetFormatError, ValueError):
             pass  # fall through to regeneration
-    # One streaming pass builds the profiles AND captures the generation-order
-    # action lists the cache file must preserve.
-    records: List[Tuple[int, List[TaggingAction]]] = []
+    # One streaming pass builds the profiles AND appends each generation-order
+    # action list to the cache columns: replaying the stored lists through
+    # the same constructor is what makes a hit bit-identical to this miss.
+    uids, counts, items, tags = array("i"), array("i"), array("i"), array("i")
     profiles: Dict[int, UserProfile] = {}
     for user_id, actions in SyntheticTraceGenerator(config).iter_user_actions():
-        records.append((user_id, actions))
+        uids.append(user_id)
+        counts.append(len(actions))
+        for item, tag in actions:
+            items.append(item)
+            tags.append(tag)
         profiles[user_id] = UserProfile.from_distinct_actions(user_id, actions)
     dataset = Dataset(profiles)
     try:
-        save_trace_cache(records, key, path)
+        _write_cache_file(path, key, uids, counts, items, tags)
     except OSError:
         pass  # read-only cache dir: generation still succeeded
     return dataset, "miss"

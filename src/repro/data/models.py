@@ -153,23 +153,6 @@ class UserProfile:
         profile._version = version
         return profile
 
-    @classmethod
-    def from_columnar(cls, store, user_id: int) -> "UserProfile":
-        """Materialize a profile from a :class:`~repro.data.columnar.ColumnarStore` row.
-
-        State-identical to feeding the row's action list (stored in the
-        exact order the generator emitted it) through
-        :meth:`from_distinct_actions`: same id set, same index tuples, same
-        version.  The columnar pipeline keeps users as flat array rows until
-        a consumer needs the object API; this is the crossing point.
-        """
-        row = store.row_of(user_id)
-        if row is None:
-            raise KeyError(f"user {user_id} not in columnar store")
-        profile = cls(user_id, store.actions_of_row(row))
-        profile._version = store.versions[row]
-        return profile
-
     def _materialize(self) -> None:
         """Replace the shared index dicts with private ones (COW write).
 

@@ -21,9 +21,9 @@ yields one finished, fully-indexed :class:`~repro.data.models.UserProfile`
 at a time (built through the direct interned constructor, so indexes are
 populated exactly once), and :meth:`~SyntheticTraceGenerator.generate`
 merely collects that stream into a :class:`~repro.data.models.Dataset`.
-Consumers that persist or re-lay-out the trace (the dataset disk cache and
-the columnar loader in :mod:`repro.data.loader`) ride the stream without
-ever holding a second copy of the actions.
+The dataset disk cache (:mod:`repro.data.loader`) rides the same stream,
+appending each user's actions to its flat columns as the profile is built,
+and never holds the trace as per-user action lists.
 
 Per-community popularity distributions are materialized once as cumulative
 weight tables; the per-action draws then run ``random.choices`` with

@@ -104,6 +104,30 @@ class TestSyntheticDatasetCache:
         assert (status1, status2) == ("miss", "hit")
         assert self._fingerprint(first) == self._fingerprint(second)
 
+    def test_miss_writes_the_generated_stream_in_generation_order(self, tmp_path):
+        """The file a miss writes is the header line, then user ids, counts,
+        items and tags as ``int32`` columns over the generator's own action
+        lists, in the order it emitted them."""
+        from array import array
+
+        from repro.data import SyntheticConfig, SyntheticTraceGenerator, load_or_generate_synthetic
+        from repro.data.loader import synthetic_cache_path
+
+        config = SyntheticConfig(**self.CONFIG_KW)
+        load_or_generate_synthetic(config, tmp_path)
+        line, _, body = synthetic_cache_path(config, tmp_path).read_bytes().partition(b"\n")
+        stream = list(SyntheticTraceGenerator(config).iter_user_actions())
+        actions = [action for _, user_actions in stream for action in user_actions]
+        columns = (
+            [user_id for user_id, _ in stream],
+            [len(user_actions) for _, user_actions in stream],
+            [item for item, _ in actions],
+            [tag for _, tag in actions],
+        )
+        header = json.loads(line)
+        assert (header["num_users"], header["num_actions"]) == (len(stream), len(actions))
+        assert body == b"".join(array("i", column).tobytes() for column in columns)
+
     def test_cache_off_without_directory(self):
         from repro.data import SyntheticConfig, load_or_generate_synthetic
 
@@ -131,18 +155,55 @@ class TestSyntheticDatasetCache:
         assert status == "miss"
         assert self._fingerprint(dataset) == self._fingerprint(reference)
 
+    def test_truncated_cache_falls_back_to_generation(self, tmp_path):
+        """A partially written file (valid header, short body) regenerates."""
+        from repro.data import SyntheticConfig, load_or_generate_synthetic
+        from repro.data.loader import synthetic_cache_path
+
+        config = SyntheticConfig(**self.CONFIG_KW)
+        reference, _ = load_or_generate_synthetic(config, tmp_path)
+        path = synthetic_cache_path(config, tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        dataset, status = load_or_generate_synthetic(config, tmp_path)
+        assert status == "miss"
+        assert self._fingerprint(dataset) == self._fingerprint(reference)
+
+    def test_generator_source_change_invalidates_the_key(self, tmp_path, monkeypatch):
+        """The cache key embeds the generator fingerprint: bumping it (what a
+        generator-source change does) must miss instead of adopting a trace
+        the current source would not produce."""
+        import repro.data.loader as loader_module
+        from repro.data import SyntheticConfig, load_or_generate_synthetic
+
+        config = SyntheticConfig(**self.CONFIG_KW)
+        _, status1 = load_or_generate_synthetic(config, tmp_path)
+        assert status1 == "miss"
+        old_key = loader_module.synthetic_cache_key(config)
+        monkeypatch.setattr(
+            loader_module, "GENERATOR_FINGERPRINT", "synthetic-trace-v999"
+        )
+        assert loader_module.synthetic_cache_key(config) != old_key
+        _, status2 = load_or_generate_synthetic(config, tmp_path)
+        assert status2 == "miss"
+        _, status3 = load_or_generate_synthetic(config, tmp_path)
+        assert status3 == "hit"
+
     def test_key_mismatch_rejected(self, tmp_path):
-        from repro.data import SyntheticConfig
+        from repro.data import SyntheticConfig, load_or_generate_synthetic
         from repro.data.loader import (
             load_trace_cache,
-            save_trace_cache,
+            synthetic_cache_key,
+            synthetic_cache_path,
         )
 
-        save_trace_cache([(0, [(1, 2), (3, 4)])], "key-a", tmp_path / "t.trace")
-        loaded = load_trace_cache(tmp_path / "t.trace", expected_key="key-a")
-        assert list(loaded.profile(0)) == [(1, 2), (3, 4)]
+        config = SyntheticConfig(**self.CONFIG_KW)
+        reference, _ = load_or_generate_synthetic(config, tmp_path)
+        path = synthetic_cache_path(config, tmp_path)
+        loaded = load_trace_cache(path, expected_key=synthetic_cache_key(config))
+        assert self._fingerprint(loaded) == self._fingerprint(reference)
         with pytest.raises(DatasetFormatError):
-            load_trace_cache(tmp_path / "t.trace", expected_key="key-b")
+            load_trace_cache(path, expected_key="key-b")
 
     def test_cached_run_simulates_identically(self, tmp_path):
         """A simulation over a cache hit is bit-identical to one over a miss."""
@@ -167,98 +228,6 @@ class TestSyntheticDatasetCache:
         hit, status = load_or_generate_synthetic(config, tmp_path)
         assert status == "hit"
         assert run(missed) == run(hit)
-
-
-class TestColumnarDatasetCache:
-    """The same spec-hash cache feeding the columnar load path.
-
-    Pins the three properties the large-N setup pipeline rests on: the
-    columnar and object load paths have equal dataset fingerprints (miss
-    *and* hit), a corrupted cache file regenerates instead of crashing, and
-    a generator-source change invalidates the key so stale traces are never
-    adopted.
-    """
-
-    CONFIG_KW = TestSyntheticDatasetCache.CONFIG_KW
-
-    def _fingerprint(self, dataset):
-        return [(p.user_id, list(p), p.version) for p in dataset.profiles()]
-
-    def test_columnar_equals_object_path_on_miss_and_hit(self, tmp_path):
-        from repro.data import (
-            SyntheticConfig,
-            load_or_generate_columnar,
-            load_or_generate_synthetic,
-        )
-
-        config = SyntheticConfig(**self.CONFIG_KW)
-        reference, _ = load_or_generate_synthetic(config, None)
-        expected = self._fingerprint(reference)
-
-        missed, status1 = load_or_generate_columnar(config, tmp_path)
-        hit, status2 = load_or_generate_columnar(config, tmp_path)
-        assert (status1, status2) == ("miss", "hit")
-        assert self._fingerprint(missed) == expected
-        assert self._fingerprint(hit) == expected
-
-    def test_columnar_hit_adopts_the_object_paths_cache_file(self, tmp_path):
-        """One cache file serves both load paths: the layout is shared."""
-        from repro.data import (
-            SyntheticConfig,
-            load_or_generate_columnar,
-            load_or_generate_synthetic,
-        )
-
-        config = SyntheticConfig(**self.CONFIG_KW)
-        reference, status1 = load_or_generate_synthetic(config, tmp_path)
-        columnar, status2 = load_or_generate_columnar(config, tmp_path)
-        assert (status1, status2) == ("miss", "hit")
-        assert self._fingerprint(columnar) == self._fingerprint(reference)
-
-    def test_corrupt_cache_falls_back_to_generation(self, tmp_path):
-        from repro.data import SyntheticConfig, load_or_generate_columnar
-        from repro.data.loader import synthetic_cache_path
-
-        config = SyntheticConfig(**self.CONFIG_KW)
-        reference, _ = load_or_generate_columnar(config, tmp_path)
-        synthetic_cache_path(config, tmp_path).write_bytes(b"garbage")
-        dataset, status = load_or_generate_columnar(config, tmp_path)
-        assert status == "miss"
-        assert self._fingerprint(dataset) == self._fingerprint(reference)
-
-    def test_truncated_cache_falls_back_to_generation(self, tmp_path):
-        """A partially written file (valid header, short body) regenerates."""
-        from repro.data import SyntheticConfig, load_or_generate_columnar
-        from repro.data.loader import synthetic_cache_path
-
-        config = SyntheticConfig(**self.CONFIG_KW)
-        reference, _ = load_or_generate_columnar(config, tmp_path)
-        path = synthetic_cache_path(config, tmp_path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        dataset, status = load_or_generate_columnar(config, tmp_path)
-        assert status == "miss"
-        assert self._fingerprint(dataset) == self._fingerprint(reference)
-
-    def test_generator_source_change_invalidates_the_key(self, tmp_path, monkeypatch):
-        """The cache key embeds the generator fingerprint: bumping it (what a
-        generator-source change does) must miss instead of adopting a trace
-        the current source would not produce."""
-        import repro.data.loader as loader_module
-        from repro.data import SyntheticConfig, load_or_generate_columnar
-
-        config = SyntheticConfig(**self.CONFIG_KW)
-        _, status1 = load_or_generate_columnar(config, tmp_path)
-        assert status1 == "miss"
-        old_key = loader_module.synthetic_cache_key(config)
-        monkeypatch.setattr(
-            loader_module, "GENERATOR_FINGERPRINT", "synthetic-trace-v999"
-        )
-        assert loader_module.synthetic_cache_key(config) != old_key
-        _, status2 = load_or_generate_columnar(config, tmp_path)
-        assert status2 == "miss"
-        _, status3 = load_or_generate_columnar(config, tmp_path)
-        assert status3 == "hit"
 
 
 def _tamper_user_table(path, how: str) -> None:
@@ -308,19 +277,17 @@ def test_cache_with_a_malformed_header_regenerates(tmp_path, how):
 
 
 @pytest.mark.parametrize("how", ["negative_count", "repeated_user"])
-@pytest.mark.parametrize("loader_name", ["load_or_generate_synthetic", "load_or_generate_columnar"])
-def test_cache_with_a_corrupt_user_table_regenerates(tmp_path, loader_name, how):
+def test_cache_with_a_corrupt_user_table_regenerates(tmp_path, how):
     """A count column that still sums to ``num_actions`` used to be served as
-    a hit with wrong profiles; it must regenerate, on both load paths."""
-    import repro.data as data
+    a hit with wrong profiles; it must regenerate."""
+    from repro.data import SyntheticConfig, load_or_generate_synthetic
     from repro.data.loader import synthetic_cache_path
 
-    loader = getattr(data, loader_name)
-    config = data.SyntheticConfig(**TestSyntheticDatasetCache.CONFIG_KW)
-    reference, _ = loader(config, tmp_path)
+    config = SyntheticConfig(**TestSyntheticDatasetCache.CONFIG_KW)
+    reference, _ = load_or_generate_synthetic(config, tmp_path)
     _tamper_user_table(synthetic_cache_path(config, tmp_path), how)
-    dataset, status = loader(config, tmp_path)
+    dataset, status = load_or_generate_synthetic(config, tmp_path)
     assert status == "miss"
     fingerprint = TestSyntheticDatasetCache._fingerprint
     assert fingerprint(None, dataset) == fingerprint(None, reference)
-    assert loader(config, tmp_path)[1] == "hit"  # the rewritten file is sound
+    assert load_or_generate_synthetic(config, tmp_path)[1] == "hit"  # the rewritten file is sound

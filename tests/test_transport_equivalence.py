@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.data.loader import load_or_generate_columnar
+from repro.data.loader import load_or_generate_synthetic
 from repro.data.queries import QueryWorkloadGenerator
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.p3q.config import P3QConfig
@@ -53,20 +53,29 @@ ALL_KINDS = (
     KIND_PARTIAL_RESULT,
 )
 
+TRACE = SyntheticConfig(
+    num_users=48,
+    num_items=300,
+    num_tags=90,
+    num_communities=5,
+    mean_actions_per_user=25,
+    seed=11,
+)
 
-def run_scenario(overrides: Optional[Dict] = None, columnar: bool = False) -> Dict:
+
+def run_scenario(overrides: Optional[Dict] = None, dataset_cache: Optional[Path] = None) -> Dict:
     """One deterministic end-to-end simulation, fingerprinted exactly."""
-    return _fingerprint(*run_simulation(overrides, columnar))
+    return _fingerprint(*run_simulation(overrides, dataset_cache))
 
 
-def run_simulation(overrides: Optional[Dict] = None, columnar: bool = False):
+def run_simulation(overrides: Optional[Dict] = None, dataset_cache: Optional[Path] = None):
     """The golden scenario, returned live as ``(simulation, eager_cycles)``.
 
     The scenario exercises every message type: bootstrap, organic lazy
     convergence, query issuing, eager drain, churn mid-run and a final lazy
-    stretch over the shrunken population.  With ``columnar`` the same trace
-    is streamed into flat arrays instead of profile objects (the set-up path
-    of ``python -m repro perf --scale-smoke``).
+    stretch over the shrunken population.  With ``dataset_cache`` the same
+    trace comes through the spec-hash disk cache in that directory (the
+    set-up path of ``python -m repro perf --scale-smoke --dataset-cache``).
     """
     config_kwargs = dict(
         network_size=12,
@@ -80,15 +89,10 @@ def run_simulation(overrides: Optional[Dict] = None, columnar: bool = False):
     )
     config_kwargs.update(overrides or {})
     config = P3QConfig(**config_kwargs)
-    trace = SyntheticConfig(
-        num_users=48,
-        num_items=300,
-        num_tags=90,
-        num_communities=5,
-        mean_actions_per_user=25,
-        seed=11,
-    )
-    dataset = load_or_generate_columnar(trace)[0] if columnar else generate_dataset(trace)
+    if dataset_cache is None:
+        dataset = generate_dataset(TRACE)
+    else:
+        dataset = load_or_generate_synthetic(TRACE, dataset_cache)[0]
     simulation = P3QSimulation(dataset, config)
     simulation.bootstrap_random_views()
     simulation.run_lazy(6)
@@ -164,11 +168,14 @@ def test_explicit_direct_transport_matches_default():
     assert run_scenario(explicit) == golden
 
 
-def test_columnar_dataset_reproduces_the_golden():
-    """The only simulation-level pin of the columnar set-up path: profiles
-    materialized from flat arrays run the exact schedule of object ones."""
+def test_dataset_from_a_cache_hit_reproduces_the_golden(tmp_path):
+    """The simulation-level pin of the scale smoke's set-up path: profiles
+    rebuilt from the trace cache's columns run the exact schedule of
+    generated ones."""
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_scenario(columnar=True) == golden
+    assert load_or_generate_synthetic(TRACE, tmp_path)[1] == "miss"
+    assert load_or_generate_synthetic(TRACE, tmp_path)[1] == "hit"
+    assert run_scenario(dataset_cache=tmp_path) == golden
 
 
 def test_lossless_lossy_transport_degrades_to_direct():
