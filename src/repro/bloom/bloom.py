@@ -150,7 +150,7 @@ def pack_row(bits: int, num_bits: int) -> bytes:
 
     The one spelling of the layout shared by the wire codec's digest
     entries and :meth:`BloomFilter.row_bytes`;
-    :meth:`BloomFilter.from_columnar` is its inverse.
+    :meth:`BloomFilter.from_row` is its inverse.
     """
     return bits.to_bytes((num_bits + 7) // 8, "little")
 
@@ -327,10 +327,10 @@ class BloomFilter:
         return bloom
 
     @classmethod
-    def from_columnar(
+    def from_row(
         cls, num_bits: int, num_hashes: int, row: bytes, count: int
     ) -> "BloomFilter":
-        """Adopt a digest row (the inverse of :meth:`row_bytes`).
+        """Adopt a decoded wire row (the inverse of :meth:`row_bytes`).
 
         The row is the little-endian byte image of the packed bit array --
         by construction the OR of the same per-item probe masks ``update``

@@ -112,7 +112,7 @@ def intern_digest(
     key = (user_id, version, num_bits, num_hashes, count, row)
     digest = _INTERNED.get(key)
     if digest is None:
-        bloom = BloomFilter.from_columnar(num_bits, num_hashes, row, count)
+        bloom = BloomFilter.from_row(num_bits, num_hashes, row, count)
         digest = ProfileDigest(user_id=user_id, version=version, bloom=bloom)
         _INTERNED[key] = digest
     return digest

@@ -154,7 +154,7 @@ class TestBloomProperties:
         rebuilt = BloomFilter.from_state(
             num_bits, num_hashes, int.from_bytes(row, "little"), count
         )
-        adopted = BloomFilter.from_columnar(num_bits, num_hashes, row, count)
+        adopted = BloomFilter.from_row(num_bits, num_hashes, row, count)
         assert rebuilt == bloom == adopted
         assert rebuilt.row_bytes() == row and adopted.row_bytes() is row
         assert bloom.copy().row_bytes() == row
