@@ -38,7 +38,7 @@ pre-generator code) or the asyncio service runtime.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from ..data.queries import Query
 from ..simulator.effects import ProbeEffect, RequestEffect, SendEffect, WireEffects, drive
@@ -263,13 +263,12 @@ class EagerGossipProtocol:
         return None
 
 
-class EagerParticipant:
-    """Typing helper documenting what :class:`EagerGossipProtocol` expects.
+class EagerParticipant(Protocol):
+    """What :class:`EagerGossipProtocol` expects from a node.
 
-    The concrete implementation is :class:`repro.p3q.node.P3QNode`; this
-    class only exists so the protocol's expectations are written down in one
-    place (and so tests can provide minimal fakes).  Participants receive
-    ``QueryForward`` / ``QueryResult`` / ``RemainingReturn`` messages through
+    The concrete implementation is :class:`repro.p3q.node.P3QNode`; tests
+    provide minimal fakes.  Participants receive ``QueryForward`` /
+    ``QueryResult`` / ``RemainingReturn`` messages through
     ``handle_message`` (see :class:`repro.simulator.transport.Transport`).
     """
 
@@ -277,17 +276,17 @@ class EagerParticipant:
     personal_network: "object"
     rng: random.Random
 
-    def profile_for_query(self, user_id: int):  # pragma: no cover - interface stub
-        raise NotImplementedError
+    def profile_for_query(self, user_id: int):
+        """A profile this node can contribute to a query, or ``None``."""
 
-    def contributed_profiles(self, query_id: int) -> Set[int]:  # pragma: no cover
-        raise NotImplementedError
+    def contributed_profiles(self, query_id: int) -> Set[int]:
+        """Users whose profiles this node already scored for ``query_id``."""
 
-    def mark_contributed(self, query_id: int, user_ids: Sequence[int]) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def mark_contributed(self, query_id: int, user_ids: Sequence[int]) -> None:
+        """Record that ``user_ids`` were scored for ``query_id``."""
 
-    def handle_message(self, envelope):  # pragma: no cover - interface stub
-        raise NotImplementedError
+    def handle_message(self, envelope):
+        """Process one delivered transport message; return the reply, if any."""
 
-    def receive_partial_result(self, partial: PartialResult) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def receive_partial_result(self, partial: PartialResult) -> None:
+        """Merge a partial result of one of this node's own queries."""
