@@ -101,7 +101,8 @@ class EagerGossipProtocol:
                 key=lambda e: (-e.timestamp, -e.score, e.user_id),
             )
             ordered.extend(entry.user_id for entry in entries)
-        others = [uid for uid in remaining if uid not in set(ordered)]
+        preferred = set(ordered)
+        others = [uid for uid in remaining if uid not in preferred]
         initiator.rng.shuffle(others)
         ordered.extend(others)
         for candidate in ordered:
