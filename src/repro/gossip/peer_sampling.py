@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects, drive
-from ..simulator.network import Network
+from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects
 from ..simulator.transport import VIEW_RANDOM, DigestAdvertisement, Envelope
 
 
@@ -37,17 +36,14 @@ class PeerSamplingProtocol:
     def __init__(self, account_traffic: bool = True) -> None:
         self.account_traffic = account_traffic
 
-    def run_cycle(self, initiator, network: Network) -> Optional[int]:
+    def run_cycle_effects(self, initiator) -> WireEffects:
         """Run one peer-sampling exchange initiated by ``initiator``.
 
-        Returns the partner's id, or ``None`` when no exchange happened
-        (empty view, partner offline, or message lost -- the slot is simply
-        lost for this cycle, as in the paper's churn experiments).
+        Yields wire effects.  Returns the partner's id, or ``None`` when no
+        exchange happened (empty view, partner offline, or message lost --
+        the slot is simply lost for this cycle, as in the paper's churn
+        experiments).
         """
-        return drive(self.run_cycle_effects(initiator), network)
-
-    def run_cycle_effects(self, initiator) -> WireEffects:
-        """Sans-io core of :meth:`run_cycle` (yields wire effects)."""
         partner_id = initiator.random_view.random_partner(initiator.rng)
         if partner_id is None:
             return None

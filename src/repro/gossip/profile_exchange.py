@@ -61,9 +61,7 @@ from ..simulator.effects import (
     ProbeEffect,
     RequestEffect,
     WireEffects,
-    drive,
 )
-from ..simulator.network import Network
 from ..simulator.transport import (
     VIEW_PERSONAL,
     CommonItemsRequest,
@@ -126,8 +124,8 @@ class LazyExchangeProtocol:
 
     # -- cycle entry points ---------------------------------------------------
 
-    def run_cycle(self, initiator, network: Network) -> Optional[int]:
-        """One lazy top-layer cycle for ``initiator``.
+    def run_cycle_effects(self, initiator) -> WireEffects:
+        """One lazy top-layer cycle for ``initiator`` (yields wire effects).
 
         Selects the personal-network neighbour with the oldest timestamp
         (falling back to a random-view member while the personal network is
@@ -135,10 +133,6 @@ class LazyExchangeProtocol:
         candidates coming from the random view.  Returns the partner id, or
         ``None`` if no partner was reachable.
         """
-        return drive(self.run_cycle_effects(initiator), network)
-
-    def run_cycle_effects(self, initiator) -> WireEffects:
-        """Sans-io core of :meth:`run_cycle` (yields wire effects)."""
         partner_id = initiator.personal_network.select_oldest()
         if partner_id is None:
             partner_id = initiator.random_view.random_partner(initiator.rng)
@@ -159,17 +153,14 @@ class LazyExchangeProtocol:
         yield from self.refresh_from_random_view_effects(initiator)
         return partner_id if exchanged else None
 
-    def exchange(self, initiator, partner_id: int, network: Network) -> bool:
+    def exchange_effects(self, initiator, partner_id: int) -> WireEffects:
         """Symmetric digest/profile exchange between two online peers.
 
-        Returns ``True`` when the exchange was delivered (or deferred by a
-        latency transport -- it will complete when the queue drains), and
-        ``False`` when the advertisement was lost.
+        Yields wire effects.  Returns ``True`` when the exchange was
+        delivered (or deferred by a latency transport -- it will complete
+        when the queue drains), and ``False`` when the advertisement was
+        lost.
         """
-        return drive(self.exchange_effects(initiator, partner_id), network)
-
-    def exchange_effects(self, initiator, partner_id: int) -> WireEffects:
-        """Sans-io core of :meth:`exchange` (yields wire effects)."""
         sent = tuple(initiator.stored_digest_sample(self.exchange_size))
         dispatch = yield RequestEffect(
             initiator.node_id,
@@ -186,18 +177,10 @@ class LazyExchangeProtocol:
 
     # -- receiving side -------------------------------------------------------
 
-    def handle_advertisement(self, receiver, envelope: Envelope) -> Optional[DigestAdvertisement]:
+    def handle_advertisement_effects(self, receiver, envelope: Envelope) -> WireEffects:
         """Process an incoming lazy advertisement; reply with ours when asked.
 
-        Driven against the receiver's live network (the cycle engine's
-        synchronous path); the service runtime awaits
-        :meth:`handle_advertisement_effects` instead.
-        """
-        return drive(self.handle_advertisement_effects(receiver, envelope), receiver.network)
-
-    def handle_advertisement_effects(self, receiver, envelope: Envelope) -> WireEffects:
-        """Sans-io core of :meth:`handle_advertisement`.
-
+        Yields wire effects; returns the reply advertisement or ``None``.
         The reply sample is drawn *before* integration, matching the seed's
         order (both samples were taken before either side integrated).
         """
@@ -259,24 +242,6 @@ class LazyExchangeProtocol:
 
     # -- Algorithm 1 ----------------------------------------------------------
 
-    def integrate(
-        self,
-        receiver,
-        provider_id: int,
-        digests: Iterable[ProfileDigest],
-        network: Network,
-        query_id: Optional[int] = None,
-    ) -> List[int]:
-        """Process digests received from the provider (Algorithm 1).
-
-        Returns the list of user ids that were added to / refreshed in the
-        receiver's personal network.
-        """
-        return drive(
-            self.integrate_effects(receiver, provider_id, digests, query_id=query_id),
-            network,
-        )
-
     def integrate_effects(
         self,
         receiver,
@@ -284,7 +249,11 @@ class LazyExchangeProtocol:
         digests: Iterable[ProfileDigest],
         query_id: Optional[int] = None,
     ) -> WireEffects:
-        """Sans-io core of :meth:`integrate` (yields wire effects)."""
+        """Process digests received from the provider (Algorithm 1).
+
+        Yields wire effects.  Returns the list of user ids that were added
+        to / refreshed in the receiver's personal network.
+        """
         own_ids = receiver.profile.action_ids
 
         #: (digest, gated) in advertisement order; ``gated`` marks unknown
@@ -365,19 +334,15 @@ class LazyExchangeProtocol:
 
     # -- random-view candidates -----------------------------------------------
 
-    def refresh_from_random_view(self, peer, network: Network) -> List[int]:
+    def refresh_from_random_view_effects(self, peer) -> WireEffects:
         """Score random-view members that might share an item (Section 2.2.1).
 
         The profile of a random-view member ``v`` is obtained by contacting
         ``v`` directly when her digest contains at least one item the local
         user tagged.  A member whose digest version has already been
         evaluated is skipped, so stable views do not generate traffic every
-        cycle.
-        """
-        return drive(self.refresh_from_random_view_effects(peer), network)
-
-    def refresh_from_random_view_effects(self, peer) -> WireEffects:
-        """Sans-io core of :meth:`refresh_from_random_view`.
+        cycle.  Yields wire effects; returns the ids added to the personal
+        network.
 
         The candidate's *current* digest is requested through a
         :class:`~repro.simulator.effects.PeerDigestEffect` carrying the

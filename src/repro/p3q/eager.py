@@ -18,7 +18,8 @@ querier does not store:
 * both partners also refresh their personal networks exactly as in the lazy
   mode, which is why eager gossip doubles as a freshness wave.
 
-Transport semantics: under the default :class:`DirectTransport` the forward
+Transport semantics: under the condition-free
+:class:`~repro.simulator.transport.Transport` (the default) the forward
 round-trip is synchronous and the seed's behaviour is reproduced exactly.
 A lossy transport may drop the forward (the initiator keeps the list and
 retries next cycle -- the sender-side timeout of a real gossip), the return
@@ -38,11 +39,10 @@ pre-generator code) or the asyncio service runtime.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set
 
 from ..data.queries import Query
-from ..simulator.effects import ProbeEffect, RequestEffect, SendEffect, WireEffects, drive
-from ..simulator.network import Network
+from ..simulator.effects import ProbeEffect, RequestEffect, SendEffect, WireEffects
 from ..simulator.transport import REPLY_DROPPED, QueryForward, QueryResult
 from ..gossip.profile_exchange import LazyExchangeProtocol
 from .query import PartialResult
@@ -70,27 +70,19 @@ class EagerGossipProtocol:
 
     # -- destination selection -------------------------------------------------
 
-    def select_destination(
+    def select_destination_effects(
         self,
         initiator: "EagerParticipant",
         remaining: Sequence[int],
-        network: Network,
-    ) -> Optional[int]:
+    ) -> WireEffects:
         """Pick a gossip destination from the remaining list (Algorithm 3, 4-9).
 
         Preference goes to remaining-list members that are also personal
         network neighbours, oldest timestamp first; otherwise a random
         remaining-list member.  Unreachable (departed) candidates are skipped,
         which is how churn slows the processing down without deadlocking it.
+        Yields reachability probes; returns the destination id or ``None``.
         """
-        return drive(self.select_destination_effects(initiator, remaining), network)
-
-    def select_destination_effects(
-        self,
-        initiator: "EagerParticipant",
-        remaining: Sequence[int],
-    ) -> WireEffects:
-        """Sans-io core of :meth:`select_destination`."""
         if not remaining:
             return None
         in_network = [uid for uid in remaining if uid in initiator.personal_network]
@@ -112,28 +104,6 @@ class EagerGossipProtocol:
 
     # -- one gossip step --------------------------------------------------------
 
-    def gossip_query(
-        self,
-        initiator: "EagerParticipant",
-        query: Query,
-        remaining: Sequence[int],
-        network: Network,
-        cycle: int,
-    ) -> List[int]:
-        """One eager gossip initiated by ``initiator`` for ``query``.
-
-        Returns the initiator's new remaining list: the α share handed back
-        by the destination when the forward was delivered; the list unchanged
-        when no destination was reachable or the *forward* was lost (the
-        cycle is lost, the initiator retries); the empty list when a latency
-        transport deferred the forward (responsibility is in flight and the
-        return will merge back on arrival) or when the forward was processed
-        but the *return* was lost on the wire (the destination owns its kept
-        share; the α share is gone -- retrying would duplicate work the
-        destination already performed).
-        """
-        return drive(self.gossip_query_effects(initiator, query, remaining, cycle), network)
-
     def gossip_query_effects(
         self,
         initiator: "EagerParticipant",
@@ -141,7 +111,19 @@ class EagerGossipProtocol:
         remaining: Sequence[int],
         cycle: int,
     ) -> WireEffects:
-        """Sans-io core of :meth:`gossip_query` (yields wire effects)."""
+        """One eager gossip initiated by ``initiator`` for ``query``.
+
+        Yields wire effects.  Returns the initiator's new remaining list: the
+        α share handed back by the destination when the forward was
+        delivered; the list unchanged when no destination was reachable or
+        the *forward* was lost (the cycle is lost, the initiator retries);
+        the empty list when a latency transport deferred the forward
+        (responsibility is in flight and the return will merge back on
+        arrival) or when the forward was processed but the *return* was lost
+        on the wire (the destination owns its kept share; the α share is
+        gone -- retrying would duplicate work the destination already
+        performed).
+        """
         remaining = list(remaining)
         if not remaining:
             return remaining
@@ -175,25 +157,6 @@ class EagerGossipProtocol:
 
     # -- destination-side processing --------------------------------------------
 
-    def process_at_destination(
-        self,
-        destination: "EagerParticipant",
-        query: Query,
-        remaining: Sequence[int],
-        network: Network,
-        cycle: int,
-    ) -> Tuple[List[int], List[int]]:
-        """Destination-side handling (Algorithm 3, lines 17-23).
-
-        Returns ``(returned_list, kept_list)``: the share sent back to the
-        initiator and the share the destination takes responsibility for.
-        Also computes and ships the partial result to the querier.
-        """
-        return drive(
-            self.process_at_destination_effects(destination, query, remaining, cycle),
-            network,
-        )
-
     def process_at_destination_effects(
         self,
         destination: "EagerParticipant",
@@ -201,7 +164,12 @@ class EagerGossipProtocol:
         remaining: Sequence[int],
         cycle: int,
     ) -> WireEffects:
-        """Sans-io core of :meth:`process_at_destination`.
+        """Destination-side handling (Algorithm 3, lines 17-23).
+
+        Yields wire effects.  Returns ``(returned_list, kept_list)``: the
+        share sent back to the initiator and the share the destination takes
+        responsibility for.  Also computes and ships the partial result to
+        the querier.
 
         The contribution bookkeeping (read ``contributed_profiles``, mark,
         ship) runs without an intervening ``yield``, so concurrent forwards
@@ -268,9 +236,7 @@ class EagerParticipant(Protocol):
     """What :class:`EagerGossipProtocol` expects from a node.
 
     The concrete implementation is :class:`repro.p3q.node.P3QNode`; tests
-    provide minimal fakes.  Participants receive ``QueryForward`` /
-    ``QueryResult`` / ``RemainingReturn`` messages through
-    ``handle_message`` (see :class:`repro.simulator.transport.Transport`).
+    provide minimal fakes.
     """
 
     node_id: int
@@ -285,9 +251,3 @@ class EagerParticipant(Protocol):
 
     def mark_contributed(self, query_id: int, user_ids: Sequence[int]) -> None:
         """Record that ``user_ids`` were scored for ``query_id``."""
-
-    def handle_message(self, envelope):
-        """Process one delivered transport message; return the reply, if any."""
-
-    def receive_partial_result(self, partial: PartialResult) -> None:
-        """Merge a partial result of one of this node's own queries."""

@@ -13,11 +13,13 @@ A :class:`P3QNode` combines
 
 The node satisfies both the simulator's :class:`~repro.simulator.node.Node`
 interface and the gossip layer's :class:`~repro.gossip.interfaces.GossipPeer`
-protocol, and is addressable on the wire: every message the transport
-delivers lands in :meth:`P3QNode.handle_message`, which dispatches to the
-protocol objects (gossip advertisements), serves the step-2/3 control
-requests from local state, and routes query traffic into the session and
-forwarded-list state.
+protocol, and is addressable on the wire: every delivered message lands in
+:meth:`P3QNode.handle_message` (the cycle engine's transport) or
+:meth:`P3QNode.handle_message_effects` (the service runtime), and both look
+up one pair of handler tables.  Step-2/3 control requests and query results
+are served from local state by plain functions; only gossip advertisements
+and query forwards, which make round-trips of their own, are sans-io
+generators, which the engine drives and the service delegates to.
 
 Everything hot a node does rides the incremental runtime documented in
 ``docs/ARCHITECTURE.md``: its own digest and probe rows live in the
@@ -329,42 +331,39 @@ class P3QNode(Node):
     def handle_message(self, envelope: Envelope) -> Optional[Message]:
         """Process one delivered transport message; return the reply, if any.
 
-        This is the single wire entry point of a node: gossip advertisements
-        dispatch to the protocol objects, the step-2/3 control requests are
-        served from local state, and query traffic feeds the session /
-        forwarded-list state.  Replies are returned to the transport, which
-        prices and routes them (synchronously for a live round-trip,
-        asynchronously for an exchange a latency transport deferred).
-        Unknown message types are silently ignored (no reply).
+        The cycle engine's wire entry point: the transport calls it for
+        every delivery.  Replies are returned to the transport, which prices
+        and routes them (synchronously for a live round-trip, asynchronously
+        for an exchange a latency transport deferred).  A handler that makes
+        round-trips of its own is driven against the live network.  Unknown
+        message types are silently ignored (no reply).
         """
-        handler = _MESSAGE_HANDLERS.get(type(envelope.message))
+        mtype = type(envelope.message)
+        handler = _MESSAGE_HANDLERS.get(mtype)
+        if handler is not None:
+            return handler(self, envelope)
+        handler = _ROUND_TRIP_HANDLERS.get(mtype)
         if handler is None:
             return None
-        return handler(self, envelope)
+        return drive(handler(self, envelope), self.network)
 
     def handle_message_effects(self, envelope: Envelope) -> WireEffects:
-        """Sans-io twin of :meth:`handle_message` (yields wire effects).
+        """The service runtime's wire entry point (yields wire effects).
 
         The asyncio service runtime awaits this generator for every inbound
-        frame; its return value is the reply message (or ``None``).  The two
-        handlers that perform nested round-trips mid-handling -- a personal
-        digest advertisement (integration sub-requests) and a query forward
-        (partial-result ship plus the alpha split) -- route through their
-        effect generators; every other handler is pure local state and
-        dispatches through the same table as the synchronous path.
+        frame; its return value is the reply message (or ``None``).  It
+        dispatches through the same two tables as :meth:`handle_message`,
+        delegating to a round-trip handler with ``yield from`` instead of
+        driving it.
         """
-        message = envelope.message
-        mtype = type(message)
-        if mtype is DigestAdvertisement:
-            if message.view == VIEW_RANDOM:
-                return self.peer_sampling.handle_advertisement(self, envelope)
-            return (yield from self.lazy.handle_advertisement_effects(self, envelope))
-        if mtype is QueryForward:
-            return (yield from self._handle_query_forward_effects(envelope))
+        mtype = type(envelope.message)
         handler = _MESSAGE_HANDLERS.get(mtype)
+        if handler is not None:
+            return handler(self, envelope)
+        handler = _ROUND_TRIP_HANDLERS.get(mtype)
         if handler is None:
             return None
-        return handler(self, envelope)
+        return (yield from handler(self, envelope))
 
     def _handle_common_items_request(self, envelope: Envelope) -> CommonItemsReply:
         message = envelope.message
@@ -377,10 +376,12 @@ class P3QNode(Node):
             actions=self.action_ids_for_items_of(message.subject_id, message.items),
         )
 
-    def _handle_digest_advertisement(self, envelope: Envelope) -> Optional[Message]:
+    def _handle_digest_advertisement_effects(self, envelope: Envelope) -> WireEffects:
+        """A gossip advertisement: a random-view swap is pure local state, a
+        personal-view exchange integrates through step-2/3 round-trips."""
         if envelope.message.view == VIEW_RANDOM:
             return self.peer_sampling.handle_advertisement(self, envelope)
-        return self.lazy.handle_advertisement(self, envelope)
+        return (yield from self.lazy.handle_advertisement_effects(self, envelope))
 
     def _handle_full_profile_request(self, envelope: Envelope) -> FullProfilePush:
         message = envelope.message
@@ -397,7 +398,7 @@ class P3QNode(Node):
 
     # --------------------------------------------------- query (reached nodes)
 
-    def _handle_query_forward(self, envelope: Envelope) -> RemainingReturn:
+    def _handle_query_forward_effects(self, envelope: Envelope) -> WireEffects:
         """Handle an incoming eager gossip message (Algorithm 3, destination)."""
         message = envelope.message
         query = message.query
@@ -405,17 +406,6 @@ class P3QNode(Node):
             # Hand the whole remaining list straight back: no contribution,
             # no kept share, no partial result.  Protocol-legal (the sender
             # merges the return like any alpha share) but pure dead weight.
-            return RemainingReturn(query_id=query.query_id, remaining=message.remaining)
-        returned, kept = self.eager.process_at_destination(
-            self, query, list(message.remaining), self.network, message.cycle
-        )
-        return self._absorb_forward(query, returned, kept)
-
-    def _handle_query_forward_effects(self, envelope: Envelope) -> WireEffects:
-        """Sans-io twin of :meth:`_handle_query_forward`."""
-        message = envelope.message
-        query = message.query
-        if self.free_rider:
             return RemainingReturn(query_id=query.query_id, remaining=message.remaining)
         returned, kept = yield from self.eager.process_at_destination_effects(
             self, query, list(message.remaining), message.cycle
@@ -479,14 +469,19 @@ class P3QNode(Node):
         }
 
 
-#: Exact-type dispatch table for :meth:`P3QNode.handle_message`, ordered by
-#: observed message frequency (a dict lookup beats an isinstance chain on the
-#: hot path: common-item requests dominate every lazy cycle).
+#: Exact-type dispatch tables shared by :meth:`P3QNode.handle_message` (the
+#: cycle engine) and :meth:`P3QNode.handle_message_effects` (the service).
+#: Handlers that answer from local state are plain functions, so the hot
+#: path pays no generator (common-item requests dominate every lazy cycle);
+#: only the two that make round-trips mid-handling are generators.  A dict
+#: lookup beats an isinstance chain.
 _MESSAGE_HANDLERS = {
     CommonItemsRequest: P3QNode._handle_common_items_request,
-    DigestAdvertisement: P3QNode._handle_digest_advertisement,
     FullProfileRequest: P3QNode._handle_full_profile_request,
-    QueryForward: P3QNode._handle_query_forward,
     QueryResult: P3QNode._handle_query_result,
     RemainingReturn: P3QNode._handle_remaining_return,
+}
+_ROUND_TRIP_HANDLERS = {
+    DigestAdvertisement: P3QNode._handle_digest_advertisement_effects,
+    QueryForward: P3QNode._handle_query_forward_effects,
 }

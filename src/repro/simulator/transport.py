@@ -31,7 +31,8 @@ Delivery semantics
 ------------------
 
 ``request`` performs a round-trip: the receiver's ``handle_message`` runs
-synchronously and its reply message is returned in the :class:`Dispatch`.
+synchronously, driving any nested round-trip of its own, and its reply is
+returned in the :class:`Dispatch`.
 Cycle-granularity latency applies at *exchange* granularity: a deferred
 request is queued whole, the receiver processes it when the engine drains
 the queue, and the reply is then routed back to the initiator as a one-way

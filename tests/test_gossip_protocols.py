@@ -14,6 +14,7 @@ from repro.gossip.peer_sampling import PeerSamplingProtocol
 from repro.gossip.profile_exchange import LazyExchangeProtocol
 from repro.p3q.config import P3QConfig
 from repro.p3q.node import P3QNode
+from repro.simulator.effects import drive
 from repro.simulator.network import Network
 from repro.simulator.stats import (
     KIND_COMMON_ITEMS,
@@ -73,24 +74,24 @@ class TestPeerSampling:
     def test_exchange_mixes_views(self, wired):
         network, nodes = wired
         protocol = PeerSamplingProtocol()
-        partner = protocol.run_cycle(nodes[0], network)
+        partner = drive(protocol.run_cycle_effects(nodes[0]), network)
         assert partner in nodes
         assert len(nodes[0].random_view) <= nodes[0].random_view.size
 
     def test_exchange_accounts_traffic(self, wired):
         network, nodes = wired
-        PeerSamplingProtocol().run_cycle(nodes[0], network)
+        drive(PeerSamplingProtocol().run_cycle_effects(nodes[0]), network)
         assert network.stats.total_bytes(KIND_RANDOM_VIEW) > 0
 
     def test_offline_partner_skipped(self, wired):
         network, nodes = wired
         network.depart([uid for uid in nodes if uid != 0])
-        partner = PeerSamplingProtocol().run_cycle(nodes[0], network)
+        partner = drive(PeerSamplingProtocol().run_cycle_effects(nodes[0]), network)
         assert partner is None
 
     def test_empty_view_returns_none(self, tiny_dataset, gossip_config):
         network, nodes = build_network(tiny_dataset, gossip_config)
-        assert PeerSamplingProtocol().run_cycle(nodes[0], network) is None
+        assert drive(PeerSamplingProtocol().run_cycle_effects(nodes[0]), network) is None
 
 
 class TestLazyExchange:
@@ -99,7 +100,7 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol(account_traffic=True)
         for _ in range(3):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         # Users 0 and 1 share 3 tagging actions: they must be neighbours.
         assert 1 in nodes[0].personal_network
         assert 0 in nodes[1].personal_network
@@ -110,7 +111,7 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         # User 3 shares nothing with user 0.
         assert 3 not in nodes[0].personal_network
         assert 0 not in nodes[3].personal_network
@@ -120,7 +121,7 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         for uid, node in nodes.items():
             for entry in node.personal_network.ranked_entries():
                 true_overlap = len(
@@ -134,7 +135,7 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         for node in nodes.values():
             assert len(node.personal_network.stored_ids()) <= gossip_config.storage_for(node.node_id)
 
@@ -143,7 +144,7 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         for node in nodes.values():
             for uid, replica in node.personal_network.stored_profiles().items():
                 assert replica.actions == tiny_dataset.profile(uid).actions
@@ -153,7 +154,7 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(3):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         kinds = network.stats.bytes_by_kind()
         assert kinds.get(KIND_DIGESTS, 0) > 0
         assert kinds.get(KIND_COMMON_ITEMS, 0) >= 0
@@ -164,13 +165,13 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         baseline = network.stats.total_bytes(KIND_FULL_PROFILES)
         # Run more cycles without any profile change: no new full profiles
         # should be transferred (digests unchanged -> dropped in step 1).
         for _ in range(3):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         assert network.stats.total_bytes(KIND_FULL_PROFILES) == baseline
 
     def test_profile_change_triggers_refresh(self, wired, tiny_dataset):
@@ -178,14 +179,14 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         # User 1 tags something new; user 0 stores user 1's profile.
         assert nodes[0].personal_network.has_stored_profile(1)
         nodes[1].profile.add(500, 999)
         target_version = nodes[1].profile.version
         for _ in range(4):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         replica = nodes[0].personal_network.stored_profiles()[1]
         assert replica.version == target_version
         assert (500, 999) in replica
@@ -195,12 +196,12 @@ class TestLazyExchange:
         protocol = LazyExchangeProtocol()
         for _ in range(2):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         network.depart([1])
         for _ in range(2):
             for node in nodes.values():
                 if network.is_online(node.node_id):
-                    protocol.run_cycle(node, network)
+                    drive(protocol.run_cycle_effects(node), network)
         assert True  # reaching here without exceptions is the point
 
     def test_non_three_step_mode_ships_profiles_immediately(self, wired):
@@ -209,7 +210,7 @@ class TestLazyExchange:
         wire_protocol(nodes, protocol)
         for _ in range(3):
             for node in nodes.values():
-                protocol.run_cycle(node, network)
+                drive(protocol.run_cycle_effects(node), network)
         assert 1 in nodes[0].personal_network
         assert network.stats.total_bytes(KIND_COMMON_ITEMS) == 0
 

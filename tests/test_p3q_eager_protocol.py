@@ -7,6 +7,7 @@ import pytest
 from repro.p3q.config import P3QConfig
 from repro.p3q.eager import EagerGossipProtocol
 from repro.p3q.protocol import P3QSimulation
+from repro.simulator.effects import drive
 from repro.simulator.stats import (
     KIND_PARTIAL_RESULT,
     KIND_REMAINING_FORWARD,
@@ -40,7 +41,7 @@ class TestDestinationSelection:
         remaining = node.personal_network.unstored_ids()
         if not remaining:
             pytest.skip("querier stores her whole network at this storage budget")
-        destination = warm.eager.select_destination(node, remaining, warm.network)
+        destination = drive(warm.eager.select_destination_effects(node, remaining), warm.network)
         assert destination in remaining
         assert destination in node.personal_network
 
@@ -51,7 +52,7 @@ class TestDestinationSelection:
         if len(remaining) < 2:
             pytest.skip("not enough unstored neighbours")
         warm.depart_users(remaining[:-1])
-        destination = warm.eager.select_destination(node, remaining, warm.network)
+        destination = drive(warm.eager.select_destination_effects(node, remaining), warm.network)
         assert destination == remaining[-1]
 
     def test_returns_none_when_everyone_is_offline(self, warm):
@@ -61,11 +62,12 @@ class TestDestinationSelection:
         if not remaining:
             pytest.skip("querier stores her whole network at this storage budget")
         warm.depart_users(remaining)
-        assert warm.eager.select_destination(node, remaining, warm.network) is None
+        assert drive(warm.eager.select_destination_effects(node, remaining), warm.network) is None
 
     def test_empty_remaining_list(self, warm):
         querier = warm.dataset.user_ids[0]
-        assert warm.eager.select_destination(warm.node(querier), [], warm.network) is None
+        selection = warm.eager.select_destination_effects(warm.node(querier), [])
+        assert drive(selection, warm.network) is None
 
 
 class TestDestinationProcessing:
@@ -78,8 +80,9 @@ class TestDestinationProcessing:
         destination = warm.node(warm.dataset.user_ids[1])
         stored = set(destination.personal_network.stored_ids()) | {destination.node_id}
         remaining = [uid for uid in warm.dataset.user_ids if uid not in stored][:10]
-        returned, kept = warm.eager.process_at_destination(
-            destination, query, remaining, warm.network, cycle=1
+        returned, kept = drive(
+            warm.eager.process_at_destination_effects(destination, query, remaining, cycle=1),
+            warm.network,
         )
         assert sorted(returned + kept) == sorted(remaining)
         assert len(kept) == int((1 - warm.eager.alpha) * len(remaining))
@@ -95,8 +98,11 @@ class TestDestinationProcessing:
         if destination_id is None:
             pytest.skip("no remaining neighbour")
         destination = warm.node(destination_id)
-        returned, kept = warm.eager.process_at_destination(
-            destination, query, list(session.remaining), warm.network, cycle=1
+        returned, kept = drive(
+            warm.eager.process_at_destination_effects(
+                destination, query, list(session.remaining), cycle=1
+            ),
+            warm.network,
         )
         # The destination's own profile was in the remaining list and must
         # have been removed (she contributes it herself).
@@ -115,9 +121,15 @@ class TestDestinationProcessing:
             pytest.skip("no remaining neighbour")
         destination = warm.node(destination_id)
         remaining = list(session.remaining)
-        warm.eager.process_at_destination(destination, query, remaining, warm.network, cycle=1)
+        drive(
+            warm.eager.process_at_destination_effects(destination, query, remaining, cycle=1),
+            warm.network,
+        )
         partials_before = warm.stats.total_messages(KIND_PARTIAL_RESULT)
-        warm.eager.process_at_destination(destination, query, remaining, warm.network, cycle=2)
+        drive(
+            warm.eager.process_at_destination_effects(destination, query, remaining, cycle=2),
+            warm.network,
+        )
         partials_after = warm.stats.total_messages(KIND_PARTIAL_RESULT)
         # Second delivery of the same list: the already-contributed profiles
         # are dropped silently; at most a smaller, disjoint partial result is

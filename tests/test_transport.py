@@ -27,6 +27,7 @@ from repro.simulator.conditions import (
     PartitionCut,
     PartitionSpec,
 )
+from repro.simulator.effects import drive
 from repro.simulator.network import Network
 from repro.simulator.stats import (
     KIND_COMMON_ITEMS,
@@ -317,8 +318,9 @@ class TestLossyTransport:
         if not session.remaining:
             pytest.skip("querier stores her whole network at this storage budget")
         before = list(session.remaining)
-        returned = simulation.eager.gossip_query(
-            node, query, before, simulation.network, cycle=1
+        returned = drive(
+            simulation.eager.gossip_query_effects(node, query, before, cycle=1),
+            simulation.network,
         )
         # The destination processed the list (its kept share and partial
         # result happened), the return was dropped: responsibility is NOT
