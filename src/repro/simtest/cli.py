@@ -230,15 +230,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.self_check:
         return _self_check(args)
 
-    spec_text = args.spec_json
-    if args.spec is not None:
-        spec_text = args.spec.read_text(encoding="utf-8")
-    if spec_text is not None:
+    if args.spec_json is not None or args.spec is not None:
         try:
+            spec_text = args.spec_json
+            if args.spec is not None:
+                spec_text = args.spec.read_text(encoding="utf-8")
             spec = ScenarioSpec.from_json(spec_text)
-        except ValueError as error:
-            # Malformed JSON, an out-of-range value or a field this commit
-            # does not have: a usage error, not a crash.
+        except (OSError, ValueError) as error:
+            # An unreadable file, malformed JSON, a wrong type, an
+            # out-of-range value or a field this commit does not have: a
+            # usage error (exit 2), never the exit 1 of a found violation.
             print(error, file=sys.stderr)
             return 2
         return _run_single(spec, args)

@@ -27,7 +27,7 @@ import json
 import math
 import random
 import shlex
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fraction
@@ -49,6 +49,36 @@ _CALM_SHARE = 0.05
 #: dataset holds now (graceful restart); ``"crash"`` snapshots the profile at
 #: departure and restores it on rejoin (restart from pre-crash state).
 CHURN_MODES = ("resume", "crash")
+
+#: JSON values a scalar spec field accepts, by its annotation.
+_JSON_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _checked_fields(owner: type, data: Any, where: str) -> Dict[str, Any]:
+    """``data`` as keyword arguments of the dataclass ``owner``.
+
+    A hand-edited spec, or one written by another commit, is checked before
+    construction so that every defect is a ``ValueError`` naming ``where``
+    and the field: not a JSON object, fields ``owner`` does not have (all of
+    them -- a foreign spec may carry several retired ones), a required field
+    left out, or a scalar of the wrong JSON type.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    declared = {spec_field.name: spec_field for spec_field in fields(owner)}
+    unknown = sorted(set(data) - set(declared))
+    if unknown:
+        raise ValueError(f"unknown {where} field(s): {', '.join(unknown)}")
+    for name, spec_field in declared.items():
+        if name not in data:
+            if spec_field.default is MISSING:
+                raise ValueError(f"{where} field {name} is required")
+            continue
+        value = data[name]
+        accepted = _JSON_SCALARS.get(spec_field.type)
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ValueError(f"{where} field {name} must be {spec_field.type}, got {value!r}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -305,26 +335,27 @@ class ScenarioSpec:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        payload = dict(data)
-        # A spec written by another commit may carry retired fields; name
-        # them all instead of dying in ``cls(**payload)`` on the first.
-        unknown = sorted(set(payload) - {spec_field.name for spec_field in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown scenario field(s): {', '.join(unknown)}")
-        payload["churn"] = tuple(
-            ChurnEvent(**event) for event in payload.get("churn", ())
-        )
-        payload["community_churn"] = tuple(
-            CommunityChurnEvent(**event)
-            for event in payload.get("community_churn", ())
-        )
-        partition = payload.get("partition")
-        payload["partition"] = None if partition is None else PartitionSpec(**partition)
-        asymmetry = payload.get("asymmetry")
-        payload["asymmetry"] = None if asymmetry is None else AsymmetrySpec(**asymmetry)
-        dynamics = payload.get("dynamics")
-        payload["dynamics"] = None if dynamics is None else DynamicsSpec(**dynamics)
+    def from_dict(cls, data: Any) -> "ScenarioSpec":
+        """The spec ``data`` describes; malformed input is a ``ValueError``."""
+        payload = _checked_fields(cls, data, "scenario")
+        for name, event_type in (
+            ("churn", ChurnEvent), ("community_churn", CommunityChurnEvent)
+        ):
+            events = payload.get(name, [])
+            if not isinstance(events, list):
+                raise ValueError(f"scenario field {name} must be a list, got {events!r}")
+            payload[name] = tuple(
+                event_type(**_checked_fields(event_type, event, f"{name} event"))
+                for event in events
+            )
+        for name, part_type in (
+            ("partition", PartitionSpec),
+            ("asymmetry", AsymmetrySpec),
+            ("dynamics", DynamicsSpec),
+        ):
+            part = payload.get(name)
+            if part is not None:
+                payload[name] = part_type(**_checked_fields(part_type, part, name))
         return cls(**payload)
 
     @classmethod

@@ -353,6 +353,31 @@ class TestCli:
         assert captured.err == "unknown scenario field(s): workers\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--spec-json", "5"], "scenario must be a JSON object, got int"),
+            (["--spec-json", "[1,2]"], "scenario must be a JSON object, got list"),
+            (
+                ["--spec-json", json.dumps({"churn": [
+                    {"phase": "lazy", "cycle": 1, "fraction": 0.2, "bogus": 1}
+                ]})],
+                "unknown churn event field(s): bogus",
+            ),
+            (["--spec-json", '{"num_users": "ten"}'], "scenario field num_users must be int"),
+            (["--spec", "missing.json"], "missing.json"),
+        ],
+        ids=["number", "list", "unknown-event-key", "wrong-type", "missing-file"],
+    )
+    def test_malformed_spec_is_a_usage_error(self, argv, named, capsys, monkeypatch, tmp_path):
+        """Exit 2 with the field named, never a traceback under exit 1 (the
+        code of a found violation)."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_list_invariants(self, capsys):
         assert main(["--list-invariants"]) == 0
         out = capsys.readouterr().out
