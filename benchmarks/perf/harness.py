@@ -51,8 +51,7 @@ SCALE_MACRO_SIZES = (5_000, 10_000, 100_000)
 LAZY_WARM_THRESHOLD = 2_000
 #: From this size on, macro entries run one timed lazy cycle and a single
 #: repeat (a 100k-node cycle is tens of seconds; repeats would add minutes
-#: of benchmark time without changing the story), and the simulation folds
-#: traffic rows into aggregates every cycle to bound memory.
+#: of benchmark time without changing the story).
 XL_SIZE_THRESHOLD = 50_000
 
 
@@ -74,7 +73,6 @@ def _sim_config(size: int, seed: int):
         network_size=max(10, min(50, size // 4)),
         storage=3,
         seed=seed,
-        stats_flush_every=1 if size >= XL_SIZE_THRESHOLD else None,
     )
 
 
@@ -255,8 +253,7 @@ def bench_macro(
     :data:`LAZY_WARM_THRESHOLD` warm the eager phase from the lazy-built
     personal networks (``eager_warm: "lazy"``) instead of the O(N^2)
     offline ideal index; sizes at or above :data:`XL_SIZE_THRESHOLD` run a
-    single timed lazy cycle once (and fold traffic rows every cycle --
-    ``stats_flush_every=1`` -- to bound memory).  With ``profile_phases``
+    single timed lazy cycle once.  With ``profile_phases``
     each size also carries a ``phases`` dict of per-phase wall-clock
     seconds (the ``--profile`` flag).
     """

@@ -62,10 +62,6 @@ class P3QConfig:
     #: Seeded fraction of nodes that gossip digests but never answer
     #: common-items requests, profile requests or query forwards.
     free_rider_fraction: float = 0.0
-    #: When set, the traffic collector folds its raw row buffer into the
-    #: aggregates every ``stats_flush_every`` cycles, bounding memory on
-    #: long large-N runs (per-record views then only cover retained rows).
-    stats_flush_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -123,11 +119,6 @@ class P3QConfig:
                 f"asymmetry must be an AsymmetrySpec or None, got {self.asymmetry!r}"
             )
         validate_fraction("free_rider_fraction", self.free_rider_fraction)
-        if self.stats_flush_every is not None and self.stats_flush_every < 1:
-            raise ValueError(
-                f"stats_flush_every must be positive when set, "
-                f"got {self.stats_flush_every!r}"
-            )
 
     def storage_for(self, user_id: int) -> int:
         """The stored-profile budget ``c`` of one user."""

@@ -36,7 +36,7 @@ class P3QSimulation:
     def __init__(self, dataset: Dataset, config: P3QConfig) -> None:
         self.dataset = dataset
         self.config = config
-        self.stats = StatsCollector(flush_every=config.stats_flush_every)
+        self.stats = StatsCollector()
         self.network = Network(
             stats=self.stats,
             transport=Transport(

@@ -36,16 +36,18 @@ serialized frames:
 The runtime wraps a fully built :class:`~repro.p3q.protocol.P3QSimulation`
 -- construction, warm start, churn bookkeeping and the stats collector are
 shared with the simulator -- but never runs its engine.  Byte accounting
-follows the transport's exact rules (priced by ``gossip.sizes`` at send
-time; control messages and ``None``-payload replies free) **regardless of
-the encoded frame** -- batching and digest suppression change wire bytes,
-never accounted bytes -- every wire action is recorded in a
-:class:`~repro.service.trace.ServiceTrace` (columns at rest, a
-:class:`~repro.simulator.transport.WireEvent` per event on access), and
-:func:`~repro.service.trace.check_trace` audits the run with the simtest
-invariant checkers.  What grows with a run is kept small: ~25 bytes and
-the message reference per wire event, at most :data:`STATS_FOLD_ROWS`
-unfolded traffic rows, and the answer alone of a finished query's merger.
+goes through the transport's own hook,
+:meth:`~repro.simulator.transport.Transport.account` (priced by
+``gossip.sizes`` at send time; control messages and ``None``-payload
+replies free), **regardless of the encoded frame** -- batching and digest
+suppression change wire bytes, never accounted bytes -- every wire action
+is recorded in a :class:`~repro.service.trace.ServiceTrace` (columns at
+rest, a :class:`~repro.simulator.transport.WireEvent` per event on
+access), and :func:`~repro.service.trace.check_trace` audits the run with
+the simtest invariant checkers.  What grows with a run is kept small: ~25
+bytes and the message reference per wire event, at most
+:data:`~repro.simulator.stats.FOLD_ROWS` unfolded traffic rows (the
+collector folds itself), and the answer alone of a finished query's merger.
 
 Two effect outcomes differ from the engine driver by design (documented in
 ``docs/ARCHITECTURE.md``):
@@ -69,7 +71,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..data.queries import Query
-from ..gossip.sizes import total_bytes
 from ..p3q.protocol import P3QSimulation
 from ..p3q.query import QuerySession
 from ..simulator.effects import (
@@ -849,10 +850,6 @@ class NodeService:
 
 # ----------------------------------------------------------------- runtime
 
-#: ``ServiceRuntime.account`` folds the traffic rows into the aggregates
-#: whenever this many are buffered (~400 KB of row tuples).
-STATS_FOLD_ROWS = 4096
-
 
 class ServiceRuntime:
     """A full P3Q deployment as one asyncio service per node.
@@ -900,21 +897,13 @@ class ServiceRuntime:
     def account(
         self, sender: int, receiver: int, message: Message, query_id: Optional[int]
     ) -> None:
-        """Transport-identical byte accounting into the shared stats collector.
+        """Byte accounting through the simulation transport's own hook.
 
-        Priced by :func:`repro.gossip.sizes.total_bytes` on the message
-        object -- never by encoded frame length -- so batching and digest
+        :meth:`~repro.simulator.transport.Transport.account` prices the
+        message object -- never the encoded frame -- so batching and digest
         suppression leave the traffic numbers untouched.
         """
-        kind = message.kind
-        if kind is None or not message.accountable:
-            return
-        network = self.simulation.network
-        network.account(sender, receiver, kind, total_bytes(message), query_id=query_id)
-        # The service has no cycle boundary to tick ``maybe_flush`` at:
-        # fold by row count (every aggregate view is exact across flushes).
-        if network.stats.buffered_rows >= STATS_FOLD_ROWS:
-            network.stats.flush()
+        self.simulation.network.transport.account(sender, receiver, message, query_id)
 
     def observe(
         self,

@@ -149,11 +149,6 @@ class SimulationEngine:
         # cycles flush an empty set at no cost -- invalidation work is
         # O(changes), never O(N).
         self.network.flush_dirty_profiles()
-        # Bounded-memory accounting: fold the traffic-row buffer into the
-        # aggregates every ``flush_every`` cycles (no-op when unset).
-        stats = self.network.stats
-        if stats.flush_every is not None:
-            stats.maybe_flush()
 
         self.cycle_counts[phase] = cycle_index + 1
         self.global_cycle += 1

@@ -10,9 +10,9 @@ protocol change.  What the network itself provides is:
 * a registry of nodes with an online/offline flag (churn);
 * the guard that an exchange with an offline peer fails, so protocols must
   handle unavailable neighbours;
-* byte-level accounting of every transmission (invoked by the transport's
-  accounting hook) through the attached
-  :class:`~repro.simulator.stats.StatsCollector`.
+* the :class:`~repro.simulator.stats.StatsCollector` that the transport's
+  accounting hook (:meth:`~repro.simulator.transport.Transport.account`)
+  records every priced transmission into.
 """
 
 from __future__ import annotations
@@ -205,23 +205,3 @@ class Network:
                 self._online[node_id] = True
                 self._online_cache = None
                 self._nodes[node_id].on_join()
-
-    # -- traffic accounting ---------------------------------------------------
-
-    def account(
-        self,
-        sender: int,
-        receiver: int,
-        kind: str,
-        size_bytes: int,
-        query_id: Optional[int] = None,
-    ) -> None:
-        """Record a transmission of ``size_bytes`` from sender to receiver."""
-        self.stats.record(
-            cycle=self.current_cycle,
-            sender=sender,
-            receiver=receiver,
-            kind=kind,
-            size_bytes=size_bytes,
-            query_id=query_id,
-        )

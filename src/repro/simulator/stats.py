@@ -10,7 +10,6 @@ experiment harness turns into the paper's series.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 #: Well-known traffic kinds (free-form strings are allowed too).
@@ -22,56 +21,31 @@ KIND_REMAINING_FORWARD = "remaining_list_forward"
 KIND_REMAINING_RETURN = "remaining_list_return"
 KIND_PARTIAL_RESULT = "partial_result"
 
-
-@dataclass(slots=True)
-class TrafficRecord:
-    """One accounted transmission.
-
-    Slotted: one record is allocated per simulated message, so at large
-    network sizes the per-instance ``__dict__`` of a plain dataclass costs
-    real memory and allocation time.
-    """
-
-    cycle: int
-    sender: int
-    receiver: int
-    kind: str
-    size_bytes: int
-    #: Optional tag tying the transmission to a query (eager mode traffic).
-    query_id: Optional[int] = None
+#: :meth:`StatsCollector.record` folds the row buffer into the aggregates
+#: whenever it holds this many rows (~400 KB of row tuples).
+FOLD_ROWS = 4096
 
 
 class StatsCollector:
     """Aggregate message counts and byte volumes across a simulation.
 
-    Recording sits on the per-message hot path, so it only appends one row;
-    the per-kind/cycle/query aggregates are folded in lazily (and
-    incrementally -- each row is processed exactly once) the first time an
-    aggregate view is read after new traffic arrived.
+    Recording sits on the per-message hot path, so it appends one row; the
+    per-kind/cycle/query aggregates are folded in lazily (and incrementally
+    -- each row is processed exactly once) when an aggregate view is read
+    after new traffic arrived, or when the buffer is full.
 
-    At large N the raw row buffer is the collector's only unbounded state
-    (an N=10,000 lazy cycle records ~10^5 rows).  ``flush_every`` bounds it:
-    every that-many cycles (the engine ticks :meth:`maybe_flush` at each
-    cycle boundary) the buffered rows are folded into the aggregates -- and
-    into the per-(query, kind) receiver sets that back
-    :meth:`query_receivers` -- and then dropped.  Every aggregate view is
-    exact regardless of flushing; only :attr:`records` degrades to the rows
-    retained since the last flush (documented there).
+    The row buffer is bounded in every runtime: once it holds
+    :data:`FOLD_ROWS` rows, :meth:`record` folds them into the aggregates --
+    and into the per-(query, kind) receiver sets that back
+    :meth:`query_receivers` -- and drops them.  Every view is exact
+    regardless of when folds happen.
     """
 
-    def __init__(self, flush_every: Optional[int] = None) -> None:
-        if flush_every is not None and flush_every < 1:
-            raise ValueError("flush_every must be positive when set")
+    def __init__(self) -> None:
         #: Raw rows ``(cycle, sender, receiver, kind, size_bytes, query_id)``.
         self._rows: List[tuple] = []
         #: Number of leading rows already folded into the aggregates.
         self._aggregated = 0
-        #: Fold-and-drop period in cycles (``None`` keeps every row).
-        self.flush_every = flush_every
-        self._cycles_since_flush = 0
-        #: Rows dropped by flushes (diagnostics: total recorded = this +
-        #: ``len(self._rows)``).
-        self._flushed_rows = 0
         #: ``(query_id, kind) -> receivers`` folded out of flushed rows so
         #: :meth:`query_receivers` stays exact across flushes.
         self._flushed_receivers: Dict[tuple, set] = {}
@@ -94,7 +68,10 @@ class StatsCollector:
     ) -> None:
         if size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
-        self._rows.append((cycle, sender, receiver, kind, size_bytes, query_id))
+        rows = self._rows
+        rows.append((cycle, sender, receiver, kind, size_bytes, query_id))
+        if len(rows) >= FOLD_ROWS:
+            self.flush()
 
     def _catch_up(self) -> None:
         """Fold not-yet-aggregated rows into the aggregate dictionaries."""
@@ -116,27 +93,14 @@ class StatsCollector:
 
     # -- flushing -------------------------------------------------------------
 
-    def maybe_flush(self) -> bool:
-        """Cycle-boundary tick: flush if the configured period elapsed.
-
-        Called by the engine once per cycle; a no-op unless ``flush_every``
-        is set.  Returns ``True`` when a flush happened.
-        """
-        if self.flush_every is None:
-            return False
-        self._cycles_since_flush += 1
-        if self._cycles_since_flush < self.flush_every:
-            return False
-        self.flush()
-        return True
-
     def flush(self) -> int:
         """Fold every buffered row into the aggregates and drop the buffer.
 
-        Aggregate views (bytes by kind, cycle and query, messages by kind
-        and query, and :meth:`query_receivers`) are unaffected -- they
-        answer identically before and after a flush.  Returns the number of
-        rows dropped.
+        :meth:`record` calls it every :data:`FOLD_ROWS` rows; a caller may
+        call it at any time.  Aggregate views (bytes by kind, cycle and
+        query, messages by kind and query, and :meth:`query_receivers`) are
+        unaffected -- they answer identically before and after a flush.
+        Returns the number of rows dropped.
         """
         self._catch_up()
         receivers = self._flushed_receivers
@@ -150,39 +114,21 @@ class StatsCollector:
         dropped = len(self._rows)
         self._rows.clear()
         self._aggregated = 0
-        self._flushed_rows += dropped
-        self._cycles_since_flush = 0
         return dropped
 
     @property
     def buffered_rows(self) -> int:
-        """Rows recorded since the last flush (what :meth:`flush` would drop).
-
-        For callers with no cycle boundary to tick :meth:`maybe_flush` at
-        (the service runtime folds by row count instead).
-        """
+        """Rows recorded since the last flush (fewer than :data:`FOLD_ROWS`)."""
         return len(self._rows)
 
     # -- aggregate views ------------------------------------------------------
 
-    @property
-    def records(self) -> List[TrafficRecord]:
-        """Materialized rows -- only those retained since the last flush.
-
-        Without ``flush_every`` this is every recorded transmission (the
-        seed behaviour).  With flushing enabled, callers needing full
-        message-level history should read it between flush boundaries.
-        """
-        return [TrafficRecord(*row) for row in self._rows]
-
     def query_receivers(self, query_id: int, kind: str) -> set:
         """Distinct receivers of one query's traffic of one kind.
 
-        Scans the raw rows without materializing :class:`TrafficRecord`
-        objects -- this backs per-query metrics (users reached) that would
-        otherwise allocate one object per recorded message per call.  Exact
-        across flushes: flushed rows contribute through the folded
-        receiver sets.
+        Backs per-query metrics (users reached).  Exact across flushes:
+        the buffered rows are scanned, flushed rows contribute through the
+        folded receiver sets.
         """
         out = {
             row[2] for row in self._rows if row[5] == query_id and row[3] == kind

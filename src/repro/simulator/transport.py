@@ -42,7 +42,7 @@ complete within the cycle in which the exchange is processed -- real
 round-trip times are far below the paper's 60 s / 5 s cycle lengths -- but
 remain individually droppable by a loss condition.
 
-Byte accounting happens in exactly one place, :meth:`Transport._account`:
+Byte accounting happens in exactly one place, :meth:`Transport.account`:
 every payload-bearing message is priced by
 :func:`repro.gossip.sizes.total_bytes` and recorded at *send* time (a lost
 message still costs its sender bandwidth).  Pure control messages (the two
@@ -470,7 +470,7 @@ class Transport:
                 self._notify(OP_REQUEST, sender, receiver, message, UNREACHABLE, False, query_id)
             return _UNREACHABLE_DISPATCH
         if account:
-            self._account(sender, receiver, message, query_id)
+            self.account(sender, receiver, message, query_id)
         if conditions:
             status = self._intercept(
                 OP_REQUEST, sender, receiver, message, query_id, True, account
@@ -483,7 +483,7 @@ class Transport:
                 self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, account, query_id)
             return _DELIVERED_SILENT_DISPATCH
         if account:
-            self._account(receiver, sender, reply, query_id)
+            self.account(receiver, sender, reply, query_id)
         if conditions and self._dropped(reply, receiver, sender):
             # The receiver DID process the request; only its answer is lost.
             # Distinguished from DROPPED so callers do not retry work the
@@ -524,7 +524,7 @@ class Transport:
                 self._notify(OP_SEND, sender, receiver, message, UNREACHABLE, False, query_id)
             return UNREACHABLE
         if account:
-            self._account(sender, receiver, message, query_id)
+            self.account(sender, receiver, message, query_id)
         if conditions:
             status = self._intercept(OP_SEND, sender, receiver, message, query_id, False, account)
             if status is not None:
@@ -595,7 +595,7 @@ class Transport:
 
     # -- accounting -----------------------------------------------------------
 
-    def _account(
+    def account(
         self,
         sender: int,
         receiver: int,
@@ -606,7 +606,8 @@ class Transport:
 
         Control messages (``kind`` is ``None``) and failure replies carrying
         a ``None`` payload are free; everything else is priced at send time
-        by :func:`repro.gossip.sizes.total_bytes`.
+        by :func:`repro.gossip.sizes.total_bytes`.  The service runtime
+        accounts its frames through this same hook.
         """
         kind = message.kind
         if kind is not None and message.accountable:

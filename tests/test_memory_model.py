@@ -20,7 +20,8 @@ that keeps it flat instead:
   of a user's versions is probed;
 * what a service run keeps per wire event and per answered query: the audit
   trail is five columns (no ``WireEvent`` at rest), the traffic rows are
-  folded before they pass a constant, and a finished merger is its answer.
+  folded before they reach a constant (``stats.FOLD_ROWS``, the same in
+  both runtimes), and a finished merger is its answer.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ from repro.gossip.views import NeighbourEntry
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
 from repro.service import ServiceConfig, ServiceRuntime
-from repro.service import runtime as service_runtime
 from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
 from repro.similarity.knn import Neighbour
-from repro.simulator.stats import StatsCollector
+from repro.simulator import stats as stats_module
 from repro.topk.heap import Candidate
 from repro.topk.nra import RankedList
 from repro.simulator.transport import (
@@ -58,6 +58,7 @@ from repro.simulator.transport import (
     RemainingReturn,
     WireEvent,
 )
+from test_stats_flush import collector_views, keep_every_row, reference_views
 
 FAST = ServiceConfig(gossip_interval=0.02, eager_interval=0.005, query_deadline=8.0)
 
@@ -525,33 +526,25 @@ class TestWhatAServiceRunKeeps:
     def test_traffic_rows_fold_before_they_pass_the_constant(self, monkeypatch):
         # A short run records a few thousand rows: shrink the constant so
         # it folds many times.
-        monkeypatch.setattr(service_runtime, "STATS_FOLD_ROWS", 64)
+        monkeypatch.setattr(stats_module, "FOLD_ROWS", 64)
         workload = build_demo_workload(num_users=20, num_queries=3, seed=5)
         simulation = converged_simulation(workload, 3)
         stats = simulation.stats
-        twin = StatsCollector()  # never folded
+        rows = keep_every_row(stats)
         buffered = []
         record = stats.record
 
-        def record_both(**row):
-            record(**row)
-            twin.record(**row)
+        def record_and_measure(*row):
+            record(*row)
             buffered.append(stats.buffered_rows)
 
-        stats.record = record_both
+        stats.record = record_and_measure
         _service_run(simulation, workload)
-        assert len(buffered) > 10 * 64
-        assert max(buffered) <= 64
-        assert stats.buffered_rows < 64 and twin.buffered_rows == len(buffered)
-        assert stats.bytes_by_kind() == twin.bytes_by_kind()
-        assert stats.total_messages() == twin.total_messages() == len(buffered)
-        assert stats.query_ids() == twin.query_ids() != []
-        for query_id in twin.query_ids():
-            assert stats.query_bytes(query_id) == twin.query_bytes(query_id)
-            for kind in twin.query_bytes(query_id):
-                assert stats.query_receivers(query_id, kind) == twin.query_receivers(
-                    query_id, kind
-                )
+        assert len(buffered) == len(rows) > 10 * 64
+        assert max(buffered) < 64
+        reference = reference_views(rows)
+        assert reference["query_ids"] != []
+        assert collector_views(stats) == reference
 
     def test_a_finished_merger_is_its_answer(self, warm_simulation, query_workload):
         sessions = warm_simulation.issue_queries(query_workload[:5])

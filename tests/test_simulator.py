@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.gossip.sizes import total_bytes
 from repro.simulator import (
     KIND_DIGESTS,
+    KIND_REMAINING_RETURN,
+    FullProfileRequest,
     Network,
     Node,
     NodeOfflineError,
     PHASE_EAGER,
     PHASE_LAZY,
+    RemainingReturn,
     ScheduledEvent,
     SeededRngFactory,
     SimulationEngine,
@@ -130,10 +134,15 @@ class TestNetwork:
     def test_account_goes_to_stats(self):
         network = Network()
         network.current_cycle = 3
-        network.account(1, 2, "kind", 123, query_id=5)
-        record = network.stats.records[0]
-        assert (record.cycle, record.sender, record.receiver) == (3, 1, 2)
-        assert record.query_id == 5
+        message = RemainingReturn(query_id=5, remaining=(1, 2, 3))
+        network.transport.account(1, 2, message, query_id=5)
+        size = total_bytes(message)
+        assert network.stats.bytes_by_cycle() == {3: size}
+        assert network.stats.query_bytes(5) == {KIND_REMAINING_RETURN: size}
+        assert network.stats.query_receivers(5, KIND_REMAINING_RETURN) == {2}
+        # Control messages are free.
+        network.transport.account(1, 2, FullProfileRequest(subject_id=1), query_id=5)
+        assert network.stats.total_messages() == 1
 
 
 class TestEngine:

@@ -144,8 +144,11 @@ class TestDirectTransport:
         # One accounted message: the reply (requests are free control traffic).
         assert network.stats.total_messages() == 1
         assert network.stats.total_bytes(KIND_COMMON_ITEMS) == total_bytes(dispatch.reply)
-        record = network.stats.records[0]
-        assert (record.sender, record.receiver) == (1, 0)
+        # Charged to the replier: tagged with a query id, it lands at the requester.
+        network.transport.request(
+            0, 1, CommonItemsRequest(subject_id=1, items=items), query_id=7
+        )
+        assert network.stats.query_receivers(7, KIND_COMMON_ITEMS) == {0}
 
     def test_offline_receiver_is_unreachable(self, pair):
         network, nodes = pair
