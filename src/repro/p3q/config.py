@@ -43,8 +43,6 @@ class P3QConfig:
     #: Use the 3-step digest/common-items/full-profile exchange.  Setting this
     #: to False ships full profiles immediately (bandwidth ablation).
     three_step_exchange: bool = True
-    #: Run the lazy-style network maintenance inside eager gossip.
-    eager_maintains_networks: bool = True
     #: Wall-clock duration of one lazy cycle (paper: 60 s).
     lazy_cycle_seconds: float = 60.0
     #: Wall-clock duration of one eager cycle (paper: 5 s).

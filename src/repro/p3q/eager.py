@@ -57,16 +57,12 @@ class EagerGossipProtocol:
         alpha: float = 0.5,
         lazy: Optional[LazyExchangeProtocol] = None,
         account_traffic: bool = True,
-        maintain_networks: bool = True,
     ) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         self.alpha = alpha
         self.lazy = lazy or LazyExchangeProtocol(account_traffic=account_traffic)
         self.account_traffic = account_traffic
-        #: When False, eager gossip skips the lazy-style digest exchange; used
-        #: by the ablation that isolates query traffic from maintenance traffic.
-        self.maintain_networks = maintain_networks
 
     # -- destination selection -------------------------------------------------
 
@@ -150,9 +146,8 @@ class EagerGossipProtocol:
             return remaining
 
         returned = list(dispatch.reply.remaining)
-        if self.maintain_networks:
-            # "Maintain personal network as in lazy mode" (Algorithm 3, 12/24).
-            yield from self.lazy.exchange_effects(initiator, destination_id)
+        # "Maintain personal network as in lazy mode" (Algorithm 3, 12/24).
+        yield from self.lazy.exchange_effects(initiator, destination_id)
         return returned
 
     # -- destination-side processing --------------------------------------------

@@ -105,7 +105,6 @@ class P3QNode(Node):
             alpha=config.alpha,
             lazy=self.lazy,
             account_traffic=config.account_traffic,
-            maintain_networks=config.eager_maintains_networks,
         )
         #: Query sessions for queries issued *by this node*: the record the
         #: caller reads results from, one per query ever issued.

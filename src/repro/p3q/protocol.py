@@ -68,7 +68,6 @@ class P3QSimulation:
             alpha=config.alpha,
             lazy=self.lazy,
             account_traffic=config.account_traffic,
-            maintain_networks=config.eager_maintains_networks,
         )
         self.nodes: Dict[int, P3QNode] = {}
         for profile in dataset.profiles():

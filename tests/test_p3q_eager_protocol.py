@@ -9,6 +9,7 @@ from repro.p3q.eager import EagerGossipProtocol
 from repro.p3q.protocol import P3QSimulation
 from repro.simulator.effects import drive
 from repro.simulator.stats import (
+    KIND_DIGESTS,
     KIND_PARTIAL_RESULT,
     KIND_REMAINING_FORWARD,
     KIND_REMAINING_RETURN,
@@ -159,21 +160,23 @@ class TestTrafficAccounting:
         reached = len(warm.users_reached(query.query_id))
         assert messages <= reached
 
-    def test_maintain_networks_flag_controls_digest_exchange(self, synthetic_dataset):
-        config = P3QConfig(
+    def test_eager_gossip_maintains_personal_networks(self, synthetic_dataset):
+        """Every delivered forward is followed by a lazy-style digest
+        exchange with the destination (Algorithm 3, lines 12 and 24)."""
+        simulation = P3QSimulation(synthetic_dataset.copy(), P3QConfig(
             network_size=20,
             storage=5,
             random_view_size=5,
             digest_bits=2_048,
             digest_hashes=5,
             seed=5,
-            eager_maintains_networks=False,
-        )
-        simulation = P3QSimulation(synthetic_dataset.copy(), config)
+        ))
         simulation.warm_start()
+        before = simulation.stats.total_messages(KIND_DIGESTS)
         query = _query_for(simulation, synthetic_dataset.user_ids[0])
         simulation.issue_queries([query])
         simulation.run_eager(cycles=10)
-        from repro.simulator.stats import KIND_DIGESTS
-
-        assert simulation.stats.total_bytes(KIND_DIGESTS) == 0
+        forwards = simulation.stats.total_messages(KIND_REMAINING_FORWARD)
+        assert forwards > 0
+        # One advertisement each way per exchange.
+        assert simulation.stats.total_messages(KIND_DIGESTS) - before >= 2 * forwards
