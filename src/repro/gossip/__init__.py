@@ -6,7 +6,7 @@ documents the layering (data -> bloom/similarity -> gossip -> p3q ->
 experiments) and the invariants the fast paths rely on.
 """
 
-from .digest import DigestCache, DigestProvider, ProfileDigest, make_digest
+from .digest import DigestCache, ProfileDigest, make_digest
 from .interfaces import GossipPeer
 from .peer_sampling import PeerSamplingProtocol
 from .profile_exchange import DEFAULT_EXCHANGE_SIZE, LazyExchangeProtocol
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_EXCHANGE_SIZE",
     "DIGEST_BYTES",
     "DigestCache",
-    "DigestProvider",
     "GossipPeer",
     "ITEM_ID_BYTES",
     "LazyExchangeProtocol",

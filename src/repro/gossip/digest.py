@@ -118,34 +118,6 @@ def intern_digest(
     return digest
 
 
-class DigestProvider:
-    """Caches a node's own digest and rebuilds it only when the profile changes.
-
-    Rebuilding a 20 Kbit Bloom filter for every gossip message would dominate
-    simulation time; since digests are immutable snapshots keyed by profile
-    version, one cached copy per version is enough.
-    """
-
-    def __init__(
-        self,
-        profile: UserProfile,
-        num_bits: int = PAPER_DIGEST_BITS,
-        num_hashes: int = 14,
-    ) -> None:
-        self._profile = profile
-        self._num_bits = num_bits
-        self._num_hashes = num_hashes
-        self._cached: ProfileDigest | None = None
-
-    def current(self) -> ProfileDigest:
-        """The digest matching the profile's current version."""
-        if self._cached is None or self._cached.version != self._profile.version:
-            self._cached = make_digest(
-                self._profile, num_bits=self._num_bits, num_hashes=self._num_hashes
-            )
-        return self._cached
-
-
 class DigestCache:
     """Simulation-wide incremental cache of digests and digest probes.
 

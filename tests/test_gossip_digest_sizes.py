@@ -10,7 +10,6 @@ from repro.gossip import (
     TAGGING_ACTION_BYTES,
     USER_ID_BYTES,
     DigestCache,
-    DigestProvider,
     digest_message_size,
     make_digest,
     partial_result_size,
@@ -96,19 +95,6 @@ class TestDigest:
         profile.add(11, 2)
         c = make_digest(profile, num_bits=64, num_hashes=2)
         assert not a.same_version_as(c)
-
-
-class TestDigestProvider:
-    def test_caches_until_profile_changes(self):
-        profile = UserProfile(1, [(10, 1)])
-        provider = DigestProvider(profile, num_bits=128, num_hashes=2)
-        first = provider.current()
-        assert provider.current() is first
-        profile.add(20, 2)
-        second = provider.current()
-        assert second is not first
-        assert second.version == profile.version
-        assert second.might_contain_item(20)
 
 
 class TestDigestCache:
