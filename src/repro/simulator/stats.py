@@ -46,9 +46,9 @@ class StatsCollector:
         self._rows: List[tuple] = []
         #: Number of leading rows already folded into the aggregates.
         self._aggregated = 0
-        #: ``(query_id, kind) -> receivers`` folded out of flushed rows so
-        #: :meth:`query_receivers` stays exact across flushes.
-        self._flushed_receivers: Dict[tuple, set] = {}
+        #: ``(query_id, kind) -> receivers``, the fold behind
+        #: :meth:`query_receivers`.
+        self._receivers: Dict[tuple, set] = defaultdict(set)
         self._bytes_by_kind: Dict[str, int] = defaultdict(int)
         self._bytes_by_cycle: Dict[int, int] = defaultdict(int)
         self._bytes_by_query: Dict[int, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
@@ -82,13 +82,14 @@ class StatsCollector:
         bytes_by_kind = self._bytes_by_kind
         bytes_by_cycle = self._bytes_by_cycle
         messages_by_kind = self._messages_by_kind
-        for cycle, _sender, _receiver, kind, size_bytes, query_id in rows[start:]:
+        for cycle, _sender, receiver, kind, size_bytes, query_id in rows[start:]:
             bytes_by_kind[kind] += size_bytes
             bytes_by_cycle[cycle] += size_bytes
             messages_by_kind[kind] += 1
             if query_id is not None:
                 self._bytes_by_query[query_id][kind] += size_bytes
                 self._messages_by_query[query_id][kind] += 1
+                self._receivers[query_id, kind].add(receiver)
         self._aggregated = len(rows)
 
     # -- flushing -------------------------------------------------------------
@@ -97,20 +98,10 @@ class StatsCollector:
         """Fold every buffered row into the aggregates and drop the buffer.
 
         :meth:`record` calls it every :data:`FOLD_ROWS` rows; a caller may
-        call it at any time.  Aggregate views (bytes by kind, cycle and
-        query, messages by kind and query, and :meth:`query_receivers`) are
-        unaffected -- they answer identically before and after a flush.
-        Returns the number of rows dropped.
+        call it at any time.  Every view answers identically before and
+        after a flush.  Returns the number of rows dropped.
         """
         self._catch_up()
-        receivers = self._flushed_receivers
-        for _cycle, _sender, receiver, kind, _size, query_id in self._rows:
-            if query_id is not None:
-                key = (query_id, kind)
-                bucket = receivers.get(key)
-                if bucket is None:
-                    bucket = receivers[key] = set()
-                bucket.add(receiver)
         dropped = len(self._rows)
         self._rows.clear()
         self._aggregated = 0
@@ -124,19 +115,12 @@ class StatsCollector:
     # -- aggregate views ------------------------------------------------------
 
     def query_receivers(self, query_id: int, kind: str) -> set:
-        """Distinct receivers of one query's traffic of one kind.
+        """Distinct receivers of one query's traffic of one kind (a copy).
 
-        Backs per-query metrics (users reached).  Exact across flushes:
-        the buffered rows are scanned, flushed rows contribute through the
-        folded receiver sets.
+        Backs per-query metrics (users reached).
         """
-        out = {
-            row[2] for row in self._rows if row[5] == query_id and row[3] == kind
-        }
-        flushed = self._flushed_receivers.get((query_id, kind))
-        if flushed:
-            out |= flushed
-        return out
+        self._catch_up()
+        return set(self._receivers.get((query_id, kind), ()))
 
     def total_bytes(self, kind: Optional[str] = None) -> int:
         self._catch_up()
