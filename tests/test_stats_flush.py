@@ -111,6 +111,15 @@ def _drive(sim: P3QSimulation, lazy_cycles: int) -> None:
     sim.run_eager(6, stop_when_idle=False)
 
 
+def _assert_users_reached(sim: P3QSimulation, reference: Dict[str, object]) -> None:
+    """``users_reached`` is the reference's forward receivers plus the querier."""
+    assert reference["query_ids"]
+    for query_id in reference["query_ids"]:
+        forwarded = reference["query_receivers"].get((query_id, KIND_REMAINING_FORWARD), set())
+        querier = sim.sessions()[query_id].query.querier
+        assert sim.users_reached(query_id) == forwarded | {querier}
+
+
 class TestFlushSemantics:
     def test_aggregates_identical_with_and_without_flush(self, monkeypatch):
         monkeypatch.setattr(stats_module, "FOLD_ROWS", 7)
@@ -186,12 +195,3 @@ class TestSimulationFlushEquivalence:
         reference = reference_views(rows)
         assert collector_views(sim.stats) == reference
         _assert_users_reached(sim, reference)
-
-
-def _assert_users_reached(sim: P3QSimulation, reference: Dict[str, object]) -> None:
-    """``users_reached`` is the reference's forward receivers plus the querier."""
-    assert reference["query_ids"]
-    for query_id in reference["query_ids"]:
-        forwarded = reference["query_receivers"].get((query_id, KIND_REMAINING_FORWARD), set())
-        querier = sim.sessions()[query_id].query.querier
-        assert sim.users_reached(query_id) == forwarded | {querier}
