@@ -155,7 +155,7 @@ def run_random_view_ablation(
 
     series: Dict[bool, List[float]] = {}
     for enabled in (True, False):
-        config = build_config(scale, storage, account_traffic=False)
+        config = build_config(scale, storage)
         simulation = P3QSimulation(dataset.copy(), config)
         simulation.bootstrap_random_views()
         if not enabled:
@@ -222,7 +222,7 @@ def run_selection_ablation(
 
     series: Dict[str, List[float]] = {}
     for policy in ("oldest", "random"):
-        config = build_config(scale, storage, account_traffic=False)
+        config = build_config(scale, storage)
         simulation = P3QSimulation(dataset.copy(), config)
         simulation.bootstrap_random_views()
         if policy == "random":

@@ -78,7 +78,7 @@ def run_network_update(
         storage = poisson_storage_distribution(
             workload.dataset.user_ids, lam, levels=scale.storage_levels, seed=scale.seed
         )
-        simulation = converged_simulation(workload, storage=storage, account_traffic=False)
+        simulation = converged_simulation(workload, storage=storage)
         generator = ProfileDynamicsGenerator(simulation.dataset, dynamics)
         change_day = generator.generate_day()
         simulation.apply_profile_changes(change_day)

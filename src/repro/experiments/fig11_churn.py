@@ -87,7 +87,7 @@ def run_churn(
         recall_series[lam] = {}
         incomplete[lam] = {}
         for departure in departures:
-            simulation = converged_simulation(workload, storage=storage, account_traffic=False)
+            simulation = converged_simulation(workload, storage=storage)
             if departure > 0:
                 event = massive_departure(
                     simulation.dataset,

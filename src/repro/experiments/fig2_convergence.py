@@ -58,7 +58,7 @@ def run_convergence(
     sample_points = sorted({0, *range(sample_every, cycles + 1, sample_every), cycles})
     series: Dict[int, List[float]] = {}
     for storage in storages:
-        config = build_config(scale, storage, account_traffic=False)
+        config = build_config(scale, storage)
         simulation = P3QSimulation(dataset.copy(), config)
         simulation.bootstrap_random_views()
         ratios: List[float] = []

@@ -61,9 +61,7 @@ def run_alpha_recall(
 
     series: Dict[float, List[float]] = {}
     for alpha in alphas:
-        simulation = converged_simulation(
-            workload, storage=storage, alpha=alpha, account_traffic=False
-        )
+        simulation = converged_simulation(workload, storage=storage, alpha=alpha)
         sessions = simulation.issue_queries(workload.queries)
         simulation.run_eager(cycles)
         snapshots = {qid: session.snapshots for qid, session in sessions.items()}

@@ -57,9 +57,7 @@ def run_storage_recall(
     )
     series: Dict[int, List[float]] = {}
     for storage in storages:
-        simulation = converged_simulation(
-            workload, storage=storage, alpha=alpha, account_traffic=False
-        )
+        simulation = converged_simulation(workload, storage=storage, alpha=alpha)
         sessions = simulation.issue_queries(workload.queries)
         simulation.run_eager(cycles)
         snapshots = {qid: session.snapshots for qid, session in sessions.items()}

@@ -85,7 +85,7 @@ def run_space_requirements(
     curves: Dict[int, List[StorageRequirement]] = {}
     totals: Dict[int, int] = {}
     for storage in storages:
-        simulation = converged_simulation(workload, storage=storage, account_traffic=False)
+        simulation = converged_simulation(workload, storage=storage)
         stored_lengths = {
             uid: network.stored_profile_length()
             for uid, network in simulation.personal_networks().items()

@@ -26,6 +26,11 @@ from .report import format_table
 from .runner import PreparedWorkload, converged_simulation, prepare_workload
 from .scenarios import ExperimentScale, poisson_storage_distribution
 
+#: Wall-clock length of one lazy / eager cycle (paper: 60 s / 5 s), which
+#: turns per-cycle bytes into Kbps.
+LAZY_CYCLE_SECONDS = 60.0
+EAGER_CYCLE_SECONDS = 5.0
+
 
 @dataclass
 class BandwidthResult:
@@ -95,15 +100,14 @@ def run_query_bandwidth(
         rows_by_lambda[lam] = rows
         average_bytes[lam] = average_query_bytes(rows)
         average_messages[lam] = average_partial_result_messages(rows)
-        config = simulation.config
         query_bps[lam] = query_bandwidth_bps(
             simulation.stats,
-            seconds_per_cycle=config.eager_cycle_seconds,
+            seconds_per_cycle=EAGER_CYCLE_SECONDS,
             num_nodes=max(1, len(workload.queries)),
         )
         maintenance_bps[lam] = maintenance_bandwidth_bps(
             simulation.stats,
-            seconds_per_cycle=config.lazy_cycle_seconds,
+            seconds_per_cycle=LAZY_CYCLE_SECONDS,
             num_nodes=len(workload.dataset),
         )
     return BandwidthResult(

@@ -86,7 +86,7 @@ def run_aur_lazy(
 
     uniform_series: Dict[int, List[float]] = {}
     for storage in storages:
-        simulation = converged_simulation(workload, storage=storage, account_traffic=False)
+        simulation = converged_simulation(workload, storage=storage)
         generator = ProfileDynamicsGenerator(simulation.dataset, dynamics)
         change_day = generator.generate_day()
         simulation.apply_profile_changes(change_day)
@@ -99,7 +99,7 @@ def run_aur_lazy(
         storage_map = poisson_storage_distribution(
             workload.dataset.user_ids, lam, levels=scale.storage_levels, seed=scale.seed
         )
-        simulation = converged_simulation(workload, storage=storage_map, account_traffic=False)
+        simulation = converged_simulation(workload, storage=storage_map)
         generator = ProfileDynamicsGenerator(simulation.dataset, dynamics)
         change_day = generator.generate_day()
         simulation.apply_profile_changes(change_day)

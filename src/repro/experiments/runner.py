@@ -40,7 +40,6 @@ def build_config(
     storage: StorageSpec,
     alpha: float = 0.5,
     seed: Optional[int] = None,
-    account_traffic: bool = True,
     three_step_exchange: bool = True,
 ) -> P3QConfig:
     """A :class:`P3QConfig` matching an experiment scale."""
@@ -53,7 +52,6 @@ def build_config(
         digest_bits=scale.digest_bits,
         digest_hashes=scale.digest_hashes,
         seed=scale.seed if seed is None else seed,
-        account_traffic=account_traffic,
         three_step_exchange=three_step_exchange,
     )
 
@@ -86,7 +84,6 @@ def converged_simulation(
     workload: PreparedWorkload,
     storage: StorageSpec,
     alpha: float = 0.5,
-    account_traffic: bool = True,
     config_overrides: Optional[Mapping[str, object]] = None,
 ) -> P3QSimulation:
     """A warm-started simulation (personal networks already converged).
@@ -98,9 +95,7 @@ def converged_simulation(
     fields (e.g. ``{"loss_rate": 0.2}`` for the loss
     sweep) on top of the scale-derived configuration.
     """
-    config = build_config(
-        workload.scale, storage, alpha=alpha, account_traffic=account_traffic
-    )
+    config = build_config(workload.scale, storage, alpha=alpha)
     if config_overrides:
         config = replace(config, **config_overrides)
     simulation = P3QSimulation(workload.dataset.copy(), config)

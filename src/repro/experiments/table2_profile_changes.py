@@ -74,7 +74,7 @@ def run_table2(
 
     rows: List[Table2Row] = []
     for storage in storages:
-        simulation = converged_simulation(workload, storage=storage, account_traffic=False)
+        simulation = converged_simulation(workload, storage=storage)
         replicas = simulation.stored_replica_versions()
         to_update = profiles_to_update(replicas, set(changed_users))
         owners_with_replicas = [uid for uid, reps in replicas.items() if reps]

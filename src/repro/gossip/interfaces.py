@@ -12,7 +12,7 @@ import random
 from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
 
 from ..data.models import UserProfile
-from .digest import ProfileDigest
+from .digest import DigestCache, ProfileDigest
 from .views import PersonalNetwork, RandomView
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,6 +33,8 @@ class GossipPeer(Protocol):
     profile: UserProfile
     personal_network: PersonalNetwork
     random_view: RandomView
+    #: Digest and probe cache the lazy exchange prices this node's probes in.
+    digest_cache: DigestCache
 
     def handle_message(self, envelope: "Envelope") -> Optional["Message"]:
         """Process one delivered transport message; return the reply, if any."""

@@ -33,9 +33,6 @@ from ..simulator.transport import VIEW_RANDOM, DigestAdvertisement, Envelope
 class PeerSamplingProtocol:
     """One-cycle behaviour of the random peer-sampling layer."""
 
-    def __init__(self, account_traffic: bool = True) -> None:
-        self.account_traffic = account_traffic
-
     def run_cycle_effects(self, initiator) -> WireEffects:
         """Run one peer-sampling exchange initiated by ``initiator``.
 
@@ -55,7 +52,6 @@ class PeerSamplingProtocol:
             initiator.node_id,
             partner_id,
             DigestAdvertisement(digests=sent, view=VIEW_RANDOM),
-            account=self.account_traffic,
         )
         if dispatch.reply is not None:
             initiator.random_view.merge(dispatch.reply.digests, initiator.rng)

@@ -69,7 +69,7 @@ from ..simulator.transport import (
     Envelope,
     FullProfileRequest,
 )
-from .digest import DigestCache, ProfileDigest
+from .digest import ProfileDigest
 
 #: Default number of stored-profile digests advertised per gossip message
 #: (the paper exchanges at most 50 profiles per cycle).
@@ -77,50 +77,34 @@ DEFAULT_EXCHANGE_SIZE = 50
 
 
 class LazyExchangeProtocol:
-    """Personal-network maintenance through pairwise profile gossip."""
+    """Personal-network maintenance through pairwise profile gossip.
+
+    Every digest probe goes through the receiving peer's own
+    :class:`~repro.gossip.digest.DigestCache` (``receiver.digest_cache``;
+    in a simulation every node shares one): one exchange's candidate set is
+    priced in a batched pass over the receiver's cached probe-mask rows, and
+    an unchanged (receiver, subject) pair is never re-probed.
+    """
 
     def __init__(
         self,
         exchange_size: int = DEFAULT_EXCHANGE_SIZE,
-        account_traffic: bool = True,
         three_step: bool = True,
-        digest_cache: Optional[DigestCache] = None,
     ) -> None:
         """``three_step=False`` disables the digest pre-filtering and ships
         full profiles for every advertised user -- the ablation baseline for
         the bandwidth experiments.
-
-        ``digest_cache`` is the simulation-shared incremental cache; with it,
-        one exchange's candidate set is priced in a single batched pass over
-        the receiver's cached probe-mask rows and unchanged (receiver,
-        subject) pairs are never re-probed.  Without it the protocol probes
-        digests directly (identical results, per-item hashing costs).
         """
         if exchange_size <= 0:
             raise ValueError("exchange_size must be positive")
         self.exchange_size = exchange_size
-        self.account_traffic = account_traffic
         self.three_step = three_step
-        self.digest_cache = digest_cache
         #: receiver_id -> {subject_id -> last digest version already
         #: evaluated}, so an unchanged random-view member is not re-scored
         #: every cycle.  Nested (rather than tuple-keyed) because the outer
         #: lookup happens once per refresh while the inner one runs per
         #: digest per cycle -- no tuple allocation on the steady-state path.
         self._evaluated: Dict[int, Dict[int, int]] = {}
-
-    # -- digest probing (cache-accelerated, identical semantics) ---------------
-
-    def _common_items(self, receiver, digest: ProfileDigest) -> Set[int]:
-        """``digest``'s overlap with the receiver's items, via the cache."""
-        if self.digest_cache is not None:
-            return self.digest_cache.common_items(receiver.profile, digest)
-        return digest.common_items_with(receiver.profile.items)
-
-    def _shares_item(self, receiver, digest: ProfileDigest) -> bool:
-        if self.digest_cache is not None:
-            return self.digest_cache.shares_item(receiver.profile, digest)
-        return digest.shares_item_with(receiver.profile.items)
 
     # -- cycle entry points ---------------------------------------------------
 
@@ -166,7 +150,6 @@ class LazyExchangeProtocol:
             initiator.node_id,
             partner_id,
             DigestAdvertisement(digests=sent, view=VIEW_PERSONAL),
-            account=self.account_traffic,
         )
         if dispatch.reply is not None:
             yield from self.integrate_effects(
@@ -219,7 +202,6 @@ class LazyExchangeProtocol:
             provider_id,
             CommonItemsRequest(subject_id=subject_id, items=items),
             query_id=query_id,
-            account=self.account_traffic,
         )
         return dispatch.reply.actions if dispatch.reply is not None else None
 
@@ -236,7 +218,6 @@ class LazyExchangeProtocol:
             provider_id,
             FullProfileRequest(subject_id=subject_id),
             query_id=query_id,
-            account=self.account_traffic,
         )
         return dispatch.reply.profile if dispatch.reply is not None else None
 
@@ -280,7 +261,7 @@ class LazyExchangeProtocol:
         common_by_user: Dict[int, Set[int]] = {}
         for digest, gated in screened:
             if gated:
-                common = self._common_items(receiver, digest)
+                common = receiver.digest_cache.common_items(receiver.profile, digest)
                 if not common:
                     continue
                 common_by_user[digest.user_id] = common
@@ -305,7 +286,7 @@ class LazyExchangeProtocol:
             # Step 2: pull only the actions on common items to score exactly.
             common_items = common_by_user.get(digest.user_id)
             if common_items is None:  # known-but-changed neighbour, not gated
-                common_items = self._common_items(receiver, digest)
+                common_items = receiver.digest_cache.common_items(receiver.profile, digest)
             actions = yield from self._fetch_common_actions_effects(
                 receiver, provider_id, digest.user_id, common_items, query_id
             )
@@ -360,7 +341,7 @@ class LazyExchangeProtocol:
             evaluated[digest.user_id] = digest.version
             if digest.user_id in peer.personal_network:
                 continue
-            if self.three_step and not self._shares_item(peer, digest):
+            if self.three_step and not peer.digest_cache.shares_item(peer.profile, digest):
                 # Gate on the (memoized) common-item probe: a member sharing
                 # no item with us cannot enter the personal network.
                 continue
@@ -381,7 +362,7 @@ class LazyExchangeProtocol:
                         added.append(subject_id)
                         peer.personal_network.store_profile(subject_id, profile)
                 continue
-            common_items = self._common_items(peer, digest)
+            common_items = peer.digest_cache.common_items(peer.profile, digest)
             actions = yield from self._fetch_common_actions_effects(
                 peer, subject_id, subject_id, common_items
             )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fraction
@@ -38,15 +38,9 @@ class P3QConfig:
     digest_hashes: int = 14
     #: Root seed for all deterministic randomness.
     seed: int = 0
-    #: Record per-message traffic in the StatsCollector.
-    account_traffic: bool = True
     #: Use the 3-step digest/common-items/full-profile exchange.  Setting this
     #: to False ships full profiles immediately (bandwidth ablation).
     three_step_exchange: bool = True
-    #: Wall-clock duration of one lazy cycle (paper: 60 s).
-    lazy_cycle_seconds: float = 60.0
-    #: Wall-clock duration of one eager cycle (paper: 5 s).
-    eager_cycle_seconds: float = 5.0
     # Network conditions (see repro.simulator.conditions); all four at their
     # defaults is the seed-identical direct wire.
     #: Per-message drop probability.
@@ -84,12 +78,6 @@ class P3QConfig:
         for name, value in positive:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        for name, value in (
-            ("lazy_cycle_seconds", self.lazy_cycle_seconds),
-            ("eager_cycle_seconds", self.eager_cycle_seconds),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive (seconds), got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha!r}")
         if isinstance(self.storage, int):
@@ -126,27 +114,3 @@ class P3QConfig:
             return int(self.storage[user_id])
         except KeyError:
             raise KeyError(f"no storage budget configured for user {user_id}") from None
-
-    def with_storage(self, storage: StorageSpec) -> "P3QConfig":
-        """A copy of this config with a different storage specification."""
-        return replace(self, storage=storage)
-
-    def with_alpha(self, alpha: float) -> "P3QConfig":
-        """A copy of this config with a different split parameter."""
-        return replace(self, alpha=alpha)
-
-    def with_conditions(
-        self,
-        loss_rate: float = 0.0,
-        delay_cycles: int = 0,
-        partition: Optional[PartitionSpec] = None,
-        asymmetry: Optional[AsymmetrySpec] = None,
-    ) -> "P3QConfig":
-        """A copy of this config running under different network conditions."""
-        return replace(
-            self,
-            loss_rate=loss_rate,
-            delay_cycles=delay_cycles,
-            partition=partition,
-            asymmetry=asymmetry,
-        )

@@ -56,13 +56,11 @@ class EagerGossipProtocol:
         self,
         alpha: float = 0.5,
         lazy: Optional[LazyExchangeProtocol] = None,
-        account_traffic: bool = True,
     ) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         self.alpha = alpha
-        self.lazy = lazy or LazyExchangeProtocol(account_traffic=account_traffic)
-        self.account_traffic = account_traffic
+        self.lazy = lazy or LazyExchangeProtocol()
 
     # -- destination selection -------------------------------------------------
 
@@ -138,7 +136,6 @@ class EagerGossipProtocol:
             destination_id,
             QueryForward(query=query, remaining=tuple(remaining), cycle=cycle),
             query_id=query.query_id,
-            account=self.account_traffic,
         )
         if dispatch.deferred or dispatch.status == REPLY_DROPPED:
             return []
@@ -222,7 +219,6 @@ class EagerGossipProtocol:
             query.querier,
             QueryResult(partial=partial),
             query_id=query.query_id,
-            account=self.account_traffic,
         )
         return None
 

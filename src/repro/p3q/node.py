@@ -92,20 +92,12 @@ class P3QNode(Node):
         self._rng = random.Random(f"{config.seed}/node/{profile.user_id}")
         # Protocol objects are usually shared across all nodes of a simulation
         # (they are stateless apart from caches); standalone nodes build their own.
-        self.peer_sampling = peer_sampling or PeerSamplingProtocol(
-            account_traffic=config.account_traffic
-        )
+        self.peer_sampling = peer_sampling or PeerSamplingProtocol()
         self.lazy = lazy or LazyExchangeProtocol(
             exchange_size=config.exchange_size,
-            account_traffic=config.account_traffic,
             three_step=config.three_step_exchange,
-            digest_cache=self.digest_cache,
         )
-        self.eager = eager or EagerGossipProtocol(
-            alpha=config.alpha,
-            lazy=self.lazy,
-            account_traffic=config.account_traffic,
-        )
+        self.eager = eager or EagerGossipProtocol(alpha=config.alpha, lazy=self.lazy)
         #: Query sessions for queries issued *by this node*: the record the
         #: caller reads results from, one per query ever issued.
         self.sessions: Dict[int, QuerySession] = {}

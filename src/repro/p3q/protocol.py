@@ -57,18 +57,12 @@ class P3QSimulation:
         self.network.add_profile_dirty_listener(self.digest_cache.evict_profiles)
         # One shared instance of each protocol: they are stateless apart from
         # bounded caches, and sharing keeps memory linear in the user count.
-        self.peer_sampling = PeerSamplingProtocol(account_traffic=config.account_traffic)
+        self.peer_sampling = PeerSamplingProtocol()
         self.lazy = LazyExchangeProtocol(
             exchange_size=config.exchange_size,
-            account_traffic=config.account_traffic,
             three_step=config.three_step_exchange,
-            digest_cache=self.digest_cache,
         )
-        self.eager = EagerGossipProtocol(
-            alpha=config.alpha,
-            lazy=self.lazy,
-            account_traffic=config.account_traffic,
-        )
+        self.eager = EagerGossipProtocol(alpha=config.alpha, lazy=self.lazy)
         self.nodes: Dict[int, P3QNode] = {}
         for profile in dataset.profiles():
             node = P3QNode(

@@ -739,10 +739,8 @@ class BinaryWireCodec:
     def _write_addressed(self, out: bytearray, envelope: Envelope) -> None:
         _write_sv(out, envelope.sender)
         _write_sv(out, envelope.receiver)
-        flags = (1 if envelope.account else 0) | (
-            2 if envelope.query_id is not None else 0
-        )
-        out.append(flags)
+        # Bit 0 is always set (every message is priced) and ignored on decode.
+        out.append(3 if envelope.query_id is not None else 1)
         if envelope.query_id is not None:
             _write_sv(out, envelope.query_id)
         self._write_message(out, envelope.message, envelope.receiver)
@@ -786,7 +784,6 @@ class BinaryWireCodec:
                 message=decoded["m"],
                 query_id=query_id,
                 expects_reply=op == _OP_REQ,
-                account=bool(flags & 1),
             )
         if offset != len(body):
             raise ValueError("trailing bytes after message")

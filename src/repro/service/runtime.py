@@ -527,9 +527,6 @@ class NodeService:
         self._inbox_task: Optional[asyncio.Task] = None
         self._inflight: set = set()
         self._rounds: set = set()
-        #: Recent wheel firing times (loop clock), for jitter diagnostics.
-        self.gossip_fire_times: Deque[float] = deque(maxlen=256)
-        self.eager_fire_times: Deque[float] = deque(maxlen=256)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -591,7 +588,6 @@ class NodeService:
                         effect.receiver,
                         effect.message,
                         query_id=effect.query_id,
-                        account=effect.account,
                     )
                 elif etype is ProbeEffect:
                     result = runtime.is_online(effect.node_id)
@@ -621,7 +617,6 @@ class NodeService:
                 value.receiver,
                 value.message,
                 query_id=value.query_id,
-                account=value.account,
             )
             done, value = self._advance(gen, dispatch)
         return value
@@ -634,21 +629,19 @@ class NodeService:
         receiver: int,
         message: Message,
         query_id: Optional[int] = None,
-        account: bool = True,
     ) -> Dispatch:
         """Round-trip rpc with the transport's statuses and accounting."""
         runtime = self.runtime
         if not runtime.is_online(receiver):
             runtime.observe(OP_REQUEST, sender, receiver, message, UNREACHABLE, False, query_id)
             return Dispatch(UNREACHABLE, None)
-        if account:
-            runtime.account(sender, receiver, message, query_id)
+        runtime.account(sender, receiver, message, query_id)
         self._rpc_counter += 1
         rpc_id = self._rpc_counter
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._rpc_futures[rpc_id] = future
-        envelope = Envelope(sender, receiver, message, query_id, True, account)
+        envelope = Envelope(sender, receiver, message, query_id, True)
         frame = self.codec.encode_request(envelope, rpc_id)
         started = loop.time()
         delivered = runtime.batcher.send_now(receiver, frame)
@@ -657,7 +650,7 @@ class NodeService:
             # drop (accounted), not unreachability (which is never charged).
             self.codec.abort_sent(receiver)
             self._rpc_futures.pop(rpc_id, None)
-            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, account, query_id)
+            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
             return Dispatch(DROPPED, None)
         self.codec.commit_sent(receiver)
         runtime.rpc_deadlines.watch(future, started)
@@ -670,10 +663,10 @@ class NodeService:
             # The sender-side timeout of a real gossip: indistinguishable
             # from a lost request, so the protocol sees DROPPED (it must
             # not assume the other side processed anything).
-            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, account, query_id)
+            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
             return Dispatch(DROPPED, None)
         runtime.record_rpc_latency(loop.time() - started)
-        runtime.observe(OP_REQUEST, sender, receiver, message, DELIVERED, account, query_id)
+        runtime.observe(OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id)
         return Dispatch(DELIVERED, reply)
 
     def send(
@@ -682,22 +675,20 @@ class NodeService:
         receiver: int,
         message: Message,
         query_id: Optional[int] = None,
-        account: bool = True,
     ) -> str:
         """One-way, fire-and-forget send (batched with same-tick frames)."""
         runtime = self.runtime
         if not runtime.is_online(receiver):
             runtime.observe(OP_SEND, sender, receiver, message, UNREACHABLE, False, query_id)
             return UNREACHABLE
-        if account:
-            runtime.account(sender, receiver, message, query_id)
-        envelope = Envelope(sender, receiver, message, query_id, False, account)
+        runtime.account(sender, receiver, message, query_id)
+        envelope = Envelope(sender, receiver, message, query_id, False)
         if not runtime.batcher.send(receiver, self.codec.encode_send(envelope)):
             self.codec.abort_sent(receiver)
-            runtime.observe(OP_SEND, sender, receiver, message, DROPPED, account, query_id)
+            runtime.observe(OP_SEND, sender, receiver, message, DROPPED, True, query_id)
             return DROPPED
         self.codec.commit_sent(receiver)
-        runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, account, query_id)
+        runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, True, query_id)
         return DELIVERED
 
     # -- inbound --------------------------------------------------------------
@@ -777,11 +768,10 @@ class NodeService:
             # Reply legs are accounted and observed at the replier, the side
             # that actually spends the uplink bytes; the requester's timeout
             # discarding a late reply does not un-spend them.
-            if envelope.account:
-                runtime.account(self.node_id, envelope.sender, reply, envelope.query_id)
+            runtime.account(self.node_id, envelope.sender, reply, envelope.query_id)
             runtime.observe(
-                OP_REPLY, self.node_id, envelope.sender, reply, DELIVERED,
-                envelope.account, envelope.query_id,
+                OP_REPLY, self.node_id, envelope.sender, reply, DELIVERED, True,
+                envelope.query_id,
             )
         runtime.batcher.send_now(
             envelope.sender, self.codec.encode_reply(decoded["rpc"], DELIVERED, reply)
@@ -804,13 +794,11 @@ class NodeService:
     def _fire_gossip(self) -> None:
         if not self.runtime.running:
             return
-        self.gossip_fire_times.append(asyncio.get_running_loop().time())
         self._spawn_round(self._gossip_round(), f"round-gossip-{self.node_id}")
 
     def _fire_eager(self) -> None:
         if not self.runtime.running:
             return
-        self.eager_fire_times.append(asyncio.get_running_loop().time())
         self._spawn_round(self._eager_round(), f"round-eager-{self.node_id}")
 
     async def _gossip_round(self) -> None:

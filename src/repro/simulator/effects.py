@@ -57,7 +57,7 @@ class Effect:
 class RequestEffect(Effect):
     """A round-trip send; the driver answers with a ``Dispatch``."""
 
-    __slots__ = ("sender", "receiver", "message", "query_id", "account")
+    __slots__ = ("sender", "receiver", "message", "query_id")
 
     def __init__(
         self,
@@ -65,19 +65,17 @@ class RequestEffect(Effect):
         receiver: int,
         message: Message,
         query_id: Optional[int] = None,
-        account: bool = True,
     ) -> None:
         self.sender = sender
         self.receiver = receiver
         self.message = message
         self.query_id = query_id
-        self.account = account
 
 
 class SendEffect(Effect):
     """A one-way send; the driver answers with the dispatch status string."""
 
-    __slots__ = ("sender", "receiver", "message", "query_id", "account")
+    __slots__ = ("sender", "receiver", "message", "query_id")
 
     def __init__(
         self,
@@ -85,13 +83,11 @@ class SendEffect(Effect):
         receiver: int,
         message: Message,
         query_id: Optional[int] = None,
-        account: bool = True,
     ) -> None:
         self.sender = sender
         self.receiver = receiver
         self.message = message
         self.query_id = query_id
-        self.account = account
 
 
 class ProbeEffect(Effect):
@@ -132,7 +128,6 @@ def drive(gen: WireEffects, network: "Network"):
                     effect.receiver,
                     effect.message,
                     query_id=effect.query_id,
-                    account=effect.account,
                 )
             elif etype is SendEffect:
                 result = transport.send(
@@ -140,7 +135,6 @@ def drive(gen: WireEffects, network: "Network"):
                     effect.receiver,
                     effect.message,
                     query_id=effect.query_id,
-                    account=effect.account,
                 )
             elif etype is ProbeEffect:
                 result = network.try_contact(effect.node_id) is not None

@@ -258,7 +258,6 @@ class Envelope(NamedTuple):
     message: Message
     query_id: Optional[int]
     expects_reply: bool
-    account: bool
 
 
 class Dispatch:
@@ -390,9 +389,6 @@ class Transport:
         """Register a passive observer of every wire event."""
         self._observers.append(observer)
 
-    def remove_observer(self, observer: TransportObserver) -> None:
-        self._observers.remove(observer)
-
     def _notify(
         self,
         op: str,
@@ -429,7 +425,6 @@ class Transport:
         message: Message,
         query_id: Optional[int],
         expects_reply: bool,
-        account: bool,
     ) -> Optional[str]:
         """Drop or defer a freshly accounted message; ``None`` lets it through."""
         status = None
@@ -440,12 +435,10 @@ class Transport:
             for condition in self.conditions:
                 delay += condition.delay(message, sender, receiver)
             if delay > 0:
-                self._enqueue(
-                    Envelope(sender, receiver, message, query_id, expects_reply, account), delay
-                )
+                self._enqueue(Envelope(sender, receiver, message, query_id, expects_reply), delay)
                 status = DEFERRED
         if status is not None and self._observers:
-            self._notify(op, sender, receiver, message, status, account, query_id)
+            self._notify(op, sender, receiver, message, status, True, query_id)
         return status
 
     # -- sending --------------------------------------------------------------
@@ -456,7 +449,6 @@ class Transport:
         receiver: int,
         message: Message,
         query_id: Optional[int] = None,
-        account: bool = True,
     ) -> Dispatch:
         """Round-trip send: deliver ``message`` and return the reply.
 
@@ -469,32 +461,28 @@ class Transport:
             if self._observers:
                 self._notify(OP_REQUEST, sender, receiver, message, UNREACHABLE, False, query_id)
             return _UNREACHABLE_DISPATCH
-        if account:
-            self.account(sender, receiver, message, query_id)
+        self.account(sender, receiver, message, query_id)
         if conditions:
-            status = self._intercept(
-                OP_REQUEST, sender, receiver, message, query_id, True, account
-            )
+            status = self._intercept(OP_REQUEST, sender, receiver, message, query_id, True)
             if status is not None:
                 return _DROPPED_DISPATCH if status == DROPPED else _DEFERRED_DISPATCH
-        reply = handler(Envelope(sender, receiver, message, query_id, True, account))
+        reply = handler(Envelope(sender, receiver, message, query_id, True))
         if reply is None:
             if self._observers:
-                self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, account, query_id)
+                self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id)
             return _DELIVERED_SILENT_DISPATCH
-        if account:
-            self.account(receiver, sender, reply, query_id)
+        self.account(receiver, sender, reply, query_id)
         if conditions and self._dropped(reply, receiver, sender):
             # The receiver DID process the request; only its answer is lost.
             # Distinguished from DROPPED so callers do not retry work the
             # other side already performed.
             if self._observers:
-                self._notify(OP_REQUEST, sender, receiver, message, REPLY_DROPPED, account, query_id)
-                self._notify(OP_REPLY, receiver, sender, reply, DROPPED, account, query_id)
+                self._notify(OP_REQUEST, sender, receiver, message, REPLY_DROPPED, True, query_id)
+                self._notify(OP_REPLY, receiver, sender, reply, DROPPED, True, query_id)
             return _REPLY_DROPPED_DISPATCH
         if self._observers:
-            self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, account, query_id)
-            self._notify(OP_REPLY, receiver, sender, reply, DELIVERED, account, query_id)
+            self._notify(OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id)
+            self._notify(OP_REPLY, receiver, sender, reply, DELIVERED, True, query_id)
         return Dispatch(DELIVERED, reply)
 
     def send(
@@ -503,7 +491,6 @@ class Transport:
         receiver: int,
         message: Message,
         query_id: Optional[int] = None,
-        account: bool = True,
         *,
         over_open_connection: bool = False,
     ) -> str:
@@ -523,15 +510,14 @@ class Transport:
             if self._observers:
                 self._notify(OP_SEND, sender, receiver, message, UNREACHABLE, False, query_id)
             return UNREACHABLE
-        if account:
-            self.account(sender, receiver, message, query_id)
+        self.account(sender, receiver, message, query_id)
         if conditions:
-            status = self._intercept(OP_SEND, sender, receiver, message, query_id, False, account)
+            status = self._intercept(OP_SEND, sender, receiver, message, query_id, False)
             if status is not None:
                 return status
-        handler(Envelope(sender, receiver, message, query_id, False, account))
+        handler(Envelope(sender, receiver, message, query_id, False))
         if self._observers:
-            self._notify(OP_SEND, sender, receiver, message, DELIVERED, account, query_id)
+            self._notify(OP_SEND, sender, receiver, message, DELIVERED, True, query_id)
         return DELIVERED
 
     # -- deferred delivery ----------------------------------------------------
@@ -562,7 +548,7 @@ class Transport:
         delivered = 0
         for cycle in due:
             for envelope in self._queue.pop(cycle):
-                sender, receiver, message, query_id, expects_reply, account = envelope
+                sender, receiver, message, query_id, expects_reply = envelope
                 handler = getattr(
                     self._network.try_contact(receiver), "handle_message", None
                 )
@@ -584,8 +570,7 @@ class Transport:
                 reply = handler(envelope)
                 if reply is not None and expects_reply:
                     self.send(
-                        receiver, sender, reply, query_id=query_id, account=account,
-                        over_open_connection=True,
+                        receiver, sender, reply, query_id=query_id, over_open_connection=True
                     )
         return delivered
 

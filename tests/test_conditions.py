@@ -247,7 +247,7 @@ class TestPartitionTransport:
         events = []
         transport.add_observer(events.append)
         # Sent before the split, due while the cut is up.
-        envelope = Envelope(sender, receiver, _digest_ad(nodes[sender]), None, False, False)
+        envelope = Envelope(sender, receiver, _digest_ad(nodes[sender]), None, False)
         network.current_cycle = 0
         transport._enqueue(envelope, 2)
         network.current_cycle = 2

@@ -97,7 +97,7 @@ class TestPeerSampling:
 class TestLazyExchange:
     def test_similar_users_discover_each_other(self, wired):
         network, nodes = wired
-        protocol = LazyExchangeProtocol(account_traffic=True)
+        protocol = LazyExchangeProtocol()
         for _ in range(3):
             for node in nodes.values():
                 drive(protocol.run_cycle_effects(node), network)
@@ -213,6 +213,18 @@ class TestLazyExchange:
                 drive(protocol.run_cycle_effects(node), network)
         assert 1 in nodes[0].personal_network
         assert network.stats.total_bytes(KIND_COMMON_ITEMS) == 0
+
+    def test_probes_go_through_the_receivers_digest_cache(self, wired):
+        """The protocol holds no cache of its own: each node's probes are
+        priced, and memoised, in that node's ``digest_cache`` (a standalone
+        node's private one)."""
+        network, nodes = wired
+        protocol = LazyExchangeProtocol()
+        wire_protocol(nodes, protocol)
+        assert all(node.digest_cache.stats()["common_pairs"] == 0 for node in nodes.values())
+        for node in nodes.values():
+            drive(protocol.run_cycle_effects(node), network)
+        assert all(node.digest_cache.stats()["common_pairs"] > 0 for node in nodes.values())
 
     def test_exchange_size_validation(self):
         with pytest.raises(ValueError):

@@ -161,7 +161,7 @@ class TestFinishedSessionsRetire:
         node = warm_simulation.nodes[session.query.querier]
         node.handle_message(
             Envelope(0, node.node_id, QueryResult(partial=_late_partial(session)),
-                     session.query.query_id, False, True)
+                     session.query.query_id, False)
         )
         assert session._pending == []
         before = len(session.snapshots)
@@ -185,7 +185,7 @@ class TestFinishedSessionsRetire:
         for query_id in (1002, 1000):
             node.handle_message(
                 Envelope(1, node.node_id, RemainingReturn(query_id=query_id, remaining=(7,)),
-                         query_id, False, True)
+                         query_id, False)
             )
         assert list(node._live_sessions) == [1000, 1002]
         assert node.has_active_queries()

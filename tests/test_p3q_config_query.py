@@ -45,14 +45,6 @@ class TestConfig:
         with pytest.raises(TypeError):
             P3QConfig(engine_executor="pool")
 
-    def test_with_storage_and_with_alpha_preserve_other_fields(self):
-        config = P3QConfig(network_size=33, storage=4, alpha=0.3, seed=9)
-        other = config.with_storage({1: 2}).with_alpha(0.7)
-        assert other.network_size == 33
-        assert other.seed == 9
-        assert other.alpha == 0.7
-        assert other.storage_for(1) == 2
-
 
 def _query() -> Query:
     return Query(query_id=5, querier=0, tags=(1, 2))

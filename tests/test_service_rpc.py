@@ -78,11 +78,11 @@ class TestTimedOutRequestForgetsItsLink:
             try:
                 lossy = _SwallowFirst(runtime.wire, receiver)
                 service = runtime.services[sender]
-                dispatch = await service.request(sender, receiver, message, account=False)
+                dispatch = await service.request(sender, receiver, message)
                 assert lossy.swallowed == 1
                 assert dispatch.status == DROPPED
                 return service.codec.encode_send(
-                    Envelope(sender, receiver, message, None, False, False)
+                    Envelope(sender, receiver, message, None, False)
                 )
             finally:
                 await runtime.stop()
@@ -137,7 +137,7 @@ class TestTimeoutPath:
             try:
                 _SwallowFirst(runtime.wire, receiver)
                 service = runtime.services[sender]
-                dispatch = await service.request(sender, receiver, message, account=False)
+                dispatch = await service.request(sender, receiver, message)
                 assert dispatch.status == DROPPED
                 recorded = len(runtime.trace.events)
                 # The answer the receiver would have sent, after the deadline.
@@ -168,9 +168,7 @@ class TestTimeoutPath:
                 service = runtime.services[sender]
                 dispatches = await asyncio.gather(
                     *(
-                        service.request(
-                            sender, others[index % len(others)], message, account=False
-                        )
+                        service.request(sender, others[index % len(others)], message)
                         for index in range(200)
                     )
                 )
@@ -193,15 +191,11 @@ class TestTimeoutPath:
             await runtime.start()
             _SwallowFirst(runtime.wire, victim)
             service = runtime.services[sender]
-            lost = asyncio.create_task(
-                service.request(sender, victim, message, account=False)
-            )
+            lost = asyncio.create_task(service.request(sender, victim, message))
             await asyncio.sleep(0)
             longest = 0
             for index in range(3 * floor):
-                await service.request(
-                    sender, others[index % len(others)], message, account=False
-                )
+                await service.request(sender, others[index % len(others)], message)
                 longest = max(longest, len(runtime.rpc_deadlines))
             await runtime.stop()
             return longest, (await lost).status
@@ -218,7 +212,7 @@ class TestTimeoutPath:
         outcome = []
 
         async def a_round(service):
-            outcome.append(await service.request(sender, receiver, message, account=False))
+            outcome.append(await service.request(sender, receiver, message))
 
         async def go():
             loop = asyncio.get_running_loop()
@@ -250,7 +244,7 @@ class TestTimeoutPath:
             await runtime.start()
             _SwallowFirst(runtime.wire, receiver)
             stray = asyncio.create_task(
-                runtime.services[sender].request(sender, receiver, message, account=False)
+                runtime.services[sender].request(sender, receiver, message)
             )
             await asyncio.sleep(0)
             await runtime.stop()
@@ -273,8 +267,7 @@ class TestHandlersStepInline:
                 )
                 if isinstance(envelope.message, CommonItemsRequest):
                     dispatch = yield RequestEffect(
-                        node_id, envelope.sender, FullProfileRequest(subject_id=node_id),
-                        account=False,
+                        node_id, envelope.sender, FullProfileRequest(subject_id=node_id)
                     )
                     assert dispatch.status == DELIVERED
                 return None
@@ -296,8 +289,8 @@ class TestHandlersStepInline:
                 self._mutual(runtime, left, right, ran_in)
                 return await asyncio.wait_for(
                     asyncio.gather(
-                        runtime.services[left].request(left, right, ask, account=False),
-                        runtime.services[right].request(right, left, ask, account=False),
+                        runtime.services[left].request(left, right, ask),
+                        runtime.services[right].request(right, left, ask),
                     ),
                     timeout=0.5,
                 )
@@ -334,13 +327,10 @@ class TestHandlersStepInline:
                 monkeypatch.setattr(asyncio, "create_task", counting)
                 before = len(asyncio.all_tasks())
                 service = runtime.services[left]
-                plain = await service.request(
-                    left, right, FullProfileRequest(subject_id=left), account=False
-                )
+                plain = await service.request(left, right, FullProfileRequest(subject_id=left))
                 assert len(asyncio.all_tasks()) == before and created == []
                 nested = await service.request(
-                    left, right, CommonItemsRequest(subject_id=0, items=frozenset({1})),
-                    account=False,
+                    left, right, CommonItemsRequest(subject_id=0, items=frozenset({1}))
                 )
                 return plain, nested
             finally:

@@ -27,7 +27,7 @@ from repro.service.demo import (
     format_report,
     run_demo_sync,
 )
-from repro.service.runtime import FrameBatcher, TimerWheel, _report_task_failure
+from repro.service.runtime import FrameBatcher, NodeService, TimerWheel, _report_task_failure
 from repro.simulator.effects import ProbeEffect, RequestEffect
 from repro.simulator.transport import (
     DEFERRED,
@@ -554,19 +554,30 @@ class TestTimerWheel:
 
         asyncio.run(go())
 
-    def test_jittered_firing_is_preserved(self):
+    def test_jittered_firing_is_preserved(self, monkeypatch):
         """Acceptance: wheel firings keep the per-node jitter distribution.
 
         Pools inter-firing gaps across nodes: with ``jitter=0.5`` each gap
         is ``round_duration + interval * U(0.5, 1.5)``, so the spread is
         wide (uniform cv ~= 0.29); with ``jitter=0`` gaps hug the interval.
         """
+        fire_gossip = NodeService._fire_gossip
+        #: node id -> loop times at which its gossip round fired.
+        fired = {}
+
+        def recording_fire_gossip(service):
+            if service.runtime.running:
+                loop_time = asyncio.get_running_loop().time()
+                fired.setdefault(service.node_id, []).append(loop_time)
+            fire_gossip(service)
+
+        monkeypatch.setattr(NodeService, "_fire_gossip", recording_fire_gossip)
 
         def observed_gaps(jitter):
             workload = build_demo_workload(num_users=8, num_queries=1, seed=13)
             simulation = converged_simulation(workload, 3)
             config = ServiceConfig(gossip_interval=0.04, jitter=jitter)
-            recorded = []
+            fired.clear()
 
             async def run():
                 runtime = ServiceRuntime(simulation, config)
@@ -574,15 +585,11 @@ class TestTimerWheel:
                 try:
                     await asyncio.sleep(0.8)
                 finally:
-                    recorded.extend(
-                        list(service.gossip_fire_times)
-                        for service in runtime.services.values()
-                    )
                     await runtime.stop()
 
             asyncio.run(run())
             gaps = []
-            for times in recorded:
+            for times in fired.values():
                 gaps.extend(b - a for a, b in zip(times, times[1:]))
             return gaps
 

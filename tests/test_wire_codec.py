@@ -319,7 +319,6 @@ class TestBinaryRuntimeFrames:
             message=QueryForward(query=_query(), remaining=(5, 6), cycle=2),
             query_id=9,
             expects_reply=True,
-            account=True,
         )
         bodies, leftover = codec.split(codec.encode_request(envelope, rpc_id=17))
         assert leftover == b"" and len(bodies) == 1
@@ -352,15 +351,25 @@ class TestBinaryRuntimeFrames:
             message=QueryResult(partial=_partial(2, 1)),
             query_id=-9,
             expects_reply=False,
-            account=False,
         )
         bodies, _ = codec.split(codec.encode_send(envelope))
         decoded = BinaryWireCodec().decode_body(bodies[0])
         assert decoded["op"] == "send" and decoded["rpc"] is None
         assert decoded["envelope"].sender == -2
         assert decoded["envelope"].receiver == -1
-        assert decoded["envelope"].query_id == -9
-        assert decoded["envelope"].account is False
+        assert decoded["envelope"] == envelope
+
+    def test_flags_bit_0_is_ignored_on_decode(self):
+        """Every message is priced: bit 0 of the flags byte is always written
+        set and decodes to nothing, so a frame with it clear is the same."""
+        envelope = Envelope(1, 2, FullProfileRequest(subject_id=3), None, False)
+        bodies, _ = split_frames(BinaryWireCodec().encode_send(envelope))
+        body = bodies[0]
+        # op, sender svarint, receiver svarint, then the flags byte.
+        assert body[3] == 1
+        cleared = body[:3] + bytes([0]) + body[4:]
+        assert BinaryWireCodec().decode_body(cleared)["envelope"] == envelope
+        assert BinaryWireCodec().decode_body(body)["envelope"] == envelope
 
 
 class TestBinaryMalformedFrames:
@@ -374,7 +383,7 @@ class TestBinaryMalformedFrames:
     def test_truncated_header(self):
         codec = BinaryWireCodec()
         frame = codec.encode_request(
-            Envelope(1, 2, FullProfileRequest(subject_id=3), None, True, True), 5
+            Envelope(1, 2, FullProfileRequest(subject_id=3), None, True), 5
         )
         body = self._one_body(frame)
         for cut in range(len(body)):
@@ -451,7 +460,7 @@ class TestDigestSuppression:
         return DigestAdvertisement(digests=(_digest(1), _digest(2)), view=VIEW_PERSONAL)
 
     def _envelope(self, message, receiver=7):
-        return Envelope(1, receiver, message, None, False, True)
+        return Envelope(1, receiver, message, None, False)
 
     def test_committed_digests_travel_as_references(self):
         sender = BinaryWireCodec()
@@ -522,7 +531,7 @@ class TestDigestInterning:
 
     def _frame(self, digest):
         adv = DigestAdvertisement(digests=(digest,), view=VIEW_PERSONAL)
-        return BinaryWireCodec().encode_send(Envelope(1, 7, adv, None, False, True))
+        return BinaryWireCodec().encode_send(Envelope(1, 7, adv, None, False))
 
     def _decode(self, codec, frame):
         bodies, _ = codec.split(frame)
@@ -579,7 +588,7 @@ class TestCacheBounds:
         adv = DigestAdvertisement(
             digests=tuple(_digest(uid) for uid in user_ids), view=VIEW_PERSONAL
         )
-        frame = sender.encode_send(Envelope(1, receiver, adv, None, False, True))
+        frame = sender.encode_send(Envelope(1, receiver, adv, None, False))
         sender.commit_sent(receiver)
         return adv, frame
 
@@ -619,7 +628,7 @@ class TestSplitFrames:
         codec = BinaryWireCodec()
         frames = [
             codec.encode_send(
-                Envelope(1, 2, FullProfileRequest(subject_id=i), None, False, True)
+                Envelope(1, 2, FullProfileRequest(subject_id=i), None, False)
             )
             for i in range(3)
         ]
@@ -633,7 +642,7 @@ class TestSplitFrames:
     def test_truncated_tail_is_leftover(self):
         codec = BinaryWireCodec()
         frame = codec.encode_send(
-            Envelope(1, 2, FullProfileRequest(subject_id=3), None, False, True)
+            Envelope(1, 2, FullProfileRequest(subject_id=3), None, False)
         )
         payload = frame + frame[: len(frame) // 2]
         bodies, leftover = split_frames(payload)

@@ -8,7 +8,13 @@ that a ``ServiceTrace`` JSONL written by that tree loads to equal messages
 -- the ``transport_golden.json`` pattern: old behaviour pinned as data, not
 as code.
 
-Regenerate (only ever against a tree whose wire format is known-good) with::
+Before regenerating, list every frame that moved, with the differing byte
+offsets and values (read-only; exits 1 if any frame differs)::
+
+    PYTHONPATH=src python tests/test_wire_golden.py --diff
+
+Regenerate (only ever against a tree whose wire format is known-good, with
+the ``--diff`` output as the stated reason the pin moved) with::
 
     PYTHONPATH=src python tests/test_wire_golden.py --regen
 """
@@ -106,8 +112,8 @@ def build_frames() -> Dict[str, str]:
     frames: Dict[str, str] = {}
     for name, message in golden_messages():
         codec = BinaryWireCodec()
-        request = Envelope(3, 4, message, 9, True, True)
-        send = Envelope(-2, 130, message, None, False, False)
+        request = Envelope(3, 4, message, 9, True)
+        send = Envelope(-2, 130, message, None, False)
         frames[f"{name}/request"] = codec.encode_request(request, 17).hex()
         codec.abort_sent(4)
         frames[f"{name}/send_no_query"] = codec.encode_send(send).hex()
@@ -118,20 +124,44 @@ def build_frames() -> Dict[str, str]:
     # Suppression: a committed advertisement is referenced on the same link,
     # shipped in full on another, and a new digest mixes with references.
     first = dict(golden_messages())["digests"]
-    frames["suppression/first"] = codec.encode_send(Envelope(1, 7, first, None, False, True)).hex()
+    frames["suppression/first"] = codec.encode_send(Envelope(1, 7, first, None, False)).hex()
     codec.commit_sent(7)
     frames["suppression/referenced"] = codec.encode_send(
-        Envelope(1, 7, first, None, False, True)
+        Envelope(1, 7, first, None, False)
     ).hex()
     codec.commit_sent(7)
     mixed = DigestAdvertisement(digests=first.digests[:1] + (_digest(31, 4),), view=VIEW_RANDOM)
     frames["suppression/mixed"] = codec.encode_request(
-        Envelope(1, 7, mixed, None, True, True), 2
+        Envelope(1, 7, mixed, None, True), 2
     ).hex()
     frames["suppression/other_link"] = codec.encode_send(
-        Envelope(1, 8, first, None, False, True)
+        Envelope(1, 8, first, None, False)
     ).hex()
     return frames
+
+
+def diff_frames(golden: Dict[str, str], frames: Dict[str, str]) -> List[str]:
+    """One line per frame that differs: each differing byte offset with its
+    golden and current values, a length change, or a name on one side only."""
+    lines = []
+    for name in sorted(set(golden) | set(frames)):
+        if name not in frames:
+            lines.append(f"{name}: only in the golden")
+            continue
+        if name not in golden:
+            lines.append(f"{name}: not in the golden")
+            continue
+        old, new = bytes.fromhex(golden[name]), bytes.fromhex(frames[name])
+        changes = [
+            f"byte {offset}: 0x{a:02x} -> 0x{b:02x}"
+            for offset, (a, b) in enumerate(zip(old, new))
+            if a != b
+        ]
+        if len(old) != len(new):
+            changes.append(f"length {len(old)} -> {len(new)}")
+        if changes:
+            lines.append(f"{name}: " + ", ".join(changes))
+    return lines
 
 
 def golden_events() -> List[WireEvent]:
@@ -175,6 +205,17 @@ def test_binary_frames_are_byte_identical_to_the_golden():
         assert frames[name] == frame_hex, name
 
 
+def test_diff_names_each_moved_byte():
+    golden = {"same": "0102", "moved": "0100ff", "gone": "00"}
+    frames = {"same": "0102", "moved": "0101ff00", "new": "00"}
+    assert diff_frames(golden, golden) == []
+    assert diff_frames(golden, frames) == [
+        "gone: only in the golden",
+        "moved: byte 1: 0x00 -> 0x01, length 3 -> 4",
+        "new: not in the golden",
+    ]
+
+
 def test_golden_frames_decode_to_the_messages_that_made_them():
     golden = _golden()["frames"]
     for name, message in golden_messages():
@@ -212,8 +253,12 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     import sys
     import tempfile
 
+    if "--diff" in sys.argv:
+        moved = diff_frames(_golden()["frames"], build_frames())
+        print("\n".join(moved) if moved else "every frame matches the golden")
+        sys.exit(1 if moved else 0)
     if "--regen" not in sys.argv:
-        sys.exit("pass --regen to overwrite the golden (see the module docstring)")
+        sys.exit("pass --diff or --regen (see the module docstring)")
     with tempfile.TemporaryDirectory() as scratch:
         payload = build_golden(Path(scratch))
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
