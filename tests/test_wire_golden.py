@@ -1,7 +1,7 @@
 """Golden wire bytes: the binary frames and the JSON trace form, pinned as data.
 
-``tests/data/wire_golden.json`` was generated by running :func:`build_golden`
-against the tree *before* the codec was rebuilt on one per-message field
+``tests/data/wire_golden.json`` was generated by running :func:`build_frames`
+and :func:`build_trace_lines` against the tree *before* the codec was rebuilt on one per-message field
 table (two hand-written codecs, four tables).  The tests assert that the
 table-driven codec still produces exactly those frames, byte for byte, and
 that a ``ServiceTrace`` JSONL written by that tree loads to equal messages
@@ -13,8 +13,10 @@ offsets and values (read-only; exits 1 if any frame differs)::
 
     PYTHONPATH=src python tests/test_wire_golden.py --diff
 
-Regenerate (only ever against a tree whose wire format is known-good, with
-the ``--diff`` output as the stated reason the pin moved) with::
+Regenerate the frames (only ever against a tree whose wire format is
+known-good, with the ``--diff`` output as the stated reason the pin moved)
+with the command below.  It keeps the trace lines as they are: they are a
+trace an older tree wrote, so the current tree never rewrites them::
 
     PYTHONPATH=src python tests/test_wire_golden.py --regen
 """
@@ -189,10 +191,6 @@ def build_trace_lines(tmp_path: Path) -> List[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def build_golden(tmp_path: Path) -> Dict:
-    return {"frames": build_frames(), "trace_lines": build_trace_lines(tmp_path)}
-
-
 def _golden() -> Dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
@@ -251,7 +249,6 @@ def test_trace_dump_matches_the_golden_lines_as_objects(tmp_path):
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     import sys
-    import tempfile
 
     if "--diff" in sys.argv:
         moved = diff_frames(_golden()["frames"], build_frames())
@@ -259,7 +256,6 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
         sys.exit(1 if moved else 0)
     if "--regen" not in sys.argv:
         sys.exit("pass --diff or --regen (see the module docstring)")
-    with tempfile.TemporaryDirectory() as scratch:
-        payload = build_golden(Path(scratch))
+    payload = {**_golden(), "frames": build_frames()}
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
