@@ -562,7 +562,7 @@ class TestTimerWheel:
         wide (uniform cv ~= 0.29); with ``jitter=0`` gaps hug the interval.
         """
         fire_gossip = NodeService._fire_gossip
-        #: node id -> loop times at which its gossip round fired.
+        # node id -> loop times at which its gossip round fired.
         fired = {}
 
         def recording_fire_gossip(service):
