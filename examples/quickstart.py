@@ -53,7 +53,9 @@ def main() -> None:
           f"{first.items}  recall={recall(first.items, reference):.2f}")
 
     def report(cycle: int, snapshots) -> None:
-        snapshot = snapshots[query.query_id]
+        # ``snapshots`` holds the sessions still open at the start of the
+        # cycle; once the query closes, its last snapshot is its answer.
+        snapshot = session.snapshots[-1]
         value = recall(snapshot.items, reference)
         print(f"cycle {cycle}: coverage={snapshot.coverage:.2f}  recall={value:.2f}")
 

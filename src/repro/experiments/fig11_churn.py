@@ -102,10 +102,7 @@ def run_churn(
             recall_series[lam][departure] = recall_per_cycle(
                 snapshots, workload.references, cycles
             )
-            final_results = {
-                qid: (s.snapshots[-1].items if s.snapshots else [])
-                for qid, s in sessions.items()
-            }
+            final_results = {qid: s.snapshots[-1].items for qid, s in sessions.items()}
             incomplete[lam][departure] = fraction_below_full_recall(
                 final_results, workload.references
             )

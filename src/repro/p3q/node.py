@@ -58,7 +58,7 @@ from ..simulator.transport import (
 )
 from .config import P3QConfig
 from .eager import EagerGossipProtocol
-from .query import ForwardedQueryState, PartialResult, QuerySession
+from .query import CycleSnapshot, ForwardedQueryState, PartialResult, QuerySession
 from .scoring import partial_scores
 
 
@@ -103,9 +103,9 @@ class P3QNode(Node):
         self.sessions: Dict[int, QuerySession] = {}
         #: The subset the eager rounds still have to look at, in the same
         #: (issue) order: unfinished sessions, and finished ones that still
-        #: hold a remaining list.  The rest are *retired*
-        #: (:meth:`retire_finished_sessions`): a round costs O(open queries),
-        #: not O(queries ever issued).
+        #: hold a remaining list.  The rest are *retired* by
+        #: :meth:`close_open_sessions`: a round costs O(open queries), not
+        #: O(queries ever issued).
         self._live_sessions: Dict[int, QuerySession] = {}
         #: Remaining-list responsibilities for queries issued by other nodes.
         self.forwarded: Dict[int, ForwardedQueryState] = {}
@@ -237,7 +237,8 @@ class P3QNode(Node):
         """Start processing a query issued by this node (Algorithm 2).
 
         The local partial result (own profile plus every stored replica) is
-        computed immediately; the remaining list holds the personal-network
+        computed immediately and recorded as the session's first snapshot,
+        at ``cycle``; the remaining list holds the personal-network
         neighbours whose profiles are not stored locally.  ``cycle`` is the
         eager cycle at which the query is issued: a query (re-)issued while
         the eager phase is already running must measure its completion
@@ -258,6 +259,7 @@ class P3QNode(Node):
         scores = partial_scores(local_profiles, query)
         session.add_local_result(scores, contributors, cycle=cycle)
         session.set_remaining(self.personal_network.unstored_ids())
+        session.close_cycle(cycle)
         self.mark_contributed(query.query_id, contributors)
         reissued = query.query_id in self.sessions
         self.sessions[query.query_id] = session
@@ -273,32 +275,28 @@ class P3QNode(Node):
         if session is not None:
             session.receive_partial(partial)
 
-    def close_open_sessions(self, cycle: int) -> None:
+    def close_open_sessions(self, cycle: int) -> Dict[int, CycleSnapshot]:
         """Merge the partial results of this cycle for every own *open* query.
 
-        The service runtime's cycle boundary.  A finished session is left
-        alone -- its result is final and late partials are dropped at
-        receipt -- so a node's per-tick cost does not grow with the queries
-        it has answered.  (The cycle engine instead closes *every* session
-        every cycle: its ``run_eager`` callback contract restates them.)
+        The cycle boundary of both runtimes; returns the snapshots taken,
+        keyed by query id.  A finished session is left alone -- its result
+        is final and late partials are dropped at receipt -- so a node's
+        per-tick cost does not grow with the queries it has answered.
+        Sessions with nothing left to do (closed, no remaining list: exactly
+        the ones :meth:`has_active_queries` and :meth:`eager_round_effects`
+        skip) then leave the eager-round scans.
         """
-        for session in self._live_sessions.values():
-            if not session.closed:
-                session.close_cycle(cycle)
-        self.retire_finished_sessions()
-
-    def retire_finished_sessions(self) -> None:
-        """Drop sessions with nothing left to do from the eager-round scans.
-
-        Retired means closed *and* no remaining list: exactly the sessions
-        :meth:`has_active_queries` and :meth:`eager_round_effects` would
-        skip anyway, so retiring changes no behaviour.
-        """
+        snapshots = {
+            query_id: session.close_cycle(cycle)
+            for query_id, session in self._live_sessions.items()
+            if not session.closed
+        }
         self._live_sessions = {
             query_id: session
             for query_id, session in self._live_sessions.items()
             if session.remaining or not session.closed
         }
+        return snapshots
 
     def _restore_issue_order(self) -> None:
         """Re-sort the live sessions into ``sessions`` order after an

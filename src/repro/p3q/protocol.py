@@ -169,21 +169,22 @@ class P3QSimulation:
         return self._eager_cycles_run
 
     def issue_queries(self, queries: Iterable[Query]) -> Dict[int, QuerySession]:
-        """Issue queries at their queriers and record the issue-cycle snapshots.
+        """Issue queries at their online queriers; returns their sessions.
 
-        Queries issued after some eager cycles already ran (closed-loop
-        serving's steady-state injection) are stamped with the current eager
-        cycle so ``latency_cycles`` measures from injection, not from 0.
+        Each session holds its issue-cycle snapshot
+        (:meth:`P3QNode.issue_query <repro.p3q.node.P3QNode.issue_query>`);
+        a query whose querier is offline is left out.  Queries issued after
+        some eager cycles already ran (closed-loop serving's steady-state
+        injection) are stamped with the current eager cycle so
+        ``latency_cycles`` measures from injection, not from 0.
         """
         sessions: Dict[int, QuerySession] = {}
         cycle = self._eager_cycles_run
         for query in queries:
-            node = self.nodes[query.querier]
-            if not self.network.is_online(query.querier):
-                continue
-            session = node.issue_query(query, cycle=cycle)
-            session.close_cycle(cycle)
-            sessions[query.query_id] = session
+            if self.network.is_online(query.querier):
+                sessions[query.query_id] = self.nodes[query.querier].issue_query(
+                    query, cycle=cycle
+                )
         return sessions
 
     def eager_participants(self) -> List[int]:
@@ -219,10 +220,15 @@ class P3QSimulation:
         """Run up to ``cycles`` eager cycles.
 
         After each cycle every querier merges the partial results received
-        during that cycle and records a snapshot.  ``callback`` receives the
-        1-based cycle number and the per-query snapshots.  Returns the number
-        of cycles actually run (processing stops early once no node has any
-        remaining list, unless ``stop_when_idle`` is False).
+        during that cycle into a snapshot of each of its open sessions
+        (:meth:`P3QNode.close_open_sessions
+        <repro.p3q.node.P3QNode.close_open_sessions>`, the service runtime's
+        rule too); a closed session takes no further snapshot.  ``callback``
+        receives the 1-based cycle number and one snapshot per session that
+        was open at the start of the cycle, keyed by query id; a caller that
+        wants every query reads ``session.snapshots[-1]``.  Returns the
+        number of cycles actually run (processing stops early once no node
+        has any remaining list, unless ``stop_when_idle`` is False).
         """
         run = 0
         transport = self.network.transport
@@ -236,14 +242,11 @@ class P3QSimulation:
                 run += 1
                 snapshots: Dict[int, CycleSnapshot] = {}
                 # Only nodes that ever opened a session can hold one; the
-                # registry iterates in the same ascending-id order as the
-                # full node table did.
+                # registry iterates in ascending id order.
                 for uid in self.network.session_holders():
-                    node = self.nodes[uid]
-                    for session in node.sessions.values():
-                        snapshot = session.close_cycle(self._eager_cycles_run)
-                        snapshots[session.query.query_id] = snapshot
-                    node.retire_finished_sessions()
+                    snapshots.update(
+                        self.nodes[uid].close_open_sessions(self._eager_cycles_run)
+                    )
                 if callback is not None:
                     callback(self._eager_cycles_run, snapshots)
         return run

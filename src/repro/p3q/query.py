@@ -114,9 +114,8 @@ class QuerySession:
         #: to be reconstructed by scanning snapshots; a query (re-)issued
         #: mid-run carries the re-issue cycle, not 0.
         self.issued_cycle = issued_cycle
-        #: Eager cycle at which the session first became complete (``None``
-        #: while processing).  Pinned at the closing transition only: the
-        #: per-cycle snapshots a closed session keeps producing never move it.
+        #: Eager cycle at which the session became complete (``None`` while
+        #: processing): the cycle of its last snapshot.
         self.closed_cycle: Optional[int] = None
 
     # -- feeding --------------------------------------------------------------
@@ -152,20 +151,13 @@ class QuerySession:
     # -- per-cycle processing -------------------------------------------------
 
     def close_cycle(self, cycle: int) -> CycleSnapshot:
-        """Merge the partial results received during ``cycle`` (Algorithm 4)."""
-        if self.closed:
-            # The querier already read off the exact result (late partials
-            # are dropped at receipt): the snapshot restates the final top-k
-            # at the new cycle.  Only the cycle engine asks for this -- its
-            # ``run_eager`` callback reports every session every cycle.
-            snapshot = CycleSnapshot(
-                cycle=cycle,
-                top_k=list(self.snapshots[-1].top_k) if self.snapshots else [],
-                profiles_used=len(self.profiles_used & self.expected_profiles),
-                profiles_total=len(self.expected_profiles),
-            )
-            self.snapshots.append(snapshot)
-            return snapshot
+        """Merge the partial results received during ``cycle`` (Algorithm 4).
+
+        Called on open sessions only (:meth:`P3QNode.close_open_sessions
+        <repro.p3q.node.P3QNode.close_open_sessions>`, in both runtimes): the
+        closing snapshot is the session's last, and closing a closed session
+        raises the frozen merger's ``RuntimeError``.
+        """
         new_lists: List[Dict[int, float]] = []
         for partial in self._pending:
             contributors = set(partial.contributors)
@@ -235,8 +227,7 @@ class QuerySession:
 
         ``issued_cycle`` is pinned at session creation (including the eager
         re-issue path, where it carries the re-issue cycle) and
-        ``closed_cycle`` at the closing transition, so the latency survives
-        the per-cycle snapshots a closed session keeps producing.
+        ``closed_cycle`` at the closing transition.
         """
         if self.closed_cycle is None:
             return None

@@ -820,20 +820,12 @@ class NodeService:
             runtime.eager_ticks += 1
             if self.node.has_active_queries():
                 await self.drive(self.node.eager_round_effects(self.tick))
-            # Fold the partial results this tick delivered into snapshots
-            # (the engine does this at each eager cycle boundary); finished
-            # sessions are left alone.
+            # Fold the partial results this tick delivered into snapshots of
+            # the open sessions, as the engine does at each eager cycle.
             self.node.close_open_sessions(self.tick)
         runtime.wheel.schedule(
             self._pause(runtime.config.eager_interval), self._fire_eager
         )
-
-    # -- queries --------------------------------------------------------------
-
-    def issue(self, query: Query) -> QuerySession:
-        session = self.node.issue_query(query, cycle=self.tick)
-        session.close_cycle(self.tick)
-        return session
 
 
 # ----------------------------------------------------------------- runtime
@@ -975,7 +967,8 @@ class ServiceRuntime:
     # -- driving --------------------------------------------------------------
 
     def issue_query(self, query: Query) -> QuerySession:
-        return self.services[query.querier].issue(query)
+        service = self.services[query.querier]
+        return service.node.issue_query(query, cycle=service.tick)
 
     async def run_queries(
         self,

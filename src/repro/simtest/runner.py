@@ -254,10 +254,10 @@ def fingerprint(simulation: P3QSimulation) -> Dict:
     stats = simulation.stats
     results = {}
     for query_id, session in sorted(simulation.sessions().items()):
-        last = session.snapshots[-1] if session.snapshots else None
+        last = session.snapshots[-1]
         results[query_id] = {
-            "items": [] if last is None else list(last.items),
-            "profiles_used": 0 if last is None else last.profiles_used,
+            "items": list(last.items),
+            "profiles_used": last.profiles_used,
             "remaining": sorted(session.remaining),
         }
     return {

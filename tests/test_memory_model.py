@@ -164,12 +164,11 @@ class TestFinishedSessionsRetire:
                      session.query.query_id, False)
         )
         assert session._pending == []
-        before = len(session.snapshots)
+        snapshots = list(session.snapshots)
         warm_simulation.run_eager(cycles=2, stop_when_idle=False)
-        # The engine keeps restating a closed session (its callback
-        # contract), with the same result.
-        assert len(session.snapshots) == before + 2
-        assert session.snapshots[-1].top_k == session.snapshots[before - 1].top_k
+        # The engine closes open sessions only, as the service does.
+        assert session.snapshots == snapshots
+        assert session.snapshots[-1].cycle == session.closed_cycle
         assert session.current_top_k() == result
 
     def test_retired_session_revives_in_issue_order(self, warm_simulation, query_workload):
@@ -180,7 +179,7 @@ class TestFinishedSessionsRetire:
             session = node.issue_query(replace(query_workload[0], query_id=query_id))
             session.remaining = []
             session.closed = True
-        node.retire_finished_sessions()
+        assert node.close_open_sessions(1) == {}
         assert not node._live_sessions
         for query_id in (1002, 1000):
             node.handle_message(

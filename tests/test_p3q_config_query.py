@@ -96,7 +96,8 @@ class TestQuerySession:
         assert session.closed
 
     def test_duplicate_contributors_are_not_double_counted(self):
-        session = QuerySession(_query(), k=1, personal_network_ids=[1])
+        # Neighbour 2 never answers, so the session stays open throughout.
+        session = QuerySession(_query(), k=1, personal_network_ids=[1, 2])
         session.add_local_result({10: 1.0}, contributors=[0])
         session.close_cycle(0)
         session.receive_partial(_partial(1, {10: 4.0}, [1]))
@@ -105,6 +106,7 @@ class TestQuerySession:
         session.receive_partial(_partial(9, {10: 4.0}, [1]))
         snapshot = session.close_cycle(2)
         assert snapshot.top_k[0][1] == pytest.approx(5.0)
+        assert not session.closed
 
     def test_completion_triggers_exact_results(self):
         session = QuerySession(_query(), k=2, personal_network_ids=[1])
@@ -197,17 +199,18 @@ class TestIssueCycleLatency:
         assert session.closed_cycle == 8
         assert session.latency_cycles == 3
 
-    def test_closed_cycle_pinned_across_later_snapshots(self):
+    def test_closing_a_closed_session_raises(self):
         session = QuerySession(
             _query(), k=1, personal_network_ids=[1], issued_cycle=2
         )
         session.add_local_result({10: 1.0}, contributors=[0, 1], cycle=2)
         session.close_cycle(2)
         assert session.latency_cycles == 0
-        # The engine keeps closing cycles on every session it holds; the
-        # completion latency must not drift with them.
-        session.close_cycle(3)
-        session.close_cycle(4)
+        # The closing snapshot is the last: neither runtime closes a closed
+        # session, and the frozen merger refuses to be fed again.
+        with pytest.raises(RuntimeError, match="frozen"):
+            session.close_cycle(3)
+        assert [snapshot.cycle for snapshot in session.snapshots] == [2]
         assert session.closed_cycle == 2
         assert session.latency_cycles == 0
 
@@ -269,9 +272,9 @@ class TestSessionEdgeCases:
         # A straggler retry with a *novel* contributor and big scores lands
         # after the querier already read off the exact result.
         session.receive_partial(_partial(8, {99: 100.0}, [8]))
-        late_snapshot = session.close_cycle(2)
-        assert late_snapshot.top_k == closed_snapshot.top_k
-        assert late_snapshot.cycle == 2
+        assert session._pending == []
+        assert session.current_top_k() == closed_snapshot.top_k
+        assert session.snapshots[-1] is closed_snapshot
         assert session.closed_cycle == 1
 
     def test_duplicate_delivery_under_lossy_retry(self):

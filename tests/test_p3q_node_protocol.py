@@ -86,7 +86,9 @@ class TestEagerProcessing:
         per_cycle = []
 
         def callback(cycle, snapshots):
-            results = {qid: snap.items for qid, snap in snapshots.items()}
+            # The callback reports open sessions only; a closed session's
+            # last snapshot is its answer.
+            results = {qid: s.snapshots[-1].items for qid, s in sessions.items()}
             per_cycle.append(average_recall(results, references))
 
         warm_simulation.run_eager(cycles=30, callback=callback)
@@ -139,6 +141,44 @@ class TestEagerProcessing:
         warm_simulation.depart_users([query.querier])
         sessions = warm_simulation.issue_queries([query])
         assert query.query_id not in sessions
+
+
+class TestSessionLifecycle:
+    """Issuing takes a session's first snapshot, each eager cycle one more
+    while it is open, and a closed session takes none."""
+
+    def test_issue_query_records_the_issue_cycle_snapshot(
+        self, warm_simulation, query_workload
+    ):
+        query = query_workload[0]
+        session = warm_simulation.node(query.querier).issue_query(query, cycle=3)
+        assert [snapshot.cycle for snapshot in session.snapshots] == [3]
+
+    def test_closed_session_takes_no_further_snapshot(self, warm_simulation, query_workload):
+        sessions = warm_simulation.issue_queries(query_workload)
+        warm_simulation.run_eager(cycles=30)
+        warm_simulation.run_eager(cycles=5, stop_when_idle=False)
+        assert all(session.closed for session in sessions.values())
+        for session in sessions.values():
+            assert len(session.snapshots) == session.closed_cycle - session.issued_cycle + 1
+            assert session.snapshots[-1].cycle == session.closed_cycle
+
+    def test_callback_reports_the_sessions_open_at_the_start_of_the_cycle(
+        self, warm_simulation, query_workload
+    ):
+        sessions = warm_simulation.issue_queries(query_workload)
+        still_open = {qid for qid, session in sessions.items() if not session.closed}
+        cycles = []
+
+        def callback(cycle, snapshots):
+            assert set(snapshots) == still_open
+            assert all(snapshot.cycle == cycle for snapshot in snapshots.values())
+            still_open.difference_update(qid for qid in snapshots if sessions[qid].closed)
+            cycles.append(cycle)
+
+        warm_simulation.run_eager(cycles=30, callback=callback, stop_when_idle=False)
+        assert cycles == list(range(1, 31))
+        assert not still_open
 
 
 class TestDynamics:

@@ -170,7 +170,10 @@ class TestDirectTransport:
         from repro.data.queries import Query
 
         query = Query(query_id=7, querier=0, tags=(100,))
+        # Node 1 is an unstored neighbour, so the session waits for its partial.
+        nodes[0].personal_network.consider(1, 1.0, nodes[1].own_digest())
         session = nodes[0].issue_query(query)
+        assert not session.closed
         partial = PartialResult(query_id=7, sender=1, scores={5: 1.0}, contributors=(1,), cycle=1)
         status = network.transport.send(1, 0, QueryResult(partial=partial), query_id=7)
         assert status == DELIVERED
