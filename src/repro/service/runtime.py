@@ -967,6 +967,15 @@ class ServiceRuntime:
     # -- driving --------------------------------------------------------------
 
     def issue_query(self, query: Query) -> QuerySession:
+        """Issue ``query`` at its querier, stamped with the querier's tick.
+
+        Raises ``ValueError`` if the querier is offline: its eager rounds do
+        not run, so the session could never progress.
+        """
+        if not self.is_online(query.querier):
+            raise ValueError(
+                f"querier {query.querier} of query {query.query_id} is offline"
+            )
         service = self.services[query.querier]
         return service.node.issue_query(query, cycle=service.tick)
 
@@ -978,7 +987,10 @@ class ServiceRuntime:
         """Issue queries and wait until each completes or hits its deadline.
 
         The per-query deadline replaces the engine's eager cycle cutoff: an
-        incomplete session is returned with whatever coverage it reached.
+        incomplete session is returned with whatever coverage it reached.  A
+        query whose querier is offline is left out, as
+        :meth:`P3QSimulation.issue_queries
+        <repro.p3q.protocol.P3QSimulation.issue_queries>` does.
         """
         if deadline is None:
             deadline = self.config.query_deadline
@@ -987,7 +999,9 @@ class ServiceRuntime:
             raise ValueError(
                 f"deadline must be a positive finite number, got {deadline!r}"
             )
-        sessions = {q.query_id: self.issue_query(q) for q in queries}
+        sessions = {
+            q.query_id: self.issue_query(q) for q in queries if self.is_online(q.querier)
+        }
         loop = asyncio.get_running_loop()
         cutoff = loop.time() + deadline
         poll = min(0.02, self.config.eager_interval)

@@ -411,6 +411,35 @@ class TestDeadlineValidation:
         assert "--deadline must be a positive finite number" in capsys.readouterr().err
 
 
+class TestOfflineQuerier:
+    def test_its_query_is_refused_as_in_the_cycle_engine(self):
+        workload = build_demo_workload(num_users=20, num_queries=2, seed=5)
+        simulation = converged_simulation(workload, 3)
+        query = workload.queries[0]
+        simulation.depart_users([query.querier])
+        deadline = 2.0
+
+        async def go():
+            runtime = ServiceRuntime(
+                simulation, ServiceConfig(gossip_interval=0.05, eager_interval=0.02)
+            )
+            await runtime.start()
+            try:
+                with pytest.raises(ValueError, match=f"querier {query.querier} .* offline"):
+                    runtime.issue_query(query)
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                sessions = await runtime.run_queries([query], deadline=deadline)
+                return sessions, loop.time() - start
+            finally:
+                await runtime.stop()
+
+        sessions, elapsed = asyncio.run(go())
+        assert sessions == simulation.issue_queries([query]) == {}
+        assert elapsed < deadline / 4
+        assert query.query_id not in simulation.nodes[query.querier].sessions
+
+
 class TestStorageOption:
     def test_cli_rejects_negative_storage_as_a_usage_error(self, capsys):
         from repro.service.cli import main
