@@ -30,7 +30,7 @@ from .fig8_reach import ReachResult, run_users_reached
 from .fig9_aur_eager import AurEagerResult, run_aur_eager
 from .fig10_network_update import NetworkUpdateResult, run_network_update
 from .fig11_churn import PAPER_DEPARTURES, ChurnResult, run_churn
-from .fig_loss import DEFAULT_LOSS_RATES, LossSweepResult, run_loss_sweep
+from .fig_loss import DEFAULT_LOSS_RATES, run_loss_sweep
 from .fig_serving import (
     DEFAULT_COVERAGE_CUTOFFS,
     ServingTradeoffResult,
@@ -39,7 +39,6 @@ from .fig_serving import (
 from .fig_service import ServiceModeResult, run_service_mode
 from .fig_adversarial import (
     DEFAULT_FREE_RIDER_FRACTIONS,
-    FreeRiderSweepResult,
     PartitionHealResult,
     run_free_rider_sweep,
     run_partition_heal,
@@ -65,10 +64,8 @@ __all__ = [
     "DEFAULT_FREE_RIDER_FRACTIONS",
     "DEFAULT_LOSS_RATES",
     "ExchangeAblationResult",
-    "FreeRiderSweepResult",
     "ExperimentRun",
     "ExperimentScale",
-    "LossSweepResult",
     "NetworkUpdateResult",
     "PAPER_ALPHAS",
     "PAPER_DEPARTURES",

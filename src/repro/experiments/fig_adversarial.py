@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..metrics.bandwidth import average_query_bytes, query_traffic_breakdown
 from ..metrics.recall import fraction_below_full_recall, recall_per_cycle
 from ..simulator.conditions import PartitionCut, PartitionSpec
+from .fig_loss import ConditionSweepResult, run_condition_sweep
 from .report import format_series, format_table
 from .runner import PreparedWorkload, converged_simulation, prepare_workload
 from .scenarios import ExperimentScale
@@ -128,10 +128,7 @@ def run_partition_heal(
         recall_series[name] = recall_per_cycle(snapshots, workload.references, cycles)
         by_cycle = simulation.stats.bytes_by_cycle()
         bytes_series[name] = [by_cycle.get(cycle, 0) for cycle in range(cycles)]
-        final_results = {
-            qid: (s.snapshots[-1].items if s.snapshots else [])
-            for qid, s in sessions.items()
-        }
+        final_results = {qid: s.snapshots[-1].items for qid, s in sessions.items()}
         incomplete[name] = fraction_below_full_recall(final_results, workload.references)
         if overrides:
             cut_drops = simulation.network.transport.condition(PartitionCut).cut_drops
@@ -145,89 +142,11 @@ def run_partition_heal(
     )
 
 
-@dataclass
-class FreeRiderSweepResult:
-    """Recall and bandwidth per free-rider fraction."""
-
-    cycles: List[int]
-    #: fraction -> average recall per eager cycle.
-    recall_series: Dict[float, List[float]]
-    #: fraction -> fraction of queries below recall 1 at the horizon.
-    incomplete_queries: Dict[float, float]
-    #: fraction -> average bytes spent per query.
-    avg_query_bytes: Dict[float, float]
-
-    def final_recall(self, fraction: float) -> float:
-        return self.recall_series[fraction][-1]
-
-    def render(self) -> str:
-        named = [
-            (f"riders={round(fraction * 100)}%", values)
-            for fraction, values in sorted(self.recall_series.items())
-        ]
-        series = format_series(
-            "cycle",
-            self.cycles,
-            named,
-            title="Free-rider sweep: average recall vs eager cycles per rider fraction",
-        )
-        rows = []
-        for fraction in sorted(self.recall_series):
-            rows.append(
-                [
-                    f"{round(fraction * 100)}%",
-                    f"{self.final_recall(fraction):.3f}",
-                    f"{self.incomplete_queries[fraction] * 100:.1f}%",
-                    f"{self.avg_query_bytes[fraction] / 1024:.1f}",
-                ]
-            )
-        table = format_table(
-            ["rider fraction", "final recall", "% queries below R=1", "avg KB per query"],
-            rows,
-            title="Free-rider sweep: end-of-horizon summary",
-        )
-        return series + "\n\n" + table
-
-
 def run_free_rider_sweep(
     scale: Optional[ExperimentScale] = None,
     fractions: Sequence[float] = DEFAULT_FREE_RIDER_FRACTIONS,
     cycles: int = 12,
     workload: Optional[PreparedWorkload] = None,
-) -> FreeRiderSweepResult:
+) -> ConditionSweepResult:
     """Run the query workload once per free-rider fraction."""
-    scale = scale or ExperimentScale.small()
-    workload = workload or prepare_workload(scale)
-    storage = scale.storage_levels[len(scale.storage_levels) // 2]
-
-    recall_series: Dict[float, List[float]] = {}
-    incomplete: Dict[float, float] = {}
-    avg_bytes: Dict[float, float] = {}
-    for fraction in fractions:
-        simulation = converged_simulation(
-            workload,
-            storage=storage,
-            config_overrides={"free_rider_fraction": float(fraction)},
-        )
-        sessions = simulation.issue_queries(workload.queries)
-        simulation.run_eager(cycles, stop_when_idle=False)
-        snapshots = {qid: s.snapshots for qid, s in sessions.items()}
-        recall_series[fraction] = recall_per_cycle(
-            snapshots, workload.references, cycles
-        )
-        final_results = {
-            qid: (s.snapshots[-1].items if s.snapshots else [])
-            for qid, s in sessions.items()
-        }
-        incomplete[fraction] = fraction_below_full_recall(
-            final_results, workload.references
-        )
-        avg_bytes[fraction] = average_query_bytes(
-            query_traffic_breakdown(simulation.stats)
-        )
-    return FreeRiderSweepResult(
-        cycles=list(range(cycles + 1)),
-        recall_series=recall_series,
-        incomplete_queries=incomplete,
-        avg_query_bytes=avg_bytes,
-    )
+    return run_condition_sweep("free_rider_fraction", fractions, scale, cycles, workload)

@@ -19,6 +19,11 @@ converged system answers the shared query workload over a
 Runs are fully deterministic: the drop stream is seeded independently of the
 node RNG streams, so a 0.0 drop rate reproduces the direct-transport figures
 exactly and any other rate is reproducible bit for bit.
+
+The sweep loop and its result (:func:`run_condition_sweep`,
+:class:`ConditionSweepResult`) are shared with the free-rider sweep of
+:mod:`repro.experiments.fig_adversarial`, which overrides
+``free_rider_fraction`` instead of ``loss_rate``.
 """
 
 from __future__ import annotations
@@ -36,57 +41,71 @@ from .scenarios import ExperimentScale
 DEFAULT_LOSS_RATES = (0.0, 0.05, 0.1, 0.2, 0.4)
 
 
-@dataclass
-class LossSweepResult:
-    """Recall and bandwidth series per drop probability."""
+#: How a report names each swept ``P3QConfig`` field: the series label
+#: prefix, the figure name, what one value is, and the summary table's first
+#: column header.
+_SWEEP_LABELS = {
+    "loss_rate": ("loss", "Loss sweep", "drop probability", "drop rate"),
+    "free_rider_fraction": (
+        "riders", "Free-rider sweep", "rider fraction", "rider fraction",
+    ),
+}
 
+
+@dataclass
+class ConditionSweepResult:
+    """Recall and bandwidth series per value of one swept condition."""
+
+    #: The ``P3QConfig`` field swept (a key of ``_SWEEP_LABELS``).
+    swept: str
     cycles: List[int]
-    #: loss rate -> average recall per eager cycle.
+    #: value -> average recall per eager cycle.
     recall_series: Dict[float, List[float]]
-    #: loss rate -> fraction of queries below recall 1 at the horizon.
+    #: value -> fraction of queries below recall 1 at the horizon.
     incomplete_queries: Dict[float, float]
-    #: loss rate -> average bytes spent per query (sender-side accounting).
+    #: value -> average bytes spent per query (sender-side accounting).
     avg_query_bytes: Dict[float, float]
 
-    def final_recall(self, rate: float) -> float:
-        return self.recall_series[rate][-1]
+    def final_recall(self, value: float) -> float:
+        return self.recall_series[value][-1]
 
     def render(self) -> str:
+        label, figure, unit, column = _SWEEP_LABELS[self.swept]
         named = [
-            (f"loss={round(rate * 100)}%", values)
-            for rate, values in sorted(self.recall_series.items())
+            (f"{label}={round(value * 100)}%", values)
+            for value, values in sorted(self.recall_series.items())
         ]
         series = format_series(
             "cycle",
             self.cycles,
             named,
-            title="Loss sweep: average recall vs eager cycles per drop probability",
+            title=f"{figure}: average recall vs eager cycles per {unit}",
         )
-        rows = []
-        for rate in sorted(self.recall_series):
-            rows.append(
-                [
-                    f"{round(rate * 100)}%",
-                    f"{self.final_recall(rate):.3f}",
-                    f"{self.incomplete_queries[rate] * 100:.1f}%",
-                    f"{self.avg_query_bytes[rate] / 1024:.1f}",
-                ]
-            )
+        rows = [
+            [
+                f"{round(value * 100)}%",
+                f"{self.final_recall(value):.3f}",
+                f"{self.incomplete_queries[value] * 100:.1f}%",
+                f"{self.avg_query_bytes[value] / 1024:.1f}",
+            ]
+            for value in sorted(self.recall_series)
+        ]
         table = format_table(
-            ["drop rate", "final recall", "% queries below R=1", "avg KB per query"],
+            [column, "final recall", "% queries below R=1", "avg KB per query"],
             rows,
-            title="Loss sweep: end-of-horizon summary",
+            title=f"{figure}: end-of-horizon summary",
         )
         return series + "\n\n" + table
 
 
-def run_loss_sweep(
+def run_condition_sweep(
+    swept: str,
+    values: Sequence[float],
     scale: Optional[ExperimentScale] = None,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     cycles: int = 12,
     workload: Optional[PreparedWorkload] = None,
-) -> LossSweepResult:
-    """Run the query workload once per drop probability."""
+) -> ConditionSweepResult:
+    """Run the query workload once per value of the ``P3QConfig`` field ``swept``."""
     scale = scale or ExperimentScale.small()
     workload = workload or prepare_workload(scale)
     storage = scale.storage_levels[len(scale.storage_levels) // 2]
@@ -94,25 +113,33 @@ def run_loss_sweep(
     recall_series: Dict[float, List[float]] = {}
     incomplete: Dict[float, float] = {}
     avg_bytes: Dict[float, float] = {}
-    for rate in loss_rates:
+    for value in values:
         simulation = converged_simulation(
             workload,
             storage=storage,
-            config_overrides={"loss_rate": float(rate)},
+            config_overrides={swept: float(value)},
         )
         sessions = simulation.issue_queries(workload.queries)
         simulation.run_eager(cycles, stop_when_idle=False)
         snapshots = {qid: s.snapshots for qid, s in sessions.items()}
-        recall_series[rate] = recall_per_cycle(snapshots, workload.references, cycles)
-        final_results = {
-            qid: (s.snapshots[-1].items if s.snapshots else [])
-            for qid, s in sessions.items()
-        }
-        incomplete[rate] = fraction_below_full_recall(final_results, workload.references)
-        avg_bytes[rate] = average_query_bytes(query_traffic_breakdown(simulation.stats))
-    return LossSweepResult(
+        recall_series[value] = recall_per_cycle(snapshots, workload.references, cycles)
+        final_results = {qid: s.snapshots[-1].items for qid, s in sessions.items()}
+        incomplete[value] = fraction_below_full_recall(final_results, workload.references)
+        avg_bytes[value] = average_query_bytes(query_traffic_breakdown(simulation.stats))
+    return ConditionSweepResult(
+        swept=swept,
         cycles=list(range(cycles + 1)),
         recall_series=recall_series,
         incomplete_queries=incomplete,
         avg_query_bytes=avg_bytes,
     )
+
+
+def run_loss_sweep(
+    scale: Optional[ExperimentScale] = None,
+    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
+    cycles: int = 12,
+    workload: Optional[PreparedWorkload] = None,
+) -> ConditionSweepResult:
+    """Run the query workload once per drop probability."""
+    return run_condition_sweep("loss_rate", loss_rates, scale, cycles, workload)
