@@ -803,29 +803,39 @@ class NodeService:
 
     async def _gossip_round(self) -> None:
         runtime = self.runtime
-        if runtime.is_online(self.node_id):
-            await self.drive(self.node.lazy_round_effects())
-            runtime.gossip_rounds += 1
-        # Reschedule after the round completes: the jittered interval
-        # separates round *completions* from the next firing, exactly as
-        # the per-node sleep loop did.
-        runtime.wheel.schedule(
-            self._pause(runtime.config.gossip_interval), self._fire_gossip
-        )
+        try:
+            if runtime.is_online(self.node_id):
+                await self.drive(self.node.lazy_round_effects())
+                runtime.gossip_rounds += 1
+        finally:
+            # Reschedule after the round completes: the jittered interval
+            # separates round *completions* from the next firing, exactly
+            # as the per-node sleep loop did.  A round that raised is
+            # rescheduled too, so it fails loudly on every interval instead
+            # of stopping this node's rounds for good.
+            runtime.wheel.schedule(
+                self._pause(runtime.config.gossip_interval), self._fire_gossip
+            )
 
     async def _eager_round(self) -> None:
         runtime = self.runtime
-        if runtime.is_online(self.node_id):
-            self.tick += 1
-            runtime.eager_ticks += 1
-            if self.node.has_active_queries():
-                await self.drive(self.node.eager_round_effects(self.tick))
-            # Fold the partial results this tick delivered into snapshots of
-            # the open sessions, as the engine does at each eager cycle.
-            self.node.close_open_sessions(self.tick)
-        runtime.wheel.schedule(
-            self._pause(runtime.config.eager_interval), self._fire_eager
-        )
+        try:
+            if runtime.is_online(self.node_id):
+                self.tick += 1
+                runtime.eager_ticks += 1
+                try:
+                    if self.node.has_active_queries():
+                        await self.drive(self.node.eager_round_effects(self.tick))
+                finally:
+                    # Fold the partial results this tick delivered into
+                    # snapshots of the open sessions, as the engine does at
+                    # each eager cycle -- also after a round that raised, so
+                    # the node's sessions still close.
+                    self.node.close_open_sessions(self.tick)
+        finally:
+            runtime.wheel.schedule(
+                self._pause(runtime.config.eager_interval), self._fire_eager
+            )
 
 
 # ----------------------------------------------------------------- runtime

@@ -335,6 +335,52 @@ class TestServiceHardening:
             asyncio.run(go())
         assert "undecodable" in caplog.text
 
+    @pytest.mark.parametrize("round_kind", ["lazy", "eager"])
+    def test_a_crashed_round_is_retried_every_interval(self, round_kind, caplog):
+        """A round that raises is rescheduled (and an eager one still closes
+        the node's sessions) instead of stopping that node's rounds for good."""
+        workload = build_demo_workload(num_users=12, num_queries=2, seed=5)
+        simulation = converged_simulation(workload, 3)
+        victim = simulation.nodes[workload.queries[0].querier]
+        attempts = []
+        closes = []
+
+        def broken_round(*args):
+            attempts.append(args)
+            raise RuntimeError("round bug")
+
+        if round_kind == "lazy":
+            victim.lazy_round_effects = broken_round
+        else:
+            victim.eager_round_effects = broken_round
+            victim.has_active_queries = lambda: True
+            close_open_sessions = victim.close_open_sessions
+
+            def counted_close(cycle):
+                closes.append(cycle)
+                return close_open_sessions(cycle)
+
+            victim.close_open_sessions = counted_close
+        config = ServiceConfig(gossip_interval=0.01, eager_interval=0.01)
+
+        async def go():
+            runtime = ServiceRuntime(simulation, config)
+            await runtime.start()
+            try:
+                await asyncio.sleep(0.5)
+            finally:
+                await runtime.stop()
+            return runtime
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.runtime"):
+            runtime = asyncio.run(go())
+        assert runtime.gossip_rounds > 0
+        assert len(attempts) >= 3
+        if round_kind == "eager":
+            # One close per crashed tick, plus the final one at stop.
+            assert len(closes) == len(attempts) + 1
+        assert "round bug" in caplog.text
+
     def test_crashed_task_is_reported(self, caplog):
         async def boom():
             raise RuntimeError("kaboom")
