@@ -16,10 +16,8 @@ latency transport the exchange may be deferred, in which case the partner
 merges when the engine drains the queue and the initiator merges when the
 reply message eventually arrives (:meth:`P3QNode.handle_message`).
 
-The protocol is sans-io: :meth:`run_cycle_effects` yields
-:mod:`repro.simulator.effects` and never touches the network, so the cycle
-engine (:func:`~repro.simulator.effects.drive`) and the asyncio service
-runtime execute the same core.
+The protocol is sans-io (:mod:`repro.simulator.effects`): both runtimes
+drive the same :meth:`run_cycle_effects`.
 """
 
 from __future__ import annotations

@@ -31,15 +31,10 @@ control round-trips in every transport -- a lossy transport may drop them
 latency transport only delays the *top-level* advertisement, never the
 sub-requests of an exchange already being processed.
 
-The protocol is sans-io: every operation with I/O is a generator yielding
-:mod:`repro.simulator.effects` (requests, sends, reachability probes) and
-receiving the outcomes back at the ``yield``.  The step-2/3 round-trips
-*nested inside* an exchange are what forces the generator shape -- a flat
-"return the outbound messages" API could not express a handler that needs
-an answer mid-flight.  The cycle engine drives the generators through
-:func:`~repro.simulator.effects.drive` (bit-identical to the pre-generator
-code); the asyncio service runtime awaits the same generators over a
-datagram wire.
+The protocol is sans-io (:mod:`repro.simulator.effects`), and both runtimes
+drive the same generators.  The step-2/3 round-trips *nested inside* an
+exchange are what forces the generator shape -- a flat "return the outbound
+messages" API could not express a handler that needs an answer mid-flight.
 
 This module sits on the hot path of every lazy cycle.  It leans on the
 performance layer described in ``docs/ARCHITECTURE.md``: the receiver's item
@@ -56,12 +51,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..similarity.metrics import overlap_score_from_actions
-from ..simulator.effects import (
-    PeerDigestEffect,
-    ProbeEffect,
-    RequestEffect,
-    WireEffects,
-)
+from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects
 from ..simulator.transport import (
     VIEW_PERSONAL,
     CommonItemsRequest,
@@ -325,10 +315,9 @@ class LazyExchangeProtocol:
         cycle.  Yields wire effects; returns the ids added to the personal
         network.
 
-        The candidate's *current* digest is requested through a
-        :class:`~repro.simulator.effects.PeerDigestEffect` carrying the
-        random-view copy as fallback: the engine answers with the live
-        digest (the seed's behaviour), a real network with the fallback.
+        The personal network records the random-view copy of the member's
+        digest, the one this peer already holds: a real wire cannot read
+        the member's live digest, so neither runtime does.
         """
         own_ids = peer.profile.action_ids
         added: List[int] = []
@@ -357,8 +346,7 @@ class LazyExchangeProtocol:
                     continue
                 score = overlap_score_from_actions(own_ids, profile.action_ids)
                 if score > 0:
-                    subject_digest = yield PeerDigestEffect(subject_id, digest)
-                    if peer.personal_network.consider(subject_id, score, subject_digest):
+                    if peer.personal_network.consider(subject_id, score, digest):
                         added.append(subject_id)
                         peer.personal_network.store_profile(subject_id, profile)
                 continue
@@ -371,8 +359,7 @@ class LazyExchangeProtocol:
             score = overlap_score_from_actions(own_ids, actions)
             if score <= 0:
                 continue
-            subject_digest = yield PeerDigestEffect(subject_id, digest)
-            if peer.personal_network.consider(subject_id, score, subject_digest):
+            if peer.personal_network.consider(subject_id, score, digest):
                 added.append(subject_id)
                 if subject_id in peer.personal_network.profiles_wanted():
                     profile = yield from self._fetch_profile_effects(

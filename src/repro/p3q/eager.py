@@ -30,10 +30,8 @@ destination already processed) or the partial result (pure recall loss).  A late
 defers the whole forward: the initiator hands off responsibility (empty
 list) and the α share merges back whenever the ``RemainingReturn`` arrives.
 
-Like the lazy layer, the protocol is sans-io: the ``*_effects`` generators
-yield :mod:`repro.simulator.effects` and are driven by either the cycle
-engine (:func:`~repro.simulator.effects.drive`, bit-identical to the
-pre-generator code) or the asyncio service runtime.
+Like the lazy layer, the protocol is sans-io (:mod:`repro.simulator.effects`):
+both runtimes drive the same ``*_effects`` generators.
 """
 
 from __future__ import annotations

@@ -49,14 +49,11 @@ bytes and the message reference per wire event, at most
 :data:`~repro.simulator.stats.FOLD_ROWS` unfolded traffic rows (the
 collector folds itself), and the answer alone of a finished query's merger.
 
-Two effect outcomes differ from the engine driver by design (documented in
-``docs/ARCHITECTURE.md``):
-
-* ``ProbeEffect`` consults the shared liveness table (the runtime's
-  failure-detector oracle) instead of ``Network.try_contact``;
-* ``PeerDigestEffect`` resolves to the *fallback* digest already held in
-  the random view -- a real peer cannot peek at another process's memory
-  -- where the engine peeks at the live node for seed bit-identity.
+Every effect that cannot suspend is answered as in the engine, by the one
+stepper :func:`~repro.simulator.effects.advance`: a one-way send through
+:meth:`NodeService.send`, a probe through the shared liveness table.  Only
+a round trip differs: the engine answers it in place, the service awaits
+it over the wire.
 """
 
 from __future__ import annotations
@@ -73,13 +70,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..data.queries import Query
 from ..p3q.protocol import P3QSimulation
 from ..p3q.query import QuerySession
-from ..simulator.effects import (
-    PeerDigestEffect,
-    ProbeEffect,
-    RequestEffect,
-    SendEffect,
-    WireEffects,
-)
+from ..simulator.effects import RequestEffect, WireEffects, advance
 from ..simulator.transport import (
     DELIVERED,
     DROPPED,
@@ -567,58 +558,19 @@ class NodeService:
 
     # -- effect driving -------------------------------------------------------
 
-    def _advance(self, gen: WireEffects, result: Any = None) -> Tuple[bool, Any]:
-        """Step ``gen`` through every effect that cannot suspend.
-
-        Sends ``result`` in, then answers one-way sends, probes and digest
-        peeks on the spot.  Returns ``(True, value)`` when the generator
-        finished, ``(False, effect)`` at a :class:`RequestEffect` -- the
-        one effect whose outcome must be awaited.
-        """
-        runtime = self.runtime
-        try:
-            effect = gen.send(result)
-            while True:
-                etype = type(effect)
-                if etype is RequestEffect:
-                    return False, effect
-                if etype is SendEffect:
-                    result = self.send(
-                        effect.sender,
-                        effect.receiver,
-                        effect.message,
-                        query_id=effect.query_id,
-                    )
-                elif etype is ProbeEffect:
-                    result = runtime.is_online(effect.node_id)
-                elif etype is PeerDigestEffect:
-                    # A live peek is impossible over a real wire: use the
-                    # stale copy the random view already holds.
-                    result = effect.fallback
-                else:
-                    raise TypeError(f"unknown wire effect {effect!r}")
-                effect = gen.send(result)
-        except StopIteration as stop:
-            return True, stop.value
-
     async def drive(self, gen: WireEffects, pending: Optional[RequestEffect] = None) -> Any:
-        """Async twin of :func:`repro.simulator.effects.drive`.
-
-        ``pending`` is the request an earlier :meth:`_advance` of ``gen``
-        stopped at (an inbound handler stepped inline up to there).
-        """
-        if pending is None:
-            done, value = self._advance(gen)
-        else:
+        """Step ``gen`` with :func:`~repro.simulator.effects.advance`,
+        awaiting each round trip it stops at; ``pending`` is one an inbound
+        handler stepped inline already stopped at."""
+        if pending is not None:
             done, value = False, pending
+        else:
+            done, value = advance(gen, None, self.send, self.runtime.is_online)
         while not done:
             dispatch = await self.request(
-                value.sender,
-                value.receiver,
-                value.message,
-                query_id=value.query_id,
+                value.sender, value.receiver, value.message, query_id=value.query_id
             )
-            done, value = self._advance(gen, dispatch)
+            done, value = advance(gen, dispatch, self.send, self.runtime.is_online)
         return value
 
     # -- outbound -------------------------------------------------------------
@@ -736,7 +688,7 @@ class NodeService:
         # alpha split) and two mutually-requesting nodes would deadlock.
         try:
             gen = self.node.handle_message_effects(decoded["envelope"])
-            done, value = self._advance(gen)
+            done, value = advance(gen, None, self.send, self.runtime.is_online)
             if done:
                 self._reply(decoded, value)
                 return

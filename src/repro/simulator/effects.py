@@ -5,42 +5,33 @@ The protocol modules (:mod:`repro.gossip.peer_sampling`,
 *generators* that yield one of the effect types below whenever they need the
 outside world and receive the outcome back at the ``yield``:
 
-===========================  ==================================  ===========
-effect                       meaning                             sent back
-===========================  ==================================  ===========
-:class:`RequestEffect`       round-trip send (request + reply)   ``Dispatch``
-:class:`SendEffect`          one-way, fire-and-forget send       status str
-:class:`ProbeEffect`         "is this peer reachable right now"  ``bool``
-:class:`PeerDigestEffect`    the subject's current own digest    digest
-===========================  ==================================  ===========
+======================  ==================================  ============
+effect                  meaning                             sent back
+======================  ==================================  ============
+:class:`RequestEffect`  round-trip send (request + reply)   ``Dispatch``
+:class:`SendEffect`     one-way, fire-and-forget send       status str
+:class:`ProbeEffect`    "is this peer reachable right now"  ``bool``
+======================  ==================================  ============
 
 A generator never touches the :class:`~repro.simulator.network.Network`, the
-transport or the engine -- which is what makes the same protocol code
-drivable by two runtimes:
-
-* :func:`drive` executes a generator against a live simulator network,
-  issuing the exact transport calls the pre-refactor code made in the exact
-  order (the cycle engine stays bit-identical -- pinned by the transport
-  golden fixture);
-* the asyncio runtime (:mod:`repro.service.runtime`) awaits each effect over
-  a datagram wire instead, with timers replacing engine cycles.
-
-:class:`PeerDigestEffect` deserves a note: the cycle engine answers it by
-peeking at the subject's live node (she was just contacted, so her current
-digest is what the seed used), which a real network cannot do.  The effect
-therefore carries the *fallback* digest the caller already holds (the
-random-view copy); the asyncio driver answers with that, trading a
-possibly-stale version stamp for wire-realism.
+transport or the engine, so both runtimes drive the same protocol code
+through one stepper, :func:`advance`: a one-way send goes through the
+runtime's send call and a probe through its liveness table.  Only a round
+trip is carried differently.  The cycle engine's :func:`drive` answers it in
+place with a synchronous transport call (the exact calls in the exact order
+the protocol makes them, pinned by the transport golden fixture); the
+asyncio runtime (:mod:`repro.service.runtime`) awaits the reply over a
+datagram wire.  Nothing a generator is told reads another node's memory: a
+protocol that needs a peer's digest uses the copy it holds.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Tuple
 
-from .transport import Message
+from .transport import Dispatch, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..gossip.digest import ProfileDigest
     from .network import Network
 
 #: The type of a sans-io protocol operation: yields effects, receives their
@@ -60,11 +51,7 @@ class RequestEffect(Effect):
     __slots__ = ("sender", "receiver", "message", "query_id")
 
     def __init__(
-        self,
-        sender: int,
-        receiver: int,
-        message: Message,
-        query_id: Optional[int] = None,
+        self, sender: int, receiver: int, message: Message, query_id: Optional[int] = None
     ) -> None:
         self.sender = sender
         self.receiver = receiver
@@ -78,11 +65,7 @@ class SendEffect(Effect):
     __slots__ = ("sender", "receiver", "message", "query_id")
 
     def __init__(
-        self,
-        sender: int,
-        receiver: int,
-        message: Message,
-        query_id: Optional[int] = None,
+        self, sender: int, receiver: int, message: Message, query_id: Optional[int] = None
     ) -> None:
         self.sender = sender
         self.receiver = receiver
@@ -99,49 +82,49 @@ class ProbeEffect(Effect):
         self.node_id = node_id
 
 
-class PeerDigestEffect(Effect):
-    """Ask for the subject's current own digest (see the module docstring)."""
+def advance(
+    gen: WireEffects,
+    result: Any,
+    send: Callable[..., str],
+    is_online: Callable[[int], bool],
+    request: Optional[Callable[..., Dispatch]] = None,
+) -> Tuple[bool, Any]:
+    """Send ``result`` into ``gen`` and answer its effects until it stops.
 
-    __slots__ = ("node_id", "fallback")
-
-    def __init__(self, node_id: int, fallback: "ProfileDigest") -> None:
-        self.node_id = node_id
-        self.fallback = fallback
+    One-way sends go through ``send`` and probes through ``is_online``.  A
+    round trip is answered in place through ``request`` when one is given;
+    without one the stepper returns ``(False, effect)`` at the
+    :class:`RequestEffect`, for the caller to answer by a later call.
+    Returns ``(True, value)`` when the generator finished.
+    """
+    try:
+        effect = gen.send(result)
+        while True:
+            etype = type(effect)
+            if etype is ProbeEffect:
+                result = is_online(effect.node_id)
+            else:
+                if etype is SendEffect:
+                    carry = send
+                elif etype is not RequestEffect:
+                    raise TypeError(f"unknown wire effect {effect!r}")
+                elif request is None:
+                    return False, effect
+                else:
+                    carry = request
+                result = carry(
+                    effect.sender, effect.receiver, effect.message, query_id=effect.query_id
+                )
+            effect = gen.send(result)
+    except StopIteration as stop:
+        return True, stop.value
 
 
 def drive(gen: WireEffects, network: "Network"):
     """Run a wire-effect generator against a live simulator network.
 
-    This is the cycle engine's side of the sans-io split: every effect maps
-    to the same transport / network call the pre-refactor protocol methods
-    made inline, in the same order, so a driven generator is bit-identical
-    to the code it replaced.
+    The cycle engine's side of the sans-io split: every round trip is a
+    synchronous transport call answered in place.
     """
     transport = network.transport
-    try:
-        effect = next(gen)
-        while True:
-            etype = type(effect)
-            if etype is RequestEffect:
-                result = transport.request(
-                    effect.sender,
-                    effect.receiver,
-                    effect.message,
-                    query_id=effect.query_id,
-                )
-            elif etype is SendEffect:
-                result = transport.send(
-                    effect.sender,
-                    effect.receiver,
-                    effect.message,
-                    query_id=effect.query_id,
-                )
-            elif etype is ProbeEffect:
-                result = network.try_contact(effect.node_id) is not None
-            elif etype is PeerDigestEffect:
-                result = network.node(effect.node_id).own_digest()
-            else:
-                raise TypeError(f"unknown wire effect {effect!r}")
-            effect = gen.send(result)
-    except StopIteration as stop:
-        return stop.value
+    return advance(gen, None, transport.send, network.is_online, transport.request)[1]

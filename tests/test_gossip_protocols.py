@@ -191,6 +191,19 @@ class TestLazyExchange:
         assert replica.version == target_version
         assert (500, 999) in replica
 
+    def test_random_view_member_enters_with_the_copy_the_peer_holds(self, gossip_config):
+        """A member scored from the random view is recorded with the digest
+        copy the random view holds, even when the member's live profile has
+        moved on since: no runtime reads another node's memory."""
+        dataset = Dataset.from_actions({0: [(1, 100), (2, 100)], 1: [(1, 100), (3, 101)]})
+        network, nodes = build_network(dataset, gossip_config)
+        nodes[0].bootstrap_random_view([nodes[1].own_digest()])
+        held = nodes[0].random_view.digest_of(1)
+        nodes[1].profile.add(500, 999)
+        assert nodes[1].own_digest().version > held.version
+        drive(nodes[0].lazy.refresh_from_random_view_effects(nodes[0]), network)
+        assert nodes[0].personal_network.entry(1).digest is held
+
     def test_offline_partner_does_not_break_cycle(self, wired):
         network, nodes = wired
         protocol = LazyExchangeProtocol()

@@ -4,16 +4,24 @@ The protocols are written once, as sans-io ``*_effects`` generators; the
 cycle engine drives them and the service runtime delegates to them.  A
 synchronous twin ``name`` next to ``name_effects`` is a second copy of the
 same protocol step, so the only such pair allowed is the node's two wire
-entry points, one per driver.
+entry points, one per driver.  Both drivers step a generator through one
+stepper, so they answer every effect but a round trip alike.
 """
 
 from __future__ import annotations
 
 import ast
+import asyncio
 from pathlib import Path
 
+import pytest
+
+from repro.experiments.runner import converged_simulation
 from repro.p3q import node as node_module
+from repro.service.demo import build_demo_workload
+from repro.service.runtime import NodeService, ServiceRuntime
 from repro.simulator import transport
+from repro.simulator.effects import Effect, ProbeEffect, RequestEffect, SendEffect, drive
 
 SRC = Path(node_module.__file__).resolve().parents[1]
 
@@ -81,3 +89,48 @@ def test_node_handler_tables_cover_every_message_a_node_receives():
     handled = set(node_module._MESSAGE_HANDLERS) | set(node_module._ROUND_TRIP_HANDLERS)
     assert sent, "no RequestEffect / SendEffect found under src/repro"
     assert handled == sent | deferred
+
+
+def test_the_effect_vocabulary_is_request_send_probe():
+    assert set(Effect.__subclasses__()) == {RequestEffect, SendEffect, ProbeEffect}
+
+
+def _drive_in_engine(simulation, gen):
+    return drive(gen, simulation.network)
+
+
+def _drive_in_service(simulation, gen):
+    runtime = ServiceRuntime(simulation)
+    service = NodeService(next(iter(simulation.nodes.values())), runtime)
+    return asyncio.run(service.drive(gen))
+
+
+DRIVERS = {"engine": _drive_in_engine, "service": _drive_in_service}
+
+
+@pytest.fixture()
+def simulation():
+    simulation = converged_simulation(build_demo_workload(num_users=8, num_queries=1, seed=5), 3)
+    simulation.depart_users([2])
+    return simulation
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_both_drivers_answer_probes_from_the_liveness_table(driver, simulation):
+    def probes(node_ids):
+        answers = []
+        for node_id in node_ids:
+            answers.append((yield ProbeEffect(node_id)))
+        return answers
+
+    online, offline, unknown = 1, 2, 10_000
+    assert DRIVERS[driver](simulation, probes([online, offline, unknown])) == [True, False, False]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_both_drivers_refuse_an_unknown_effect(driver, simulation):
+    def unknown():
+        yield object()
+
+    with pytest.raises(TypeError, match="unknown wire effect"):
+        DRIVERS[driver](simulation, unknown())
