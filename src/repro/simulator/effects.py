@@ -101,20 +101,20 @@ def advance(
         effect = gen.send(result)
         while True:
             etype = type(effect)
-            if etype is ProbeEffect:
-                result = is_online(effect.node_id)
-            else:
-                if etype is SendEffect:
-                    carry = send
-                elif etype is not RequestEffect:
-                    raise TypeError(f"unknown wire effect {effect!r}")
-                elif request is None:
+            if etype is RequestEffect:
+                if request is None:
                     return False, effect
-                else:
-                    carry = request
-                result = carry(
+                result = request(
                     effect.sender, effect.receiver, effect.message, query_id=effect.query_id
                 )
+            elif etype is SendEffect:
+                result = send(
+                    effect.sender, effect.receiver, effect.message, query_id=effect.query_id
+                )
+            elif etype is ProbeEffect:
+                result = is_online(effect.node_id)
+            else:
+                raise TypeError(f"unknown wire effect {effect!r}")
             effect = gen.send(result)
     except StopIteration as stop:
         return True, stop.value
