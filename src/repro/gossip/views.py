@@ -210,6 +210,20 @@ class PersonalNetwork:
             # cannot displace a stored replica: skip the budget scan.
         return user_id in self._entries
 
+    def install(self, ranked: Iterable[Tuple[int, float, ProfileDigest]]) -> None:
+        """Replace the entries with the first ``size`` qualifying ``(user_id, score,
+        digest)`` triples of ``ranked`` (rank order): in one pass, the state :meth:`consider`
+        of each leaves on an empty network.  Storing the top replicas is the caller's."""
+        entries: Dict[int, NeighbourEntry] = {}
+        for user_id, score, digest in ranked:
+            if score > 0 and user_id != self.owner_id:
+                entries[user_id] = NeighbourEntry(user_id, score, digest)
+                if len(entries) == self.size:
+                    break
+        self._entries = entries
+        self._ranked = list(entries.values())
+        self._enforce_storage_budget()
+
     def _truncate(self) -> None:
         """Keep only the ``size`` best entries and demote excess replicas."""
         if len(self._entries) > self.size:

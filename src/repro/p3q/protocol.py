@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 from ..data.models import ChangeDay, Dataset
 from ..data.dynamics import apply_change_day
 from ..data.queries import Query
-from ..gossip.digest import DigestCache
+from ..gossip.digest import DigestCache, ProfileDigest
 from ..gossip.peer_sampling import PeerSamplingProtocol
 from ..gossip.profile_exchange import LazyExchangeProtocol
 from ..gossip.views import PersonalNetwork
@@ -127,24 +127,32 @@ class P3QSimulation:
             node.bootstrap_random_view(digests)
 
     def warm_start(self, ideal: Optional[IdealNetworkIndex] = None) -> IdealNetworkIndex:
-        """Install the ideal personal networks directly (converged state).
+        """Replace every personal network with its ideal one (converged state).
 
         The paper's query-processing experiments (Figures 3, 4, 6, 8, 11) are
         run on personal networks that already converged through the lazy
         mode.  Warm-starting from the offline ideal index reproduces that
         starting state without paying the convergence time in every
         experiment; the convergence itself is evaluated separately (Fig. 2).
+        What a network held before is dropped: its entries become the ideal
+        ones in rank order, with timestamp 0 and replicas for the top ``c``.
         """
         if ideal is None:
             ideal = IdealNetworkIndex(self.dataset, size=self.config.network_size)
-        for node in self.nodes.values():
-            for neighbour in ideal.network_of(node.node_id):
-                digest = self.nodes[neighbour.user_id].own_digest()
-                node.personal_network.consider(neighbour.user_id, neighbour.score, digest)
-            for stored_id in node.personal_network.profiles_wanted():
-                node.personal_network.store_profile(
-                    stored_id, self.nodes[stored_id].profile
-                )
+        nodes = self.nodes
+        digests: Dict[int, ProfileDigest] = {}  # fetched on first appearance
+        with paused_gc():  # the entries are acyclic: a collection only re-walks them
+            for uid, node in nodes.items():
+                ranked = []
+                for other, score in zip(ideal.neighbour_ids(uid), ideal.neighbour_scores(uid)):
+                    digest = digests.get(other)
+                    if digest is None:
+                        digest = digests[other] = nodes[other].own_digest()
+                    ranked.append((digest.user_id, score, digest))  # no fresh int per entry
+                network = node.personal_network
+                network.install(ranked)
+                for entry in network.ranked_entries()[: network.storage]:
+                    entry.profile = nodes[entry.user_id].profile.copy()
         return ideal
 
     # ------------------------------------------------------------- lazy phase

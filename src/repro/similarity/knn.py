@@ -18,13 +18,17 @@ paper scale.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
 from ..data.models import Dataset
 from .metrics import SimilarityFunction, overlap_score
+
+#: Id bits of a packed ``(-count << 32) | id`` key and the largest ``array("i")`` id.
+_ID_MASK = (1 << 31) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,9 +38,6 @@ class Neighbour:
     user_id: int
     score: float
 
-    def __lt__(self, other: "Neighbour") -> bool:  # deterministic ordering
-        return (self.score, -self.user_id) < (other.score, -other.user_id)
-
 
 class IdealNetworkIndex:
     """Offline computation of every user's ideal personal network.
@@ -44,7 +45,9 @@ class IdealNetworkIndex:
     ``size`` is the paper's parameter ``s``: the personal network keeps the
     ``s`` users with the highest *positive* similarity score.  Users with a
     zero score never qualify, so an ideal network can legitimately hold fewer
-    than ``s`` neighbours.
+    than ``s`` neighbours.  A network is two columns in rank order, an
+    ``array("i")`` of ids and a tuple of scores; :meth:`network_of` builds
+    :class:`Neighbour` objects on demand.
     """
 
     def __init__(
@@ -55,14 +58,15 @@ class IdealNetworkIndex:
     ) -> None:
         if size <= 0:
             raise ValueError("personal network size must be positive")
+        for user_id in dataset.user_ids:
+            if not 0 <= user_id <= _ID_MASK:
+                raise ValueError(f"user id {user_id} is outside [0, 2**31)")
         self.dataset = dataset
         self.size = size
         self.metric = metric
-        self._networks: Dict[int, List[Neighbour]] = {}
-        self._build()
-
-    def _build(self) -> None:
-        if self.metric is overlap_score:
+        self._ids: Dict[int, array] = {}
+        self._scores: Dict[int, Tuple[float, ...]] = {}
+        if metric is overlap_score:
             self._build_from_inverted_index()
         else:
             self._build_brute_force()
@@ -79,70 +83,43 @@ class IdealNetworkIndex:
             for action_id in profile.action_ids:
                 postings[action_id].append(user_id)
         size = self.size
-        # One float object per distinct overlap count, shared by the index.
-        score_of: Dict[int, float] = {}
+        # One float object per overlap count, shared by the index.
+        longest = max((len(profile.action_ids) for profile in self.dataset.profiles()), default=0)
+        score_of = [float(count) for count in range(longest + 1)]
         for profile in self.dataset.profiles():
             user_id = profile.user_id
             counts = Counter(
                 chain.from_iterable(postings[action_id] for action_id in profile.action_ids)
             )
             counts.pop(user_id, None)
+            # Packed key: descending count, then ascending id, as one int.
             best = heapq.nsmallest(
-                size, counts.items(), key=lambda pair: (-pair[1], pair[0])
+                size, [(-count << 32) | other for other, count in counts.items()]
             )
-            self._networks[user_id] = [
-                Neighbour(other, score_of.setdefault(count, float(count)))
-                for other, count in best
-            ]
+            self._ids[user_id] = array("i", [key & _ID_MASK for key in best])
+            self._scores[user_id] = tuple([score_of[-(key >> 32)] for key in best])
 
     def _build_brute_force(self) -> None:
-        user_ids = self.dataset.user_ids
-        for user_id in user_ids:
-            profile = self.dataset.profile(user_id)
-            scored = [
-                Neighbour(other, self.metric(profile, self.dataset.profile(other)))
-                for other in user_ids
-                if other != user_id
-            ]
-            scored = [n for n in scored if n.score > 0]
-            scored.sort(key=lambda n: (-n.score, n.user_id))
-            self._networks[user_id] = scored[: self.size]
+        dataset = self.dataset
+        for user_id in dataset.user_ids:
+            profile = dataset.profile(user_id)
+            best = sorted(
+                (-score, other)
+                for other in dataset.user_ids
+                if other != user_id and (score := self.metric(profile, dataset.profile(other))) > 0
+            )[: self.size]
+            self._ids[user_id] = array("i", [other for _, other in best])
+            self._scores[user_id] = tuple([-negated for negated, _ in best])
 
     # -- queries --------------------------------------------------------------
 
     def network_of(self, user_id: int) -> List[Neighbour]:
         """The ideal personal network of a user (descending score)."""
-        return list(self._networks[user_id])
+        return [Neighbour(*pair) for pair in zip(self._ids[user_id], self._scores[user_id])]
 
     def neighbour_ids(self, user_id: int) -> List[int]:
-        return [n.user_id for n in self._networks[user_id]]
+        return self._ids[user_id].tolist()
 
-    def top_c_ids(self, user_id: int, c: int) -> List[int]:
-        """The ``c`` highest-scored ideal neighbours (stored-profile set)."""
-        return [n.user_id for n in self._networks[user_id][:c]]
-
-    def score(self, user_id: int, other: int) -> float:
-        for neighbour in self._networks[user_id]:
-            if neighbour.user_id == other:
-                return neighbour.score
-        return 0.0
-
-    def success_ratio(self, user_id: int, discovered_ids: Sequence[int]) -> float:
-        """Fraction of the ideal network present in ``discovered_ids``.
-
-        This is the paper's per-user convergence metric.  A user with an
-        empty ideal network (no positive-score peer) trivially has ratio 1.
-        """
-        ideal = set(self.neighbour_ids(user_id))
-        if not ideal:
-            return 1.0
-        discovered = set(discovered_ids)
-        return len(ideal & discovered) / len(ideal)
-
-    def average_success_ratio(self, discovered: Dict[int, Sequence[int]]) -> float:
-        """Average success ratio over all users in the dataset (Fig. 2)."""
-        ratios = [
-            self.success_ratio(user_id, discovered.get(user_id, ()))
-            for user_id in self.dataset.user_ids
-        ]
-        return sum(ratios) / len(ratios) if ratios else 1.0
+    def neighbour_scores(self, user_id: int) -> Tuple[float, ...]:
+        """The scores of :meth:`neighbour_ids`, position for position."""
+        return self._scores[user_id]

@@ -147,6 +147,67 @@ class TestPersonalNetwork:
             network.member_ids()
         )
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+            unique_by=lambda pair: pair[0],
+            max_size=40,
+        ),
+        st.integers(1, 8),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_install_equals_considering_each_on_an_empty_network(self, pairs, size, storage):
+        """One ``install`` plus storing the top replicas leaves the state the
+        ``consider`` -> ``profiles_wanted`` -> ``store_profile`` loop leaves:
+        on ranked lists with ties, zero scores, the owner's id (0) and more
+        triples than ``size``."""
+        ranked = [
+            (user_id, score, _digest(user_id))
+            for user_id, score in sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
+        ]
+        profiles = {user_id: UserProfile(user_id, [(user_id, 0)]) for user_id, _ in pairs}
+
+        oracle = PersonalNetwork(0, size=size, storage=storage)
+        for user_id, score, digest in ranked:
+            oracle.consider(user_id, score, digest)
+        for user_id in oracle.profiles_wanted():
+            oracle.store_profile(user_id, profiles[user_id])
+
+        network = PersonalNetwork(0, size=size, storage=storage)
+        network.install(iter(ranked))
+        for entry in network.ranked_entries()[: network.storage]:
+            entry.profile = profiles[entry.user_id].copy()
+
+        def state(view):
+            return [
+                (
+                    entry.user_id,
+                    entry.score,
+                    id(entry.digest),
+                    entry.timestamp,
+                    None if entry.profile is None else entry.profile.actions,
+                )
+                for entry in view.ranked_entries()
+            ]
+
+        assert state(network) == state(oracle)
+        assert list(network._entries) == list(oracle._entries)  # iteration order
+        assert network.stored_ids() == oracle.stored_ids()
+        assert network._storage_boundary == oracle._storage_boundary
+
+    def test_install_replaces_what_the_network_held(self):
+        network = PersonalNetwork(0, size=3, storage=1)
+        network.consider(1, 5.0, _digest(1))
+        network.store_profile(1, UserProfile(1, [(1, 0)]))
+        network.mark_gossiped(1)
+        network.consider(2, 4.0, _digest(2))
+        network.mark_gossiped(1)
+        network.install([(3, 2.0, _digest(3)), (2, 1.0, _digest(2))])
+        assert network.member_ids() == [3, 2]
+        assert [entry.timestamp for entry in network.ranked_entries()] == [0, 0]
+        assert network.stored_ids() == []
+
 
 class TestRandomView:
     def test_rejects_bad_size(self):

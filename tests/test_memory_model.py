@@ -18,6 +18,8 @@ that keeps it flat instead:
 * a digest at rest is its packed integer and its wire row, and the row is
   what it is probed in: the cache derives nothing else from it, whichever
   of a user's versions is probed;
+* the offline ideal index is columns, not objects: an id array and a tuple
+  of shared score floats per user, under 20 traced bytes per neighbour;
 * what a service run keeps per wire event and per answered query: the audit
   trail is five columns (no ``WireEvent`` at rest), the traffic rows are
   folded before they reach a constant (``stats.FOLD_ROWS``, the same in
@@ -29,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -41,12 +44,13 @@ from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.experiments.runner import converged_simulation
 from repro.gossip.digest import DigestCache, ProfileDigest, intern_digest, make_digest
 from repro.gossip.views import NeighbourEntry
+from repro.p3q.config import P3QConfig
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
 from repro.service import ServiceConfig, ServiceRuntime
 from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
-from repro.similarity.knn import Neighbour
+from repro.similarity.knn import IdealNetworkIndex, Neighbour
 from repro.simulator import stats as stats_module
 from repro.topk.heap import Candidate
 from repro.topk.nra import RankedList
@@ -387,6 +391,28 @@ class TestOneCopyOfAProfileAtRest:
         assert (1, 987_654_321) not in profile
         assert (1, 2) in profile
         assert len(GLOBAL_INTERNER) == before
+
+
+class TestTheIdealIndexIsColumns:
+    def test_an_ideal_neighbour_costs_at_most_20_traced_bytes(self):
+        """At N=300 and the default ``s``: 58.7 B while every neighbour was
+        a ``Neighbour`` object, 15.8 B as an ``array("i")`` slot plus a
+        tuple slot pointing at a shared float."""
+        dataset = generate_dataset(SyntheticConfig(num_users=300, seed=3))
+        for profile in dataset.profiles():
+            profile.action_ids  # not the index's bytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = IdealNetworkIndex(dataset, size=P3QConfig().network_size)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        neighbours = sum(len(index.neighbour_ids(uid)) for uid in dataset.user_ids)
+        assert neighbours > 10 * len(dataset)
+        assert held / neighbours <= 20, held / neighbours
 
 
 #: ``sys.getsizeof`` of what the parent commit held for the digest of

@@ -54,7 +54,25 @@ class TestWarmStart:
             stored = node.personal_network.stored_ids()
             assert len(stored) <= small_config.storage_for(uid)
             # Stored replicas are the highest-scored neighbours.
-            assert set(stored) <= set(ideal.top_c_ids(uid, small_config.storage_for(uid)))
+            assert set(stored) <= set(ideal.neighbour_ids(uid)[: small_config.storage_for(uid)])
+
+    def test_warm_start_after_lazy_cycles_replaces_the_networks(
+        self, synthetic_dataset, small_config
+    ):
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        simulation.bootstrap_random_views()
+        simulation.run_lazy(2)
+        ideal = IdealNetworkIndex(simulation.dataset, size=small_config.network_size)
+        assert any(
+            node.personal_network.member_ids() != ideal.neighbour_ids(uid)
+            for uid, node in simulation.nodes.items()
+        )
+        simulation.warm_start(ideal)
+        for uid, node in simulation.nodes.items():
+            network = node.personal_network
+            assert network.member_ids() == ideal.neighbour_ids(uid)
+            assert all(entry.timestamp == 0 for entry in network.ranked_entries())
+            assert network.stored_ids() == ideal.neighbour_ids(uid)[: network.storage]
 
     def test_bootstrap_fills_random_views(self, synthetic_dataset, small_config):
         simulation = P3QSimulation(synthetic_dataset.copy(), small_config)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.models import Dataset, UserProfile
+from repro.metrics.convergence import average_success_ratio, success_ratio
 from repro.similarity import (
     IdealNetworkIndex,
     common_actions,
@@ -149,23 +150,50 @@ class TestIdealNetworkIndex:
         for uid in dataset.user_ids:
             assert fast.network_of(uid) == brute.network_of(uid)
 
-    def test_top_c_ids_prefix_of_network(self, synthetic_ideal, synthetic_dataset):
-        uid = synthetic_dataset.user_ids[0]
-        assert synthetic_ideal.top_c_ids(uid, 3) == synthetic_ideal.neighbour_ids(uid)[:3]
+    def test_packed_keys_match_brute_force_on_ties_and_scattered_ids(self):
+        """Many tied overlap counts, and ids that reach each user's counter
+        out of order (user 0's first posting holds the largest ids): ties
+        must still break on ascending id, up to the largest id allowed."""
+        big = 2**31 - 1
+        corpus = {
+            0: [(1, 0), (2, 0), (3, 0), (4, 0)],
+            big: [(1, 0), (2, 0)],
+            900: [(1, 0), (3, 0)],
+            7: [(1, 0), (4, 0)],
+            55: [(2, 0), (3, 0)],
+            3: [(4, 0)],
+            12: [(3, 0)],
+            400: [(2, 0)],
+        }
+        dataset = Dataset.from_actions(corpus)
+        for size in (1, 3, 5, 10):
+            fast = IdealNetworkIndex(dataset, size=size)
+            brute = _brute_force_overlap(dataset, size=size)
+            for uid in dataset.user_ids:
+                assert fast.network_of(uid) == brute.network_of(uid)
+                assert fast.neighbour_scores(uid) == brute.neighbour_scores(uid)
+        assert IdealNetworkIndex(dataset, size=4).neighbour_ids(0) == [7, 55, 900, big]
+
+    @pytest.mark.parametrize("bad_id", [-1, 2**31, 2**40])
+    def test_rejects_a_user_id_outside_the_column_range(self, bad_id):
+        dataset = Dataset.from_actions({0: [(1, 0)], bad_id: [(1, 0)]})
+        with pytest.raises(ValueError, match=str(bad_id)):
+            IdealNetworkIndex(dataset, size=2)
 
     def test_score_lookup(self, tiny_dataset):
         index = IdealNetworkIndex(tiny_dataset, size=4)
-        assert index.score(0, 1) == 3
-        assert index.score(0, 3) == 0
+        scores = dict(zip(index.neighbour_ids(0), index.neighbour_scores(0)))
+        assert scores[1] == 3
+        assert 3 not in scores
 
     def test_success_ratio_bounds_and_perfect_discovery(self, synthetic_ideal, synthetic_dataset):
         uid = synthetic_dataset.user_ids[0]
         ideal_ids = synthetic_ideal.neighbour_ids(uid)
-        assert synthetic_ideal.success_ratio(uid, ideal_ids) == 1.0
-        assert synthetic_ideal.success_ratio(uid, []) == (1.0 if not ideal_ids else 0.0)
+        assert success_ratio(ideal_ids, ideal_ids) == 1.0
+        assert success_ratio(ideal_ids, []) == (1.0 if not ideal_ids else 0.0)
 
     def test_average_success_ratio_with_full_knowledge(self, synthetic_ideal, synthetic_dataset):
         discovered = {
             uid: synthetic_ideal.neighbour_ids(uid) for uid in synthetic_dataset.user_ids
         }
-        assert synthetic_ideal.average_success_ratio(discovered) == pytest.approx(1.0)
+        assert average_success_ratio(synthetic_ideal, discovered) == pytest.approx(1.0)
