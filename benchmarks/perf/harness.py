@@ -806,6 +806,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="allowed macro cycles/sec regression for --compare (default: 0.10)",
     )
     args = parser.parse_args(argv)
+    # Bad values are usage errors (exit 2, the flag named), never a
+    # traceback from deep inside a run or a comparison against a nonsense
+    # budget.  ``not x > 0`` also rejects NaN.
+    if args.sizes is not None and min(args.sizes) < 1:
+        parser.error("--sizes must be positive")
+    if args.macro_repeats < 1:
+        parser.error("--macro-repeats must be positive")
+    if args.scale_smoke is not None and args.scale_smoke < 1:
+        parser.error("--scale-smoke must be positive")
+    if not args.budget_seconds > 0:
+        parser.error("--budget-seconds must be positive")
+    if not 0.0 <= args.max_regression < 1.0:
+        parser.error("--max-regression must be a fraction in [0, 1)")
 
     if args.scale_smoke is not None:
         result = bench_scale_smoke(
@@ -867,8 +880,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{args.validate}: valid (schema v{report['schema_version']})")
         return 0
 
-    if args.macro_repeats < 1:
-        parser.error("--macro-repeats must be positive")
     sizes = args.sizes
     if args.scale:
         # dict.fromkeys dedupes while preserving order: a size listed both

@@ -1,16 +1,5 @@
-"""Baselines: the centralized reference and the strawman decentralized strategies."""
+"""Baselines: the centralized network-aware top-k reference."""
 
-from .centralized import CentralizedTopK, inverted_list_storage_estimate
-from .strategies import (
-    OnDemandPollingStrategy,
-    StoreEverythingStrategy,
-    StrategyCost,
-)
+from .centralized import CentralizedTopK
 
-__all__ = [
-    "CentralizedTopK",
-    "OnDemandPollingStrategy",
-    "StoreEverythingStrategy",
-    "StrategyCost",
-    "inverted_list_storage_estimate",
-]
+__all__ = ["CentralizedTopK"]

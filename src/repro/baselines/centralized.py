@@ -6,18 +6,13 @@ protocol", itself inspired by the network-aware search of Amer-Yahia et al.
 A central server holds every profile and, per querier, the querier's ideal
 personal network; the relevance of an item is its aggregated score over that
 network.  The results of this engine define recall = 1.
-
-The engine also exposes the per-(user, tag) inverted-list size accounting
-that motivates the paper's argument that the centralized approach does not
-scale in storage.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..data.models import Dataset, UserProfile
+from ..data.models import Dataset
 from ..data.queries import Query
 from ..similarity.knn import IdealNetworkIndex
 from ..p3q.scoring import partial_scores
@@ -62,26 +57,3 @@ class CentralizedTopK:
         """query_id -> the k reference ("relevant") items for each query."""
         return {query.query_id: self.top_k_items(query, k) for query in queries}
 
-
-def inverted_list_storage_estimate(dataset: Dataset, ideal: IdealNetworkIndex) -> Dict[str, int]:
-    """Estimate of the centralized per-(user, tag) inverted-list storage.
-
-    The centralized approach of the paper's reference stores, for every user
-    and every tag used in her personal network, the list of (item, score)
-    entries over that network.  The returned dict reports the number of
-    inverted lists and the total number of entries, the quantities behind the
-    "several terabytes for 100,000 users" argument in the introduction.
-    """
-    total_lists = 0
-    total_entries = 0
-    for user_id in dataset.user_ids:
-        network_profiles: List[UserProfile] = [
-            dataset.profile(uid) for uid in ideal.neighbour_ids(user_id)
-        ]
-        per_tag_items: Dict[int, set] = defaultdict(set)
-        for profile in network_profiles:
-            for item, tag in profile:
-                per_tag_items[tag].add(item)
-        total_lists += len(per_tag_items)
-        total_entries += sum(len(items) for items in per_tag_items.values())
-    return {"inverted_lists": total_lists, "entries": total_entries}

@@ -6,20 +6,6 @@ original ``hashlib``-based implementation as an equivalence/benchmark
 baseline.
 """
 
-from .bloom import (
-    PAPER_DIGEST_BITS,
-    BloomFilter,
-    clear_hash_cache,
-    hash_bases,
-    optimal_num_bits,
-    optimal_num_hashes,
-)
+from .bloom import PAPER_DIGEST_BITS, BloomFilter, clear_hash_cache, hash_bases
 
-__all__ = [
-    "PAPER_DIGEST_BITS",
-    "BloomFilter",
-    "clear_hash_cache",
-    "hash_bases",
-    "optimal_num_bits",
-    "optimal_num_hashes",
-]
+__all__ = ["PAPER_DIGEST_BITS", "BloomFilter", "clear_hash_cache", "hash_bases"]

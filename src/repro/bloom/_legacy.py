@@ -9,7 +9,8 @@ for two purposes:
 
 * the equivalence property tests (``tests/test_bloom_equivalence.py``) assert
   that the fast filter preserves the legacy filter's observable behaviour
-  (no false negatives, comparable false-positive rates, identical sizing);
+  (no false negatives, comparable false-positive rates, identical sizing
+  and insert counting);
 * the performance harness (``benchmarks/perf``) measures the fast filter's
   speedup against this implementation, which is the baseline quoted in
   ``BENCH_p3q.json``.
@@ -21,7 +22,6 @@ instead.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Iterable, Iterator, Tuple
 
 from .bloom import PAPER_DIGEST_BITS
@@ -71,15 +71,8 @@ class LegacyBloomFilter:
             self._bits[pos // 8] |= 1 << (pos % 8)
         self._count += 1
 
-    def update(self, keys: Iterable[object]) -> None:
-        for key in keys:
-            self.add(key)
-
     def __contains__(self, key: object) -> bool:
         return all(self._bits[pos // 8] >> (pos % 8) & 1 for pos in self._positions(key))
-
-    def intersects(self, keys: Iterable[object]) -> bool:
-        return any(key in self for key in keys)
 
     @property
     def approximate_count(self) -> int:
@@ -88,13 +81,3 @@ class LegacyBloomFilter:
     @property
     def size_in_bytes(self) -> int:
         return len(self._bits)
-
-    def fill_ratio(self) -> float:
-        set_bits = sum(bin(byte).count("1") for byte in self._bits)
-        return set_bits / self.num_bits
-
-    def estimated_false_positive_rate(self) -> float:
-        if self._count == 0:
-            return 0.0
-        exponent = -self.num_hashes * self._count / self.num_bits
-        return (1.0 - math.exp(exponent)) ** self.num_hashes

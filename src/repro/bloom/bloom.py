@@ -39,7 +39,6 @@ the benchmark baseline.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Dict, Iterable, Optional, Tuple
 
 #: Sizing used in the paper's cost analysis: 20 Kbit per digest.
@@ -155,36 +154,12 @@ def pack_row(bits: int, num_bits: int) -> bytes:
     return bits.to_bytes((num_bits + 7) // 8, "little")
 
 
-def optimal_num_hashes(num_bits: int, expected_items: int) -> int:
-    """The false-positive-minimizing number of hash functions ``k``.
-
-    ``k = (m/n) ln 2`` rounded to the nearest integer and clamped to >= 1.
-    """
-    if num_bits <= 0:
-        raise ValueError("num_bits must be positive")
-    if expected_items <= 0:
-        return 1
-    k = round((num_bits / expected_items) * math.log(2))
-    return max(1, int(k))
-
-
-def optimal_num_bits(expected_items: int, false_positive_rate: float) -> int:
-    """Bits needed for a target false-positive rate at ``expected_items``."""
-    if not 0.0 < false_positive_rate < 1.0:
-        raise ValueError("false_positive_rate must be in (0, 1)")
-    if expected_items <= 0:
-        return 8
-    bits = -expected_items * math.log(false_positive_rate) / (math.log(2) ** 2)
-    return max(8, int(math.ceil(bits)))
-
-
 class BloomFilter:
     """A Bloom filter over integer (or otherwise hashable) keys.
 
     The filter guarantees *no false negatives*: every added key is reported
     as (possibly) present.  False positives occur with a probability that
-    depends on the fill ratio; :meth:`estimated_false_positive_rate` reports
-    the standard estimate.
+    depends on the fill ratio, ``(1 - e^{-kn/m})^k`` for ``n`` inserts.
     """
 
     __slots__ = ("num_bits", "num_hashes", "_bits", "_count", "_masks", "_mask_limit", "_row")
@@ -212,13 +187,6 @@ class BloomFilter:
         )
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def for_capacity(cls, expected_items: int, false_positive_rate: float = 0.001) -> "BloomFilter":
-        """Size a filter for ``expected_items`` at the target FP rate."""
-        bits = optimal_num_bits(expected_items, false_positive_rate)
-        hashes = optimal_num_hashes(bits, expected_items)
-        return cls(num_bits=bits, num_hashes=hashes)
 
     @classmethod
     def from_items(
@@ -270,19 +238,6 @@ class BloomFilter:
     def __contains__(self, key: object) -> bool:
         mask = self.probe_mask(key)
         return self._bits & mask == mask
-
-    def might_contain(self, key: object) -> bool:
-        """Alias of ``key in filter`` with the probabilistic semantics spelt out."""
-        return key in self
-
-    def intersects(self, keys: Iterable[object]) -> bool:
-        """True if *any* of ``keys`` might be in the filter.
-
-        This is the digest test of P3Q's lazy mode: a random-view neighbour is
-        contacted for her full profile only if her digest contains at least one
-        item the local user also tagged.
-        """
-        return any(key in self for key in keys)
 
     # -- state transfer -------------------------------------------------------
 
@@ -355,35 +310,3 @@ class BloomFilter:
     def size_in_bytes(self) -> int:
         """Wire / storage size of the bit array (the cost-model quantity)."""
         return (self.num_bits + 7) // 8
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set to one."""
-        return self._bits.bit_count() / self.num_bits
-
-    def estimated_false_positive_rate(self) -> float:
-        """Standard estimate ``(1 - e^{-kn/m})^k`` using the insert count."""
-        if self._count == 0:
-            return 0.0
-        exponent = -self.num_hashes * self._count / self.num_bits
-        return (1.0 - math.exp(exponent)) ** self.num_hashes
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BloomFilter):
-            return NotImplemented
-        return (
-            self.num_bits == other.num_bits
-            and self.num_hashes == other.num_hashes
-            and self._bits == other._bits
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"BloomFilter(num_bits={self.num_bits}, num_hashes={self.num_hashes}, "
-            f"inserted={self._count}, fill={self.fill_ratio():.3f})"
-        )
-
-    def copy(self) -> "BloomFilter":
-        clone = BloomFilter(self.num_bits, self.num_hashes)
-        clone._bits = self._bits  # ints are immutable: sharing is a deep copy
-        clone._count = self._count
-        return clone

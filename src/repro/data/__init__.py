@@ -9,12 +9,7 @@ from .models import (
     UserProfile,
 )
 from .interning import GLOBAL_INTERNER, ActionInterner, action_of, intern_action
-from .synthetic import (
-    SyntheticConfig,
-    SyntheticTraceGenerator,
-    generate_dataset,
-    paper_scale_config,
-)
+from .synthetic import SyntheticConfig, SyntheticTraceGenerator, generate_dataset
 from .dynamics import (
     ChurnEvent,
     DynamicsConfig,
@@ -23,19 +18,7 @@ from .dynamics import (
     massive_departure,
 )
 from .queries import Query, QueryWorkloadGenerator
-from .loader import (
-    DatasetFormatError,
-    load_dataset,
-    load_or_generate_synthetic,
-    save_dataset,
-    synthetic_cache_key,
-)
-from .importers import (
-    ImportResult,
-    TraceImportError,
-    import_tagging_trace,
-    iter_tagging_rows,
-)
+from .loader import DatasetFormatError, load_or_generate_synthetic, synthetic_cache_key
 
 __all__ = [
     "ActionInterner",
@@ -48,7 +31,6 @@ __all__ = [
     "DatasetFormatError",
     "DatasetStats",
     "DynamicsConfig",
-    "ImportResult",
     "ProfileChange",
     "ProfileDynamicsGenerator",
     "Query",
@@ -56,16 +38,10 @@ __all__ = [
     "SyntheticConfig",
     "SyntheticTraceGenerator",
     "TaggingAction",
-    "TraceImportError",
     "UserProfile",
     "apply_change_day",
     "generate_dataset",
-    "import_tagging_trace",
-    "iter_tagging_rows",
-    "load_dataset",
     "load_or_generate_synthetic",
     "massive_departure",
-    "paper_scale_config",
-    "save_dataset",
     "synthetic_cache_key",
 ]

@@ -140,9 +140,6 @@ class ChurnEvent:
     cycle: int
     departing_users: Tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.departing_users)
-
 
 def massive_departure(
     dataset: Dataset,

@@ -55,9 +55,6 @@ class ActionInterner:
         """The id of an action if it was ever interned, else ``None``."""
         return self._ids.get((item, tag))
 
-    def __len__(self) -> int:
-        return len(self._actions)
-
 
 #: The process-wide interner.  All :class:`repro.data.models.UserProfile`
 #: instances share it; never swap it out while profiles are alive, their

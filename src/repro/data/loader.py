@@ -1,22 +1,7 @@
-"""Dataset persistence.
+"""The synthetic dataset disk cache.
 
-Datasets (synthetic or externally converted traces) are stored as JSON with
-one record per user:
-
-.. code-block:: json
-
-    {
-      "format": "repro-tagging-trace",
-      "version": 1,
-      "users": {"0": [[item, tag], ...], "1": [...]}
-    }
-
-JSON keeps the trace human-inspectable and diff-able; for the scales this
-repository targets (10^4 users, 10^7 actions at most) it is also fast enough.
-
-Next to the portable JSON format this module hosts the **synthetic dataset
-disk cache** used by the setup pipeline: :func:`load_or_generate_synthetic`
-keys a binary trace file on the SHA-256 of the
+:func:`load_or_generate_synthetic` is the one dataset loader of the setup
+pipeline.  It keys a binary trace file on the SHA-256 of the
 :class:`~repro.data.synthetic.SyntheticConfig` *and* the generator
 fingerprint, so a benchmark or CI job pays the O(N) generation cost once
 per spec and every later run reads the identical trace back as four flat
@@ -30,24 +15,20 @@ Neither a hit nor a miss holds the corpus as per-user action lists.
 from __future__ import annotations
 
 import dataclasses
-import gzip
 import hashlib
 import json
 import os
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .models import Dataset, TaggingAction, UserProfile
+from .models import Dataset, UserProfile
 from .synthetic import (
     GENERATOR_FINGERPRINT,
     SyntheticConfig,
     SyntheticTraceGenerator,
 )
-
-FORMAT_NAME = "repro-tagging-trace"
-FORMAT_VERSION = 1
 
 #: Binary cache format written by :func:`_write_cache_file`.
 CACHE_FORMAT = "repro-trace-cache"
@@ -55,63 +36,7 @@ CACHE_VERSION = 1
 
 
 class DatasetFormatError(ValueError):
-    """Raised when a trace file does not match the expected format."""
-
-
-def _open(path: Path, mode: str):
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
-def save_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
-    """Serialize a dataset to ``path`` (``.json`` or ``.json.gz``)."""
-    path = Path(path)
-    payload = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "users": {
-            str(profile.user_id): sorted(list(action) for action in profile.actions)
-            for profile in dataset.profiles()
-        },
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with _open(path, "w") as handle:
-        json.dump(payload, handle)
-
-
-def load_dataset(path: Union[str, Path]) -> Dataset:
-    """Load a dataset previously written by :func:`save_dataset`."""
-    path = Path(path)
-    with _open(path, "r") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
-        raise DatasetFormatError(f"{path} is not a {FORMAT_NAME} file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported trace version {payload.get('version')!r} in {path}"
-        )
-    users = payload.get("users")
-    if not isinstance(users, dict):
-        raise DatasetFormatError(f"malformed 'users' section in {path}")
-    profiles: Dict[int, UserProfile] = {}
-    for key, raw_actions in users.items():
-        try:
-            user_id = int(key)
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"non-integer user id {key!r} in {path}") from exc
-        if not isinstance(raw_actions, list):
-            raise DatasetFormatError(f"malformed action list for user {key} in {path}")
-        actions: List[TaggingAction] = []
-        for entry in raw_actions:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise DatasetFormatError(f"malformed action {entry!r} for user {key} in {path}")
-            actions.append((int(entry[0]), int(entry[1])))
-        profiles[user_id] = UserProfile(user_id, actions)
-    return Dataset(profiles)
-
-
-# ----------------------------------------------------- synthetic dataset cache
+    """Raised when a trace cache file does not match the expected format."""
 
 
 def synthetic_cache_key(config: SyntheticConfig) -> str:
@@ -129,11 +54,6 @@ def synthetic_cache_key(config: SyntheticConfig) -> str:
         json.dumps(payload, sort_keys=True).encode("utf-8")
     )
     return digest.hexdigest()
-
-
-def synthetic_cache_path(config: SyntheticConfig, cache_dir: Union[str, Path]) -> Path:
-    """Where the cached trace of ``config`` lives under ``cache_dir``."""
-    return Path(cache_dir) / f"{synthetic_cache_key(config)}.trace"
 
 
 def _write_cache_file(

@@ -20,7 +20,6 @@ see ``docs/ARCHITECTURE.md`` for the full design and its invariants.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
@@ -85,22 +84,14 @@ class UserProfile:
 
     # -- mutation -----------------------------------------------------------
 
-    def add(self, item: int, tag: int) -> bool:
-        """Record that this user tagged ``item`` with ``tag``.
-
-        Returns ``True`` if the action is new, ``False`` if it was already in
-        the profile.  Every new action bumps the profile version so that
-        replicas (stored copies on other nodes) can detect staleness.
-        """
-        return self.add_all(((item, tag),)) == 1
-
     def add_all(self, actions: Iterable[TaggingAction]) -> int:
         """Add many actions in one pass; returns how many were actually new.
 
         The one write path: the id set is rebuilt once for the whole batch
         and each new action extends its item's and its tag's tuple.  Repeats
         inside ``actions`` count once, and the version moves by the number
-        of new actions, exactly as one :meth:`add` per action would.
+        of new actions.  Every new action bumps the version so that replicas
+        (stored copies on other nodes) can detect staleness.
         """
         known = self._action_ids
         fresh: Dict[int, TaggingAction] = {}
@@ -307,9 +298,6 @@ class UserProfile:
             replies[items] = reply
         return reply
 
-    def has_item(self, item: int) -> bool:
-        return item in self._item_tags
-
     def __len__(self) -> int:
         return len(self._action_ids)
 
@@ -329,17 +317,6 @@ class UserProfile:
         return (
             (item, tag) for item, tags in self._item_tags.items() for tag in tags
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UserProfile):
-            return NotImplemented
-        return self.user_id == other.user_id and self._action_ids == other._action_ids
-
-    def __hash__(self) -> int:  # pragma: no cover - identity-style hashing
-        return hash((self.user_id, len(self._action_ids)))
-
-    def __repr__(self) -> str:
-        return f"UserProfile(user_id={self.user_id}, actions={len(self._action_ids)})"
 
     def copy(self) -> "UserProfile":
         """A logically deep snapshot of this profile (replicas on peers).
@@ -407,16 +384,6 @@ class DatasetStats:
     mean_profile_length: float
     max_profile_length: int
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "num_users": self.num_users,
-            "num_items": self.num_items,
-            "num_tags": self.num_tags,
-            "num_actions": self.num_actions,
-            "mean_profile_length": self.mean_profile_length,
-            "max_profile_length": self.max_profile_length,
-        }
-
 
 class Dataset:
     """An immutable-ish collection of user profiles.
@@ -455,9 +422,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._profiles)
 
-    def __contains__(self, user_id: int) -> bool:
-        return user_id in self._profiles
-
     # -- statistics -----------------------------------------------------------
 
     def items(self) -> Set[int]:
@@ -471,20 +435,6 @@ class Dataset:
         """All distinct tags used by at least one user."""
         return {tag for p in self._profiles.values() for _, tag in p}
 
-    def item_popularity(self) -> Counter:
-        """item -> number of distinct users who tagged it."""
-        counts: Counter = Counter()
-        for profile in self._profiles.values():
-            counts.update(profile.items)
-        return counts
-
-    def tag_popularity(self) -> Counter:
-        """tag -> number of distinct users who used it."""
-        counts: Counter = Counter()
-        for profile in self._profiles.values():
-            counts.update({tag for _, tag in profile})
-        return counts
-
     def stats(self) -> DatasetStats:
         lengths = [len(p) for p in self._profiles.values()]
         total = sum(lengths)
@@ -495,38 +445,6 @@ class Dataset:
             num_actions=total,
             mean_profile_length=total / len(lengths) if lengths else 0.0,
             max_profile_length=max(lengths) if lengths else 0,
-        )
-
-    # -- transformations ------------------------------------------------------
-
-    def filter_rare(self, min_item_users: int = 10, min_tag_users: int = 10) -> "Dataset":
-        """Drop actions on items/tags used by too few distinct users.
-
-        Mirrors the paper's dataset cleaning: profiles are rebuilt with the
-        items and tags "used by at least 10 distinct users".  Items at the
-        tail of the candidate lists are hardly ever in a top-k result, so the
-        filtering does not change the experiments' conclusions while keeping
-        the trace small.
-        """
-        item_pop = self.item_popularity()
-        tag_pop = self.tag_popularity()
-        keep_items = {i for i, n in item_pop.items() if n >= min_item_users}
-        keep_tags = {t for t, n in tag_pop.items() if n >= min_tag_users}
-        filtered: Dict[int, UserProfile] = {}
-        for uid, profile in self._profiles.items():
-            actions = [
-                (item, tag)
-                for item, tag in profile
-                if item in keep_items and tag in keep_tags
-            ]
-            filtered[uid] = UserProfile(uid, actions)
-        return Dataset(filtered)
-
-    def sample_users(self, user_ids: Iterable[int]) -> "Dataset":
-        """Restrict the dataset to the given users (paper: 10,000 of 13,521)."""
-        wanted = set(user_ids)
-        return Dataset(
-            {uid: p.copy() for uid, p in self._profiles.items() if uid in wanted}
         )
 
     def copy(self) -> "Dataset":
@@ -559,6 +477,3 @@ class ChangeDay:
     @property
     def changed_users(self) -> FrozenSet[int]:
         return frozenset(change.user_id for change in self.changes)
-
-    def __len__(self) -> int:
-        return len(self.changes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .models import Dataset
 
@@ -30,9 +30,6 @@ class Query:
     def __post_init__(self) -> None:
         if not self.tags:
             raise ValueError("a query must contain at least one tag")
-
-    def __len__(self) -> int:
-        return len(self.tags)
 
 
 class QueryWorkloadGenerator:
@@ -67,6 +64,3 @@ class QueryWorkloadGenerator:
                 queries.append(query)
         return queries
 
-    def generate_map(self, user_ids: Optional[Sequence[int]] = None) -> Dict[int, Query]:
-        """Same as :meth:`generate` but keyed by querier id."""
-        return {q.querier: q for q in self.generate(user_ids)}

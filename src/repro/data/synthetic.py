@@ -289,20 +289,3 @@ def generate_dataset(config: SyntheticConfig | None = None) -> Dataset:
     """Convenience wrapper: build a generator and produce the dataset."""
     return SyntheticTraceGenerator(config).generate()
 
-
-def paper_scale_config(seed: int = 42) -> SyntheticConfig:
-    """A configuration matching the scale of the paper's cleaned trace.
-
-    10,000 users, ~100k items, ~32k tags, ~950 actions per user on average.
-    Running lazy-mode convergence at this scale in pure Python takes hours;
-    this config exists so that the experiments are parameterized to paper
-    scale, not hard-coded to the test scale.
-    """
-    return SyntheticConfig(
-        num_users=10_000,
-        num_items=100_000,
-        num_tags=32_000,
-        num_communities=120,
-        mean_actions_per_user=950,
-        seed=seed,
-    )

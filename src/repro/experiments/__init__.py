@@ -6,7 +6,6 @@ from .scenarios import (
     poisson_storage_distribution,
     storage_level_fractions,
     storage_level_probabilities,
-    uniform_storage_distribution,
 )
 from .runner import (
     ExperimentRun,
@@ -113,5 +112,4 @@ __all__ = [
     "run_users_reached",
     "storage_level_fractions",
     "storage_level_probabilities",
-    "uniform_storage_distribution",
 ]

@@ -72,11 +72,6 @@ def poisson_storage_distribution(
     return assignment
 
 
-def uniform_storage_distribution(user_ids: Sequence[int], storage: int) -> Dict[int, int]:
-    """Every user stores the same number of profiles."""
-    return {user_id: storage for user_id in user_ids}
-
-
 def storage_level_fractions(
     assignment: Mapping[int, int],
     levels: Sequence[int] = PAPER_STORAGE_LEVELS,

@@ -7,7 +7,6 @@ experiments) and the invariants the fast paths rely on.
 """
 
 from .digest import DigestCache, ProfileDigest, make_digest
-from .interfaces import GossipPeer
 from .peer_sampling import PeerSamplingProtocol
 from .profile_exchange import DEFAULT_EXCHANGE_SIZE, LazyExchangeProtocol
 from .sizes import (
@@ -19,7 +18,6 @@ from .sizes import (
     USER_ID_BYTES,
     digest_message_size,
     partial_result_size,
-    profile_length,
     profile_storage_bytes,
     remaining_list_size,
     tagging_actions_size,
@@ -30,7 +28,6 @@ __all__ = [
     "DEFAULT_EXCHANGE_SIZE",
     "DIGEST_BYTES",
     "DigestCache",
-    "GossipPeer",
     "ITEM_ID_BYTES",
     "LazyExchangeProtocol",
     "NeighbourEntry",
@@ -45,7 +42,6 @@ __all__ = [
     "digest_message_size",
     "make_digest",
     "partial_result_size",
-    "profile_length",
     "profile_storage_bytes",
     "remaining_list_size",
     "tagging_actions_size",

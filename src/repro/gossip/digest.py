@@ -12,22 +12,21 @@ answers two questions cheaply:
 Digest probes ride the bit-packed-integer :class:`repro.bloom.BloomFilter`:
 membership is one C-level big-int ``AND`` against the key's cached probe
 mask, with masks and hash bases memoized process-wide and shared between
-digest construction and probing (see ``docs/ARCHITECTURE.md``).  ``common_items_with`` exposes
-the one-pass "which of my items might she have?" probe that step 2 of the
-lazy exchange is built on; :class:`DigestCache` prices the same question
-for a whole simulation, reading each digest in the one other form it
-already has -- the wire row its holders send.
+digest construction and probing (see ``docs/ARCHITECTURE.md``).
+:class:`DigestCache` prices the "which of my items might she have?" probe
+that step 2 of the lazy exchange is built on for a whole simulation,
+reading each digest in the one other form it already has -- the wire row
+its holders send.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..bloom import PAPER_DIGEST_BITS, BloomFilter, hash_bases
 from ..data.models import UserProfile
-from .sizes import DIGEST_BYTES
 
 
 #: Shared empty common-item set (most probes find nothing in common).
@@ -46,35 +45,6 @@ class ProfileDigest:
     user_id: int
     version: int
     bloom: BloomFilter
-
-    def might_contain_item(self, item: int) -> bool:
-        return item in self.bloom
-
-    def shares_item_with(self, items: Iterable[int]) -> bool:
-        """True if the digest (probably) contains any of ``items``."""
-        return self.bloom.intersects(items)
-
-    def common_items_with(self, items: Iterable[int]) -> Set[int]:
-        """The subset of ``items`` the digest (probably) contains.
-
-        This is the candidate common-item set of step 2 of the lazy exchange:
-        a superset of the true common items (Bloom false positives included,
-        false negatives impossible).
-        """
-        bloom = self.bloom
-        return {item for item in items if item in bloom}
-
-    @property
-    def size_in_bytes(self) -> int:
-        """Wire size: the paper's 20 Kbit constant, not the actual bit array.
-
-        Keeping the accounting constant-size matches the paper's cost model
-        even when tests use small filters.
-        """
-        return DIGEST_BYTES
-
-    def same_version_as(self, other: "ProfileDigest") -> bool:
-        return self.user_id == other.user_id and self.version == other.version
 
 
 def make_digest(
@@ -218,9 +188,10 @@ class DigestCache:
     def common_items(self, receiver: UserProfile, digest: ProfileDigest) -> FrozenSet[int]:
         """The receiver's items that ``digest`` (probably) contains, memoized.
 
-        Semantically identical to ``digest.common_items_with(receiver.items)``
-        (same Bloom filter, same probe masks) but priced incrementally: the
-        receiver's probe rows are cached per profile version, and a
+        Semantically identical to probing each of ``receiver.items`` against
+        ``digest.bloom`` (same Bloom filter, same probe masks) but priced
+        incrementally: the receiver's probe rows are cached per profile
+        version, and a
         (receiver, subject) pair is re-probed only when either side's
         version changed since the last probe.  A probe reads one byte of the
         digest's own wire row -- the item's first probe bit -- and runs the
@@ -229,7 +200,7 @@ class DigestCache:
         bloom = digest.bloom
         if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
             # Foreign geometry (mixed-config tests): fall back to direct probes.
-            return frozenset(digest.common_items_with(receiver.items))
+            return frozenset(item for item in receiver.items if item in bloom)
         row = self._common.get(receiver.user_id)
         if row is not None and row[0] == receiver.version:
             memo = row[1].get(digest.user_id)
@@ -277,9 +248,9 @@ class DigestCache:
     def shares_item(self, receiver: UserProfile, digest: ProfileDigest) -> bool:
         """Whether ``digest`` shares at least one item with the receiver.
 
-        Same truth value as ``digest.shares_item_with(receiver.items)``; goes
-        through the memoized common-item set so the answer is free when the
-        pair was already probed (and primes the memo when it was not).
+        Goes through the memoized common-item set, so the answer is free
+        when the pair was already probed (and primes the memo when it was
+        not).
         """
         return bool(self.common_items(receiver, digest))
 
@@ -350,17 +321,3 @@ class DigestCache:
                 self._common_pairs -= len(row[1])
         if len(self._common_values) > self._common_pairs:
             self._common_values.clear()
-
-    def clear(self) -> None:
-        self._digests.clear()
-        self._rows.clear()
-        self._clear_common()
-
-    def stats(self) -> Dict[str, int]:
-        """Cache occupancy counters (exposed for tests and diagnostics)."""
-        return {
-            "digests": len(self._digests),
-            "rows": len(self._rows),
-            "common_pairs": self._common_pairs,
-            "common_values": len(self._common_values),
-        }

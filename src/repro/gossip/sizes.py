@@ -112,13 +112,6 @@ def total_bytes(message: Message) -> int:
     return sizer(message)
 
 
-def profile_length(num_actions: int) -> int:
-    """Paper's storage metric: a profile's length is its number of actions."""
-    if num_actions < 0:
-        raise ValueError("num_actions must be non-negative")
-    return num_actions
-
-
 def profile_storage_bytes(num_actions: int) -> int:
     """Bytes needed to store a profile of ``num_actions`` tagging actions."""
     return tagging_actions_size(num_actions)

@@ -114,10 +114,6 @@ class PersonalNetwork:
             )
         return list(self._ranked)
 
-    def score_of(self, user_id: int) -> float:
-        entry = self._entries.get(user_id)
-        return entry.score if entry is not None else 0.0
-
     # -- stored replicas ------------------------------------------------------
 
     def stored_entries(self) -> List[NeighbourEntry]:
@@ -133,10 +129,6 @@ class PersonalNetwork:
             for entry in self._entries.values()
             if entry.profile is not None
         }
-
-    def has_stored_profile(self, user_id: int) -> bool:
-        entry = self._entries.get(user_id)
-        return entry is not None and entry.profile is not None
 
     def unstored_ids(self) -> List[int]:
         """Neighbours whose profiles are *not* stored locally.
@@ -284,14 +276,6 @@ class PersonalNetwork:
         entry.profile = profile.copy()
         return True
 
-    def drop_member(self, user_id: int) -> None:
-        """Remove a neighbour entirely (not used by the paper's protocol,
-        which never forgets departed users, but exposed for experiments)."""
-        if self._entries.pop(user_id, None) is not None:
-            self._ranked = None
-            self._storage_boundary = None
-            self._enforce_storage_budget()
-
     # -- gossip partner selection ---------------------------------------------
 
     def select_oldest(self, restrict_to: Optional[Iterable[int]] = None) -> Optional[int]:
@@ -360,18 +344,6 @@ class RandomView:
                 self._sorted_ids = sorted(entries)
             self._digest_list = [entries[uid] for uid in self._sorted_ids]
         return list(self._digest_list)
-
-    def digest_of(self, user_id: int) -> Optional[ProfileDigest]:
-        return self._entries.get(user_id)
-
-    def add(self, digest: ProfileDigest) -> None:
-        """Insert a digest directly (bootstrap)."""
-        if digest.user_id == self.owner_id:
-            return
-        self._entries[digest.user_id] = digest
-        self._sorted_ids = None
-        self._digest_list = None
-        self._shrink_random(random.Random(self.owner_id))
 
     def random_partner(self, rng: random.Random) -> Optional[int]:
         """A uniformly random member to gossip with."""

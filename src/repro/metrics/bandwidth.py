@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence
 
-from ..gossip.sizes import profile_storage_bytes
 from ..simulator.stats import (
     KIND_COMMON_ITEMS,
     KIND_DIGESTS,
@@ -108,10 +107,6 @@ class StorageRequirement:
     user_id: int
     stored_profiles: int
     stored_profile_length: int
-
-    @property
-    def stored_bytes(self) -> int:
-        return profile_storage_bytes(self.stored_profile_length)
 
 
 def storage_requirements(

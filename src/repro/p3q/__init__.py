@@ -7,22 +7,14 @@ from .analysis import (
     max_partial_results,
     max_remaining_list_messages,
     max_users_involved,
-    optimal_alpha,
     simulate_remaining_list_drain,
-    theoretical_longest_after,
 )
 from .config import P3QConfig, StorageSpec
 from .eager import EagerGossipProtocol
 from .node import P3QNode
 from .protocol import P3QSimulation
 from .query import CycleSnapshot, ForwardedQueryState, PartialResult, QuerySession
-from .scoring import (
-    item_score_for_user,
-    partial_scores,
-    ranked_items,
-    relevance_scores,
-    user_score_map,
-)
+from .scoring import partial_scores
 
 __all__ = [
     "CycleSnapshot",
@@ -37,15 +29,9 @@ __all__ = [
     "StorageSpec",
     "alpha_sweep",
     "cycles_to_complete",
-    "item_score_for_user",
     "max_partial_results",
     "max_remaining_list_messages",
     "max_users_involved",
-    "optimal_alpha",
     "partial_scores",
-    "ranked_items",
-    "relevance_scores",
     "simulate_remaining_list_drain",
-    "theoretical_longest_after",
-    "user_score_map",
 ]

@@ -57,11 +57,6 @@ def cycles_to_complete(length: int, found_per_hop: int, alpha: float) -> float:
     return 1.0 - math.log(inner) / math.log(beta)
 
 
-def optimal_alpha() -> float:
-    """The α minimizing ``R(α)`` (Theorem 2.2): 0.5."""
-    return 0.5
-
-
 def max_users_involved(cycles: float) -> int:
     """Upper bound on users touched by one query (Theorem 2.3): ``2^R``."""
     if cycles < 0:
@@ -133,21 +128,6 @@ def simulate_remaining_list_drain(
         longest.append(max(lists) if lists else 0.0)
     return DrainTrace(longest_per_cycle=longest, cycles=cycles, holders=holders)
 
-
-def theoretical_longest_after(
-    length: int, found_per_hop: int, alpha: float, cycle: int
-) -> float:
-    """Closed-form longest remaining list after ``cycle`` cycles (Thm 2.1 proof)."""
-    if cycle < 0:
-        raise ValueError("cycle must be non-negative")
-    if cycle == 0:
-        return float(length)
-    x = float(found_per_hop)
-    if alpha in (0.0, 1.0):
-        return max(0.0, length - cycle * x)
-    base = max(alpha, 1.0 - alpha)
-    geometric = base * (1.0 - base ** cycle) / (1.0 - base)
-    return max(0.0, (base ** cycle) * length - geometric * x)
 
 
 def alpha_sweep(

@@ -11,9 +11,8 @@ A :class:`P3QNode` combines
   merging -- run once per ``"eager"`` cycle for every query the node is
   involved in.
 
-The node satisfies both the simulator's :class:`~repro.simulator.node.Node`
-interface and the gossip layer's :class:`~repro.gossip.interfaces.GossipPeer`
-protocol, and is addressable on the wire: every delivered message lands in
+The node satisfies the simulator's :class:`~repro.simulator.node.Node`
+interface and is addressable on the wire: every delivered message lands in
 :meth:`P3QNode.handle_message` (the cycle engine's transport) or
 :meth:`P3QNode.handle_message_effects` (the service runtime), and both look
 up one pair of handler tables.  Step-2/3 control requests and query results

@@ -60,9 +60,6 @@ class PartialResult:
     #: Eager cycle during which the list was produced.
     cycle: int
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
 
 @dataclass
 class CycleSnapshot:
@@ -205,9 +202,6 @@ class QuerySession:
         if exact:
             return [item for item, _ in self._merger.finalize()]
         return self._merger.current_items()
-
-    def current_top_k(self) -> List[Tuple[int, float]]:
-        return self._merger.current_top_k()
 
     def is_complete(self) -> bool:
         """True when every expected profile has contributed."""

@@ -23,25 +23,10 @@ of actions, so the index walk touches only the actions that can contribute.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable
 
 from ..data.models import UserProfile
 from ..data.queries import Query
-
-
-def item_score_for_user(profile: UserProfile, query: Query, item: int) -> int:
-    """``Score_{u_j,Q}(i)``: how many query tags this user put on the item."""
-    tags = profile.tags_for(item)
-    return sum(1 for tag in query.tags if tag in tags)
-
-
-def user_score_map(profile: UserProfile, query: Query) -> Dict[int, int]:
-    """All items of ``profile`` with a positive score for ``query``."""
-    scores: Dict[int, int] = {}
-    for tag in set(query.tags):
-        for item in profile.items_for_tag(tag):
-            scores[item] = scores.get(item, 0) + 1
-    return scores
 
 
 def partial_scores(profiles: Iterable[UserProfile], query: Query) -> Dict[int, float]:
@@ -55,8 +40,8 @@ def partial_scores(profiles: Iterable[UserProfile], query: Query) -> Dict[int, f
     profile and query tag, one walk of the interned ``tag -> items`` index
     straight into the shared totals -- no per-profile score dict is ever
     materialized.  Scores are small integer counts, so float accumulation is
-    exact and order-independent; the result is identical to summing
-    :func:`user_score_map` per profile.
+    exact and order-independent; the result is identical to summing each
+    profile's per-user scores.
     """
     tags = set(query.tags)
     totals: Dict[int, float] = defaultdict(float)
@@ -66,16 +51,3 @@ def partial_scores(profiles: Iterable[UserProfile], query: Query) -> Dict[int, f
                 totals[item] += 1.0
     return {item: score for item, score in totals.items() if score > 0}
 
-
-def relevance_scores(
-    profiles_by_user: Mapping[int, UserProfile],
-    query: Query,
-) -> Dict[int, float]:
-    """Full relevance scores ``Score(Q, i)`` over a set of neighbour profiles."""
-    return partial_scores(profiles_by_user.values(), query)
-
-
-def ranked_items(scores: Mapping[int, float], k: int) -> Sequence[int]:
-    """Top-``k`` item ids by score with deterministic tie-breaking."""
-    ordered = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    return [item for item, _ in ordered[:k]]

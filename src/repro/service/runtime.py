@@ -81,7 +81,6 @@ from ..simulator.transport import (
     Dispatch,
     Envelope,
     Message,
-    WireEvent,
 )
 from .codec import MAX_DATAGRAM_BYTES, BinaryWireCodec
 from .trace import ServiceTrace
@@ -390,9 +389,6 @@ class TimerWheel:
         heapq.heappush(self._heap, (deadline, self._seq, callback))
         self._wakeup.set()
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         while self._running:
@@ -442,9 +438,6 @@ class RpcDeadlines:
         self._queue: Deque[Tuple[float, asyncio.Future]] = deque()
         self._compact_at = self._COMPACT_FLOOR
         self._handle: Optional[asyncio.TimerHandle] = None
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     def watch(self, future: asyncio.Future, now: float) -> None:
         """Expire ``future`` unless it resolves within the timeout of ``now``."""
@@ -813,9 +806,6 @@ class ServiceRuntime:
         self.batcher = FrameBatcher(self.wire)
         self.wheel = TimerWheel()
         self.trace = ServiceTrace()
-        #: Extra per-event callbacks (:meth:`add_observer`); the trace
-        #: itself records columns and needs no ``WireEvent``.
-        self._observers: List[Callable[[WireEvent], None]] = []
         self.rpc_deadlines = RpcDeadlines(self.config.rpc_timeout)
         self.services: Dict[int, NodeService] = {}
         self._started = False
@@ -858,13 +848,6 @@ class ServiceRuntime:
         query_id: Optional[int],
     ) -> None:
         self.trace.append(op, sender, receiver, message, status, accounted, query_id)
-        if self._observers:
-            event = WireEvent(op, sender, receiver, message, status, accounted, query_id)
-            for observer in self._observers:
-                observer(event)
-
-    def add_observer(self, observer) -> None:
-        self._observers.append(observer)
 
     def record_rpc_latency(self, seconds: float) -> None:
         self.rpc_latencies.append(seconds)

@@ -5,8 +5,8 @@ stream the simulator's transports emit, so the simtest invariant checkers
 audit a service run without knowing it was not a simulation.
 :class:`ServiceTrace` accumulates the events in memory -- as typed columns,
 because a deployment records one per wire action for as long as it is up:
-``events`` is a read-only sequence that builds each ``WireEvent`` when it is
-read -- and can persist them as JSON Lines in the codec's JSON message form
+``events`` is a read-only view that builds each ``WireEvent`` as it is
+iterated -- and can persist them as JSON Lines in the codec's JSON message form
 (the CI smoke job reloads the file and uploads it on failure);
 :func:`check_trace` replays
 a trace through the checkers that make sense without a fuzz spec: byte
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
 from ..simtest.invariants import (
     ByteConservationChecker,
@@ -69,11 +69,11 @@ def _event(flags: int, sender: int, receiver: int, message: Message, query_id: i
     )
 
 
-class _EventsView(Sequence):
-    """Read-only ``Sequence[WireEvent]`` over a trace's columns.
+class _EventsView:
+    """Read-only, sized iterable of ``WireEvent`` over a trace's columns.
 
-    Every access builds its :class:`WireEvent` afresh (nothing is cached),
-    so holding the view costs nothing per event.
+    Every iteration builds its :class:`WireEvent` objects afresh (nothing is
+    cached), so holding the view costs nothing per event.
     """
 
     __slots__ = ("_trace",)
@@ -83,18 +83,6 @@ class _EventsView(Sequence):
 
     def __len__(self) -> int:
         return len(self._trace._flags)
-
-    def __getitem__(self, index):
-        trace = self._trace
-        if isinstance(index, slice):
-            return [self[position] for position in range(*index.indices(len(self)))]
-        return _event(
-            trace._flags[index],
-            trace._senders[index],
-            trace._receivers[index],
-            trace._messages[index],
-            trace._query_ids[index],
-        )
 
     def __iter__(self) -> Iterator[WireEvent]:
         trace = self._trace
@@ -114,7 +102,7 @@ class ServiceTrace:
     Columnar: one event is a flags byte, two 32-bit node ids, a 64-bit
     query id and a reference to the message it carried (~25 B against the
     112 B of a ``WireEvent`` tuple in a list); :attr:`events` is the
-    ``Sequence[WireEvent]`` everything reads.
+    view of ``WireEvent`` everything reads.
     """
 
     def __init__(self) -> None:
@@ -126,7 +114,7 @@ class ServiceTrace:
         self._codec = WireCodec()
 
     @property
-    def events(self) -> Sequence[WireEvent]:
+    def events(self) -> _EventsView:
         """The recorded events, in order, each built on access."""
         return _EventsView(self)
 
@@ -159,9 +147,6 @@ class ServiceTrace:
             raise
         self._flags.append(flags)
         self._messages.append(message)
-
-    def record(self, event: WireEvent) -> None:
-        self.append(*event)
 
     def __len__(self) -> int:
         return len(self._flags)

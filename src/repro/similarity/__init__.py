@@ -1,4 +1,4 @@
-"""Profile similarity metrics and exact (offline) nearest-neighbour indexes.
+"""Profile similarity metrics and the exact (offline) ideal-network index.
 
 All metrics score on interned profile views (dense action-id sets cached per
 profile version) -- see :mod:`repro.data.interning` and
@@ -6,28 +6,12 @@ profile version) -- see :mod:`repro.data.interning` and
 ``tests/test_similarity_interning.py`` for the equivalence guarantees.
 """
 
-from .metrics import (
-    SIMILARITY_METRICS,
-    SimilarityFunction,
-    common_actions,
-    cosine_score,
-    get_metric,
-    item_overlap_score,
-    jaccard_score,
-    overlap_score,
-    overlap_score_from_actions,
-)
-from .knn import IdealNetworkIndex, Neighbour
+from .metrics import cosine_score, jaccard_score, overlap_score, overlap_score_from_actions
+from .knn import IdealNetworkIndex
 
 __all__ = [
-    "SIMILARITY_METRICS",
     "IdealNetworkIndex",
-    "Neighbour",
-    "SimilarityFunction",
-    "common_actions",
     "cosine_score",
-    "get_metric",
-    "item_overlap_score",
     "jaccard_score",
     "overlap_score",
     "overlap_score_from_actions",

@@ -20,23 +20,13 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Tuple
 
 from ..data.models import Dataset
-from .metrics import SimilarityFunction, overlap_score
 
 #: Id bits of a packed ``(-count << 32) | id`` key and the largest ``array("i")`` id.
 _ID_MASK = (1 << 31) - 1
-
-
-@dataclass(frozen=True, slots=True)
-class Neighbour:
-    """A scored neighbour in an (ideal or discovered) personal network."""
-
-    user_id: int
-    score: float
 
 
 class IdealNetworkIndex:
@@ -45,17 +35,12 @@ class IdealNetworkIndex:
     ``size`` is the paper's parameter ``s``: the personal network keeps the
     ``s`` users with the highest *positive* similarity score.  Users with a
     zero score never qualify, so an ideal network can legitimately hold fewer
-    than ``s`` neighbours.  A network is two columns in rank order, an
-    ``array("i")`` of ids and a tuple of scores; :meth:`network_of` builds
-    :class:`Neighbour` objects on demand.
+    than ``s`` neighbours.  The score is the paper's overlap
+    (:func:`~repro.similarity.metrics.overlap_score`).  A network is two
+    columns in rank order, an ``array("i")`` of ids and a tuple of scores.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        size: int,
-        metric: SimilarityFunction = overlap_score,
-    ) -> None:
+    def __init__(self, dataset: Dataset, size: int) -> None:
         if size <= 0:
             raise ValueError("personal network size must be positive")
         for user_id in dataset.user_ids:
@@ -63,13 +48,9 @@ class IdealNetworkIndex:
                 raise ValueError(f"user id {user_id} is outside [0, 2**31)")
         self.dataset = dataset
         self.size = size
-        self.metric = metric
         self._ids: Dict[int, array] = {}
         self._scores: Dict[int, Tuple[float, ...]] = {}
-        if metric is overlap_score:
-            self._build_from_inverted_index()
-        else:
-            self._build_brute_force()
+        self._build_from_inverted_index()
 
     def _build_from_inverted_index(self) -> None:
         # One pass per user over the posting lists of her own actions: the
@@ -99,23 +80,7 @@ class IdealNetworkIndex:
             self._ids[user_id] = array("i", [key & _ID_MASK for key in best])
             self._scores[user_id] = tuple([score_of[-(key >> 32)] for key in best])
 
-    def _build_brute_force(self) -> None:
-        dataset = self.dataset
-        for user_id in dataset.user_ids:
-            profile = dataset.profile(user_id)
-            best = sorted(
-                (-score, other)
-                for other in dataset.user_ids
-                if other != user_id and (score := self.metric(profile, dataset.profile(other))) > 0
-            )[: self.size]
-            self._ids[user_id] = array("i", [other for _, other in best])
-            self._scores[user_id] = tuple([-negated for negated, _ in best])
-
     # -- queries --------------------------------------------------------------
-
-    def network_of(self, user_id: int) -> List[Neighbour]:
-        """The ideal personal network of a user (descending score)."""
-        return [Neighbour(*pair) for pair in zip(self._ids[user_id], self._scores[user_id])]
 
     def neighbour_ids(self, user_id: int) -> List[int]:
         return self._ids[user_id].tolist()

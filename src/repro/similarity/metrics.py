@@ -7,8 +7,9 @@ The paper's score between two users is the number of common tagging actions:
 
 The score takes both topic (tag) and object (item) preferences into account.
 P3Q itself is independent of the metric ("this distance is
-application-specific"), so the module also provides Jaccard and cosine
-variants that plug into the same protocol machinery.
+application-specific"); the overlap is the only one the protocol uses.  The
+Jaccard and cosine variants are kept as the per-pair cost the perf harness's
+``similarity`` cells time against it.
 
 Scoring is one of the two hottest paths of the simulator (the other is the
 Bloom digest probe), so every metric runs on the *interned* profile views:
@@ -23,19 +24,9 @@ property-tested in ``tests/test_similarity_interning.py``.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable
+from typing import AbstractSet, Hashable, Iterable
 
-from ..data.models import TaggingAction, UserProfile
-
-#: A similarity function maps two profiles to a non-negative number where
-#: larger means more similar.
-SimilarityFunction = Callable[[UserProfile, UserProfile], float]
-
-
-def common_actions(a: UserProfile, b: UserProfile) -> FrozenSet[TaggingAction]:
-    """The intersection of two profiles' tagging-action sets."""
-    return a.actions & b.actions
-
+from ..data.models import UserProfile
 
 def overlap_score(a: UserProfile, b: UserProfile) -> float:
     """The paper's metric: number of common tagging actions."""
@@ -76,25 +67,3 @@ def cosine_score(a: UserProfile, b: UserProfile) -> float:
     inter = len(a.action_ids & b.action_ids)
     return inter / math.sqrt(len(a) * len(b))
 
-
-def item_overlap_score(a: UserProfile, b: UserProfile) -> float:
-    """Number of common *items* (the digest-level approximation)."""
-    return float(len(a.items & b.items))
-
-
-#: Registry of named metrics so experiments/configs can select one by name.
-SIMILARITY_METRICS: Dict[str, SimilarityFunction] = {
-    "overlap": overlap_score,
-    "jaccard": jaccard_score,
-    "cosine": cosine_score,
-    "item_overlap": item_overlap_score,
-}
-
-
-def get_metric(name: str) -> SimilarityFunction:
-    """Look a metric up by name, raising a helpful error for typos."""
-    try:
-        return SIMILARITY_METRICS[name]
-    except KeyError:
-        known = ", ".join(sorted(SIMILARITY_METRICS))
-        raise KeyError(f"unknown similarity metric {name!r}; known metrics: {known}") from None

@@ -560,11 +560,6 @@ class ScenarioGenerator:
             seed=seed,
         )
 
-    def specs(self, count: int, start: int = 0):
-        """Iterate ``count`` consecutive specs starting at ``start``."""
-        for index in range(start, start + count):
-            yield self.spec(index)
-
     # -- sampling pieces ------------------------------------------------------
 
     def _sample_conditions(self, rng: random.Random) -> Tuple[float, int]:

@@ -74,7 +74,6 @@ class SimulationEngine:
         #: Events indexed by ``(phase, cycle)`` so each cycle pops its own
         #: bucket in O(1) instead of rescanning and rebuilding the full list.
         self._events: Dict[Tuple[str, int], List[ScheduledEvent]] = {}
-        self._pre_hooks: List[CycleHook] = []
         self._post_hooks: List[CycleHook] = []
         #: Global cycle counter across all phases, used for traffic accounting.
         self.global_cycle = 0
@@ -91,14 +90,8 @@ class SimulationEngine:
             raise ValueError("event cycle must be non-negative")
         self._events.setdefault((event.phase, event.cycle), []).append(event)
 
-    def add_pre_cycle_hook(self, hook: CycleHook) -> None:
-        self._pre_hooks.append(hook)
-
     def add_post_cycle_hook(self, hook: CycleHook) -> None:
         self._post_hooks.append(hook)
-
-    def cycles_run(self, phase: str) -> int:
-        return self.cycle_counts.get(phase, 0)
 
     # -- execution ------------------------------------------------------------
 
@@ -125,9 +118,6 @@ class SimulationEngine:
         transport = self.network.transport
         if transport.pending_count():
             transport.drain()
-
-        for hook in self._pre_hooks:
-            hook(self, cycle_index)
 
         # ``online_ids`` hands back a fresh list, so it doubles as the
         # shuffle buffer -- no second O(N) copy per cycle.

@@ -17,7 +17,7 @@ protocol change.  What the network itself provides is:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .node import Node
 from .stats import StatsCollector
@@ -29,10 +29,6 @@ DirtyProfileListener = Callable[[FrozenSet[int]], None]
 
 class UnknownNodeError(KeyError):
     """Raised when addressing a node id that was never registered."""
-
-
-class NodeOfflineError(RuntimeError):
-    """Raised when an exchange is attempted with an offline node."""
 
 
 class Network:
@@ -129,10 +125,6 @@ class Network:
         self._online_cache = None
         node.attach(self)
 
-    def add_nodes(self, nodes: Iterable[Node]) -> None:
-        for node in nodes:
-            self.add_node(node)
-
     # -- lookup ---------------------------------------------------------------
 
     def node(self, node_id: int) -> Node:
@@ -140,13 +132,6 @@ class Network:
             return self._nodes[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
-
-    def require_online(self, node_id: int) -> Node:
-        """The node, raising :class:`NodeOfflineError` if it has departed."""
-        node = self.node(node_id)
-        if not self._online[node_id]:
-            raise NodeOfflineError(f"node {node_id} is offline")
-        return node
 
     def try_contact(self, node_id: int) -> Optional[Node]:
         """The node if it exists and is online, else ``None``.
@@ -163,12 +148,6 @@ class Network:
     def is_online(self, node_id: int) -> bool:
         return self._online.get(node_id, False)
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def node_ids(self) -> List[int]:
         return sorted(self._nodes)
 
@@ -179,10 +158,6 @@ class Network:
                 sorted(nid for nid, online in self._online.items() if online)
             )
         return list(cached)
-
-    def nodes(self) -> Iterator[Node]:
-        for node_id in self.node_ids():
-            yield self._nodes[node_id]
 
     # -- churn ----------------------------------------------------------------
 

@@ -2,7 +2,10 @@
 
 A node is the simulation-side stand-in for "the user and her underlying
 machine".  Concrete protocols (peer sampling, lazy gossip, P3Q) subclass
-:class:`Node` and implement :meth:`Node.on_cycle`.
+:class:`Node` and implement ``on_cycle(cycle, phase)``, which the engine
+calls once per cycle of each online node; ``phase`` distinguishes logical
+sub-protocols running at different frequencies (P3Q uses ``"lazy"`` and
+``"eager"``).
 """
 
 from __future__ import annotations
@@ -32,25 +35,10 @@ class Node:
             raise RuntimeError(f"node {self.node_id} is not attached to a network")
         return self._network
 
-    @property
-    def online(self) -> bool:
-        return self._network is not None and self._network.is_online(self.node_id)
-
     # -- protocol hooks -------------------------------------------------------
-
-    def on_cycle(self, cycle: int, phase: str) -> None:
-        """Execute one protocol cycle.
-
-        ``phase`` distinguishes logical sub-protocols running at different
-        frequencies (P3Q uses ``"lazy"`` and ``"eager"``).  The default
-        implementation does nothing.
-        """
 
     def on_departure(self) -> None:
         """Hook invoked when the node leaves the system (churn)."""
 
     def on_join(self) -> None:
         """Hook invoked when the node (re)joins the system."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(node_id={self.node_id})"

@@ -29,10 +29,6 @@ class SeededRngFactory:
         self.root_seed = root_seed
         self._streams: Dict[str, random.Random] = {}
 
-    def for_node(self, node_id: int) -> random.Random:
-        """RNG stream dedicated to one node."""
-        return self._get(f"node:{node_id}")
-
     def for_purpose(self, name: str) -> random.Random:
         """RNG stream for a named global purpose (bootstrap, churn, ...)."""
         return self._get(f"purpose:{name}")

@@ -107,11 +107,6 @@ class StatsCollector:
         self._aggregated = 0
         return dropped
 
-    @property
-    def buffered_rows(self) -> int:
-        """Rows recorded since the last flush (fewer than :data:`FOLD_ROWS`)."""
-        return len(self._rows)
-
     # -- aggregate views ------------------------------------------------------
 
     def query_receivers(self, query_id: int, kind: str) -> set:

@@ -270,15 +270,8 @@ class Dispatch:
         self.reply = reply
 
     @property
-    def delivered(self) -> bool:
-        return self.status == DELIVERED
-
-    @property
     def deferred(self) -> bool:
         return self.status == DEFERRED
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Dispatch({self.status}, reply={type(self.reply).__name__ if self.reply else None})"
 
 
 #: ``WireEvent.op`` values.

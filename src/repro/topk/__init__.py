@@ -1,18 +1,15 @@
-"""Top-k query processing machinery: NRA, incremental NRA, exact oracle."""
+"""Top-k query processing machinery: incremental NRA and the exact oracle."""
 
 from .heap import Candidate, CandidateHeap
-from .nra import NRAResult, RankedList, nra_top_k
+from .nra import RankedList
 from .incremental import IncrementalNRA
-from .exact import exact_top_k, merge_score_maps, top_k_items
+from .exact import exact_top_k, merge_score_maps
 
 __all__ = [
     "Candidate",
     "CandidateHeap",
     "IncrementalNRA",
-    "NRAResult",
     "RankedList",
     "exact_top_k",
     "merge_score_maps",
-    "nra_top_k",
-    "top_k_items",
 ]

@@ -1,7 +1,7 @@
 """Brute-force exact top-k aggregation.
 
-Used as the correctness oracle for the NRA implementations and for small
-baselines: simply sum every list's score per item and sort.
+Used as the correctness oracle for the incremental NRA and by the
+centralized baseline: simply sum every list's score per item and sort.
 """
 
 from __future__ import annotations
@@ -30,7 +30,3 @@ def exact_top_k(score_maps: Iterable[Mapping[int, float]], k: int) -> List[Tuple
     )
     return ranked[:k]
 
-
-def top_k_items(score_maps: Iterable[Mapping[int, float]], k: int) -> List[int]:
-    """Just the item ids of :func:`exact_top_k`."""
-    return [item for item, _ in exact_top_k(score_maps, k)]

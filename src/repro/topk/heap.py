@@ -12,7 +12,7 @@ score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -53,15 +53,6 @@ class CandidateHeap:
 
     def __init__(self) -> None:
         self._candidates: Dict[int, Candidate] = {}
-
-    def __len__(self) -> int:
-        return len(self._candidates)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self._candidates
-
-    def items(self) -> Iterable[int]:
-        return self._candidates.keys()
 
     def observe(self, item: int, list_id: int, score: float) -> None:
         """Record that ``item`` was seen in list ``list_id`` with ``score``."""

@@ -66,8 +66,6 @@ class IncrementalNRA:
         self._total_accesses = 0
         #: The exact top-k once :meth:`freeze` ran (``None`` while merging).
         self._answer: Optional[List[Tuple[int, float]]] = None
-        #: ``(num_lists, num_candidates)`` as they stood when it froze.
-        self._frozen_counts = (0, 0)
 
     # -- feeding lists --------------------------------------------------------
 
@@ -192,14 +190,11 @@ class IncrementalNRA:
         A finished merger *is* its exact top-k: the candidate heap and the
         ranked lists are dropped (~9 KB per answered query that nothing
         reads again), every result accessor keeps answering what it
-        answered at this point, and feeding it again raises.  The counters
-        (:attr:`num_lists`, :attr:`num_candidates`,
-        :attr:`sequential_accesses`) stay at their final values.
+        answered at this point, and feeding it again raises.
+        :attr:`sequential_accesses` stays at its final value.
         """
         if self._answer is None:
-            answer = self.finalize()
-            self._frozen_counts = (len(self._lists), len(self._heap))
-            self._answer = answer
+            self._answer = self.finalize()
             self._lists = None
             self._heap = None
         return list(self._answer)
@@ -207,17 +202,5 @@ class IncrementalNRA:
     # -- introspection --------------------------------------------------------
 
     @property
-    def num_lists(self) -> int:
-        if self._answer is not None:
-            return self._frozen_counts[0]
-        return len(self._lists)
-
-    @property
     def sequential_accesses(self) -> int:
         return self._total_accesses
-
-    @property
-    def num_candidates(self) -> int:
-        if self._answer is not None:
-            return self._frozen_counts[1]
-        return len(self._heap)

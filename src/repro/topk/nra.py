@@ -1,20 +1,17 @@
-"""Classical NRA (No Random Access) top-k aggregation.
+"""The ranked input list of NRA (No Random Access) top-k aggregation.
 
 Fagin's NRA algorithm merges several ranked lists, each mapping items to
 partial scores sorted in descending score order, into the top-k items by
 *sum* of partial scores -- reading the lists strictly sequentially (no random
-access by item).  P3Q's querier-side merging (Algorithm 4) is an incremental
-adaptation of this algorithm; the classical version lives here both as the
-reference implementation the incremental one is tested against and as a
-baseline in its own right.
+access by item).  P3Q's querier-side merging (Algorithm 4,
+:class:`~repro.topk.incremental.IncrementalNRA`) is an incremental
+adaptation of this algorithm; its oracle is :mod:`repro.topk.exact`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-from .heap import CandidateHeap
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -29,9 +26,6 @@ class RankedList:
         if any(b > a for a, b in zip(scores, scores[1:])):
             raise ValueError("RankedList entries must be sorted by descending score")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @classmethod
     def from_scores(cls, list_id: int, scores: Dict[int, float]) -> "RankedList":
         """Build a ranked list from an item -> score map, dropping zeros."""
@@ -43,57 +37,3 @@ class RankedList:
         )
         return cls(list_id=list_id, entries=entries)
 
-
-@dataclass
-class NRAResult:
-    """Outcome of an NRA run."""
-
-    #: Top-k items with their (worst-case == exact at termination) scores.
-    top_k: List[Tuple[int, float]]
-    #: Number of sequential accesses performed across all lists.
-    sequential_accesses: int
-    #: Scan depth reached (number of rounds of parallel sequential access).
-    depth: int
-
-    @property
-    def items(self) -> List[int]:
-        return [item for item, _ in self.top_k]
-
-
-def nra_top_k(lists: Sequence[RankedList], k: int) -> NRAResult:
-    """Run classical NRA over the given ranked lists.
-
-    Returns the top-k items by summed score.  Items never seen in any list
-    have score zero and are never returned.  Terminates as soon as the
-    standard NRA confidence condition holds or every list is exhausted.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    heap = CandidateHeap()
-    positions = {lst.list_id: 0 for lst in lists}
-    last_seen: Dict[int, float] = {lst.list_id: (lst.entries[0][1] if lst.entries else 0.0) for lst in lists}
-    accesses = 0
-    depth = 0
-    active = [lst for lst in lists if lst.entries]
-
-    while active:
-        depth += 1
-        still_active = []
-        for lst in active:
-            pos = positions[lst.list_id]
-            item, score = lst.entries[pos]
-            accesses += 1
-            heap.observe(item, lst.list_id, score)
-            last_seen[lst.list_id] = score
-            positions[lst.list_id] = pos + 1
-            if pos + 1 < len(lst.entries):
-                still_active.append(lst)
-            else:
-                # An exhausted list can no longer contribute to best-case scores.
-                last_seen[lst.list_id] = 0.0
-        active = still_active
-        if heap.is_confident(k, last_seen):
-            break
-
-    top = heap.top_k(k, last_seen)
-    return NRAResult(top_k=top, sequential_accesses=accesses, depth=depth)

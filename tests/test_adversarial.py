@@ -150,11 +150,11 @@ class TestCrashRecovery:
         # The dataset-side profile object mutates while the node is down
         # (what profile dynamics do in the fuzzer); recovery must roll the
         # node back to its snapshot.
-        profile.add(9_999, 8_888)
+        profile.add_all([(9_999, 8_888)])
         assert profile.version > version
         simulation.recover_users([0])
         assert profile.version == version
-        assert not profile.has_item(9_999)
+        assert 9_999 not in profile.items
         assert simulation.network.is_online(0)
 
     def test_recovery_evicts_stale_digest_cache_entries(self):
@@ -164,14 +164,14 @@ class TestCrashRecovery:
         version = profile.version
         cache.digest_for(profile)
         simulation.crash_users([0])
-        profile.add(9_999, 8_888)
+        profile.add_all([(9_999, 8_888)])
         cache.digest_for(profile)  # cache now holds the doomed newer version
         simulation.recover_users([0])
         # The restored node is marked dirty; the cycle-boundary flush evicts.
-        cached_before = cache.stats()["digests"]
+        cached_before = len(cache._digests)
         flushed = simulation.network.flush_dirty_profiles()
         assert 0 in flushed
-        assert cache.stats()["digests"] == cached_before - 1
+        assert len(cache._digests) == cached_before - 1
         assert cache.digest_for(profile).version == version
 
     def test_quiescent_crash_is_identical_to_resume(self):

@@ -1,15 +1,10 @@
-"""Tests for the centralized reference and the strawman strategies."""
+"""Tests for the centralized reference."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
-    CentralizedTopK,
-    OnDemandPollingStrategy,
-    StoreEverythingStrategy,
-    inverted_list_storage_estimate,
-)
+from repro.baselines import CentralizedTopK
 from repro.data.queries import QueryWorkloadGenerator
 from repro.p3q.scoring import partial_scores
 
@@ -61,46 +56,3 @@ class TestCentralized:
         central = CentralizedTopK(synthetic_dataset, network_size=20, ideal=synthetic_ideal)
         assert central.ideal is synthetic_ideal
 
-    def test_inverted_list_estimate_positive(self, synthetic_dataset, synthetic_ideal):
-        estimate = inverted_list_storage_estimate(synthetic_dataset, synthetic_ideal)
-        assert estimate["inverted_lists"] > 0
-        assert estimate["entries"] >= estimate["inverted_lists"]
-
-
-class TestStrategies:
-    def test_store_everything_matches_centralized(self, synthetic_dataset, synthetic_ideal, central, queries):
-        strategy = StoreEverythingStrategy(synthetic_dataset, synthetic_ideal)
-        for query in queries[:4]:
-            assert strategy.top_k(query, k=10) == central.top_k(query, k=10)
-
-    def test_store_everything_cost_is_storage_heavy(self, synthetic_dataset, synthetic_ideal, queries):
-        strategy = StoreEverythingStrategy(synthetic_dataset, synthetic_ideal)
-        cost = strategy.cost(queries[0])
-        assert cost.storage_bytes > 0
-        assert cost.query_bytes == 0
-        assert cost.availability == 1.0
-
-    def test_polling_with_everyone_online_matches_centralized(
-        self, synthetic_dataset, synthetic_ideal, central, queries
-    ):
-        strategy = OnDemandPollingStrategy(synthetic_dataset, synthetic_ideal)
-        for query in queries[:4]:
-            assert strategy.top_k(query, k=10) == central.top_k(query, k=10)
-
-    def test_polling_cost_is_query_heavy(self, synthetic_dataset, synthetic_ideal, queries):
-        strategy = OnDemandPollingStrategy(synthetic_dataset, synthetic_ideal)
-        cost = strategy.cost(queries[0])
-        assert cost.storage_bytes == 0
-        assert cost.query_bytes > 0
-        assert cost.round_trips == len(synthetic_ideal.neighbour_ids(queries[0].querier))
-
-    def test_polling_loses_offline_contributions(
-        self, synthetic_dataset, synthetic_ideal, queries
-    ):
-        query = queries[0]
-        neighbours = synthetic_ideal.neighbour_ids(query.querier)
-        offline = set(neighbours[: len(neighbours) // 2])
-        degraded = OnDemandPollingStrategy(synthetic_dataset, synthetic_ideal, offline=offline)
-        cost = degraded.cost(query)
-        assert cost.availability < 1.0
-        assert set(degraded.available_neighbours(query)).isdisjoint(offline)

@@ -84,7 +84,7 @@ class TestProfileDynamics:
 class TestChurn:
     def test_departure_fraction(self, synthetic_dataset):
         event = massive_departure(synthetic_dataset, fraction=0.5, seed=1)
-        assert len(event) == round(0.5 * len(synthetic_dataset))
+        assert len(event.departing_users) == round(0.5 * len(synthetic_dataset))
 
     def test_protected_users_never_depart(self, synthetic_dataset):
         protected = synthetic_dataset.user_ids[:5]
@@ -93,7 +93,7 @@ class TestChurn:
 
     def test_zero_fraction_departs_nobody(self, synthetic_dataset):
         event = massive_departure(synthetic_dataset, fraction=0.0)
-        assert len(event) == 0
+        assert len(event.departing_users) == 0
 
     def test_invalid_fraction_rejected(self, synthetic_dataset):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for dataset persistence."""
+"""Tests for the synthetic dataset disk cache."""
 
 from __future__ import annotations
 
@@ -6,76 +6,12 @@ import json
 
 import pytest
 
-from repro.data.loader import DatasetFormatError, load_dataset, save_dataset
+from repro.data.loader import DatasetFormatError, synthetic_cache_key
 
 
-class TestRoundTrip:
-    def test_json_round_trip(self, tiny_dataset, tmp_path):
-        path = tmp_path / "trace.json"
-        save_dataset(tiny_dataset, path)
-        loaded = load_dataset(path)
-        assert loaded.user_ids == tiny_dataset.user_ids
-        for uid in tiny_dataset.user_ids:
-            assert loaded.profile(uid).actions == tiny_dataset.profile(uid).actions
-
-    def test_gzip_round_trip(self, tiny_dataset, tmp_path):
-        path = tmp_path / "trace.json.gz"
-        save_dataset(tiny_dataset, path)
-        loaded = load_dataset(path)
-        assert loaded.user_ids == tiny_dataset.user_ids
-
-    def test_synthetic_round_trip(self, synthetic_dataset, tmp_path):
-        path = tmp_path / "synthetic.json"
-        save_dataset(synthetic_dataset, path)
-        loaded = load_dataset(path)
-        assert loaded.stats().as_dict() == synthetic_dataset.stats().as_dict()
-
-    def test_creates_parent_directories(self, tiny_dataset, tmp_path):
-        path = tmp_path / "nested" / "dir" / "trace.json"
-        save_dataset(tiny_dataset, path)
-        assert path.exists()
-
-
-class TestValidation:
-    def test_rejects_wrong_format_marker(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "something-else", "version": 1, "users": {}}))
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    def test_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "repro-tagging-trace", "version": 99, "users": {}}))
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    def test_rejects_malformed_users_section(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "repro-tagging-trace", "version": 1, "users": []}))
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    def test_rejects_non_integer_user_id(self, tmp_path):
-        path = tmp_path / "bad.json"
-        payload = {"format": "repro-tagging-trace", "version": 1, "users": {"abc": [[1, 2]]}}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    def test_rejects_malformed_action(self, tmp_path):
-        path = tmp_path / "bad.json"
-        payload = {"format": "repro-tagging-trace", "version": 1, "users": {"0": [[1, 2, 3]]}}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("raw_actions", [5, None])
-    def test_rejects_an_action_list_that_is_not_a_list(self, tmp_path, raw_actions):
-        path = tmp_path / "bad.json"
-        payload = {"format": "repro-tagging-trace", "version": 1, "users": {"0": raw_actions}}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DatasetFormatError, match=r"user 0 in .*bad\.json"):
-            load_dataset(path)
+def _cache_path(config, cache_dir):
+    """Where ``load_or_generate_synthetic`` keeps the trace of ``config``."""
+    return cache_dir / f"{synthetic_cache_key(config)}.trace"
 
 
 class TestSyntheticDatasetCache:
@@ -111,11 +47,10 @@ class TestSyntheticDatasetCache:
         from array import array
 
         from repro.data import SyntheticConfig, SyntheticTraceGenerator, load_or_generate_synthetic
-        from repro.data.loader import synthetic_cache_path
 
         config = SyntheticConfig(**self.CONFIG_KW)
         load_or_generate_synthetic(config, tmp_path)
-        line, _, body = synthetic_cache_path(config, tmp_path).read_bytes().partition(b"\n")
+        line, _, body = _cache_path(config, tmp_path).read_bytes().partition(b"\n")
         stream = list(SyntheticTraceGenerator(config).iter_user_actions())
         actions = [action for _, user_actions in stream for action in user_actions]
         columns = (
@@ -146,11 +81,10 @@ class TestSyntheticDatasetCache:
 
     def test_corrupt_cache_falls_back_to_generation(self, tmp_path):
         from repro.data import SyntheticConfig, load_or_generate_synthetic
-        from repro.data.loader import synthetic_cache_path
 
         config = SyntheticConfig(**self.CONFIG_KW)
         reference, _ = load_or_generate_synthetic(config, tmp_path)
-        synthetic_cache_path(config, tmp_path).write_bytes(b"garbage")
+        _cache_path(config, tmp_path).write_bytes(b"garbage")
         dataset, status = load_or_generate_synthetic(config, tmp_path)
         assert status == "miss"
         assert self._fingerprint(dataset) == self._fingerprint(reference)
@@ -158,11 +92,10 @@ class TestSyntheticDatasetCache:
     def test_truncated_cache_falls_back_to_generation(self, tmp_path):
         """A partially written file (valid header, short body) regenerates."""
         from repro.data import SyntheticConfig, load_or_generate_synthetic
-        from repro.data.loader import synthetic_cache_path
 
         config = SyntheticConfig(**self.CONFIG_KW)
         reference, _ = load_or_generate_synthetic(config, tmp_path)
-        path = synthetic_cache_path(config, tmp_path)
+        path = _cache_path(config, tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         dataset, status = load_or_generate_synthetic(config, tmp_path)
@@ -191,15 +124,11 @@ class TestSyntheticDatasetCache:
 
     def test_key_mismatch_rejected(self, tmp_path):
         from repro.data import SyntheticConfig, load_or_generate_synthetic
-        from repro.data.loader import (
-            load_trace_cache,
-            synthetic_cache_key,
-            synthetic_cache_path,
-        )
+        from repro.data.loader import load_trace_cache
 
         config = SyntheticConfig(**self.CONFIG_KW)
         reference, _ = load_or_generate_synthetic(config, tmp_path)
-        path = synthetic_cache_path(config, tmp_path)
+        path = _cache_path(config, tmp_path)
         loaded = load_trace_cache(path, expected_key=synthetic_cache_key(config))
         assert self._fingerprint(loaded) == self._fingerprint(reference)
         with pytest.raises(DatasetFormatError):
@@ -255,11 +184,10 @@ def test_cache_with_a_malformed_header_regenerates(tmp_path, how):
     ints, used to crash the load; it must regenerate like any other corrupt
     cache file.  The key stays right, so only the header's shape is wrong."""
     from repro.data import SyntheticConfig, load_or_generate_synthetic
-    from repro.data.loader import synthetic_cache_path
 
     config = SyntheticConfig(**TestSyntheticDatasetCache.CONFIG_KW)
     reference, _ = load_or_generate_synthetic(config, tmp_path)
-    path = synthetic_cache_path(config, tmp_path)
+    path = _cache_path(config, tmp_path)
     line, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(line)
     if how == "not_an_object":
@@ -281,11 +209,10 @@ def test_cache_with_a_corrupt_user_table_regenerates(tmp_path, how):
     """A count column that still sums to ``num_actions`` used to be served as
     a hit with wrong profiles; it must regenerate."""
     from repro.data import SyntheticConfig, load_or_generate_synthetic
-    from repro.data.loader import synthetic_cache_path
 
     config = SyntheticConfig(**TestSyntheticDatasetCache.CONFIG_KW)
     reference, _ = load_or_generate_synthetic(config, tmp_path)
-    _tamper_user_table(synthetic_cache_path(config, tmp_path), how)
+    _tamper_user_table(_cache_path(config, tmp_path), how)
     dataset, status = load_or_generate_synthetic(config, tmp_path)
     assert status == "miss"
     fingerprint = TestSyntheticDatasetCache._fingerprint

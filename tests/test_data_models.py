@@ -14,20 +14,20 @@ from repro.data.models import ChangeDay, ProfileChange, UserProfile
 class TestUserProfile:
     def test_add_returns_true_for_new_action(self):
         profile = UserProfile(1)
-        assert profile.add(10, 20) is True
+        assert profile.add_all([(10, 20)]) == 1
 
     def test_add_returns_false_for_duplicate(self):
         profile = UserProfile(1, [(10, 20)])
-        assert profile.add(10, 20) is False
+        assert profile.add_all([(10, 20)]) == 0
 
     def test_version_increments_only_on_new_actions(self):
         profile = UserProfile(1)
         assert profile.version == 0
-        profile.add(1, 2)
+        profile.add_all([(1, 2)])
         assert profile.version == 1
-        profile.add(1, 2)
+        profile.add_all([(1, 2)])
         assert profile.version == 1
-        profile.add(1, 3)
+        profile.add_all([(1, 3)])
         assert profile.version == 2
 
     def test_items_and_tags_for(self):
@@ -49,9 +49,9 @@ class TestUserProfile:
     def test_copy_is_independent(self):
         profile = UserProfile(1, [(1, 10)])
         clone = profile.copy()
-        assert clone == profile
+        assert clone.actions == profile.actions
         assert clone.version == profile.version
-        profile.add(2, 20)
+        profile.add_all([(2, 20)])
         assert (2, 20) not in clone
         assert clone.version != profile.version
 
@@ -59,13 +59,6 @@ class TestUserProfile:
         profile = UserProfile(1, [(1, 10)])
         added = profile.add_all([(1, 10), (2, 20), (3, 30)])
         assert added == 2
-
-    def test_equality_requires_same_user_and_actions(self):
-        a = UserProfile(1, [(1, 10)])
-        b = UserProfile(1, [(1, 10)])
-        c = UserProfile(2, [(1, 10)])
-        assert a == b
-        assert a != c
 
     @given(
         st.lists(
@@ -135,7 +128,6 @@ def _assert_profile_matches(profile: UserProfile, model: _NaiveProfile, rng) -> 
     tags = sorted({tag for _item, tag in actions}) + [77]
     for item in items:
         assert profile.tags_for(item) == model.item_tags.get(item, set())
-        assert profile.has_item(item) == (item in model.item_tags)
     for tag in tags:
         found = profile.items_for_tag(tag)
         assert len(found) == len(set(found))
@@ -147,9 +139,6 @@ def _assert_profile_matches(profile: UserProfile, model: _NaiveProfile, rng) -> 
     assert set(profile.action_ids_for_items(request)) == {
         intern_action(item, tag) for item, tag in actions if item in request
     }
-    assert profile == UserProfile(model.user_id, actions)
-    assert profile != UserProfile(model.user_id + 1, actions)
-    assert profile != UserProfile(model.user_id, actions | {(78, 78)})
 
 
 class TestProfileAgainstNaiveModel:
@@ -175,7 +164,7 @@ class TestProfileAgainstNaiveModel:
             op = rng.choice(("add", "add_all", "copy", "restore"))
             if op == "add":
                 action = (rng.randrange(6), rng.randrange(5))
-                assert profile.add(*action) == bool(model.add_all([action]))
+                assert profile.add_all([action]) == model.add_all([action])
             elif op == "add_all":
                 actions = batch(6)
                 assert profile.add_all(iter(actions)) == model.add_all(actions)
@@ -207,39 +196,16 @@ class TestDataset:
         assert 1 in tiny_dataset.items()
         assert 200 in tiny_dataset.tags()
 
-    def test_item_popularity_counts_distinct_users(self, tiny_dataset):
-        popularity = tiny_dataset.item_popularity()
-        assert popularity[1] == 4  # users 0, 1, 2, 4
-        assert popularity[12] == 1
-
     def test_stats(self, tiny_dataset):
         stats = tiny_dataset.stats()
         assert stats.num_users == 5
         assert stats.num_actions == sum(len(p) for p in tiny_dataset.profiles())
         assert stats.max_profile_length >= stats.mean_profile_length
 
-    def test_filter_rare_drops_unpopular_items(self, tiny_dataset):
-        filtered = tiny_dataset.filter_rare(min_item_users=3, min_tag_users=1)
-        remaining_items = filtered.items()
-        assert 1 in remaining_items          # tagged by 4 users
-        assert 12 not in remaining_items     # tagged by 1 user
-
-    def test_filter_rare_keeps_user_count(self, tiny_dataset):
-        filtered = tiny_dataset.filter_rare(min_item_users=3, min_tag_users=3)
-        assert len(filtered) == len(tiny_dataset)
-
-    def test_sample_users(self, tiny_dataset):
-        sampled = tiny_dataset.sample_users([0, 3])
-        assert sampled.user_ids == [0, 3]
-
     def test_copy_is_deep(self, tiny_dataset):
         clone = tiny_dataset.copy()
-        clone.profile(0).add(999, 999)
+        clone.profile(0).add_all([(999, 999)])
         assert (999, 999) not in tiny_dataset.profile(0)
-
-    def test_contains(self, tiny_dataset):
-        assert 0 in tiny_dataset
-        assert 99 not in tiny_dataset
 
 
 class TestChangeStructures:
@@ -256,4 +222,3 @@ class TestChangeStructures:
             ),
         )
         assert day.changed_users == frozenset({1, 4})
-        assert len(day) == 2

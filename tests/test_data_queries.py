@@ -13,9 +13,6 @@ class TestQuery:
         with pytest.raises(ValueError):
             Query(query_id=0, querier=1, tags=())
 
-    def test_len_counts_tags(self):
-        assert len(Query(query_id=0, querier=1, tags=(1, 2, 3))) == 3
-
 
 class TestWorkloadGenerator:
     def test_query_tags_come_from_source_item(self, synthetic_dataset):
@@ -48,12 +45,6 @@ class TestWorkloadGenerator:
         assert generator.query_for(0) is None
         queries = generator.generate()
         assert [q.querier for q in queries] == [1]
-
-    def test_generate_map_keys_by_querier(self, synthetic_dataset):
-        generator = QueryWorkloadGenerator(synthetic_dataset, seed=6)
-        mapping = generator.generate_map(synthetic_dataset.user_ids[:5])
-        assert set(mapping) == set(synthetic_dataset.user_ids[:5])
-        assert all(mapping[uid].querier == uid for uid in mapping)
 
     def test_deterministic_given_seed(self, synthetic_dataset):
         a = QueryWorkloadGenerator(synthetic_dataset, seed=8).generate()

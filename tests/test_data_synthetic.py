@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.data.synthetic import (
-    SyntheticConfig,
-    SyntheticTraceGenerator,
-    generate_dataset,
-    paper_scale_config,
-)
+from repro.data.synthetic import SyntheticConfig, SyntheticTraceGenerator, generate_dataset
 
 
 class TestSyntheticConfig:
@@ -28,12 +25,6 @@ class TestSyntheticConfig:
     def test_rejects_bad_max_tags(self):
         with pytest.raises(ValueError):
             SyntheticConfig(max_tags_per_item=0)
-
-    def test_paper_scale_config_matches_paper_sizes(self):
-        config = paper_scale_config()
-        assert config.num_users == 10_000
-        assert config.num_items == 100_000
-        assert config.num_tags == 32_000
 
 
 class TestGenerator:
@@ -84,7 +75,9 @@ class TestGenerator:
     def test_long_tail_item_popularity(self, dataset):
         """Most items are tagged by few users: the median popularity must sit
         well below the maximum (the long-tail property the paper relies on)."""
-        popularity = sorted(dataset.item_popularity().values())
+        popularity = sorted(
+            Counter(item for profile in dataset.profiles() for item in profile.items).values()
+        )
         median = popularity[len(popularity) // 2]
         assert median * 3 <= popularity[-1]
 

@@ -19,7 +19,6 @@ from repro.experiments import (
     run_table2,
     storage_level_fractions,
     storage_level_probabilities,
-    uniform_storage_distribution,
 )
 from repro.experiments.ablations import run_exchange_ablation
 from repro.experiments.fig11_churn import run_churn
@@ -57,9 +56,6 @@ class TestScenarios:
         assignment = poisson_storage_distribution(range(5000), 1.0, seed=2)
         fractions = storage_level_fractions(assignment)
         assert fractions[10] == pytest.approx(0.368, abs=0.03)
-
-    def test_uniform_distribution(self):
-        assert uniform_storage_distribution([1, 2], 7) == {1: 7, 2: 7}
 
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from repro.gossip import (
     digest_message_size,
     make_digest,
     partial_result_size,
-    profile_length,
     profile_storage_bytes,
     remaining_list_size,
     tagging_actions_size,
@@ -40,7 +39,6 @@ class TestSizes:
         assert partial_result_size(10, 5) == 10 * 20 + 5 * 4
 
     def test_profile_length_and_storage(self):
-        assert profile_length(249) == 249
         assert profile_storage_bytes(249) == 249 * 36
 
     @pytest.mark.parametrize(
@@ -49,7 +47,6 @@ class TestSizes:
             digest_message_size,
             tagging_actions_size,
             remaining_list_size,
-            profile_length,
         ],
     )
     def test_negative_counts_rejected(self, function):
@@ -72,29 +69,14 @@ class TestDigest:
     def test_digest_covers_profile_items(self):
         profile = UserProfile(1, [(10, 1), (20, 2), (30, 3)])
         digest = make_digest(profile, num_bits=512, num_hashes=4)
-        assert all(digest.might_contain_item(item) for item in (10, 20, 30))
+        assert all(item in digest.bloom for item in (10, 20, 30))
         assert digest.user_id == 1
         assert digest.version == profile.version
 
-    def test_shares_item_with(self):
-        profile = UserProfile(1, [(10, 1)])
-        digest = make_digest(profile, num_bits=512, num_hashes=4)
-        assert digest.shares_item_with([99, 10])
-        assert not digest.shares_item_with([])
-
-    def test_wire_size_is_paper_constant(self):
-        profile = UserProfile(1, [(10, 1)])
-        digest = make_digest(profile, num_bits=64, num_hashes=2)
-        assert digest.size_in_bytes == DIGEST_BYTES
-
-    def test_same_version_as(self):
-        profile = UserProfile(1, [(10, 1)])
-        a = make_digest(profile, num_bits=64, num_hashes=2)
-        b = make_digest(profile, num_bits=64, num_hashes=2)
-        assert a.same_version_as(b)
-        profile.add(11, 2)
-        c = make_digest(profile, num_bits=64, num_hashes=2)
-        assert not a.same_version_as(c)
+def _probed(digest, receiver):
+    """The direct probe the cache must agree with: each of the receiver's
+    items tested against the digest's filter."""
+    return frozenset(item for item in receiver.items if item in digest.bloom)
 
 
 class TestDigestCache:
@@ -103,23 +85,19 @@ class TestDigestCache:
         profile = UserProfile(1, [(10, 1), (11, 2)])
         first = cache.digest_for(profile)
         assert cache.digest_for(profile) is first
-        profile.add(12, 3)
+        profile.add_all([(12, 3)])
         second = cache.digest_for(profile)
         assert second is not first
         assert second.version == profile.version
-        assert second == make_digest(profile, num_bits=256, num_hashes=3)
+        assert second.bloom.raw_bits == make_digest(profile, num_bits=256, num_hashes=3).bloom.raw_bits
 
     def test_common_items_matches_direct_probe(self):
         cache = DigestCache(num_bits=256, num_hashes=3)
         receiver = UserProfile(1, [(10, 1), (11, 2), (99, 5)])
         subject = UserProfile(2, [(11, 7), (42, 1)])
         digest = cache.digest_for(subject)
-        assert cache.common_items(receiver, digest) == frozenset(
-            digest.common_items_with(receiver.items)
-        )
-        assert cache.shares_item(receiver, digest) == digest.shares_item_with(
-            receiver.items
-        )
+        assert cache.common_items(receiver, digest) == _probed(digest, receiver)
+        assert cache.shares_item(receiver, digest) == bool(_probed(digest, receiver))
 
     def test_common_items_memo_invalidated_by_either_version(self):
         cache = DigestCache(num_bits=256, num_hashes=3)
@@ -128,10 +106,10 @@ class TestDigestCache:
         digest = cache.digest_for(subject)
         assert cache.common_items(receiver, digest) == frozenset()
         # Receiver-side change: the new common item must appear.
-        receiver.add(20, 9)
+        receiver.add_all([(20, 9)])
         assert 20 in cache.common_items(receiver, digest)
         # Subject-side change: a fresh digest version must be re-probed.
-        subject.add(10, 9)
+        subject.add_all([(10, 9)])
         digest2 = cache.digest_for(subject)
         assert 10 in cache.common_items(receiver, digest2)
 
@@ -141,28 +119,24 @@ class TestDigestCache:
         subjects = [UserProfile(2, [(10, 5)]), UserProfile(3, [(30, 5)])]
         digests = [cache.digest_for(s) for s in subjects]
         for digest in digests:
-            assert cache.common_items(receiver, digest) == frozenset(
-                digest.common_items_with(receiver.items)
-            )
+            assert cache.common_items(receiver, digest) == _probed(digest, receiver)
 
     def test_foreign_geometry_falls_back_to_direct_probe(self):
         cache = DigestCache(num_bits=256, num_hashes=3)
         receiver = UserProfile(1, [(10, 1)])
         foreign = make_digest(UserProfile(2, [(10, 5)]), num_bits=64, num_hashes=2)
-        assert cache.common_items(receiver, foreign) == frozenset(
-            foreign.common_items_with(receiver.items)
-        )
-        assert cache.stats()["common_pairs"] == 0  # fallback is not memoized
+        assert cache.common_items(receiver, foreign) == _probed(foreign, receiver)
+        assert cache._common_pairs == 0  # fallback is not memoized
 
     def test_evict_profiles_reclaims_superseded_state(self):
         cache = DigestCache(num_bits=256, num_hashes=3)
         profile = UserProfile(7, [(10, 1)])
         cache.digest_for(profile)
         cache.common_items(profile, cache.digest_for(profile))
-        assert cache.stats()["digests"] == 1
+        assert len(cache._digests) == 1
         cache.evict_profiles([7])
-        assert cache.stats()["digests"] == 0
-        assert cache.stats()["rows"] == 0
+        assert len(cache._digests) == 0
+        assert len(cache._rows) == 0
         # Correctness never depended on eviction: the next read rebuilds.
         assert cache.digest_for(profile).version == profile.version
 
@@ -178,13 +152,13 @@ class TestDigestCache:
         for digest in digests:
             cache.common_items(receiver, digest)
         cache.common_items(bystander, digests[0])
-        assert cache.stats()["common_pairs"] == 11
-        receiver.add(12, 3)
+        assert cache._common_pairs == 11
+        receiver.add_all([(12, 3)])
         cache.evict_profiles([receiver.user_id])
-        assert cache.stats()["common_pairs"] == 1
+        assert cache._common_pairs == 1
         # Subjects own no row: evicting one leaves her askers' pairs alone.
         cache.evict_profiles([digests[0].user_id])
-        assert cache.stats()["common_pairs"] == 1
+        assert cache._common_pairs == 1
 
     def test_a_store_under_a_new_receiver_version_replaces_her_row(self):
         cache = DigestCache(num_bits=256, num_hashes=3)
@@ -194,9 +168,9 @@ class TestDigestCache:
         ]
         for digest in digests:
             cache.common_items(receiver, digest)
-        receiver.add(11, 2)  # no eviction: the next probe finds the stale row
+        receiver.add_all([(11, 2)])  # no eviction: the next probe finds the stale row
         assert cache.common_items(receiver, digests[1]) == {10 + 1}
-        assert cache.stats()["common_pairs"] == 1
+        assert cache._common_pairs == 1
 
     def test_the_pair_cap_counts_pairs_not_rows(self):
         cache = DigestCache(num_bits=256, num_hashes=3)
@@ -207,9 +181,9 @@ class TestDigestCache:
         ]
         for digest in digests:
             cache.common_items(receiver, digest)
-            assert cache.stats()["common_pairs"] <= 6
+            assert cache._common_pairs <= 6
         # One receiver row throughout; the seventh pair cleared the memo.
-        assert cache.stats()["common_pairs"] == 2
+        assert cache._common_pairs == 2
         assert cache.common_items(receiver, digests[7]) == frozenset()
 
     def test_invalid_geometry_rejected(self):

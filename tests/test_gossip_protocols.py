@@ -104,7 +104,7 @@ class TestLazyExchange:
         # Users 0 and 1 share 3 tagging actions: they must be neighbours.
         assert 1 in nodes[0].personal_network
         assert 0 in nodes[1].personal_network
-        assert nodes[0].personal_network.score_of(1) == 3
+        assert nodes[0].personal_network.entry(1).score == 3
 
     def test_disjoint_users_never_become_neighbours(self, wired):
         network, nodes = wired
@@ -181,8 +181,8 @@ class TestLazyExchange:
             for node in nodes.values():
                 drive(protocol.run_cycle_effects(node), network)
         # User 1 tags something new; user 0 stores user 1's profile.
-        assert nodes[0].personal_network.has_stored_profile(1)
-        nodes[1].profile.add(500, 999)
+        assert nodes[0].personal_network.entry(1).profile is not None
+        nodes[1].profile.add_all([(500, 999)])
         target_version = nodes[1].profile.version
         for _ in range(4):
             for node in nodes.values():
@@ -198,8 +198,8 @@ class TestLazyExchange:
         dataset = Dataset.from_actions({0: [(1, 100), (2, 100)], 1: [(1, 100), (3, 101)]})
         network, nodes = build_network(dataset, gossip_config)
         nodes[0].bootstrap_random_view([nodes[1].own_digest()])
-        held = nodes[0].random_view.digest_of(1)
-        nodes[1].profile.add(500, 999)
+        (held,) = nodes[0].random_view.digests()
+        nodes[1].profile.add_all([(500, 999)])
         assert nodes[1].own_digest().version > held.version
         drive(nodes[0].lazy.refresh_from_random_view_effects(nodes[0]), network)
         assert nodes[0].personal_network.entry(1).digest is held
@@ -234,10 +234,10 @@ class TestLazyExchange:
         network, nodes = wired
         protocol = LazyExchangeProtocol()
         wire_protocol(nodes, protocol)
-        assert all(node.digest_cache.stats()["common_pairs"] == 0 for node in nodes.values())
+        assert all(node.digest_cache._common_pairs == 0 for node in nodes.values())
         for node in nodes.values():
             drive(protocol.run_cycle_effects(node), network)
-        assert all(node.digest_cache.stats()["common_pairs"] > 0 for node in nodes.values())
+        assert all(node.digest_cache._common_pairs > 0 for node in nodes.values())
 
     def test_exchange_size_validation(self):
         with pytest.raises(ValueError):

@@ -164,4 +164,3 @@ class TestBandwidthMetrics:
     def test_storage_requirements_sorted(self):
         rows = storage_requirements({1: 50, 2: 10}, {1: 3, 2: 1})
         assert [row.user_id for row in rows] == [2, 1]
-        assert rows[1].stored_bytes == 50 * 36

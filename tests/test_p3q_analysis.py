@@ -13,9 +13,7 @@ from repro.p3q.analysis import (
     max_partial_results,
     max_remaining_list_messages,
     max_users_involved,
-    optimal_alpha,
     simulate_remaining_list_drain,
-    theoretical_longest_after,
 )
 
 lengths = st.integers(10, 2_000)
@@ -74,9 +72,6 @@ class TestClosedForm:
             length, found, lower
         ) + 1e-9
 
-    def test_optimal_alpha(self):
-        assert optimal_alpha() == 0.5
-
     def test_alpha_sweep_contains_requested_values(self):
         sweep = alpha_sweep(100, 10, alphas=(0.2, 0.5))
         assert set(sweep) == {0.2, 0.5}
@@ -105,19 +100,6 @@ class TestDrainSimulation:
             simulate_remaining_list_drain(10, 0, 0.5)
         with pytest.raises(ValueError):
             simulate_remaining_list_drain(10, 5, 2.0)
-
-    @given(lengths, founds, st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_theoretical_longest_matches_recurrence(self, length, found, alpha, cycle):
-        """The closed-form L(r) from the Theorem 2.1 proof matches an exact
-        replay of the recurrence for the longest list."""
-        value = float(length)
-        base = max(alpha, 1.0 - alpha)
-        for _ in range(cycle):
-            value = base * max(0.0, value - found)
-        assert theoretical_longest_after(length, found, alpha, cycle) == pytest.approx(
-            value, abs=1e-6
-        )
 
 
 class TestBounds:

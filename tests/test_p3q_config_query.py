@@ -144,7 +144,7 @@ class TestChurnRetryDedup:
         session.close_cycle(0)
         session.receive_partial(_partial(1, {10: 4.0}, [1]))
         session.close_cycle(1)
-        assert session.current_top_k()[0] == (10, pytest.approx(5.0))
+        assert session._merger.current_top_k()[0] == (10, pytest.approx(5.0))
         # Churn retry: node 9 took over 2's share and re-aggregated 1's
         # profile into the same list.  Contributor 1 is already counted, so
         # merging would add its 4.0 for item 10 a second time.
@@ -169,7 +169,7 @@ class TestChurnRetryDedup:
         session.receive_partial(_partial(2, {30: 2.0}, [2]))
         session.close_cycle(3)
         assert session.is_complete()
-        assert session.current_top_k()[0] == (10, pytest.approx(5.0))
+        assert session._merger.current_top_k()[0] == (10, pytest.approx(5.0))
 
     def test_empty_score_overlap_still_counts_new_contributors(self):
         # An empty score list is exact regardless of contributor overlap
@@ -182,7 +182,7 @@ class TestChurnRetryDedup:
         session.receive_partial(_partial(9, {}, [1, 2]))
         session.close_cycle(2)
         assert session.is_complete()
-        assert session.current_top_k()[0] == (10, pytest.approx(5.0))
+        assert session._merger.current_top_k()[0] == (10, pytest.approx(5.0))
 
 
 class TestIssueCycleLatency:
@@ -273,7 +273,7 @@ class TestSessionEdgeCases:
         # after the querier already read off the exact result.
         session.receive_partial(_partial(8, {99: 100.0}, [8]))
         assert session._pending == []
-        assert session.current_top_k() == closed_snapshot.top_k
+        assert session._merger.current_top_k() == closed_snapshot.top_k
         assert session.snapshots[-1] is closed_snapshot
         assert session.closed_cycle == 1
 

@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.models import UserProfile
 from repro.data.queries import Query
-from repro.p3q.scoring import (
-    item_score_for_user,
-    partial_scores,
-    ranked_items,
-    relevance_scores,
-    user_score_map,
-)
+from repro.p3q.scoring import partial_scores
 
 
 @pytest.fixture()
@@ -24,18 +18,15 @@ def query() -> Query:
 class TestPerUserScore:
     def test_counts_matching_query_tags(self, query):
         profile = UserProfile(1, [(10, 1), (10, 2), (10, 9), (20, 3)])
-        assert item_score_for_user(profile, query, 10) == 2
-        assert item_score_for_user(profile, query, 20) == 1
-        assert item_score_for_user(profile, query, 99) == 0
+        assert partial_scores([profile], query) == {10: 2.0, 20: 1.0}
 
     def test_user_score_map_keeps_positive_only(self, query):
         profile = UserProfile(1, [(10, 1), (20, 9), (30, 2), (30, 3)])
-        scores = user_score_map(profile, query)
-        assert scores == {10: 1, 30: 2}
+        assert partial_scores([profile], query) == {10: 1.0, 30: 2.0}
 
     def test_score_bounded_by_query_length(self, query):
         profile = UserProfile(1, [(10, 1), (10, 2), (10, 3), (10, 4)])
-        assert item_score_for_user(profile, query, 10) == len(query)
+        assert partial_scores([profile], query)[10] == len(query.tags)
 
 
 class TestAggregation:
@@ -45,20 +36,9 @@ class TestAggregation:
         scores = partial_scores([a, b], query)
         assert scores == {10: 3.0, 20: 1.0}
 
-    def test_relevance_scores_is_partial_over_all_profiles(self, query):
-        profiles = {
-            1: UserProfile(1, [(10, 1)]),
-            2: UserProfile(2, [(10, 2), (30, 3)]),
-        }
-        assert relevance_scores(profiles, query) == {10: 2.0, 30: 1.0}
-
     def test_partial_scores_empty_for_unrelated_profiles(self, query):
         profile = UserProfile(1, [(10, 99), (20, 98)])
         assert partial_scores([profile], query) == {}
-
-    def test_ranked_items_orders_and_truncates(self):
-        scores = {1: 3.0, 2: 5.0, 3: 3.0}
-        assert list(ranked_items(scores, 2)) == [2, 1]
 
     @given(
         st.lists(

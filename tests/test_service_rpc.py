@@ -172,7 +172,7 @@ class TestTimeoutPath:
                         for index in range(200)
                     )
                 )
-                return dispatches, len(runtime.rpc_deadlines), dict(service._rpc_futures)
+                return dispatches, len(runtime.rpc_deadlines._queue), dict(service._rpc_futures)
             finally:
                 await runtime.stop()
 
@@ -196,7 +196,7 @@ class TestTimeoutPath:
             longest = 0
             for index in range(3 * floor):
                 await service.request(sender, others[index % len(others)], message)
-                longest = max(longest, len(runtime.rpc_deadlines))
+                longest = max(longest, len(runtime.rpc_deadlines._queue))
             await runtime.stop()
             return longest, (await lost).status
 
@@ -221,7 +221,7 @@ class TestTimeoutPath:
             service = runtime.services[sender]
             service._spawn_round(a_round(service), "round-under-test")
             await asyncio.sleep(0)  # the request is on the wire
-            assert len(runtime.rpc_deadlines) == 1
+            assert len(runtime.rpc_deadlines._queue) == 1
             started = loop.time()
             await runtime.stop()
             return loop.time() - started, _pending_timers(loop)
@@ -230,7 +230,7 @@ class TestTimeoutPath:
         assert [dispatch.status for dispatch in outcome] == [DROPPED]
         assert elapsed < 0.2 + SLACK
         assert timers == []
-        assert len(runtime.rpc_deadlines) == 0
+        assert len(runtime.rpc_deadlines._queue) == 0
 
 
     def test_stop_expires_a_round_trip_nothing_joins(self):

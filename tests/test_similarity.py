@@ -9,10 +9,7 @@ from repro.data.models import Dataset, UserProfile
 from repro.metrics.convergence import average_success_ratio, success_ratio
 from repro.similarity import (
     IdealNetworkIndex,
-    common_actions,
     cosine_score,
-    get_metric,
-    item_overlap_score,
     jaccard_score,
     overlap_score,
     overlap_score_from_actions,
@@ -23,10 +20,24 @@ action_lists = st.lists(
 )
 
 
-def _brute_force_overlap(dataset, size: int) -> IdealNetworkIndex:
-    """The reference: all-pairs overlap through the generic-metric path
-    (any metric that is not ``overlap_score`` itself is scored pair by pair)."""
-    return IdealNetworkIndex(dataset, size, metric=lambda a, b: overlap_score(a, b))
+def _brute_force_overlap(dataset, size: int):
+    """The reference: every user's ``size`` best positive overlaps, scored
+    pair by pair, as ``user -> [(neighbour, score), ...]`` in rank order."""
+    ranked = {}
+    for user_id in dataset.user_ids:
+        profile = dataset.profile(user_id)
+        best = sorted(
+            (-score, other)
+            for other in dataset.user_ids
+            if other != user_id and (score := overlap_score(profile, dataset.profile(other))) > 0
+        )[:size]
+        ranked[user_id] = [(other, -negated) for negated, other in best]
+    return ranked
+
+
+def _network(index: IdealNetworkIndex, user_id: int):
+    """One ideal network as ``[(neighbour, score), ...]`` in rank order."""
+    return list(zip(index.neighbour_ids(user_id), index.neighbour_scores(user_id)))
 
 
 def _profile(user_id: int, actions) -> UserProfile:
@@ -59,23 +70,12 @@ class TestMetrics:
         b = tiny_dataset.profile(1)
         assert 0.0 <= cosine_score(a, b) <= 1.0
 
-    def test_item_overlap_counts_items_not_actions(self, tiny_dataset):
-        a = tiny_dataset.profile(0)
-        c = tiny_dataset.profile(2)
-        # Common items 1, 2, 4 even though tags differ on item 2.
-        assert item_overlap_score(a, c) == 3
-
-    def test_get_metric_known_and_unknown(self):
-        assert get_metric("overlap") is overlap_score
-        with pytest.raises(KeyError):
-            get_metric("nope")
-
     @given(action_lists, action_lists)
     @settings(max_examples=60)
     def test_all_metrics_are_symmetric(self, actions_a, actions_b):
         a = _profile(0, actions_a)
         b = _profile(1, actions_b)
-        for metric in (overlap_score, jaccard_score, cosine_score, item_overlap_score):
+        for metric in (overlap_score, jaccard_score, cosine_score):
             assert metric(a, b) == pytest.approx(metric(b, a))
 
     @given(action_lists)
@@ -94,13 +94,6 @@ class TestMetrics:
         b = _profile(1, actions_b)
         assert overlap_score(a, b) <= min(len(a), len(b))
 
-    @given(action_lists, action_lists)
-    @settings(max_examples=40)
-    def test_common_actions_is_set_intersection(self, actions_a, actions_b):
-        a = _profile(0, actions_a)
-        b = _profile(1, actions_b)
-        assert common_actions(a, b) == set(a.actions) & set(b.actions)
-
 
 class TestIdealNetworkIndex:
     def test_rejects_non_positive_size(self, tiny_dataset):
@@ -110,27 +103,22 @@ class TestIdealNetworkIndex:
     def test_networks_only_contain_positive_scores(self, tiny_dataset):
         index = IdealNetworkIndex(tiny_dataset, size=4)
         for uid in tiny_dataset.user_ids:
-            for neighbour in index.network_of(uid):
-                assert neighbour.score > 0
+            assert all(score > 0 for score in index.neighbour_scores(uid))
 
     def test_networks_sorted_by_descending_score(self, synthetic_ideal, synthetic_dataset):
         for uid in synthetic_dataset.user_ids:
-            scores = [n.score for n in synthetic_ideal.network_of(uid)]
+            scores = list(synthetic_ideal.neighbour_scores(uid))
             assert scores == sorted(scores, reverse=True)
 
     def test_network_respects_size_limit(self, synthetic_dataset):
         index = IdealNetworkIndex(synthetic_dataset, size=5)
-        assert all(len(index.network_of(uid)) <= 5 for uid in synthetic_dataset.user_ids)
+        assert all(len(index.neighbour_ids(uid)) <= 5 for uid in synthetic_dataset.user_ids)
 
     def test_inverted_index_matches_brute_force(self, tiny_dataset):
         fast = IdealNetworkIndex(tiny_dataset, size=4)
-        slow = IdealNetworkIndex(tiny_dataset, size=4, metric=jaccard_score)
-        # Different metrics rank differently, but the overlap-metric index
-        # must agree with a brute-force overlap computation.
         brute = _brute_force_overlap(tiny_dataset, size=4)
         for uid in tiny_dataset.user_ids:
-            assert fast.neighbour_ids(uid) == brute.neighbour_ids(uid)
-        assert slow.network_of(0)  # jaccard path exercised
+            assert _network(fast, uid) == brute[uid]
 
     @given(
         # A tiny action universe: many score ties, users sharing nothing
@@ -148,7 +136,7 @@ class TestIdealNetworkIndex:
         fast = IdealNetworkIndex(dataset, size=size)
         brute = _brute_force_overlap(dataset, size=size)
         for uid in dataset.user_ids:
-            assert fast.network_of(uid) == brute.network_of(uid)
+            assert _network(fast, uid) == brute[uid]
 
     def test_packed_keys_match_brute_force_on_ties_and_scattered_ids(self):
         """Many tied overlap counts, and ids that reach each user's counter
@@ -170,8 +158,7 @@ class TestIdealNetworkIndex:
             fast = IdealNetworkIndex(dataset, size=size)
             brute = _brute_force_overlap(dataset, size=size)
             for uid in dataset.user_ids:
-                assert fast.network_of(uid) == brute.network_of(uid)
-                assert fast.neighbour_scores(uid) == brute.neighbour_scores(uid)
+                assert _network(fast, uid) == brute[uid]
         assert IdealNetworkIndex(dataset, size=4).neighbour_ids(0) == [7, 55, 900, big]
 
     @pytest.mark.parametrize("bad_id", [-1, 2**31, 2**40])

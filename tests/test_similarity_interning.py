@@ -17,14 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data import GLOBAL_INTERNER, action_of, intern_action
 from repro.data.models import UserProfile
-from repro.similarity import (
-    common_actions,
-    cosine_score,
-    item_overlap_score,
-    jaccard_score,
-    overlap_score,
-    overlap_score_from_actions,
-)
+from repro.similarity import cosine_score, jaccard_score, overlap_score, overlap_score_from_actions
 
 actions = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60)
 
@@ -61,19 +54,6 @@ class TestScoreEquivalence:
         assert cosine_score(a, b) == expected
 
     @given(actions, actions)
-    @settings(max_examples=100)
-    def test_item_overlap_matches_naive(self, acts_a, acts_b):
-        a, b = UserProfile(1, acts_a), UserProfile(2, acts_b)
-        expected = float(len({i for i, _ in acts_a} & {i for i, _ in acts_b}))
-        assert item_overlap_score(a, b) == expected
-
-    @given(actions, actions)
-    @settings(max_examples=100)
-    def test_common_actions_matches_tuple_intersection(self, acts_a, acts_b):
-        a, b = UserProfile(1, acts_a), UserProfile(2, acts_b)
-        assert common_actions(a, b) == set(acts_a) & set(acts_b)
-
-    @given(actions, actions)
     @settings(max_examples=50)
     def test_lazy_exchange_partial_scoring_matches(self, acts_a, acts_b):
         """Step-2 scoring (actions on common items) equals full-profile score."""
@@ -108,7 +88,7 @@ class TestInternedIndexConsistency:
         profile = UserProfile(1, [(1, 1)])
         before_actions = profile.actions
         before_ids = profile.action_ids
-        assert profile.add(2, 2)
+        assert profile.add_all([(2, 2)]) == 1
         assert (2, 2) in profile.actions
         assert len(profile.action_ids) == 2
         # The previously handed-out views are unchanged snapshots.
@@ -120,7 +100,7 @@ class TestInternedIndexConsistency:
         clone = original.copy()
         assert clone.action_ids == original.action_ids
         assert clone.version == original.version
-        assert clone.add(3, 3)
+        assert clone.add_all([(3, 3)]) == 1
         assert (3, 3) not in original.actions
         assert len(original.action_ids) == 2
         # items_for_tag hands out the stored tuple: compare as collections.
@@ -130,6 +110,6 @@ class TestInternedIndexConsistency:
     def test_duplicate_add_changes_nothing(self):
         profile = UserProfile(1, [(5, 6)])
         version = profile.version
-        assert not profile.add(5, 6)
+        assert profile.add_all([(5, 6)]) == 0
         assert profile.version == version
         assert len(profile.action_ids) == 1

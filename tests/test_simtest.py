@@ -131,7 +131,7 @@ class TestSpec:
 
     def test_generated_rejoins_always_fire(self):
         """Every sampled rejoin lands strictly inside its phase horizon."""
-        for spec in ScenarioGenerator(0).specs(200):
+        for spec in map(ScenarioGenerator(0).spec, range(200)):
             for event in spec.churn:
                 horizon = (
                     spec.lazy_cycles if event.phase == "lazy" else spec.eager_cycles
@@ -140,7 +140,7 @@ class TestSpec:
                     assert event.cycle + event.rejoin_after < horizon
 
     def test_generated_specs_are_valid_and_varied(self):
-        specs = list(ScenarioGenerator(3).specs(40))
+        specs = list(map(ScenarioGenerator(3).spec, range(40)))
         assert any(spec.direct_equivalent for spec in specs)
         assert any(spec.loss_rate and not spec.delay_cycles for spec in specs)
         assert any(spec.delay_cycles for spec in specs)
@@ -148,7 +148,7 @@ class TestSpec:
         assert any(spec.dynamics for spec in specs)
 
     def test_generated_specs_cover_adversarial_dimensions(self):
-        specs = list(ScenarioGenerator(3).specs(120))
+        specs = list(map(ScenarioGenerator(3).spec, range(120)))
         assert any(spec.partition is not None for spec in specs)
         assert any(
             spec.asymmetry is not None and not spec.asymmetry.is_null
@@ -161,9 +161,9 @@ class TestSpec:
         assert any(spec.community_churn for spec in specs)
 
     def test_adversarial_profile_skews_toward_conditions(self):
-        base = list(ScenarioGenerator(3).specs(60))
+        base = list(map(ScenarioGenerator(3).spec, range(60)))
         hostile = list(
-            ScenarioGenerator(3, ranges=GeneratorRanges.adversarial()).specs(60)
+            map(ScenarioGenerator(3, ranges=GeneratorRanges.adversarial()).spec, range(60))
         )
 
         def count(specs):

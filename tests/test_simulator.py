@@ -11,7 +11,6 @@ from repro.simulator import (
     FullProfileRequest,
     Network,
     Node,
-    NodeOfflineError,
     PHASE_EAGER,
     PHASE_LAZY,
     RemainingReturn,
@@ -45,13 +44,9 @@ class RecordingNode(Node):
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = SeededRngFactory(1).for_node(5)
-        b = SeededRngFactory(1).for_node(5)
+        a = SeededRngFactory(1).for_purpose("x")
+        b = SeededRngFactory(1).for_purpose("x")
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-
-    def test_different_nodes_get_different_streams(self):
-        factory = SeededRngFactory(1)
-        assert factory.for_node(1).random() != factory.for_node(2).random()
 
     def test_stream_is_cached(self):
         factory = SeededRngFactory(0)
@@ -94,8 +89,7 @@ class TestNetwork:
         node = RecordingNode(1)
         network.add_node(node)
         assert network.node(1) is node
-        assert 1 in network
-        assert len(network) == 1
+        assert network.node_ids() == [1]
 
     def test_duplicate_id_rejected(self):
         network = Network()
@@ -114,8 +108,6 @@ class TestNetwork:
         network.depart([1])
         assert not network.is_online(1)
         assert node.departures == 1
-        with pytest.raises(NodeOfflineError):
-            network.require_online(1)
         assert network.try_contact(1) is None
         network.rejoin([1])
         assert network.is_online(1)
@@ -126,7 +118,8 @@ class TestNetwork:
 
     def test_online_ids(self):
         network = Network()
-        network.add_nodes([RecordingNode(1), RecordingNode(2), RecordingNode(3)])
+        for node_id in (1, 2, 3):
+            network.add_node(RecordingNode(node_id))
         network.depart([2])
         assert network.online_ids() == [1, 3]
         assert network.node_ids() == [1, 2, 3]
@@ -149,7 +142,8 @@ class TestEngine:
     def _build(self, count: int = 4):
         network = Network()
         nodes = [RecordingNode(i) for i in range(count)]
-        network.add_nodes(nodes)
+        for node in nodes:
+            network.add_node(node)
         return network, nodes, SimulationEngine(network, seed=1)
 
     def test_every_online_node_runs_each_cycle(self):
@@ -157,14 +151,14 @@ class TestEngine:
         engine.run_cycles(3, phase=PHASE_LAZY)
         for node in nodes:
             assert [c for c, _ in node.executed] == [0, 1, 2]
-        assert engine.cycles_run(PHASE_LAZY) == 3
+        assert engine.cycle_counts[PHASE_LAZY] == 3
 
     def test_phases_have_independent_counters(self):
         network, nodes, engine = self._build()
         engine.run_cycles(2, phase=PHASE_LAZY)
         engine.run_cycles(3, phase=PHASE_EAGER)
-        assert engine.cycles_run(PHASE_LAZY) == 2
-        assert engine.cycles_run(PHASE_EAGER) == 3
+        assert engine.cycle_counts[PHASE_LAZY] == 2
+        assert engine.cycle_counts[PHASE_EAGER] == 3
         assert engine.global_cycle == 5
 
     def test_offline_nodes_do_not_run(self):
@@ -198,10 +192,9 @@ class TestEngine:
     def test_hooks_run_around_each_cycle(self):
         network, nodes, engine = self._build()
         order = []
-        engine.add_pre_cycle_hook(lambda e, c: order.append(("pre", c)))
-        engine.add_post_cycle_hook(lambda e, c: order.append(("post", c)))
+        engine.add_post_cycle_hook(lambda e, c: order.append((c, len(nodes[0].executed))))
         engine.run_cycles(2)
-        assert order == [("pre", 0), ("post", 0), ("pre", 1), ("post", 1)]
+        assert order == [(0, 1), (1, 2)]
 
     def test_callback_gets_cycle_index(self):
         network, nodes, engine = self._build()
@@ -221,7 +214,8 @@ class TestDirtyProfilePlumbing:
     def _build(self):
         network = Network()
         nodes = [RecordingNode(i) for i in range(3)]
-        network.add_nodes(nodes)
+        for node in nodes:
+            network.add_node(node)
         engine = SimulationEngine(network, seed=0)
         return network, engine
 

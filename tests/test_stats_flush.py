@@ -126,7 +126,7 @@ class TestFlushSemantics:
         stats = StatsCollector()
         rows = keep_every_row(stats)
         _record_burst(stats)
-        assert len(rows) == 40 and stats.buffered_rows == 40 % 7
+        assert len(rows) == 40 and len(stats._rows) == 40 % 7
         assert collector_views(stats) == reference_views(rows)
         stats.flush()
         assert collector_views(stats) == reference_views(rows)
@@ -139,7 +139,7 @@ class TestFlushSemantics:
         stats.flush()
         # More traffic after the flush: both epochs must contribute.
         stats.record(9, 1, 4, "kind_b", 7, query_id=0)
-        assert stats.buffered_rows == 1
+        assert len(stats._rows) == 1
         assert stats.query_receivers(0, "kind_b") == reference_views(rows)[
             "query_receivers"
         ][0, "kind_b"]
@@ -147,9 +147,9 @@ class TestFlushSemantics:
     def test_flush_drops_rows(self):
         stats = StatsCollector()
         _record_burst(stats)
-        assert stats.buffered_rows == 40
+        assert len(stats._rows) == 40
         assert stats.flush() == 40
-        assert stats.buffered_rows == 0
+        assert len(stats._rows) == 0
         # Aggregates survive the drop.
         assert stats.total_messages() == 40
 
@@ -158,9 +158,9 @@ class TestFlushSemantics:
         stats = StatsCollector()
         stats.record(0, 1, 2, "kind_a", 1)
         stats.record(0, 1, 2, "kind_a", 1)
-        assert stats.buffered_rows == 2
+        assert len(stats._rows) == 2
         stats.record(0, 1, 2, "kind_a", 1)
-        assert stats.buffered_rows == 0
+        assert len(stats._rows) == 0
         assert stats.total_bytes("kind_a") == 3
 
 
@@ -186,7 +186,7 @@ class TestSimulationFlushEquivalence:
 
         def record_and_measure(*row):
             record(*row)
-            held.append(sim.stats.buffered_rows)
+            held.append(len(sim.stats._rows))
 
         sim.stats.record = record_and_measure
         _drive(sim, lazy_cycles=5)

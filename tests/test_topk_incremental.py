@@ -53,12 +53,6 @@ class TestBasics:
         assert [item for item, _ in final] == [9, 8, 7]
         assert nra.sequential_accesses >= 9
 
-    def test_counters(self):
-        nra = IncrementalNRA(2)
-        nra.process_cycle([{1: 1.0}, {2: 2.0}])
-        assert nra.num_lists == 2
-        assert nra.num_candidates >= 1
-
     def test_scores_are_summed_across_lists(self):
         nra = IncrementalNRA(1)
         nra.process_cycle([{1: 2.0, 2: 5.0}])
@@ -169,8 +163,6 @@ class TestFrozen:
         assert frozen.current_items() == twin.current_items()
         assert frozen.finalize() == exact and frozen.freeze() == exact
         assert frozen.sequential_accesses == twin.sequential_accesses
-        assert frozen.num_lists == twin.num_lists
-        assert frozen.num_candidates == twin.num_candidates
 
     def test_the_answer_handed_out_is_a_copy(self):
         nra = IncrementalNRA(2)

@@ -1,24 +1,12 @@
-"""Tests for the classical NRA implementation and the exact oracle."""
+"""Tests for NRA's ranked lists and candidate heap, and the exact oracle."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.topk.exact import exact_top_k, merge_score_maps, top_k_items
+from repro.topk.exact import exact_top_k, merge_score_maps
 from repro.topk.heap import CandidateHeap
-from repro.topk.nra import NRAResult, RankedList, nra_top_k
-
-# Strategy: a handful of score maps over a small item universe.
-score_maps = st.lists(
-    st.dictionaries(
-        keys=st.integers(0, 20),
-        values=st.floats(min_value=0.5, max_value=10.0, allow_nan=False),
-        max_size=10,
-    ),
-    min_size=1,
-    max_size=6,
-)
+from repro.topk.nra import RankedList
 
 
 class TestRankedList:
@@ -29,9 +17,6 @@ class TestRankedList:
     def test_rejects_unsorted_entries(self):
         with pytest.raises(ValueError):
             RankedList(list_id=0, entries=((1, 1.0), (2, 3.0)))
-
-    def test_len(self):
-        assert len(RankedList.from_scores(0, {1: 1.0, 2: 2.0})) == 2
 
 
 class TestExactOracle:
@@ -46,9 +31,6 @@ class TestExactOracle:
     def test_rejects_non_positive_k(self):
         with pytest.raises(ValueError):
             exact_top_k([{1: 1.0}], k=0)
-
-    def test_top_k_items_returns_ids(self):
-        assert top_k_items([{1: 1.0, 2: 3.0}], k=1) == [2]
 
 
 class TestCandidateHeap:
@@ -80,64 +62,3 @@ class TestCandidateHeap:
         heap.observe(1, 0, 1.0)
         assert not heap.is_confident(2, {0: 0.0})
 
-
-class TestNRA:
-    def test_simple_merge(self):
-        lists = [
-            RankedList.from_scores(0, {1: 5.0, 2: 3.0, 3: 1.0}),
-            RankedList.from_scores(1, {2: 4.0, 4: 2.0}),
-        ]
-        result = nra_top_k(lists, k=2)
-        assert result.items == [2, 1]
-
-    def test_rejects_non_positive_k(self):
-        with pytest.raises(ValueError):
-            nra_top_k([], k=0)
-
-    def test_empty_lists_return_empty_result(self):
-        result = nra_top_k([RankedList.from_scores(0, {})], k=3)
-        assert result.items == []
-        assert result.sequential_accesses == 0
-
-    def test_reports_accesses_and_depth(self):
-        lists = [RankedList.from_scores(0, {i: float(10 - i) for i in range(10)})]
-        result = nra_top_k(lists, k=1)
-        assert isinstance(result, NRAResult)
-        assert result.sequential_accesses >= 1
-        assert result.depth >= 1
-
-    def test_early_termination_reads_less_than_everything(self):
-        # One list with a huge leading score: NRA should stop early.
-        scores = {0: 100.0}
-        scores.update({i: 1.0 for i in range(1, 50)})
-        other = {i: 0.5 for i in range(100, 150)}
-        result = nra_top_k(
-            [RankedList.from_scores(0, scores), RankedList.from_scores(1, other)], k=1
-        )
-        assert result.items == [0]
-        total_entries = len(scores) + len(other)
-        assert result.sequential_accesses < total_entries
-
-    @given(score_maps, st.integers(1, 8))
-    @settings(max_examples=80, deadline=None)
-    def test_nra_matches_exact_oracle(self, maps, k):
-        """The NRA result is a valid top-k: the multiset of *true* scores of
-        the returned items equals the top-k of the true score distribution.
-
-        NRA terminates as soon as set membership is certain, so the scores it
-        reports are lower bounds -- correctness is therefore checked on the
-        exact scores of the returned items, not on the reported bounds.
-        """
-        lists = [RankedList.from_scores(i, scores) for i, scores in enumerate(maps)]
-        result = nra_top_k(lists, k=k)
-        expected = exact_top_k(maps, k=k)
-        merged = merge_score_maps(maps)
-        assert len(result.top_k) == len(expected)
-        got_true_scores = sorted(merged[item] for item in result.items)
-        expected_scores = sorted(score for _, score in expected)
-        assert got_true_scores == pytest.approx(expected_scores)
-        # Items with strictly higher scores than the k-th must all be present.
-        if expected:
-            kth = expected[-1][1]
-            must_have = {item for item, score in merged.items() if score > kth + 1e-9}
-            assert must_have <= set(result.items)

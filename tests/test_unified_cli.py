@@ -100,6 +100,23 @@ class TestPerfFrontDoor:
             assert flag not in result.stdout
         assert not (REPO_ROOT / "benchmarks" / "perf" / "__main__.py").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sizes", "0"),
+            ("--scale-smoke", "0"),
+            ("--budget-seconds", "0"),
+            ("--max-regression", "-1"),
+        ],
+    )
+    def test_a_bad_flag_value_is_a_usage_error(self, flag, value):
+        """Rejected by the parser: exit 2 naming the flag, no traceback,
+        nothing run -- as ``--macro-repeats 0`` already was."""
+        result = _run_module(["-m", "repro", "perf", flag, value])
+        assert result.returncode == 2, result.stderr
+        assert flag in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestServiceEndToEnd:
     def test_demo_completes_queries_and_prints_recall_and_bytes(self, tmp_path):

@@ -514,7 +514,7 @@ class TestDigestSuppression:
         )
         sender.encode_send(self._envelope(adv1))
         sender.commit_sent(7)
-        profile.add(50, 150)  # bumps the version
+        profile.add_all([(50, 150)])  # bumps the version
         adv2 = DigestAdvertisement(
             digests=(make_digest(profile, num_bits=256, num_hashes=3),),
             view=VIEW_PERSONAL,
@@ -655,8 +655,8 @@ class TestProfileFromState:
 
     def _versioned_profile(self):
         profile = UserProfile(4, [(1, 101), (2, 102)])
-        profile.add(3, 103)
-        profile.add(4, 104)
+        profile.add_all([(3, 103)])
+        profile.add_all([(4, 104)])
         assert profile.version > len(profile.actions) - 2
         return profile
 

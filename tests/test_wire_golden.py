@@ -61,7 +61,7 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "wire_golden.json"
 
 def _profile(user_id: int, num_actions: int) -> UserProfile:
     profile = UserProfile(user_id, [(item, item + 100) for item in range(num_actions)])
-    profile.add(900 + user_id, 77)  # the live version outruns the initial action count
+    profile.add_all([(900 + user_id, 77)])  # the live version outruns the initial action count
     return profile
 
 
@@ -185,7 +185,7 @@ def golden_events() -> List[WireEvent]:
 def build_trace_lines(tmp_path: Path) -> List[str]:
     trace = ServiceTrace()
     for event in golden_events():
-        trace.record(event)
+        trace.append(*event)
     path = tmp_path / "trace.jsonl"
     trace.dump(str(path))
     return path.read_text(encoding="utf-8").splitlines()
