@@ -2,10 +2,14 @@
 
 Three benchmark families:
 
-* **digest** -- Bloom-filter construction and membership throughput of the
-  bit-packed :class:`repro.bloom.BloomFilter` versus the seed
+* **digest** -- Bloom-filter construction and membership throughput of
+  :class:`repro.bloom.BloomFilter` (its bits held as the wire row, its
+  probes as cached per-key positions) versus the seed
   :class:`repro.bloom._legacy.LegacyBloomFilter` (per-probe ``hashlib``),
-  at the paper's digest geometry (20 Kbit / 14 hashes, ~250-item profiles);
+  at the paper's digest geometry (20 Kbit / 14 hashes, ~250-item profiles).
+  A digest is built once per profile version, so ``build_per_sec`` is a
+  set-up cost; ``key in bloom`` runs in a simulation only on the
+  foreign-geometry fallback of :class:`repro.gossip.digest.DigestCache`;
 * **similarity** -- profile-scoring throughput of the interned fast path
   (:func:`repro.similarity.overlap_score` on cached action-id sets) versus
   a naive baseline that rebuilds tuple sets per comparison, the seed's

@@ -1,6 +1,6 @@
 """Bloom-filter profile digests used by the gossip protocol.
 
-:class:`BloomFilter` is the bit-packed production filter (see
+:class:`BloomFilter` is the production filter, held as its wire row (see
 ``docs/ARCHITECTURE.md`` for the design); ``repro.bloom._legacy`` keeps the
 original ``hashlib``-based implementation as an equivalence/benchmark
 baseline.

@@ -4,7 +4,8 @@ This module preserves the seed implementation of the profile digest: a
 ``bytearray``-backed Bloom filter whose two double-hashing bases are derived
 from a fresh ``blake2b`` digest of ``repr(key)`` on *every* probe.  It is no
 longer used by the protocol code -- :mod:`repro.bloom.bloom` replaced it with
-a bit-packed filter and a shared hash-base cache -- but it stays in the tree
+a filter held as its wire row and shared hash-base and probe-position
+caches -- but it stays in the tree
 for two purposes:
 
 * the equivalence property tests (``tests/test_bloom_equivalence.py``) assert

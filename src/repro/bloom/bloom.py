@@ -1,4 +1,4 @@
-"""Bit-packed Bloom filter profile digests.
+"""Bloom filter profile digests, held as their wire rows.
 
 P3Q never ships a full profile before knowing it is worth shipping.  Each
 node stores, for every neighbour in its personal network and random view, a
@@ -17,19 +17,19 @@ gossip cycle probes hundreds of digests against the receiver's item set -- so
 the implementation is engineered for cheap probes (see
 ``docs/ARCHITECTURE.md`` for how this layer fits the rest of the system):
 
-* **Bit-packed-integer storage.**  The whole bit array is one Python int.
-  Inserting a key ORs in its precomputed ``k``-bit *probe mask*; a
-  membership test is a single C-level ``bits & mask == mask`` -- no
-  per-probe Python loop at all.
+* **One form of the bits: the wire row.**  A filter holds its bit array
+  as the little-endian ``bytes`` row the codec sends, and nothing else;
+  construction sets bits in a ``bytearray`` and freezes it, and a probe
+  tests one byte per probe position, stopping at the first clear bit.
 * **Integer double hashing.**  Item ids (small ints) are mixed with the
   splitmix64 finalizer -- a handful of integer multiplies -- instead of a
   ``hashlib`` digest of ``repr(key)``.  Non-integer keys keep the ``blake2b``
   path as a fallback.
 * **Shared caches.**  The double-hash bases of a key are geometry-independent
-  and memoized across all filters (:func:`hash_bases`); the k-bit probe masks
-  they expand to are memoized per filter geometry.  Digest construction and
-  membership tests touch the same item ids over and over, so after the first
-  touch every operation is one dict hit plus one big-int instruction.
+  and memoized across all filters (:func:`hash_bases`); the ``k`` probe
+  positions they expand to are memoized per filter geometry.  Digest
+  construction and membership tests touch the same item ids over and over,
+  so after the first touch a key costs one dict hit plus its byte tests.
 
 The original ``hashlib``-per-probe implementation is preserved as
 :class:`repro.bloom._legacy.LegacyBloomFilter` for equivalence tests and as
@@ -39,7 +39,7 @@ the benchmark baseline.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 #: Sizing used in the paper's cost analysis: 20 Kbit per digest.
 PAPER_DIGEST_BITS = 20_000
@@ -54,20 +54,18 @@ _MASK64 = (1 << 64) - 1
 _HASH_BASES: Dict[object, Tuple[int, int]] = {}
 _HASH_CACHE_LIMIT = 1 << 20
 
-#: Per-geometry caches of probe masks: ``(num_bits, num_hashes) -> {key ->
-#: k-bit int mask}``.  A mask is the OR of the key's ``k`` probe positions,
-#: so insert and membership collapse to single big-int operations.  Int keys
-#: are stored under the key itself; other types under ``(type, key)`` (the
-#: same ``1``/``True``/``1.0`` separation as the hash-base cache).  A mask
-#: costs ~``num_bits/8`` bytes of payload plus dict/key/int-object overhead,
-#: so each geometry's entry cap is derived from a byte budget rather than a
-#: flat count.
-_MASKS: Dict[Tuple[int, int], Dict[object, int]] = {}
-_MASK_CACHE_BYTES_PER_GEOMETRY = 128 << 20
-#: Approximate per-entry bookkeeping cost: dict slot + key object + the
-#: int header of the mask itself.
-_MASK_ENTRY_OVERHEAD_BYTES = 128
-_MASK_CACHE_MIN_ENTRIES = 1024
+#: Per-geometry caches of probe positions: ``(num_bits, num_hashes) ->
+#: {key -> the key's k bit positions}``.  A key's positions are the one
+#: per-key probe form: insertion sets those bits of a row, membership tests
+#: them.  Int keys are stored under the key itself; other types under
+#: ``(type, key)`` (the same ``1``/``True``/``1.0`` separation as the
+#: hash-base cache).  Each geometry's entry cap is derived from a byte
+#: budget, at about ``_POSITION_ENTRY_BYTES + _POSITION_BYTES * k`` bytes
+#: an entry (dict slot, key, tuple, and one int object per position).
+_POSITIONS: Dict[Tuple[int, int], Dict[object, Tuple[int, ...]]] = {}
+_POSITION_CACHE_BYTES_PER_GEOMETRY = 128 << 20
+_POSITION_ENTRY_BYTES = 128
+_POSITION_BYTES = 40
 
 
 def _cache_key(key: object) -> object:
@@ -131,38 +129,31 @@ def hash_bases(key: object) -> Tuple[int, int]:
 
 
 def clear_hash_cache() -> None:
-    """Drop the shared hash-base and probe-mask caches.
+    """Drop the shared hash-base and probe-position caches.
 
     Safe at any time: the caches only memoize pure functions of the key
     (and filter geometry), so clearing them changes nothing observable
-    except speed.  Mask dicts are cleared *in place* because live filters
-    hold references to them; those filters simply re-populate on use.
+    except speed.  Position dicts are cleared *in place* because live
+    filters hold references to them; those filters simply re-populate on
+    use.
     """
     _HASH_BASES.clear()
-    for masks in _MASKS.values():
-        masks.clear()
-
-
-def pack_row(bits: int, num_bits: int) -> bytes:
-    """A packed bit array as its wire *row*: raw filter bits,
-    little-endian, ``ceil(num_bits / 8)`` bytes.
-
-    The one spelling of the layout shared by the wire codec's digest
-    entries and :meth:`BloomFilter.row_bytes`;
-    :meth:`BloomFilter.from_row` is its inverse.
-    """
-    return bits.to_bytes((num_bits + 7) // 8, "little")
+    for positions in _POSITIONS.values():
+        positions.clear()
 
 
 class BloomFilter:
-    """A Bloom filter over integer (or otherwise hashable) keys.
+    """An immutable Bloom filter over integer (or otherwise hashable) keys.
 
-    The filter guarantees *no false negatives*: every added key is reported
-    as (possibly) present.  False positives occur with a probability that
-    depends on the fill ratio, ``(1 - e^{-kn/m})^k`` for ``n`` inserts.
+    The filter guarantees *no false negatives*: every key it was built from
+    is reported as (possibly) present.  False positives occur with a
+    probability that depends on the fill ratio, ``(1 - e^{-kn/m})^k`` for
+    ``n`` keys.  ``BloomFilter(num_bits, num_hashes)`` is the empty filter;
+    :meth:`from_items`, :meth:`from_row` and :meth:`from_state` build the
+    others.
     """
 
-    __slots__ = ("num_bits", "num_hashes", "_bits", "_count", "_masks", "_mask_limit", "_row")
+    __slots__ = ("num_bits", "num_hashes", "_count", "_positions", "_row")
 
     def __init__(self, num_bits: int = PAPER_DIGEST_BITS, num_hashes: int = 14) -> None:
         if num_bits <= 0:
@@ -171,20 +162,12 @@ class BloomFilter:
             raise ValueError("num_hashes must be positive")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
-        #: The bit array, packed into one arbitrary-precision integer.
-        self._bits = 0
         self._count = 0
-        #: Memoised :meth:`row_bytes` of the current bits (``None``: not
-        #: serialised since the last insert).
-        self._row: Optional[bytes] = None
-        #: The shared probe-mask cache for this filter's geometry, capped so
-        #: the cache costs at most ~_MASK_CACHE_BYTES_PER_GEOMETRY bytes.
-        self._masks = _MASKS.setdefault((num_bits, num_hashes), {})
-        self._mask_limit = max(
-            _MASK_CACHE_MIN_ENTRIES,
-            _MASK_CACHE_BYTES_PER_GEOMETRY
-            // ((num_bits + 7) // 8 + _MASK_ENTRY_OVERHEAD_BYTES),
-        )
+        #: The shared probe-position cache of this filter's geometry.
+        self._positions = _POSITIONS.setdefault((num_bits, num_hashes), {})
+        #: The bit array as its wire row: little-endian, ``ceil(num_bits /
+        #: 8)`` bytes.  The one form of the filter's bits.
+        self._row = bytes(self.size_in_bytes)
 
     # -- constructors ---------------------------------------------------------
 
@@ -195,69 +178,22 @@ class BloomFilter:
         num_bits: int = PAPER_DIGEST_BITS,
         num_hashes: int = 14,
     ) -> "BloomFilter":
-        """Build a filter containing every element of ``items``."""
+        """Build a filter containing every element of ``items``.
+
+        :attr:`approximate_count` is the number of elements, duplicates
+        counted once per occurrence.
+        """
         bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
-        bloom.update(items)
+        row = bytearray(bloom.size_in_bytes)
+        count = 0
+        probe_positions = bloom.probe_positions
+        for key in items:
+            for position in probe_positions(key):
+                row[position >> 3] |= 1 << (position & 7)
+            count += 1
+        bloom._row = bytes(row)
+        bloom._count = count
         return bloom
-
-    # -- core operations ------------------------------------------------------
-
-    def probe_mask(self, key: object) -> int:
-        """The OR of ``key``'s ``k`` probe bits, memoized per geometry.
-
-        ``key`` is (possibly) present iff ``raw_bits & mask == mask``.  The
-        mask is the one object every filter of the geometry probes and
-        inserts with, so a caller that keeps it per key (the probe rows of
-        :class:`repro.gossip.digest.DigestCache`) holds a reference, not a
-        copy.
-        """
-        masks = self._masks
-        cache_key = _cache_key(key)
-        mask = masks.get(cache_key) if cache_key is not None else None
-        if mask is None:
-            h1, h2 = hash_bases(key)
-            num_bits = self.num_bits
-            mask = 0
-            for _ in range(self.num_hashes):
-                mask |= 1 << (h1 % num_bits)
-                h1 += h2
-            if cache_key is not None and len(masks) < self._mask_limit:
-                masks[cache_key] = mask
-        return mask
-
-    def add(self, key: object) -> None:
-        """Insert ``key`` into the filter."""
-        self._bits |= self.probe_mask(key)
-        self._count += 1
-        self._row = None
-
-    def update(self, keys: Iterable[object]) -> None:
-        for key in keys:
-            self.add(key)
-
-    def __contains__(self, key: object) -> bool:
-        mask = self.probe_mask(key)
-        return self._bits & mask == mask
-
-    # -- state transfer -------------------------------------------------------
-
-    @property
-    def raw_bits(self) -> int:
-        """The packed bit array as an int (state transfer between processes)."""
-        return self._bits
-
-    def row_bytes(self) -> bytes:
-        """The bit array as its :func:`pack_row` row, serialised at most once.
-
-        A digest is an immutable snapshot that every holder re-advertises
-        round after round; the row is memoised on the filter (and dropped
-        by the next insert), so all of them append the same ``bytes``
-        object instead of each re-serialising -- or each caching -- its own.
-        """
-        row = self._row
-        if row is None:
-            row = self._row = pack_row(self._bits, self.num_bits)
-        return row
 
     @classmethod
     def from_state(
@@ -272,12 +208,13 @@ class BloomFilter:
         :meth:`row_bytes`.
         """
         bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
-        if bits < 0 or bits.bit_length() > 8 * bloom.size_in_bytes:
+        width = bloom.size_in_bytes
+        if bits < 0 or bits.bit_length() > 8 * width:
             raise ValueError(
                 f"the bit array of a {num_bits}-bit filter must be a non-negative "
-                f"integer that fits its {bloom.size_in_bytes}-byte row"
+                f"integer that fits its {width}-byte row"
             )
-        bloom._bits = bits
+        bloom._row = bits.to_bytes(width, "little")
         bloom._count = count
         return bloom
 
@@ -287,23 +224,72 @@ class BloomFilter:
     ) -> "BloomFilter":
         """Adopt a decoded wire row (the inverse of :meth:`row_bytes`).
 
-        The row is the little-endian byte image of the packed bit array --
-        by construction the OR of the same per-item probe masks ``update``
-        would have ORed -- so the resulting filter is bit-identical to one
-        built item by item.  ``count`` is the number of distinct items the
-        row encodes.  A ``bytes`` row of the geometry's exact width is kept
-        as the filter's memoised :meth:`row_bytes` (it *is* that value).
+        ``count`` is the number of distinct items the row encodes.  The row
+        is validated as the integer it spells, through :meth:`from_state`;
+        a ``bytes`` row of the geometry's exact width then *is* the
+        filter's row and is kept as it is, so the filter holds no copy.
         """
         bloom = cls.from_state(num_bits, num_hashes, int.from_bytes(row, "little"), count)
         if type(row) is bytes and len(row) == bloom.size_in_bytes:
             bloom._row = row
         return bloom
 
+    # -- probing --------------------------------------------------------------
+
+    def probe_positions(self, key: object) -> Tuple[int, ...]:
+        """``key``'s ``k`` bit positions ``(h1 + i*h2) mod num_bits``,
+        memoized per geometry.
+
+        ``key`` is (possibly) present iff every one of them is set in the
+        row.  The tuple is the one object every filter of the geometry
+        probes and builds with, so a caller that keeps it per key (the
+        probe rows of :class:`repro.gossip.digest.DigestCache`) holds a
+        reference, not a copy.
+        """
+        cache = self._positions
+        cache_key = _cache_key(key)
+        positions = cache.get(cache_key) if cache_key is not None else None
+        if positions is None:
+            h1, h2 = hash_bases(key)
+            num_bits = self.num_bits
+            positions = tuple((h1 + i * h2) % num_bits for i in range(self.num_hashes))
+            limit = _POSITION_CACHE_BYTES_PER_GEOMETRY // (
+                _POSITION_ENTRY_BYTES + _POSITION_BYTES * self.num_hashes
+            )
+            if cache_key is not None and len(cache) < limit:
+                cache[cache_key] = positions
+        return positions
+
+    def __contains__(self, key: object) -> bool:
+        row = self._row
+        for position in self.probe_positions(key):
+            if not row[position >> 3] >> (position & 7) & 1:
+                return False
+        return True
+
+    # -- state transfer -------------------------------------------------------
+
+    @property
+    def raw_bits(self) -> int:
+        """The bit array as an int, computed from the row (the JSON trace
+        codec's state transfer form)."""
+        return int.from_bytes(self._row, "little")
+
+    def row_bytes(self) -> bytes:
+        """The bit array as its wire row: raw filter bits, little-endian,
+        ``ceil(num_bits / 8)`` bytes.
+
+        The filter's one form of its bits, so every holder of a digest
+        sends -- and probes -- the same ``bytes`` object.
+        """
+        return self._row
+
     # -- introspection --------------------------------------------------------
 
     @property
     def approximate_count(self) -> int:
-        """Number of ``add`` calls (duplicates counted once per call)."""
+        """Number of keys the filter was built from (duplicates counted
+        once per occurrence)."""
         return self._count
 
     @property

@@ -1,7 +1,7 @@
 """Gossip substrate: digests, views, peer sampling and the lazy exchange.
 
 The digest and exchange modules run on the performance layer introduced with
-the bit-packed Bloom filter and interned profiles; ``docs/ARCHITECTURE.md``
+the row-backed Bloom filter and interned profiles; ``docs/ARCHITECTURE.md``
 documents the layering (data -> bloom/similarity -> gossip -> p3q ->
 experiments) and the invariants the fast paths rely on.
 """

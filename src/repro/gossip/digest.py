@@ -9,14 +9,13 @@ answers two questions cheaply:
   counter, which avoids re-exchanging unchanged profiles (Algorithm 1,
   lines 4-6).
 
-Digest probes ride the bit-packed-integer :class:`repro.bloom.BloomFilter`:
-membership is one C-level big-int ``AND`` against the key's cached probe
-mask, with masks and hash bases memoized process-wide and shared between
-digest construction and probing (see ``docs/ARCHITECTURE.md``).
-:class:`DigestCache` prices the "which of my items might she have?" probe
-that step 2 of the lazy exchange is built on for a whole simulation,
-reading each digest in the one other form it already has -- the wire row
-its holders send.
+Digest probes ride :class:`repro.bloom.BloomFilter`, whose one form of its
+bits is the wire row its holders send: membership is a byte test of that row
+per probe position, with positions and hash bases memoized process-wide and
+shared between digest construction and probing (see
+``docs/ARCHITECTURE.md``).  :class:`DigestCache` prices the "which of my
+items might she have?" probe that step 2 of the lazy exchange is built on
+for a whole simulation, reading each digest in that row.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..bloom import PAPER_DIGEST_BITS, BloomFilter, hash_bases
+from ..bloom import PAPER_DIGEST_BITS, BloomFilter
 from ..data.models import UserProfile
 
 
@@ -73,7 +72,7 @@ def intern_digest(
     A digest is an immutable snapshot that every node of the overlay
     re-advertises, so N in-process receivers decode the same <= N distinct
     rows over and over; resolving them here keeps one object (one 20 Kbit
-    integer) per digest instead of one per receiver.  The key is the *whole*
+    row) per digest instead of one per receiver.  The key is the *whole*
     content, row bytes included: a forged row under an honest ``(user_id,
     version)`` is a different key and can never alias the honest digest.
     ``row`` is the filter's :meth:`~repro.bloom.BloomFilter.row_bytes`
@@ -99,17 +98,16 @@ class DigestCache:
     * **digests** -- ``user_id -> ProfileDigest`` of that user's *current*
       profile.  Replaces per-node digest rebuilding: a node's 20 Kbit Bloom
       filter is constructed once per profile version for the whole system.
-    * **probe rows** -- ``user_id -> ((byte_index, bit, item, probe_mask),
-      ...)`` for the user's item set, in the cache's digest geometry, plus
-      the OR of the items' first probe bits.  These are the precomputed
+    * **probe rows** -- ``user_id -> ((byte_index, bit, item, positions),
+      ...)`` for the user's item set, in the cache's digest geometry: per
+      item, where its first probe bit sits in a digest's row and the
+      geometry's shared position tuple.  These are the precomputed
       left-hand sides of batch membership tests.  The right-hand side is
-      the digest itself, in the two forms it already has: its packed
-      integer and its wire row (:meth:`BloomFilter.row_bytes`, memoised on
-      the filter, so every circulating version of a user's digest carries
-      its own and nothing here is keyed by the subject).  Pricing one pair
-      is one big-int AND against the first-bits mask, which ends a pair
-      sharing none of them, then a byte test of the row per item; only an
-      item whose first bit is set pays the full 20 Kbit probe.
+      the digest's one form, its wire row (:meth:`BloomFilter.row_bytes`):
+      every circulating version of a user's digest carries its own, so
+      nothing here is keyed by the subject.  Pricing one pair is one byte
+      test of the row per item; only an item whose first bit is set has
+      its remaining positions tested.
     * **common-item memo** -- one row per receiver: ``receiver_id ->
       (receiver_version, {subject_id: (digest_version, common_items)})``.
       A digest that was already probed by the same receiver at the same
@@ -153,12 +151,10 @@ class DigestCache:
         #: ``(receiver_id, receiver_version, subject_id, digest_version,
         #: common_items)`` entry here (see :meth:`record_pricing`).
         self._recorder: Optional[List[PricedPair]] = None
-        #: user_id -> (profile_version, ((byte_index, bit, item, probe_mask),
-        #: ...), firsts_mask): per item, where its first probe bit sits in a
-        #: digest's wire row and the geometry's shared probe mask; the OR of
-        #: those first bits lets one big-int AND reject a digest that has
-        #: none of them before any per-item work happens.
-        self._rows: Dict[int, Tuple[int, Tuple[Tuple[int, int, int, int], ...], int]] = {}
+        #: user_id -> (profile_version, ((byte_index, bit, item, positions),
+        #: ...)): per item, where its first probe bit sits in a digest's
+        #: row and the geometry's shared probe positions.
+        self._rows: Dict[int, Tuple[int, Tuple[Tuple[int, int, int, Tuple[int, ...]], ...]]] = {}
         #: receiver user_id -> (receiver_version, {subject user_id ->
         #: (digest_version, common items)}); ``_common_pairs`` counts the
         #: inner entries of all rows.
@@ -189,13 +185,12 @@ class DigestCache:
         """The receiver's items that ``digest`` (probably) contains, memoized.
 
         Semantically identical to probing each of ``receiver.items`` against
-        ``digest.bloom`` (same Bloom filter, same probe masks) but priced
+        ``digest.bloom`` (same Bloom filter, same probe positions) but priced
         incrementally: the receiver's probe rows are cached per profile
-        version, and a
-        (receiver, subject) pair is re-probed only when either side's
-        version changed since the last probe.  A probe reads one byte of the
-        digest's own wire row -- the item's first probe bit -- and runs the
-        full ``bits & mask == mask`` only when that bit is set.
+        version, and a (receiver, subject) pair is re-probed only when
+        either side's version changed since the last probe.  A probe reads
+        one byte of the digest's wire row -- the item's first probe bit --
+        and tests the item's other positions only when that bit is set.
         """
         bloom = digest.bloom
         if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
@@ -210,32 +205,27 @@ class DigestCache:
         # runtime, and every extra frame showed up in profiles.
         rows_entry = self._rows.get(receiver.user_id)
         if rows_entry is None or rows_entry[0] != receiver.version:
-            num_bits = self.num_bits
-            probe_mask = bloom.probe_mask
+            probe_positions = bloom.probe_positions
             probes = []
-            firsts_mask = 0
             for item in receiver.items:
-                first = hash_bases(item)[0] % num_bits
-                firsts_mask |= 1 << first
-                probes.append((first >> 3, 1 << (first & 7), item, probe_mask(item)))
-            rows_entry = (receiver.version, tuple(probes), firsts_mask)
+                positions = probe_positions(item)
+                first = positions[0]
+                probes.append((first >> 3, 1 << (first & 7), item, positions))
+            rows_entry = (receiver.version, tuple(probes))
             self._rows[receiver.user_id] = rows_entry
-        bits = bloom.raw_bits
-        # One big-int AND rejects a digest with none of the receiver's first
-        # probe bits set (a third to a half of all misses); otherwise each
-        # item costs one byte of the digest's wire row, and only those whose
-        # first bit is set pay a full probe.
-        if not bits & rows_entry[2]:
-            common: FrozenSet[int] = _EMPTY_ITEMS
-        else:
-            wire_row = bloom.row_bytes()
-            common = frozenset(
-                {
-                    item
-                    for byte_index, bit, item, mask in rows_entry[1]
-                    if wire_row[byte_index] & bit and bits & mask == mask
-                }
-            )
+        # Each item costs one byte of the digest's wire row; only those whose
+        # first bit is set (~3 of 21-25 per miss) test their other positions,
+        # in a plain loop (a generator per candidate cost more than its tests).
+        wire_row = bloom.row_bytes()
+        found = []
+        for byte_index, bit, item, positions in rows_entry[1]:
+            if wire_row[byte_index] & bit:
+                for position in positions:
+                    if not wire_row[position >> 3] >> (position & 7) & 1:
+                        break
+                else:
+                    found.append(item)
+        common = frozenset(found) if found else _EMPTY_ITEMS
         common = self._store_common(
             receiver.user_id, receiver.version, digest.user_id, digest.version, common
         )

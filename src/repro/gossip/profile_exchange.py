@@ -39,8 +39,8 @@ messages" API could not express a handler that needs an answer mid-flight.
 This module sits on the hot path of every lazy cycle.  It leans on the
 performance layer described in ``docs/ARCHITECTURE.md``: the receiver's item
 and action views (``profile.items`` / ``profile.actions``) are per-version
-cached frozensets, digest probes read the digest's own wire row and packed
-integer against the receiver's cached probe masks
+cached frozensets, digest probes read the digest's own wire row at the
+receiver's cached probe positions
 (:meth:`repro.gossip.digest.DigestCache.common_items`), and similarity
 scores are C-level set intersections
 (:func:`repro.similarity.metrics.overlap_score_from_actions`).
@@ -72,7 +72,7 @@ class LazyExchangeProtocol:
     Every digest probe goes through the receiving peer's own
     :class:`~repro.gossip.digest.DigestCache` (``receiver.digest_cache``;
     in a simulation every node shares one): one exchange's candidate set is
-    priced in a batched pass over the receiver's cached probe-mask rows, and
+    priced in a batched pass over the receiver's cached probe rows, and
     an unchanged (receiver, subject) pair is never re-probed.
     """
 

@@ -10,7 +10,7 @@ Every P3Q user maintains (Figure 1 of the paper):
   system, maintained by the peer-sampling layer, each with a profile digest.
 
 Both views hold :class:`~repro.gossip.digest.ProfileDigest` snapshots backed
-by the bit-packed Bloom filter, and stored replicas are
+by the row-backed Bloom filter, and stored replicas are
 :class:`~repro.data.models.UserProfile` copies that carry their interned
 indexes with them -- so view maintenance and query scoring stay on the fast
 paths described in ``docs/ARCHITECTURE.md``.

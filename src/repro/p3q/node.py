@@ -23,8 +23,8 @@ generators, which the engine drives and the service delegates to.
 Everything hot a node does rides the incremental runtime documented in
 ``docs/ARCHITECTURE.md``: its own digest and probe rows live in the
 simulation-shared :class:`~repro.gossip.digest.DigestCache` (version-keyed,
-rebuilt only when the profile version bumps), digest probes hit the
-bit-packed Bloom filter through cached probe-mask rows, and query/similarity
+rebuilt only when the profile version bumps), digest probes read the
+Bloom filter's wire row through cached probe rows, and query/similarity
 scoring runs on the profile's interned indexes.
 """
 

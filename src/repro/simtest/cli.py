@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-shrink-runs", type=int, default=48, metavar="N",
-        help="budget of candidate runs during shrinking (default: 48)",
+        help="budget of runs during shrinking, the confirming run included; "
+        "at least 2 (default: 48)",
     )
     parser.add_argument(
         "--max-users", type=int, default=None, metavar="N",
@@ -222,6 +223,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.seeds < 1:
         parser.error("--seeds must be positive")
+    if args.max_shrink_runs < 2:
+        # The budget counts the run that confirms the failure: below 2 no
+        # candidate would ever run.
+        parser.error("--max-shrink-runs must be at least 2")
     if args.max_users is not None and args.max_users < 8:
         parser.error("--max-users must be at least 8")
     if args.spec_json is not None and args.spec is not None:

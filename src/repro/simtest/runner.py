@@ -28,7 +28,6 @@ from ..data.dynamics import DynamicsConfig, ProfileDynamicsGenerator
 from ..data.models import ChangeDay, Dataset
 from ..data.queries import QueryWorkloadGenerator
 from ..data.synthetic import SyntheticConfig, SyntheticTraceGenerator
-from ..p3q.config import P3QConfig
 from ..p3q.protocol import P3QSimulation
 from ..p3q.query import QuerySession
 from ..p3q.scoring import partial_scores
@@ -86,23 +85,7 @@ def build_simulation(spec: ScenarioSpec) -> P3QSimulation:
         )
     )
     dataset = generator.generate()
-    config = P3QConfig(
-        network_size=spec.network_size,
-        storage=spec.storage,
-        random_view_size=spec.random_view_size,
-        k=spec.k,
-        alpha=spec.alpha,
-        exchange_size=spec.exchange_size,
-        digest_bits=spec.digest_bits,
-        digest_hashes=spec.digest_hashes,
-        seed=spec.seed,
-        loss_rate=spec.loss_rate,
-        delay_cycles=spec.delay_cycles,
-        partition=spec.partition,
-        asymmetry=spec.asymmetry,
-        free_rider_fraction=spec.free_rider_fraction,
-    )
-    simulation = P3QSimulation(dataset, config)
+    simulation = P3QSimulation(dataset, spec.config())
     # Ground-truth community membership, inverted for the correlated-churn
     # scheduler (the generator caches the dataset; this costs no re-roll).
     members: Dict[int, List[int]] = {}

@@ -30,7 +30,8 @@ import shlex
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
-from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fraction
+from ..p3q.config import P3QConfig
+from ..simulator.conditions import AsymmetrySpec, PartitionSpec
 from ..simulator.engine import PHASE_EAGER, PHASE_LAZY
 from ..simulator.rng import derive_rng
 
@@ -262,9 +263,29 @@ class ScenarioSpec:
                 f"partition split at global cycle {self.partition.split_cycle} "
                 f"is outside the {self.lazy_cycles + self.eager_cycles}-cycle run"
             )
-        validate_fraction("free_rider_fraction", self.free_rider_fraction)
+        # The protocol fields' ranges are P3QConfig's: building it checks them.
+        self.config()
 
     # -- derived views --------------------------------------------------------
+
+    def config(self) -> P3QConfig:
+        """The protocol configuration the spec runs under."""
+        return P3QConfig(
+            network_size=self.network_size,
+            storage=self.storage,
+            random_view_size=self.random_view_size,
+            k=self.k,
+            alpha=self.alpha,
+            exchange_size=self.exchange_size,
+            digest_bits=self.digest_bits,
+            digest_hashes=self.digest_hashes,
+            seed=self.seed,
+            loss_rate=self.loss_rate,
+            delay_cycles=self.delay_cycles,
+            partition=self.partition,
+            asymmetry=self.asymmetry,
+            free_rider_fraction=self.free_rider_fraction,
+        )
 
     @property
     def direct_equivalent(self) -> bool:

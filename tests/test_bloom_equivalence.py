@@ -1,7 +1,7 @@
-"""Equivalence of the bit-packed Bloom filter with the legacy filter.
+"""Equivalence of the production Bloom filter with the legacy filter.
 
 The performance overhaul replaced the seed's ``hashlib``-per-probe filter
-(:class:`repro.bloom._legacy.LegacyBloomFilter`) with the bit-packed
+(:class:`repro.bloom._legacy.LegacyBloomFilter`) with
 :class:`repro.bloom.BloomFilter`.  The two use different hash functions, so
 their bit patterns differ -- but every *guarantee* and every *deterministic
 observable* must match:
@@ -29,9 +29,8 @@ class TestBehaviouralEquivalence:
     @given(st.sets(st.integers(), max_size=200))
     @settings(max_examples=50)
     def test_both_filters_have_no_false_negatives(self, items):
-        fast = BloomFilter(**GEOMETRY)
+        fast = BloomFilter.from_items(items, **GEOMETRY)
         legacy = LegacyBloomFilter.from_items(items, **GEOMETRY)
-        fast.update(items)
         for item in items:
             assert item in fast
             assert item in legacy
@@ -40,9 +39,8 @@ class TestBehaviouralEquivalence:
     @settings(max_examples=30)
     def test_tuple_keys_match_legacy_guarantee(self, actions):
         """Non-integer keys (tagging actions) keep the no-false-negative law."""
-        fast = BloomFilter(**GEOMETRY)
+        fast = BloomFilter.from_items(actions, **GEOMETRY)
         legacy = LegacyBloomFilter.from_items(actions, **GEOMETRY)
-        fast.update(actions)
         assert all(action in fast for action in actions)
         assert all(action in legacy for action in actions)
 
@@ -50,9 +48,8 @@ class TestBehaviouralEquivalence:
     @settings(max_examples=50)
     def test_identical_accounting(self, items):
         """Count and wire size depend only on geometry + load."""
-        fast = BloomFilter(**GEOMETRY)
+        fast = BloomFilter.from_items(items, **GEOMETRY)
         legacy = LegacyBloomFilter.from_items(items, **GEOMETRY)
-        fast.update(items)
         assert fast.approximate_count == legacy.approximate_count
         assert fast.size_in_bytes == legacy.size_in_bytes
 
@@ -112,8 +109,7 @@ class TestHashBases:
         """
         assert hash_bases(-1) != hash_bases(2**64 - 1)
         assert hash_bases(5) != hash_bases(5 + 2**64)
-        bloom = BloomFilter(**GEOMETRY)
-        bloom.add(-1)
+        bloom = BloomFilter.from_items([-1], **GEOMETRY)
         assert -1 in bloom
 
     def test_equal_but_distinct_type_keys_do_not_conflate(self):
@@ -140,13 +136,11 @@ class TestHashBases:
 
         clear_hash_cache()
         hash_bases(1)  # poison attempt: int twin cached first
-        bloom = BloomFilter(**GEOMETRY)
-        bloom.add(True)
+        bloom = BloomFilter.from_items([True], **GEOMETRY)
         clear_hash_cache()
         assert True in bloom
 
     def test_unhashable_keys_still_work_uncached(self):
         """The legacy filter accepted any repr-able key; so must we."""
-        bloom = BloomFilter(**GEOMETRY)
-        bloom.add([1, 2, 3])
+        bloom = BloomFilter.from_items([[1, 2, 3]], **GEOMETRY)
         assert [1, 2, 3] in bloom

@@ -15,9 +15,9 @@ that keeps it flat instead:
   entries carry no ``__dict__``;
 * a profile at rest holds one immutable copy of its state: a frozenset of
   action ids and two dicts of tuples, no ``set`` and no tuple-action set;
-* a digest at rest is its packed integer and its wire row, and the row is
-  what it is probed in: the cache derives nothing else from it, whichever
-  of a user's versions is probed;
+* a digest at rest is its wire row and nothing else of its size, and the
+  row is what it is probed in: the cache derives nothing else from it,
+  whichever of a user's versions is probed, and holds no 20 Kbit integer;
 * the offline ideal index is columns, not objects: an id array and a tuple
   of shared score floats per user, under 20 traced bytes per neighbour;
 * what a service run keeps per wire event and per answered query: the audit
@@ -37,6 +37,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from repro.bloom import BloomFilter
+from repro.bloom import bloom as bloom_module
 from repro.data.interning import GLOBAL_INTERNER, intern_action
 from repro.data.models import UserProfile
 from repro.data.queries import QueryWorkloadGenerator
@@ -408,13 +409,6 @@ class TestTheIdealIndexIsColumns:
         assert held / neighbours <= 20, held / neighbours
 
 
-#: ``sys.getsizeof`` of what the parent commit held for the digest of
-#: :func:`_sixty_actions` (30 items, 416 set bits): the packed integer
-#: (2 688 B), the wire row (2 533 B) and a ``set`` of the set-bit indices
-#: (32 984 B; 15.9 KiB on average over the N=600 benchmark corpus).
-PARENT_DIGEST_BYTES = 2_688 + 2_533 + 32_984
-
-
 def _reachable(root):
     """Every object reachable from ``root`` through containers and instance
     attributes (slots included), ``root`` included; classes are not entered."""
@@ -439,23 +433,34 @@ class TestOneDigestFormAtRest:
         simulation.bootstrap_random_views()
         simulation.run_lazy(1)
         assert len(cache._digests) == len(simulation.nodes) and len(cache._rows) > 0
+        positions = bloom_module._POSITIONS[(cache.num_bits, cache.num_hashes)]
+        assert positions
         held = _reachable(cache._digests) + _reachable(cache._rows)
         assert any(type(obj) is bytes for obj in held)  # probed rows are memoised
         assert not [obj for obj in held if type(obj) is set]
+        # The rows are the only digest-sized objects: no packed integer, no
+        # probe mask, no per-receiver bit set.
+        held += _reachable(positions)
+        assert not [obj for obj in held if type(obj) is int and sys.getsizeof(obj) > 64]
 
-    def test_a_digest_at_rest_is_its_integer_and_its_row(self):
+    def test_a_digest_at_rest_is_its_row(self):
         cache = DigestCache()
         subject = UserProfile.from_distinct_actions(1, _sixty_actions())
         digest = cache.digest_for(subject)
         assert cache.common_items(UserProfile(2, [(3, 1), (500, 1)]), digest) == {3}
-        # Everything the filter owns (``_masks`` is the geometry's shared
-        # probe-mask table): a few small ints, the packed integer, the row.
-        owned = [getattr(digest.bloom, slot) for slot in BloomFilter.__slots__ if slot != "_masks"]
+        # Everything the filter owns (``_positions`` is the geometry's shared
+        # probe-position table): a few small ints and the row.
+        owned = [
+            getattr(digest.bloom, slot) for slot in BloomFilter.__slots__ if slot != "_positions"
+        ]
         assert {type(value) for value in owned} == {int, bytes}
         big = [value for value in owned if sys.getsizeof(value) > 64]
-        assert [sys.getsizeof(value) for value in big] == [2_688, 2_533]
+        assert big == [digest.bloom.row_bytes()]
+        assert sys.getsizeof(big[0]) == 2_533
+        # The row and three small ints, where the digest's packed integer and
+        # row together held 2 688 + 2 533 B.
         at_rest = sum(sys.getsizeof(value) for value in owned)
-        assert at_rest <= PARENT_DIGEST_BYTES // 7, at_rest
+        assert at_rest <= 2_533 + 3 * 32, at_rest
 
     def test_the_probed_row_is_the_row_the_codec_sends(self, monkeypatch):
         cache = DigestCache()

@@ -378,6 +378,45 @@ class TestCli:
         assert named in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            *(
+                (["--spec-json", json.dumps({field: value})], field)
+                for field, value in (
+                    ("digest_bits", 0),
+                    ("digest_hashes", 0),
+                    ("k", 0),
+                    ("random_view_size", 0),
+                    ("exchange_size", 0),
+                    ("alpha", 1.5),
+                    ("loss_rate", 2.0),
+                    ("storage", -1),
+                    ("delay_cycles", -1),
+                )
+            ),
+            (["--seeds", "1", "--max-shrink-runs", "1"], "--max-shrink-runs"),
+            (["--self-check", "--max-shrink-runs", "-1"], "--max-shrink-runs"),
+        ],
+        ids=[
+            "digest_bits", "digest_hashes", "k", "random_view_size", "exchange_size",
+            "alpha", "loss_rate", "storage", "delay_cycles",
+            "max-shrink-runs-1", "max-shrink-runs-negative",
+        ],
+    )
+    def test_an_out_of_range_value_is_a_usage_error(self, argv, named, capsys):
+        """Exit 2 naming the field or flag, before any scenario runs: not a
+        found ``[crash]`` violation under exit 1, and not a self-check that
+        "shrinks" with no candidate run."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_list_invariants(self, capsys):
         assert main(["--list-invariants"]) == 0
         out = capsys.readouterr().out
