@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import platform
 import sys
@@ -237,7 +238,6 @@ def bench_macro(
     seed: int = 1,
     repeats: int = 2,
     profile_phases: bool = False,
-    dataset_cache: Optional[Path] = None,
 ) -> Dict[str, Dict[str, float]]:
     """End-to-end simulator throughput: lazy and eager cycles/sec per size.
 
@@ -250,7 +250,7 @@ def bench_macro(
     collected before every timed region so earlier benchmarks' heap
     pressure cannot leak into this one.
 
-    Setup (dataset generation or cache load, node construction, view
+    Setup (dataset generation, node construction, view
     bootstrap, eager warm-up) is timed *separately* from the steady-state
     cycle loops and reported as ``setup_seconds`` -- cycles/sec measures
     cycles only, at every size.  Sizes at or above
@@ -263,7 +263,7 @@ def bench_macro(
     """
     import gc
 
-    from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_synthetic
+    from repro.data import QueryWorkloadGenerator, SyntheticConfig, generate_dataset
     from repro.p3q import P3QSimulation
 
     if quick:
@@ -279,9 +279,7 @@ def bench_macro(
         size_repeats = 1 if xl else max(1, repeats)
 
         start = time.perf_counter()
-        dataset, cache_status = load_or_generate_synthetic(
-            SyntheticConfig(num_users=size, seed=seed), dataset_cache
-        )
+        dataset = generate_dataset(SyntheticConfig(num_users=size, seed=seed))
         dataset_seconds = time.perf_counter() - start
 
         config = _sim_config(size, seed)
@@ -378,7 +376,6 @@ def bench_macro(
             "node_cycles_per_sec": size * headline_lazy,
             "setup_seconds": round(setup_seconds, 6),
             "eager_warm": "ideal" if ideal_warm else "lazy",
-            "dataset_cache": cache_status,
         }
         if peak_rss:
             entry["peak_rss_bytes"] = peak_rss
@@ -398,34 +395,29 @@ def bench_scale_smoke(
     budget_seconds: float = 120.0,
     seed: int = 1,
     num_queries: int = 10,
-    dataset_cache: Optional[Path] = None,
 ) -> Dict[str, float]:
     """One lazy + one eager cycle at large N under a wall-clock budget.
 
     This is the CI scale gate: it proves the incremental runtime completes
     full cycles at production scale, and fails (``within_budget`` False)
     when the *steady-state* cycle time -- not the one-off setup -- exceeds
-    the budget.  ``dataset_cache`` serves the trace from the spec-hash disk
-    cache so repeated jobs skip generation.  Set-up goes through the one
-    dataset loader, which builds every profile one user at a time in each
-    cache state (off, miss, hit); the simulation then holds all of them, so
-    the peak RSS after set-up is profiles, nodes and views.  Returns the
-    timing breakdown either way; the CLI exit code carries the verdict.
+    the budget.  Set-up generates the trace, which builds every profile one
+    user at a time; the simulation then holds all of them, so the peak RSS
+    after set-up is profiles, nodes and views.  Returns the timing
+    breakdown either way; the CLI exit code carries the verdict.
     """
     import gc
 
-    from repro.data import QueryWorkloadGenerator, SyntheticConfig, load_or_generate_synthetic
+    from repro.data import QueryWorkloadGenerator, SyntheticConfig, generate_dataset
     from repro.p3q import P3QSimulation
 
     if size <= 0:
         raise ValueError("size must be positive")
-    if budget_seconds <= 0:
-        raise ValueError("budget_seconds must be positive")
+    if not (math.isfinite(budget_seconds) and budget_seconds > 0):
+        raise ValueError("budget_seconds must be a positive finite number")
 
     start = time.perf_counter()
-    dataset, cache_status = load_or_generate_synthetic(
-        SyntheticConfig(num_users=size, seed=seed), dataset_cache
-    )
+    dataset = generate_dataset(SyntheticConfig(num_users=size, seed=seed))
     sim = P3QSimulation(dataset, _sim_config(size, seed))
     sim.bootstrap_random_views()
     setup_seconds = time.perf_counter() - start
@@ -456,7 +448,6 @@ def bench_scale_smoke(
         "cycle_seconds": round(cycle_seconds, 3),
         "budget_seconds": budget_seconds,
         "within_budget": cycle_seconds <= budget_seconds,
-        "dataset_cache": cache_status,
     }
     if peak_rss:
         result["peak_rss_bytes"] = peak_rss
@@ -471,7 +462,6 @@ def run_suite(
     sizes: Optional[Sequence[int]] = None,
     macro_repeats: int = 2,
     profile_phases: bool = False,
-    dataset_cache: Optional[Path] = None,
 ) -> Dict:
     """Run the full benchmark suite and return the report dictionary."""
     started = time.time()
@@ -482,7 +472,6 @@ def run_suite(
         quick=quick,
         repeats=macro_repeats,
         profile_phases=profile_phases,
-        dataset_cache=dataset_cache,
     )
     return {
         "schema_version": SCHEMA_VERSION,
@@ -690,15 +679,12 @@ def _print_summary(report: Dict) -> None:
         f"({similarity['overlap_speedup']:.1f}x vs naive)"
     )
     for size, entry in sorted(report["macro"].items(), key=lambda kv: int(kv[0])):
-        extras = ""
-        if entry.get("dataset_cache", "off") != "off":
-            extras += f", dataset-cache={entry['dataset_cache']}"
         print(
             f"macro N={size}: lazy {entry['lazy_cycles_per_sec']:.2f} cycles/s, "
             f"eager {entry['eager_cycles_per_sec']:.2f} cycles/s "
             f"({entry.get('rate_stat', 'best')}-of-{len(entry.get('lazy_rate_samples', [1]))}, "
             f"setup {entry.get('setup_seconds', 0):.2f}s, "
-            f"warm={entry.get('eager_warm', 'ideal')}{extras})"
+            f"warm={entry.get('eager_warm', 'ideal')})"
         )
         phases = entry.get("phases")
         if phases:
@@ -774,14 +760,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "JSON fragment (uploaded as a CI artifact)",
     )
     parser.add_argument(
-        "--dataset-cache",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="spec-hash dataset disk cache directory; repeated runs load "
-        "the identical trace instead of regenerating it",
-    )
-    parser.add_argument(
         "--validate",
         type=Path,
         default=None,
@@ -812,15 +790,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     # Bad values are usage errors (exit 2, the flag named), never a
     # traceback from deep inside a run or a comparison against a nonsense
-    # budget.  ``not x > 0`` also rejects NaN.
+    # budget.  An infinite budget could never fail the gate.
     if args.sizes is not None and min(args.sizes) < 1:
         parser.error("--sizes must be positive")
     if args.macro_repeats < 1:
         parser.error("--macro-repeats must be positive")
     if args.scale_smoke is not None and args.scale_smoke < 1:
         parser.error("--scale-smoke must be positive")
-    if not args.budget_seconds > 0:
-        parser.error("--budget-seconds must be positive")
+    if not (math.isfinite(args.budget_seconds) and args.budget_seconds > 0):
+        parser.error("--budget-seconds must be a positive finite number")
+    if args.fragment_output is not None and args.scale_smoke is None:
+        parser.error("--fragment-output needs --scale-smoke")
     if not 0.0 <= args.max_regression < 1.0:
         parser.error("--max-regression must be a fraction in [0, 1)")
 
@@ -828,7 +808,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = bench_scale_smoke(
             size=args.scale_smoke,
             budget_seconds=args.budget_seconds,
-            dataset_cache=args.dataset_cache,
         )
         if args.fragment_output is not None:
             fragment = {"schema_version": SCHEMA_VERSION, "scale_smoke": result}
@@ -836,8 +815,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         peaks = result.get("peak_rss_bytes", {})
         print(
             f"scale smoke N={result['num_nodes']}: "
-            f"setup {result['setup_seconds']:.1f}s "
-            f"(dataset cache {result['dataset_cache']}), "
+            f"setup {result['setup_seconds']:.1f}s, "
             f"lazy cycle {result['lazy_cycle_seconds']:.1f}s, "
             f"eager cycle {result['eager_cycle_seconds']:.1f}s "
             f"(budget {result['budget_seconds']:.0f}s)"
@@ -894,7 +872,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sizes=sizes,
         macro_repeats=args.macro_repeats,
         profile_phases=args.profile,
-        dataset_cache=args.dataset_cache,
     )
     write_report(report, args.output)
     _print_summary(report)

@@ -18,7 +18,6 @@ from .dynamics import (
     massive_departure,
 )
 from .queries import Query, QueryWorkloadGenerator
-from .loader import DatasetFormatError, load_or_generate_synthetic, synthetic_cache_key
 
 __all__ = [
     "ActionInterner",
@@ -28,7 +27,6 @@ __all__ = [
     "ChangeDay",
     "ChurnEvent",
     "Dataset",
-    "DatasetFormatError",
     "DatasetStats",
     "DynamicsConfig",
     "ProfileChange",
@@ -41,7 +39,5 @@ __all__ = [
     "UserProfile",
     "apply_change_day",
     "generate_dataset",
-    "load_or_generate_synthetic",
     "massive_departure",
-    "synthetic_cache_key",
 ]

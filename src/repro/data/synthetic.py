@@ -21,9 +21,8 @@ yields one finished, fully-indexed :class:`~repro.data.models.UserProfile`
 at a time (built through the direct interned constructor, so indexes are
 populated exactly once), and :meth:`~SyntheticTraceGenerator.generate`
 merely collects that stream into a :class:`~repro.data.models.Dataset`.
-The dataset disk cache (:mod:`repro.data.loader`) rides the same stream,
-appending each user's actions to its flat columns as the profile is built,
-and never holds the trace as per-user action lists.
+Generation is the only way a synthetic trace reaches a simulation: there is
+no on-disk copy to load, key or invalidate.
 
 Per-community popularity distributions are materialized once as cumulative
 weight tables; the per-action draws then run ``random.choices`` with
@@ -43,12 +42,6 @@ from itertools import accumulate
 from typing import Dict, Iterator, List, Sequence
 
 from .models import Dataset, TaggingAction, UserProfile
-
-#: Bump when the generation algorithm changes its draws: the dataset disk
-#: cache (:mod:`repro.data.loader`) keys cached traces on the config *and*
-#: this fingerprint, so a stale cache can never shadow a new generator.
-GENERATOR_FINGERPRINT = "synthetic-trace-v1"
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -81,8 +74,14 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if self.num_users <= 0:
             raise ValueError("num_users must be positive")
+        if self.num_items <= 0:
+            raise ValueError("num_items must be positive")
+        if self.num_tags <= 0:
+            raise ValueError("num_tags must be positive")
         if self.num_communities <= 0:
             raise ValueError("num_communities must be positive")
+        if self.max_communities_per_user < 1:
+            raise ValueError("max_communities_per_user must be >= 1")
         if not 0.0 <= self.community_affinity <= 1.0:
             raise ValueError("community_affinity must be in [0, 1]")
         if self.max_tags_per_item < 1:
@@ -139,8 +138,6 @@ class SyntheticTraceGenerator:
         self._communities = self._build_communities()
         self._memberships: Dict[int, List[int]] = {}
         self._dataset: Dataset | None = None
-        #: Index of the next user the streaming pass will emit.
-        self._next_user = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -151,38 +148,22 @@ class SyntheticTraceGenerator:
         self._dataset = Dataset({p.user_id: p for p in self.iter_profiles()})
         return self._dataset
 
-    def iter_user_actions(self) -> Iterator[tuple[int, List[TaggingAction]]]:
-        """Stream ``(user_id, actions)`` pairs, one user per step (single pass).
-
-        The yielded list is exactly what
-        :meth:`UserProfile.from_distinct_actions` receives on the generation
-        path -- persisting it and replaying it through the same constructor
-        reproduces the profile bit for bit, index tuple order included.  The
-        stream shares the generator's single RNG, so it can only run
-        forward once.
-        """
-        if self._next_user != 0 or self._dataset is not None:
-            raise RuntimeError("the generation stream was already consumed")
-        for user_id in range(self.config.num_users):
-            self._next_user = user_id + 1
-            memberships = self._pick_communities(user_id)
-            self._memberships[user_id] = memberships
-            yield user_id, self._generate_actions(memberships)
-
     def iter_profiles(self) -> Iterator[UserProfile]:
         """Stream the trace one finished profile at a time (single pass).
 
         Profiles come out fully indexed through
         :meth:`UserProfile.from_distinct_actions` -- the interned action-id
         set, the item/tag indexes and the version counter are built exactly
-        once, directly from the generated action list.  Use :meth:`generate`
-        for the collected (and cached) dataset.
+        once, directly from the generated action list.  The stream shares
+        the generator's single RNG, so it can only run forward once; use
+        :meth:`generate` for the collected (and cached) dataset.
         """
-        if self._dataset is not None:
-            yield from self._dataset.profiles()
-            return
-        for user_id, actions in self.iter_user_actions():
-            yield UserProfile.from_distinct_actions(user_id, actions)
+        if self._memberships:
+            raise RuntimeError("the generation stream was already consumed")
+        for user_id in range(self.config.num_users):
+            memberships = self._pick_communities(user_id)
+            self._memberships[user_id] = memberships
+            yield UserProfile.from_distinct_actions(user_id, self._generate_actions(memberships))
 
     def community_memberships(self) -> Dict[int, List[int]]:
         """user_id -> community ids used while generating each profile.

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from ..data.dynamics import DynamicsConfig, ProfileDynamicsGenerator
 from ..data.models import ChangeDay, Dataset
 from ..data.queries import QueryWorkloadGenerator
-from ..data.synthetic import SyntheticConfig, SyntheticTraceGenerator
+from ..data.synthetic import SyntheticTraceGenerator
 from ..p3q.protocol import P3QSimulation
 from ..p3q.query import QuerySession
 from ..p3q.scoring import partial_scores
@@ -74,16 +74,7 @@ class ScenarioResult:
 
 def build_simulation(spec: ScenarioSpec) -> P3QSimulation:
     """The live system a spec describes (dataset + configured P3Q stack)."""
-    generator = SyntheticTraceGenerator(
-        SyntheticConfig(
-            num_users=spec.num_users,
-            num_items=spec.num_items,
-            num_tags=spec.num_tags,
-            num_communities=spec.num_communities,
-            mean_actions_per_user=spec.mean_actions_per_user,
-            seed=spec.dataset_seed,
-        )
-    )
+    generator = SyntheticTraceGenerator(spec.synthetic())
     dataset = generator.generate()
     simulation = P3QSimulation(dataset, spec.config())
     # Ground-truth community membership, inverted for the correlated-churn

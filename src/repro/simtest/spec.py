@@ -30,6 +30,7 @@ import shlex
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
+from ..data.synthetic import SyntheticConfig
 from ..p3q.config import P3QConfig
 from ..simulator.conditions import AsymmetrySpec, PartitionSpec
 from ..simulator.engine import PHASE_EAGER, PHASE_LAZY
@@ -263,10 +264,23 @@ class ScenarioSpec:
                 f"partition split at global cycle {self.partition.split_cycle} "
                 f"is outside the {self.lazy_cycles + self.eager_cycles}-cycle run"
             )
-        # The protocol fields' ranges are P3QConfig's: building it checks them.
+        # The trace and protocol fields' ranges are SyntheticConfig's and
+        # P3QConfig's: building them checks them.
+        self.synthetic()
         self.config()
 
     # -- derived views --------------------------------------------------------
+
+    def synthetic(self) -> SyntheticConfig:
+        """The synthetic trace the spec runs on."""
+        return SyntheticConfig(
+            num_users=self.num_users,
+            num_items=self.num_items,
+            num_tags=self.num_tags,
+            num_communities=self.num_communities,
+            mean_actions_per_user=self.mean_actions_per_user,
+            seed=self.dataset_seed,
+        )
 
     def config(self) -> P3QConfig:
         """The protocol configuration the spec runs under."""

@@ -148,9 +148,7 @@ ENTRY_POINTS: List[List[str]] = [
      "--output", "{tmp}/sizes.json"],
     ["-m", "repro", "perf", "--validate", "{tmp}/quick.json"],
     ["-m", "repro", "perf", "--compare", "{tmp}/quick.json", "--against", "{tmp}/quick.json"],
-    ["-m", "repro", "perf", "--scale-smoke", "300", "--dataset-cache", "{tmp}/cache",
-     "--fragment-output", "{tmp}/fragment.json"],
-    ["-m", "repro", "perf", "--scale-smoke", "300", "--dataset-cache", "{tmp}/cache"],
+    ["-m", "repro", "perf", "--scale-smoke", "300", "--fragment-output", "{tmp}/fragment.json"],
     ["-m", "benchmarks.e2e", "--scale", "smoke"],
 ] + [[str(path)] for path in sorted((ROOT / "examples").glob("*.py"))]
 

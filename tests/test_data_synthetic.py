@@ -26,6 +26,15 @@ class TestSyntheticConfig:
         with pytest.raises(ValueError):
             SyntheticConfig(max_tags_per_item=0)
 
+    @pytest.mark.parametrize(
+        "field", ["num_items", "num_tags", "num_communities", "max_communities_per_user"]
+    )
+    def test_rejects_an_empty_pool_naming_the_field(self, field):
+        """Rejected at construction, not by an ``IndexError`` or a
+        ``randrange`` error deep inside generation."""
+        with pytest.raises(ValueError, match=field):
+            SyntheticConfig(**{field: 0})
+
 
 class TestGenerator:
     @pytest.fixture(scope="class")

@@ -393,6 +393,9 @@ class TestCli:
                     ("loss_rate", 2.0),
                     ("storage", -1),
                     ("delay_cycles", -1),
+                    ("num_items", 0),
+                    ("num_tags", 0),
+                    ("num_communities", 0),
                 )
             ),
             (["--seeds", "1", "--max-shrink-runs", "1"], "--max-shrink-runs"),
@@ -401,6 +404,7 @@ class TestCli:
         ids=[
             "digest_bits", "digest_hashes", "k", "random_view_size", "exchange_size",
             "alpha", "loss_rate", "storage", "delay_cycles",
+            "num_items", "num_tags", "num_communities",
             "max-shrink-runs-1", "max-shrink-runs-negative",
         ],
     )

@@ -25,7 +25,6 @@ import json
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.data.loader import load_or_generate_synthetic
 from repro.data.queries import QueryWorkloadGenerator
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.p3q.config import P3QConfig
@@ -63,19 +62,17 @@ TRACE = SyntheticConfig(
 )
 
 
-def run_scenario(overrides: Optional[Dict] = None, dataset_cache: Optional[Path] = None) -> Dict:
+def run_scenario(overrides: Optional[Dict] = None) -> Dict:
     """One deterministic end-to-end simulation, fingerprinted exactly."""
-    return _fingerprint(*run_simulation(overrides, dataset_cache))
+    return _fingerprint(*run_simulation(overrides))
 
 
-def run_simulation(overrides: Optional[Dict] = None, dataset_cache: Optional[Path] = None):
+def run_simulation(overrides: Optional[Dict] = None):
     """The golden scenario, returned live as ``(simulation, eager_cycles)``.
 
     The scenario exercises every message type: bootstrap, organic lazy
     convergence, query issuing, eager drain, churn mid-run and a final lazy
-    stretch over the shrunken population.  With ``dataset_cache`` the same
-    trace comes through the spec-hash disk cache in that directory (the
-    set-up path of ``python -m repro perf --scale-smoke --dataset-cache``).
+    stretch over the shrunken population.
     """
     config_kwargs = dict(
         network_size=12,
@@ -89,11 +86,7 @@ def run_simulation(overrides: Optional[Dict] = None, dataset_cache: Optional[Pat
     )
     config_kwargs.update(overrides or {})
     config = P3QConfig(**config_kwargs)
-    if dataset_cache is None:
-        dataset = generate_dataset(TRACE)
-    else:
-        dataset = load_or_generate_synthetic(TRACE, dataset_cache)[0]
-    simulation = P3QSimulation(dataset, config)
+    simulation = P3QSimulation(generate_dataset(TRACE), config)
     simulation.bootstrap_random_views()
     simulation.run_lazy(6)
 
@@ -166,16 +159,6 @@ def test_explicit_direct_transport_matches_default():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     explicit = {"loss_rate": 0.0, "delay_cycles": 0, "partition": None, "asymmetry": None}
     assert run_scenario(explicit) == golden
-
-
-def test_dataset_from_a_cache_hit_reproduces_the_golden(tmp_path):
-    """The simulation-level pin of the scale smoke's set-up path: profiles
-    rebuilt from the trace cache's columns run the exact schedule of
-    generated ones."""
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert load_or_generate_synthetic(TRACE, tmp_path)[1] == "miss"
-    assert load_or_generate_synthetic(TRACE, tmp_path)[1] == "hit"
-    assert run_scenario(dataset_cache=tmp_path) == golden
 
 
 def test_lossless_lossy_transport_degrades_to_direct():

@@ -95,8 +95,12 @@ class TestPerfFrontDoor:
         # benchmarks/e2e is the one place serving and service are measured.
         for flag in ("--serving", "--serving-smoke", "--service", "--service-smoke", "--service-trace"):
             assert flag not in result.stdout
-        # One cycle engine: the flags that selected or measured another are gone.
-        for flag in ("--workers", "--executor", "--require-executor", "--worker-scaling", "--columnar"):
+        # One cycle engine and one source of a trace: the flags that selected
+        # or measured another are gone.
+        for flag in (
+            "--workers", "--executor", "--require-executor", "--worker-scaling",
+            "--columnar", "--dataset-cache",
+        ):
             assert flag not in result.stdout
         assert not (REPO_ROOT / "benchmarks" / "perf" / "__main__.py").exists()
 
@@ -106,7 +110,10 @@ class TestPerfFrontDoor:
             ("--sizes", "0"),
             ("--scale-smoke", "0"),
             ("--budget-seconds", "0"),
+            ("--budget-seconds", "inf"),
             ("--max-regression", "-1"),
+            # Without --scale-smoke there is no fragment to write.
+            ("--fragment-output", "fragment.json"),
         ],
     )
     def test_a_bad_flag_value_is_a_usage_error(self, flag, value):
