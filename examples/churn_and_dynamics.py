@@ -68,10 +68,10 @@ def churn_demo() -> None:
         simulation = P3QSimulation(dataset.copy(), config)
         simulation.warm_start()
         if fraction:
-            event = massive_departure(
+            departing = massive_departure(
                 simulation.dataset, fraction, seed=7, protect=queriers
             )
-            simulation.depart_users(event.departing_users)
+            simulation.depart_users(departing)
         sessions = simulation.issue_queries(queries)
         simulation.run_eager(cycles=10, stop_when_idle=False)
         results = {qid: s.snapshots[-1].items for qid, s in sessions.items()}

@@ -11,7 +11,6 @@ from .models import (
 from .interning import GLOBAL_INTERNER, ActionInterner, action_of, intern_action
 from .synthetic import SyntheticConfig, SyntheticTraceGenerator, generate_dataset
 from .dynamics import (
-    ChurnEvent,
     DynamicsConfig,
     ProfileDynamicsGenerator,
     apply_change_day,
@@ -25,7 +24,6 @@ __all__ = [
     "action_of",
     "intern_action",
     "ChangeDay",
-    "ChurnEvent",
     "Dataset",
     "DatasetStats",
     "DynamicsConfig",

@@ -12,7 +12,7 @@ Section 3.4 of the paper evaluates two forms of dynamism:
 
 This module generates equivalent synthetic change traces against any
 :class:`~repro.data.models.Dataset`, with the same long-tailed "few users
-change a lot" shape, plus helpers for churn schedules.
+change a lot" shape, plus the departing set of a massive departure.
 """
 
 from __future__ import annotations
@@ -133,22 +133,13 @@ def apply_change_day(dataset: Dataset, change_day: ChangeDay) -> Dict[int, int]:
     return applied
 
 
-@dataclass(frozen=True)
-class ChurnEvent:
-    """A simultaneous departure of a set of users at a given cycle."""
-
-    cycle: int
-    departing_users: Tuple[int, ...]
-
-
 def massive_departure(
     dataset: Dataset,
     fraction: float,
-    cycle: int = 0,
     seed: int = 11,
     protect: Sequence[int] = (),
-) -> ChurnEvent:
-    """Pick ``fraction`` of users (uniformly at random) to leave at ``cycle``.
+) -> Tuple[int, ...]:
+    """The sorted ids of ``fraction`` of users, picked uniformly at random to leave.
 
     ``protect`` lists users that must stay online (e.g. the queriers under
     observation -- the paper measures the recall *obtained by* queriers, so a
@@ -161,5 +152,4 @@ def massive_departure(
     candidates = [uid for uid in dataset.user_ids if uid not in protected]
     count = int(round(fraction * len(dataset.user_ids)))
     count = min(count, len(candidates))
-    departing = tuple(sorted(rng.sample(candidates, k=count)))
-    return ChurnEvent(cycle=cycle, departing_users=departing)
+    return tuple(sorted(rng.sample(candidates, k=count)))

@@ -112,20 +112,6 @@ class UserProfile:
         return len(fresh)
 
     @classmethod
-    def from_distinct_actions(
-        cls, user_id: int, actions: Iterable[TaggingAction]
-    ) -> "UserProfile":
-        """Build a profile from an action list in one direct pass.
-
-        The bulk-load path of the setup pipeline (synthetic generation and
-        the dataset disk cache), and the same thing as ``UserProfile(user_id,
-        actions)``: the id set is built once, the index tuples follow the
-        order of ``actions``, and the version is the number of distinct
-        actions.  Duplicate entries are tolerated and counted once.
-        """
-        return cls(user_id, actions)
-
-    @classmethod
     def from_state(
         cls, user_id: int, actions: Iterable[TaggingAction], version: int
     ) -> "UserProfile":
@@ -136,7 +122,7 @@ class UserProfile:
         just the actions currently present, and replica-freshness tracking
         needs it intact across a codec round-trip.  This is the one
         sanctioned way to restore a foreign version counter; everything
-        else about the profile matches :meth:`from_distinct_actions`.
+        else about the profile matches ``UserProfile(user_id, actions)``.
         """
         if version < 0:
             raise ValueError(f"profile version must be non-negative, got {version!r}")

@@ -151,19 +151,19 @@ class SyntheticTraceGenerator:
     def iter_profiles(self) -> Iterator[UserProfile]:
         """Stream the trace one finished profile at a time (single pass).
 
-        Profiles come out fully indexed through
-        :meth:`UserProfile.from_distinct_actions` -- the interned action-id
-        set, the item/tag indexes and the version counter are built exactly
-        once, directly from the generated action list.  The stream shares
-        the generator's single RNG, so it can only run forward once; use
-        :meth:`generate` for the collected (and cached) dataset.
+        Profiles come out fully indexed through the ``UserProfile``
+        constructor -- the interned action-id set, the item/tag indexes and
+        the version counter are built exactly once, directly from the
+        generated action list.  The stream shares the generator's single
+        RNG, so it can only run forward once; use :meth:`generate` for the
+        collected (and cached) dataset.
         """
         if self._memberships:
             raise RuntimeError("the generation stream was already consumed")
         for user_id in range(self.config.num_users):
             memberships = self._pick_communities(user_id)
             self._memberships[user_id] = memberships
-            yield UserProfile.from_distinct_actions(user_id, self._generate_actions(memberships))
+            yield UserProfile(user_id, self._generate_actions(memberships))
 
     def community_memberships(self) -> Dict[int, List[int]]:
         """user_id -> community ids used while generating each profile.

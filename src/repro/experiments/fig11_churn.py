@@ -89,13 +89,13 @@ def run_churn(
         for departure in departures:
             simulation = converged_simulation(workload, storage=storage)
             if departure > 0:
-                event = massive_departure(
+                departing = massive_departure(
                     simulation.dataset,
                     fraction=departure,
                     seed=scale.seed + int(departure * 100),
                     protect=queriers,
                 )
-                simulation.depart_users(event.departing_users)
+                simulation.depart_users(departing)
             sessions = simulation.issue_queries(workload.queries)
             simulation.run_eager(cycles, stop_when_idle=False)
             snapshots = {qid: s.snapshots for qid, s in sessions.items()}

@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from ..simulator.conditions import AsymmetrySpec, PartitionSpec, validate_fraction
+from ..simulator.conditions import (
+    AsymmetrySpec,
+    PartitionSpec,
+    validate_delay_cycles,
+    validate_fraction,
+)
 
 #: Storage budgets can be uniform (one int) or heterogeneous (per-user map).
 StorageSpec = Union[int, Mapping[int, int]]
@@ -90,12 +95,8 @@ class P3QConfig:
                         f"storage must be non-negative for every user; "
                         f"user {user_id} has {budget!r}"
                     )
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate!r}")
-        if self.delay_cycles < 0:
-            raise ValueError(
-                f"delay_cycles must be non-negative, got {self.delay_cycles!r}"
-            )
+        validate_fraction("loss_rate", self.loss_rate)
+        validate_delay_cycles(self.delay_cycles)
         if self.partition is not None and not isinstance(self.partition, PartitionSpec):
             raise TypeError(
                 f"partition must be a PartitionSpec or None, got {self.partition!r}"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.dynamics import DynamicsConfig, ProfileDynamicsGenerator
 from ..data.models import ChangeDay, Dataset
@@ -72,74 +72,47 @@ class ScenarioResult:
         return None if self.violation is None else self.violation.invariant
 
 
-def build_simulation(spec: ScenarioSpec) -> P3QSimulation:
-    """The live system a spec describes (dataset + configured P3Q stack)."""
+def build_simulation(spec: ScenarioSpec) -> Tuple[P3QSimulation, Dict[int, List[int]]]:
+    """The live system a spec describes (dataset + configured P3Q stack).
+
+    Also returns the ground-truth community -> sorted member ids map that
+    community churn departs from; it is empty unless some churn event names
+    a community (the generator caches the dataset: this costs no re-roll).
+    """
     generator = SyntheticTraceGenerator(spec.synthetic())
-    dataset = generator.generate()
-    simulation = P3QSimulation(dataset, spec.config())
-    # Ground-truth community membership, inverted for the correlated-churn
-    # scheduler (the generator caches the dataset; this costs no re-roll).
+    simulation = P3QSimulation(generator.generate(), spec.config())
     members: Dict[int, List[int]] = {}
-    if spec.community_churn:
-        for uid, communities in generator.community_memberships().items():
+    if any(event.community is not None for event in spec.churn):
+        for uid, communities in sorted(generator.community_memberships().items()):
             for community in communities:
                 members.setdefault(community, []).append(uid)
-    simulation.community_members = {
-        community: sorted(ids) for community, ids in members.items()
-    }
-    return simulation
+    return simulation, members
 
 
-def _schedule_churn(spec: ScenarioSpec, simulation: P3QSimulation) -> None:
-    """Install the spec's churn events into the engine's event queue."""
+def _schedule_churn(
+    spec: ScenarioSpec,
+    simulation: P3QSimulation,
+    members: Dict[int, List[int]],
+) -> None:
+    """Install the spec's churn events into the engine's event queue.
+
+    A fraction event samples its departing users from its own stream, named
+    by the event's position in ``spec.churn``; a community event departs the
+    community's online members.  Either way at least one node stays online.
+    """
     for idx, event in enumerate(spec.churn):
-        rng = random.Random(f"{spec.seed}/simtest/churn/{idx}")
 
-        def depart(engine: SimulationEngine, event=event, rng=rng) -> None:
+        def depart(engine: SimulationEngine, event=event, idx=idx) -> None:
             online = simulation.network.online_ids()
-            count = min(max(1, int(event.fraction * len(online))), len(online) - 1)
-            if count <= 0:
-                return
-            departing = rng.sample(online, k=count)
-            crash = event.mode == "crash"
-            if crash:
-                simulation.crash_users(departing)
+            if event.community is None:
+                rng = random.Random(f"{spec.seed}/simtest/churn/{idx}")
+                count = min(max(1, int(event.fraction * len(online))), len(online) - 1)
+                departing = rng.sample(online, k=count) if count > 0 else []
             else:
-                simulation.depart_users(departing)
-            if event.rejoin_after > 0:
-                rejoin = (
-                    simulation.recover_users if crash else simulation.rejoin_users
-                )
-                engine.schedule(
-                    ScheduledEvent(
-                        cycle=event.cycle + event.rejoin_after,
-                        phase=event.phase,
-                        action=lambda _engine, ids=tuple(departing): rejoin(ids),
-                        description=f"rejoin {count} users",
-                    )
-                )
-
-        simulation.engine.schedule(
-            ScheduledEvent(
-                cycle=event.cycle,
-                phase=event.phase,
-                action=depart,
-                description=f"depart {event.fraction:.0%} of online users",
-            )
-        )
-
-
-def _schedule_community_churn(spec: ScenarioSpec, simulation: P3QSimulation) -> None:
-    """Install correlated (whole-community) churn into the event queue."""
-    for event in spec.community_churn:
-
-        def depart(engine: SimulationEngine, event=event) -> None:
-            members = simulation.community_members.get(event.community, [])
-            online = set(simulation.network.online_ids())
-            # Never empty the network: keep at least one node online.
-            departing = [uid for uid in members if uid in online]
-            if len(departing) >= len(online):
-                departing = departing[:-1]
+                live = set(online)
+                departing = [uid for uid in members.get(event.community, []) if uid in live]
+                if len(departing) >= len(online):
+                    departing = departing[:-1]
             if not departing:
                 return
             crash = event.mode == "crash"
@@ -156,16 +129,21 @@ def _schedule_community_churn(spec: ScenarioSpec, simulation: P3QSimulation) -> 
                         cycle=event.cycle + event.rejoin_after,
                         phase=event.phase,
                         action=lambda _engine, ids=tuple(departing): rejoin(ids),
-                        description=f"rejoin community {event.community}",
+                        description=f"rejoin {len(departing)} users",
                     )
                 )
 
+        who = (
+            f"{event.fraction:.0%} of online users"
+            if event.community is None
+            else f"community {event.community}"
+        )
         simulation.engine.schedule(
             ScheduledEvent(
                 cycle=event.cycle,
                 phase=event.phase,
                 action=depart,
-                description=f"depart community {event.community}",
+                description=f"depart {who}",
             )
         )
 
@@ -260,7 +238,7 @@ def fingerprint(simulation: P3QSimulation) -> Dict:
 
 def _execute(spec: ScenarioSpec, checkers: Sequence[InvariantChecker]) -> Dict:
     """One full scenario run with the given checkers attached."""
-    simulation = build_simulation(spec)
+    simulation, members = build_simulation(spec)
     ctx = RunContext(spec=spec, simulation=simulation)
     for checker in checkers:
         checker.bind(ctx)
@@ -280,8 +258,7 @@ def _execute(spec: ScenarioSpec, checkers: Sequence[InvariantChecker]) -> Dict:
 
         simulation.engine.add_post_cycle_hook(post_cycle)
 
-    _schedule_churn(spec, simulation)
-    _schedule_community_churn(spec, simulation)
+    _schedule_churn(spec, simulation, members)
     _schedule_dynamics(spec, simulation)
 
     simulation.bootstrap_random_views()

@@ -32,8 +32,14 @@ def _drop_dynamics(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
     return spec.but(dynamics=None) if spec.dynamics is not None else None
 
 
+def _drop_churn_events(spec: ScenarioSpec, community: bool) -> Optional[ScenarioSpec]:
+    """Drop the fraction events, or the community events, of the churn."""
+    kept = tuple(e for e in spec.churn if (e.community is not None) != community)
+    return spec.but(churn=kept) if len(kept) < len(spec.churn) else None
+
+
 def _drop_churn(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
-    return spec.but(churn=()) if spec.churn else None
+    return _drop_churn_events(spec, community=False)
 
 
 def _drop_partition(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
@@ -51,24 +57,14 @@ def _drop_free_riders(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
 
 
 def _drop_community_churn(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
-    return spec.but(community_churn=()) if spec.community_churn else None
+    return _drop_churn_events(spec, community=True)
 
 
 def _resume_crashes(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
     """Downgrade crash-recovery churn to plain resume churn."""
-    if not any(e.mode == "crash" for e in spec.churn) and not any(
-        e.mode == "crash" for e in spec.community_churn
-    ):
+    if not any(e.mode == "crash" for e in spec.churn):
         return None
-    return spec.but(
-        churn=tuple(
-            replace(e, mode="resume") if e.mode == "crash" else e for e in spec.churn
-        ),
-        community_churn=tuple(
-            replace(e, mode="resume") if e.mode == "crash" else e
-            for e in spec.community_churn
-        ),
-    )
+    return spec.but(churn=tuple(replace(e, mode="resume") for e in spec.churn))
 
 
 def _zero_loss(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
@@ -94,14 +90,6 @@ def _clamp_schedule(spec: ScenarioSpec, lazy: int, eager: int) -> ScenarioSpec:
         if event.rejoin_after and event.cycle + event.rejoin_after >= horizon:
             event = replace(event, rejoin_after=horizon - 1 - event.cycle)
         churn.append(event)
-    community_churn = []
-    for event in spec.community_churn:
-        horizon = lazy if event.phase == "lazy" else eager
-        if event.cycle >= horizon:
-            continue
-        if event.rejoin_after and event.cycle + event.rejoin_after >= horizon:
-            event = replace(event, rejoin_after=horizon - 1 - event.cycle)
-        community_churn.append(event)
     dynamics = spec.dynamics
     if dynamics is not None and dynamics.at_cycle >= lazy:
         dynamics = None
@@ -112,7 +100,6 @@ def _clamp_schedule(spec: ScenarioSpec, lazy: int, eager: int) -> ScenarioSpec:
         lazy_cycles=lazy,
         eager_cycles=eager,
         churn=tuple(churn),
-        community_churn=tuple(community_churn),
         dynamics=dynamics,
         partition=partition,
     )

@@ -52,8 +52,12 @@ _CALM_SHARE = 0.05
 #: departure and restores it on rejoin (restart from pre-crash state).
 CHURN_MODES = ("resume", "crash")
 
-#: JSON values a scalar spec field accepts, by its annotation.
+#: JSON values a scalar spec field accepts, by its annotation; an optional
+#: scalar also accepts null.
 _JSON_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
+_JSON_SCALARS.update(
+    {f"Optional[{name}]": accepted + (type(None),) for name, accepted in _JSON_SCALARS.items()}
+)
 
 
 def _checked_fields(owner: type, data: Any, where: str) -> Dict[str, Any]:
@@ -85,20 +89,24 @@ def _checked_fields(owner: type, data: Any, where: str) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class ChurnEvent:
-    """A simultaneous massive departure, optionally followed by a rejoin.
+    """A simultaneous departure, optionally followed by a rejoin.
 
-    ``fraction`` of the currently online population departs at the start of
-    phase-local cycle ``cycle`` of ``phase``; with ``rejoin_after > 0`` the
-    same users come back that many cycles later (in the same phase).  Both
-    the departure and the rejoin must land strictly inside the phase horizon
-    (:class:`ScenarioSpec` validates this): the engine only fires events of
-    cycles that actually run, so a rejoin at or beyond the horizon would
-    silently never happen.
+    Who departs at the start of phase-local cycle ``cycle`` of ``phase`` is
+    named in one of two ways, and exactly one of them is set: ``fraction``
+    of the currently online population (a seeded uniform sample), or every
+    online member of synthetic ``community`` (correlated churn; membership
+    comes from the trace generator, so the event is fully determined by the
+    spec).  With ``rejoin_after > 0`` the same users come back that many
+    cycles later (in the same phase).  Both the departure and the rejoin
+    must land strictly inside the phase horizon (:class:`ScenarioSpec`
+    validates this): the engine only fires events of cycles that actually
+    run, so a rejoin at or beyond the horizon would silently never happen.
     """
 
     phase: str
     cycle: int
-    fraction: float
+    fraction: Optional[float] = None
+    community: Optional[int] = None
     rejoin_after: int = 0
     #: ``"resume"`` or ``"crash"`` (see :data:`CHURN_MODES`).
     mode: str = "resume"
@@ -108,38 +116,11 @@ class ChurnEvent:
             raise ValueError(f"phase must be lazy or eager, got {self.phase!r}")
         if self.cycle < 0:
             raise ValueError("cycle must be non-negative")
-        if not 0.0 < self.fraction <= 0.5:
+        if (self.fraction is None) == (self.community is None):
+            raise ValueError("exactly one of fraction and community must be set")
+        if self.fraction is not None and not 0.0 < self.fraction <= 0.5:
             raise ValueError("fraction must be in (0, 0.5]")
-        if self.rejoin_after < 0:
-            raise ValueError("rejoin_after must be non-negative")
-        if self.mode not in CHURN_MODES:
-            raise ValueError(f"mode must be one of {CHURN_MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class CommunityChurnEvent:
-    """Correlated churn: one whole synthetic community leaves together.
-
-    Every currently-online member of synthetic community ``community``
-    departs at phase-local cycle ``cycle``; with ``rejoin_after > 0`` the
-    departed members come back together that many cycles later.  ``mode``
-    follows :data:`CHURN_MODES` (``"crash"`` restores pre-crash profiles on
-    rejoin).  Community membership comes from the synthetic trace generator,
-    so the event is fully determined by the spec.
-    """
-
-    phase: str
-    cycle: int
-    community: int
-    rejoin_after: int = 0
-    mode: str = "resume"
-
-    def __post_init__(self) -> None:
-        if self.phase not in (PHASE_LAZY, PHASE_EAGER):
-            raise ValueError(f"phase must be lazy or eager, got {self.phase!r}")
-        if self.cycle < 0:
-            raise ValueError("cycle must be non-negative")
-        if self.community < 0:
+        if self.community is not None and self.community < 0:
             raise ValueError("community must be non-negative")
         if self.rejoin_after < 0:
             raise ValueError("rejoin_after must be non-negative")
@@ -208,7 +189,6 @@ class ScenarioSpec:
     eager_cycles: int = 10
     num_queries: int = 6
     churn: Tuple[ChurnEvent, ...] = ()
-    community_churn: Tuple[CommunityChurnEvent, ...] = ()
     dynamics: Optional[DynamicsSpec] = None
 
     #: Root seed of every RNG stream inside the run.
@@ -236,20 +216,7 @@ class ScenarioSpec:
                     f"{event.cycle + event.rejoin_after} is outside the "
                     f"{limit}-cycle horizon (it would silently never fire)"
                 )
-        for event in self.community_churn:
-            limit = self.lazy_cycles if event.phase == PHASE_LAZY else self.eager_cycles
-            if event.cycle >= limit:
-                raise ValueError(
-                    f"community churn event at {event.phase} cycle {event.cycle} "
-                    f"is outside the {limit}-cycle horizon"
-                )
-            if event.rejoin_after and event.cycle + event.rejoin_after >= limit:
-                raise ValueError(
-                    f"community churn rejoin at {event.phase} cycle "
-                    f"{event.cycle + event.rejoin_after} is outside the "
-                    f"{limit}-cycle horizon (it would silently never fire)"
-                )
-            if event.community >= self.num_communities:
+            if event.community is not None and event.community >= self.num_communities:
                 raise ValueError(
                     f"community {event.community} does not exist "
                     f"(the trace has {self.num_communities} communities)"
@@ -317,7 +284,7 @@ class ScenarioSpec:
         """No churn and no profile dynamics: the steady-state setting under
         which the strongest invariants (full recall, exact convergence)
         apply."""
-        return not self.churn and not self.community_churn and self.dynamics is None
+        return not self.churn and self.dynamics is None
 
     def describe(self) -> str:
         """A one-line summary for progress output."""
@@ -343,13 +310,12 @@ class ScenarioSpec:
             parts.append("asymmetry")
         if self.free_rider_fraction:
             parts.append(f"freeriders={self.free_rider_fraction}")
-        if self.churn:
-            parts.append(f"churn={len(self.churn)}")
-        if self.community_churn:
-            parts.append(f"community-churn={len(self.community_churn)}")
-        if any(
-            event.mode == "crash" for event in self.churn + self.community_churn
-        ):
+        communities = sum(event.community is not None for event in self.churn)
+        if len(self.churn) > communities:
+            parts.append(f"churn={len(self.churn) - communities}")
+        if communities:
+            parts.append(f"community-churn={communities}")
+        if any(event.mode == "crash" for event in self.churn):
             parts.append("crash")
         if self.dynamics is not None:
             parts.append("dynamics")
@@ -360,7 +326,6 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         data = asdict(self)
         data["churn"] = [asdict(event) for event in self.churn]
-        data["community_churn"] = [asdict(event) for event in self.community_churn]
         data["partition"] = None if self.partition is None else asdict(self.partition)
         data["asymmetry"] = None if self.asymmetry is None else asdict(self.asymmetry)
         data["dynamics"] = None if self.dynamics is None else asdict(self.dynamics)
@@ -373,16 +338,13 @@ class ScenarioSpec:
     def from_dict(cls, data: Any) -> "ScenarioSpec":
         """The spec ``data`` describes; malformed input is a ``ValueError``."""
         payload = _checked_fields(cls, data, "scenario")
-        for name, event_type in (
-            ("churn", ChurnEvent), ("community_churn", CommunityChurnEvent)
-        ):
-            events = payload.get(name, [])
-            if not isinstance(events, list):
-                raise ValueError(f"scenario field {name} must be a list, got {events!r}")
-            payload[name] = tuple(
-                event_type(**_checked_fields(event_type, event, f"{name} event"))
-                for event in events
-            )
+        events = payload.get("churn", [])
+        if not isinstance(events, list):
+            raise ValueError(f"scenario field churn must be a list, got {events!r}")
+        payload["churn"] = tuple(
+            ChurnEvent(**_checked_fields(ChurnEvent, event, "churn event"))
+            for event in events
+        )
         for name, part_type in (
             ("partition", PartitionSpec),
             ("asymmetry", AsymmetrySpec),
@@ -557,8 +519,10 @@ class ScenarioGenerator:
         partition = self._sample_partition(index, lazy_cycles + eager_cycles)
         asymmetry = self._sample_asymmetry(index)
         free_rider_fraction = self._sample_free_riders(index)
-        churn = self._sample_crash_modes(index, churn)
-        community_churn = self._sample_community_churn(
+        # Fraction events first, then the community event: a fraction event's
+        # position names its departure stream, and within one engine
+        # (phase, cycle) bucket the fraction departure fires first.
+        churn = self._sample_crash_modes(index, churn) + self._sample_community_churn(
             index, lazy_cycles, eager_cycles, num_communities
         )
         if partition is None and asymmetry is None and self._sample_calm(index):
@@ -590,7 +554,6 @@ class ScenarioGenerator:
             eager_cycles=eager_cycles,
             num_queries=num_queries,
             churn=churn,
-            community_churn=community_churn,
             dynamics=dynamics,
             seed=seed,
         )
@@ -699,7 +662,7 @@ class ScenarioGenerator:
 
     def _sample_community_churn(
         self, index: int, lazy_cycles: int, eager_cycles: int, num_communities: int
-    ) -> Tuple[CommunityChurnEvent, ...]:
+    ) -> Tuple[ChurnEvent, ...]:
         r = self.ranges
         if r.p_community_churn <= 0.0:
             return ()
@@ -717,7 +680,7 @@ class ScenarioGenerator:
             rejoin_after = rng.randint(1, latest_rejoin)
         mode = "crash" if rng.random() < r.p_crash else "resume"
         return (
-            CommunityChurnEvent(
+            ChurnEvent(
                 phase=phase,
                 cycle=cycle,
                 community=rng.randrange(num_communities),

@@ -18,7 +18,7 @@ from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.p3q.config import P3QConfig
 from repro.p3q.protocol import P3QSimulation
 from repro.simtest import run_scenario
-from repro.simtest.spec import ChurnEvent, CommunityChurnEvent, DynamicsSpec, ScenarioSpec
+from repro.simtest.spec import ChurnEvent, DynamicsSpec, ScenarioSpec
 from repro.simulator.conditions import AsymmetrySpec, PartitionCut, PartitionSpec
 from repro.simulator.transport import DELIVERED, REPLY_DROPPED
 
@@ -246,17 +246,15 @@ class TestFreeRiders:
 class TestCommunityChurn:
     def test_community_churn_scenario_passes(self):
         spec = FAST_SPEC.but(
-            community_churn=(
-                CommunityChurnEvent(phase="eager", cycle=1, community=1, rejoin_after=2),
-            )
+            churn=(ChurnEvent(phase="eager", cycle=1, community=1, rejoin_after=2),)
         )
         result = run_scenario(spec)
         assert result.ok, result.violation
 
     def test_community_crash_churn_passes(self):
         spec = FAST_SPEC.but(
-            community_churn=(
-                CommunityChurnEvent(
+            churn=(
+                ChurnEvent(
                     phase="lazy", cycle=1, community=0, rejoin_after=1, mode="crash"
                 ),
             ),
@@ -269,9 +267,7 @@ class TestCommunityChurn:
         base = run_scenario(FAST_SPEC)
         churned = run_scenario(
             FAST_SPEC.but(
-                community_churn=(
-                    CommunityChurnEvent(phase="eager", cycle=1, community=0),
-                )
+                churn=(ChurnEvent(phase="eager", cycle=1, community=0),)
             )
         )
         assert churned.ok, churned.violation
@@ -279,7 +275,7 @@ class TestCommunityChurn:
 
     def test_empty_schedule_is_bit_identical(self):
         base = run_scenario(FAST_SPEC)
-        empty = run_scenario(FAST_SPEC.but(community_churn=()))
+        empty = run_scenario(FAST_SPEC.but(churn=()))
         assert base.fingerprint == empty.fingerprint
 
 
@@ -337,18 +333,18 @@ class TestAdversarialSpecValidation:
 
     def test_community_churn_event_is_validated(self):
         with pytest.raises(ValueError, match="phase must be lazy or eager"):
-            CommunityChurnEvent(phase="warm", cycle=0, community=0)
+            ChurnEvent(phase="warm", cycle=0, community=0)
         with pytest.raises(ValueError, match="community must be non-negative"):
-            CommunityChurnEvent(phase="lazy", cycle=0, community=-1)
+            ChurnEvent(phase="lazy", cycle=0, community=-1)
         with pytest.raises(ValueError, match="mode must be one of"):
-            CommunityChurnEvent(phase="lazy", cycle=0, community=0, mode="burn")
+            ChurnEvent(phase="lazy", cycle=0, community=0, mode="burn")
+        with pytest.raises(ValueError, match="exactly one of fraction and community"):
+            ChurnEvent(phase="lazy", cycle=0, fraction=0.2, community=0)
 
     def test_spec_rejects_unknown_community(self):
         with pytest.raises(ValueError, match="does not exist"):
             FAST_SPEC.but(
-                community_churn=(
-                    CommunityChurnEvent(phase="lazy", cycle=1, community=9),
-                )
+                churn=(ChurnEvent(phase="lazy", cycle=1, community=9),)
             )
 
     def test_spec_rejects_partition_split_outside_horizon(self):

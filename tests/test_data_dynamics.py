@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.data.dynamics import (
-    ChurnEvent,
     DynamicsConfig,
     ProfileDynamicsGenerator,
     apply_change_day,
@@ -83,17 +82,17 @@ class TestProfileDynamics:
 
 class TestChurn:
     def test_departure_fraction(self, synthetic_dataset):
-        event = massive_departure(synthetic_dataset, fraction=0.5, seed=1)
-        assert len(event.departing_users) == round(0.5 * len(synthetic_dataset))
+        departing = massive_departure(synthetic_dataset, fraction=0.5, seed=1)
+        assert len(departing) == round(0.5 * len(synthetic_dataset))
+        assert list(departing) == sorted(set(departing))
 
     def test_protected_users_never_depart(self, synthetic_dataset):
         protected = synthetic_dataset.user_ids[:5]
-        event = massive_departure(synthetic_dataset, fraction=0.9, seed=2, protect=protected)
-        assert not set(protected) & set(event.departing_users)
+        departing = massive_departure(synthetic_dataset, fraction=0.9, seed=2, protect=protected)
+        assert not set(protected) & set(departing)
 
     def test_zero_fraction_departs_nobody(self, synthetic_dataset):
-        event = massive_departure(synthetic_dataset, fraction=0.0)
-        assert len(event.departing_users) == 0
+        assert massive_departure(synthetic_dataset, fraction=0.0) == ()
 
     def test_invalid_fraction_rejected(self, synthetic_dataset):
         with pytest.raises(ValueError):
@@ -102,9 +101,4 @@ class TestChurn:
     def test_deterministic_given_seed(self, synthetic_dataset):
         a = massive_departure(synthetic_dataset, fraction=0.3, seed=7)
         b = massive_departure(synthetic_dataset, fraction=0.3, seed=7)
-        assert a.departing_users == b.departing_users
-
-    def test_event_records_cycle(self, synthetic_dataset):
-        event = massive_departure(synthetic_dataset, fraction=0.1, cycle=4)
-        assert isinstance(event, ChurnEvent)
-        assert event.cycle == 4
+        assert a == b

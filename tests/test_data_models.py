@@ -152,11 +152,8 @@ class TestProfileAgainstNaiveModel:
             return [(rng.randrange(6), rng.randrange(5)) for _ in range(rng.randrange(size))]
 
         first = batch(14)
-        build = rng.choice(("init", "bulk", "state"))
-        if build == "state":
+        if rng.choice(("init", "state")) == "state":
             live = [(UserProfile.from_state(3, first, 40), _NaiveProfile(3, first, 40))]
-        elif build == "bulk":
-            live = [(UserProfile.from_distinct_actions(3, first), _NaiveProfile(3, first))]
         else:
             live = [(UserProfile(3, first), _NaiveProfile(3, first))]
         for _step in range(60):

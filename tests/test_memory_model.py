@@ -340,7 +340,7 @@ def _state_containers(profile: UserProfile):
 
 class TestOneCopyOfAProfileAtRest:
     def test_a_bulk_built_profile_holds_no_set(self):
-        profile = UserProfile.from_distinct_actions(1, _sixty_actions())
+        profile = UserProfile(1, _sixty_actions())
         assert len(profile) == 60
         assert "_actions" not in UserProfile.__slots__
         containers = list(_state_containers(profile))
@@ -348,13 +348,13 @@ class TestOneCopyOfAProfileAtRest:
         assert sum(type(c) is frozenset for c in containers) == 1  # the action ids
 
     def test_action_ids_is_the_stored_container(self):
-        profile = UserProfile.from_distinct_actions(1, _sixty_actions())
+        profile = UserProfile(1, _sixty_actions())
         assert profile.action_ids is profile.action_ids
         assert profile.action_ids is profile._action_ids
         assert profile.copy().action_ids is profile.action_ids
 
     def test_at_rest_state_is_at_most_half_the_parents(self):
-        profile = UserProfile.from_distinct_actions(1, _sixty_actions())
+        profile = UserProfile(1, _sixty_actions())
         state = sum(sys.getsizeof(c) for c in _state_containers(profile))
         assert state <= PARENT_STATE_BYTES // 2, state
 
@@ -445,7 +445,7 @@ class TestOneDigestFormAtRest:
 
     def test_a_digest_at_rest_is_its_row(self):
         cache = DigestCache()
-        subject = UserProfile.from_distinct_actions(1, _sixty_actions())
+        subject = UserProfile(1, _sixty_actions())
         digest = cache.digest_for(subject)
         assert cache.common_items(UserProfile(2, [(3, 1), (500, 1)]), digest) == {3}
         # Everything the filter owns (``_positions`` is the geometry's shared

@@ -36,6 +36,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             P3QConfig(storage=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("delay_cycles", 1.5, "delay_cycles must be an int"),
+            ("loss_rate", True, "loss_rate must be a number"),
+        ],
+        ids=["delay_cycles-float", "loss_rate-bool"],
+    )
+    def test_wrong_condition_type_is_rejected_at_construction(self, field, value, message):
+        """The config rejects what the transport would, before a simulation
+        is built on it."""
+        with pytest.raises(TypeError, match=message):
+            P3QConfig(network_size=5, **{field: value})
+
     def test_retired_engine_knobs_are_unknown_fields(self):
         """One cycle engine: the parallel-engine knobs are not accepted and
         ignored, they are gone (see "Measured and removed" in

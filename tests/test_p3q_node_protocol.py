@@ -236,10 +236,10 @@ class TestDynamics:
             simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
             simulation.warm_start()
             if departure_fraction:
-                event = massive_departure(
+                departing = massive_departure(
                     simulation.dataset, departure_fraction, seed=1, protect=queriers
                 )
-                simulation.depart_users(event.departing_users)
+                simulation.depart_users(departing)
             sessions = simulation.issue_queries(query_workload)
             simulation.run_eager(cycles=15, stop_when_idle=False)
             return {qid: s.snapshots[-1].items for qid, s in sessions.items()}

@@ -26,7 +26,6 @@ from repro.simtest.cli import broken_byte_pricing, main
 from repro.simtest.invariants import reference_kind, reference_price
 from repro.simtest.spec import (
     ChurnEvent,
-    CommunityChurnEvent,
     DynamicsSpec,
     GeneratorRanges,
 )
@@ -84,9 +83,7 @@ class TestSpec:
                 ChurnEvent(
                     phase="lazy", cycle=1, fraction=0.2, rejoin_after=1, mode="crash"
                 ),
-            ),
-            community_churn=(
-                CommunityChurnEvent(
+                ChurnEvent(
                     phase="eager", cycle=1, community=1, rejoin_after=2, mode="crash"
                 ),
             ),
@@ -158,7 +155,9 @@ class TestSpec:
         assert any(
             event.mode == "crash" for spec in specs for event in spec.churn
         )
-        assert any(spec.community_churn for spec in specs)
+        assert any(
+            event.community is not None for spec in specs for event in spec.churn
+        )
 
     def test_adversarial_profile_skews_toward_conditions(self):
         base = list(map(ScenarioGenerator(3).spec, range(60)))
@@ -173,7 +172,7 @@ class TestSpec:
                 if spec.partition is not None
                 or (spec.asymmetry is not None and not spec.asymmetry.is_null)
                 or spec.free_rider_fraction > 0.0
-                or spec.community_churn
+                or any(event.community is not None for event in spec.churn)
             )
 
         assert count(hostile) > count(base)
@@ -365,17 +364,44 @@ class TestCli:
                 "unknown churn event field(s): bogus",
             ),
             (["--spec-json", '{"num_users": "ten"}'], "scenario field num_users must be int"),
+            *(
+                (
+                    ["--spec-json", json.dumps({"churn": [
+                        dict({"phase": "lazy", "cycle": 1}, **who)
+                    ]})],
+                    named,
+                )
+                for who, named in (
+                    ({"fraction": 0.2, "community": 0}, "fraction and community"),
+                    ({}, "fraction and community"),
+                    ({"fraction": "0.2"}, "churn event field fraction must be"),
+                    ({"community": 1.5}, "churn event field community must be"),
+                    ({"community": True}, "churn event field community must be"),
+                )
+            ),
+            (
+                ["--spec-json", json.dumps(dict(FAST_SPEC.to_dict(), community_churn=[
+                    {"phase": "eager", "cycle": 1, "community": 1}
+                ]))],
+                "unknown scenario field(s): community_churn",
+            ),
             (["--spec", "missing.json"], "missing.json"),
         ],
-        ids=["number", "list", "unknown-event-key", "wrong-type", "missing-file"],
+        ids=[
+            "number", "list", "unknown-event-key", "wrong-type",
+            "churn-fraction-and-community", "churn-neither", "churn-fraction-type",
+            "churn-community-type", "churn-community-bool", "retired-community-churn",
+            "missing-file",
+        ],
     )
     def test_malformed_spec_is_a_usage_error(self, argv, named, capsys, monkeypatch, tmp_path):
-        """Exit 2 with the field named, never a traceback under exit 1 (the
-        code of a found violation)."""
+        """Exit 2 with the field named on one line, never a traceback under
+        exit 1 (the code of a found violation)."""
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert named in captured.err
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize(
