@@ -29,14 +29,6 @@ from .interning import action_of, id_of, intern_action
 #: profile that contains the action.
 TaggingAction = Tuple[int, int]
 
-#: Per-profile-version cap on the whole-reply memo of
-#: :meth:`UserProfile.action_ids_for_items`.  The memo exists for *repeat*
-#: multi-item requests (popular subjects advertised to many receivers);
-#: past the cap, one-shot request sets are computed without being
-#: remembered, bounding the memo's memory at large N.
-_REPLY_MEMO_LIMIT = 512
-
-
 class UserProfile:
     """The set of tagging actions of a single user.
 
@@ -52,9 +44,9 @@ class UserProfile:
 
     Stored, once and immutably: the ``frozenset`` of action ids that
     :attr:`action_ids` hands out, and the two indexes as dicts of tuples in
-    insertion order.  Everything else (``actions``, ``items``, step-2
-    replies) is derived, and cached per profile version only once someone
-    asks.  Bulk construction and :meth:`add_all` build the state in one
+    insertion order.  Everything else (``actions``, ``items``, the per-item
+    tuples step-2 replies are built from) is derived, and cached per
+    profile version only once someone asks.  Bulk construction and :meth:`add_all` build the state in one
     pass; a lone :meth:`add` rebuilds the id set, O(profile length).
     """
 
@@ -232,20 +224,13 @@ class UserProfile:
         overlap score, so replies are priced, shipped and scored without
         ever materializing tuple sets.
 
-        Two version-keyed levels, both in the copy-on-write view cache that
-        every replica of this profile at this version shares:
-
-        * per-item ascending id tuples (``pairs_ids``).  A request for one
-          item returns that tuple *itself*: no memo entry, no allocation;
-        * whole replies keyed by the request's frozenset (at most
-          :data:`_REPLY_MEMO_LIMIT`).  The digest cache hands every exchange
-          that prices an equal common-items set the same frozenset object,
-          and popular subjects get the same request from many receivers, so
-          a repeat returns one shared tuple.
-
-        Per-item tuples of distinct items are disjoint, so a ``frozenset``
-        (or ``set``) request is concatenated and sorted once; any other
-        iterable is de-duplicated first and not memoised.
+        The per-item ascending id tuples (``pairs_ids``) are cached per
+        profile version in the copy-on-write view cache that every replica
+        of this profile at this version shares.  A request for one item
+        returns that tuple *itself*; a multi-item request concatenates the
+        per-item tuples of distinct items (they are disjoint) and sorts
+        once, into a fresh tuple nothing keeps.  A request that is neither
+        a ``frozenset`` nor a ``set`` is de-duplicated first.
         """
         cache = self._cache  # _views(), inlined: once per step-2 exchange
         if cache["version"] != self._version:
@@ -254,14 +239,6 @@ class UserProfile:
         if type(items) is not frozenset and type(items) is not set:
             items = set(items)
         single = len(items) == 1
-        memoised = type(items) is frozenset and not single
-        if memoised:
-            replies = cache.get("afi_ids")
-            if replies is None:
-                replies = cache["afi_ids"] = {}
-            reply = replies.get(items)
-            if reply is not None:
-                return reply
         item_tags = self._item_tags
         pairs_by_item = cache.get("pairs_ids")
         if pairs_by_item is None:
@@ -279,10 +256,7 @@ class UserProfile:
             if single:
                 return pairs
             ids += pairs
-        reply = tuple(sorted(ids))
-        if memoised and len(replies) < _REPLY_MEMO_LIMIT:
-            replies[items] = reply
-        return reply
+        return tuple(sorted(ids))
 
     def __len__(self) -> int:
         return len(self._action_ids)

@@ -117,8 +117,11 @@ class DigestCache:
       moved loses her whole row at once: on :meth:`evict_profiles`, or on
       the next store under her new version.  Non-empty values are interned
       through a value table (``value -> the one object``): receivers that
-      price equal common-item sets hold the *same* frozenset, which is
-      also the key their step-2 requests share in the subject's reply memo.
+      price equal common-item sets hold the *same* frozenset.  Only the
+      exchange path prices through the memo (:meth:`common_items`): it
+      re-screens known neighbours.  A random-view candidate is priced once
+      per digest version and never asked again, so it takes the unmemoised
+      :meth:`probe` and leaves no entry.
 
     Every lookup validates versions, so *stale reads are impossible by
     construction*; explicit invalidation (:meth:`evict_profiles`, driven by
@@ -131,7 +134,7 @@ class DigestCache:
 
     #: Cap on the (receiver, subject) common-item memo.  The memo exists for
     #: pairs that gossip repeatedly; at large N the stream of one-shot
-    #: random-view pairs would otherwise grow it without bound.  Overflow
+    #: advertised candidates would otherwise grow it without bound.  Overflow
     #: clears the memo wholesale -- correctness is version-checked on every
     #: read, so the only effect is a transient dip in hit rate.  Counted in
     #: pairs (``_common_pairs``), not rows.
@@ -184,23 +187,43 @@ class DigestCache:
     def common_items(self, receiver: UserProfile, digest: ProfileDigest) -> FrozenSet[int]:
         """The receiver's items that ``digest`` (probably) contains, memoized.
 
-        Semantically identical to probing each of ``receiver.items`` against
-        ``digest.bloom`` (same Bloom filter, same probe positions) but priced
-        incrementally: the receiver's probe rows are cached per profile
-        version, and a (receiver, subject) pair is re-probed only when
-        either side's version changed since the last probe.  A probe reads
-        one byte of the digest's wire row -- the item's first probe bit --
-        and tests the item's other positions only when that bit is set.
+        :meth:`probe`'s answer, remembered per (receiver, subject) pair: the
+        pair is re-probed only when either side's version changed since
+        the last probe.  A digest in a foreign geometry is probed and not
+        remembered.
         """
         bloom = digest.bloom
         if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
-            # Foreign geometry (mixed-config tests): fall back to direct probes.
-            return frozenset(item for item in receiver.items if item in bloom)
+            return self.probe(receiver, digest)
         row = self._common.get(receiver.user_id)
         if row is not None and row[0] == receiver.version:
             memo = row[1].get(digest.user_id)
             if memo is not None and memo[0] == digest.version:
                 return memo[1]
+        common = self._store_common(
+            receiver.user_id, receiver.version, digest.user_id, digest.version,
+            self.probe(receiver, digest),
+        )
+        if self._recorder is not None:
+            self._recorder.append(
+                (receiver.user_id, receiver.version, digest.user_id, digest.version, common)
+            )
+        return common
+
+    def probe(self, receiver: UserProfile, digest: ProfileDigest) -> FrozenSet[int]:
+        """The receiver's items that ``digest`` (probably) contains, unmemoized.
+
+        Semantically identical to probing each of ``receiver.items`` against
+        ``digest.bloom`` (same Bloom filter, same probe positions), but
+        priced against the receiver's probe rows, cached per profile
+        version.  A probe reads one byte of the digest's wire row -- the
+        item's first probe bit -- and tests the item's other positions only
+        when that bit is set.
+        """
+        bloom = digest.bloom
+        if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
+            # Foreign geometry (mixed-config tests): fall back to direct probes.
+            return frozenset(item for item in receiver.items if item in bloom)
         # Inlined row lookup: this is the hottest miss path of the whole
         # runtime, and every extra frame showed up in profiles.
         rows_entry = self._rows.get(receiver.user_id)
@@ -225,24 +248,7 @@ class DigestCache:
                         break
                 else:
                     found.append(item)
-        common = frozenset(found) if found else _EMPTY_ITEMS
-        common = self._store_common(
-            receiver.user_id, receiver.version, digest.user_id, digest.version, common
-        )
-        if self._recorder is not None:
-            self._recorder.append(
-                (receiver.user_id, receiver.version, digest.user_id, digest.version, common)
-            )
-        return common
-
-    def shares_item(self, receiver: UserProfile, digest: ProfileDigest) -> bool:
-        """Whether ``digest`` shares at least one item with the receiver.
-
-        Goes through the memoized common-item set, so the answer is free
-        when the pair was already probed (and primes the memo when it was
-        not).
-        """
-        return bool(self.common_items(receiver, digest))
+        return frozenset(found) if found else _EMPTY_ITEMS
 
     # -- measurement tap ------------------------------------------------------
 
@@ -250,7 +256,9 @@ class DigestCache:
         """Start (or, with ``None``, stop) recording memo misses into ``sink``.
 
         A measurement tap: the end-to-end benchmark counts misses through it
-        to report the memo's hit rate where the work happens.
+        to report the memo's hit rate where the work happens.  Only misses
+        of :meth:`common_items` are recorded, never a :meth:`probe` call:
+        the rate's denominator is the calls of :meth:`common_items`.
         """
         self._recorder = sink
 

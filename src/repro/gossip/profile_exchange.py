@@ -330,10 +330,14 @@ class LazyExchangeProtocol:
             evaluated[digest.user_id] = digest.version
             if digest.user_id in peer.personal_network:
                 continue
-            if self.three_step and not peer.digest_cache.shares_item(peer.profile, digest):
-                # Gate on the (memoized) common-item probe: a member sharing
-                # no item with us cannot enter the personal network.
-                continue
+            if self.three_step:
+                # Gate on the common-item probe: a member sharing no item
+                # with us cannot enter the personal network.  Priced once
+                # and not memoized: ``evaluated`` never asks this pair again
+                # at this digest version.
+                common_items = peer.digest_cache.probe(peer.profile, digest)
+                if not common_items:
+                    continue
             subject_id = digest.user_id
             if not (yield ProbeEffect(subject_id)):
                 continue
@@ -350,7 +354,6 @@ class LazyExchangeProtocol:
                         added.append(subject_id)
                         peer.personal_network.store_profile(subject_id, profile)
                 continue
-            common_items = peer.digest_cache.common_items(peer.profile, digest)
             actions = yield from self._fetch_common_actions_effects(
                 peer, subject_id, subject_id, common_items
             )

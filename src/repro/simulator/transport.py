@@ -173,9 +173,9 @@ class CommonItemsReply(Message):
     :meth:`~repro.data.models.UserProfile.action_ids_for_items`): interning
     is a bijection, so ``len(actions)`` -- which is all the cost model
     charges -- and the receiver-side overlap score are exactly those of the
-    ``(item, tag)`` representation.  The tuple is shared, never copied: the
-    subject's per-item tuple for a one-item request, her memoised reply
-    otherwise.
+    ``(item, tag)`` representation.  A one-item request is answered with the
+    subject's cached per-item tuple itself, a multi-item one with a fresh
+    tuple.
     """
 
     subject_id: int

@@ -97,7 +97,8 @@ class TestDigestCache:
         subject = UserProfile(2, [(11, 7), (42, 1)])
         digest = cache.digest_for(subject)
         assert cache.common_items(receiver, digest) == _probed(digest, receiver)
-        assert cache.shares_item(receiver, digest) == bool(_probed(digest, receiver))
+        assert cache.probe(receiver, digest) == _probed(digest, receiver)
+        assert bool(cache.common_items(receiver, digest)) == bool(_probed(digest, receiver))
 
     def test_common_items_memo_invalidated_by_either_version(self):
         cache = DigestCache(num_bits=256, num_hashes=3)

@@ -9,10 +9,11 @@ that keeps it flat instead:
   (the content-keyed intern table of :mod:`repro.gossip.digest`);
 * a finished query costs nothing per eager tick: no further snapshot, no
   buffered late partial -- in service mode and in the cycle engine;
-* every per-pair value of the lazy exchange is one small shared object: a
-  step-2 reply is the subject's cached ascending id tuple, the pair memo is
-  one row per receiver, equal common-item sets are one frozenset, view
-  entries carry no ``__dict__``;
+* every per-pair value of the lazy exchange is one small object: a
+  one-item step-2 reply is the subject's cached ascending id tuple, the
+  pair memo is one row per receiver and holds no random-view probe, equal
+  memoized common-item sets are one frozenset, view entries carry no
+  ``__dict__``;
 * a profile at rest holds one immutable copy of its state: a frozenset of
   action ids and two dicts of tuples, no ``set`` and no tuple-action set;
 * a digest at rest is its wire row and nothing else of its size, and the
@@ -32,6 +33,7 @@ import asyncio
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,7 @@ from repro.data.queries import QueryWorkloadGenerator
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.experiments.runner import converged_simulation
 from repro.gossip.digest import DigestCache, ProfileDigest, intern_digest, make_digest
+from repro.gossip.profile_exchange import LazyExchangeProtocol
 from repro.gossip.views import NeighbourEntry
 from repro.p3q.config import P3QConfig
 from repro.p3q.protocol import P3QSimulation
@@ -213,17 +216,8 @@ class TestOneSmallObjectPerPairValue:
         assert reply is subject._cache["pairs_ids"][4]
         assert subject.action_ids_for_items([4, 4]) is reply
         assert subject.copy().action_ids_for_items({4}) is reply  # replicas share
-        assert "afi_ids" not in subject._cache  # no memo entry either
+        assert set(subject._cache) == {"version", "pairs_ids"}  # no reply entry
         assert subject.action_ids_for_items(frozenset({99})) == ()
-
-    def test_equal_multi_item_requests_share_one_reply_object(self):
-        subject = _subject()
-        replica = subject.copy()
-        first = subject.action_ids_for_items(frozenset({1, 2, 7}))
-        second = replica.action_ids_for_items(frozenset({7, 2, 1}))
-        assert type(first) is tuple
-        assert second is first
-        assert len(subject._cache["afi_ids"]) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -268,6 +262,56 @@ class TestOneSmallObjectPerPairValue:
             pairs += len(row)
         assert pairs > len(memo)
         assert cache._common_pairs == pairs
+
+    def test_random_view_candidates_take_no_pair_memo_entry(
+        self, synthetic_dataset, small_config, monkeypatch
+    ):
+        """A random-view member is priced once per digest version and never
+        asked again: her pair is neither memoized nor a recorded miss, and
+        is priced at most once.  Only pairs the exchange path prices (it
+        re-screens known neighbours) enter the memo."""
+        advertised, in_random_view = set(), set()
+        priced = Counter()
+        integrate = LazyExchangeProtocol.integrate_effects
+        refresh = LazyExchangeProtocol.refresh_from_random_view_effects
+
+        def spy_integrate(protocol, receiver, provider_id, digests, query_id=None):
+            digests = tuple(digests)
+            advertised.update((receiver.node_id, digest.user_id) for digest in digests)
+            return integrate(protocol, receiver, provider_id, digests, query_id)
+
+        def spy_refresh(protocol, peer):
+            in_random_view.update(
+                (peer.node_id, digest.user_id) for digest in peer.random_view.digests()
+            )
+            return refresh(protocol, peer)
+
+        def pricing_spy(method):
+            def spy(cache, receiver, digest):
+                priced[receiver.user_id, digest.user_id] += 1
+                return method(cache, receiver, digest)
+            return spy
+
+        monkeypatch.setattr(LazyExchangeProtocol, "integrate_effects", spy_integrate)
+        monkeypatch.setattr(LazyExchangeProtocol, "refresh_from_random_view_effects", spy_refresh)
+        for name in ("common_items", "probe"):
+            monkeypatch.setattr(DigestCache, name, pricing_spy(getattr(DigestCache, name)))
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        simulation.bootstrap_random_views()
+        misses = []
+        simulation.digest_cache.record_pricing(misses)
+        simulation.run_lazy(1)
+
+        only_random = in_random_view - advertised
+        memoized = {
+            (receiver_id, subject_id)
+            for receiver_id, (_version, row) in simulation.digest_cache._common.items()
+            for subject_id in row
+        }
+        assert only_random and memoized
+        assert not only_random & memoized
+        assert not only_random & {(receiver, subject) for receiver, _, subject, _, _ in misses}
+        assert max(priced[pair] for pair in only_random) == 1
 
     def test_equal_common_item_sets_are_one_object(self):
         """Two receivers pricing the same subject to the same value hold the
@@ -376,7 +420,7 @@ class TestOneCopyOfAProfileAtRest:
         assert len(profiles) > len(simulation.nodes)
         keys = set().union(*(profile._cache for profile in profiles))
         assert "items" in keys  # the read paths did run
-        assert keys <= {"version", "items", "pairs_ids", "afi_ids"}
+        assert keys <= {"version", "items", "pairs_ids"}
 
     def test_a_membership_probe_never_allocates_an_id(self):
         profile = UserProfile(1, [(1, 2)])
