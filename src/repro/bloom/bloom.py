@@ -149,8 +149,7 @@ class BloomFilter:
     is reported as (possibly) present.  False positives occur with a
     probability that depends on the fill ratio, ``(1 - e^{-kn/m})^k`` for
     ``n`` keys.  ``BloomFilter(num_bits, num_hashes)`` is the empty filter;
-    :meth:`from_items`, :meth:`from_row` and :meth:`from_state` build the
-    others.
+    :meth:`from_items` and :meth:`from_row` build the others.
     """
 
     __slots__ = ("num_bits", "num_hashes", "_count", "_positions", "_row")
@@ -196,42 +195,24 @@ class BloomFilter:
         return bloom
 
     @classmethod
-    def from_state(
-        cls, num_bits: int, num_hashes: int, bits: int, count: int
-    ) -> "BloomFilter":
-        """Rebuild a filter from ``(raw_bits, approximate_count)``.
-
-        The inverse of reading :attr:`raw_bits` / :attr:`approximate_count`:
-        used to adopt a filter that travelled as those two integers.  The
-        bit array must fit the geometry's row: a negative integer would
-        report every key present, and neither it nor a wider one has a
-        :meth:`row_bytes`.
-        """
-        bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
-        width = bloom.size_in_bytes
-        if bits < 0 or bits.bit_length() > 8 * width:
-            raise ValueError(
-                f"the bit array of a {num_bits}-bit filter must be a non-negative "
-                f"integer that fits its {width}-byte row"
-            )
-        bloom._row = bits.to_bytes(width, "little")
-        bloom._count = count
-        return bloom
-
-    @classmethod
     def from_row(
         cls, num_bits: int, num_hashes: int, row: bytes, count: int
     ) -> "BloomFilter":
         """Adopt a decoded wire row (the inverse of :meth:`row_bytes`).
 
         ``count`` is the number of distinct items the row encodes.  The row
-        is validated as the integer it spells, through :meth:`from_state`;
-        a ``bytes`` row of the geometry's exact width then *is* the
-        filter's row and is kept as it is, so the filter holds no copy.
+        must be exactly :attr:`size_in_bytes` long; a ``bytes`` row then
+        *is* the filter's row and is kept as it is, so the filter holds no
+        copy.
         """
-        bloom = cls.from_state(num_bits, num_hashes, int.from_bytes(row, "little"), count)
-        if type(row) is bytes and len(row) == bloom.size_in_bytes:
-            bloom._row = row
+        bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
+        width = bloom.size_in_bytes
+        if len(row) != width:
+            raise ValueError(
+                f"the row of a {num_bits}-bit filter is {width} bytes, not {len(row)}"
+            )
+        bloom._row = bytes(row)
+        bloom._count = count
         return bloom
 
     # -- probing --------------------------------------------------------------
@@ -268,12 +249,6 @@ class BloomFilter:
         return True
 
     # -- state transfer -------------------------------------------------------
-
-    @property
-    def raw_bits(self) -> int:
-        """The bit array as an int, computed from the row (the JSON trace
-        codec's state transfer form)."""
-        return int.from_bytes(self._row, "little")
 
     def row_bytes(self) -> bytes:
         """The bit array as its wire row: raw filter bits, little-endian,

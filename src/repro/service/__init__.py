@@ -14,7 +14,7 @@ stream the simulator's transports emit, so the simtest invariant checkers
 simulated one.  See ``docs/ARCHITECTURE.md`` ("Service mode").
 """
 
-from .codec import BinaryWireCodec, WireCodec
+from .codec import BinaryWireCodec
 from .runtime import FrameBatcher, NodeService, ServiceConfig, ServiceRuntime, TimerWheel
 from .trace import ServiceTrace, check_trace
 
@@ -26,6 +26,5 @@ __all__ = [
     "ServiceRuntime",
     "ServiceTrace",
     "TimerWheel",
-    "WireCodec",
     "check_trace",
 ]

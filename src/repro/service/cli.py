@@ -7,8 +7,8 @@ Two modes share :func:`repro.service.demo.run_demo`:
 * ``--smoke`` -- the CI gate: same run, but the exit status is nonzero
   unless at least one query completed, the run recorded wire events and
   the recorded trace passed the invariant checkers.  ``--trace`` dumps the
-  trace as JSON Lines (written before the audit, so a failing run still
-  leaves the artifact).
+  trace as a binary trace file that ``ServiceTrace.load`` reads back
+  (written before the audit, so a failing run still leaves the artifact).
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", type=str, default=None, metavar="FILE",
-        help="dump the recorded WireEvent trace to FILE as JSON Lines",
+        help="dump the recorded WireEvent trace to FILE (binary records, "
+        "read back by repro.service.ServiceTrace.load)",
     )
     parser.add_argument(
         "--seed", type=int, default=42, metavar="S",

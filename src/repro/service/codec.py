@@ -4,13 +4,12 @@ The simulator hands message *objects* between nodes; the service runtime
 hands **bytes**.  This module is the layer in between.  It holds one wire
 format and one description of the message catalogue:
 
-* :data:`MESSAGE_TABLE` -- ``Message type -> (binary tag, JSON tag,
-  ((attribute, JSON key, kind), ...))``.  A :class:`_Kind` (``_SINT``,
-  ``_DIGESTS``, ...) says once how one sort of field value looks in both
-  forms, in both directions; objects nested in messages (queries, partial
-  results, profiles) are rows of the same shape.  Everything below walks
-  this table, so a new ``Message`` subclass is one row here plus one price
-  in :mod:`repro.gossip.sizes`.
+* :data:`MESSAGE_TABLE` -- ``Message type -> (tag, ((attribute, kind),
+  ...))``.  A :class:`_Kind` (``_SINT``, ``_DIGESTS``, ...) says once how
+  one sort of field value is written and read; objects nested in messages
+  (queries, partial results, profiles) are rows of the same shape.
+  Everything below walks this table, so a new ``Message`` subclass is one
+  row here plus one price in :mod:`repro.gossip.sizes`.
 * :class:`BinaryWireCodec` -- **the** wire codec: struct-packed headers,
   varint/zigzag integer fields, and Bloom digests as raw little-endian
   byte rows (:meth:`BloomFilter.row_bytes`, serialised once per filter
@@ -20,10 +19,9 @@ format and one description of the message catalogue:
   many nodes decode a digest there is one object for it, and -- when the
   runtime commits successful sends -- digests the receiver was already
   sent travel as 1-byte-marker references instead of full rows.
-* :class:`WireCodec` -- the JSON *message* form of the same table.  It is
-  **not** a wire codec (no frames, no addressing): it is what
-  :class:`~repro.service.trace.ServiceTrace` persists as JSON Lines, so a
-  recorded run stays readable and reloadable.
+  Off-link (``receiver=None``) every digest is a full row: that is how
+  :class:`~repro.service.trace.ServiceTrace` writes message bodies into
+  its trace file.
 
 Byte *accounting* always uses :func:`repro.gossip.sizes.total_bytes` on the
 message object, never the frame length, so service-mode traffic numbers
@@ -40,13 +38,13 @@ Design rules:
 * **Process-portable payloads.**  Interned action ids are process-local
   (:mod:`repro.data.interning`), so :class:`CommonItemsReply` travels as
   explicit ``(item, tag)`` pairs and is re-interned on decode; Bloom
-  filters travel as their full state and are rebuilt from it.  Frames decode identically in another
-  process (the UDP transport) and in-process (the loopback).
+  filters travel as their geometry, count and wire row.  Frames decode
+  identically in another process (the UDP transport) and in-process (the
+  loopback).
 * **Faithful round-trips.**  ``decode_message(encode_message(m))`` must
   compare equal to ``m`` field by field and price identically under
-  ``total_bytes`` -- the property tests assert both, for each form; the
-  two forms cannot disagree on *which* fields a message has because both
-  read them from the same row.
+  ``total_bytes`` -- the property tests assert both, through the trace
+  file (off-link bodies) and through runtime frames.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ import struct
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
-from ..bloom import BloomFilter
 from ..data.interning import action_of, intern_action
 from ..data.models import UserProfile
 from ..data.queries import Query
@@ -254,10 +251,8 @@ def _read_actions(view: bytes, offset: int) -> Tuple[List[Tuple[int, int]], int]
 
 
 class _Kind(NamedTuple):
-    """One sort of field value: its JSON form and its wire form, both ways."""
+    """One sort of field value: how it is written and read."""
 
-    to_json: Callable[[Any], Any]
-    from_json: Callable[[Any], Any]
     #: ``write(codec, out, value, receiver)``: the encoding
     #: :class:`BinaryWireCodec` and the link the frame goes out on (``None``
     #: off-link) ride along for the one kind with per-link state, digests.
@@ -266,23 +261,17 @@ class _Kind(NamedTuple):
     read: Callable[..., Tuple[Any, int]]
 
 
-#: What a row is made of: ``(attribute, JSON key, kind)`` per field, in
+#: What a row is made of: ``(attribute, kind)`` per field, in
 #: wire order.  Messages *and* the objects nested in them are described
 #: this way; :func:`_record` turns a row into the kind that walks it.
-Fields = Tuple[Tuple[str, str, _Kind], ...]
+Fields = Tuple[Tuple[str, _Kind], ...]
 
 
 def _record(build: Callable, fields: Fields) -> _Kind:
     """The kind of an object with these ``fields``; ``build`` takes the
     attributes as keywords (a dataclass, ``UserProfile.from_state``)."""
-    writers = tuple((attr, kind.write) for attr, _, kind in fields)
-    readers = tuple((attr, kind.read) for attr, _, kind in fields)
-
-    def to_json(obj) -> Dict[str, Any]:
-        return {key: kind.to_json(getattr(obj, attr)) for attr, key, kind in fields}
-
-    def from_json(body: Dict[str, Any]):
-        return build(**{attr: kind.from_json(body[key]) for attr, key, kind in fields})
+    writers = tuple((attr, kind.write) for attr, kind in fields)
+    readers = tuple((attr, kind.read) for attr, kind in fields)
 
     def write(codec, out, obj, receiver) -> None:
         for attr, write_field in writers:
@@ -294,22 +283,20 @@ def _record(build: Callable, fields: Fields) -> _Kind:
             values[attr], offset = read_field(codec, view, offset)
         return build(**values), offset
 
-    return _Kind(to_json, from_json, write, read)
+    return _Kind(write, read)
 
 
-def _plain(to_json, from_json, write, read) -> _Kind:
+def _plain(write, read) -> _Kind:
     """A leaf kind over stateless primitives ``write(out, value)`` /
     ``read(view, offset)`` -- every leaf but the digests."""
     return _Kind(
-        to_json,
-        from_json,
         lambda codec, out, value, receiver: write(out, value),
         lambda codec, view, offset: read(view, offset),
     )
 
 
 def _optional(kind: _Kind) -> _Kind:
-    """``None`` or a ``kind`` value: ``null`` in JSON, a presence byte on the wire."""
+    """``None`` or a ``kind`` value, behind a presence byte."""
 
     def write(codec, out, value, receiver) -> None:
         if value is None:
@@ -324,16 +311,7 @@ def _optional(kind: _Kind) -> _Kind:
             return None, offset
         return kind.read(codec, view, offset)
 
-    return _Kind(
-        lambda value: None if value is None else kind.to_json(value),
-        lambda obj: None if obj is None else kind.from_json(obj),
-        write,
-        read,
-    )
-
-
-def _identity(value: Any) -> Any:
-    return value
+    return _Kind(write, read)
 
 
 def _write_view(out: bytearray, name: str) -> None:
@@ -368,31 +346,6 @@ def _read_scores(view: bytes, offset: int) -> Tuple[Dict[int, float], int]:
     return scores, offset
 
 
-def _digests_to_json(digests) -> List[Dict[str, Any]]:
-    return [
-        {
-            "u": digest.user_id,
-            "v": digest.version,
-            "nb": digest.bloom.num_bits,
-            "nh": digest.bloom.num_hashes,
-            "c": digest.bloom.approximate_count,
-            "b": format(digest.bloom.raw_bits, "x"),
-        }
-        for digest in digests
-    ]
-
-
-def _digests_from_json(objs) -> Tuple[ProfileDigest, ...]:
-    return tuple(
-        ProfileDigest(
-            user_id=obj["u"],
-            version=obj["v"],
-            bloom=BloomFilter.from_state(obj["nb"], obj["nh"], int(obj["b"], 16), obj["c"]),
-        )
-        for obj in objs
-    )
-
-
 def _write_digests(codec, out: bytearray, digests, receiver) -> None:
     _write_len(out, len(digests))
     for digest in digests:
@@ -422,57 +375,47 @@ def _read_interned(view: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
 
 
 #: Possibly-negative ints (ids, cycles) and counters that never are.
-_SINT = _plain(_identity, _identity, _write_sv, _read_sv)
-_UINT = _plain(_identity, _identity, _write_uv, _read_uv)
+_SINT = _plain(_write_sv, _read_sv)
+_UINT = _plain(_write_uv, _read_uv)
 #: An ordered tuple of ints / a frozenset of ints (carried sorted).
-_SINTS = _plain(list, tuple, _write_svs, lambda view, offset: _read_svs(view, offset, tuple))
+_SINTS = _plain(_write_svs, lambda view, offset: _read_svs(view, offset, tuple))
 _SINT_SET = _plain(
-    sorted,
-    frozenset,
     lambda out, values: _write_svs(out, sorted(values)),
     lambda view, offset: _read_svs(view, offset, frozenset),
 )
-#: Which view an advertisement describes: its name in JSON, a code byte.
-_VIEW = _plain(_identity, _identity, _write_view, _read_view)
-#: ``item -> score``; JSON objects force string keys, so both forms carry
-#: sorted ``(item, score)`` pairs (scores as ``<d`` doubles on the wire).
-_SCORES = _plain(lambda scores: sorted(scores.items()), dict, _write_scores, _read_scores)
+#: Which view an advertisement describes, as a code byte.
+_VIEW = _plain(_write_view, _read_view)
+#: ``item -> score`` as sorted ``(item, score)`` pairs, scores ``<d`` doubles.
+_SCORES = _plain(_write_scores, _read_scores)
 #: A set of ``(item, tag)`` actions, carried sorted.
-_ACTION_PAIRS = _plain(
-    sorted, lambda pairs: [(item, tag) for item, tag in pairs], _write_actions, _read_actions
-)
+_ACTION_PAIRS = _plain(_write_actions, _read_actions)
 #: Interned action ids are process-local (:mod:`repro.data.interning`):
 #: they travel as explicit ``(item, tag)`` pairs (carried sorted) and are
 #: re-interned into the reply's ascending id tuple.
-_ACTIONS = _plain(
-    lambda ids: sorted(_pairs_of(ids)),
-    _intern_pairs,
-    lambda out, ids: _write_actions(out, _pairs_of(ids)),
-    _read_interned,
-)
-#: A tuple of :class:`ProfileDigest`; on the wire each entry is a full row
-#: or a reference, decided per link by the codec's caches.
-_DIGESTS = _Kind(_digests_to_json, _digests_from_json, _write_digests, _read_digests)
+_ACTIONS = _plain(lambda out, ids: _write_actions(out, _pairs_of(ids)), _read_interned)
+#: A tuple of :class:`ProfileDigest`; each entry is a full row or a
+#: reference, decided per link by the codec's caches.
+_DIGESTS = _Kind(_write_digests, _read_digests)
 
 #: A profile is its actions plus its *live* version, which counts every
 #: mutation since birth, not just the actions currently present; replica
 #: freshness tracking needs it intact.
 _PROFILE = _record(
     UserProfile.from_state,
-    (("user_id", "u", _SINT), ("version", "v", _UINT), ("actions", "a", _ACTION_PAIRS)),
+    (("user_id", _SINT), ("version", _UINT), ("actions", _ACTION_PAIRS)),
 )
 QUERY_FIELDS: Fields = (
-    ("query_id", "id", _SINT),
-    ("querier", "qr", _SINT),
-    ("tags", "t", _SINTS),
-    ("source_item", "si", _optional(_SINT)),
+    ("query_id", _SINT),
+    ("querier", _SINT),
+    ("tags", _SINTS),
+    ("source_item", _optional(_SINT)),
 )
 PARTIAL_FIELDS: Fields = (
-    ("query_id", "id", _SINT),
-    ("sender", "s", _SINT),
-    ("cycle", "cy", _SINT),
-    ("scores", "sc", _SCORES),
-    ("contributors", "co", _SINTS),
+    ("query_id", _SINT),
+    ("sender", _SINT),
+    ("cycle", _SINT),
+    ("scores", _SCORES),
+    ("contributors", _SINTS),
 )
 _QUERY = _record(Query, QUERY_FIELDS)
 _PARTIAL = _record(PartialResult, PARTIAL_FIELDS)
@@ -482,45 +425,29 @@ _OPT_PROFILE = _optional(_PROFILE)
 
 # ------------------------------------------------------------- message table
 
-#: ``type -> (binary tag, JSON tag, fields)``.  Every concrete Message
-#: subclass MUST have a row, naming each of its dataclass fields exactly
-#: once; the catalogue test enumerates ``Message.__subclasses__()``.
-#: Adding a message type is one row here (reusing the kinds above) plus
-#: its price in ``gossip.sizes``.
-MESSAGE_TABLE: Dict[Type[Message], Tuple[int, str, Fields]] = {
-    DigestAdvertisement: (1, "digests", (("view", "vw", _VIEW), ("digests", "d", _DIGESTS))),
-    CommonItemsRequest: (
-        2, "common_req", (("subject_id", "su", _SINT), ("items", "it", _SINT_SET)),
-    ),
-    CommonItemsReply: (
-        3, "common_rep", (("subject_id", "su", _SINT), ("actions", "a", _OPT_ACTIONS)),
-    ),
-    FullProfileRequest: (4, "profile_req", (("subject_id", "su", _SINT),)),
-    FullProfilePush: (
-        5, "profile_push", (("subject_id", "su", _SINT), ("profile", "p", _OPT_PROFILE)),
-    ),
-    QueryForward: (
-        6,
-        "query_fwd",
-        (("query", "q", _QUERY), ("remaining", "rm", _SINTS), ("cycle", "cy", _SINT)),
-    ),
-    RemainingReturn: (
-        7, "remaining_ret", (("query_id", "id", _SINT), ("remaining", "rm", _SINTS)),
-    ),
-    QueryResult: (8, "query_res", (("partial", "pr", _PARTIAL),)),
+#: ``type -> (tag, fields)``.  Every concrete Message subclass MUST have a
+#: row, naming each of its dataclass fields exactly once; the catalogue
+#: test enumerates ``Message.__subclasses__()``.  Adding a message type is
+#: one row here (reusing the kinds above) plus its price in
+#: ``gossip.sizes``.
+MESSAGE_TABLE: Dict[Type[Message], Tuple[int, Fields]] = {
+    DigestAdvertisement: (1, (("view", _VIEW), ("digests", _DIGESTS))),
+    CommonItemsRequest: (2, (("subject_id", _SINT), ("items", _SINT_SET))),
+    CommonItemsReply: (3, (("subject_id", _SINT), ("actions", _OPT_ACTIONS))),
+    FullProfileRequest: (4, (("subject_id", _SINT),)),
+    FullProfilePush: (5, (("subject_id", _SINT), ("profile", _OPT_PROFILE))),
+    QueryForward: (6, (("query", _QUERY), ("remaining", _SINTS), ("cycle", _SINT))),
+    RemainingReturn: (7, (("query_id", _SINT), ("remaining", _SINTS))),
+    QueryResult: (8, (("partial", _PARTIAL),)),
 }
 
 #: Derived once at import, never edited: each row's fields as the record
 #: kind that walks them, looked up by type (encode) and by tag (decode).
-_BY_TYPE = {
-    cls: (binary_tag, json_tag, _record(cls, fields))
-    for cls, (binary_tag, json_tag, fields) in MESSAGE_TABLE.items()
-}
-_BY_BINARY_TAG = {binary_tag: kind for binary_tag, _, kind in _BY_TYPE.values()}
-_BY_JSON_TAG = {json_tag: kind for _, json_tag, kind in _BY_TYPE.values()}
+_BY_TYPE = {cls: (tag, _record(cls, fields)) for cls, (tag, fields) in MESSAGE_TABLE.items()}
+_BY_TAG = {tag: kind for tag, kind in _BY_TYPE.values()}
 
 
-def _row_of(message: Message) -> Tuple[int, str, _Kind]:
+def _row_of(message: Message) -> Tuple[int, _Kind]:
     row = _BY_TYPE.get(type(message))
     if row is None:
         raise TypeError(
@@ -531,27 +458,9 @@ def _row_of(message: Message) -> Tuple[int, str, _Kind]:
 
 
 class WireCodec:
-    """The JSON *message* form: one message as a JSON-compatible dict.
-
-    Not a wire codec -- it has no frames, no addressing and no decoder
-    hygiene, and nothing on the network path uses it.  It exists for
-    :class:`~repro.service.trace.ServiceTrace`, which persists recorded
-    wire events as JSON Lines (the CI-uploaded trace ``check_trace``
-    replays), and for debugging: ``encode_message(m)`` is a readable dump
-    of any message.  Same table, same fields as the binary frames.
-    """
-
-    def encode_message(self, message: Message) -> Dict[str, Any]:
-        _, tag, kind = _row_of(message)
-        body = kind.to_json(message)
-        body["t"] = tag
-        return body
-
-    def decode_message(self, obj: Dict[str, Any]) -> Message:
-        kind = _BY_JSON_TAG.get(obj.get("t"))
-        if kind is None:
-            raise ValueError(f"unknown wire message tag {obj.get('t')!r}")
-        return kind.from_json(obj)
+    """Empty, kept only because ``benchmarks/e2e/tracer.py`` imports this
+    name and wraps the codec methods each class defines (this one defines
+    none).  :class:`BinaryWireCodec` is the one codec."""
 
 
 class BinaryWireCodec:
@@ -685,7 +594,7 @@ class BinaryWireCodec:
 
     def _write_message(self, out: bytearray, message: Message,
                        receiver: Optional[int]) -> None:
-        tag, _, kind = _row_of(message)
+        tag, kind = _row_of(message)
         out.append(tag)
         kind.write(self, out, message, receiver)
 
@@ -702,7 +611,7 @@ class BinaryWireCodec:
 
     def _decode_message_at(self, view: bytes, offset: int) -> Tuple[Message, int]:
         tag, offset = _read_byte(view, offset, "message: missing tag")
-        kind = _BY_BINARY_TAG.get(tag)
+        kind = _BY_TAG.get(tag)
         if kind is None:
             raise ValueError(f"unknown binary wire message tag {tag!r}")
         return kind.read(self, view, offset)

@@ -6,16 +6,15 @@ audit a service run without knowing it was not a simulation.
 :class:`ServiceTrace` accumulates the events in memory -- as typed columns,
 because a deployment records one per wire action for as long as it is up:
 ``events`` is a read-only view that builds each ``WireEvent`` as it is
-iterated -- and can persist them as JSON Lines in the codec's JSON message form
-(the CI smoke job reloads the file and uploads it on failure);
-:func:`check_trace` replays
+iterated -- and can persist them as a binary trace file of length-prefixed
+records, each message in the wire codec's own body form (the CI smoke job
+reloads the file and uploads it on failure); :func:`check_trace` replays
 a trace through the checkers that make sense without a fuzz spec: byte
 conservation, view bounds, replica freshness and the query lifecycle rules.
 """
 
 from __future__ import annotations
 
-import json
 from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
@@ -40,7 +39,7 @@ from ..simulator.transport import (
     Message,
     WireEvent,
 )
-from .codec import WireCodec
+from .codec import BinaryWireCodec, _frame, _read_byte, _read_sv, _write_sv, split_frames
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..p3q.protocol import P3QSimulation
@@ -97,7 +96,7 @@ class _EventsView:
 
 
 class ServiceTrace:
-    """In-memory wire-event recording with JSON Lines persistence.
+    """In-memory wire-event recording with binary trace-file persistence.
 
     Columnar: one event is a flags byte, two 32-bit node ids, a 64-bit
     query id and a reference to the message it carried (~25 B against the
@@ -111,7 +110,6 @@ class ServiceTrace:
         self._receivers = array("i")
         self._query_ids = array("q")
         self._messages: List[Message] = []
-        self._codec = WireCodec()
 
     @property
     def events(self) -> _EventsView:
@@ -154,46 +152,52 @@ class ServiceTrace:
     # -- persistence ----------------------------------------------------------
 
     def dump(self, path: str) -> int:
-        """Write one JSON line per event; returns the number written."""
-        codec = self._codec
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(
-                    json.dumps(
-                        {
-                            "op": event.op,
-                            "s": event.sender,
-                            "r": event.receiver,
-                            "st": event.status,
-                            "ac": event.accounted,
-                            "q": event.query_id,
-                            "m": codec.encode_message(event.message),
-                        },
-                        separators=(",", ":"),
-                    )
-                )
-                handle.write("\n")
+        """Write one length-prefixed record per event; returns the number written.
+
+        A record body is the event's flags byte, sender and receiver as
+        zigzag varints, the query id likewise when the flags say it has
+        one, then the message as one :class:`BinaryWireCodec` encodes it
+        off-link: every digest a full row, so the file holds each message
+        exactly, a forged row under an honest ``(user, version)`` too.
+        """
+        codec = BinaryWireCodec()
+        with open(path, "wb") as handle:
+            for flags, sender, receiver, query_id, message in zip(
+                self._flags, self._senders, self._receivers, self._query_ids, self._messages
+            ):
+                body = bytearray((flags,))
+                _write_sv(body, sender)
+                _write_sv(body, receiver)
+                if flags & _HAS_QUERY:
+                    _write_sv(body, query_id)
+                body += codec.encode_message(message)
+                handle.write(_frame(body))
         return len(self)
 
     @classmethod
     def load(cls, path: str) -> "ServiceTrace":
+        """Read a file :meth:`dump` wrote; a malformed record or a partial
+        one at the end raises ``ValueError``."""
+        with open(path, "rb") as handle:
+            bodies, leftover = split_frames(handle.read())
+        if leftover:
+            raise ValueError(f"{path}: {len(leftover)} bytes after the last whole record")
         trace = cls()
-        codec = trace._codec
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                trace.append(
-                    op=obj["op"],
-                    sender=obj["s"],
-                    receiver=obj["r"],
-                    message=codec.decode_message(obj["m"]),
-                    status=obj["st"],
-                    accounted=obj["ac"],
-                    query_id=obj["q"],
-                )
+        codec = BinaryWireCodec()
+        for body in bodies:
+            flags, offset = _read_byte(body, 0, "trace record: empty body")
+            if flags >> 7 or (flags >> 2) & 7 >= len(_STATUSES):
+                raise ValueError(f"bad trace record flags {flags:#04x}")
+            sender, offset = _read_sv(body, offset)
+            receiver, offset = _read_sv(body, offset)
+            query_id = 0
+            if flags & _HAS_QUERY:
+                query_id, offset = _read_sv(body, offset)
+            message = codec.decode_message(body[offset:])
+            try:
+                trace.append(*_event(flags, sender, receiver, message, query_id))
+            except OverflowError as error:
+                raise ValueError(f"trace record id out of range: {error}") from error
         return trace
 
 

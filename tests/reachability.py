@@ -82,10 +82,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
         SAFETY, "tests/test_wire_codec.py::TestBinaryMalformedFrames::"
         "test_trailing_bytes_rejected",
     ),
-    "service/codec.py:BinaryWireCodec.encode_message": (
-        SAFETY, "tests/test_wire_codec.py::TestBinaryMalformedFrames::"
-        "test_trailing_bytes_rejected",
-    ),
     "p3q/node.py:P3QNode._restore_issue_order": (
         SAFETY, "tests/test_memory_model.py::TestFinishedSessionsRetire::"
         "test_retired_session_revives_in_issue_order",
@@ -119,9 +115,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "service/trace.py:ServiceTrace.load": (
         BENCHMARK, "CI service-smoke job, step 'Reload the wire trace'",
     ),
-    "service/codec.py:WireCodec.decode_message": (BENCHMARK, _TRACE_LOAD),
-    "service/codec.py:_record.<locals>.from_json": (BENCHMARK, _TRACE_LOAD),
-    "service/codec.py:_digests_from_json": (BENCHMARK, _TRACE_LOAD),
     "data/models.py:UserProfile.from_state": (BENCHMARK, _TRACE_LOAD),
 }
 
@@ -134,7 +127,7 @@ ENTRY_POINTS: List[List[str]] = [
     ["-m", "repro", "experiments", "all", "--scale", "tiny", "--output", "{tmp}/experiments"],
     ["-m", "repro", "experiments", "fig2", "fig5", "--scale", "tiny", "--workers", "2"],
     ["-m", "repro", "service", "--demo"],
-    ["-m", "repro", "service", "--smoke", "--trace", "{tmp}/trace.jsonl"],
+    ["-m", "repro", "service", "--smoke", "--trace", "{tmp}/service.trace"],
     ["-m", "repro", "service", "--demo", "--transport", "udp"],
     ["-m", "repro", "simtest", "--list-invariants"],
     ["-m", "repro", "simtest", "--seeds", "5", "--max-users", "100"],

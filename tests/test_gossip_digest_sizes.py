@@ -89,7 +89,7 @@ class TestDigestCache:
         second = cache.digest_for(profile)
         assert second is not first
         assert second.version == profile.version
-        assert second.bloom.raw_bits == make_digest(profile, num_bits=256, num_hashes=3).bloom.raw_bits
+        assert second.bloom.row_bytes() == make_digest(profile, num_bits=256, num_hashes=3).bloom.row_bytes()
 
     def test_common_items_matches_direct_probe(self):
         cache = DigestCache(num_bits=256, num_hashes=3)

@@ -12,7 +12,6 @@ state.  A stale-cache bug -- the classic failure mode of incremental systems
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -23,8 +22,8 @@ from repro.data.models import ChangeDay, ProfileChange, UserProfile
 from repro.data.queries import QueryWorkloadGenerator
 from repro.gossip.digest import DigestCache, intern_digest, make_digest
 from repro.p3q import P3QConfig, P3QSimulation
-from repro.service.codec import WireCodec
 from repro.simulator.transport import VIEW_RANDOM, DigestAdvertisement
+from test_wire_codec import through_trace
 
 
 def _build(seed: int, digest_bits: int = 1_024, digest_hashes: int = 4) -> P3QSimulation:
@@ -59,7 +58,7 @@ def _random_change_day(sim: P3QSimulation, rng: random.Random, day: int) -> Chan
 def _content(digest):
     """What a digest says: its owner, version and filter bits."""
     bloom = digest.bloom
-    return digest.user_id, digest.version, bloom.num_bits, bloom.num_hashes, bloom.raw_bits
+    return digest.user_id, digest.version, bloom.num_bits, bloom.num_hashes, bloom.row_bytes()
 
 
 def _assert_caches_match_rebuild(sim: P3QSimulation) -> None:
@@ -201,16 +200,15 @@ def test_dirty_set_flush_evicts_superseded_state():
     )
 
 
-def _through_json(digests):
-    """``digests`` as a trace file carries them: JSON text and back."""
-    form = WireCodec()
+def _through_trace(digests, path):
+    """``digests`` as a trace file carries them: dumped and loaded back."""
     message = DigestAdvertisement(digests=tuple(digests), view=VIEW_RANDOM)
-    return form.decode_message(json.loads(json.dumps(form.encode_message(message)))).digests
+    return through_trace(message, path).digests
 
 
 @pytest.mark.parametrize("geometry", [(64, 3), (37, 2)], ids=["64x3", "37x2"])
 @pytest.mark.parametrize("seed", range(20))
-def test_cached_probe_equals_the_naive_probe_in_every_digest_form(seed, geometry):
+def test_cached_probe_equals_the_naive_probe_in_every_digest_form(seed, geometry, tmp_path):
     """``DigestCache.common_items`` is the naive probe of each receiver item
     against ``digest.bloom``, whatever form the digest arrived in and
     whichever of a user's versions it is.
@@ -236,10 +234,10 @@ def test_cached_probe_equals_the_naive_probe_in_every_digest_form(seed, geometry
                 assert cache.probe(receiver, digest) == naive
                 assert bool(cache.common_items(receiver, digest)) == bool(naive)
                 if bloom.num_bits == num_bits:
-                    first_bit_only += sum(
-                        bloom.raw_bits >> (hash_bases(item)[0] % num_bits) & 1
-                        for item in receiver.items - naive
-                    )
+                    row = bloom.row_bytes()
+                    for item in receiver.items - naive:
+                        first = hash_bases(item)[0] % num_bits
+                        first_bit_only += row[first >> 3] >> (first & 7) & 1
 
     built = DigestCache(num_bits, num_hashes)
     originals = [built.digest_for(profile) for profile in profiles]
@@ -256,7 +254,7 @@ def test_cached_probe_equals_the_naive_probe_in_every_digest_form(seed, geometry
             for digest in originals
         ],
     )
-    check(DigestCache(num_bits, num_hashes), _through_json(originals))
+    check(DigestCache(num_bits, num_hashes), _through_trace(originals, tmp_path / "trace"))
     # Foreign geometry: priced by direct probes, never through the rows.
     check(built, [make_digest(profile, num_bits=128, num_hashes=2) for profile in profiles[:5]])
 

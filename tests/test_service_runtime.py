@@ -106,7 +106,7 @@ class TestInProcRun:
 
     def test_trace_dump_load_round_trip(self, run, tmp_path):
         runtime, _, _, _ = run
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace"
         written = runtime.trace.dump(str(path))
         assert written == len(runtime.trace.events)
         loaded = ServiceTrace.load(str(path))
@@ -192,7 +192,7 @@ class TestEventsView:
 
     def test_dump_load_dump_is_byte_identical(self, observed, tmp_path):
         runtime, collected = observed
-        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first, second = tmp_path / "first.trace", tmp_path / "second.trace"
         assert runtime.trace.dump(str(first)) == len(collected)
         loaded = ServiceTrace.load(str(first))
         assert loaded.dump(str(second)) == len(collected)
@@ -232,7 +232,7 @@ class TestUdpRun:
 
 class TestDemo:
     def test_run_demo_sync_report(self, tmp_path):
-        trace_path = tmp_path / "demo-trace.jsonl"
+        trace_path = tmp_path / "demo.trace"
         report = run_demo_sync(
             num_users=20,
             num_queries=3,

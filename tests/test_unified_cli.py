@@ -127,7 +127,7 @@ class TestPerfFrontDoor:
 
 class TestServiceEndToEnd:
     def test_demo_completes_queries_and_prints_recall_and_bytes(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
+        trace = tmp_path / "service.trace"
         result = _run_module(
             [
                 "-m", "repro", "service", "--smoke",

@@ -2,9 +2,9 @@
 
 Contract (mirroring ``test_sizes_catalogue``): every concrete
 :class:`~repro.simulator.transport.Message` subclass has one row in
-``codec.MESSAGE_TABLE``; both forms derived from that row -- the binary
-wire frame and the JSON trace form -- reconstruct the message field by
-field, and the decoded message prices identically under
+``codec.MESSAGE_TABLE``; what is written from that row -- a runtime frame,
+or a record of the trace file ``ServiceTrace`` dumps -- reconstructs the
+message field by field, and the decoded message prices identically under
 :func:`repro.gossip.sizes.total_bytes` -- so service-mode byte accounting
 agrees with the simulator's no matter which side of the wire does it.
 The catalogue is enumerated from ``Message.__subclasses__``: adding a
@@ -14,7 +14,6 @@ message type without teaching the codec about it fails loudly here.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +22,15 @@ from hypothesis import strategies as st
 from repro.data.interning import intern_action
 from repro.data.models import UserProfile
 from repro.data.queries import Query
-from repro.gossip.digest import ProfileDigest, make_digest
+from repro.gossip.digest import ProfileDigest, intern_digest, make_digest
 from repro.gossip.sizes import total_bytes
 from repro.p3q.query import PartialResult
 from repro.service import codec as codec_module
-from repro.service.codec import MESSAGE_TABLE, BinaryWireCodec, WireCodec, split_frames
+from repro.service.codec import MESSAGE_TABLE, BinaryWireCodec, _frame, _write_sv, split_frames
+from repro.service.trace import ServiceTrace
 from repro.simulator.transport import (
+    DELIVERED,
+    OP_SEND,
     VIEW_PERSONAL,
     VIEW_RANDOM,
     CommonItemsReply,
@@ -42,9 +44,6 @@ from repro.simulator.transport import (
     QueryResult,
     RemainingReturn,
 )
-
-#: The JSON message form (what ``ServiceTrace`` persists); stateless.
-JSON_FORM = WireCodec()
 
 
 # ------------------------------------------------------------------ builders
@@ -161,7 +160,7 @@ def _assert_digest_equal(left: ProfileDigest, right: ProfileDigest) -> None:
     assert left.version == right.version
     assert left.bloom.num_bits == right.bloom.num_bits
     assert left.bloom.num_hashes == right.bloom.num_hashes
-    assert left.bloom.raw_bits == right.bloom.raw_bits
+    assert left.bloom.row_bytes() == right.bloom.row_bytes()
     assert left.bloom.approximate_count == right.bloom.approximate_count
 
 
@@ -198,63 +197,54 @@ class TestCatalogueCoverage:
 
     def test_codec_registry_covers_the_catalogue(self):
         assert _catalogue() == set(MESSAGE_TABLE)
-        binary_tags = [row[0] for row in MESSAGE_TABLE.values()]
-        json_tags = [row[1] for row in MESSAGE_TABLE.values()]
-        assert len(set(binary_tags)) == len(MESSAGE_TABLE), "binary tags must be unique"
-        assert len(set(json_tags)) == len(MESSAGE_TABLE), "JSON tags must be unique"
-        assert all(0 < tag < 256 for tag in binary_tags)
+        tags = [tag for tag, _ in MESSAGE_TABLE.values()]
+        assert len(set(tags)) == len(MESSAGE_TABLE), "tags must be unique"
+        assert all(0 < tag < 256 for tag in tags)
 
     @pytest.mark.parametrize(
         "record_type, fields",
-        [(cls, row[2]) for cls, row in MESSAGE_TABLE.items()]
+        [(cls, fields) for cls, (_, fields) in MESSAGE_TABLE.items()]
         + [(Query, codec_module.QUERY_FIELDS), (PartialResult, codec_module.PARTIAL_FIELDS)],
         ids=lambda value: getattr(value, "__name__", None),
     )
     def test_row_names_every_dataclass_field_exactly_once(self, record_type, fields):
         declared = sorted(field.name for field in dataclasses.fields(record_type))
-        assert sorted(attr for attr, _, _ in fields) == declared
-        keys = [key for _, key, _ in fields]
-        assert len(set(keys)) == len(keys)
-        if record_type in MESSAGE_TABLE:
-            assert "t" not in keys, "a message body keeps its type tag under 't'"
-        for _, _, kind in fields:
-            for direction in ("to_json", "from_json", "write", "read"):
-                assert callable(getattr(kind, direction))
+        assert sorted(attr for attr, _ in fields) == declared
+        for _, kind in fields:
+            assert callable(kind.write) and callable(kind.read)
 
-    def test_unregistered_message_type_fails_loudly(self):
+    def test_unregistered_message_type_fails_loudly(self, tmp_path):
         class Bogus(Message):
             __slots__ = ()
 
+        trace = ServiceTrace()
+        trace.append(OP_SEND, 1, 2, Bogus(), DELIVERED, True, None)
         with pytest.raises(TypeError, match="Bogus"):
-            JSON_FORM.encode_message(Bogus())
+            trace.dump(str(tmp_path / "trace"))
 
-    def test_unknown_tag_fails_loudly(self):
-        with pytest.raises(ValueError, match="unknown wire message tag"):
-            JSON_FORM.decode_message({"t": "nope"})
+    def test_unknown_tag_fails_loudly(self, tmp_path):
+        # flags (send, delivered), sender 0, receiver 0, message tag 0xEE.
+        path = tmp_path / "trace"
+        path.write_bytes(_frame(bytearray([0x02, 0x00, 0x00, 0xEE])))
+        with pytest.raises(ValueError, match="unknown binary wire message tag"):
+            ServiceTrace.load(str(path))
 
-    @pytest.mark.parametrize(
-        "bits", ["-5", format(1 << 300, "x")], ids=["negative", "wider-than-the-row"]
-    )
-    def test_digest_bit_array_outside_its_geometry_fails_loudly(self, bits):
-        # The JSON form carries the bit array as a hex string: a negative or
-        # over-wide one must not become a filter that claims every key or
-        # has no wire row.
-        obj = JSON_FORM.encode_message(
-            DigestAdvertisement(digests=(_digest(1),), view=VIEW_RANDOM)
-        )
-        obj["d"][0]["b"] = bits
-        with pytest.raises(ValueError, match="256-bit"):
-            JSON_FORM.decode_message(obj)
+
+def through_trace(message: Message, path) -> Message:
+    """``message`` as the trace file carries it: dumped and loaded back."""
+    trace = ServiceTrace()
+    trace.append(OP_SEND, 1, 2, message, DELIVERED, True, None)
+    trace.dump(str(path))
+    (event,) = ServiceTrace.load(str(path)).events
+    return event.message
 
 
 @pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
-def test_round_trip_preserves_fields_and_price(message_type):
+def test_round_trip_preserves_fields_and_price(message_type, tmp_path):
     @settings(max_examples=25, deadline=None)
     @given(message=STRATEGIES[message_type])
     def check(message):
-        # Through JSON text, the way ``ServiceTrace.dump``/``load`` carry it.
-        text = json.dumps(JSON_FORM.encode_message(message), separators=(",", ":"))
-        decoded = JSON_FORM.decode_message(json.loads(text))
+        decoded = through_trace(message, tmp_path / "trace")
         assert_message_equal(message, decoded)
         assert total_bytes(decoded) == total_bytes(message)
 
@@ -265,16 +255,6 @@ def test_round_trip_preserves_fields_and_price(message_type):
 
 
 class TestBinaryCatalogueCoverage:
-    def test_binary_registry_matches_json_registry(self):
-        # Both decode-side lookups are derived from the one table, so they
-        # cover the same types with the same field rows.
-        by_type = codec_module._BY_TYPE
-        assert set(by_type) == set(MESSAGE_TABLE)
-        for cls, (binary_tag, json_tag, kind) in by_type.items():
-            assert (binary_tag, json_tag) == MESSAGE_TABLE[cls][:2]
-            assert codec_module._BY_BINARY_TAG[binary_tag] is kind
-            assert codec_module._BY_JSON_TAG[json_tag] is kind
-
     def test_unregistered_message_type_fails_loudly(self):
         class Bogus(Message):
             __slots__ = ()
@@ -285,29 +265,6 @@ class TestBinaryCatalogueCoverage:
     def test_unknown_tag_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown binary wire message tag"):
             BinaryWireCodec().decode_message(bytes([0xEE]))
-
-
-@pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
-def test_cross_codec_equivalence(message_type):
-    """Both forms of the table decode to equal messages with equal pricing.
-
-    Fresh binary codec instances per example keep digest suppression out
-    of the picture: this is the pure encoding contract.
-    """
-
-    @settings(max_examples=25, deadline=None)
-    @given(message=STRATEGIES[message_type])
-    def check(message):
-        binary = BinaryWireCodec()
-        body = binary.encode_message(message)
-        from_binary = BinaryWireCodec().decode_message(body)
-        from_json = JSON_FORM.decode_message(JSON_FORM.encode_message(message))
-        assert_message_equal(message, from_binary)
-        assert_message_equal(from_json, from_binary)
-        assert total_bytes(from_binary) == total_bytes(message)
-        assert total_bytes(from_json) == total_bytes(from_binary)
-
-    check()
 
 
 class TestBinaryRuntimeFrames:
@@ -557,8 +514,8 @@ class TestDigestInterning:
         forged_decoded = self._decode(BinaryWireCodec(), bytes(forged))
         assert (forged_decoded.user_id, forged_decoded.version) == (1, honest.version)
         assert forged_decoded is not honest_decoded
-        assert forged_decoded.bloom.raw_bits != honest_decoded.bloom.raw_bits
-        assert honest_decoded.bloom.raw_bits == honest.bloom.raw_bits
+        assert forged_decoded.bloom.row_bytes() != honest_decoded.bloom.row_bytes()
+        assert honest_decoded.bloom.row_bytes() == honest.bloom.row_bytes()
         # The honest content still resolves to the honest object afterwards.
         assert self._decode(BinaryWireCodec(), frame) is honest_decoded
 
@@ -670,15 +627,80 @@ class TestProfileFromState:
         with pytest.raises(ValueError, match="version"):
             UserProfile.from_state(4, [(1, 101)], -1)
 
-    @pytest.mark.parametrize("codec_name", ["json", "binary"])
-    def test_version_survives_codec_round_trip(self, codec_name):
+    @pytest.mark.parametrize("codec_name", ["binary", "trace"])
+    def test_version_survives_codec_round_trip(self, codec_name, tmp_path):
         profile = self._versioned_profile()
         push = FullProfilePush(subject_id=4, profile=profile)
-        if codec_name == "json":
-            decoded = JSON_FORM.decode_message(JSON_FORM.encode_message(push))
+        if codec_name == "trace":
+            decoded = through_trace(push, tmp_path / "trace")
         else:
             decoded = BinaryWireCodec().decode_message(
                 BinaryWireCodec().encode_message(push)
             )
         assert decoded.profile.version == profile.version
         assert decoded.profile.actions == profile.actions
+
+
+class TestTraceFile:
+    """The trace file ``ServiceTrace.dump`` writes: length-prefixed records
+    that load back whole or not at all."""
+
+    def _dumped(self, tmp_path, messages):
+        trace = ServiceTrace()
+        for index, message in enumerate(messages):
+            query_id = index if index % 2 else None
+            trace.append(OP_SEND, index, -index, message, DELIVERED, bool(index % 2), query_id)
+        path = tmp_path / "trace"
+        assert trace.dump(str(path)) == len(messages)
+        return path
+
+    def test_an_empty_file_loads_no_events(self, tmp_path):
+        path = tmp_path / "trace"
+        path.write_bytes(b"")
+        assert len(ServiceTrace.load(str(path))) == 0
+
+    def test_a_file_cut_mid_record_is_refused(self, tmp_path):
+        path = self._dumped(tmp_path, [FullProfileRequest(subject_id=3)] * 2)
+        whole = path.read_bytes()
+        bodies, _ = split_frames(whole)
+        boundaries = {0, 4 + len(bodies[0]), len(whole)}
+        for end in set(range(len(whole))) - boundaries:
+            path.write_bytes(whole[:end])
+            with pytest.raises(ValueError):
+                ServiceTrace.load(str(path))
+
+    def test_a_garbage_tail_is_refused(self, tmp_path):
+        path = self._dumped(tmp_path, [FullProfileRequest(subject_id=3)])
+        whole = path.read_bytes()
+        # A well-formed FullProfileRequest record but for its flags byte
+        # (status index 7 of six, then the unused bit 7 set), or for a
+        # sender id wider than the trace's 32-bit column.
+        bad_flags = [_frame(bytearray([flags, 0x00, 0x00, 0x04, 0x06])) for flags in (0x1C, 0x80)]
+        wide_sender = bytearray([0x00])
+        _write_sv(wide_sender, 1 << 40)
+        wide_sender += bytes([0x00, 0x04, 0x06])
+        for tail in (b"\x00", b"\xffgarbage", *bad_flags, _frame(wide_sender)):
+            path.write_bytes(whole + tail)
+            with pytest.raises(ValueError):
+                ServiceTrace.load(str(path))
+
+    def test_two_rows_under_one_user_and_version_load_back_exactly(self, tmp_path):
+        """Off-link bodies carry every digest as a full row: a forged row
+        under an honest ``(user, version)`` is not aliased to the honest one."""
+        honest = _digest(1)
+        forged_row = bytes([honest.bloom.row_bytes()[0] ^ 0x01]) + honest.bloom.row_bytes()[1:]
+        forged = intern_digest(
+            honest.user_id, honest.version, honest.bloom.num_bits, honest.bloom.num_hashes,
+            honest.bloom.approximate_count, forged_row,
+        )
+        sent = [
+            DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
+            DigestAdvertisement(digests=(forged, honest), view=VIEW_RANDOM),
+        ]
+        path = self._dumped(tmp_path, sent)
+        loaded = [event.message for event in ServiceTrace.load(str(path)).events]
+        for mine, theirs in zip(loaded, sent):
+            assert_message_equal(mine, theirs)
+        assert loaded[1].digests[0].bloom.row_bytes() == forged_row
+        assert loaded[0].digests[0].bloom.row_bytes() == honest.bloom.row_bytes()
+        assert loaded[1].digests[1].bloom.row_bytes() == honest.bloom.row_bytes()

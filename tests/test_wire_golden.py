@@ -1,12 +1,18 @@
-"""Golden wire bytes: the binary frames and the JSON trace form, pinned as data.
+"""Golden wire bytes: the runtime frames and the trace file, pinned as data.
 
-``tests/data/wire_golden.json`` was generated by running :func:`build_frames`
-and :func:`build_trace_lines` against the tree *before* the codec was rebuilt on one per-message field
-table (two hand-written codecs, four tables).  The tests assert that the
-table-driven codec still produces exactly those frames, byte for byte, and
-that a ``ServiceTrace`` JSONL written by that tree loads to equal messages
--- the ``transport_golden.json`` pattern: old behaviour pinned as data, not
-as code.
+The ``frames`` of ``tests/data/wire_golden.json`` were generated by running
+:func:`build_frames` against the tree *before* the codec was rebuilt on one
+per-message field table (two hand-written codecs, four tables).  The tests
+assert that the table-driven codec still produces exactly those frames,
+byte for byte -- the ``transport_golden.json`` pattern: old behaviour
+pinned as data, not as code.
+
+``trace_hex`` is the trace file :func:`build_trace` dumps of
+:func:`golden_events`.  It was pinned once, when the trace file moved from
+JSON Lines to length-prefixed binary records; the JSON Lines file it
+replaced and this one load to equal events.  The tests assert that
+``ServiceTrace.dump`` still writes it byte for byte and that it loads back
+to the events that made it.
 
 Before regenerating, list every frame that moved, with the differing byte
 offsets and values (read-only; exits 1 if any frame differs)::
@@ -15,8 +21,9 @@ offsets and values (read-only; exits 1 if any frame differs)::
 
 Regenerate the frames (only ever against a tree whose wire format is
 known-good, with the ``--diff`` output as the stated reason the pin moved)
-with the command below.  It keeps the trace lines as they are: they are a
-trace an older tree wrote, so the current tree never rewrites them::
+with the command below.  It keeps ``trace_hex`` as it is: the trace file is
+a format files already on disk are written in, so a change to it is its own
+stated decision, never a side effect of moving a frame::
 
     PYTHONPATH=src python tests/test_wire_golden.py --regen
 """
@@ -32,7 +39,7 @@ from repro.data.models import UserProfile
 from repro.data.queries import Query
 from repro.gossip.digest import make_digest
 from repro.p3q.query import PartialResult
-from repro.service.codec import BinaryWireCodec, WireCodec
+from repro.service.codec import BinaryWireCodec
 from repro.service.trace import ServiceTrace
 from repro.simulator.transport import (
     DELIVERED,
@@ -182,13 +189,14 @@ def golden_events() -> List[WireEvent]:
     ]
 
 
-def build_trace_lines(tmp_path: Path) -> List[str]:
+def build_trace(tmp_path: Path) -> bytes:
+    """The trace file ``ServiceTrace.dump`` writes of :func:`golden_events`."""
     trace = ServiceTrace()
     for event in golden_events():
         trace.append(*event)
-    path = tmp_path / "trace.jsonl"
+    path = tmp_path / "trace"
     trace.dump(str(path))
-    return path.read_text(encoding="utf-8").splitlines()
+    return path.read_bytes()
 
 
 def _golden() -> Dict:
@@ -224,27 +232,19 @@ def test_golden_frames_decode_to_the_messages_that_made_them():
             assert_message_equal(codec.decode_body(bodies[0])["m"], message)
 
 
-def test_parent_written_trace_loads_to_equal_messages(tmp_path):
-    lines = _golden()["trace_lines"]
-    path = tmp_path / "parent_trace.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def test_trace_dump_is_byte_identical_to_the_golden(tmp_path):
+    assert build_trace(tmp_path).hex() == _golden()["trace_hex"]
+
+
+def test_golden_trace_loads_to_the_events_that_made_it(tmp_path):
+    path = tmp_path / "golden_trace"
+    path.write_bytes(bytes.fromhex(_golden()["trace_hex"]))
     loaded = ServiceTrace.load(str(path))
     expected = golden_events()
-    assert len(loaded) == len(expected) == len(lines)
-    codec = WireCodec()
-    for line, event, want in zip(lines, loaded.events, expected):
+    assert len(loaded) == len(expected)
+    for event, want in zip(loaded.events, expected):
         assert event._replace(message=None) == want._replace(message=None)
         assert_message_equal(event.message, want.message)
-        # Dict equality, not key order: the JSON form is a trace format, so
-        # what must hold is that re-encoding yields the same object.
-        reencoded = json.loads(json.dumps(codec.encode_message(event.message)))
-        assert reencoded == json.loads(line)["m"]
-
-
-def test_trace_dump_matches_the_golden_lines_as_objects(tmp_path):
-    lines = build_trace_lines(tmp_path)
-    golden = _golden()["trace_lines"]
-    assert [json.loads(line) for line in lines] == [json.loads(line) for line in golden]
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
