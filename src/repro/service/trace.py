@@ -3,10 +3,11 @@
 A live service run emits the same :class:`~repro.simulator.transport.WireEvent`
 stream the simulator's transports emit, so the simtest invariant checkers
 audit a service run without knowing it was not a simulation.
-:class:`ServiceTrace` accumulates the events in memory -- as typed columns,
-because a deployment records one per wire action for as long as it is up:
-``events`` is a read-only view that builds each ``WireEvent`` as it is
-iterated -- and can persist them as a binary trace file of length-prefixed
+:class:`ServiceTrace` accumulates the events in memory -- as typed columns
+and one message object per distinct message, because a deployment records
+one event per wire action for as long as it is up: ``events`` is a
+read-only view that builds each ``WireEvent`` as it is iterated -- and can
+persist them as a binary trace file of length-prefixed
 records, each message in the wire codec's own body form (the CI smoke job
 reloads the file and uploads it on failure); :func:`check_trace` replays
 a trace through the checkers that make sense without a fuzz spec: byte
@@ -16,7 +17,7 @@ conservation, view bounds, replica freshness and the query lifecycle rules.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 
 from ..simtest.invariants import (
     ByteConservationChecker,
@@ -54,6 +55,12 @@ _OP_BITS = {op: index for index, op in enumerate(_OPS)}
 _STATUS_BITS = {status: index << 2 for index, status in enumerate(_STATUSES)}
 _ACCOUNTED = 1 << 5
 _HAS_QUERY = 1 << 6
+
+#: Bound of one trace's table of distinct messages: shed whole when passed
+#: (a later equal message then starts a new shared object; recording a
+#: message as given is always correct), so traffic that never repeats adds
+#: at most this many entries (~40 B each, 2.6 MB at the bound).
+_MAX_DISTINCT_MESSAGES = 65536
 
 
 def _event(flags: int, sender: int, receiver: int, message: Message, query_id: int) -> WireEvent:
@@ -102,6 +109,14 @@ class ServiceTrace:
     query id and a reference to the message it carried (~25 B against the
     112 B of a ``WireEvent`` tuple in a list); :attr:`events` is the
     view of ``WireEvent`` everything reads.
+
+    Equal messages are recorded as one object: a converged overlay keeps
+    re-sending the same digests and asking the same step-2 questions, so
+    the message column references the first equal message the trace saw
+    (message equality is dataclass equality: same class, equal fields,
+    digest filters and profiles by identity, so merged messages price and encode
+    the same).  A message that cannot be hashed -- a ``QueryResult``,
+    whose ``PartialResult`` is mutable -- is recorded as given.
     """
 
     def __init__(self) -> None:
@@ -110,6 +125,9 @@ class ServiceTrace:
         self._receivers = array("i")
         self._query_ids = array("q")
         self._messages: List[Message] = []
+        #: message -> the first equal message recorded (shed at
+        #: :data:`_MAX_DISTINCT_MESSAGES`).
+        self._distinct: Dict[Message, Message] = {}
 
     @property
     def events(self) -> _EventsView:
@@ -126,7 +144,8 @@ class ServiceTrace:
         accounted: bool,
         query_id: Optional[int],
     ) -> None:
-        """Record one wire action (the fields of a :class:`WireEvent`)."""
+        """Record one wire action (the fields of a :class:`WireEvent`); an
+        equal message already recorded stands in for ``message``."""
         flags = _OP_BITS[op] | _STATUS_BITS[status]
         if accounted:
             flags |= _ACCOUNTED
@@ -144,6 +163,13 @@ class ServiceTrace:
             del self._senders[recorded:], self._receivers[recorded:]
             raise
         self._flags.append(flags)
+        try:
+            message = self._distinct.setdefault(message, message)
+        except TypeError:
+            pass  # unhashable: recorded as given
+        else:
+            if len(self._distinct) > _MAX_DISTINCT_MESSAGES:
+                self._distinct.clear()
         self._messages.append(message)
 
     def __len__(self) -> int:

@@ -22,7 +22,8 @@ that keeps it flat instead:
 * the offline ideal index is columns, not objects: an id array and a tuple
   of shared score floats per user, under 20 traced bytes per neighbour;
 * what a service run keeps per wire event and per answered query: the audit
-  trail is five columns (no ``WireEvent`` at rest), the traffic rows are
+  trail is five columns (no ``WireEvent`` at rest) whose message column
+  holds one object per distinct message, the traffic rows are
   folded before they reach a constant (``stats.FOLD_ROWS``, the same in
   both runtimes), and a finished merger is its answer.
 """
@@ -36,6 +37,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bloom import BloomFilter
@@ -51,9 +53,10 @@ from repro.gossip.views import NeighbourEntry
 from repro.p3q.config import P3QConfig
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
-from repro.service import ServiceConfig, ServiceRuntime
+from repro.service import ServiceConfig, ServiceRuntime, check_trace
 from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
+from repro.service.trace import TRACE_CHECKERS
 from repro.similarity.knn import IdealNetworkIndex
 from repro.simulator import stats as stats_module
 from repro.topk.heap import Candidate
@@ -585,6 +588,26 @@ class TestWhatAServiceRunKeeps:
         # Reading the view leaves nothing behind either.
         assert len(list(trace.events)) == events
         assert not [obj for obj in _reachable(trace) if isinstance(obj, WireEvent)]
+
+    @pytest.fixture(scope="class")
+    def demo_run(self):
+        workload = build_demo_workload(num_users=20, num_queries=3, seed=5)
+        simulation = converged_simulation(workload, 3)
+        return simulation, _service_run(simulation, workload)
+
+    def test_the_trace_holds_one_object_per_distinct_message(self, demo_run):
+        _, runtime = demo_run
+        messages = runtime.trace._messages
+        assert len(messages) > 500
+        # One object per event before equal messages were merged; 0.30 of
+        # the events measured after.
+        assert len({id(message) for message in messages}) <= 0.5 * len(messages)
+
+    def test_the_merged_trace_passes_the_audit(self, demo_run):
+        simulation, runtime = demo_run
+        assert check_trace(runtime.trace.events, simulation) == [
+            checker.name for checker in TRACE_CHECKERS
+        ]
 
     def test_traffic_rows_fold_before_they_pass_the_constant(self, monkeypatch):
         # A short run records a few thousand rows: shrink the constant so

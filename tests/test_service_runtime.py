@@ -171,10 +171,15 @@ class TestEventsView:
         assert len(events) == len(runtime.trace) == len(collected) > 100
         assert list(events) == collected
         assert all(type(event) is WireEvent for event in events)
-        # Same message objects, not copies.
-        assert all(
-            mine.message is theirs.message for mine, theirs in zip(events, collected)
-        )
+        # Message objects the observer saw, not copies: the first equal one
+        # collected, or the one given where a message cannot be hashed.
+        first = {}
+        for mine, theirs in zip(events, collected):
+            try:
+                expected = first.setdefault(theirs.message, theirs.message)
+            except TypeError:
+                expected = theirs.message
+            assert mine.message is expected
         seen = {(event.op, event.status) for event in collected}
         assert {
             (OP_REQUEST, DELIVERED), (OP_REPLY, DELIVERED), (OP_SEND, DELIVERED),

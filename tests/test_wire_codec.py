@@ -27,6 +27,7 @@ from repro.gossip.sizes import total_bytes
 from repro.p3q.query import PartialResult
 from repro.service import codec as codec_module
 from repro.service.codec import MESSAGE_TABLE, BinaryWireCodec, _frame, _write_sv, split_frames
+from repro.service import trace as trace_module
 from repro.service.trace import ServiceTrace
 from repro.simulator.transport import (
     DELIVERED,
@@ -247,6 +248,25 @@ def test_round_trip_preserves_fields_and_price(message_type, tmp_path):
         decoded = through_trace(message, tmp_path / "trace")
         assert_message_equal(message, decoded)
         assert total_bytes(decoded) == total_bytes(message)
+
+    check()
+
+
+@pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
+def test_equal_messages_encode_and_price_the_same(message_type, tmp_path):
+    """What makes ``ServiceTrace`` safe to record one object per distinct
+    message: ``a == b`` implies the same off-link body and the same price."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(message=STRATEGIES[message_type], other=STRATEGIES[message_type])
+    def check(message, other):
+        codec = BinaryWireCodec()
+        copy = dataclasses.replace(message)
+        assert copy == message
+        for candidate in (copy, through_trace(message, tmp_path / "trace"), other):
+            if candidate == message:
+                assert codec.encode_message(candidate) == codec.encode_message(message)
+                assert total_bytes(candidate) == total_bytes(message)
 
     check()
 
@@ -704,3 +724,94 @@ class TestTraceFile:
         assert loaded[1].digests[0].bloom.row_bytes() == forged_row
         assert loaded[0].digests[0].bloom.row_bytes() == honest.bloom.row_bytes()
         assert loaded[1].digests[1].bloom.row_bytes() == honest.bloom.row_bytes()
+
+
+class TestTraceMergesEqualMessages:
+    """``ServiceTrace.append`` records the first equal message it holds, so
+    its message column keeps one object per distinct message."""
+
+    def _trace(self, messages):
+        trace = ServiceTrace()
+        for index, message in enumerate(messages):
+            trace.append(OP_SEND, index, index + 1, message, DELIVERED, True, None)
+        return trace
+
+    def _recorded(self, trace):
+        return [event.message for event in trace.events]
+
+    def test_two_equal_messages_become_one_object(self):
+        honest = _digest(1)
+        forged_row = bytes([honest.bloom.row_bytes()[0] ^ 0x01]) + honest.bloom.row_bytes()[1:]
+        forged = intern_digest(
+            honest.user_id, honest.version, honest.bloom.num_bits, honest.bloom.num_hashes,
+            honest.bloom.approximate_count, forged_row,
+        )
+        sent = [
+            CommonItemsRequest(subject_id=3, items=frozenset({1, 2})),
+            CommonItemsRequest(subject_id=3, items=frozenset({2, 1})),
+            CommonItemsRequest(subject_id=4, items=frozenset({1, 2})),
+            DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
+            DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
+            DigestAdvertisement(digests=(forged,), view=VIEW_PERSONAL),
+        ]
+        recorded = self._recorded(self._trace(sent))
+        assert recorded == sent
+        expected = [sent[0], sent[0], sent[2], sent[3], sent[3], sent[5]]
+        assert all(mine is theirs for mine, theirs in zip(recorded, expected))
+
+    def test_an_unhashable_or_identity_equal_message_is_recorded_as_given(self):
+        results = [QueryResult(partial=_partial(3, 2)) for _ in range(2)]
+        assert results[0] == results[1]
+        # Equal content, two profile objects: profiles compare by identity.
+        pushes = [FullProfilePush(subject_id=1, profile=_profile(4)) for _ in range(2)]
+        sent = results + pushes
+        recorded = self._recorded(self._trace(sent))
+        assert all(mine is theirs for mine, theirs in zip(recorded, sent))
+
+    def test_the_table_sheds_at_its_bound_and_every_event_replays_equal(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(trace_module, "_MAX_DISTINCT_MESSAGES", 4)
+        # Fresh objects, each of seven values three times in a row.
+        sent = [FullProfileRequest(subject_id=index // 3 % 7) for index in range(60)]
+        trace = ServiceTrace()
+        sizes = []
+        for index, message in enumerate(sent):
+            trace.append(OP_SEND, index, index + 1, message, DELIVERED, True, None)
+            sizes.append(len(trace._distinct))
+        assert max(sizes) == 4 and 0 in sizes
+        recorded = self._recorded(trace)
+        assert recorded == sent
+        assert 7 < len({id(message) for message in recorded}) < len(sent)
+        path = tmp_path / "trace"
+        trace.dump(str(path))
+        assert self._recorded(ServiceTrace.load(str(path))) == sent
+
+    def test_a_merged_dump_is_byte_identical_to_an_unmerged_one(self, monkeypatch, tmp_path):
+        honest = _digest(1)
+
+        def fresh():
+            return [
+                DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
+                CommonItemsRequest(subject_id=3, items=frozenset({1, 2})),
+                CommonItemsReply(subject_id=3, actions=_interned(2)),
+                QueryForward(query=_query(2), remaining=(1, 2), cycle=3),
+                RemainingReturn(query_id=9, remaining=(1,)),
+                QueryResult(partial=_partial(2, 1)),
+                FullProfileRequest(subject_id=3),
+            ]
+
+        sent = fresh() + fresh() + fresh()
+        merged = self._trace(sent)
+        # A bound of 0 sheds the table at every append: nothing merges.
+        monkeypatch.setattr(trace_module, "_MAX_DISTINCT_MESSAGES", 0)
+        unmerged = self._trace(sent)
+        objects = [
+            len({id(message) for message in trace._messages}) for trace in (merged, unmerged)
+        ]
+        # The three QueryResults cannot be hashed: each stays its own object.
+        assert objects == [len(fresh()) + 2, len(sent)]
+        paths = [tmp_path / "merged", tmp_path / "unmerged"]
+        merged.dump(str(paths[0]))
+        unmerged.dump(str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
