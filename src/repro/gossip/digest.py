@@ -39,11 +39,25 @@ PricedPair = Tuple[int, int, int, int, FrozenSet[int]]
 
 @dataclass(frozen=True)
 class ProfileDigest:
-    """A snapshot digest of one user's profile."""
+    """A snapshot digest of one user's profile.
+
+    Its hash is computed once, the first time it is asked for: the service
+    trace hashes every digest of every advertisement it records.  The value is the
+    dataclass hash of the three fields (the filter by identity), so equal
+    digests hash equal.
+    """
 
     user_id: int
     version: int
     bloom: BloomFilter
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.user_id, self.version, self.bloom))
+            object.__setattr__(self, "_hash", value)
+            return value
 
 
 def make_digest(

@@ -45,8 +45,8 @@ is recorded in a :class:`~repro.service.trace.ServiceTrace` (columns at
 rest, a :class:`~repro.simulator.transport.WireEvent` per event on
 access), and :func:`~repro.service.trace.check_trace` audits the run with
 the simtest invariant checkers.  What grows with a run is kept small: ~25
-bytes and a message reference per wire event (one message object per
-distinct message), 8 bytes per rpc latency sample up to 65 536, at most
+bytes and a message reference per wire event (one object per distinct
+lazy-exchange message), at most
 :data:`~repro.simulator.stats.FOLD_ROWS` unfolded traffic rows (the
 collector folds itself), and the answer alone of a finished query's merger.
 
@@ -64,11 +64,9 @@ import heapq
 import logging
 import math
 import random
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..data.queries import Query
 from ..p3q.protocol import P3QSimulation
@@ -490,40 +488,6 @@ class RpcDeadlines:
         self._queue.clear()
 
 
-#: Round-trip latencies a runtime keeps: the newest, older ones overwritten.
-RPC_LATENCY_SAMPLES = 65536
-
-
-class LatencyWindow:
-    """The newest ``capacity`` samples, iterated oldest first.
-
-    An ``array('d')`` ring: 8 B a sample, where a ``deque`` of floats paid
-    ~32 (its slot and a float object).
-    """
-
-    __slots__ = ("_samples", "_capacity", "_oldest")
-
-    def __init__(self, capacity: int) -> None:
-        self._samples = array("d")
-        self._capacity = capacity
-        self._oldest = 0
-
-    def append(self, sample: float) -> None:
-        samples = self._samples
-        if len(samples) < self._capacity:
-            samples.append(sample)
-        else:
-            samples[self._oldest] = sample
-            self._oldest = (self._oldest + 1) % self._capacity
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self) -> Iterator[float]:
-        samples, oldest = self._samples, self._oldest
-        return chain(samples[oldest:], samples[:oldest])
-
-
 # ------------------------------------------------------------- node service
 
 
@@ -855,7 +819,7 @@ class ServiceRuntime:
         self.gossip_rounds = 0
         self.eager_ticks = 0
         #: Completed round-trip latencies, seconds (bounded sliding window).
-        self.rpc_latencies = LatencyWindow(RPC_LATENCY_SAMPLES)
+        self.rpc_latencies: Deque[float] = deque(maxlen=65536)
 
     # -- shared plumbing ------------------------------------------------------
 

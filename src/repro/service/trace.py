@@ -4,7 +4,7 @@ A live service run emits the same :class:`~repro.simulator.transport.WireEvent`
 stream the simulator's transports emit, so the simtest invariant checkers
 audit a service run without knowing it was not a simulation.
 :class:`ServiceTrace` accumulates the events in memory -- as typed columns
-and one message object per distinct message, because a deployment records
+and one object per distinct lazy-exchange message, because a deployment records
 one event per wire action for as long as it is up: ``events`` is a
 read-only view that builds each ``WireEvent`` as it is iterated -- and can
 persist them as a binary trace file of length-prefixed
@@ -37,6 +37,11 @@ from ..simulator.transport import (
     OP_SEND,
     REPLY_DROPPED,
     UNREACHABLE,
+    CommonItemsReply,
+    CommonItemsRequest,
+    DigestAdvertisement,
+    FullProfilePush,
+    FullProfileRequest,
     Message,
     WireEvent,
 )
@@ -56,10 +61,19 @@ _STATUS_BITS = {status: index << 2 for index, status in enumerate(_STATUSES)}
 _ACCOUNTED = 1 << 5
 _HAS_QUERY = 1 << 6
 
+#: The messages a trace records as the first equal one it holds: the lazy
+#: exchange's, which a converged overlay keeps repeating.  A query's
+#: forwards, returns and results are recorded as given: each forward
+#: carries its own cycle, a return is a few bytes, and a ``QueryResult``
+#: cannot be hashed (its ``PartialResult`` is mutable).
+_MERGED = frozenset(
+    {DigestAdvertisement, CommonItemsRequest, CommonItemsReply, FullProfileRequest, FullProfilePush}
+)
+
 #: Bound of one trace's table of distinct messages: shed whole when passed
 #: (a later equal message then starts a new shared object; recording a
 #: message as given is always correct), so traffic that never repeats adds
-#: at most this many entries (~40 B each, 2.6 MB at the bound).
+#: at most this many entries (40 B each).
 _MAX_DISTINCT_MESSAGES = 65536
 
 
@@ -110,13 +124,13 @@ class ServiceTrace:
     112 B of a ``WireEvent`` tuple in a list); :attr:`events` is the
     view of ``WireEvent`` everything reads.
 
-    Equal messages are recorded as one object: a converged overlay keeps
+    Equal lazy-exchange messages are recorded as one object: a converged overlay keeps
     re-sending the same digests and asking the same step-2 questions, so
     the message column references the first equal message the trace saw
     (message equality is dataclass equality: same class, equal fields,
-    digest filters and profiles by identity, so merged messages price and encode
-    the same).  A message that cannot be hashed -- a ``QueryResult``,
-    whose ``PartialResult`` is mutable -- is recorded as given.
+    digest filters and profiles by identity, so merged messages price and
+    encode the same).  Only the lazy exchange's messages are merged
+    (:data:`_MERGED`); a query's are recorded as given.
     """
 
     def __init__(self) -> None:
@@ -145,7 +159,8 @@ class ServiceTrace:
         query_id: Optional[int],
     ) -> None:
         """Record one wire action (the fields of a :class:`WireEvent`); an
-        equal message already recorded stands in for ``message``."""
+        equal lazy-exchange message already recorded stands in for
+        ``message``."""
         flags = _OP_BITS[op] | _STATUS_BITS[status]
         if accounted:
             flags |= _ACCOUNTED
@@ -163,11 +178,8 @@ class ServiceTrace:
             del self._senders[recorded:], self._receivers[recorded:]
             raise
         self._flags.append(flags)
-        try:
+        if type(message) in _MERGED:
             message = self._distinct.setdefault(message, message)
-        except TypeError:
-            pass  # unhashable: recorded as given
-        else:
             if len(self._distinct) > _MAX_DISTINCT_MESSAGES:
                 self._distinct.clear()
         self._messages.append(message)

@@ -14,7 +14,6 @@ from repro.experiments.runner import converged_simulation
 from repro.service import ServiceConfig, ServiceRuntime
 from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
-from repro.service.runtime import LatencyWindow
 from repro.simulator.effects import RequestEffect
 from repro.simulator.transport import (
     DELIVERED,
@@ -341,13 +340,3 @@ class TestHandlersStepInline:
         plain, nested = asyncio.run(go())
         assert plain.status == nested.status == DELIVERED
         assert len(created) == 1  # the one handler that reached a round trip
-
-
-class TestLatencyWindow:
-    def test_it_keeps_the_newest_samples_oldest_first(self):
-        window = LatencyWindow(4)
-        assert len(window) == 0 and list(window) == []
-        for sample in range(1, 11):
-            window.append(sample / 10)
-            assert list(window) == [n / 10 for n in range(max(1, sample - 3), sample + 1)]
-        assert len(window) == 4

@@ -252,21 +252,63 @@ def test_round_trip_preserves_fields_and_price(message_type, tmp_path):
     check()
 
 
+def _twin(value):
+    """An equal copy of ``value`` that shares none of its records or
+    containers: only what compares by identity (a digest's filter, a
+    profile) is shared, as equality needs."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(
+            **{field.name: _twin(getattr(value, field.name)) for field in dataclasses.fields(value)}
+        )
+    if isinstance(value, tuple):
+        return tuple(_twin(item) for item in value)
+    if isinstance(value, frozenset):
+        return frozenset(list(value))
+    if isinstance(value, dict):
+        return {key: _twin(item) for key, item in value.items()}
+    return value
+
+
+def _received(advertisement: DigestAdvertisement) -> DigestAdvertisement:
+    """``advertisement`` with each digest resolved as the codec resolves a
+    received copy of its row (``intern_digest``)."""
+    return DigestAdvertisement(
+        digests=tuple(
+            intern_digest(
+                digest.user_id, digest.version, digest.bloom.num_bits, digest.bloom.num_hashes,
+                digest.bloom.approximate_count, bytes(bytearray(digest.bloom.row_bytes())),
+            )
+            for digest in advertisement.digests
+        ),
+        view=advertisement.view,
+    )
+
+
 @pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
-def test_equal_messages_encode_and_price_the_same(message_type, tmp_path):
+def test_equal_messages_encode_and_price_the_same(message_type):
     """What makes ``ServiceTrace`` safe to record one object per distinct
-    message: ``a == b`` implies the same off-link body and the same price."""
+    message: ``a == b`` implies the same off-link body, the same price and,
+    for a merged type, the same hash."""
 
     @settings(max_examples=25, deadline=None)
     @given(message=STRATEGIES[message_type], other=STRATEGIES[message_type])
     def check(message, other):
+        twin = _twin(message)
+        assert twin == message and twin is not message
+        pairs = [(message, twin), (message, other)]
+        if isinstance(message, DigestAdvertisement):
+            # Re-interned while the first copy is alive: the same digests.
+            first = _received(message)
+            second = _received(message)
+            assert second == first and second is not first
+            pairs.append((first, second))
         codec = BinaryWireCodec()
-        copy = dataclasses.replace(message)
-        assert copy == message
-        for candidate in (copy, through_trace(message, tmp_path / "trace"), other):
-            if candidate == message:
-                assert codec.encode_message(candidate) == codec.encode_message(message)
-                assert total_bytes(candidate) == total_bytes(message)
+        for left, right in pairs:
+            if left == right:
+                assert codec.encode_message(left) == codec.encode_message(right)
+                assert total_bytes(left) == total_bytes(right)
+                if type(left) in trace_module._MERGED:
+                    assert hash(left) == hash(right)
 
     check()
 
@@ -759,12 +801,20 @@ class TestTraceMergesEqualMessages:
         expected = [sent[0], sent[0], sent[2], sent[3], sent[3], sent[5]]
         assert all(mine is theirs for mine, theirs in zip(recorded, expected))
 
-    def test_an_unhashable_or_identity_equal_message_is_recorded_as_given(self):
-        results = [QueryResult(partial=_partial(3, 2)) for _ in range(2)]
-        assert results[0] == results[1]
-        # Equal content, two profile objects: profiles compare by identity.
-        pushes = [FullProfilePush(subject_id=1, profile=_profile(4)) for _ in range(2)]
-        sent = results + pushes
+    def test_query_messages_and_distinct_profiles_are_recorded_as_given(self):
+        query = _query(2)
+        sent = [
+            QueryForward(query=query, remaining=(1, 2), cycle=3),
+            QueryForward(query=query, remaining=(1, 2), cycle=3),
+            RemainingReturn(query_id=9, remaining=(1,)),
+            RemainingReturn(query_id=9, remaining=(1,)),
+            QueryResult(partial=_partial(3, 2)),
+            QueryResult(partial=_partial(3, 2)),
+            # Equal content, two profile objects: profiles compare by identity.
+            FullProfilePush(subject_id=1, profile=_profile(4)),
+            FullProfilePush(subject_id=1, profile=_profile(4)),
+        ]
+        assert sent[0] == sent[1] and sent[2] == sent[3] and sent[4] == sent[5]
         recorded = self._recorded(self._trace(sent))
         assert all(mine is theirs for mine, theirs in zip(recorded, sent))
 
@@ -809,8 +859,9 @@ class TestTraceMergesEqualMessages:
         objects = [
             len({id(message) for message in trace._messages}) for trace in (merged, unmerged)
         ]
-        # The three QueryResults cannot be hashed: each stays its own object.
-        assert objects == [len(fresh()) + 2, len(sent)]
+        # The four lazy-exchange messages merge; the three query messages of
+        # each copy stay their own objects.
+        assert objects == [4 + 3 * 3, len(sent)]
         paths = [tmp_path / "merged", tmp_path / "unmerged"]
         merged.dump(str(paths[0]))
         unmerged.dump(str(paths[1]))
