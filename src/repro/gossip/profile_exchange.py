@@ -8,7 +8,12 @@ exchange, now carried by explicit transport messages:
    :class:`~repro.simulator.transport.DigestAdvertisement` messages carrying
    Bloom-filter digests of (a sample of) the profiles they store.  A digest
    that describes an unchanged, already-known profile, or a user sharing no
-   item with the receiver, is dropped immediately.
+   item with the receiver, is dropped immediately.  "Already known" means
+   a stored replica, or a neighbour that step 2 already scored at this
+   digest version against the receiver's current profile version
+   (:attr:`~repro.gossip.views.NeighbourEntry.scored_version`): asking
+   again would price the same two profile versions.  A rejected
+   non-neighbour is still re-scored at an unchanged digest version.
 2. **Common items** -- for the remaining candidates, the receiver sends the
    *provider* (who stores those profiles) a
    :class:`~repro.simulator.transport.CommonItemsRequest` for the tagging
@@ -225,7 +230,11 @@ class LazyExchangeProtocol:
         Yields wire effects.  Returns the list of user ids that were added
         to / refreshed in the receiver's personal network.
         """
+        # Read together, before any round trip: a service coroutine may see
+        # the receiver's profile move while it waits, and a score is only
+        # as current as the ids it was computed from.
         own_ids = receiver.profile.action_ids
+        own_version = receiver.profile.version
 
         #: (digest, gated) in advertisement order; ``gated`` marks unknown
         #: candidates that must pass the step-1 common-item gate.
@@ -235,8 +244,13 @@ class LazyExchangeProtocol:
                 continue
             existing = receiver.personal_network.get(digest.user_id)
             if existing is not None:
-                if digest.version <= existing.digest.version and existing.profile is not None:
-                    # Known neighbour, unchanged digest, replica present: drop.
+                if digest.version <= existing.digest.version and (
+                    existing.profile is not None
+                    or existing.scored_version == own_version
+                ):
+                    # Known neighbour, unchanged digest, and either a replica
+                    # is stored or step 2 already scored it against this
+                    # profile version: drop.
                     continue
                 screened.append((digest, False))
                 continue
@@ -288,6 +302,12 @@ class LazyExchangeProtocol:
                 continue
             if receiver.personal_network.consider(digest.user_id, score, digest):
                 updated.append(digest.user_id)
+                entry = receiver.personal_network.entry(digest.user_id)
+                # The score stands for this digest version only: an older
+                # digest's score on a newer entry is asked again next time.
+                entry.scored_version = (
+                    own_version if entry.digest.version == digest.version else -1
+                )
 
         # Step 3: fetch the full profiles of freshly-qualified top-c entries.
         if self.three_step:

@@ -37,7 +37,17 @@ from .digest import ProfileDigest
 
 @dataclass(slots=True)
 class NeighbourEntry:
-    """One neighbour of the personal network."""
+    """One neighbour of the personal network.
+
+    ``scored_version`` lets the lazy exchange skip a step-2 round trip whose
+    answer it already holds: the owner's profile version the score was last
+    computed against by a step-2 round trip at the entry's *current* digest
+    version, or -1 (an entry made by :meth:`PersonalNetwork.install`, or
+    one whose score came from anything else).  Only
+    :meth:`LazyExchangeProtocol.integrate_effects
+    <repro.gossip.profile_exchange.LazyExchangeProtocol.integrate_effects>`
+    sets it, right after each step-2 :meth:`PersonalNetwork.consider`.
+    """
 
     user_id: int
     score: float
@@ -46,6 +56,8 @@ class NeighbourEntry:
     timestamp: int = 0
     #: Local replica of the neighbour's profile (only for the top-c entries).
     profile: Optional[UserProfile] = None
+    #: Owner profile version of the last step-2 score at this digest version.
+    scored_version: int = -1
 
 
 def _rank_key(entry: NeighbourEntry) -> Tuple[float, int]:

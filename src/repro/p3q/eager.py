@@ -37,7 +37,7 @@ both runtimes drive the same ``*_effects`` generators.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Protocol, Sequence, Set
+from typing import AbstractSet, Dict, List, Optional, Protocol, Sequence
 
 from ..data.queries import Query
 from ..simulator.effects import ProbeEffect, RequestEffect, SendEffect, WireEffects
@@ -235,7 +235,7 @@ class EagerParticipant(Protocol):
     def profile_for_query(self, user_id: int):
         """A profile this node can contribute to a query, or ``None``."""
 
-    def contributed_profiles(self, query_id: int) -> Set[int]:
+    def contributed_profiles(self, query_id: int) -> AbstractSet[int]:
         """Users whose profiles this node already scored for ``query_id``."""
 
     def mark_contributed(self, query_id: int, user_ids: Sequence[int]) -> None:

@@ -31,7 +31,7 @@ scoring runs on the profile's interned indexes.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..data.models import UserProfile
 from ..data.queries import Query
@@ -108,8 +108,9 @@ class P3QNode(Node):
         self._live_sessions: Dict[int, QuerySession] = {}
         #: Remaining-list responsibilities for queries issued by other nodes.
         self.forwarded: Dict[int, ForwardedQueryState] = {}
-        #: query_id -> profiles this node has already contributed to it.
-        self._contributed: Dict[int, Set[int]] = {}
+        #: query_id -> profiles this node has already contributed to it
+        #: (a tuple: one entry per query ever reached, a handful of ids).
+        self._contributed: Dict[int, Tuple[int, ...]] = {}
         #: A free rider gossips digests like everyone else but never answers
         #: common-items requests, profile requests or query forwards (set by
         #: the simulation from the seeded free-rider sample).
@@ -441,11 +442,14 @@ class P3QNode(Node):
         """A profile this node can contribute to a query, or ``None``."""
         return self._held_profile(user_id)
 
-    def contributed_profiles(self, query_id: int) -> Set[int]:
-        return self._contributed.get(query_id, set())
+    def contributed_profiles(self, query_id: int) -> FrozenSet[int]:
+        return frozenset(self._contributed.get(query_id, ()))
 
     def mark_contributed(self, query_id: int, user_ids: Sequence[int]) -> None:
-        self._contributed.setdefault(query_id, set()).update(user_ids)
+        known = self._contributed.get(query_id, ())
+        self._contributed[query_id] = known + tuple(
+            user_id for user_id in user_ids if user_id not in known
+        )
 
     # ----------------------------------------------------------------- metrics
 

@@ -61,9 +61,14 @@ class PartialResult:
     cycle: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleSnapshot:
-    """Result state displayed to the querier at the end of one eager cycle."""
+    """Result state displayed to the querier at the end of one eager cycle.
+
+    A session takes one per cycle until it closes, sharing with the
+    previous snapshot the ``(item, score)`` pairs that did not move, and
+    the whole list when none did (treat ``top_k`` as read-only).
+    """
 
     cycle: int
     top_k: List[Tuple[int, float]]
@@ -86,7 +91,14 @@ class CycleSnapshot:
 
 
 class QuerySession:
-    """Everything the querier tracks about one of her queries."""
+    """Everything the querier tracks about one of her queries.
+
+    A closed session is the query's result record and takes nothing more
+    in: it keeps its snapshots (sharing unmoved ``(item, score)`` pairs and
+    lists), the frozen merger's answer (sharing the pairs of the last
+    snapshot) and, when every expected profile and no other contributed,
+    one set as both ``expected_profiles`` and ``profiles_used``.
+    """
 
     def __init__(
         self,
@@ -177,12 +189,20 @@ class QuerySession:
             if partial.scores:
                 new_lists.append(partial.scores)
         self._pending.clear()
+        previous = self.snapshots[-1].top_k if self.snapshots else []
         top_k = self._merger.process_cycle(new_lists)
         if self.is_complete():
             # Every neighbour's profile has contributed: the querier knows the
             # processing is over and reads off the exact result (recall 1).
             # The merger keeps that answer and drops its merge state.
-            top_k = self._merger.freeze()
+            top_k = self._merger.freeze(previous)
+        # Snapshots share what has not moved since the previous one: an
+        # unchanged ``(item, score)`` pair, or the whole list.
+        if top_k == previous:
+            top_k = previous
+        else:
+            kept = {pair: pair for pair in previous}
+            top_k = [kept.get(pair, pair) for pair in top_k]
         snapshot = CycleSnapshot(
             cycle=cycle,
             top_k=top_k,
@@ -193,6 +213,10 @@ class QuerySession:
         if self.is_complete():
             self.closed = True
             self.closed_cycle = cycle
+            if self.profiles_used == self.expected_profiles:
+                # Nothing folds into a closed session any more: one set
+                # serves both readers.
+                self.profiles_used = self.expected_profiles
         return snapshot
 
     # -- results --------------------------------------------------------------
@@ -228,7 +252,7 @@ class QuerySession:
         return self.closed_cycle - self.issued_cycle
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardedQueryState:
     """State a non-querier node keeps for a query it was reached by."""
 

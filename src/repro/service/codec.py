@@ -697,3 +697,29 @@ class BinaryWireCodec:
         if offset != len(body):
             raise ValueError("trailing bytes after message")
         return decoded
+
+
+def message_body(frame: bytes) -> bytes:
+    """The message body inside one runtime frame, without its header.
+
+    ``frame`` is what :meth:`BinaryWireCodec.encode_request`,
+    :meth:`~BinaryWireCodec.encode_send` or
+    :meth:`~BinaryWireCodec.encode_reply` returned, a reply with a message.
+    For a message that carries no digest the body is the one
+    :meth:`~BinaryWireCodec.encode_message` writes off-link, so a recorder
+    can keep it instead of encoding the message again.
+    """
+    op = frame[_LEN.size]
+    offset = _LEN.size + 1
+    if op != _OP_SEND:
+        _, offset = _read_uv(frame, offset)
+    if op == _OP_REP:
+        # The status byte and the has-message byte.
+        return frame[offset + 2 :]
+    _, offset = _read_sv(frame, offset)
+    _, offset = _read_sv(frame, offset)
+    flags = frame[offset]
+    offset += 1
+    if flags & 2:
+        _, offset = _read_sv(frame, offset)
+    return frame[offset:]

@@ -596,7 +596,9 @@ class NodeService:
             # drop (accounted), not unreachability (which is never charged).
             self.codec.abort_sent(receiver)
             self._rpc_futures.pop(rpc_id, None)
-            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
+            runtime.observe(
+                OP_REQUEST, sender, receiver, message, DROPPED, True, query_id, frame
+            )
             return Dispatch(DROPPED, None)
         self.codec.commit_sent(receiver)
         runtime.rpc_deadlines.watch(future, started)
@@ -609,10 +611,14 @@ class NodeService:
             # The sender-side timeout of a real gossip: indistinguishable
             # from a lost request, so the protocol sees DROPPED (it must
             # not assume the other side processed anything).
-            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
+            runtime.observe(
+                OP_REQUEST, sender, receiver, message, DROPPED, True, query_id, frame
+            )
             return Dispatch(DROPPED, None)
         runtime.record_rpc_latency(loop.time() - started)
-        runtime.observe(OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id)
+        runtime.observe(
+            OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id, frame
+        )
         return Dispatch(DELIVERED, reply)
 
     def send(
@@ -629,12 +635,13 @@ class NodeService:
             return UNREACHABLE
         runtime.account(sender, receiver, message, query_id)
         envelope = Envelope(sender, receiver, message, query_id, False)
-        if not runtime.batcher.send(receiver, self.codec.encode_send(envelope)):
+        frame = self.codec.encode_send(envelope)
+        if not runtime.batcher.send(receiver, frame):
             self.codec.abort_sent(receiver)
-            runtime.observe(OP_SEND, sender, receiver, message, DROPPED, True, query_id)
+            runtime.observe(OP_SEND, sender, receiver, message, DROPPED, True, query_id, frame)
             return DROPPED
         self.codec.commit_sent(receiver)
-        runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, True, query_id)
+        runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, True, query_id, frame)
         return DELIVERED
 
     # -- inbound --------------------------------------------------------------
@@ -710,6 +717,7 @@ class NodeService:
             return
         runtime = self.runtime
         envelope: Envelope = decoded["envelope"]
+        frame = self.codec.encode_reply(decoded["rpc"], DELIVERED, reply)
         if reply is not None:
             # Reply legs are accounted and observed at the replier, the side
             # that actually spends the uplink bytes; the requester's timeout
@@ -717,11 +725,9 @@ class NodeService:
             runtime.account(self.node_id, envelope.sender, reply, envelope.query_id)
             runtime.observe(
                 OP_REPLY, self.node_id, envelope.sender, reply, DELIVERED, True,
-                envelope.query_id,
+                envelope.query_id, frame,
             )
-        runtime.batcher.send_now(
-            envelope.sender, self.codec.encode_reply(decoded["rpc"], DELIVERED, reply)
-        )
+        runtime.batcher.send_now(envelope.sender, frame)
 
     # -- rounds (wheel-fired) -------------------------------------------------
 
@@ -847,8 +853,11 @@ class ServiceRuntime:
         status: str,
         accounted: bool,
         query_id: Optional[int],
+        frame: Optional[bytes] = None,
     ) -> None:
-        self.trace.append(op, sender, receiver, message, status, accounted, query_id)
+        """Record one wire action; ``frame`` is the runtime frame that
+        carried ``message``, when one was encoded."""
+        self.trace.append(op, sender, receiver, message, status, accounted, query_id, frame)
 
     def record_rpc_latency(self, seconds: float) -> None:
         self.rpc_latencies.append(seconds)

@@ -3,8 +3,9 @@
 A live service run emits the same :class:`~repro.simulator.transport.WireEvent`
 stream the simulator's transports emit, so the simtest invariant checkers
 audit a service run without knowing it was not a simulation.
-:class:`ServiceTrace` accumulates the events in memory -- as typed columns
-and one object per distinct lazy-exchange message, because a deployment records
+:class:`ServiceTrace` accumulates the events in memory -- as typed columns,
+one object per distinct lazy-exchange message and the packed wire bodies of
+the rest, because a deployment records
 one event per wire action for as long as it is up: ``events`` is a
 read-only view that builds each ``WireEvent`` as it is iterated -- and can
 persist them as a binary trace file of length-prefixed
@@ -17,7 +18,7 @@ conservation, view bounds, replica freshness and the query lifecycle rules.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..simtest.invariants import (
     ByteConservationChecker,
@@ -45,7 +46,15 @@ from ..simulator.transport import (
     Message,
     WireEvent,
 )
-from .codec import BinaryWireCodec, _frame, _read_byte, _read_sv, _write_sv, split_frames
+from .codec import (
+    BinaryWireCodec,
+    _frame,
+    _read_byte,
+    _read_sv,
+    _write_sv,
+    message_body,
+    split_frames,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..p3q.protocol import P3QSimulation
@@ -62,10 +71,11 @@ _ACCOUNTED = 1 << 5
 _HAS_QUERY = 1 << 6
 
 #: The messages a trace records as the first equal one it holds: the lazy
-#: exchange's, which a converged overlay keeps repeating.  A query's
-#: forwards, returns and results are recorded as given: each forward
-#: carries its own cycle, a return is a few bytes, and a ``QueryResult``
-#: cannot be hashed (its ``PartialResult`` is mutable).
+#: exchange's, which a converged overlay keeps repeating.  Every other
+#: message -- a query's forwards, returns and results, which rarely repeat
+#: (each forward carries its own cycle, and a ``QueryResult`` cannot be
+#: hashed: its ``PartialResult`` is mutable) -- is kept as its off-link
+#: :class:`BinaryWireCodec` body, a fraction of the objects it decodes to.
 _MERGED = frozenset(
     {DigestAdvertisement, CommonItemsRequest, CommonItemsReply, FullProfileRequest, FullProfilePush}
 )
@@ -93,7 +103,8 @@ class _EventsView:
     """Read-only, sized iterable of ``WireEvent`` over a trace's columns.
 
     Every iteration builds its :class:`WireEvent` objects afresh (nothing is
-    cached), so holding the view costs nothing per event.
+    cached), so holding the view costs nothing per event; a message kept
+    as a body is decoded into a new, equal message each time.
     """
 
     __slots__ = ("_trace",)
@@ -106,12 +117,17 @@ class _EventsView:
 
     def __iter__(self) -> Iterator[WireEvent]:
         trace = self._trace
+        decode = BinaryWireCodec().decode_message
+        messages = (
+            decode(message) if type(message) is bytes else message
+            for message in trace._recorded()
+        )
         return map(
             _event,
             trace._flags,
             trace._senders,
             trace._receivers,
-            trace._messages,
+            messages,
             trace._query_ids,
         )
 
@@ -130,7 +146,10 @@ class ServiceTrace:
     (message equality is dataclass equality: same class, equal fields,
     digest filters and profiles by identity, so merged messages price and
     encode the same).  Only the lazy exchange's messages are merged
-    (:data:`_MERGED`); a query's are recorded as given.
+    (:data:`_MERGED`); any other is kept as its off-link wire body, the
+    bytes :meth:`dump` writes, packed back to back in one buffer (~20 B
+    for a query's forward, return or result, plus an 8-byte end offset),
+    and decoded when :attr:`events` is read.
     """
 
     def __init__(self) -> None:
@@ -138,10 +157,17 @@ class ServiceTrace:
         self._senders = array("i")
         self._receivers = array("i")
         self._query_ids = array("q")
-        self._messages: List[Message] = []
+        #: A merged message object, or ``None`` for a message kept as the
+        #: next body of ``_bodies``.
+        self._messages: List[Optional[Message]] = []
+        #: Off-link bodies back to back, and where each one ends.
+        self._bodies = bytearray()
+        self._body_ends = array("q")
         #: message -> the first equal message recorded (shed at
         #: :data:`_MAX_DISTINCT_MESSAGES`).
         self._distinct: Dict[Message, Message] = {}
+        #: Encodes the bodies no wire frame came with (stateless off-link).
+        self._codec = BinaryWireCodec()
 
     @property
     def events(self) -> _EventsView:
@@ -157,10 +183,24 @@ class ServiceTrace:
         status: str,
         accounted: bool,
         query_id: Optional[int],
+        frame: Optional[bytes] = None,
     ) -> None:
         """Record one wire action (the fields of a :class:`WireEvent`); an
         equal lazy-exchange message already recorded stands in for
-        ``message``."""
+        ``message``.
+
+        Any other message is kept as its off-link body: the tail of
+        ``frame``, the runtime frame that carried it, when given (such a
+        message carries no digest, so its body on a link is its body off
+        one), else encoded here.  An unregistered message type raises
+        ``TypeError`` here, before anything is recorded.
+        """
+        merged = type(message) in _MERGED
+        if not merged:
+            message = (
+                message_body(frame) if frame is not None
+                else self._codec.encode_message(message)
+            )
         flags = _OP_BITS[op] | _STATUS_BITS[status]
         if accounted:
             flags |= _ACCOUNTED
@@ -178,11 +218,27 @@ class ServiceTrace:
             del self._senders[recorded:], self._receivers[recorded:]
             raise
         self._flags.append(flags)
-        if type(message) in _MERGED:
+        if merged:
             message = self._distinct.setdefault(message, message)
             if len(self._distinct) > _MAX_DISTINCT_MESSAGES:
                 self._distinct.clear()
+        else:
+            self._bodies += message
+            self._body_ends.append(len(self._bodies))
+            message = None
         self._messages.append(message)
+
+    def _recorded(self) -> Iterator[Union[Message, bytes]]:
+        """Each event's message, in order: the merged object, or its body."""
+        bodies, ends = self._bodies, iter(self._body_ends)
+        start = 0
+        for message in self._messages:
+            if message is None:
+                end = next(ends)
+                yield bytes(bodies[start:end])
+                start = end
+            else:
+                yield message
 
     def __len__(self) -> int:
         return len(self._flags)
@@ -201,14 +257,14 @@ class ServiceTrace:
         codec = BinaryWireCodec()
         with open(path, "wb") as handle:
             for flags, sender, receiver, query_id, message in zip(
-                self._flags, self._senders, self._receivers, self._query_ids, self._messages
+                self._flags, self._senders, self._receivers, self._query_ids, self._recorded()
             ):
                 body = bytearray((flags,))
                 _write_sv(body, sender)
                 _write_sv(body, receiver)
                 if flags & _HAS_QUERY:
                     _write_sv(body, query_id)
-                body += codec.encode_message(message)
+                body += message if type(message) is bytes else codec.encode_message(message)
                 handle.write(_frame(body))
         return len(self)
 

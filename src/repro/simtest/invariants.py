@@ -336,8 +336,9 @@ class QueryLifecycleChecker(InvariantChecker):
         super().__init__()
         #: (query_id, node) pairs that handed their remaining list off.
         self._handed_off: Set[Tuple[int, int]] = set()
-        #: (query_id, sender) -> union of contributors shipped so far.
-        self._contributed: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
+        #: (query_id, sender) -> contributors shipped so far (a tuple: one
+        #: entry per partial result a run ships, most of them one or two ids).
+        self._contributed: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def on_wire_event(self, event: WireEvent) -> None:
         message = event.message
@@ -370,13 +371,14 @@ class QueryLifecycleChecker(InvariantChecker):
     def _on_result_emitted(self, event: WireEvent) -> None:
         partial = event.message.partial
         key = (partial.query_id, event.sender)
-        overlap = self._contributed[key] & set(partial.contributors)
+        shipped = self._contributed.get(key, ())
+        overlap = set(shipped).intersection(partial.contributors)
         if overlap:
             self.fail(
                 f"node {event.sender} contributed profiles {sorted(overlap)} twice "
                 f"to query {partial.query_id}"
             )
-        self._contributed[key].update(partial.contributors)
+        self._contributed[key] = shipped + tuple(partial.contributors)
 
 
 @register

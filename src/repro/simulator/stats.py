@@ -10,7 +10,7 @@ experiment harness turns into the paper's series.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Well-known traffic kinds (free-form strings are allowed too).
 KIND_RANDOM_VIEW = "random_view_digests"
@@ -36,7 +36,7 @@ class StatsCollector:
 
     The row buffer is bounded in every runtime: once it holds
     :data:`FOLD_ROWS` rows, :meth:`record` folds them into the aggregates --
-    and into the per-(query, kind) receiver sets that back
+    and into the per-(query, kind) receiver tuples that back
     :meth:`query_receivers` -- and drops them.  Every view is exact
     regardless of when folds happen.
     """
@@ -47,8 +47,10 @@ class StatsCollector:
         #: Number of leading rows already folded into the aggregates.
         self._aggregated = 0
         #: ``(query_id, kind) -> receivers``, the fold behind
-        #: :meth:`query_receivers`.
-        self._receivers: Dict[tuple, set] = defaultdict(set)
+        #: :meth:`query_receivers`: a tuple of distinct ids (one per query
+        #: and kind, kept for good; most hold one to a few ids, where a
+        #: ``set`` takes 216-728 B).
+        self._receivers: Dict[tuple, Tuple[int, ...]] = {}
         self._bytes_by_kind: Dict[str, int] = defaultdict(int)
         self._bytes_by_cycle: Dict[int, int] = defaultdict(int)
         self._bytes_by_query: Dict[int, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
@@ -82,6 +84,7 @@ class StatsCollector:
         bytes_by_kind = self._bytes_by_kind
         bytes_by_cycle = self._bytes_by_cycle
         messages_by_kind = self._messages_by_kind
+        receivers = self._receivers
         for cycle, _sender, receiver, kind, size_bytes, query_id in rows[start:]:
             bytes_by_kind[kind] += size_bytes
             bytes_by_cycle[cycle] += size_bytes
@@ -89,7 +92,9 @@ class StatsCollector:
             if query_id is not None:
                 self._bytes_by_query[query_id][kind] += size_bytes
                 self._messages_by_query[query_id][kind] += 1
-                self._receivers[query_id, kind].add(receiver)
+                seen = receivers.get((query_id, kind), ())
+                if receiver not in seen:
+                    receivers[query_id, kind] = seen + (receiver,)
         self._aggregated = len(rows)
 
     # -- flushing -------------------------------------------------------------

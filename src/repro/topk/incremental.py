@@ -184,17 +184,20 @@ class IncrementalNRA:
             pending = [list_id for list_id, state in self._lists.items() if not state.exhausted]
         return self.current_top_k()
 
-    def freeze(self) -> List[Tuple[int, float]]:
+    def freeze(self, shared: Sequence[Tuple[int, float]] = ()) -> List[Tuple[int, float]]:
         """:meth:`finalize`, then keep only the answer.
 
         A finished merger *is* its exact top-k: the candidate heap and the
         ranked lists are dropped (~9 KB per answered query that nothing
         reads again), every result accessor keeps answering what it
         answered at this point, and feeding it again raises.
-        :attr:`sequential_accesses` stays at its final value.
+        :attr:`sequential_accesses` stays at its final value.  A pair of
+        the answer equal to one in ``shared`` (what the caller already
+        holds, e.g. its previous top-k) is kept as that object.
         """
         if self._answer is None:
-            self._answer = self.finalize()
+            held = {pair: pair for pair in shared}
+            self._answer = [held.get(pair, pair) for pair in self.finalize()]
             self._lists = None
             self._heap = None
         return list(self._answer)

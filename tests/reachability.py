@@ -78,10 +78,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
         SAFETY, "tests/test_service_rpc.py::TestTimedOutRequestForgetsItsLink::"
         "test_next_encode_after_a_lost_seeding_frame_carries_full_rows",
     ),
-    "service/codec.py:BinaryWireCodec.decode_message": (
-        SAFETY, "tests/test_wire_codec.py::TestBinaryMalformedFrames::"
-        "test_trailing_bytes_rejected",
-    ),
     "p3q/node.py:P3QNode._restore_issue_order": (
         SAFETY, "tests/test_memory_model.py::TestFinishedSessionsRetire::"
         "test_retired_session_revives_in_issue_order",

@@ -131,6 +131,50 @@ class TestQuerySession:
         assert snapshot.items == [10, 20]  # 10 -> 4, 20 -> 3, 30 -> 1
         assert session.is_complete()
 
+    def test_a_closed_session_keeps_one_set_and_answers_as_before(self):
+        session = QuerySession(_query(), k=2, personal_network_ids=[1, 2])
+        session.add_local_result({10: 1.0}, contributors=[0])
+        session.close_cycle(0)
+        assert session.profiles_used is not session.expected_profiles
+        session.receive_partial(_partial(1, {10: 2.0}, [1]))
+        session.receive_partial(_partial(2, {20: 1.0}, [2]))
+        session.close_cycle(1)
+        assert session.closed and session.is_complete()
+        assert session.profiles_used is session.expected_profiles == {0, 1, 2}
+        assert session.coverage == 1.0 == session.snapshots[-1].coverage
+        # What the simtest readers ask of a closed session.
+        assert sorted(session.expected_profiles) == [0, 1, 2]
+        assert session.profiles_used - session.expected_profiles == set()
+
+    def test_a_stray_contributor_keeps_two_sets(self):
+        session = QuerySession(_query(), k=2, personal_network_ids=[1])
+        session.add_local_result({10: 1.0}, contributors=[0])
+        session.receive_partial(_partial(7, {20: 2.0}, [7]))
+        session.receive_partial(_partial(1, {20: 1.0}, [1]))
+        session.close_cycle(0)
+        assert session.closed
+        assert session.profiles_used == {0, 1, 7} and session.expected_profiles == {0, 1}
+        assert session.profiles_used - session.expected_profiles == {7}
+
+    def test_snapshots_share_what_did_not_move(self):
+        session = QuerySession(_query(), k=2, personal_network_ids=[1, 2, 3])
+        session.add_local_result({10: 3.0, 20: 1.0}, contributors=[0])
+        first = session.close_cycle(0)
+        second = session.close_cycle(1)
+        assert second.top_k is first.top_k
+        session.receive_partial(_partial(1, {30: 2.0}, [1]))
+        third = session.close_cycle(2)
+        assert third.top_k == [(10, 3.0), (30, 2.0)]
+        assert third.top_k[0] is first.top_k[0]
+        session.receive_partial(_partial(2, {}, [2]))
+        session.receive_partial(_partial(3, {}, [3]))
+        closing = session.close_cycle(3)
+        assert session.closed and closing.top_k == third.top_k
+        # The frozen answer holds the same pairs as the closing snapshot.
+        answer = session._merger.current_top_k()
+        assert answer == closing.top_k
+        assert all(mine is theirs for mine, theirs in zip(answer, closing.top_k))
+
     def test_snapshot_coverage_property(self):
         snapshot = CycleSnapshot(cycle=1, top_k=[(1, 1.0)], profiles_used=2, profiles_total=4)
         assert snapshot.coverage == 0.5

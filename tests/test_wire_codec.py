@@ -26,7 +26,14 @@ from repro.gossip.digest import ProfileDigest, intern_digest, make_digest
 from repro.gossip.sizes import total_bytes
 from repro.p3q.query import PartialResult
 from repro.service import codec as codec_module
-from repro.service.codec import MESSAGE_TABLE, BinaryWireCodec, _frame, _write_sv, split_frames
+from repro.service.codec import (
+    MESSAGE_TABLE,
+    BinaryWireCodec,
+    _frame,
+    _write_sv,
+    message_body,
+    split_frames,
+)
 from repro.service import trace as trace_module
 from repro.service.trace import ServiceTrace
 from repro.simulator.transport import (
@@ -214,14 +221,15 @@ class TestCatalogueCoverage:
         for _, kind in fields:
             assert callable(kind.write) and callable(kind.read)
 
-    def test_unregistered_message_type_fails_loudly(self, tmp_path):
+    def test_unregistered_message_type_fails_loudly(self):
         class Bogus(Message):
             __slots__ = ()
 
         trace = ServiceTrace()
-        trace.append(OP_SEND, 1, 2, Bogus(), DELIVERED, True, None)
+        # Not a lazy-exchange type, so the trace encodes it as it records it.
         with pytest.raises(TypeError, match="Bogus"):
-            trace.dump(str(tmp_path / "trace"))
+            trace.append(OP_SEND, 1, 2, Bogus(), DELIVERED, True, None)
+        assert len(trace) == 0 and list(trace.events) == []
 
     def test_unknown_tag_fails_loudly(self, tmp_path):
         # flags (send, delivered), sender 0, receiver 0, message tag 0xEE.
@@ -801,22 +809,55 @@ class TestTraceMergesEqualMessages:
         expected = [sent[0], sent[0], sent[2], sent[3], sent[3], sent[5]]
         assert all(mine is theirs for mine, theirs in zip(recorded, expected))
 
-    def test_query_messages_and_distinct_profiles_are_recorded_as_given(self):
+    def test_query_messages_are_kept_as_bodies_and_distinct_profiles_as_given(self):
         query = _query(2)
-        sent = [
+        queries = [
             QueryForward(query=query, remaining=(1, 2), cycle=3),
             QueryForward(query=query, remaining=(1, 2), cycle=3),
             RemainingReturn(query_id=9, remaining=(1,)),
             RemainingReturn(query_id=9, remaining=(1,)),
             QueryResult(partial=_partial(3, 2)),
             QueryResult(partial=_partial(3, 2)),
-            # Equal content, two profile objects: profiles compare by identity.
+        ]
+        # Equal content, two profile objects: profiles compare by identity.
+        pushes = [
             FullProfilePush(subject_id=1, profile=_profile(4)),
             FullProfilePush(subject_id=1, profile=_profile(4)),
         ]
+        sent = queries + pushes
         assert sent[0] == sent[1] and sent[2] == sent[3] and sent[4] == sent[5]
-        recorded = self._recorded(self._trace(sent))
-        assert all(mine is theirs for mine, theirs in zip(recorded, sent))
+        trace = self._trace(sent)
+        codec = BinaryWireCodec()
+        assert trace._messages[: len(queries)] == [None] * len(queries)
+        assert bytes(trace._bodies) == b"".join(map(codec.encode_message, queries))
+        recorded = self._recorded(trace)
+        assert recorded[: len(queries)] == queries
+        assert not any(mine is theirs for mine, theirs in zip(recorded, queries))
+        assert all(mine is theirs for mine, theirs in zip(recorded[len(queries):], pushes))
+        # Each reading decodes afresh: nothing is cached on the trace.
+        again = self._recorded(trace)
+        assert again[: len(queries)] == queries
+        assert not any(mine is theirs for mine, theirs in zip(again, recorded[: len(queries)]))
+
+    def test_a_body_from_a_runtime_frame_is_the_off_link_body(self):
+        codec = BinaryWireCodec()
+        forward = QueryForward(query=_query(2), remaining=(1, 2, 300), cycle=3)
+        back = RemainingReturn(query_id=9, remaining=(1,))
+        result = QueryResult(partial=_partial(3, 2))
+        frames = [
+            (forward, codec.encode_request(Envelope(4, 5, forward, 2, True), 77)),
+            (forward, codec.encode_request(Envelope(-4, 1 << 20, forward, None, True), 0)),
+            (result, codec.encode_send(Envelope(4, 5, result, 3, False))),
+            (result, codec.encode_send(Envelope(4, 5, result, None, False))),
+            (back, codec.encode_reply(1 << 30, DELIVERED, back)),
+        ]
+        for message, frame in frames:
+            assert message_body(frame) == codec.encode_message(message)
+            trace = ServiceTrace()
+            trace.append(OP_SEND, 4, 5, message, DELIVERED, True, None, frame)
+            assert trace._messages == [None]
+            assert bytes(trace._bodies) == codec.encode_message(message)
+            assert [event.message for event in trace.events] == [message]
 
     def test_the_table_sheds_at_its_bound_and_every_event_replays_equal(
         self, monkeypatch, tmp_path
@@ -857,11 +898,13 @@ class TestTraceMergesEqualMessages:
         monkeypatch.setattr(trace_module, "_MAX_DISTINCT_MESSAGES", 0)
         unmerged = self._trace(sent)
         objects = [
-            len({id(message) for message in trace._messages}) for trace in (merged, unmerged)
+            len({id(message) for message in trace._messages if message is not None})
+            for trace in (merged, unmerged)
         ]
         # The four lazy-exchange messages merge; the three query messages of
-        # each copy stay their own objects.
-        assert objects == [4 + 3 * 3, len(sent)]
+        # each copy are kept as bodies, not objects.
+        assert objects == [4, 4 * 3]
+        assert merged._bodies == unmerged._bodies and len(merged._body_ends) == 3 * 3
         paths = [tmp_path / "merged", tmp_path / "unmerged"]
         merged.dump(str(paths[0]))
         unmerged.dump(str(paths[1]))

@@ -236,6 +236,33 @@ def test_trace_dump_is_byte_identical_to_the_golden(tmp_path):
     assert build_trace(tmp_path).hex() == _golden()["trace_hex"]
 
 
+def test_bodies_cut_from_runtime_frames_dump_the_golden(tmp_path):
+    """A trace fed the frames the runtime sends keeps a query's messages as
+    the bodies cut from them, and still dumps the golden file."""
+    codec = BinaryWireCodec()
+    trace = ServiceTrace()
+    for index, event in enumerate(golden_events()):
+        envelope = Envelope(
+            event.sender, event.receiver, event.message, event.query_id,
+            event.op == OP_REQUEST,
+        )
+        if event.op == OP_REQUEST:
+            frame = codec.encode_request(envelope, index)
+        elif event.op == OP_REPLY:
+            frame = codec.encode_reply(index, DELIVERED, event.message)
+        else:
+            frame = codec.encode_send(envelope)
+        trace.append(*event, frame)
+    queries = [
+        event for event in golden_events()
+        if type(event.message) in (QueryForward, RemainingReturn, QueryResult)
+    ]
+    assert queries and len(trace._body_ends) == len(queries)
+    path = tmp_path / "trace"
+    trace.dump(str(path))
+    assert path.read_bytes().hex() == _golden()["trace_hex"]
+
+
 def test_golden_trace_loads_to_the_events_that_made_it(tmp_path):
     path = tmp_path / "golden_trace"
     path.write_bytes(bytes.fromhex(_golden()["trace_hex"]))
