@@ -809,7 +809,7 @@ class TestTraceMergesEqualMessages:
         expected = [sent[0], sent[0], sent[2], sent[3], sent[3], sent[5]]
         assert all(mine is theirs for mine, theirs in zip(recorded, expected))
 
-    def test_query_messages_are_kept_as_bodies_and_distinct_profiles_as_given(self):
+    def test_query_messages_and_distinct_profiles_are_recorded_as_given(self):
         query = _query(2)
         queries = [
             QueryForward(query=query, remaining=(1, 2), cycle=3),
