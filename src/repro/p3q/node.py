@@ -109,7 +109,8 @@ class P3QNode(Node):
         #: Remaining-list responsibilities for queries issued by other nodes.
         self.forwarded: Dict[int, ForwardedQueryState] = {}
         #: query_id -> profiles this node has already contributed to it
-        #: (a tuple: one entry per query ever reached, a handful of ids).
+        #: (a tuple: one entry per query ever reached, a handful of ids;
+        #: ``process_at_destination`` only marks ids not yet contributed).
         self._contributed: Dict[int, Tuple[int, ...]] = {}
         #: A free rider gossips digests like everyone else but never answers
         #: common-items requests, profile requests or query forwards (set by
@@ -446,10 +447,7 @@ class P3QNode(Node):
         return frozenset(self._contributed.get(query_id, ()))
 
     def mark_contributed(self, query_id: int, user_ids: Sequence[int]) -> None:
-        known = self._contributed.get(query_id, ())
-        self._contributed[query_id] = known + tuple(
-            user_id for user_id in user_ids if user_id not in known
-        )
+        self._contributed[query_id] = self._contributed.get(query_id, ()) + tuple(user_ids)
 
     # ----------------------------------------------------------------- metrics
 

@@ -445,6 +445,12 @@ MESSAGE_TABLE: Dict[Type[Message], Tuple[int, Fields]] = {
 #: kind that walks them, looked up by type (encode) and by tag (decode).
 _BY_TYPE = {cls: (tag, _record(cls, fields)) for cls, (tag, fields) in MESSAGE_TABLE.items()}
 _BY_TAG = {tag: kind for tag, kind in _BY_TYPE.values()}
+#: The message types whose body depends on the link: a digest goes as a full
+#: row or, once its receiver holds it, as a reference.
+DIGEST_CARRIERS = frozenset(
+    cls for cls, (_, fields) in MESSAGE_TABLE.items()
+    if any(kind is _DIGESTS for _, kind in fields)
+)
 
 
 def _row_of(message: Message) -> Tuple[int, _Kind]:
@@ -666,27 +672,11 @@ class BinaryWireCodec:
         (``None`` for a payload-less reply); requests and sends carry a
         ready ``envelope``.
         """
-        op, offset = _read_byte(body, 0, "frame: empty frame body")
-        if op not in _OP_NAMES:
-            raise ValueError(f"unknown binary frame op {op!r}")
-        decoded: Dict[str, Any] = {"op": _OP_NAMES[op], "rpc": None, "m": None}
-        if op != _OP_SEND:
-            decoded["rpc"], offset = _read_uv(body, offset)
-        if op == _OP_REP:
-            status_index, offset = _read_byte(body, offset, "reply header")
-            has_message, offset = _read_byte(body, offset, "reply header")
-            if status_index >= len(_STATUS_TABLE):
-                raise ValueError(f"unknown delivery status index {status_index}")
-            if has_message:
-                decoded["m"], offset = self._decode_message_at(body, offset)
-        else:
-            sender, offset = _read_sv(body, offset)
-            receiver, offset = _read_sv(body, offset)
-            flags, offset = _read_byte(body, offset, "frame: missing flags")
-            query_id = None
-            if flags & 2:
-                query_id, offset = _read_sv(body, offset)
+        op, rpc, has_message, sender, receiver, query_id, offset = _read_header(body, 0)
+        decoded: Dict[str, Any] = {"op": _OP_NAMES[op], "rpc": rpc, "m": None}
+        if has_message:
             decoded["m"], offset = self._decode_message_at(body, offset)
+        if op != _OP_REP:
             decoded["envelope"] = Envelope(
                 sender=sender,
                 receiver=receiver,
@@ -699,27 +689,45 @@ class BinaryWireCodec:
         return decoded
 
 
+def _read_header(body: bytes, offset: int) -> Tuple[
+    int, Optional[int], int, Optional[int], Optional[int], Optional[int], int
+]:
+    """A runtime frame body's header, read from ``offset``: ``(op, rpc,
+    has_message, sender, receiver, query_id, offset of the message)``.
+
+    ``rpc`` is ``None`` for a send; a reply carries no address (``None``
+    sender, receiver and query id) and may carry no message.
+    """
+    op, offset = _read_byte(body, offset, "frame: empty frame body")
+    if op not in _OP_NAMES:
+        raise ValueError(f"unknown binary frame op {op!r}")
+    rpc = sender = receiver = query_id = None
+    has_message = 1
+    if op != _OP_SEND:
+        rpc, offset = _read_uv(body, offset)
+    if op == _OP_REP:
+        status_index, offset = _read_byte(body, offset, "reply header")
+        has_message, offset = _read_byte(body, offset, "reply header")
+        if status_index >= len(_STATUS_TABLE):
+            raise ValueError(f"unknown delivery status index {status_index}")
+    else:
+        sender, offset = _read_sv(body, offset)
+        receiver, offset = _read_sv(body, offset)
+        flags, offset = _read_byte(body, offset, "frame: missing flags")
+        if flags & 2:
+            query_id, offset = _read_sv(body, offset)
+    return op, rpc, has_message, sender, receiver, query_id, offset
+
+
 def message_body(frame: bytes) -> bytes:
     """The message body inside one runtime frame, without its header.
 
     ``frame`` is what :meth:`BinaryWireCodec.encode_request`,
     :meth:`~BinaryWireCodec.encode_send` or
     :meth:`~BinaryWireCodec.encode_reply` returned, a reply with a message.
-    For a message that carries no digest the body is the one
-    :meth:`~BinaryWireCodec.encode_message` writes off-link, so a recorder
-    can keep it instead of encoding the message again.
+    For a message of none of the :data:`DIGEST_CARRIERS` types the body is
+    the one :meth:`~BinaryWireCodec.encode_message` writes off-link, so a
+    recorder can keep it instead of encoding the message again.
     """
-    op = frame[_LEN.size]
-    offset = _LEN.size + 1
-    if op != _OP_SEND:
-        _, offset = _read_uv(frame, offset)
-    if op == _OP_REP:
-        # The status byte and the has-message byte.
-        return frame[offset + 2 :]
-    _, offset = _read_sv(frame, offset)
-    _, offset = _read_sv(frame, offset)
-    flags = frame[offset]
-    offset += 1
-    if flags & 2:
-        _, offset = _read_sv(frame, offset)
+    offset = _read_header(frame, _LEN.size)[-1]
     return frame[offset:]

@@ -47,6 +47,7 @@ from ..simulator.transport import (
     WireEvent,
 )
 from .codec import (
+    DIGEST_CARRIERS,
     BinaryWireCodec,
     _frame,
     _read_byte,
@@ -190,17 +191,19 @@ class ServiceTrace:
         ``message``.
 
         Any other message is kept as its off-link body: the tail of
-        ``frame``, the runtime frame that carried it, when given (such a
-        message carries no digest, so its body on a link is its body off
-        one), else encoded here.  An unregistered message type raises
-        ``TypeError`` here, before anything is recorded.
+        ``frame``, the runtime frame that carried it, when given, else
+        encoded here.  An unregistered message type raises ``TypeError``
+        here, before anything is recorded.
         """
         merged = type(message) in _MERGED
         if not merged:
-            message = (
-                message_body(frame) if frame is not None
-                else self._codec.encode_message(message)
-            )
+            if frame is None:
+                message = self._codec.encode_message(message)
+            else:
+                # A body cut from a frame is the off-link body only where
+                # no digest went as a per-link reference.
+                assert type(message) not in DIGEST_CARRIERS, type(message).__name__
+                message = message_body(frame)
         flags = _OP_BITS[op] | _STATUS_BITS[status]
         if accounted:
             flags |= _ACCOUNTED

@@ -632,10 +632,10 @@ class TestWhatAServiceRunKeeps:
                 for obj in _reachable(roots)
                 if id(obj) not in issued and obj is not roots
             )
-        # 3.4-3.6 kB a closed query over three runs; 8.6-8.9 kB before
-        # snapshots shared their unmoved pairs, a closed session its id
-        # sets and a node its contributed ids as a tuple.
-        assert kept / len(sessions) <= 4_600
+        # 3 237 B a closed query, the same in each of three runs; 4 861 B
+        # before snapshots shared their unmoved pairs, a closed session its
+        # id sets and a node its contributed ids as a tuple.
+        assert kept / len(sessions) <= 4_400
 
     def test_the_merged_trace_passes_the_audit(self, demo_run):
         simulation, runtime = demo_run

@@ -859,6 +859,18 @@ class TestTraceMergesEqualMessages:
             assert bytes(trace._bodies) == codec.encode_message(message)
             assert [event.message for event in trace.events] == [message]
 
+    def test_a_digest_carrier_is_never_cut_from_a_frame(self, monkeypatch):
+        # Only a digest goes as a full row or a per-link reference, so only
+        # an advertisement's body in a frame may differ from its off-link one.
+        assert codec_module.DIGEST_CARRIERS == {DigestAdvertisement}
+        advert = DigestAdvertisement(digests=(_digest(1),), view=VIEW_PERSONAL)
+        frame = BinaryWireCodec().encode_send(Envelope(4, 5, advert, None, False))
+        monkeypatch.setattr(trace_module, "_MERGED", frozenset())
+        trace = ServiceTrace()
+        with pytest.raises(AssertionError, match="DigestAdvertisement"):
+            trace.append(OP_SEND, 4, 5, advert, DELIVERED, True, None, frame)
+        assert len(trace) == 0
+
     def test_the_table_sheds_at_its_bound_and_every_event_replays_equal(
         self, monkeypatch, tmp_path
     ):
