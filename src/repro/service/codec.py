@@ -16,9 +16,9 @@ format and one description of the message catalogue:
   whoever sends it).  Received rows resolve through the process-wide
   content-keyed intern table
   (:func:`repro.gossip.digest.intern_digest`), so however
-  many nodes decode a digest there is one object for it, and -- when the
-  runtime commits successful sends -- digests the receiver was already
-  sent travel as 1-byte-marker references instead of full rows.
+  many nodes decode a digest there is one object for it, and a digest
+  version already shipped in full on a link travels on it as a
+  1-byte-marker reference instead of a full row.
   Off-link (``receiver=None``) every digest is a full row: that is how
   :class:`~repro.service.trace.ServiceTrace` writes message bodies into
   its trace file.
@@ -143,11 +143,8 @@ _MAX_DIGEST_BITS = 1 << 26
 _MAX_DIGEST_HASHES = 64
 _MAX_SEQUENCE = 1 << 24
 
-#: Cache bounds of one :class:`BinaryWireCodec` (an LRU and a
-#: shed-on-overflow table; neither grows with the run).
+#: Bound of one :class:`BinaryWireCodec`'s LRU of decoded digests.
 _MAX_RECEIVED_DIGESTS = 65536
-#: Never above the receiver's LRU, or references would outlive their rows.
-_MAX_SENT_PER_LINK = 65536
 
 _VIEW_CODES = {VIEW_RANDOM: 0, VIEW_PERSONAL: 1}
 _VIEW_NAMES = {code: name for name, code in _VIEW_CODES.items()}
@@ -445,12 +442,6 @@ MESSAGE_TABLE: Dict[Type[Message], Tuple[int, Fields]] = {
 #: kind that walks them, looked up by type (encode) and by tag (decode).
 _BY_TYPE = {cls: (tag, _record(cls, fields)) for cls, (tag, fields) in MESSAGE_TABLE.items()}
 _BY_TAG = {tag: kind for tag, kind in _BY_TYPE.values()}
-#: The message types whose body depends on the link: a digest goes as a full
-#: row or, once its receiver holds it, as a reference.
-DIGEST_CARRIERS = frozenset(
-    cls for cls, (_, fields) in MESSAGE_TABLE.items()
-    if any(kind is _DIGESTS for _, kind in fields)
-)
 
 
 def _row_of(message: Message) -> Tuple[int, _Kind]:
@@ -481,17 +472,20 @@ class BinaryWireCodec:
       filter's own memoised :meth:`BloomFilter.row_bytes`, and a decoded
       row resolves to the one interned :class:`ProfileDigest` of that
       content -- no codec keeps a private copy of either.
-    * **Suppression**: when the runtime confirms a send (``commit_sent``),
-      the ``(user_id, version)`` pairs shipped to that receiver are
-      remembered, and later advertisements carry a small *reference* entry
-      instead of the full row; the receiving codec resolves references
-      from the digests it has already decoded.  A reference the receiver
-      cannot resolve (evicted cache, a lost seeding frame) fails decode
-      loudly and the inbox drops the frame -- exactly the loss the gossip
-      protocol already tolerates.  Within a run ``(user_id, version)``
-      identifies digest content: profiles only move forward in version
-      (the replica-freshness invariant), so equal versions mean equal
-      digest bits.
+    * **Suppression**: each link has one table, ``user_id -> newest
+      version shipped in full``, written as the full row is encoded; a
+      digest of exactly that version goes as a small *reference* entry
+      instead, which the receiving codec resolves from the digests it has
+      already decoded.  When the frame may never be decoded (the wire
+      refused it, a round trip timed out) the runtime calls
+      ``forget_sent`` and the link starts over with full rows.  A
+      reference the receiver cannot resolve (evicted cache, a lost seeding
+      frame) fails decode loudly and the inbox drops the frame -- exactly
+      the loss the gossip protocol already tolerates.  Within a run
+      ``(user_id, version)`` identifies digest content: profiles only move
+      forward in version (the replica-freshness invariant), so equal
+      versions mean equal digest bits, and a reference to an older version
+      is never worth keeping.
 
     The reference tables are per node (what *this* node decoded, what each
     of *its* peers was sent), so every :class:`~repro.service.runtime.NodeService`
@@ -503,10 +497,9 @@ class BinaryWireCodec:
     """
 
     def __init__(self) -> None:
-        #: receiver -> {(user_id, version)} confirmed on that link.
-        self._sent: Dict[int, set] = {}
-        #: receiver -> [(user_id, version)] encoded but not yet confirmed.
-        self._pending: Dict[int, List[Tuple[int, int]]] = {}
+        #: receiver -> {user_id -> newest version shipped on that link as a
+        #: full row}.
+        self._sent: Dict[int, Dict[int, int]] = {}
         #: (user_id, version) -> ProfileDigest decoded earlier (LRU-bounded):
         #: what a reference from a peer resolves to.  Protocol state, so it
         #: is per node even though the digests it points at are shared.
@@ -516,22 +509,26 @@ class BinaryWireCodec:
 
     def _encode_digest_entry(self, out: bytearray, digest: ProfileDigest,
                              receiver: Optional[int]) -> None:
-        key = (digest.user_id, digest.version)
-        if receiver is not None and key in self._sent.get(receiver, ()):
-            out.append(_DIGEST_REF)
-            _write_sv(out, digest.user_id)
-            _write_uv(out, digest.version)
-            return
+        user_id, version = digest.user_id, digest.version
+        if receiver is not None:
+            link = self._sent.setdefault(receiver, {})
+            shipped = link.get(user_id, -1)
+            if shipped == version:
+                out.append(_DIGEST_REF)
+                _write_sv(out, user_id)
+                _write_uv(out, version)
+                return
+            # Versions only move forward: an older row never lowers the entry.
+            if version > shipped:
+                link[user_id] = version
         out.append(_DIGEST_FULL)
-        _write_sv(out, digest.user_id)
-        _write_uv(out, digest.version)
+        _write_sv(out, user_id)
+        _write_uv(out, version)
         bloom = digest.bloom
         _write_uv(out, bloom.num_bits)
         _write_uv(out, bloom.num_hashes)
         _write_uv(out, bloom.approximate_count)
         out += bloom.row_bytes()
-        if receiver is not None:
-            self._pending.setdefault(receiver, []).append(key)
 
     def _decode_digest_entry(
         self, view: bytes, offset: int
@@ -572,28 +569,10 @@ class BinaryWireCodec:
             self._received.popitem(last=False)
         return digest, end
 
-    def commit_sent(self, receiver: int) -> None:
-        """Confirm the last encode to ``receiver``: its digests may now be
-        referenced instead of re-shipped (called after the wire accepted
-        the frame)."""
-        pending = self._pending.pop(receiver, None)
-        if not pending:
-            return
-        sent = self._sent.setdefault(receiver, set())
-        sent.update(pending)
-        if len(sent) > _MAX_SENT_PER_LINK:
-            # Shed the whole link table rather than track precise LRU on the
-            # hot path; full rows are always correct.
-            sent.clear()
-
-    def abort_sent(self, receiver: int) -> None:
-        """The wire refused the frame: forget its would-be references."""
-        self._pending.pop(receiver, None)
-
     def forget_sent(self, receiver: int) -> None:
-        """A round trip to ``receiver`` timed out: the frame that seeded its
-        digests may never have been decoded, so reference nothing on that
-        link until it is re-shipped (full rows are always correct)."""
+        """``receiver`` may never decode a frame encoded for it (the wire
+        refused it, or a round trip timed out), so reference nothing on that
+        link until each digest is re-shipped (full rows are always correct)."""
         self._sent.pop(receiver, None)
 
     # -- message layer --------------------------------------------------------
@@ -672,11 +651,27 @@ class BinaryWireCodec:
         (``None`` for a payload-less reply); requests and sends carry a
         ready ``envelope``.
         """
-        op, rpc, has_message, sender, receiver, query_id, offset = _read_header(body, 0)
-        decoded: Dict[str, Any] = {"op": _OP_NAMES[op], "rpc": rpc, "m": None}
-        if has_message:
+        op, offset = _read_byte(body, 0, "frame: empty frame body")
+        if op not in _OP_NAMES:
+            raise ValueError(f"unknown binary frame op {op!r}")
+        decoded: Dict[str, Any] = {"op": _OP_NAMES[op], "rpc": None, "m": None}
+        if op != _OP_SEND:
+            decoded["rpc"], offset = _read_uv(body, offset)
+        if op == _OP_REP:
+            status_index, offset = _read_byte(body, offset, "reply header")
+            has_message, offset = _read_byte(body, offset, "reply header")
+            if status_index >= len(_STATUS_TABLE):
+                raise ValueError(f"unknown delivery status index {status_index}")
+            if has_message:
+                decoded["m"], offset = self._decode_message_at(body, offset)
+        else:
+            sender, offset = _read_sv(body, offset)
+            receiver, offset = _read_sv(body, offset)
+            flags, offset = _read_byte(body, offset, "frame: missing flags")
+            query_id = None
+            if flags & 2:
+                query_id, offset = _read_sv(body, offset)
             decoded["m"], offset = self._decode_message_at(body, offset)
-        if op != _OP_REP:
             decoded["envelope"] = Envelope(
                 sender=sender,
                 receiver=receiver,
@@ -687,47 +682,3 @@ class BinaryWireCodec:
         if offset != len(body):
             raise ValueError("trailing bytes after message")
         return decoded
-
-
-def _read_header(body: bytes, offset: int) -> Tuple[
-    int, Optional[int], int, Optional[int], Optional[int], Optional[int], int
-]:
-    """A runtime frame body's header, read from ``offset``: ``(op, rpc,
-    has_message, sender, receiver, query_id, offset of the message)``.
-
-    ``rpc`` is ``None`` for a send; a reply carries no address (``None``
-    sender, receiver and query id) and may carry no message.
-    """
-    op, offset = _read_byte(body, offset, "frame: empty frame body")
-    if op not in _OP_NAMES:
-        raise ValueError(f"unknown binary frame op {op!r}")
-    rpc = sender = receiver = query_id = None
-    has_message = 1
-    if op != _OP_SEND:
-        rpc, offset = _read_uv(body, offset)
-    if op == _OP_REP:
-        status_index, offset = _read_byte(body, offset, "reply header")
-        has_message, offset = _read_byte(body, offset, "reply header")
-        if status_index >= len(_STATUS_TABLE):
-            raise ValueError(f"unknown delivery status index {status_index}")
-    else:
-        sender, offset = _read_sv(body, offset)
-        receiver, offset = _read_sv(body, offset)
-        flags, offset = _read_byte(body, offset, "frame: missing flags")
-        if flags & 2:
-            query_id, offset = _read_sv(body, offset)
-    return op, rpc, has_message, sender, receiver, query_id, offset
-
-
-def message_body(frame: bytes) -> bytes:
-    """The message body inside one runtime frame, without its header.
-
-    ``frame`` is what :meth:`BinaryWireCodec.encode_request`,
-    :meth:`~BinaryWireCodec.encode_send` or
-    :meth:`~BinaryWireCodec.encode_reply` returned, a reply with a message.
-    For a message of none of the :data:`DIGEST_CARRIERS` types the body is
-    the one :meth:`~BinaryWireCodec.encode_message` writes off-link, so a
-    recorder can keep it instead of encoding the message again.
-    """
-    offset = _read_header(frame, _LEN.size)[-1]
-    return frame[offset:]

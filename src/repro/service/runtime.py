@@ -594,13 +594,10 @@ class NodeService:
         if not delivered:
             # The wire lost the address after the bytes were spent: report a
             # drop (accounted), not unreachability (which is never charged).
-            self.codec.abort_sent(receiver)
+            self.codec.forget_sent(receiver)
             self._rpc_futures.pop(rpc_id, None)
-            runtime.observe(
-                OP_REQUEST, sender, receiver, message, DROPPED, True, query_id, frame
-            )
+            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
             return Dispatch(DROPPED, None)
-        self.codec.commit_sent(receiver)
         runtime.rpc_deadlines.watch(future, started)
         reply = await future
         runtime.rpc_deadlines.settle()
@@ -611,14 +608,10 @@ class NodeService:
             # The sender-side timeout of a real gossip: indistinguishable
             # from a lost request, so the protocol sees DROPPED (it must
             # not assume the other side processed anything).
-            runtime.observe(
-                OP_REQUEST, sender, receiver, message, DROPPED, True, query_id, frame
-            )
+            runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
             return Dispatch(DROPPED, None)
         runtime.record_rpc_latency(loop.time() - started)
-        runtime.observe(
-            OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id, frame
-        )
+        runtime.observe(OP_REQUEST, sender, receiver, message, DELIVERED, True, query_id)
         return Dispatch(DELIVERED, reply)
 
     def send(
@@ -637,11 +630,10 @@ class NodeService:
         envelope = Envelope(sender, receiver, message, query_id, False)
         frame = self.codec.encode_send(envelope)
         if not runtime.batcher.send(receiver, frame):
-            self.codec.abort_sent(receiver)
-            runtime.observe(OP_SEND, sender, receiver, message, DROPPED, True, query_id, frame)
+            self.codec.forget_sent(receiver)
+            runtime.observe(OP_SEND, sender, receiver, message, DROPPED, True, query_id)
             return DROPPED
-        self.codec.commit_sent(receiver)
-        runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, True, query_id, frame)
+        runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, True, query_id)
         return DELIVERED
 
     # -- inbound --------------------------------------------------------------
@@ -724,8 +716,7 @@ class NodeService:
             # discarding a late reply does not un-spend them.
             runtime.account(self.node_id, envelope.sender, reply, envelope.query_id)
             runtime.observe(
-                OP_REPLY, self.node_id, envelope.sender, reply, DELIVERED, True,
-                envelope.query_id, frame,
+                OP_REPLY, self.node_id, envelope.sender, reply, DELIVERED, True, envelope.query_id
             )
         runtime.batcher.send_now(envelope.sender, frame)
 
@@ -853,11 +844,9 @@ class ServiceRuntime:
         status: str,
         accounted: bool,
         query_id: Optional[int],
-        frame: Optional[bytes] = None,
     ) -> None:
-        """Record one wire action; ``frame`` is the runtime frame that
-        carried ``message``, when one was encoded."""
-        self.trace.append(op, sender, receiver, message, status, accounted, query_id, frame)
+        """Record one wire action."""
+        self.trace.append(op, sender, receiver, message, status, accounted, query_id)
 
     def record_rpc_latency(self, seconds: float) -> None:
         self.rpc_latencies.append(seconds)

@@ -46,16 +46,7 @@ from ..simulator.transport import (
     Message,
     WireEvent,
 )
-from .codec import (
-    DIGEST_CARRIERS,
-    BinaryWireCodec,
-    _frame,
-    _read_byte,
-    _read_sv,
-    _write_sv,
-    message_body,
-    split_frames,
-)
+from .codec import BinaryWireCodec, _frame, _read_byte, _read_sv, _write_sv, split_frames
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..p3q.protocol import P3QSimulation
@@ -167,7 +158,7 @@ class ServiceTrace:
         #: message -> the first equal message recorded (shed at
         #: :data:`_MAX_DISTINCT_MESSAGES`).
         self._distinct: Dict[Message, Message] = {}
-        #: Encodes the bodies no wire frame came with (stateless off-link).
+        #: Encodes the bodies kept (stateless off-link).
         self._codec = BinaryWireCodec()
 
     @property
@@ -184,26 +175,18 @@ class ServiceTrace:
         status: str,
         accounted: bool,
         query_id: Optional[int],
-        frame: Optional[bytes] = None,
     ) -> None:
         """Record one wire action (the fields of a :class:`WireEvent`); an
         equal lazy-exchange message already recorded stands in for
         ``message``.
 
-        Any other message is kept as its off-link body: the tail of
-        ``frame``, the runtime frame that carried it, when given, else
-        encoded here.  An unregistered message type raises ``TypeError``
-        here, before anything is recorded.
+        Any other message is kept as its off-link body, encoded here.  An
+        unregistered message type raises ``TypeError`` here, before
+        anything is recorded.
         """
         merged = type(message) in _MERGED
         if not merged:
-            if frame is None:
-                message = self._codec.encode_message(message)
-            else:
-                # A body cut from a frame is the off-link body only where
-                # no digest went as a per-link reference.
-                assert type(message) not in DIGEST_CARRIERS, type(message).__name__
-                message = message_body(frame)
+            message = self._codec.encode_message(message)
         flags = _OP_BITS[op] | _STATUS_BITS[status]
         if accounted:
             flags |= _ACCOUNTED

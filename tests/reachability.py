@@ -66,17 +66,15 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "experiments/fig4_storage_recall.py:StorageRecallResult.final_recall": (FLAG, _FIGURES),
     "experiments/fig7_aur_lazy.py:AurLazyResult.final_aur": (FLAG, _FIGURES),
     "experiments/fig9_aur_eager.py:AurEagerResult.final_aur": (FLAG, _FIGURES),
-    "service/codec.py:BinaryWireCodec.abort_sent": (
-        SAFETY, "tests/test_wire_codec.py::TestDigestSuppression::"
-        "test_uncommitted_sends_are_not_suppressed",
-    ),
     "service/runtime.py:RpcDeadlines._expire": (
         SAFETY, "tests/test_service_rpc.py::TestTimeoutPath::"
         "test_unanswered_request_resolves_dropped_at_the_deadline_and_is_traced_once",
     ),
     "service/codec.py:BinaryWireCodec.forget_sent": (
         SAFETY, "tests/test_service_rpc.py::TestTimedOutRequestForgetsItsLink::"
-        "test_next_encode_after_a_lost_seeding_frame_carries_full_rows",
+        "test_next_encode_after_a_lost_seeding_frame_carries_full_rows and "
+        "tests/test_wire_codec.py::TestDigestSuppression::"
+        "test_a_refused_frame_forgets_its_link",
     ),
     "p3q/node.py:P3QNode._restore_issue_order": (
         SAFETY, "tests/test_memory_model.py::TestFinishedSessionsRetire::"

@@ -31,7 +31,6 @@ from repro.service.codec import (
     BinaryWireCodec,
     _frame,
     _write_sv,
-    message_body,
     split_frames,
 )
 from repro.service import trace as trace_module
@@ -493,7 +492,6 @@ class TestDigestSuppression:
         sender = BinaryWireCodec()
         adv = self._advertisement()
         first = sender.encode_send(self._envelope(adv))
-        sender.commit_sent(7)
         second = sender.encode_send(self._envelope(adv))
         assert len(second) < len(first) / 2
 
@@ -503,19 +501,54 @@ class TestDigestSuppression:
             decoded = receiver.decode_body(bodies[0])
             assert_message_equal(decoded["m"], adv)
 
-    def test_uncommitted_sends_are_not_suppressed(self):
+    def test_a_refused_frame_forgets_its_link(self):
         sender = BinaryWireCodec()
         adv = self._advertisement()
         first = sender.encode_send(self._envelope(adv))
-        sender.abort_sent(7)  # the wire refused the frame
+        sender.forget_sent(7)  # the wire refused the frame
+        assert 7 not in sender._sent
         second = sender.encode_send(self._envelope(adv))
-        assert len(second) == len(first)
+        assert second == first
+        fresh = BinaryWireCodec()
+        bodies, _ = fresh.split(second)
+        assert_message_equal(fresh.decode_body(bodies[0])["m"], adv)
+
+    def test_a_link_holds_one_entry_per_user(self):
+        sender = BinaryWireCodec()
+        profile = _profile(3, user_id=1)
+        for change in range(5):
+            profile.add_all([(60 + change, 160)])  # bumps the version
+            adv = DigestAdvertisement(
+                digests=(make_digest(profile, num_bits=256, num_hashes=3), _digest(2)),
+                view=VIEW_PERSONAL,
+            )
+            sender.encode_send(self._envelope(adv))
+        assert sender._sent == {7: {1: profile.version, 2: _digest(2).version}}
+
+    def test_an_older_version_after_a_newer_ships_a_full_row(self):
+        sender = BinaryWireCodec()
+        profile = _profile(3, user_id=1)
+        older = make_digest(profile, num_bits=256, num_hashes=3)
+        profile.add_all([(50, 150)])  # bumps the version
+        newer = make_digest(profile, num_bits=256, num_hashes=3)
+        receiver = BinaryWireCodec()
+
+        def ship(digest):
+            adv = DigestAdvertisement(digests=(digest,), view=VIEW_PERSONAL)
+            frame = sender.encode_send(self._envelope(adv))
+            bodies, _ = receiver.split(frame)
+            assert_message_equal(receiver.decode_body(bodies[0])["m"], adv)
+            return frame
+
+        full = ship(newer)
+        assert len(ship(older)) == len(full)
+        assert sender._sent[7] == {1: newer.version}
+        assert len(ship(newer)) < len(full) / 2
 
     def test_suppression_is_per_receiver(self):
         sender = BinaryWireCodec()
         adv = self._advertisement()
         sender.encode_send(self._envelope(adv, receiver=7))
-        sender.commit_sent(7)
         to_other = sender.encode_send(self._envelope(adv, receiver=8))
         fresh = BinaryWireCodec()
         bodies, _ = fresh.split(to_other)
@@ -525,7 +558,6 @@ class TestDigestSuppression:
         sender = BinaryWireCodec()
         adv = self._advertisement()
         sender.encode_send(self._envelope(adv))
-        sender.commit_sent(7)
         ref_frame = sender.encode_send(self._envelope(adv))
         never_seeded = BinaryWireCodec()
         bodies, _ = never_seeded.split(ref_frame)
@@ -540,7 +572,6 @@ class TestDigestSuppression:
             view=VIEW_PERSONAL,
         )
         sender.encode_send(self._envelope(adv1))
-        sender.commit_sent(7)
         profile.add_all([(50, 150)])  # bumps the version
         adv2 = DigestAdvertisement(
             digests=(make_digest(profile, num_bits=256, num_hashes=3),),
@@ -603,21 +634,18 @@ class TestDigestInterning:
 
 
 class TestCacheBounds:
-    """Every codec cache is bounded; overflow degrades to full rows or a
-    loud drop, never to growth."""
+    """The decoded-digest cache is an LRU; overflow degrades to a loud drop,
+    never to growth."""
 
     @pytest.fixture(autouse=True)
     def _small_bounds(self, monkeypatch):
         monkeypatch.setattr(codec_module, "_MAX_RECEIVED_DIGESTS", 2)
-        monkeypatch.setattr(codec_module, "_MAX_SENT_PER_LINK", 4)
 
     def _send(self, sender, user_ids, receiver=7):
         adv = DigestAdvertisement(
             digests=tuple(_digest(uid) for uid in user_ids), view=VIEW_PERSONAL
         )
-        frame = sender.encode_send(Envelope(1, receiver, adv, None, False))
-        sender.commit_sent(receiver)
-        return adv, frame
+        return adv, sender.encode_send(Envelope(1, receiver, adv, None, False))
 
     def _decode(self, receiver, frame):
         bodies, leftover = receiver.split(frame)
@@ -634,20 +662,6 @@ class TestCacheBounds:
         _, stale = self._send(sender, [1])
         with pytest.raises(ValueError, match="digest reference"):
             self._decode(receiver, stale)
-
-    def test_sent_table_sheds_and_falls_back_to_full_rows(self):
-        sender = BinaryWireCodec()
-        _, full = self._send(sender, [1, 2])
-        _, referenced = self._send(sender, [1, 2])
-        assert len(referenced) < len(full) / 2
-        self._send(sender, [3, 4])
-        assert len(sender._sent[7]) == 4
-        self._send(sender, [5])  # the fifth pair overflows: the link table is shed
-        assert len(sender._sent[7]) <= 4
-        adv, again = self._send(sender, [1, 2])
-        assert len(again) == len(full)
-        assert_message_equal(self._decode(BinaryWireCodec(), again), adv)
-        assert not sender._pending
 
 
 class TestSplitFrames:
@@ -838,38 +852,6 @@ class TestTraceMergesEqualMessages:
         again = self._recorded(trace)
         assert again[: len(queries)] == queries
         assert not any(mine is theirs for mine, theirs in zip(again, recorded[: len(queries)]))
-
-    def test_a_body_from_a_runtime_frame_is_the_off_link_body(self):
-        codec = BinaryWireCodec()
-        forward = QueryForward(query=_query(2), remaining=(1, 2, 300), cycle=3)
-        back = RemainingReturn(query_id=9, remaining=(1,))
-        result = QueryResult(partial=_partial(3, 2))
-        frames = [
-            (forward, codec.encode_request(Envelope(4, 5, forward, 2, True), 77)),
-            (forward, codec.encode_request(Envelope(-4, 1 << 20, forward, None, True), 0)),
-            (result, codec.encode_send(Envelope(4, 5, result, 3, False))),
-            (result, codec.encode_send(Envelope(4, 5, result, None, False))),
-            (back, codec.encode_reply(1 << 30, DELIVERED, back)),
-        ]
-        for message, frame in frames:
-            assert message_body(frame) == codec.encode_message(message)
-            trace = ServiceTrace()
-            trace.append(OP_SEND, 4, 5, message, DELIVERED, True, None, frame)
-            assert trace._messages == [None]
-            assert bytes(trace._bodies) == codec.encode_message(message)
-            assert [event.message for event in trace.events] == [message]
-
-    def test_a_digest_carrier_is_never_cut_from_a_frame(self, monkeypatch):
-        # Only a digest goes as a full row or a per-link reference, so only
-        # an advertisement's body in a frame may differ from its off-link one.
-        assert codec_module.DIGEST_CARRIERS == {DigestAdvertisement}
-        advert = DigestAdvertisement(digests=(_digest(1),), view=VIEW_PERSONAL)
-        frame = BinaryWireCodec().encode_send(Envelope(4, 5, advert, None, False))
-        monkeypatch.setattr(trace_module, "_MERGED", frozenset())
-        trace = ServiceTrace()
-        with pytest.raises(AssertionError, match="DigestAdvertisement"):
-            trace.append(OP_SEND, 4, 5, advert, DELIVERED, True, None, frame)
-        assert len(trace) == 0
 
     def test_the_table_sheds_at_its_bound_and_every_event_replays_equal(
         self, monkeypatch, tmp_path

@@ -124,21 +124,19 @@ def build_frames() -> Dict[str, str]:
         request = Envelope(3, 4, message, 9, True)
         send = Envelope(-2, 130, message, None, False)
         frames[f"{name}/request"] = codec.encode_request(request, 17).hex()
-        codec.abort_sent(4)
+        codec.forget_sent(4)
         frames[f"{name}/send_no_query"] = codec.encode_send(send).hex()
-        codec.abort_sent(130)
+        codec.forget_sent(130)
         frames[f"{name}/reply"] = codec.encode_reply(300, DELIVERED, message).hex()
     codec = BinaryWireCodec()
     frames["none/reply_dropped"] = codec.encode_reply(1, DROPPED, None).hex()
-    # Suppression: a committed advertisement is referenced on the same link,
+    # Suppression: an advertisement shipped on a link is referenced on it,
     # shipped in full on another, and a new digest mixes with references.
     first = dict(golden_messages())["digests"]
     frames["suppression/first"] = codec.encode_send(Envelope(1, 7, first, None, False)).hex()
-    codec.commit_sent(7)
     frames["suppression/referenced"] = codec.encode_send(
         Envelope(1, 7, first, None, False)
     ).hex()
-    codec.commit_sent(7)
     mixed = DigestAdvertisement(digests=first.digests[:1] + (_digest(31, 4),), view=VIEW_RANDOM)
     frames["suppression/mixed"] = codec.encode_request(
         Envelope(1, 7, mixed, None, True), 2
@@ -234,33 +232,6 @@ def test_golden_frames_decode_to_the_messages_that_made_them():
 
 def test_trace_dump_is_byte_identical_to_the_golden(tmp_path):
     assert build_trace(tmp_path).hex() == _golden()["trace_hex"]
-
-
-def test_bodies_cut_from_runtime_frames_dump_the_golden(tmp_path):
-    """A trace fed the frames the runtime sends keeps a query's messages as
-    the bodies cut from them, and still dumps the golden file."""
-    codec = BinaryWireCodec()
-    trace = ServiceTrace()
-    for index, event in enumerate(golden_events()):
-        envelope = Envelope(
-            event.sender, event.receiver, event.message, event.query_id,
-            event.op == OP_REQUEST,
-        )
-        if event.op == OP_REQUEST:
-            frame = codec.encode_request(envelope, index)
-        elif event.op == OP_REPLY:
-            frame = codec.encode_reply(index, DELIVERED, event.message)
-        else:
-            frame = codec.encode_send(envelope)
-        trace.append(*event, frame)
-    queries = [
-        event for event in golden_events()
-        if type(event.message) in (QueryForward, RemainingReturn, QueryResult)
-    ]
-    assert queries and len(trace._body_ends) == len(queries)
-    path = tmp_path / "trace"
-    trace.dump(str(path))
-    assert path.read_bytes().hex() == _golden()["trace_hex"]
 
 
 def test_golden_trace_loads_to_the_events_that_made_it(tmp_path):
