@@ -2,13 +2,15 @@
 
 Each cycle, a node picks one member of its random view uniformly at random
 and the two swap :class:`~repro.simulator.transport.DigestAdvertisement`
-messages (r digests each, plus their own descriptor so fresh information
-keeps entering the system); each keeps a uniformly random subset of size r
-of the union.  This is the classical gossip-based peer-sampling service of
-Jelasity et al., which keeps the overlay connected even when personal
-networks would otherwise partition into disjoint interest groups, and
-continuously supplies candidate neighbours that the similarity layer has
-not discovered yet.
+messages: the r digests of its view plus its own descriptor, so that
+fresh information keeps entering the system, less the partner's digest (as
+in Cyclon, a node is never sent its own descriptor: it would drop it
+unread).  Each keeps a uniformly random subset of size r of the union.
+This is the classical gossip-based peer-sampling service of Jelasity et
+al., which keeps the overlay connected even when personal networks would
+otherwise partition into disjoint interest groups, and continuously
+supplies candidate neighbours that the similarity layer has not discovered
+yet.
 
 The swap is a transport round-trip: the initiator's advertisement travels
 as a request and the partner's view comes back as the reply.  Under a
@@ -45,11 +47,12 @@ class PeerSamplingProtocol:
         if not (yield ProbeEffect(partner_id)):
             return None
 
-        sent = tuple(initiator.random_view.digests()) + (initiator.own_digest(),)
+        sent = initiator.random_view.digests()
+        sent.append(initiator.own_digest())
         dispatch = yield RequestEffect(
             initiator.node_id,
             partner_id,
-            DigestAdvertisement(digests=sent, view=VIEW_RANDOM),
+            DigestAdvertisement.to(partner_id, sent, VIEW_RANDOM),
         )
         if dispatch.reply is not None:
             initiator.random_view.merge(dispatch.reply.digests, initiator.rng)
@@ -67,7 +70,8 @@ class PeerSamplingProtocol:
         """
         reply: Optional[DigestAdvertisement] = None
         if envelope.expects_reply:
-            digests = tuple(receiver.random_view.digests()) + (receiver.own_digest(),)
-            reply = DigestAdvertisement(digests=digests, view=VIEW_RANDOM)
+            digests = receiver.random_view.digests()
+            digests.append(receiver.own_digest())
+            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_RANDOM)
         receiver.random_view.merge(envelope.message.digests, receiver.rng)
         return reply

@@ -6,11 +6,14 @@ exchange, now carried by explicit transport messages:
 
 1. **Digests** -- the partners swap
    :class:`~repro.simulator.transport.DigestAdvertisement` messages carrying
-   Bloom-filter digests of (a sample of) the profiles they store.  A digest
-   that describes an unchanged, already-known profile, or a user sharing no
-   item with the receiver, is dropped immediately.  "Already known" means
-   a stored replica, or a neighbour that step 2 already scored at this
-   digest version against the receiver's current profile version
+   their own digest and Bloom-filter digests of (a sample of) the profiles
+   they store, less the partner's own digest, which it would drop unread
+   (:meth:`~repro.simulator.transport.DigestAdvertisement.to`, applied
+   after the sample is drawn).  A digest that describes an unchanged,
+   already-known profile, or a user sharing no item with the receiver, is
+   dropped immediately.  "Already known" means a stored replica, or a
+   neighbour that step 2 already scored at this digest version against the
+   receiver's current profile version
    (:attr:`~repro.gossip.views.NeighbourEntry.scored_version`): asking
    again would price the same two profile versions.  A rejected
    non-neighbour is still re-scored at an unchanged digest version.
@@ -140,11 +143,11 @@ class LazyExchangeProtocol:
         when the queue drains), and ``False`` when the advertisement was
         lost.
         """
-        sent = tuple(initiator.stored_digest_sample(self.exchange_size))
+        sent = initiator.stored_digest_sample(self.exchange_size)
         dispatch = yield RequestEffect(
             initiator.node_id,
             partner_id,
-            DigestAdvertisement(digests=sent, view=VIEW_PERSONAL),
+            DigestAdvertisement.to(partner_id, sent, VIEW_PERSONAL),
         )
         if dispatch.reply is not None:
             yield from self.integrate_effects(
@@ -164,8 +167,8 @@ class LazyExchangeProtocol:
         """
         reply: Optional[DigestAdvertisement] = None
         if envelope.expects_reply:
-            digests = tuple(receiver.stored_digest_sample(self.exchange_size))
-            reply = DigestAdvertisement(digests=digests, view=VIEW_PERSONAL)
+            digests = receiver.stored_digest_sample(self.exchange_size)
+            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_PERSONAL)
         yield from self.integrate_effects(
             receiver,
             envelope.sender,

@@ -130,7 +130,12 @@ class P3QNode(Node):
         return self.digest_cache.digest_for(self.profile)
 
     def stored_digest_sample(self, limit: int) -> List[ProfileDigest]:
-        """Digests advertised in a gossip message: own + sample of stored."""
+        """Digests advertised in a gossip message: own + sample of stored.
+
+        The caller leaves the partner's digest out of what this returns
+        (:meth:`~repro.simulator.transport.DigestAdvertisement.to`), after
+        the sample is drawn: the draw never depends on who receives it.
+        """
         entries = self.personal_network.stored_entries()
         digests = [entry.digest for entry in entries]
         if len(digests) > limit:

@@ -71,6 +71,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -147,6 +148,21 @@ class DigestAdvertisement(Message):
     view: str
 
     DEFERRABLE = True
+
+    @classmethod
+    def to(
+        cls, receiver_id: int, digests: Iterable["ProfileDigest"], view: str
+    ) -> "DigestAdvertisement":
+        """The advertisement of ``digests`` to ``receiver_id``, less the
+        receiver's own digest, which it would drop unread (Cyclon's rule).
+
+        Callers draw ``digests`` first and filter here, so a sample's RNG
+        draws do not depend on who receives it.
+        """
+        return cls(
+            tuple([digest for digest in digests if digest.user_id != receiver_id]),
+            view,
+        )
 
     @property
     def kind(self) -> str:  # type: ignore[override]

@@ -1,8 +1,9 @@
 """The prose docs name only code that exists.
 
-Scans README, ``docs/TESTING.md``, the verify skill and
+Scans README, ``docs/TESTING.md``, the verify skill,
 ``docs/ARCHITECTURE.md`` (outside its "Measured and removed" history, which
-names deleted code on purpose) and checks three things:
+names deleted code on purpose) and the CI workflow's comments and scripts,
+and checks three things:
 
 * every backticked ``repro.…`` name resolves through import and ``getattr``;
 * every backticked ``Class.attr`` of a class defined in ``src/`` resolves;
@@ -26,6 +27,7 @@ DOCS = [
     ROOT / "docs" / "TESTING.md",
     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
     ROOT / "docs" / "ARCHITECTURE.md",
+    ROOT / ".github" / "workflows" / "ci.yml",
 ]
 #: The one section that names removed code on purpose.
 HISTORY_HEADING = "Measured and removed"
