@@ -3,9 +3,12 @@
 Each cycle, a node picks one member of its random view uniformly at random
 and the two swap :class:`~repro.simulator.transport.DigestAdvertisement`
 messages: the r digests of its view plus its own descriptor, so that
-fresh information keeps entering the system, less the partner's digest (as
-in Cyclon, a node is never sent its own descriptor: it would drop it
-unread).  Each keeps a uniformly random subset of size r of the union.
+fresh information keeps entering the system, less what the partner would
+drop unread.  As in Cyclon, a node is never sent its own descriptor; and
+the reply leaves out each digest whose user the request carried at the
+same or a newer version, unless the delay queue held the request (its
+digests then describe the initiator's view as it was cycles ago).  Each
+keeps a uniformly random subset of size r of the union.
 This is the classical gossip-based peer-sampling service of Jelasity et
 al., which keeps the overlay connected even when personal networks would
 otherwise partition into disjoint interest groups, and continuously
@@ -72,6 +75,7 @@ class PeerSamplingProtocol:
         if envelope.expects_reply:
             digests = receiver.random_view.digests()
             digests.append(receiver.own_digest())
-            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_RANDOM)
+            shown = () if envelope.deferred else envelope.message.digests
+            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_RANDOM, shown)
         receiver.random_view.merge(envelope.message.digests, receiver.rng)
         return reply

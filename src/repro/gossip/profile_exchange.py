@@ -7,11 +7,14 @@ exchange, now carried by explicit transport messages:
 1. **Digests** -- the partners swap
    :class:`~repro.simulator.transport.DigestAdvertisement` messages carrying
    their own digest and Bloom-filter digests of (a sample of) the profiles
-   they store, less the partner's own digest, which it would drop unread
+   they store, less what the partner would drop unread
    (:meth:`~repro.simulator.transport.DigestAdvertisement.to`, applied
-   after the sample is drawn).  A digest that describes an unchanged,
-   already-known profile, or a user sharing no item with the receiver, is
-   dropped immediately.  "Already known" means a stored replica, or a
+   after the sample is drawn): its own digest, and, in the reply, each
+   digest whose user the request carried at the same or a newer version.
+   A reply to a request the delay queue held keeps those: the request
+   describes the initiator as it was cycles ago.  A digest that describes
+   an unchanged, already-known profile, or a user sharing no item with the
+   receiver, is dropped immediately.  "Already known" means a stored replica, or a
    neighbour that step 2 already scored at this digest version against the
    receiver's current profile version
    (:attr:`~repro.gossip.views.NeighbourEntry.scored_version`): asking
@@ -168,7 +171,8 @@ class LazyExchangeProtocol:
         reply: Optional[DigestAdvertisement] = None
         if envelope.expects_reply:
             digests = receiver.stored_digest_sample(self.exchange_size)
-            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_PERSONAL)
+            shown = () if envelope.deferred else envelope.message.digests
+            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_PERSONAL, shown)
         yield from self.integrate_effects(
             receiver,
             envelope.sender,

@@ -132,7 +132,8 @@ class P3QNode(Node):
     def stored_digest_sample(self, limit: int) -> List[ProfileDigest]:
         """Digests advertised in a gossip message: own + sample of stored.
 
-        The caller leaves the partner's digest out of what this returns
+        The caller leaves out of what this returns whatever the partner
+        would drop unread
         (:meth:`~repro.simulator.transport.DigestAdvertisement.to`), after
         the sample is drawn: the draw never depends on who receives it.
         """

@@ -151,16 +151,31 @@ class DigestAdvertisement(Message):
 
     @classmethod
     def to(
-        cls, receiver_id: int, digests: Iterable["ProfileDigest"], view: str
+        cls,
+        receiver_id: int,
+        digests: Iterable["ProfileDigest"],
+        view: str,
+        shown: Iterable["ProfileDigest"] = (),
     ) -> "DigestAdvertisement":
-        """The advertisement of ``digests`` to ``receiver_id``, less the
-        receiver's own digest, which it would drop unread (Cyclon's rule).
+        """The advertisement of ``digests`` to ``receiver_id``, less what
+        the receiver would drop unread: its own digest (Cyclon's rule), and
+        each digest whose user ``shown`` carried at the same or a newer
+        version.
 
-        Callers draw ``digests`` first and filter here, so a sample's RNG
-        draws do not depend on who receives it.
+        ``shown`` is what the receiver has just advertised to the sender:
+        the digests of the request a reply answers, and nothing for a
+        request, or for a reply to a request the delay queue held
+        (:attr:`Envelope.deferred`), whose digests describe the receiver as
+        it was cycles ago.  Callers draw ``digests`` first and filter here,
+        so a sample's RNG draws do not depend on who receives it.
         """
+        known = {digest.user_id: digest.version for digest in shown}
         return cls(
-            tuple([digest for digest in digests if digest.user_id != receiver_id]),
+            tuple([
+                digest for digest in digests
+                if digest.user_id != receiver_id
+                and known.get(digest.user_id, -1) < digest.version
+            ]),
             view,
         )
 
@@ -267,6 +282,11 @@ class Envelope(NamedTuple):
 
     A named tuple: envelopes are allocated once or twice per round-trip on
     the hottest path of the simulator, and tuple construction is C-level.
+    ``deferred`` marks an envelope the delay queue held: a reply to such a
+    request does not leave out the digests the request carried
+    (:meth:`DigestAdvertisement.to`), because they describe its sender as
+    it was when it sent them, cycles ago.  Only :meth:`Transport.drain`
+    delivers one; the service runtime never defers.
     """
 
     sender: int
@@ -274,6 +294,7 @@ class Envelope(NamedTuple):
     message: Message
     query_id: Optional[int]
     expects_reply: bool
+    deferred: bool = False
 
 
 class Dispatch:
@@ -444,7 +465,9 @@ class Transport:
             for condition in self.conditions:
                 delay += condition.delay(message, sender, receiver)
             if delay > 0:
-                self._enqueue(Envelope(sender, receiver, message, query_id, expects_reply), delay)
+                self._enqueue(
+                    Envelope(sender, receiver, message, query_id, expects_reply, True), delay
+                )
                 status = DEFERRED
         if status is not None and self._observers:
             self._notify(op, sender, receiver, message, status, True, query_id)
@@ -557,7 +580,7 @@ class Transport:
         delivered = 0
         for cycle in due:
             for envelope in self._queue.pop(cycle):
-                sender, receiver, message, query_id, expects_reply = envelope
+                sender, receiver, message, query_id, expects_reply, _ = envelope
                 handler = getattr(
                     self._network.try_contact(receiver), "handle_message", None
                 )

@@ -1,9 +1,9 @@
 """The prose docs name only code that exists.
 
-Scans README, ``docs/TESTING.md``, the verify skill,
-``docs/ARCHITECTURE.md`` (outside its "Measured and removed" history, which
-names deleted code on purpose) and the CI workflow's comments and scripts,
-and checks three things:
+Scans README, ``docs/TESTING.md``, the verify skill, ``docs/ARCHITECTURE.md``
+and ``docs/NEGATIVE_RESULTS.md`` (each outside its "Measured and removed"
+history, which names deleted code on purpose) and the CI workflow's
+comments and scripts, and checks three things:
 
 * every backticked ``repro.…`` name resolves through import and ``getattr``;
 * every backticked ``Class.attr`` of a class defined in ``src/`` resolves;
@@ -27,9 +27,10 @@ DOCS = [
     ROOT / "docs" / "TESTING.md",
     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
     ROOT / "docs" / "ARCHITECTURE.md",
+    ROOT / "docs" / "NEGATIVE_RESULTS.md",
     ROOT / ".github" / "workflows" / "ci.yml",
 ]
-#: The one section that names removed code on purpose.
+#: The heading of the sections that name removed code on purpose.
 HISTORY_HEADING = "Measured and removed"
 
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
@@ -43,7 +44,7 @@ _PATH = re.compile(
 
 
 def _prose(path: Path) -> str:
-    """The doc's text, without the history section of ARCHITECTURE."""
+    """The doc's text, without its "Measured and removed" history."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines(keepends=True)
     kept: List[str] = []

@@ -52,8 +52,7 @@ class TestConfig:
 
     def test_retired_engine_knobs_are_unknown_fields(self):
         """One cycle engine: the parallel-engine knobs are not accepted and
-        ignored, they are gone (see "Measured and removed" in
-        docs/ARCHITECTURE.md)."""
+        ignored, they are gone (see docs/NEGATIVE_RESULTS.md)."""
         with pytest.raises(TypeError):
             P3QConfig(workers=2)
         with pytest.raises(TypeError):
