@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects
-from ..simulator.transport import VIEW_RANDOM, DigestAdvertisement, Envelope
+from ..simulator.transport import DigestAdvertisement, Envelope
 
 
 class PeerSamplingProtocol:
@@ -55,7 +55,7 @@ class PeerSamplingProtocol:
         dispatch = yield RequestEffect(
             initiator.node_id,
             partner_id,
-            DigestAdvertisement.to(partner_id, sent, VIEW_RANDOM),
+            DigestAdvertisement.to(partner_id, sent),
         )
         if dispatch.reply is not None:
             initiator.random_view.merge(dispatch.reply.digests, initiator.rng)
@@ -76,6 +76,6 @@ class PeerSamplingProtocol:
             digests = receiver.random_view.digests()
             digests.append(receiver.own_digest())
             shown = () if envelope.deferred else envelope.message.digests
-            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_RANDOM, shown)
+            reply = DigestAdvertisement.to(envelope.sender, digests, shown)
         receiver.random_view.merge(envelope.message.digests, receiver.rng)
         return reply

@@ -5,21 +5,28 @@ discovers new neighbours.  Its key cost-saving device is the 3-step
 exchange, now carried by explicit transport messages:
 
 1. **Digests** -- the partners swap
-   :class:`~repro.simulator.transport.DigestAdvertisement` messages carrying
-   their own digest and Bloom-filter digests of (a sample of) the profiles
-   they store, less what the partner would drop unread
-   (:meth:`~repro.simulator.transport.DigestAdvertisement.to`, applied
-   after the sample is drawn): its own digest, and, in the reply, each
-   digest whose user the request carried at the same or a newer version.
-   A reply to a request the delay queue held keeps those: the request
-   describes the initiator as it was cycles ago.  A digest that describes
-   an unchanged, already-known profile, or a user sharing no item with the
-   receiver, is dropped immediately.  "Already known" means a stored replica, or a
-   neighbour that step 2 already scored at this digest version against the
-   receiver's current profile version
+   :class:`~repro.simulator.transport.DigestOffer` messages: one
+   ``(user_id, version)`` descriptor for their own digest and for each of
+   (a sample of) the profiles they store, less what the partner would drop
+   unread (:meth:`~repro.simulator.transport.DigestOffer.to`, applied after
+   the sample is drawn): its own descriptor, and, in the reply, each
+   descriptor whose user the request carried at the same or a newer
+   version.  A reply to a request the delay queue held keeps those: the
+   request describes the initiator as it was cycles ago.  The receiver
+   screens the descriptors: one that describes an unchanged, already-known
+   profile is dropped unread.  "Already known" means a stored replica, or
+   a neighbour that step 2 already scored at this digest version against
+   the receiver's current profile version
    (:attr:`~repro.gossip.views.NeighbourEntry.scored_version`): asking
    again would price the same two profile versions.  A rejected
-   non-neighbour is still re-scored at an unchanged digest version.
+   non-neighbour is still re-scored at an unchanged digest version.  For
+   the survivors the receiver reads its own copy of the digest when its
+   personal network or random view holds that exact version, and pulls
+   the rest from the provider in one batched round trip
+   (:class:`~repro.simulator.transport.DigestPullRequest` /
+   :class:`~repro.simulator.transport.DigestPullReply`): push identifiers,
+   pull payloads.  A user sharing no item with the receiver is then
+   dropped.
 2. **Common items** -- for the remaining candidates, the receiver sends the
    *provider* (who stores those profiles) a
    :class:`~repro.simulator.transport.CommonItemsRequest` for the tagging
@@ -36,14 +43,14 @@ doubles as a freshness wave for the personal networks it touches.
 
 All byte accounting happens inside the transport (one hook pricing every
 message through :func:`repro.gossip.sizes.total_bytes`); this module never
-touches the stats collector.  The steps 2 and 3 sub-requests are synchronous
-control round-trips in every transport -- a lossy transport may drop them
-(the candidate is simply skipped, like an unavailable provider), but a
+touches the stats collector.  The pull and the steps 2 and 3 sub-requests
+are synchronous round-trips in every transport -- a lossy transport may drop
+them (the candidate is simply skipped, like an unavailable provider), but a
 latency transport only delays the *top-level* advertisement, never the
 sub-requests of an exchange already being processed.
 
 The protocol is sans-io (:mod:`repro.simulator.effects`), and both runtimes
-drive the same generators.  The step-2/3 round-trips *nested inside* an
+drive the same generators.  The pull and step-2/3 round-trips *nested inside* an
 exchange are what forces the generator shape -- a flat "return the outbound
 messages" API could not express a handler that needs an answer mid-flight.
 
@@ -64,9 +71,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..similarity.metrics import overlap_score_from_actions
 from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects
 from ..simulator.transport import (
-    VIEW_PERSONAL,
     CommonItemsRequest,
-    DigestAdvertisement,
+    Descriptor,
+    DigestOffer,
+    DigestPullRequest,
     Envelope,
     FullProfileRequest,
 )
@@ -148,13 +156,11 @@ class LazyExchangeProtocol:
         """
         sent = initiator.stored_digest_sample(self.exchange_size)
         dispatch = yield RequestEffect(
-            initiator.node_id,
-            partner_id,
-            DigestAdvertisement.to(partner_id, sent, VIEW_PERSONAL),
+            initiator.node_id, partner_id, DigestOffer.to(partner_id, sent)
         )
         if dispatch.reply is not None:
             yield from self.integrate_effects(
-                initiator, partner_id, dispatch.reply.digests
+                initiator, partner_id, dispatch.reply.descriptors
             )
             return True
         return dispatch.deferred
@@ -162,26 +168,46 @@ class LazyExchangeProtocol:
     # -- receiving side -------------------------------------------------------
 
     def handle_advertisement_effects(self, receiver, envelope: Envelope) -> WireEffects:
-        """Process an incoming lazy advertisement; reply with ours when asked.
+        """Process an incoming offer; reply with ours when asked.
 
-        Yields wire effects; returns the reply advertisement or ``None``.
-        The reply sample is drawn *before* integration, matching the seed's
-        order (both samples were taken before either side integrated).
+        Yields wire effects; returns the reply offer or ``None``.  The reply
+        sample is drawn *before* integration, matching the seed's order
+        (both samples were taken before either side integrated).
         """
-        reply: Optional[DigestAdvertisement] = None
+        reply: Optional[DigestOffer] = None
         if envelope.expects_reply:
             digests = receiver.stored_digest_sample(self.exchange_size)
-            shown = () if envelope.deferred else envelope.message.digests
-            reply = DigestAdvertisement.to(envelope.sender, digests, VIEW_PERSONAL, shown)
+            shown = () if envelope.deferred else envelope.message.descriptors
+            reply = DigestOffer.to(envelope.sender, digests, shown)
         yield from self.integrate_effects(
             receiver,
             envelope.sender,
-            envelope.message.digests,
+            envelope.message.descriptors,
             query_id=envelope.query_id,
         )
         return reply
 
     # -- transport round-trips ------------------------------------------------
+
+    def _pull_digests_effects(
+        self,
+        receiver,
+        provider_id: int,
+        wanted: List[Descriptor],
+        query_id: Optional[int] = None,
+    ) -> WireEffects:
+        """The exchange's one pull: the offered digests ``wanted``, keyed by
+        descriptor; a digest the provider no longer holds is missing, and a
+        lost pull returns none."""
+        dispatch = yield RequestEffect(
+            receiver.node_id,
+            provider_id,
+            DigestPullRequest(descriptors=tuple(wanted)),
+            query_id=query_id,
+        )
+        if dispatch.reply is None:
+            return {}
+        return {(digest.user_id, digest.version): digest for digest in dispatch.reply.digests}
 
     def _fetch_common_actions_effects(
         self,
@@ -229,10 +255,10 @@ class LazyExchangeProtocol:
         self,
         receiver,
         provider_id: int,
-        digests: Iterable[ProfileDigest],
+        descriptors: Iterable[Descriptor],
         query_id: Optional[int] = None,
     ) -> WireEffects:
-        """Process digests received from the provider (Algorithm 1).
+        """Process the descriptors offered by the provider (Algorithm 1).
 
         Yields wire effects.  Returns the list of user ids that were added
         to / refreshed in the receiver's personal network.
@@ -243,25 +269,36 @@ class LazyExchangeProtocol:
         own_ids = receiver.profile.action_ids
         own_version = receiver.profile.version
 
-        #: (digest, gated) in advertisement order; ``gated`` marks unknown
-        #: candidates that must pass the step-1 common-item gate.
-        screened: List[Tuple[ProfileDigest, bool]] = []
-        for digest in digests:
-            if digest.user_id == receiver.node_id:
+        #: (user_id, version, gated, held digest or None) in offer order;
+        #: ``gated`` marks unknown candidates that must pass the step-1
+        #: common-item gate.
+        screened: List[Tuple[int, int, bool, Optional[ProfileDigest]]] = []
+        #: The descriptors to pull: read, and not held at that version.
+        wanted: List[Descriptor] = []
+        for user_id, version in descriptors:
+            if user_id == receiver.node_id:
                 continue
-            existing = receiver.personal_network.get(digest.user_id)
-            if existing is not None:
-                if digest.version <= existing.digest.version and (
-                    existing.profile is not None
-                    or existing.scored_version == own_version
-                ):
-                    # Known neighbour, unchanged digest, and either a replica
-                    # is stored or step 2 already scored it against this
-                    # profile version: drop.
-                    continue
-                screened.append((digest, False))
+            existing = receiver.personal_network.get(user_id)
+            if existing is None:
+                gated = self.three_step
+            elif version <= existing.digest.version and (
+                existing.profile is not None or existing.scored_version == own_version
+            ):
+                # Known neighbour, unchanged digest, and either a replica is
+                # stored or step 2 already scored it against this profile
+                # version: drop unread.
                 continue
-            screened.append((digest, self.three_step))
+            else:
+                gated = False
+            held = receiver.held_digest(user_id, version)
+            if held is None:
+                wanted.append((user_id, version))
+            screened.append((user_id, version, gated, held))
+        pulled: Dict[Descriptor, ProfileDigest] = {}
+        if wanted:
+            pulled = yield from self._pull_digests_effects(
+                receiver, provider_id, wanted, query_id
+            )
 
         # Step 1 gate, batched: price the whole candidate set's common items
         # in one pass over the receiver's cached probe rows.  A gated
@@ -270,12 +307,16 @@ class LazyExchangeProtocol:
         #: user_id -> common items found at the step-1 gate, reused in step 2
         #: so the digest is probed only once per exchange.
         common_by_user: Dict[int, Set[int]] = {}
-        for digest, gated in screened:
+        for user_id, version, gated, digest in screened:
+            if digest is None:
+                digest = pulled.get((user_id, version))
+                if digest is None:  # not pulled: skipped as if unavailable
+                    continue
             if gated:
                 common = receiver.digest_cache.common_items(receiver.profile, digest)
                 if not common:
                     continue
-                common_by_user[digest.user_id] = common
+                common_by_user[user_id] = common
             candidates.append(digest)
 
         updated: List[int] = []

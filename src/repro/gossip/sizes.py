@@ -9,7 +9,17 @@ byte-level cost model rather than from serialized Java objects:
 * therefore a tagging action ``(user implied, item, tag)`` costs 36 bytes
   (16 + 16 + 4 for the tagging user's id);
 * a profile digest is a 20 Kbit Bloom filter: 2,500 bytes;
-* a score (similarity or partial relevance) is a 4-byte integer.
+* a score (similarity or partial relevance) is a 4-byte integer;
+* a profile version is a 4-byte integer.
+
+A lazy exchange offers its digests as ``(user id, version)`` descriptors,
+8 bytes each, and the receiver pulls the rows it reads and does not hold
+already: the pull request costs 8 bytes per descriptor asked for, its
+reply 2,504 bytes per digest returned (a row with its user id).  All three
+are ``personal_digests`` traffic.  The paper's 3-step model ships every
+offered row, so maintenance bytes fall below it by each row the receiver
+drops at step 1 or already holds, less 8 bytes per descriptor offered and
+8 per descriptor pulled.
 
 This module centralizes those constants and the size formulas for every
 message type so that experiments and tests agree on the accounting.
@@ -24,6 +34,9 @@ from ..simulator.transport import (
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     FullProfilePush,
     FullProfileRequest,
     Message,
@@ -40,6 +53,9 @@ SCORE_BYTES = 4
 TAGGING_ACTION_BYTES = ITEM_ID_BYTES + TAG_BYTES + USER_ID_BYTES
 #: A 20 Kbit Bloom-filter digest.
 DIGEST_BYTES = 20_000 // 8
+VERSION_BYTES = 4
+#: One offered digest's ``(user id, version)`` descriptor.
+DESCRIPTOR_BYTES = USER_ID_BYTES + VERSION_BYTES
 
 
 def digest_message_size(num_digests: int) -> int:
@@ -51,6 +67,13 @@ def digest_message_size(num_digests: int) -> int:
     if num_digests < 0:
         raise ValueError("num_digests must be non-negative")
     return num_digests * (DIGEST_BYTES + USER_ID_BYTES)
+
+
+def descriptor_message_size(num_descriptors: int) -> int:
+    """Size of an offer or a pull request naming ``num_descriptors`` digests."""
+    if num_descriptors < 0:
+        raise ValueError("num_descriptors must be non-negative")
+    return num_descriptors * DESCRIPTOR_BYTES
 
 
 def tagging_actions_size(num_actions: int) -> int:
@@ -90,6 +113,9 @@ def _query_result_size(message: QueryResult) -> int:
 _MESSAGE_SIZERS = {
     CommonItemsReply: lambda m: 0 if m.actions is None else tagging_actions_size(len(m.actions)),
     DigestAdvertisement: lambda m: digest_message_size(len(m.digests)),
+    DigestOffer: lambda m: descriptor_message_size(len(m.descriptors)),
+    DigestPullRequest: lambda m: descriptor_message_size(len(m.descriptors)),
+    DigestPullReply: lambda m: digest_message_size(len(m.digests)),
     FullProfilePush: lambda m: 0 if m.profile is None else tagging_actions_size(len(m.profile)),
     QueryForward: lambda m: remaining_list_size(len(m.remaining)),
     RemainingReturn: lambda m: remaining_list_size(len(m.remaining)),
@@ -102,9 +128,11 @@ _MESSAGE_SIZERS = {
 def total_bytes(message: Message) -> int:
     """Wire size of one transport message under the paper's cost model.
 
-    Control messages (the two request types) cost 0 bytes -- the paper's
-    accounting only charges payloads -- as do the failure replies whose
-    payload is ``None`` (the seed never accounted those non-exchanges).
+    The step-2 and step-3 requests cost 0 bytes -- the paper's accounting
+    only charges payloads -- as do the failure replies whose payload is
+    ``None`` (the seed never accounted those non-exchanges).  A digest pull
+    request is charged: its descriptors replace rows the paper's model
+    ships unasked.
     """
     sizer = _MESSAGE_SIZERS.get(type(message))
     if sizer is None:

@@ -344,6 +344,9 @@ class RandomView:
     def __contains__(self, user_id: int) -> bool:
         return user_id in self._entries
 
+    def get(self, user_id: int) -> Optional[ProfileDigest]:
+        return self._entries.get(user_id)
+
     def member_ids(self) -> List[int]:
         if self._sorted_ids is None:
             self._sorted_ids = sorted(self._entries)

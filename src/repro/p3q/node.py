@@ -15,10 +15,11 @@ The node satisfies the simulator's :class:`~repro.simulator.node.Node`
 interface and is addressable on the wire: every delivered message lands in
 :meth:`P3QNode.handle_message` (the cycle engine's transport) or
 :meth:`P3QNode.handle_message_effects` (the service runtime), and both look
-up one pair of handler tables.  Step-2/3 control requests and query results
-are served from local state by plain functions; only gossip advertisements
-and query forwards, which make round-trips of their own, are sans-io
-generators, which the engine drives and the service delegates to.
+up one pair of handler tables.  Random-view swaps, digest pulls, step-2/3
+requests and query results are served from local state by plain functions;
+only digest offers and query forwards, which make round-trips of their own,
+are sans-io generators, which the engine drives and the service delegates
+to.
 
 Everything hot a node does rides the incremental runtime documented in
 ``docs/ARCHITECTURE.md``: its own digest and probe rows live in the
@@ -46,6 +47,9 @@ from ..simulator.transport import (
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     Envelope,
     FullProfilePush,
     FullProfileRequest,
@@ -53,7 +57,6 @@ from ..simulator.transport import (
     QueryForward,
     QueryResult,
     RemainingReturn,
-    VIEW_RANDOM,
 )
 from .config import P3QConfig
 from .eager import EagerGossipProtocol
@@ -130,18 +133,34 @@ class P3QNode(Node):
         return self.digest_cache.digest_for(self.profile)
 
     def stored_digest_sample(self, limit: int) -> List[ProfileDigest]:
-        """Digests advertised in a gossip message: own + sample of stored.
+        """Digests offered in a lazy exchange: own + sample of stored.
 
         The caller leaves out of what this returns whatever the partner
         would drop unread
-        (:meth:`~repro.simulator.transport.DigestAdvertisement.to`), after
-        the sample is drawn: the draw never depends on who receives it.
+        (:meth:`~repro.simulator.transport.DigestOffer.to`), after the
+        sample is drawn: the draw never depends on who receives it.
         """
         entries = self.personal_network.stored_entries()
         digests = [entry.digest for entry in entries]
         if len(digests) > limit:
             digests = self._rng.sample(digests, k=limit)
         return [self.own_digest()] + digests
+
+    def held_digest(self, user_id: int, version: int) -> Optional[ProfileDigest]:
+        """The digest of ``user_id`` at exactly ``version`` that this node
+        holds -- its own, a personal-network entry's or a random-view
+        member's -- or ``None``.  What a digest pull is answered from, and
+        what spares the asker a pull."""
+        if user_id == self.node_id:
+            digest = self.own_digest()
+            return digest if digest.version == version else None
+        entry = self.personal_network.get(user_id)
+        if entry is not None and entry.digest.version == version:
+            return entry.digest
+        digest = self.random_view.get(user_id)
+        if digest is not None and digest.version == version:
+            return digest
+        return None
 
     def action_ids_for_items_of(
         self, subject_id: int, items: FrozenSet[int]
@@ -372,12 +391,21 @@ class P3QNode(Node):
             actions=self.action_ids_for_items_of(message.subject_id, message.items),
         )
 
-    def _handle_digest_advertisement_effects(self, envelope: Envelope) -> WireEffects:
-        """A gossip advertisement: a random-view swap is pure local state, a
-        personal-view exchange integrates through step-2/3 round-trips."""
-        if envelope.message.view == VIEW_RANDOM:
-            return self.peer_sampling.handle_advertisement(self, envelope)
+    def _handle_digest_advertisement(self, envelope: Envelope) -> Optional[DigestAdvertisement]:
+        return self.peer_sampling.handle_advertisement(self, envelope)
+
+    def _handle_digest_offer_effects(self, envelope: Envelope) -> WireEffects:
         return (yield from self.lazy.handle_advertisement_effects(self, envelope))
+
+    def _handle_digest_pull_request(self, envelope: Envelope) -> DigestPullReply:
+        """Answer a pull from the digests held now, each at exactly the
+        asked version (free riders too: they gossip digests).  No state is
+        kept per asker or per exchange."""
+        held = self.held_digest
+        return DigestPullReply(digests=tuple([
+            digest for user_id, version in envelope.message.descriptors
+            if (digest := held(user_id, version)) is not None
+        ]))
 
     def _handle_full_profile_request(self, envelope: Envelope) -> FullProfilePush:
         message = envelope.message
@@ -472,12 +500,14 @@ class P3QNode(Node):
 #: only the two that make round-trips mid-handling are generators.  A dict
 #: lookup beats an isinstance chain.
 _MESSAGE_HANDLERS = {
+    DigestAdvertisement: P3QNode._handle_digest_advertisement,
+    DigestPullRequest: P3QNode._handle_digest_pull_request,
     CommonItemsRequest: P3QNode._handle_common_items_request,
     FullProfileRequest: P3QNode._handle_full_profile_request,
     QueryResult: P3QNode._handle_query_result,
     RemainingReturn: P3QNode._handle_remaining_return,
 }
 _ROUND_TRIP_HANDLERS = {
-    DigestAdvertisement: P3QNode._handle_digest_advertisement_effects,
+    DigestOffer: P3QNode._handle_digest_offer_effects,
     QueryForward: P3QNode._handle_query_forward_effects,
 }

@@ -65,11 +65,12 @@ from ..simulator.transport import (
     LOST,
     REPLY_DROPPED,
     UNREACHABLE,
-    VIEW_PERSONAL,
-    VIEW_RANDOM,
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     Envelope,
     FullProfilePush,
     FullProfileRequest,
@@ -146,10 +147,7 @@ _MAX_SEQUENCE = 1 << 24
 #: Bound of one :class:`BinaryWireCodec`'s LRU of decoded digests.
 _MAX_RECEIVED_DIGESTS = 65536
 
-_VIEW_CODES = {VIEW_RANDOM: 0, VIEW_PERSONAL: 1}
-_VIEW_NAMES = {code: name for name, code in _VIEW_CODES.items()}
-
-#: Digest-entry markers inside a DigestAdvertisement payload.
+#: Digest-entry markers inside a digest-carrying payload.
 _DIGEST_FULL = 0
 _DIGEST_REF = 1
 
@@ -311,17 +309,6 @@ def _optional(kind: _Kind) -> _Kind:
     return _Kind(write, read)
 
 
-def _write_view(out: bytearray, name: str) -> None:
-    out.append(_VIEW_CODES[name])
-
-
-def _read_view(view: bytes, offset: int) -> Tuple[str, int]:
-    code, offset = _read_byte(view, offset, "advertisement: missing view byte")
-    if code not in _VIEW_NAMES:
-        raise ValueError(f"unknown view code {code!r}")
-    return _VIEW_NAMES[code], offset
-
-
 def _write_scores(out: bytearray, scores: Dict[int, float]) -> None:
     pairs = sorted(scores.items())
     _write_len(out, len(pairs))
@@ -358,6 +345,23 @@ def _read_digests(codec, view: bytes, offset: int):
     return tuple(digests), offset
 
 
+def _write_descriptors(out: bytearray, descriptors) -> None:
+    _write_len(out, len(descriptors))
+    for user_id, version in descriptors:
+        _write_sv(out, user_id)
+        _write_uv(out, version)
+
+
+def _read_descriptors(view: bytes, offset: int):
+    count, offset = _read_len(view, offset)
+    descriptors = []
+    for _ in range(count):
+        user_id, offset = _read_sv(view, offset)
+        version, offset = _read_uv(view, offset)
+        descriptors.append((user_id, version))
+    return tuple(descriptors), offset
+
+
 def _pairs_of(action_ids):
     return (action_of(action_id) for action_id in action_ids)
 
@@ -380,8 +384,8 @@ _SINT_SET = _plain(
     lambda out, values: _write_svs(out, sorted(values)),
     lambda view, offset: _read_svs(view, offset, frozenset),
 )
-#: Which view an advertisement describes, as a code byte.
-_VIEW = _plain(_write_view, _read_view)
+#: ``(user_id, version)`` descriptors of offered digests, in order.
+_DESCRIPTORS = _plain(_write_descriptors, _read_descriptors)
 #: ``item -> score`` as sorted ``(item, score)`` pairs, scores ``<d`` doubles.
 _SCORES = _plain(_write_scores, _read_scores)
 #: A set of ``(item, tag)`` actions, carried sorted.
@@ -428,7 +432,7 @@ _OPT_PROFILE = _optional(_PROFILE)
 #: one row here (reusing the kinds above) plus its price in
 #: ``gossip.sizes``.
 MESSAGE_TABLE: Dict[Type[Message], Tuple[int, Fields]] = {
-    DigestAdvertisement: (1, (("view", _VIEW), ("digests", _DIGESTS))),
+    DigestAdvertisement: (1, (("digests", _DIGESTS),)),
     CommonItemsRequest: (2, (("subject_id", _SINT), ("items", _SINT_SET))),
     CommonItemsReply: (3, (("subject_id", _SINT), ("actions", _OPT_ACTIONS))),
     FullProfileRequest: (4, (("subject_id", _SINT),)),
@@ -436,6 +440,9 @@ MESSAGE_TABLE: Dict[Type[Message], Tuple[int, Fields]] = {
     QueryForward: (6, (("query", _QUERY), ("remaining", _SINTS), ("cycle", _SINT))),
     RemainingReturn: (7, (("query_id", _SINT), ("remaining", _SINTS))),
     QueryResult: (8, (("partial", _PARTIAL),)),
+    DigestOffer: (9, (("descriptors", _DESCRIPTORS),)),
+    DigestPullRequest: (10, (("descriptors", _DESCRIPTORS),)),
+    DigestPullReply: (11, (("digests", _DIGESTS),)),
 }
 
 #: Derived once at import, never edited: each row's fields as the record
@@ -466,14 +473,16 @@ class BinaryWireCodec:
     Three layers -- message bodies (``encode_message``/``decode_message``),
     runtime frames (``encode_request``/``encode_reply``/``encode_send`` and
     ``split``/``decode_body``), and the length-prefix outer framing -- plus
-    what makes the digest-advertisement path cheap:
+    what makes digest rows cheap:
 
     * **Shared rows**: a full digest entry is a small header plus the
       filter's own memoised :meth:`BloomFilter.row_bytes`, and a decoded
       row resolves to the one interned :class:`ProfileDigest` of that
       content -- no codec keeps a private copy of either.
     * **Suppression**: each link has one table, ``user_id -> newest
-      version shipped in full``, written as the full row is encoded; a
+      version shipped in full``, written as a full row is encoded in a
+      request or a one-way send (a reply is encoded off-link, so a pull's
+      rows always go in full); a
       digest of exactly that version goes as a small *reference* entry
       instead, which the receiving codec resolves from the digests it has
       already decoded.  When the frame may never be decoded (the wire

@@ -41,6 +41,9 @@ from ..simulator.transport import (
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     FullProfilePush,
     FullProfileRequest,
     Message,
@@ -68,9 +71,10 @@ _HAS_QUERY = 1 << 6
 #: (each forward carries its own cycle, and a ``QueryResult`` cannot be
 #: hashed: its ``PartialResult`` is mutable) -- is kept as its off-link
 #: :class:`BinaryWireCodec` body, a fraction of the objects it decodes to.
-_MERGED = frozenset(
-    {DigestAdvertisement, CommonItemsRequest, CommonItemsReply, FullProfileRequest, FullProfilePush}
-)
+_MERGED = frozenset({
+    DigestAdvertisement, DigestOffer, DigestPullRequest, DigestPullReply,
+    CommonItemsRequest, CommonItemsReply, FullProfileRequest, FullProfilePush,
+})
 
 #: Bound of one trace's table of distinct messages: shed whole when passed
 #: (a later equal message then starts a new shared object; recording a

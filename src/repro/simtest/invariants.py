@@ -40,13 +40,15 @@ from ..simulator.transport import (
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     FullProfilePush,
     FullProfileRequest,
     Message,
     QueryForward,
     QueryResult,
     RemainingReturn,
-    VIEW_RANDOM,
     WireEvent,
 )
 from ..simulator.stats import (
@@ -134,13 +136,18 @@ _REF_TAG = 16
 _REF_SCORE = 4
 _REF_ACTION = _REF_ITEM_ID + _REF_TAG + _REF_USER_ID
 _REF_DIGEST = 20_000 // 8
+_REF_VERSION = 4
+#: An offered or pulled ``(user id, version)`` descriptor.
+_REF_DESCRIPTOR = _REF_USER_ID + _REF_VERSION
 
 
 def reference_kind(message: Message) -> Optional[str]:
     """The traffic kind a message is recorded under (``None`` = not charged)."""
     mtype = type(message)
     if mtype is DigestAdvertisement:
-        return KIND_RANDOM_VIEW if message.view == VIEW_RANDOM else KIND_DIGESTS
+        return KIND_RANDOM_VIEW
+    if mtype in (DigestOffer, DigestPullRequest, DigestPullReply):
+        return KIND_DIGESTS
     if mtype is CommonItemsReply:
         return KIND_COMMON_ITEMS if message.actions is not None else None
     if mtype is FullProfilePush:
@@ -161,8 +168,10 @@ def reference_kind(message: Message) -> Optional[str]:
 def reference_price(message: Message) -> int:
     """Independent wire price of one message under the paper's cost model."""
     mtype = type(message)
-    if mtype is DigestAdvertisement:
+    if mtype in (DigestAdvertisement, DigestPullReply):
         return len(message.digests) * (_REF_DIGEST + _REF_USER_ID)
+    if mtype in (DigestOffer, DigestPullRequest):
+        return len(message.descriptors) * _REF_DESCRIPTOR
     if mtype is CommonItemsReply:
         return 0 if message.actions is None else len(message.actions) * _REF_ACTION
     if mtype is FullProfilePush:

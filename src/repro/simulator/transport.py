@@ -6,9 +6,12 @@ Every peer interaction of the P3Q stack flows through a
 ============================  =============================================
 message                       meaning
 ============================  =============================================
-:class:`DigestAdvertisement`  digests advertised in a gossip exchange --
-                              random-view digests (peer sampling) or
-                              stored-profile digests (lazy Algorithm 1)
+:class:`DigestAdvertisement`  random-view digests swapped by peer sampling
+:class:`DigestOffer`          ``(user, version)`` descriptors of the digests
+                              a lazy exchange offers (Algorithm 1)
+:class:`DigestPullRequest`    ask for the offered digests the receiver reads
+                              and does not hold
+:class:`DigestPullReply`      those digests, as far as the provider holds them
 :class:`CommonItemsRequest`   step-2 ask: "subject's actions on these items"
 :class:`CommonItemsReply`     the matching tagging actions (or ``None``)
 :class:`FullProfileRequest`   step-3 ask for a complete profile replica
@@ -36,8 +39,9 @@ returned in the :class:`Dispatch`.
 Cycle-granularity latency applies at *exchange* granularity: a deferred
 request is queued whole, the receiver processes it when the engine drains
 the queue, and the reply is then routed back to the initiator as a one-way
-message (itself subject to delay).  The control sub-requests *inside* an
-exchange (:class:`CommonItemsRequest`, :class:`FullProfileRequest`) always
+message (itself subject to delay).  The sub-requests *inside* an exchange
+(:class:`DigestPullRequest`, :class:`CommonItemsRequest`,
+:class:`FullProfileRequest`) always
 complete within the cycle in which the exchange is processed -- real
 round-trip times are far below the paper's 60 s / 5 s cycle lengths -- but
 remain individually droppable by a loss condition.
@@ -45,10 +49,10 @@ remain individually droppable by a loss condition.
 Byte accounting happens in exactly one place, :meth:`Transport.account`:
 every payload-bearing message is priced by
 :func:`repro.gossip.sizes.total_bytes` and recorded at *send* time (a lost
-message still costs its sender bandwidth).  Pure control messages (the two
-request types, which the paper's cost model does not charge) and failure
-replies carrying a ``None`` payload are never recorded, which reproduces the
-seed's accounting exactly.
+message still costs its sender bandwidth).  Pure control messages (the step-2
+and step-3 requests, which the paper's cost model does not charge) and
+failure replies carrying a ``None`` payload are never recorded, which
+reproduces the seed's accounting exactly.
 
 Observation
 -----------
@@ -100,9 +104,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 ConditionT = TypeVar("ConditionT", bound=Condition)
 
-#: ``DigestAdvertisement.view`` values.
-VIEW_RANDOM = "random"
-VIEW_PERSONAL = "personal"
+#: One offered digest on the wire: ``(user_id, version)``.
+Descriptor = Tuple[int, int]
 
 #: Dispatch statuses.
 DELIVERED = "delivered"
@@ -141,12 +144,11 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class DigestAdvertisement(Message):
-    """Digests advertised in one direction of a gossip exchange."""
+    """Random-view digests swapped by peer sampling, in one direction."""
 
     digests: Tuple["ProfileDigest", ...]
-    #: :data:`VIEW_RANDOM` (peer sampling) or :data:`VIEW_PERSONAL` (lazy).
-    view: str
 
+    kind = KIND_RANDOM_VIEW
     DEFERRABLE = True
 
     @classmethod
@@ -154,7 +156,6 @@ class DigestAdvertisement(Message):
         cls,
         receiver_id: int,
         digests: Iterable["ProfileDigest"],
-        view: str,
         shown: Iterable["ProfileDigest"] = (),
     ) -> "DigestAdvertisement":
         """The advertisement of ``digests`` to ``receiver_id``, less what
@@ -170,18 +171,69 @@ class DigestAdvertisement(Message):
         so a sample's RNG draws do not depend on who receives it.
         """
         known = {digest.user_id: digest.version for digest in shown}
-        return cls(
-            tuple([
-                digest for digest in digests
-                if digest.user_id != receiver_id
-                and known.get(digest.user_id, -1) < digest.version
-            ]),
-            view,
-        )
+        return cls(tuple(_read_by(receiver_id, digests, known)))
 
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return KIND_RANDOM_VIEW if self.view == VIEW_RANDOM else KIND_DIGESTS
+
+def _read_by(
+    receiver_id: int, digests: Iterable["ProfileDigest"], known: Dict[int, int]
+) -> List["ProfileDigest"]:
+    """``digests`` less the receiver's own and each whose user ``known``
+    (user -> version the receiver just advertised) holds at the same or a
+    newer version."""
+    return [
+        digest for digest in digests
+        if digest.user_id != receiver_id and known.get(digest.user_id, -1) < digest.version
+    ]
+
+
+@dataclass(frozen=True, slots=True)
+class DigestOffer(Message):
+    """The personal-view advertisement of a lazy exchange: one
+    ``(user_id, version)`` descriptor per digest the sender offers (its own
+    and a sample of its stored replicas').  The receiver screens the
+    descriptors and pulls the rows it reads and does not hold
+    (:class:`DigestPullRequest`)."""
+
+    descriptors: Tuple[Descriptor, ...]
+
+    kind = KIND_DIGESTS
+    DEFERRABLE = True
+
+    @classmethod
+    def to(
+        cls,
+        receiver_id: int,
+        digests: Iterable["ProfileDigest"],
+        shown: Iterable[Descriptor] = (),
+    ) -> "DigestOffer":
+        """The offer of ``digests`` to ``receiver_id``, in sample order,
+        less what the receiver would drop unread: the rule of
+        :meth:`DigestAdvertisement.to`, with ``shown`` the descriptors of
+        the offer a reply answers."""
+        return cls(tuple([
+            (digest.user_id, digest.version)
+            for digest in _read_by(receiver_id, digests, dict(shown))
+        ]))
+
+
+@dataclass(frozen=True, slots=True)
+class DigestPullRequest(Message):
+    """Ask the provider of an offer for the digests of these descriptors,
+    each at exactly its version."""
+
+    descriptors: Tuple[Descriptor, ...]
+
+    kind = KIND_DIGESTS
+
+
+@dataclass(frozen=True, slots=True)
+class DigestPullReply(Message):
+    """The pulled digests, in request order; a descriptor whose digest the
+    provider no longer holds at that version is left out."""
+
+    digests: Tuple["ProfileDigest", ...]
+
+    kind = KIND_DIGESTS
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,8 +336,8 @@ class Envelope(NamedTuple):
     the hottest path of the simulator, and tuple construction is C-level.
     ``deferred`` marks an envelope the delay queue held: a reply to such a
     request does not leave out the digests the request carried
-    (:meth:`DigestAdvertisement.to`), because they describe its sender as
-    it was when it sent them, cycles ago.  Only :meth:`Transport.drain`
+    (:meth:`DigestAdvertisement.to`), because they describe its sender as it was when it
+    sent them, cycles ago.  Only :meth:`Transport.drain`
     delivers one; the service runtime never defers.
     """
 

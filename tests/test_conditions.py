@@ -28,7 +28,6 @@ from repro.simulator.transport import (
     DELIVERED,
     DROPPED,
     UNREACHABLE,
-    VIEW_RANDOM,
     CommonItemsRequest,
     DigestAdvertisement,
     Envelope,
@@ -56,7 +55,7 @@ def _wire(transport, tiny_dataset):
 
 
 def _digest_ad(node):
-    return DigestAdvertisement(digests=(node.own_digest(),), view=VIEW_RANDOM)
+    return DigestAdvertisement(digests=(node.own_digest(),))
 
 
 def _cross_pair(transport, nodes):

@@ -22,7 +22,7 @@ from repro.data.models import ChangeDay, ProfileChange, UserProfile
 from repro.data.queries import QueryWorkloadGenerator
 from repro.gossip.digest import DigestCache, intern_digest, make_digest
 from repro.p3q import P3QConfig, P3QSimulation
-from repro.simulator.transport import VIEW_RANDOM, DigestAdvertisement
+from repro.simulator.transport import DigestAdvertisement
 from test_wire_codec import through_trace
 
 
@@ -202,7 +202,7 @@ def test_dirty_set_flush_evicts_superseded_state():
 
 def _through_trace(digests, path):
     """``digests`` as a trace file carries them: dumped and loaded back."""
-    message = DigestAdvertisement(digests=tuple(digests), view=VIEW_RANDOM)
+    message = DigestAdvertisement(digests=tuple(digests))
     return through_trace(message, path).digests
 
 

@@ -62,7 +62,6 @@ from repro.simulator import stats as stats_module
 from repro.topk.heap import Candidate
 from repro.topk.nra import RankedList
 from repro.simulator.transport import (
-    VIEW_RANDOM,
     DigestAdvertisement,
     Envelope,
     QueryResult,
@@ -212,6 +211,32 @@ def _subject() -> UserProfile:
 class TestOneSmallObjectPerPairValue:
     """The cycle engine's per-(receiver, subject) state."""
 
+    def test_evaluated_holds_one_entry_per_pair_seen_and_never_sheds(
+        self, synthetic_dataset, small_config, monkeypatch
+    ):
+        """``LazyExchangeProtocol._evaluated`` keeps one entry for every
+        (receiver, random-view member) pair a refresh has seen, at the
+        newest digest version seen, and drops none of them."""
+        seen = {}
+        refresh = LazyExchangeProtocol.refresh_from_random_view_effects
+
+        def spy_refresh(protocol, peer):
+            row = seen.setdefault(peer.node_id, {})
+            for digest in peer.random_view.digests():
+                row[digest.user_id] = max(row.get(digest.user_id, -1), digest.version)
+            return refresh(protocol, peer)
+
+        monkeypatch.setattr(LazyExchangeProtocol, "refresh_from_random_view_effects", spy_refresh)
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        simulation.bootstrap_random_views()
+        evaluated = simulation.lazy._evaluated
+        sizes = []
+        for _ in range(4):
+            simulation.run_lazy(1)
+            assert evaluated == seen
+            sizes.append(sum(len(row) for row in evaluated.values()))
+        assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
+
     def test_single_item_request_returns_the_cached_per_item_tuple_itself(self):
         subject = _subject()
         reply = subject.action_ids_for_items(frozenset({4}))
@@ -278,10 +303,10 @@ class TestOneSmallObjectPerPairValue:
         integrate = LazyExchangeProtocol.integrate_effects
         refresh = LazyExchangeProtocol.refresh_from_random_view_effects
 
-        def spy_integrate(protocol, receiver, provider_id, digests, query_id=None):
-            digests = tuple(digests)
-            advertised.update((receiver.node_id, digest.user_id) for digest in digests)
-            return integrate(protocol, receiver, provider_id, digests, query_id)
+        def spy_integrate(protocol, receiver, provider_id, descriptors, query_id=None):
+            descriptors = tuple(descriptors)
+            advertised.update((receiver.node_id, user_id) for user_id, _ in descriptors)
+            return integrate(protocol, receiver, provider_id, descriptors, query_id)
 
         def spy_refresh(protocol, peer):
             in_random_view.update(
@@ -522,7 +547,7 @@ class TestOneDigestFormAtRest:
             BloomFilter, "row_bytes", lambda bloom: appended.append(row_bytes(bloom)) or appended[-1]
         )
         frame = BinaryWireCodec().encode_message(
-            DigestAdvertisement(digests=(digest,), view=VIEW_RANDOM)
+            DigestAdvertisement(digests=(digest,))
         )
         assert len(appended) == 1 and appended[0] is row and row in frame
 

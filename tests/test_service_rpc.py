@@ -19,7 +19,6 @@ from repro.simulator.transport import (
     DELIVERED,
     DROPPED,
     OP_REQUEST,
-    VIEW_RANDOM,
     CommonItemsRequest,
     DigestAdvertisement,
     Envelope,
@@ -48,7 +47,7 @@ def _advertisement(simulation) -> DigestAdvertisement:
         simulation.digest_cache.digest_for(simulation.nodes[user_id].profile)
         for user_id in list(simulation.nodes)[:3]
     )
-    return DigestAdvertisement(digests=digests, view=VIEW_RANDOM)
+    return DigestAdvertisement(digests=digests)
 
 
 class _SwallowFirst:

@@ -303,7 +303,7 @@ class TestInvariantsFire:
 class TestReferenceModel:
     def test_reference_agrees_with_production_sizes(self):
         """The independent pricer and gossip.sizes agree on a digest message."""
-        message = DigestAdvertisement(digests=(), view="random")
+        message = DigestAdvertisement(digests=())
         assert reference_price(message) == sizes.total_bytes(message) == 0
         assert reference_kind(message) == "random_view_digests"
 

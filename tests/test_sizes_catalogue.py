@@ -17,6 +17,7 @@ from repro.data.models import UserProfile
 from repro.data.queries import Query
 from repro.gossip.digest import make_digest
 from repro.gossip.sizes import (
+    DESCRIPTOR_BYTES,
     DIGEST_BYTES,
     TAGGING_ACTION_BYTES,
     USER_ID_BYTES,
@@ -27,14 +28,15 @@ from repro.simulator.transport import (
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     FullProfilePush,
     FullProfileRequest,
     Message,
     QueryForward,
     QueryResult,
     RemainingReturn,
-    VIEW_PERSONAL,
-    VIEW_RANDOM,
 )
 
 
@@ -66,7 +68,22 @@ def _partial(num_items: int, num_contributors: int) -> PartialResult:
 #: ``builder(n)`` constructs an instance whose payload has ``n`` entries.
 CATALOGUE = {
     DigestAdvertisement: (
-        lambda n: DigestAdvertisement(digests=_digests(n), view=VIEW_RANDOM),
+        lambda n: DigestAdvertisement(digests=_digests(n)),
+        DIGEST_BYTES + USER_ID_BYTES,
+        False,
+    ),
+    DigestOffer: (
+        lambda n: DigestOffer(descriptors=tuple((uid, 3) for uid in range(n))),
+        DESCRIPTOR_BYTES,
+        False,
+    ),
+    DigestPullRequest: (
+        lambda n: DigestPullRequest(descriptors=tuple((uid, 3) for uid in range(n))),
+        DESCRIPTOR_BYTES,
+        False,
+    ),
+    DigestPullReply: (
+        lambda n: DigestPullReply(digests=_digests(n)),
         DIGEST_BYTES + USER_ID_BYTES,
         False,
     ),
@@ -195,5 +212,10 @@ class TestFailureReplies:
         assert not push.accountable
 
     def test_personal_view_advertisement_kind(self):
-        message = DigestAdvertisement(digests=(), view=VIEW_PERSONAL)
-        assert message.kind == "personal_digests"
+        """The offer and both legs of its pull are personal-digest traffic."""
+        for message in (
+            DigestOffer(descriptors=()),
+            DigestPullRequest(descriptors=()),
+            DigestPullReply(digests=()),
+        ):
+            assert message.kind == "personal_digests"

@@ -24,8 +24,9 @@ from repro.simulator.effects import drive
 from repro.simulator.transport import CommonItemsRequest
 
 
-def _asked(monkeypatch, simulation, receiver, provider_id, digests):
-    """Drive one integration; returns the subjects step 2 asked about."""
+def _asked(monkeypatch, simulation, receiver, provider_id, descriptors):
+    """Drive one integration of ``descriptors``; returns the subjects step 2
+    asked about."""
     asked = []
     transport = simulation.network.transport
     request = transport.request
@@ -36,7 +37,7 @@ def _asked(monkeypatch, simulation, receiver, provider_id, digests):
         return request(sender, to, message, query_id=query_id)
 
     monkeypatch.setattr(transport, "request", counting)
-    drive(receiver.lazy.integrate_effects(receiver, provider_id, digests), simulation.network)
+    drive(receiver.lazy.integrate_effects(receiver, provider_id, descriptors), simulation.network)
     monkeypatch.setattr(transport, "request", request)
     return asked
 
@@ -53,9 +54,10 @@ def pair(warm_simulation):
 
 
 def _advertise(monkeypatch, simulation, receiver, neighbour):
-    """The neighbour advertises its own digest to the receiver."""
+    """The neighbour offers its own digest to the receiver."""
+    digest = neighbour.own_digest()
     return _asked(
-        monkeypatch, simulation, receiver, neighbour.node_id, [neighbour.own_digest()]
+        monkeypatch, simulation, receiver, neighbour.node_id, [(digest.user_id, digest.version)]
     )
 
 
@@ -87,6 +89,24 @@ def test_a_change_to_the_receivers_profile_asks_again(monkeypatch, pair):
     assert _advertise(monkeypatch, simulation, receiver, neighbour) == []
 
 
+def _offer_old(monkeypatch, simulation, receiver, neighbour, old):
+    """The neighbour offers ``old``, an earlier digest of its own, and
+    serves its pull as a provider that still held it would."""
+    held = neighbour.held_digest
+
+    def still_holding(user_id, version):
+        if (user_id, version) == (old.user_id, old.version):
+            return old
+        return held(user_id, version)
+
+    monkeypatch.setattr(neighbour, "held_digest", still_holding)
+    asked = _asked(
+        monkeypatch, simulation, receiver, neighbour.node_id, [(old.user_id, old.version)]
+    )
+    monkeypatch.setattr(neighbour, "held_digest", held)
+    return asked
+
+
 def test_an_advanced_digest_version_asks_again(monkeypatch, pair):
     simulation, receiver, neighbour = pair
     old = neighbour.own_digest()
@@ -98,13 +118,11 @@ def test_an_advanced_digest_version_asks_again(monkeypatch, pair):
     assert entry.digest.version == neighbour.own_digest().version
     assert _advertise(monkeypatch, simulation, receiver, neighbour) == []
     # An older digest than the entry's is dropped while the score stands.
-    assert _asked(monkeypatch, simulation, receiver, neighbour.node_id, [old]) == []
+    assert _offer_old(monkeypatch, simulation, receiver, neighbour, old) == []
     # Once the receiver's profile moved it is asked, and the score it gets
     # does not stand for the entry's newer digest version.
     assert receiver.profile.add_all([(987_655, 321)]) == 1
-    assert _asked(monkeypatch, simulation, receiver, neighbour.node_id, [old]) == [
-        neighbour.node_id
-    ]
+    assert _offer_old(monkeypatch, simulation, receiver, neighbour, old) == [neighbour.node_id]
     assert entry.digest.version > old.version and entry.scored_version == -1
     assert _advertise(monkeypatch, simulation, receiver, neighbour) == [neighbour.node_id]
     assert _advertise(monkeypatch, simulation, receiver, neighbour) == []

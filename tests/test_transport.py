@@ -45,11 +45,12 @@ from repro.simulator.transport import (
     OP_SEND,
     REPLY_DROPPED,
     UNREACHABLE,
-    VIEW_PERSONAL,
-    VIEW_RANDOM,
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     DirectTransport,
     FullProfilePush,
     FullProfileRequest,
@@ -74,8 +75,8 @@ def pair(tiny_dataset):
     return network, nodes
 
 
-def _digest_ad(node, view=VIEW_RANDOM):
-    return DigestAdvertisement(digests=(node.own_digest(),), view=view)
+def _digest_ad(node):
+    return DigestAdvertisement(digests=(node.own_digest(),))
 
 
 class TestMessageCatalogue:
@@ -83,12 +84,16 @@ class TestMessageCatalogue:
         _, nodes = pair
         message = _digest_ad(nodes[0])
         with pytest.raises(AttributeError):
-            message.view = VIEW_PERSONAL
+            message.digests = ()
 
     def test_advertisement_kind_follows_view(self, pair):
         _, nodes = pair
-        assert _digest_ad(nodes[0], VIEW_RANDOM).kind == KIND_RANDOM_VIEW
-        assert _digest_ad(nodes[0], VIEW_PERSONAL).kind == KIND_DIGESTS
+        digest = nodes[0].own_digest()
+        assert _digest_ad(nodes[0]).kind == KIND_RANDOM_VIEW
+        descriptors = ((digest.user_id, digest.version),)
+        assert DigestOffer(descriptors=descriptors).kind == KIND_DIGESTS
+        assert DigestPullRequest(descriptors=descriptors).kind == KIND_DIGESTS
+        assert DigestPullReply(digests=(digest,)).kind == KIND_DIGESTS
 
     def test_control_messages_have_no_kind(self):
         assert CommonItemsRequest(subject_id=1, items=frozenset({2})).kind is None
@@ -103,7 +108,7 @@ class TestMessageCatalogue:
 class TestTotalBytes:
     def test_sizes_share_the_paper_cost_model(self, pair, tiny_dataset):
         _, nodes = pair
-        ad = DigestAdvertisement(digests=(nodes[0].own_digest(), nodes[1].own_digest()), view=VIEW_RANDOM)
+        ad = DigestAdvertisement(digests=(nodes[0].own_digest(), nodes[1].own_digest()))
         assert total_bytes(ad) == digest_message_size(2) == 2 * (DIGEST_BYTES + USER_ID_BYTES)
 
         profile = tiny_dataset.profile(0)
@@ -347,7 +352,7 @@ class TestLatencyTransport:
         deferred = None
         for _ in range(16):
             dispatch = network.transport.request(
-                0, 1, _digest_ad(nodes[0], VIEW_RANDOM)
+                0, 1, _digest_ad(nodes[0])
             )
             if dispatch.status == DEFERRED:
                 deferred = dispatch
@@ -438,7 +443,7 @@ class TestObservers:
             network.add_node(node)
         events = []
         network.transport.add_observer(events.append)
-        network.transport.request(0, 1, _digest_ad(nodes[0], VIEW_RANDOM))
+        network.transport.request(0, 1, _digest_ad(nodes[0]))
         assert events[-1].status == DROPPED
         assert events[-1].accounted  # a lost message still cost its sender
 
@@ -458,7 +463,7 @@ class TestObservers:
         events = []
         transport.add_observer(events.append)
         for _ in range(16):
-            dispatch = network.transport.request(0, 1, _digest_ad(nodes[0], VIEW_RANDOM))
+            dispatch = network.transport.request(0, 1, _digest_ad(nodes[0]))
             if dispatch.status == DEFERRED:
                 break
         assert any(e.op == OP_REQUEST and e.status == DEFERRED for e in events)

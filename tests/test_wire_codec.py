@@ -38,11 +38,12 @@ from repro.service.trace import ServiceTrace
 from repro.simulator.transport import (
     DELIVERED,
     OP_SEND,
-    VIEW_PERSONAL,
-    VIEW_RANDOM,
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     Envelope,
     FullProfilePush,
     FullProfileRequest,
@@ -84,6 +85,12 @@ def _interned(num_actions: int) -> tuple:
     return tuple(sorted(intern_action(item, item + 100) for item in range(num_actions)))
 
 
+#: ``(user_id, version)`` descriptors, negative ids included.
+_DESCRIPTORS = st.lists(
+    st.tuples(st.integers(min_value=-50, max_value=1000), st.integers(min_value=0, max_value=300)),
+    max_size=6,
+).map(tuple)
+
 #: type -> strategy producing instances of exactly that type.  Every concrete
 #: Message subclass MUST have an entry (enforced below).
 STRATEGIES = {
@@ -93,7 +100,15 @@ STRATEGIES = {
             st.integers(min_value=0, max_value=30).map(lambda uid: _digest(uid, 1 + uid % 4)),
             max_size=4,
         ).map(tuple),
-        view=st.sampled_from([VIEW_RANDOM, VIEW_PERSONAL]),
+    ),
+    DigestOffer: st.builds(DigestOffer, descriptors=_DESCRIPTORS),
+    DigestPullRequest: st.builds(DigestPullRequest, descriptors=_DESCRIPTORS),
+    DigestPullReply: st.builds(
+        DigestPullReply,
+        digests=st.lists(
+            st.integers(min_value=0, max_value=30).map(lambda uid: _digest(uid, 1 + uid % 4)),
+            max_size=4,
+        ).map(tuple),
     ),
     CommonItemsRequest: st.builds(
         CommonItemsRequest,
@@ -179,8 +194,7 @@ def _assert_profile_equal(left: UserProfile, right: UserProfile) -> None:
 
 def assert_message_equal(left: Message, right: Message) -> None:
     assert type(left) is type(right)
-    if isinstance(left, DigestAdvertisement):
-        assert left.view == right.view
+    if isinstance(left, (DigestAdvertisement, DigestPullReply)):
         assert len(left.digests) == len(right.digests)
         for a, b in zip(left.digests, right.digests):
             _assert_digest_equal(a, b)
@@ -276,10 +290,10 @@ def _twin(value):
     return value
 
 
-def _received(advertisement: DigestAdvertisement) -> DigestAdvertisement:
-    """``advertisement`` with each digest resolved as the codec resolves a
-    received copy of its row (``intern_digest``)."""
-    return DigestAdvertisement(
+def _received(advertisement):
+    """``advertisement`` (any digest carrier) with each digest resolved as
+    the codec resolves a received copy of its row (``intern_digest``)."""
+    return type(advertisement)(
         digests=tuple(
             intern_digest(
                 digest.user_id, digest.version, digest.bloom.num_bits, digest.bloom.num_hashes,
@@ -287,7 +301,6 @@ def _received(advertisement: DigestAdvertisement) -> DigestAdvertisement:
             )
             for digest in advertisement.digests
         ),
-        view=advertisement.view,
     )
 
 
@@ -303,7 +316,7 @@ def test_equal_messages_encode_and_price_the_same(message_type):
         twin = _twin(message)
         assert twin == message and twin is not message
         pairs = [(message, twin), (message, other)]
-        if isinstance(message, DigestAdvertisement):
+        if isinstance(message, (DigestAdvertisement, DigestPullReply)):
             # Re-interned while the first copy is alive: the same digests.
             first = _received(message)
             second = _received(message)
@@ -429,7 +442,6 @@ class TestBinaryMalformedFrames:
         # A digest claiming a multi-gigabyte row must be refused before any
         # allocation happens.
         evil = bytearray([0x01])  # DigestAdvertisement tag
-        evil += bytes([0x00])  # view=random
         evil += bytes([0x01])  # one digest
         evil += bytes([0x00])  # marker: full row
         evil += bytes([0x00, 0x00])  # user_id=0, version=0
@@ -446,7 +458,7 @@ class TestBinaryMalformedFrames:
         # num_hashes drives a Python loop per probe and every geometry is
         # memoised process-wide; count is a forged varint like any length.
         def advertisement(num_hashes: bytes, count: bytes) -> bytes:
-            evil = bytearray([0x01, 0x00, 0x01, 0x00])  # tag, view, one full row
+            evil = bytearray([0x01, 0x01, 0x00])  # tag, one full row
             evil += bytes([0x00, 0x00])  # user_id=0, version=0
             evil += bytes([0x40])  # num_bits=64
             evil += num_hashes + count
@@ -483,7 +495,7 @@ class TestBinaryMalformedFrames:
 
 class TestDigestSuppression:
     def _advertisement(self):
-        return DigestAdvertisement(digests=(_digest(1), _digest(2)), view=VIEW_PERSONAL)
+        return DigestAdvertisement(digests=(_digest(1), _digest(2)))
 
     def _envelope(self, message, receiver=7):
         return Envelope(1, receiver, message, None, False)
@@ -520,7 +532,6 @@ class TestDigestSuppression:
             profile.add_all([(60 + change, 160)])  # bumps the version
             adv = DigestAdvertisement(
                 digests=(make_digest(profile, num_bits=256, num_hashes=3), _digest(2)),
-                view=VIEW_PERSONAL,
             )
             sender.encode_send(self._envelope(adv))
         assert sender._sent == {7: {1: profile.version, 2: _digest(2).version}}
@@ -534,7 +545,7 @@ class TestDigestSuppression:
         receiver = BinaryWireCodec()
 
         def ship(digest):
-            adv = DigestAdvertisement(digests=(digest,), view=VIEW_PERSONAL)
+            adv = DigestAdvertisement(digests=(digest,))
             frame = sender.encode_send(self._envelope(adv))
             bodies, _ = receiver.split(frame)
             assert_message_equal(receiver.decode_body(bodies[0])["m"], adv)
@@ -569,13 +580,11 @@ class TestDigestSuppression:
         profile = _profile(3, user_id=1)
         adv1 = DigestAdvertisement(
             digests=(make_digest(profile, num_bits=256, num_hashes=3),),
-            view=VIEW_PERSONAL,
         )
         sender.encode_send(self._envelope(adv1))
         profile.add_all([(50, 150)])  # bumps the version
         adv2 = DigestAdvertisement(
             digests=(make_digest(profile, num_bits=256, num_hashes=3),),
-            view=VIEW_PERSONAL,
         )
         frame = sender.encode_send(self._envelope(adv2))
         fresh = BinaryWireCodec()
@@ -588,7 +597,7 @@ class TestDigestInterning:
     ``repro.gossip.digest``: one object per content, whoever decodes it."""
 
     def _frame(self, digest):
-        adv = DigestAdvertisement(digests=(digest,), view=VIEW_PERSONAL)
+        adv = DigestAdvertisement(digests=(digest,))
         return BinaryWireCodec().encode_send(Envelope(1, 7, adv, None, False))
 
     def _decode(self, codec, frame):
@@ -643,8 +652,7 @@ class TestCacheBounds:
 
     def _send(self, sender, user_ids, receiver=7):
         adv = DigestAdvertisement(
-            digests=tuple(_digest(uid) for uid in user_ids), view=VIEW_PERSONAL
-        )
+            digests=tuple(_digest(uid) for uid in user_ids))
         return adv, sender.encode_send(Envelope(1, receiver, adv, None, False))
 
     def _decode(self, receiver, frame):
@@ -778,8 +786,8 @@ class TestTraceFile:
             honest.bloom.approximate_count, forged_row,
         )
         sent = [
-            DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
-            DigestAdvertisement(digests=(forged, honest), view=VIEW_RANDOM),
+            DigestAdvertisement(digests=(honest,)),
+            DigestAdvertisement(digests=(forged, honest)),
         ]
         path = self._dumped(tmp_path, sent)
         loaded = [event.message for event in ServiceTrace.load(str(path)).events]
@@ -814,9 +822,9 @@ class TestTraceMergesEqualMessages:
             CommonItemsRequest(subject_id=3, items=frozenset({1, 2})),
             CommonItemsRequest(subject_id=3, items=frozenset({2, 1})),
             CommonItemsRequest(subject_id=4, items=frozenset({1, 2})),
-            DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
-            DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
-            DigestAdvertisement(digests=(forged,), view=VIEW_PERSONAL),
+            DigestAdvertisement(digests=(honest,)),
+            DigestAdvertisement(digests=(honest,)),
+            DigestAdvertisement(digests=(forged,)),
         ]
         recorded = self._recorded(self._trace(sent))
         assert recorded == sent
@@ -877,7 +885,7 @@ class TestTraceMergesEqualMessages:
 
         def fresh():
             return [
-                DigestAdvertisement(digests=(honest,), view=VIEW_PERSONAL),
+                DigestAdvertisement(digests=(honest,)),
                 CommonItemsRequest(subject_id=3, items=frozenset({1, 2})),
                 CommonItemsReply(subject_id=3, actions=_interned(2)),
                 QueryForward(query=_query(2), remaining=(1, 2), cycle=3),

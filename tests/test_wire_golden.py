@@ -47,11 +47,12 @@ from repro.simulator.transport import (
     OP_REPLY,
     OP_REQUEST,
     OP_SEND,
-    VIEW_PERSONAL,
-    VIEW_RANDOM,
     CommonItemsReply,
     CommonItemsRequest,
     DigestAdvertisement,
+    DigestOffer,
+    DigestPullReply,
+    DigestPullRequest,
     Envelope,
     FullProfilePush,
     FullProfileRequest,
@@ -90,11 +91,14 @@ def golden_messages() -> List[Tuple[str, Message]]:
     return [
         (
             "digests",
-            DigestAdvertisement(
-                digests=(_digest(1, 3), _digest(200, 6), _digest(-5, 2)), view=VIEW_PERSONAL
-            ),
+            DigestAdvertisement(digests=(_digest(1, 3), _digest(200, 6), _digest(-5, 2))),
         ),
-        ("digests_empty", DigestAdvertisement(digests=(), view=VIEW_RANDOM)),
+        ("digests_empty", DigestAdvertisement(digests=())),
+        ("offer", DigestOffer(descriptors=((1, 4), (200, 7), (-5, 3)))),
+        ("offer_empty", DigestOffer(descriptors=())),
+        ("pull_req", DigestPullRequest(descriptors=((200, 7), (-5, 3)))),
+        ("pull_rep", DigestPullReply(digests=(_digest(200, 6), _digest(-5, 2)))),
+        ("pull_rep_empty", DigestPullReply(digests=())),
         ("common_req", CommonItemsRequest(subject_id=8, items=frozenset({5, 1, 130, 70000}))),
         (
             "common_rep",
@@ -137,7 +141,7 @@ def build_frames() -> Dict[str, str]:
     frames["suppression/referenced"] = codec.encode_send(
         Envelope(1, 7, first, None, False)
     ).hex()
-    mixed = DigestAdvertisement(digests=first.digests[:1] + (_digest(31, 4),), view=VIEW_RANDOM)
+    mixed = DigestAdvertisement(digests=first.digests[:1] + (_digest(31, 4),))
     frames["suppression/mixed"] = codec.encode_request(
         Envelope(1, 7, mixed, None, True), 2
     ).hex()
