@@ -73,7 +73,7 @@ def make_digest(
 #: Process-wide intern table of digests that arrived as bytes: full content
 #: ``(user_id, version, num_bits, num_hashes, count, row)`` -> the one
 #: :class:`ProfileDigest` object holding it.  Weak-valued: an entry lives
-#: exactly as long as some view, in-flight message or codec reference LRU
+#: exactly as long as some personal-network entry or in-flight message
 #: holds the digest, so the table needs no bound of its own.
 _INTERNED: "weakref.WeakValueDictionary[tuple, ProfileDigest]" = weakref.WeakValueDictionary()
 
@@ -133,7 +133,9 @@ class DigestCache:
       through a value table (``value -> the one object``): receivers that
       price equal common-item sets hold the *same* frozenset.  Only the
       exchange path prices through the memo (:meth:`common_items`): it
-      re-screens known neighbours.  A random-view candidate is priced once
+      re-screens known neighbours, and it drops an offered candidate
+      whose remembered answer is empty before pulling its row
+      (:meth:`memoized`).  A random-view candidate is priced once
       per digest version and never asked again, so it takes the unmemoised
       :meth:`probe` and leaves no entry.
 
@@ -209,11 +211,9 @@ class DigestCache:
         bloom = digest.bloom
         if bloom.num_bits != self.num_bits or bloom.num_hashes != self.num_hashes:
             return self.probe(receiver, digest)
-        row = self._common.get(receiver.user_id)
-        if row is not None and row[0] == receiver.version:
-            memo = row[1].get(digest.user_id)
-            if memo is not None and memo[0] == digest.version:
-                return memo[1]
+        common = self.memoized(receiver, digest.user_id, digest.version)
+        if common is not None:
+            return common
         common = self._store_common(
             receiver.user_id, receiver.version, digest.user_id, digest.version,
             self.probe(receiver, digest),
@@ -223,6 +223,19 @@ class DigestCache:
                 (receiver.user_id, receiver.version, digest.user_id, digest.version, common)
             )
         return common
+
+    def memoized(
+        self, receiver: UserProfile, subject_id: int, version: int
+    ) -> Optional[FrozenSet[int]]:
+        """What :meth:`common_items` remembers for ``receiver`` at her
+        current version and ``subject_id``'s digest at ``version``, or
+        ``None``.  Read-only: it probes nothing and stores nothing."""
+        row = self._common.get(receiver.user_id)
+        if row is not None and row[0] == receiver.version:
+            memo = row[1].get(subject_id)
+            if memo is not None and memo[0] == version:
+                return memo[1]
+        return None
 
     def probe(self, receiver: UserProfile, digest: ProfileDigest) -> FrozenSet[int]:
         """The receiver's items that ``digest`` (probably) contains, unmemoized.

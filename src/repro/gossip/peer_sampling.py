@@ -2,13 +2,17 @@
 
 Each cycle, a node picks one member of its random view uniformly at random
 and the two swap :class:`~repro.simulator.transport.DigestAdvertisement`
-messages: the r digests of its view plus its own descriptor, so that
-fresh information keeps entering the system, less what the partner would
-drop unread.  As in Cyclon, a node is never sent its own descriptor; and
-the reply leaves out each digest whose user the request carried at the
-same or a newer version, unless the delay queue held the request (its
-digests then describe the initiator's view as it was cycles ago).  Each
-keeps a uniformly random subset of size r of the union.
+messages: the r ``(user_id, version)`` descriptors of its view plus its
+own, so that fresh information keeps entering the system, less what the
+partner would drop unread.  As in Cyclon, a node is never sent its own
+descriptor; and the reply leaves out each descriptor whose user the
+request carried at the same or a newer version, unless the delay queue
+held the request (its descriptors then describe the initiator's view as it
+was cycles ago).  Each keeps a uniformly random subset of size r of the
+union.  Like the node descriptors of Jelasity et al., a swap carries no
+digest row (8 bytes a member, not 2 504): the random-view refresh of
+:mod:`repro.gossip.profile_exchange` pulls the row of a member it probes
+from the member itself.
 This is the classical gossip-based peer-sampling service of Jelasity et
 al., which keeps the overlay connected even when personal networks would
 otherwise partition into disjoint interest groups, and continuously
@@ -50,15 +54,15 @@ class PeerSamplingProtocol:
         if not (yield ProbeEffect(partner_id)):
             return None
 
-        sent = initiator.random_view.digests()
-        sent.append(initiator.own_digest())
+        sent = initiator.random_view.descriptors()
+        sent.append(initiator.own_descriptor())
         dispatch = yield RequestEffect(
             initiator.node_id,
             partner_id,
             DigestAdvertisement.to(partner_id, sent),
         )
         if dispatch.reply is not None:
-            initiator.random_view.merge(dispatch.reply.digests, initiator.rng)
+            initiator.random_view.merge(dispatch.reply.descriptors, initiator.rng)
             return partner_id
         # A deferred exchange still used the slot; anything else lost it.
         return partner_id if dispatch.deferred else None
@@ -73,9 +77,9 @@ class PeerSamplingProtocol:
         """
         reply: Optional[DigestAdvertisement] = None
         if envelope.expects_reply:
-            digests = receiver.random_view.digests()
-            digests.append(receiver.own_digest())
-            shown = () if envelope.deferred else envelope.message.digests
-            reply = DigestAdvertisement.to(envelope.sender, digests, shown)
-        receiver.random_view.merge(envelope.message.digests, receiver.rng)
+            descriptors = receiver.random_view.descriptors()
+            descriptors.append(receiver.own_descriptor())
+            shown = () if envelope.deferred else envelope.message.descriptors
+            reply = DigestAdvertisement.to(envelope.sender, descriptors, shown)
+        receiver.random_view.merge(envelope.message.descriptors, receiver.rng)
         return reply

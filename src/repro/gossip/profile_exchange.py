@@ -18,11 +18,14 @@ exchange, now carried by explicit transport messages:
    a neighbour that step 2 already scored at this digest version against
    the receiver's current profile version
    (:attr:`~repro.gossip.views.NeighbourEntry.scored_version`): asking
-   again would price the same two profile versions.  A rejected
-   non-neighbour is still re-scored at an unchanged digest version.  For
-   the survivors the receiver reads its own copy of the digest when its
-   personal network or random view holds that exact version, and pulls
-   the rest from the provider in one batched round trip
+   again would price the same two profile versions.  An unknown user
+   whose common-item answer at these two versions the receiver's own
+   memo holds empty (:meth:`~repro.gossip.digest.DigestCache.memoized`)
+   is dropped too: the gate below would drop it after the pull.  A
+   rejected non-neighbour with a non-empty answer is still re-scored at
+   an unchanged digest version.  For the survivors the receiver reads its
+   own copy of the digest when its personal network holds that exact
+   version, and pulls the rest from the provider in one batched round trip
    (:class:`~repro.simulator.transport.DigestPullRequest` /
    :class:`~repro.simulator.transport.DigestPullReply`): push identifiers,
    pull payloads.  A user sharing no item with the receiver is then
@@ -196,9 +199,9 @@ class LazyExchangeProtocol:
         wanted: List[Descriptor],
         query_id: Optional[int] = None,
     ) -> WireEffects:
-        """The exchange's one pull: the offered digests ``wanted``, keyed by
-        descriptor; a digest the provider no longer holds is missing, and a
-        lost pull returns none."""
+        """One pull (an exchange's batch, or a refresh's one member): the
+        digests ``wanted``, keyed by descriptor; a digest the provider no
+        longer holds is missing, and a lost pull returns none."""
         dispatch = yield RequestEffect(
             receiver.node_id,
             provider_id,
@@ -275,12 +278,19 @@ class LazyExchangeProtocol:
         screened: List[Tuple[int, int, bool, Optional[ProfileDigest]]] = []
         #: The descriptors to pull: read, and not held at that version.
         wanted: List[Descriptor] = []
+        memoized = receiver.digest_cache.memoized
         for user_id, version in descriptors:
             if user_id == receiver.node_id:
                 continue
             existing = receiver.personal_network.get(user_id)
             if existing is None:
                 gated = self.three_step
+                if gated:
+                    known = memoized(receiver.profile, user_id, version)
+                    if known is not None and not known:
+                        # The gate's answer at these two versions is
+                        # remembered empty: drop it unpulled.
+                        continue
             elif version <= existing.digest.version and (
                 existing.profile is not None or existing.scored_version == own_version
             ):
@@ -376,38 +386,35 @@ class LazyExchangeProtocol:
     def refresh_from_random_view_effects(self, peer) -> WireEffects:
         """Score random-view members that might share an item (Section 2.2.1).
 
-        The profile of a random-view member ``v`` is obtained by contacting
-        ``v`` directly when her digest contains at least one item the local
-        user tagged.  A member whose digest version has already been
-        evaluated is skipped, so stable views do not generate traffic every
-        cycle.  Yields wire effects; returns the ids added to the personal
-        network.
-
-        The personal network records the random-view copy of the member's
-        digest, the one this peer already holds: a real wire cannot read
-        the member's live digest, so neither runtime does.
+        The view holds ``(user_id, version)`` descriptors.  A member ``v``
+        whose version has not been evaluated yet and who is not already a
+        neighbour is probed, and her digest row at exactly that version is
+        pulled from ``v`` herself (a :class:`DigestPullRequest` of one
+        descriptor); when it shares at least one item the local user
+        tagged, ``v`` is scored by contacting her directly.  A member that
+        moved on from the advertised version answers the pull short and is
+        skipped, as if unavailable.  Stable views generate no traffic.
+        Yields wire effects; returns the ids added to the personal network,
+        which keeps the pulled row of each.
         """
         own_ids = peer.profile.action_ids
         added: List[int] = []
         evaluated = self._evaluated.get(peer.node_id)
         if evaluated is None:
             evaluated = self._evaluated[peer.node_id] = {}
-        for digest in peer.random_view.digests():
-            if evaluated.get(digest.user_id, -1) >= digest.version:
+        for subject_id, version in peer.random_view.descriptors():
+            if evaluated.get(subject_id, -1) >= version:
                 continue
-            evaluated[digest.user_id] = digest.version
-            if digest.user_id in peer.personal_network:
+            evaluated[subject_id] = version
+            if subject_id in peer.personal_network:
                 continue
-            if self.three_step:
-                # Gate on the common-item probe: a member sharing no item
-                # with us cannot enter the personal network.  Priced once
-                # and not memoized: ``evaluated`` never asks this pair again
-                # at this digest version.
-                common_items = peer.digest_cache.probe(peer.profile, digest)
-                if not common_items:
-                    continue
-            subject_id = digest.user_id
             if not (yield ProbeEffect(subject_id)):
+                continue
+            pulled = yield from self._pull_digests_effects(
+                peer, subject_id, [(subject_id, version)]
+            )
+            digest = pulled.get((subject_id, version))
+            if digest is None:
                 continue
             if not self.three_step:
                 # Ablation variant: fetch the whole profile straight away.
@@ -421,6 +428,13 @@ class LazyExchangeProtocol:
                     if peer.personal_network.consider(subject_id, score, digest):
                         added.append(subject_id)
                         peer.personal_network.store_profile(subject_id, profile)
+                continue
+            # Gate on the common-item probe: a member sharing no item with
+            # us cannot enter the personal network.  Priced once and not
+            # memoized: ``evaluated`` never asks this pair again at this
+            # digest version.
+            common_items = peer.digest_cache.probe(peer.profile, digest)
+            if not common_items:
                 continue
             actions = yield from self._fetch_common_actions_effects(
                 peer, subject_id, subject_id, common_items

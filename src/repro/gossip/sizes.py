@@ -16,10 +16,13 @@ A lazy exchange offers its digests as ``(user id, version)`` descriptors,
 8 bytes each, and the receiver pulls the rows it reads and does not hold
 already: the pull request costs 8 bytes per descriptor asked for, its
 reply 2,504 bytes per digest returned (a row with its user id).  All three
-are ``personal_digests`` traffic.  The paper's 3-step model ships every
-offered row, so maintenance bytes fall below it by each row the receiver
-drops at step 1 or already holds, less 8 bytes per descriptor offered and
-8 per descriptor pulled.
+are ``personal_digests`` traffic.  A random-view swap carries descriptors
+too, 8 bytes each (``random_view_digests``), and the refresh pulls the row
+of each member it probes from the member itself, one descriptor asked and
+one row returned (``personal_digests``).  The paper's model ships every
+offered or swapped row, so maintenance bytes fall below it by each row the
+receiver drops unread or already holds, less 8 bytes per descriptor sent
+and 8 per descriptor pulled.
 
 This module centralizes those constants and the size formulas for every
 message type so that experiments and tests agree on the accounting.
@@ -70,7 +73,8 @@ def digest_message_size(num_digests: int) -> int:
 
 
 def descriptor_message_size(num_descriptors: int) -> int:
-    """Size of an offer or a pull request naming ``num_descriptors`` digests."""
+    """Size of a swap, an offer or a pull request naming ``num_descriptors``
+    digests."""
     if num_descriptors < 0:
         raise ValueError("num_descriptors must be non-negative")
     return num_descriptors * DESCRIPTOR_BYTES
@@ -112,7 +116,7 @@ def _query_result_size(message: QueryResult) -> int:
 #: hot path, called once per payload-bearing message).
 _MESSAGE_SIZERS = {
     CommonItemsReply: lambda m: 0 if m.actions is None else tagging_actions_size(len(m.actions)),
-    DigestAdvertisement: lambda m: digest_message_size(len(m.digests)),
+    DigestAdvertisement: lambda m: descriptor_message_size(len(m.descriptors)),
     DigestOffer: lambda m: descriptor_message_size(len(m.descriptors)),
     DigestPullRequest: lambda m: descriptor_message_size(len(m.descriptors)),
     DigestPullReply: lambda m: digest_message_size(len(m.digests)),

@@ -7,18 +7,18 @@ Every P3Q user maintains (Figure 1 of the paper):
   timestamp; only the ``c`` highest-scored entries also keep a full local
   replica of the neighbour's profile;
 * a **random view** of ``r`` users picked uniformly at random from the whole
-  system, maintained by the peer-sampling layer, each with a profile digest.
+  system, maintained by the peer-sampling layer, each as a ``(user_id,
+  version)`` descriptor.
 
-Both views hold :class:`~repro.gossip.digest.ProfileDigest` snapshots backed
-by the row-backed Bloom filter, and stored replicas are
+Personal-network entries hold :class:`~repro.gossip.digest.ProfileDigest`
+snapshots backed by the row-backed Bloom filter, and stored replicas are
 :class:`~repro.data.models.UserProfile` copies that carry their interned
 indexes with them -- so view maintenance and query scoring stay on the fast
 paths described in ``docs/ARCHITECTURE.md``.
 
 View maintenance is *dirty-set driven*: the score ranking of a personal
-network and the sorted membership of a random view are cached and only
-recomputed after a mutation that can change them (``consider`` /
-``_truncate`` / ``merge``), never per read.  A steady cycle -- in which
+network is cached and only recomputed after a mutation that can change it
+(``consider`` / ``_truncate``), never per read.  A steady cycle -- in which
 most peers' profiles did not change and most views did not move -- performs
 no sorting at all, and the recomputations that do happen use partial
 selection (``heapq``) instead of full sorts where only a prefix is needed.
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..data.models import UserProfile
+from ..simulator.transport import Descriptor
 from .digest import ProfileDigest
 
 
@@ -323,20 +324,19 @@ class PersonalNetwork:
 
 
 class RandomView:
-    """The ``r`` uniformly random neighbours maintained by peer sampling."""
+    """The ``r`` uniformly random neighbours maintained by peer sampling.
+
+    A member is a ``(user_id, version)`` descriptor, held as ``user_id ->
+    version``: the view carries no digest row.  A refresh pulls the row of
+    a member it probes from the member itself.
+    """
 
     def __init__(self, owner_id: int, size: int) -> None:
         if size <= 0:
             raise ValueError("random view size (r) must be positive")
         self.owner_id = owner_id
         self.size = size
-        self._entries: Dict[int, ProfileDigest] = {}
-        #: Cached sorted membership and digest list; ``None`` after any
-        #: mutation (dirty markers).  Peer sampling and the random-view
-        #: refresh read the view three times per cycle per node while
-        #: membership changes at most once, so caching pays every cycle.
-        self._sorted_ids: Optional[List[int]] = None
-        self._digest_list: Optional[List[ProfileDigest]] = None
+        self._entries: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -344,21 +344,13 @@ class RandomView:
     def __contains__(self, user_id: int) -> bool:
         return user_id in self._entries
 
-    def get(self, user_id: int) -> Optional[ProfileDigest]:
-        return self._entries.get(user_id)
-
     def member_ids(self) -> List[int]:
-        if self._sorted_ids is None:
-            self._sorted_ids = sorted(self._entries)
-        return list(self._sorted_ids)
+        return sorted(self._entries)
 
-    def digests(self) -> List[ProfileDigest]:
-        if self._digest_list is None:
-            entries = self._entries
-            if self._sorted_ids is None:
-                self._sorted_ids = sorted(entries)
-            self._digest_list = [entries[uid] for uid in self._sorted_ids]
-        return list(self._digest_list)
+    def descriptors(self) -> List[Descriptor]:
+        """``(user_id, version)`` of every member, ascending user id (built
+        per call: ``r`` is small, and no tuple is kept at rest)."""
+        return sorted(self._entries.items())
 
     def random_partner(self, rng: random.Random) -> Optional[int]:
         """A uniformly random member to gossip with."""
@@ -367,32 +359,21 @@ class RandomView:
             return None
         return rng.choice(members)
 
-    def merge(self, received: Iterable[ProfileDigest], rng: random.Random) -> None:
-        """Union with the received digests, then keep ``size`` at random.
+    def merge(self, received: Iterable[Descriptor], rng: random.Random) -> None:
+        """Union with the received descriptors, then keep ``size`` at random.
 
-        Newer digest versions replace older ones for the same user; the owner
-        is never a member of her own view.  The union mutates the entry dict
-        in place (the received digests never reference it), saving one dict
-        copy on a path that runs twice per node per cycle.
+        A newer version replaces an older one for the same user; the owner
+        is never a member of her own view.
         """
         entries = self._entries
         owner_id = self.owner_id
         get = entries.get
-        for digest in received:
-            user_id = digest.user_id
-            if user_id == owner_id:
-                continue
-            current = get(user_id)
-            if current is None or digest.version >= current.version:
-                entries[user_id] = digest
-        self._sorted_ids = None
-        self._digest_list = None
+        for user_id, version in received:
+            if user_id != owner_id and version >= get(user_id, -1):
+                entries[user_id] = version
         self._shrink_random(rng)
 
     def _shrink_random(self, rng: random.Random) -> None:
-        if len(self._entries) <= self.size:
-            return
-        keep = rng.sample(sorted(self._entries), k=self.size)
-        self._entries = {uid: self._entries[uid] for uid in keep}
-        self._sorted_ids = None
-        self._digest_list = None
+        if len(self._entries) > self.size:
+            keep = rng.sample(sorted(self._entries), k=self.size)
+            self._entries = {uid: self._entries[uid] for uid in keep}

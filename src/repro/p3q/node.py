@@ -46,6 +46,7 @@ from ..simulator.node import Node
 from ..simulator.transport import (
     CommonItemsReply,
     CommonItemsRequest,
+    Descriptor,
     DigestAdvertisement,
     DigestOffer,
     DigestPullReply,
@@ -132,6 +133,10 @@ class P3QNode(Node):
     def own_digest(self) -> ProfileDigest:
         return self.digest_cache.digest_for(self.profile)
 
+    def own_descriptor(self) -> Descriptor:
+        """``(user_id, version)`` of the own digest, without building it."""
+        return (self.node_id, self.profile.version)
+
     def stored_digest_sample(self, limit: int) -> List[ProfileDigest]:
         """Digests offered in a lazy exchange: own + sample of stored.
 
@@ -148,18 +153,15 @@ class P3QNode(Node):
 
     def held_digest(self, user_id: int, version: int) -> Optional[ProfileDigest]:
         """The digest of ``user_id`` at exactly ``version`` that this node
-        holds -- its own, a personal-network entry's or a random-view
-        member's -- or ``None``.  What a digest pull is answered from, and
-        what spares the asker a pull."""
+        holds -- its own or a personal-network entry's -- or ``None``.
+        What a digest pull is answered from, and what spares the asker a
+        pull.  The random view holds descriptors only."""
         if user_id == self.node_id:
             digest = self.own_digest()
             return digest if digest.version == version else None
         entry = self.personal_network.get(user_id)
         if entry is not None and entry.digest.version == version:
             return entry.digest
-        digest = self.random_view.get(user_id)
-        if digest is not None and digest.version == version:
-            return digest
         return None
 
     def action_ids_for_items_of(
@@ -189,9 +191,9 @@ class P3QNode(Node):
 
     # --------------------------------------------------------------- lifecycle
 
-    def bootstrap_random_view(self, digests: Sequence[ProfileDigest]) -> None:
+    def bootstrap_random_view(self, descriptors: Sequence[Descriptor]) -> None:
         """Seed the random view (initial contact discovery)."""
-        self.random_view.merge(digests, self._rng)
+        self.random_view.merge(descriptors, self._rng)
 
     def snapshot_for_crash(self) -> None:
         """Persist the current profile before a (simulated) crash.

@@ -102,7 +102,7 @@ class P3QSimulation:
 
         The paper assumes users first discover "the contact information of
         any user currently in the system" through peer sampling; seeding each
-        view with ``r`` random digests reproduces that starting point.
+        view with ``r`` random descriptors reproduces that starting point.
         """
         count = contacts_per_node or self.config.random_view_size
         user_ids = list(self.nodes)
@@ -120,11 +120,10 @@ class P3QSimulation:
             # list per node -- without the O(N^2) list building that used to
             # dominate large-N bootstrap.
             positions = sample(range(total - 1), k=own)
-            digests = [
-                nodes[user_ids[j if j < position else j + 1]].own_digest()
+            node.bootstrap_random_view([
+                nodes[user_ids[j if j < position else j + 1]].own_descriptor()
                 for j in positions
-            ]
-            node.bootstrap_random_view(digests)
+            ])
 
     def warm_start(self, ideal: Optional[IdealNetworkIndex] = None) -> IdealNetworkIndex:
         """Replace every personal network with its ideal one (converged state).

@@ -16,12 +16,11 @@ format and one description of the message catalogue:
   whoever sends it).  Received rows resolve through the process-wide
   content-keyed intern table
   (:func:`repro.gossip.digest.intern_digest`), so however
-  many nodes decode a digest there is one object for it, and a digest
-  version already shipped in full on a link travels on it as a
-  1-byte-marker reference instead of a full row.
-  Off-link (``receiver=None``) every digest is a full row: that is how
+  many nodes decode a digest there is one object for it.  Only a pull
+  reply carries rows (swaps and offers carry descriptors), so the codec
+  keeps no per-link state: a body encodes the same on every link, and
   :class:`~repro.service.trace.ServiceTrace` writes message bodies into
-  its trace file.
+  its trace file with it.
 
 Byte *accounting* always uses :func:`repro.gossip.sizes.total_bytes` on the
 message object, never the frame length, so service-mode traffic numbers
@@ -44,19 +43,18 @@ Design rules:
 * **Faithful round-trips.**  ``decode_message(encode_message(m))`` must
   compare equal to ``m`` field by field and price identically under
   ``total_bytes`` -- the property tests assert both, through the trace
-  file (off-link bodies) and through runtime frames.
+  file (message bodies) and through runtime frames.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from ..data.interning import action_of, intern_action
 from ..data.models import UserProfile
 from ..data.queries import Query
-from ..gossip.digest import ProfileDigest, intern_digest
+from ..gossip.digest import intern_digest
 from ..p3q.query import PartialResult
 from ..simulator.transport import (
     DEFERRED,
@@ -143,13 +141,6 @@ _STATUS_INDEX = {status: index for index, status in enumerate(_STATUS_TABLE)}
 _MAX_DIGEST_BITS = 1 << 26
 _MAX_DIGEST_HASHES = 64
 _MAX_SEQUENCE = 1 << 24
-
-#: Bound of one :class:`BinaryWireCodec`'s LRU of decoded digests.
-_MAX_RECEIVED_DIGESTS = 65536
-
-#: Digest-entry markers inside a digest-carrying payload.
-_DIGEST_FULL = 0
-_DIGEST_REF = 1
 
 
 def _write_uv(out: bytearray, value: int) -> None:
@@ -248,11 +239,9 @@ def _read_actions(view: bytes, offset: int) -> Tuple[List[Tuple[int, int]], int]
 class _Kind(NamedTuple):
     """One sort of field value: how it is written and read."""
 
-    #: ``write(codec, out, value, receiver)``: the encoding
-    #: :class:`BinaryWireCodec` and the link the frame goes out on (``None``
-    #: off-link) ride along for the one kind with per-link state, digests.
+    #: ``write(out, value)``.
     write: Callable[..., None]
-    #: ``read(codec, view, offset) -> (value, offset)``.
+    #: ``read(view, offset) -> (value, offset)``.
     read: Callable[..., Tuple[Any, int]]
 
 
@@ -268,43 +257,34 @@ def _record(build: Callable, fields: Fields) -> _Kind:
     writers = tuple((attr, kind.write) for attr, kind in fields)
     readers = tuple((attr, kind.read) for attr, kind in fields)
 
-    def write(codec, out, obj, receiver) -> None:
+    def write(out, obj) -> None:
         for attr, write_field in writers:
-            write_field(codec, out, getattr(obj, attr), receiver)
+            write_field(out, getattr(obj, attr))
 
-    def read(codec, view, offset):
+    def read(view, offset):
         values = {}
         for attr, read_field in readers:
-            values[attr], offset = read_field(codec, view, offset)
+            values[attr], offset = read_field(view, offset)
         return build(**values), offset
 
     return _Kind(write, read)
 
 
-def _plain(write, read) -> _Kind:
-    """A leaf kind over stateless primitives ``write(out, value)`` /
-    ``read(view, offset)`` -- every leaf but the digests."""
-    return _Kind(
-        lambda codec, out, value, receiver: write(out, value),
-        lambda codec, view, offset: read(view, offset),
-    )
-
-
 def _optional(kind: _Kind) -> _Kind:
     """``None`` or a ``kind`` value, behind a presence byte."""
 
-    def write(codec, out, value, receiver) -> None:
+    def write(out, value) -> None:
         if value is None:
             out.append(0)
         else:
             out.append(1)
-            kind.write(codec, out, value, receiver)
+            kind.write(out, value)
 
-    def read(codec, view, offset):
+    def read(view, offset):
         present, offset = _read_byte(view, offset, "optional field")
         if not present:
             return None, offset
-        return kind.read(codec, view, offset)
+        return kind.read(view, offset)
 
     return _Kind(write, read)
 
@@ -330,17 +310,45 @@ def _read_scores(view: bytes, offset: int) -> Tuple[Dict[int, float], int]:
     return scores, offset
 
 
-def _write_digests(codec, out: bytearray, digests, receiver) -> None:
+def _write_digests(out: bytearray, digests) -> None:
+    """Each digest as its ``(user_id, version)``, its geometry and count,
+    and its wire row."""
     _write_len(out, len(digests))
     for digest in digests:
-        codec._encode_digest_entry(out, digest, receiver)
+        _write_sv(out, digest.user_id)
+        _write_uv(out, digest.version)
+        bloom = digest.bloom
+        _write_uv(out, bloom.num_bits)
+        _write_uv(out, bloom.num_hashes)
+        _write_uv(out, bloom.approximate_count)
+        out += bloom.row_bytes()
 
 
-def _read_digests(codec, view: bytes, offset: int):
+def _read_digest(view: bytes, offset: int):
+    user_id, offset = _read_sv(view, offset)
+    version, offset = _read_uv(view, offset)
+    num_bits, offset = _read_uv(view, offset)
+    if not 0 < num_bits <= _MAX_DIGEST_BITS:
+        raise ValueError(f"digest num_bits {num_bits} out of range")
+    # A probe loops num_hashes times and every distinct geometry is
+    # memoised process-wide, so a forged count must not reach the filter.
+    num_hashes, offset = _read_uv(view, offset)
+    if not 0 < num_hashes <= _MAX_DIGEST_HASHES:
+        raise ValueError(f"digest num_hashes {num_hashes} out of range")
+    count, offset = _read_len(view, offset)
+    end = offset + (num_bits + 7) // 8
+    if end > len(view):
+        raise ValueError("truncated digest row")
+    return intern_digest(
+        user_id, version, num_bits, num_hashes, count, bytes(view[offset:end])
+    ), end
+
+
+def _read_digests(view: bytes, offset: int):
     count, offset = _read_len(view, offset)
     digests = []
     for _ in range(count):
-        digest, offset = codec._decode_digest_entry(view, offset)
+        digest, offset = _read_digest(view, offset)
         digests.append(digest)
     return tuple(digests), offset
 
@@ -376,26 +384,26 @@ def _read_interned(view: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
 
 
 #: Possibly-negative ints (ids, cycles) and counters that never are.
-_SINT = _plain(_write_sv, _read_sv)
-_UINT = _plain(_write_uv, _read_uv)
+_SINT = _Kind(_write_sv, _read_sv)
+_UINT = _Kind(_write_uv, _read_uv)
 #: An ordered tuple of ints / a frozenset of ints (carried sorted).
-_SINTS = _plain(_write_svs, lambda view, offset: _read_svs(view, offset, tuple))
-_SINT_SET = _plain(
+_SINTS = _Kind(_write_svs, lambda view, offset: _read_svs(view, offset, tuple))
+_SINT_SET = _Kind(
     lambda out, values: _write_svs(out, sorted(values)),
     lambda view, offset: _read_svs(view, offset, frozenset),
 )
-#: ``(user_id, version)`` descriptors of offered digests, in order.
-_DESCRIPTORS = _plain(_write_descriptors, _read_descriptors)
+#: ``(user_id, version)`` descriptors of swapped, offered or pulled
+#: digests, in order.
+_DESCRIPTORS = _Kind(_write_descriptors, _read_descriptors)
 #: ``item -> score`` as sorted ``(item, score)`` pairs, scores ``<d`` doubles.
-_SCORES = _plain(_write_scores, _read_scores)
+_SCORES = _Kind(_write_scores, _read_scores)
 #: A set of ``(item, tag)`` actions, carried sorted.
-_ACTION_PAIRS = _plain(_write_actions, _read_actions)
+_ACTION_PAIRS = _Kind(_write_actions, _read_actions)
 #: Interned action ids are process-local (:mod:`repro.data.interning`):
 #: they travel as explicit ``(item, tag)`` pairs (carried sorted) and are
 #: re-interned into the reply's ascending id tuple.
-_ACTIONS = _plain(lambda out, ids: _write_actions(out, _pairs_of(ids)), _read_interned)
-#: A tuple of :class:`ProfileDigest`; each entry is a full row or a
-#: reference, decided per link by the codec's caches.
+_ACTIONS = _Kind(lambda out, ids: _write_actions(out, _pairs_of(ids)), _read_interned)
+#: A tuple of :class:`ProfileDigest`, each a full row.
 _DIGESTS = _Kind(_write_digests, _read_digests)
 
 #: A profile is its actions plus its *live* version, which counts every
@@ -432,7 +440,7 @@ _OPT_PROFILE = _optional(_PROFILE)
 #: one row here (reusing the kinds above) plus its price in
 #: ``gossip.sizes``.
 MESSAGE_TABLE: Dict[Type[Message], Tuple[int, Fields]] = {
-    DigestAdvertisement: (1, (("digests", _DIGESTS),)),
+    DigestAdvertisement: (1, (("descriptors", _DESCRIPTORS),)),
     CommonItemsRequest: (2, (("subject_id", _SINT), ("items", _SINT_SET))),
     CommonItemsReply: (3, (("subject_id", _SINT), ("actions", _OPT_ACTIONS))),
     FullProfileRequest: (4, (("subject_id", _SINT),)),
@@ -472,129 +480,26 @@ class BinaryWireCodec:
 
     Three layers -- message bodies (``encode_message``/``decode_message``),
     runtime frames (``encode_request``/``encode_reply``/``encode_send`` and
-    ``split``/``decode_body``), and the length-prefix outer framing -- plus
-    what makes digest rows cheap:
-
-    * **Shared rows**: a full digest entry is a small header plus the
-      filter's own memoised :meth:`BloomFilter.row_bytes`, and a decoded
-      row resolves to the one interned :class:`ProfileDigest` of that
-      content -- no codec keeps a private copy of either.
-    * **Suppression**: each link has one table, ``user_id -> newest
-      version shipped in full``, written as a full row is encoded in a
-      request or a one-way send (a reply is encoded off-link, so a pull's
-      rows always go in full); a
-      digest of exactly that version goes as a small *reference* entry
-      instead, which the receiving codec resolves from the digests it has
-      already decoded.  When the frame may never be decoded (the wire
-      refused it, a round trip timed out) the runtime calls
-      ``forget_sent`` and the link starts over with full rows.  A
-      reference the receiver cannot resolve (evicted cache, a lost seeding
-      frame) fails decode loudly and the inbox drops the frame -- exactly
-      the loss the gossip protocol already tolerates.  Within a run
-      ``(user_id, version)`` identifies digest content: profiles only move
-      forward in version (the replica-freshness invariant), so equal
-      versions mean equal digest bits, and a reference to an older version
-      is never worth keeping.
-
-    The reference tables are per node (what *this* node decoded, what each
-    of *its* peers was sent), so every :class:`~repro.service.runtime.NodeService`
-    owns one instance.  Byte accounting is untouched by all of this:
-    messages are priced by ``gossip.sizes.total_bytes`` on the message
-    *object* before encoding, so a suppressed advertisement costs the same
-    accounted bytes as a full one (the paper's cost model charges per
-    digest, not per wire byte).
+    ``split``/``decode_body``), and the length-prefix outer framing.  A
+    digest entry is a small header plus the filter's own memoised
+    :meth:`BloomFilter.row_bytes`, and a decoded row resolves to the one
+    interned :class:`ProfileDigest` of that content -- no codec keeps a
+    private copy of either.  The codec holds no state: a message encodes
+    to the same bytes on every link and off it.  Byte accounting does not
+    read the frames: messages are priced by ``gossip.sizes.total_bytes``
+    on the message *object* before encoding.
     """
-
-    def __init__(self) -> None:
-        #: receiver -> {user_id -> newest version shipped on that link as a
-        #: full row}.
-        self._sent: Dict[int, Dict[int, int]] = {}
-        #: (user_id, version) -> ProfileDigest decoded earlier (LRU-bounded):
-        #: what a reference from a peer resolves to.  Protocol state, so it
-        #: is per node even though the digests it points at are shared.
-        self._received: "OrderedDict[Tuple[int, int], ProfileDigest]" = OrderedDict()
-
-    # -- digest plumbing ------------------------------------------------------
-
-    def _encode_digest_entry(self, out: bytearray, digest: ProfileDigest,
-                             receiver: Optional[int]) -> None:
-        user_id, version = digest.user_id, digest.version
-        if receiver is not None:
-            link = self._sent.setdefault(receiver, {})
-            shipped = link.get(user_id, -1)
-            if shipped == version:
-                out.append(_DIGEST_REF)
-                _write_sv(out, user_id)
-                _write_uv(out, version)
-                return
-            # Versions only move forward: an older row never lowers the entry.
-            if version > shipped:
-                link[user_id] = version
-        out.append(_DIGEST_FULL)
-        _write_sv(out, user_id)
-        _write_uv(out, version)
-        bloom = digest.bloom
-        _write_uv(out, bloom.num_bits)
-        _write_uv(out, bloom.num_hashes)
-        _write_uv(out, bloom.approximate_count)
-        out += bloom.row_bytes()
-
-    def _decode_digest_entry(
-        self, view: bytes, offset: int
-    ) -> Tuple[ProfileDigest, int]:
-        marker, offset = _read_byte(view, offset, "digest entry")
-        user_id, offset = _read_sv(view, offset)
-        version, offset = _read_uv(view, offset)
-        key = (user_id, version)
-        if marker == _DIGEST_REF:
-            digest = self._received.get(key)
-            if digest is None:
-                raise ValueError(
-                    f"unknown digest reference (user {user_id}, version {version}); "
-                    "the seeding frame was never received"
-                )
-            self._received.move_to_end(key)
-            return digest, offset
-        if marker != _DIGEST_FULL:
-            raise ValueError(f"bad digest entry marker {marker!r}")
-        num_bits, offset = _read_uv(view, offset)
-        if not 0 < num_bits <= _MAX_DIGEST_BITS:
-            raise ValueError(f"digest num_bits {num_bits} out of range")
-        # A probe loops num_hashes times and every distinct geometry is
-        # memoised process-wide, so a forged count must not reach the filter.
-        num_hashes, offset = _read_uv(view, offset)
-        if not 0 < num_hashes <= _MAX_DIGEST_HASHES:
-            raise ValueError(f"digest num_hashes {num_hashes} out of range")
-        count, offset = _read_len(view, offset)
-        width = (num_bits + 7) // 8
-        end = offset + width
-        if end > len(view):
-            raise ValueError("truncated digest row")
-        digest = intern_digest(
-            user_id, version, num_bits, num_hashes, count, bytes(view[offset:end])
-        )
-        self._received[key] = digest
-        if len(self._received) > _MAX_RECEIVED_DIGESTS:
-            self._received.popitem(last=False)
-        return digest, end
-
-    def forget_sent(self, receiver: int) -> None:
-        """``receiver`` may never decode a frame encoded for it (the wire
-        refused it, or a round trip timed out), so reference nothing on that
-        link until each digest is re-shipped (full rows are always correct)."""
-        self._sent.pop(receiver, None)
 
     # -- message layer --------------------------------------------------------
 
-    def _write_message(self, out: bytearray, message: Message,
-                       receiver: Optional[int]) -> None:
+    def _write_message(self, out: bytearray, message: Message) -> None:
         tag, kind = _row_of(message)
         out.append(tag)
-        kind.write(self, out, message, receiver)
+        kind.write(out, message)
 
-    def encode_message(self, message: Message, receiver: Optional[int] = None) -> bytes:
+    def encode_message(self, message: Message) -> bytes:
         out = bytearray()
-        self._write_message(out, message, receiver)
+        self._write_message(out, message)
         return bytes(out)
 
     def decode_message(self, data: bytes) -> Message:
@@ -608,7 +513,7 @@ class BinaryWireCodec:
         kind = _BY_TAG.get(tag)
         if kind is None:
             raise ValueError(f"unknown binary wire message tag {tag!r}")
-        return kind.read(self, view, offset)
+        return kind.read(view, offset)
 
     # -- runtime frames -------------------------------------------------------
 
@@ -630,7 +535,7 @@ class BinaryWireCodec:
             out.append(0)
         else:
             out.append(1)
-            self._write_message(out, reply, None)
+            self._write_message(out, reply)
         return _frame(out)
 
     def encode_send(self, envelope: Envelope) -> bytes:
@@ -646,7 +551,7 @@ class BinaryWireCodec:
         out.append(3 if envelope.query_id is not None else 1)
         if envelope.query_id is not None:
             _write_sv(out, envelope.query_id)
-        self._write_message(out, envelope.message, envelope.receiver)
+        self._write_message(out, envelope.message)
 
     def split(self, payload: bytes) -> Tuple[List[bytes], bytes]:
         """The outer framing: see :func:`split_frames`."""

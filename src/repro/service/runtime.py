@@ -39,8 +39,8 @@ shared with the simulator -- but never runs its engine.  Byte accounting
 goes through the transport's own hook,
 :meth:`~repro.simulator.transport.Transport.account` (priced by
 ``gossip.sizes`` at send time; control messages and ``None``-payload
-replies free), **regardless of the encoded frame** -- batching and digest
-suppression change wire bytes, never accounted bytes -- every wire action
+replies free), **regardless of the encoded frame** -- batching changes
+wire bytes, never accounted bytes -- every wire action
 is recorded in a :class:`~repro.service.trace.ServiceTrace` (columns at
 rest, a :class:`~repro.simulator.transport.WireEvent` per event on
 access), and :func:`~repro.service.trace.check_trace` audits the run with
@@ -268,8 +268,8 @@ def make_wire(name: str):
 class FrameBatcher:
     """Coalesce same-loop-tick one-way frames per destination.
 
-    The gossip hot path emits bursts of small one-way frames (suppressed
-    digest advertisements, remaining-returns) toward the same receiver
+    The gossip hot path emits bursts of small one-way frames (deferred
+    replies, remaining-returns) toward the same receiver
     within one loop iteration; writing each individually costs one queue
     put or one ``sendto`` syscall apiece.  The batcher buffers them per
     destination and flushes the concatenation as one wire write on the
@@ -498,8 +498,7 @@ class NodeService:
         self.node = node
         self.node_id = node.node_id
         self.runtime = runtime
-        #: Per-node codec instance: it carries digest caches (what this
-        #: node decoded, what each peer was already sent).
+        #: The wire codec (it keeps no state of its own).
         self.codec = BinaryWireCodec()
         self._rpc_futures: Dict[int, asyncio.Future] = {}
         self._rpc_counter = 0
@@ -594,7 +593,6 @@ class NodeService:
         if not delivered:
             # The wire lost the address after the bytes were spent: report a
             # drop (accounted), not unreachability (which is never charged).
-            self.codec.forget_sent(receiver)
             self._rpc_futures.pop(rpc_id, None)
             runtime.observe(OP_REQUEST, sender, receiver, message, DROPPED, True, query_id)
             return Dispatch(DROPPED, None)
@@ -603,8 +601,6 @@ class NodeService:
         runtime.rpc_deadlines.settle()
         if reply is RPC_EXPIRED:
             self._rpc_futures.pop(rpc_id, None)
-            # The frame may have been lost with the digests it seeded.
-            self.codec.forget_sent(receiver)
             # The sender-side timeout of a real gossip: indistinguishable
             # from a lost request, so the protocol sees DROPPED (it must
             # not assume the other side processed anything).
@@ -630,7 +626,6 @@ class NodeService:
         envelope = Envelope(sender, receiver, message, query_id, False)
         frame = self.codec.encode_send(envelope)
         if not runtime.batcher.send(receiver, frame):
-            self.codec.forget_sent(receiver)
             runtime.observe(OP_SEND, sender, receiver, message, DROPPED, True, query_id)
             return DROPPED
         runtime.observe(OP_SEND, sender, receiver, message, DELIVERED, True, query_id)
@@ -830,8 +825,8 @@ class ServiceRuntime:
         """Byte accounting through the simulation transport's own hook.
 
         :meth:`~repro.simulator.transport.Transport.account` prices the
-        message object -- never the encoded frame -- so batching and digest
-        suppression leave the traffic numbers untouched.
+        message object -- never the encoded frame -- so batching leaves the
+        traffic numbers untouched.
         """
         self.simulation.network.transport.account(sender, receiver, message, query_id)
 

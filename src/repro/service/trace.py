@@ -69,7 +69,7 @@ _HAS_QUERY = 1 << 6
 #: exchange's, which a converged overlay keeps repeating.  Every other
 #: message -- a query's forwards, returns and results, which rarely repeat
 #: (each forward carries its own cycle, and a ``QueryResult`` cannot be
-#: hashed: its ``PartialResult`` is mutable) -- is kept as its off-link
+#: hashed: its ``PartialResult`` is mutable) -- is kept as its wire
 #: :class:`BinaryWireCodec` body, a fraction of the objects it decodes to.
 _MERGED = frozenset({
     DigestAdvertisement, DigestOffer, DigestPullRequest, DigestPullReply,
@@ -142,7 +142,7 @@ class ServiceTrace:
     (message equality is dataclass equality: same class, equal fields,
     digest filters and profiles by identity, so merged messages price and
     encode the same).  Only the lazy exchange's messages are merged
-    (:data:`_MERGED`); any other is kept as its off-link wire body, the
+    (:data:`_MERGED`); any other is kept as its wire body, the
     bytes :meth:`dump` writes, packed back to back in one buffer (~20 B
     for a query's forward, return or result, plus an 8-byte end offset),
     and decoded when :attr:`events` is read.
@@ -162,7 +162,7 @@ class ServiceTrace:
         #: message -> the first equal message recorded (shed at
         #: :data:`_MAX_DISTINCT_MESSAGES`).
         self._distinct: Dict[Message, Message] = {}
-        #: Encodes the bodies kept (stateless off-link).
+        #: Encodes the bodies kept (the codec is stateless).
         self._codec = BinaryWireCodec()
 
     @property
@@ -184,7 +184,7 @@ class ServiceTrace:
         equal lazy-exchange message already recorded stands in for
         ``message``.
 
-        Any other message is kept as its off-link body, encoded here.  An
+        Any other message is kept as its wire body, encoded here.  An
         unregistered message type raises ``TypeError`` here, before
         anything is recorded.
         """
@@ -240,9 +240,9 @@ class ServiceTrace:
 
         A record body is the event's flags byte, sender and receiver as
         zigzag varints, the query id likewise when the flags say it has
-        one, then the message as one :class:`BinaryWireCodec` encodes it
-        off-link: every digest a full row, so the file holds each message
-        exactly, a forged row under an honest ``(user, version)`` too.
+        one, then the message as :class:`BinaryWireCodec` encodes it: every
+        digest a full row, so the file holds each message exactly, a forged
+        row under an honest ``(user, version)`` too.
         """
         codec = BinaryWireCodec()
         with open(path, "wb") as handle:

@@ -172,7 +172,7 @@ def broken_byte_pricing() -> Iterator[None]:
     Used by ``--self-check`` (and the test suite) to prove the
     byte-conservation invariant actually fires: while active, every
     ``DigestAdvertisement`` is priced at a flat 7 bytes instead of
-    ``num_digests * (DIGEST_BYTES + USER_ID_BYTES)``.
+    ``num_descriptors * DESCRIPTOR_BYTES``.
     """
     from ..gossip import sizes
     from ..simulator.transport import DigestAdvertisement

@@ -137,7 +137,7 @@ _REF_SCORE = 4
 _REF_ACTION = _REF_ITEM_ID + _REF_TAG + _REF_USER_ID
 _REF_DIGEST = 20_000 // 8
 _REF_VERSION = 4
-#: An offered or pulled ``(user id, version)`` descriptor.
+#: A swapped, offered or pulled ``(user id, version)`` descriptor.
 _REF_DESCRIPTOR = _REF_USER_ID + _REF_VERSION
 
 
@@ -168,9 +168,9 @@ def reference_kind(message: Message) -> Optional[str]:
 def reference_price(message: Message) -> int:
     """Independent wire price of one message under the paper's cost model."""
     mtype = type(message)
-    if mtype in (DigestAdvertisement, DigestPullReply):
+    if mtype is DigestPullReply:
         return len(message.digests) * (_REF_DIGEST + _REF_USER_ID)
-    if mtype in (DigestOffer, DigestPullRequest):
+    if mtype in (DigestAdvertisement, DigestOffer, DigestPullRequest):
         return len(message.descriptors) * _REF_DESCRIPTOR
     if mtype is CommonItemsReply:
         return 0 if message.actions is None else len(message.actions) * _REF_ACTION

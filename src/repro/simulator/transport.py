@@ -6,11 +6,13 @@ Every peer interaction of the P3Q stack flows through a
 ============================  =============================================
 message                       meaning
 ============================  =============================================
-:class:`DigestAdvertisement`  random-view digests swapped by peer sampling
+:class:`DigestAdvertisement`  ``(user, version)`` descriptors of a random
+                              view, swapped by peer sampling
 :class:`DigestOffer`          ``(user, version)`` descriptors of the digests
                               a lazy exchange offers (Algorithm 1)
 :class:`DigestPullRequest`    ask for the offered digests the receiver reads
-                              and does not hold
+                              and does not hold, or for a probed random-view
+                              member's own
 :class:`DigestPullReply`      those digests, as far as the provider holds them
 :class:`CommonItemsRequest`   step-2 ask: "subject's actions on these items"
 :class:`CommonItemsReply`     the matching tagging actions (or ``None``)
@@ -144,9 +146,11 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class DigestAdvertisement(Message):
-    """Random-view digests swapped by peer sampling, in one direction."""
+    """The random-view ``(user_id, version)`` descriptors swapped by peer
+    sampling, in one direction.  A refresh pulls the row of a member it
+    probes from the member itself (:class:`DigestPullRequest`)."""
 
-    digests: Tuple["ProfileDigest", ...]
+    descriptors: Tuple[Descriptor, ...]
 
     kind = KIND_RANDOM_VIEW
     DEFERRABLE = True
@@ -155,35 +159,35 @@ class DigestAdvertisement(Message):
     def to(
         cls,
         receiver_id: int,
-        digests: Iterable["ProfileDigest"],
-        shown: Iterable["ProfileDigest"] = (),
+        descriptors: Iterable[Descriptor],
+        shown: Iterable[Descriptor] = (),
     ) -> "DigestAdvertisement":
-        """The advertisement of ``digests`` to ``receiver_id``, less what
-        the receiver would drop unread: its own digest (Cyclon's rule), and
-        each digest whose user ``shown`` carried at the same or a newer
+        """The advertisement of ``descriptors`` to ``receiver_id``, less
+        what the receiver would drop unread: its own descriptor (Cyclon's
+        rule), and each whose user ``shown`` carried at the same or a newer
         version.
 
         ``shown`` is what the receiver has just advertised to the sender:
-        the digests of the request a reply answers, and nothing for a
+        the descriptors of the request a reply answers, and nothing for a
         request, or for a reply to a request the delay queue held
-        (:attr:`Envelope.deferred`), whose digests describe the receiver as
-        it was cycles ago.  Callers draw ``digests`` first and filter here,
-        so a sample's RNG draws do not depend on who receives it.
+        (:attr:`Envelope.deferred`), whose descriptors describe the
+        receiver as it was cycles ago.  Callers draw ``descriptors`` first
+        and filter here, so a sample's RNG draws do not depend on who
+        receives it.
         """
-        known = {digest.user_id: digest.version for digest in shown}
-        return cls(tuple(_read_by(receiver_id, digests, known)))
+        return cls(_read_by(receiver_id, descriptors, dict(shown)))
 
 
 def _read_by(
-    receiver_id: int, digests: Iterable["ProfileDigest"], known: Dict[int, int]
-) -> List["ProfileDigest"]:
-    """``digests`` less the receiver's own and each whose user ``known``
+    receiver_id: int, descriptors: Iterable[Descriptor], known: Dict[int, int]
+) -> Tuple[Descriptor, ...]:
+    """``descriptors`` less the receiver's own and each whose user ``known``
     (user -> version the receiver just advertised) holds at the same or a
     newer version."""
-    return [
-        digest for digest in digests
-        if digest.user_id != receiver_id and known.get(digest.user_id, -1) < digest.version
-    ]
+    return tuple([
+        (user_id, version) for user_id, version in descriptors
+        if user_id != receiver_id and known.get(user_id, -1) < version
+    ])
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,16 +214,18 @@ class DigestOffer(Message):
         less what the receiver would drop unread: the rule of
         :meth:`DigestAdvertisement.to`, with ``shown`` the descriptors of
         the offer a reply answers."""
-        return cls(tuple([
-            (digest.user_id, digest.version)
-            for digest in _read_by(receiver_id, digests, dict(shown))
-        ]))
+        return cls(_read_by(
+            receiver_id,
+            [(digest.user_id, digest.version) for digest in digests],
+            dict(shown),
+        ))
 
 
 @dataclass(frozen=True, slots=True)
 class DigestPullRequest(Message):
-    """Ask the provider of an offer for the digests of these descriptors,
-    each at exactly its version."""
+    """Ask for the digests of these descriptors, each at exactly its
+    version: the provider of an offer, or a random-view member for its
+    own."""
 
     descriptors: Tuple[Descriptor, ...]
 
@@ -335,7 +341,7 @@ class Envelope(NamedTuple):
     A named tuple: envelopes are allocated once or twice per round-trip on
     the hottest path of the simulator, and tuple construction is C-level.
     ``deferred`` marks an envelope the delay queue held: a reply to such a
-    request does not leave out the digests the request carried
+    request does not leave out the descriptors the request carried
     (:meth:`DigestAdvertisement.to`), because they describe its sender as it was when it
     sent them, cycles ago.  Only :meth:`Transport.drain`
     delivers one; the service runtime never defers.

@@ -70,12 +70,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
         SAFETY, "tests/test_service_rpc.py::TestTimeoutPath::"
         "test_unanswered_request_resolves_dropped_at_the_deadline_and_is_traced_once",
     ),
-    "service/codec.py:BinaryWireCodec.forget_sent": (
-        SAFETY, "tests/test_service_rpc.py::TestTimedOutRequestForgetsItsLink::"
-        "test_next_encode_after_a_lost_seeding_frame_carries_full_rows and "
-        "tests/test_wire_codec.py::TestDigestSuppression::"
-        "test_a_refused_frame_forgets_its_link",
-    ),
     "p3q/node.py:P3QNode._restore_issue_order": (
         SAFETY, "tests/test_memory_model.py::TestFinishedSessionsRetire::"
         "test_retired_session_revives_in_issue_order",

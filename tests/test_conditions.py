@@ -55,7 +55,7 @@ def _wire(transport, tiny_dataset):
 
 
 def _digest_ad(node):
-    return DigestAdvertisement(digests=(node.own_digest(),))
+    return DigestAdvertisement(descriptors=(node.own_descriptor(),))
 
 
 def _cross_pair(transport, nodes):

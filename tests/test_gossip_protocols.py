@@ -65,7 +65,7 @@ def wired(tiny_dataset, gossip_config):
     # Seed every random view with every other node so discovery can start.
     for node in nodes.values():
         node.bootstrap_random_view(
-            [nodes[other].own_digest() for other in nodes if other != node.node_id]
+            [nodes[other].own_descriptor() for other in nodes if other != node.node_id]
         )
     return network, nodes
 
@@ -192,17 +192,26 @@ class TestLazyExchange:
         assert (500, 999) in replica
 
     def test_random_view_member_enters_with_the_copy_the_peer_holds(self, gossip_config):
-        """A member scored from the random view is recorded with the digest
-        copy the random view holds, even when the member's live profile has
-        moved on since: no runtime reads another node's memory."""
+        """A member scored from the random view is recorded with the row
+        the peer pulled from her at the version its view holds.  A member
+        whose live profile has moved on since answers that pull short and
+        is skipped: no runtime reads another node's memory."""
         dataset = Dataset.from_actions({0: [(1, 100), (2, 100)], 1: [(1, 100), (3, 101)]})
         network, nodes = build_network(dataset, gossip_config)
-        nodes[0].bootstrap_random_view([nodes[1].own_digest()])
-        (held,) = nodes[0].random_view.digests()
-        nodes[1].profile.add_all([(500, 999)])
-        assert nodes[1].own_digest().version > held.version
+        nodes[0].bootstrap_random_view([nodes[1].own_descriptor()])
+        ((_, version),) = nodes[0].random_view.descriptors()
+        pulled = nodes[1].own_digest()
         drive(nodes[0].lazy.refresh_from_random_view_effects(nodes[0]), network)
-        assert nodes[0].personal_network.entry(1).digest is held
+        assert nodes[0].personal_network.entry(1).digest is pulled
+        assert pulled.version == version
+        assert network.stats.total_messages(KIND_DIGESTS) == 2  # the pull and its reply
+
+        network, nodes = build_network(dataset, gossip_config)
+        nodes[0].bootstrap_random_view([nodes[1].own_descriptor()])
+        nodes[1].profile.add_all([(500, 999)])
+        drive(nodes[0].lazy.refresh_from_random_view_effects(nodes[0]), network)
+        assert 1 not in nodes[0].personal_network
+        assert network.stats.total_bytes(KIND_COMMON_ITEMS) == 0
 
     def test_offline_partner_does_not_break_cycle(self, wired):
         network, nodes = wired

@@ -211,19 +211,20 @@ class TestRandomView:
     def test_merge_caps_size(self):
         view = RandomView(0, size=3)
         rng = random.Random(1)
-        view.merge([_digest(i) for i in range(1, 10)], rng)
+        view.merge([(i, 0) for i in range(1, 10)], rng)
         assert len(view) == 3
 
     def test_merge_prefers_newer_versions(self):
         view = RandomView(0, size=5)
         rng = random.Random(1)
-        view.merge([_digest(1, version=0)], rng)
-        view.merge([_digest(1, version=4)], rng)
-        assert [digest.version for digest in view.digests()] == [4]
+        view.merge([(1, 0)], rng)
+        view.merge([(1, 4)], rng)
+        view.merge([(1, 2)], rng)
+        assert view.descriptors() == [(1, 4)]
 
     def test_merge_never_contains_owner(self):
         view = RandomView(7, size=5)
-        view.merge([_digest(7), _digest(1)], random.Random(0))
+        view.merge([(7, 0), (1, 0)], random.Random(0))
         assert 7 not in view
         assert 1 in view
 
@@ -232,7 +233,7 @@ class TestRandomView:
 
     def test_random_partner_is_a_member(self):
         view = RandomView(0, size=4)
-        view.merge([_digest(i) for i in range(1, 5)], random.Random(0))
+        view.merge([(i, 0) for i in range(1, 5)], random.Random(0))
         partner = view.random_partner(random.Random(1))
         assert partner in view.member_ids()
 
@@ -240,6 +241,6 @@ class TestRandomView:
     @settings(max_examples=50, deadline=None)
     def test_view_never_exceeds_size(self, user_ids, size):
         view = RandomView(0, size=size)
-        view.merge([_digest(uid) for uid in user_ids], random.Random(3))
+        view.merge([(uid, 0) for uid in user_ids], random.Random(3))
         assert len(view) <= size
         assert set(view.member_ids()) <= user_ids

@@ -22,7 +22,7 @@ from repro.data.models import ChangeDay, ProfileChange, UserProfile
 from repro.data.queries import QueryWorkloadGenerator
 from repro.gossip.digest import DigestCache, intern_digest, make_digest
 from repro.p3q import P3QConfig, P3QSimulation
-from repro.simulator.transport import DigestAdvertisement
+from repro.simulator.transport import DigestPullReply
 from test_wire_codec import through_trace
 
 
@@ -76,10 +76,8 @@ def _assert_caches_match_rebuild(sim: P3QSimulation) -> None:
         )
 
         # 2. Cached common-item probes equal direct (uncached) Bloom probes,
-        #    for every digest this node can currently see in its views.
-        seen = list(node.random_view.digests()) + [
-            entry.digest for entry in node.personal_network.ranked_entries()
-        ]
+        #    for every digest this node can currently see in its network.
+        seen = [entry.digest for entry in node.personal_network.ranked_entries()]
         for digest in seen:
             cached = cache.common_items(profile, digest)
             direct = {item for item in profile.items if item in digest.bloom}
@@ -106,13 +104,10 @@ def _assert_caches_match_rebuild(sim: P3QSimulation) -> None:
                     f"replica outside the top-c budget at node {node.node_id}"
                 )
 
-        # 4. The random view's cached membership matches its entries.
+        # 4. The random view's cached descriptors match its entries.
         view = node.random_view
-        assert view.member_ids() == sorted(
-            digest.user_id for digest in view.digests()
-        )
-        for digest in view.digests():
-            assert view._entries[digest.user_id] is digest
+        assert view.descriptors() == sorted(view._entries.items())
+        assert view.member_ids() == sorted(view._entries)
 
         # 5. COW replicas: a profile's version counts its actions exactly
         #    (every add bumps once), so a replica that aliased a mutating
@@ -202,7 +197,7 @@ def test_dirty_set_flush_evicts_superseded_state():
 
 def _through_trace(digests, path):
     """``digests`` as a trace file carries them: dumped and loaded back."""
-    message = DigestAdvertisement(digests=tuple(digests))
+    message = DigestPullReply(digests=tuple(digests))
     return through_trace(message, path).digests
 
 

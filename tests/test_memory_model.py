@@ -54,6 +54,7 @@ from repro.p3q.config import P3QConfig
 from repro.p3q.protocol import P3QSimulation
 from repro.p3q.query import PartialResult
 from repro.service import ServiceConfig, ServiceRuntime, check_trace
+from repro.service import codec as codec_module
 from repro.service.codec import BinaryWireCodec
 from repro.service.demo import build_demo_workload
 from repro.service.trace import TRACE_CHECKERS
@@ -62,7 +63,7 @@ from repro.simulator import stats as stats_module
 from repro.topk.heap import Candidate
 from repro.topk.nra import RankedList
 from repro.simulator.transport import (
-    DigestAdvertisement,
+    DigestPullReply,
     Envelope,
     QueryResult,
     RemainingReturn,
@@ -84,22 +85,20 @@ def _late_partial(session) -> PartialResult:
     )
 
 
-def _digest_holders(simulation, services):
-    """Every digest reachable from a view or a codec's reference LRU."""
-    held = []
-    for node in simulation.nodes.values():
-        held.extend(entry.digest for entry in node.personal_network.ranked_entries())
-        held.extend(node.random_view.digests())
-    for service in services:
-        held.extend(service.codec._received.values())
-    assert all(isinstance(digest, ProfileDigest) for digest in held)
-    return held
-
-
 class TestOneObjectPerDigest:
-    def test_decoded_digests_are_shared_across_nodes(self):
+    def test_decoded_digests_are_shared_across_nodes(self, monkeypatch):
+        """Every row a node decodes (a pull reply's) resolves to the one
+        interned object of its content, whichever node decodes it."""
         workload = build_demo_workload(num_users=20, num_queries=2, seed=9)
         simulation = converged_simulation(workload, 3)
+        decoded = []
+        intern = codec_module.intern_digest
+
+        def recording(*row):
+            decoded.append(intern(*row))
+            return decoded[-1]
+
+        monkeypatch.setattr(codec_module, "intern_digest", recording)
 
         async def go():
             runtime = ServiceRuntime(simulation, FAST)
@@ -107,22 +106,17 @@ class TestOneObjectPerDigest:
             try:
                 await runtime.run_queries(workload.queries)
                 await asyncio.sleep(0.3)
-                # Read before stop(): it tears the services down.
-                return _digest_holders(simulation, runtime.services.values())
             finally:
                 await runtime.stop()
 
-        held = asyncio.run(go())
-        pairs = {(digest.user_id, digest.version) for digest in held}
-        # The senders' own digests (the simulation-shared DigestCache) are
-        # the originals; everything else arrived as bytes and was decoded.
-        originals = {id(digest) for digest in simulation.digest_cache._digests.values()}
-        decoded = {id(digest) for digest in held} - originals
-        assert decoded, "the run must have decoded advertisements"
-        # Twenty nodes each decoded (and kept a reference to) the same
-        # digests: without interning this is ~N objects per pair.
-        assert len(held) > 2 * len(pairs)
-        assert len(decoded) <= len(pairs)
+        asyncio.run(go())
+        assert decoded, "the run must have decoded pulled rows"
+        assert all(isinstance(digest, ProfileDigest) for digest in decoded)
+        pairs = {(digest.user_id, digest.version) for digest in decoded}
+        # Twenty nodes each decoded the same digests: without interning
+        # this is one object per decode.
+        assert len(decoded) > 2 * len(pairs)
+        assert len({id(digest) for digest in decoded}) <= len(pairs)
 
 
 class TestFinishedSessionsRetire:
@@ -216,14 +210,15 @@ class TestOneSmallObjectPerPairValue:
     ):
         """``LazyExchangeProtocol._evaluated`` keeps one entry for every
         (receiver, random-view member) pair a refresh has seen, at the
-        newest digest version seen, and drops none of them."""
+        newest version a descriptor of the view named, and drops none of
+        them."""
         seen = {}
         refresh = LazyExchangeProtocol.refresh_from_random_view_effects
 
         def spy_refresh(protocol, peer):
             row = seen.setdefault(peer.node_id, {})
-            for digest in peer.random_view.digests():
-                row[digest.user_id] = max(row.get(digest.user_id, -1), digest.version)
+            for user_id, version in peer.random_view.descriptors():
+                row[user_id] = max(row.get(user_id, -1), version)
             return refresh(protocol, peer)
 
         monkeypatch.setattr(LazyExchangeProtocol, "refresh_from_random_view_effects", spy_refresh)
@@ -270,6 +265,20 @@ class TestOneSmallObjectPerPairValue:
         assert len(reply) == len(expected)  # what the cost model charges
         assert subject.action_ids_for_items(request) == reply
 
+    def test_random_view_entries_are_ints(self, synthetic_dataset, small_config):
+        """A random view is ``user_id -> version``: no digest row, no
+        descriptor tuple at rest, before and after lazy cycles."""
+        simulation = P3QSimulation(synthetic_dataset.copy(), small_config)
+        simulation.bootstrap_random_views()
+        for cycles in (0, 3):
+            simulation.run_lazy(cycles)
+            members = 0
+            for node in simulation.nodes.values():
+                entries = node.random_view._entries
+                assert all(type(key) is int and type(value) is int for key, value in entries.items())
+                members += len(entries)
+            assert members == len(simulation.nodes) * small_config.random_view_size
+
     def test_view_entries_carry_no_instance_dict(self):
         instance = NeighbourEntry(user_id=1, score=2.0, digest=make_digest(_subject()))
         assert not hasattr(instance, "__dict__")
@@ -309,9 +318,7 @@ class TestOneSmallObjectPerPairValue:
             return integrate(protocol, receiver, provider_id, descriptors, query_id)
 
         def spy_refresh(protocol, peer):
-            in_random_view.update(
-                (peer.node_id, digest.user_id) for digest in peer.random_view.digests()
-            )
+            in_random_view.update((peer.node_id, user_id) for user_id in peer.random_view.member_ids())
             return refresh(protocol, peer)
 
         def pricing_spy(method):
@@ -546,9 +553,7 @@ class TestOneDigestFormAtRest:
         monkeypatch.setattr(
             BloomFilter, "row_bytes", lambda bloom: appended.append(row_bytes(bloom)) or appended[-1]
         )
-        frame = BinaryWireCodec().encode_message(
-            DigestAdvertisement(digests=(digest,))
-        )
+        frame = BinaryWireCodec().encode_message(DigestPullReply(digests=(digest,)))
         assert len(appended) == 1 and appended[0] is row and row in frame
 
     def test_alternating_versions_of_one_user_rederive_nothing(self):

@@ -20,7 +20,7 @@ from repro.simulator.transport import (
     DROPPED,
     OP_REQUEST,
     CommonItemsRequest,
-    DigestAdvertisement,
+    DigestPullReply,
     Envelope,
     FullProfileRequest,
     WireEvent,
@@ -42,12 +42,13 @@ def _deployment(rpc_timeout: float = 0.1, num_users: int = 8):
     return simulation, ServiceRuntime(simulation, config)
 
 
-def _advertisement(simulation) -> DigestAdvertisement:
+def _rows(simulation) -> DigestPullReply:
+    """A message carrying digest rows (no handler answers it as a request)."""
     digests = tuple(
         simulation.digest_cache.digest_for(simulation.nodes[user_id].profile)
         for user_id in list(simulation.nodes)[:3]
     )
-    return DigestAdvertisement(digests=digests)
+    return DigestPullReply(digests=digests)
 
 
 class _SwallowFirst:
@@ -70,7 +71,7 @@ class TestTimedOutRequestForgetsItsLink:
     def test_next_encode_after_a_lost_seeding_frame_carries_full_rows(self):
         simulation, runtime = _deployment(rpc_timeout=0.05)
         sender, receiver = list(simulation.nodes)[:2]
-        message = _advertisement(simulation)
+        message = _rows(simulation)
 
         async def go():
             await runtime.start()
@@ -87,8 +88,8 @@ class TestTimedOutRequestForgetsItsLink:
                 await runtime.stop()
 
         frame = asyncio.run(go())
-        # A codec that never saw the seeding frame -- the receiver's state --
-        # must decode the follow-up: full rows, no dangling reference.
+        # A codec that never saw the lost frame -- the receiver's state --
+        # must decode the follow-up: every row is a full row.
         fresh = BinaryWireCodec()
         bodies, leftover = fresh.split(frame)
         assert leftover == b"" and len(bodies) == 1
@@ -105,7 +106,7 @@ class TestTimeoutPath:
     def test_unanswered_request_resolves_dropped_at_the_deadline_and_is_traced_once(self):
         simulation, runtime = _deployment(rpc_timeout=0.1)
         sender, receiver = list(simulation.nodes)[:2]
-        message = _advertisement(simulation)
+        message = _rows(simulation)
 
         async def go():
             await runtime.start()
@@ -129,7 +130,7 @@ class TestTimeoutPath:
     def test_late_reply_is_discarded_without_error_or_second_event(self, caplog):
         simulation, runtime = _deployment(rpc_timeout=0.05)
         sender, receiver = list(simulation.nodes)[:2]
-        message = _advertisement(simulation)
+        message = _rows(simulation)
 
         async def go():
             await runtime.start()
@@ -159,7 +160,7 @@ class TestTimeoutPath:
     def test_answered_round_trips_leave_no_deadline_and_no_future_behind(self):
         simulation, runtime = _deployment(rpc_timeout=5.0)
         sender, *others = list(simulation.nodes)
-        message = _advertisement(simulation)
+        message = _rows(simulation)
 
         async def go():
             await runtime.start()
@@ -183,7 +184,7 @@ class TestTimeoutPath:
     def test_answered_round_trips_do_not_pile_up_behind_a_lost_one(self):
         simulation, runtime = _deployment(rpc_timeout=30.0)
         sender, victim, *others = list(simulation.nodes)
-        message = _advertisement(simulation)
+        message = _rows(simulation)
         floor = runtime.rpc_deadlines._COMPACT_FLOOR
 
         async def go():
@@ -207,7 +208,7 @@ class TestTimeoutPath:
     def test_stop_waits_out_a_round_trip_in_flight_and_leaves_no_timer(self):
         simulation, runtime = _deployment(rpc_timeout=0.2)
         sender, receiver = list(simulation.nodes)[:2]
-        message = _advertisement(simulation)
+        message = _rows(simulation)
         outcome = []
 
         async def a_round(service):
@@ -237,7 +238,7 @@ class TestTimeoutPath:
         but it must not be left on a timer that stop() took away."""
         simulation, runtime = _deployment(rpc_timeout=30.0)
         sender, receiver = list(simulation.nodes)[:2]
-        message = _advertisement(simulation)
+        message = _rows(simulation)
 
         async def go():
             await runtime.start()

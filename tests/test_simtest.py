@@ -268,7 +268,10 @@ class TestInvariantsFire:
             return result if result else kept
 
         monkeypatch.setattr(EagerGossipProtocol, "gossip_query_effects", retrying)
-        spec = FAST_SPEC.but(loss_rate=0.4, eager_cycles=10)
+        # Which forwards lose their reply is drawn from the shared loss
+        # stream, which every other lossy message moves: at 0.4 the random-
+        # view pulls leave no retry to catch; 0.3 and 0.5 both catch it.
+        spec = FAST_SPEC.but(loss_rate=0.5, eager_cycles=10)
         result = run_scenario(spec)
         assert result.invariant == "query-lifecycle"
         assert "re-forwarded" in result.violation.detail
@@ -303,7 +306,7 @@ class TestInvariantsFire:
 class TestReferenceModel:
     def test_reference_agrees_with_production_sizes(self):
         """The independent pricer and gossip.sizes agree on a digest message."""
-        message = DigestAdvertisement(digests=())
+        message = DigestAdvertisement(descriptors=())
         assert reference_price(message) == sizes.total_bytes(message) == 0
         assert reference_kind(message) == "random_view_digests"
 

@@ -68,8 +68,8 @@ def _partial(num_items: int, num_contributors: int) -> PartialResult:
 #: ``builder(n)`` constructs an instance whose payload has ``n`` entries.
 CATALOGUE = {
     DigestAdvertisement: (
-        lambda n: DigestAdvertisement(digests=_digests(n)),
-        DIGEST_BYTES + USER_ID_BYTES,
+        lambda n: DigestAdvertisement(descriptors=tuple((uid, 3) for uid in range(n))),
+        DESCRIPTOR_BYTES,
         False,
     ),
     DigestOffer: (

@@ -8,6 +8,11 @@ digest at step 1 even when no replica is stored.  These tests pin when a
 neighbour is asked, and that on a static run the skip changes traffic only:
 the personal networks, replicas and query results are those of a run that
 asks every time.
+
+Step 1 also drops, before pulling its row, an unknown user whose
+common-item answer at the same two versions the receiver's own memo holds
+empty (``DigestCache.memoized``): the gate would drop it after the pull.
+On a run with no loss and no delay that spares pulled rows only.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ import pytest
 
 from repro.data import SyntheticConfig, generate_dataset
 from repro.data.queries import QueryWorkloadGenerator
+from repro.gossip.digest import DigestCache
 from repro.gossip.views import PersonalNetwork
 from repro.p3q import P3QConfig, P3QSimulation
 from repro.simulator.effects import drive
+from repro.simulator.stats import KIND_DIGESTS
 from repro.simulator.transport import CommonItemsRequest
+from test_advertisements import DIRECT_SPEC, _run
 
 
 def _asked(monkeypatch, simulation, receiver, provider_id, descriptors):
@@ -209,3 +217,27 @@ def test_on_a_static_run_the_skip_moves_step_2_traffic_only(monkeypatch):
     fewer.pop("common_item_actions"), more.pop("common_item_actions")
     assert fewer == more
     assert skipping.stats.total_messages() < asking.stats.total_messages()
+
+
+def test_dropping_what_the_memo_knows_shares_nothing_spares_pulls_only(monkeypatch):
+    """The no-loss, no-delay spec of ``test_advertisements`` (churn of both
+    modes, a change day, free riders), with the memo skip and with it
+    patched out (``memoized`` answering nothing, so the pair memo then
+    re-probes each pair to the same answer)."""
+    skipping = _run(monkeypatch, DIRECT_SPEC)
+    pulling = _run(
+        monkeypatch, DIRECT_SPEC,
+        {(DigestCache, "memoized"): lambda cache, receiver, subject_id, version: None},
+    )
+    fewer, more = skipping.pop("bytes_by_kind"), pulling.pop("bytes_by_kind")
+    assert fewer.pop(KIND_DIGESTS) < more.pop(KIND_DIGESTS)
+    assert fewer == more
+    fewer, more = skipping.pop("bytes_by_cycle"), pulling.pop("bytes_by_cycle")
+    assert fewer.keys() == more.keys()
+    assert all(fewer[cycle] <= more[cycle] for cycle in fewer)
+    assert skipping.pop("messages") < pulling.pop("messages")
+    fewer, more = skipping.pop("messages_by_kind"), pulling.pop("messages_by_kind")
+    assert fewer.pop(KIND_DIGESTS) < more.pop(KIND_DIGESTS)
+    assert fewer == more
+    # Networks, stored ids, replica versions, random views and results.
+    assert skipping == pulling

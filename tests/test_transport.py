@@ -8,6 +8,8 @@ from repro.gossip.sizes import (
     DIGEST_BYTES,
     TAGGING_ACTION_BYTES,
     USER_ID_BYTES,
+    VERSION_BYTES,
+    descriptor_message_size,
     digest_message_size,
     partial_result_size,
     remaining_list_size,
@@ -76,7 +78,7 @@ def pair(tiny_dataset):
 
 
 def _digest_ad(node):
-    return DigestAdvertisement(digests=(node.own_digest(),))
+    return DigestAdvertisement(descriptors=(node.own_descriptor(),))
 
 
 class TestMessageCatalogue:
@@ -84,7 +86,7 @@ class TestMessageCatalogue:
         _, nodes = pair
         message = _digest_ad(nodes[0])
         with pytest.raises(AttributeError):
-            message.digests = ()
+            message.descriptors = ()
 
     def test_advertisement_kind_follows_view(self, pair):
         _, nodes = pair
@@ -108,8 +110,10 @@ class TestMessageCatalogue:
 class TestTotalBytes:
     def test_sizes_share_the_paper_cost_model(self, pair, tiny_dataset):
         _, nodes = pair
-        ad = DigestAdvertisement(digests=(nodes[0].own_digest(), nodes[1].own_digest()))
-        assert total_bytes(ad) == digest_message_size(2) == 2 * (DIGEST_BYTES + USER_ID_BYTES)
+        ad = DigestAdvertisement(descriptors=(nodes[0].own_descriptor(), nodes[1].own_descriptor()))
+        assert total_bytes(ad) == descriptor_message_size(2) == 2 * (USER_ID_BYTES + VERSION_BYTES)
+        pulled = DigestPullReply(digests=(nodes[0].own_digest(), nodes[1].own_digest()))
+        assert total_bytes(pulled) == digest_message_size(2) == 2 * (DIGEST_BYTES + USER_ID_BYTES)
 
         profile = tiny_dataset.profile(0)
         push = FullProfilePush(subject_id=0, profile=profile)

@@ -94,13 +94,7 @@ _DESCRIPTORS = st.lists(
 #: type -> strategy producing instances of exactly that type.  Every concrete
 #: Message subclass MUST have an entry (enforced below).
 STRATEGIES = {
-    DigestAdvertisement: st.builds(
-        DigestAdvertisement,
-        digests=st.lists(
-            st.integers(min_value=0, max_value=30).map(lambda uid: _digest(uid, 1 + uid % 4)),
-            max_size=4,
-        ).map(tuple),
-    ),
+    DigestAdvertisement: st.builds(DigestAdvertisement, descriptors=_DESCRIPTORS),
     DigestOffer: st.builds(DigestOffer, descriptors=_DESCRIPTORS),
     DigestPullRequest: st.builds(DigestPullRequest, descriptors=_DESCRIPTORS),
     DigestPullReply: st.builds(
@@ -194,7 +188,7 @@ def _assert_profile_equal(left: UserProfile, right: UserProfile) -> None:
 
 def assert_message_equal(left: Message, right: Message) -> None:
     assert type(left) is type(right)
-    if isinstance(left, (DigestAdvertisement, DigestPullReply)):
+    if isinstance(left, DigestPullReply):
         assert len(left.digests) == len(right.digests)
         for a, b in zip(left.digests, right.digests):
             _assert_digest_equal(a, b)
@@ -290,16 +284,16 @@ def _twin(value):
     return value
 
 
-def _received(advertisement):
-    """``advertisement`` (any digest carrier) with each digest resolved as
-    the codec resolves a received copy of its row (``intern_digest``)."""
-    return type(advertisement)(
+def _received(pulled):
+    """``pulled`` (a pull reply) with each digest resolved as the codec
+    resolves a received copy of its row (``intern_digest``)."""
+    return DigestPullReply(
         digests=tuple(
             intern_digest(
                 digest.user_id, digest.version, digest.bloom.num_bits, digest.bloom.num_hashes,
                 digest.bloom.approximate_count, bytes(bytearray(digest.bloom.row_bytes())),
             )
-            for digest in advertisement.digests
+            for digest in pulled.digests
         ),
     )
 
@@ -307,7 +301,7 @@ def _received(advertisement):
 @pytest.mark.parametrize("message_type", sorted(STRATEGIES, key=lambda c: c.__name__))
 def test_equal_messages_encode_and_price_the_same(message_type):
     """What makes ``ServiceTrace`` safe to record one object per distinct
-    message: ``a == b`` implies the same off-link body, the same price and,
+    message: ``a == b`` implies the same body, the same price and,
     for a merged type, the same hash."""
 
     @settings(max_examples=25, deadline=None)
@@ -316,7 +310,7 @@ def test_equal_messages_encode_and_price_the_same(message_type):
         twin = _twin(message)
         assert twin == message and twin is not message
         pairs = [(message, twin), (message, other)]
-        if isinstance(message, (DigestAdvertisement, DigestPullReply)):
+        if isinstance(message, DigestPullReply):
             # Re-interned while the first copy is alive: the same digests.
             first = _received(message)
             second = _received(message)
@@ -441,9 +435,8 @@ class TestBinaryMalformedFrames:
     def test_oversized_length_claims(self):
         # A digest claiming a multi-gigabyte row must be refused before any
         # allocation happens.
-        evil = bytearray([0x01])  # DigestAdvertisement tag
+        evil = bytearray([0x0B])  # DigestPullReply tag
         evil += bytes([0x01])  # one digest
-        evil += bytes([0x00])  # marker: full row
         evil += bytes([0x00, 0x00])  # user_id=0, version=0
         evil += b"\xff\xff\xff\xff\x7f"  # num_bits varint ~= 2**34
         with pytest.raises(ValueError, match="num_bits"):
@@ -458,7 +451,7 @@ class TestBinaryMalformedFrames:
         # num_hashes drives a Python loop per probe and every geometry is
         # memoised process-wide; count is a forged varint like any length.
         def advertisement(num_hashes: bytes, count: bytes) -> bytes:
-            evil = bytearray([0x01, 0x01, 0x00])  # tag, one full row
+            evil = bytearray([0x0B, 0x01])  # DigestPullReply tag, one row
             evil += bytes([0x00, 0x00])  # user_id=0, version=0
             evil += bytes([0x40])  # num_bits=64
             evil += num_hashes + count
@@ -493,112 +486,13 @@ class TestBinaryMalformedFrames:
             BinaryWireCodec().decode_body(bytes(evil))
 
 
-class TestDigestSuppression:
-    def _advertisement(self):
-        return DigestAdvertisement(digests=(_digest(1), _digest(2)))
-
-    def _envelope(self, message, receiver=7):
-        return Envelope(1, receiver, message, None, False)
-
-    def test_committed_digests_travel_as_references(self):
-        sender = BinaryWireCodec()
-        adv = self._advertisement()
-        first = sender.encode_send(self._envelope(adv))
-        second = sender.encode_send(self._envelope(adv))
-        assert len(second) < len(first) / 2
-
-        receiver = BinaryWireCodec()
-        for frame in (first, second):
-            bodies, _ = receiver.split(frame)
-            decoded = receiver.decode_body(bodies[0])
-            assert_message_equal(decoded["m"], adv)
-
-    def test_a_refused_frame_forgets_its_link(self):
-        sender = BinaryWireCodec()
-        adv = self._advertisement()
-        first = sender.encode_send(self._envelope(adv))
-        sender.forget_sent(7)  # the wire refused the frame
-        assert 7 not in sender._sent
-        second = sender.encode_send(self._envelope(adv))
-        assert second == first
-        fresh = BinaryWireCodec()
-        bodies, _ = fresh.split(second)
-        assert_message_equal(fresh.decode_body(bodies[0])["m"], adv)
-
-    def test_a_link_holds_one_entry_per_user(self):
-        sender = BinaryWireCodec()
-        profile = _profile(3, user_id=1)
-        for change in range(5):
-            profile.add_all([(60 + change, 160)])  # bumps the version
-            adv = DigestAdvertisement(
-                digests=(make_digest(profile, num_bits=256, num_hashes=3), _digest(2)),
-            )
-            sender.encode_send(self._envelope(adv))
-        assert sender._sent == {7: {1: profile.version, 2: _digest(2).version}}
-
-    def test_an_older_version_after_a_newer_ships_a_full_row(self):
-        sender = BinaryWireCodec()
-        profile = _profile(3, user_id=1)
-        older = make_digest(profile, num_bits=256, num_hashes=3)
-        profile.add_all([(50, 150)])  # bumps the version
-        newer = make_digest(profile, num_bits=256, num_hashes=3)
-        receiver = BinaryWireCodec()
-
-        def ship(digest):
-            adv = DigestAdvertisement(digests=(digest,))
-            frame = sender.encode_send(self._envelope(adv))
-            bodies, _ = receiver.split(frame)
-            assert_message_equal(receiver.decode_body(bodies[0])["m"], adv)
-            return frame
-
-        full = ship(newer)
-        assert len(ship(older)) == len(full)
-        assert sender._sent[7] == {1: newer.version}
-        assert len(ship(newer)) < len(full) / 2
-
-    def test_suppression_is_per_receiver(self):
-        sender = BinaryWireCodec()
-        adv = self._advertisement()
-        sender.encode_send(self._envelope(adv, receiver=7))
-        to_other = sender.encode_send(self._envelope(adv, receiver=8))
-        fresh = BinaryWireCodec()
-        bodies, _ = fresh.split(to_other)
-        assert_message_equal(fresh.decode_body(bodies[0])["m"], adv)
-
-    def test_unresolvable_reference_fails_loudly(self):
-        sender = BinaryWireCodec()
-        adv = self._advertisement()
-        sender.encode_send(self._envelope(adv))
-        ref_frame = sender.encode_send(self._envelope(adv))
-        never_seeded = BinaryWireCodec()
-        bodies, _ = never_seeded.split(ref_frame)
-        with pytest.raises(ValueError, match="digest reference"):
-            never_seeded.decode_body(bodies[0])
-
-    def test_new_version_ships_a_full_row(self):
-        sender = BinaryWireCodec()
-        profile = _profile(3, user_id=1)
-        adv1 = DigestAdvertisement(
-            digests=(make_digest(profile, num_bits=256, num_hashes=3),),
-        )
-        sender.encode_send(self._envelope(adv1))
-        profile.add_all([(50, 150)])  # bumps the version
-        adv2 = DigestAdvertisement(
-            digests=(make_digest(profile, num_bits=256, num_hashes=3),),
-        )
-        frame = sender.encode_send(self._envelope(adv2))
-        fresh = BinaryWireCodec()
-        bodies, _ = fresh.split(frame)
-        assert_message_equal(fresh.decode_body(bodies[0])["m"], adv2)
-
-
 class TestDigestInterning:
     """Decoded digests resolve through the content-keyed intern table of
     ``repro.gossip.digest``: one object per content, whoever decodes it."""
 
     def _frame(self, digest):
-        adv = DigestAdvertisement(digests=(digest,))
-        return BinaryWireCodec().encode_send(Envelope(1, 7, adv, None, False))
+        pulled = DigestPullReply(digests=(digest,))
+        return BinaryWireCodec().encode_send(Envelope(1, 7, pulled, None, False))
 
     def _decode(self, codec, frame):
         bodies, _ = codec.split(frame)
@@ -609,8 +503,6 @@ class TestDigestInterning:
         first, second = BinaryWireCodec(), BinaryWireCodec()
         decoded = self._decode(first, frame)
         assert self._decode(second, frame) is decoded
-        assert first._received[(1, decoded.version)] is decoded
-        assert second._received[(1, decoded.version)] is decoded
         # The adopted row is the filter's wire row: forwarding the digest
         # re-serialises nothing.
         assert decoded.bloom.row_bytes() in frame
@@ -640,36 +532,6 @@ class TestDigestInterning:
         del decoded, codec
         gc.collect()
         assert key not in _INTERNED
-
-
-class TestCacheBounds:
-    """The decoded-digest cache is an LRU; overflow degrades to a loud drop,
-    never to growth."""
-
-    @pytest.fixture(autouse=True)
-    def _small_bounds(self, monkeypatch):
-        monkeypatch.setattr(codec_module, "_MAX_RECEIVED_DIGESTS", 2)
-
-    def _send(self, sender, user_ids, receiver=7):
-        adv = DigestAdvertisement(
-            digests=tuple(_digest(uid) for uid in user_ids))
-        return adv, sender.encode_send(Envelope(1, receiver, adv, None, False))
-
-    def _decode(self, receiver, frame):
-        bodies, leftover = receiver.split(frame)
-        assert leftover == b""
-        return receiver.decode_body(bodies[0])["m"]
-
-    def test_evicted_received_digest_makes_the_reference_fail_loudly(self):
-        sender, receiver = BinaryWireCodec(), BinaryWireCodec()
-        for uid in (1, 2, 3):  # the third full row evicts user 1's
-            self._decode(receiver, self._send(sender, [uid])[1])
-            assert len(receiver._received) <= 2
-        adv, referenced = self._send(sender, [3])
-        assert_message_equal(self._decode(receiver, referenced), adv)
-        _, stale = self._send(sender, [1])
-        with pytest.raises(ValueError, match="digest reference"):
-            self._decode(receiver, stale)
 
 
 class TestSplitFrames:
@@ -777,8 +639,8 @@ class TestTraceFile:
                 ServiceTrace.load(str(path))
 
     def test_two_rows_under_one_user_and_version_load_back_exactly(self, tmp_path):
-        """Off-link bodies carry every digest as a full row: a forged row
-        under an honest ``(user, version)`` is not aliased to the honest one."""
+        """Bodies carry every digest as a full row: a forged row under an
+        honest ``(user, version)`` is not aliased to the honest one."""
         honest = _digest(1)
         forged_row = bytes([honest.bloom.row_bytes()[0] ^ 0x01]) + honest.bloom.row_bytes()[1:]
         forged = intern_digest(
@@ -786,8 +648,8 @@ class TestTraceFile:
             honest.bloom.approximate_count, forged_row,
         )
         sent = [
-            DigestAdvertisement(digests=(honest,)),
-            DigestAdvertisement(digests=(forged, honest)),
+            DigestPullReply(digests=(honest,)),
+            DigestPullReply(digests=(forged, honest)),
         ]
         path = self._dumped(tmp_path, sent)
         loaded = [event.message for event in ServiceTrace.load(str(path)).events]
@@ -822,9 +684,9 @@ class TestTraceMergesEqualMessages:
             CommonItemsRequest(subject_id=3, items=frozenset({1, 2})),
             CommonItemsRequest(subject_id=3, items=frozenset({2, 1})),
             CommonItemsRequest(subject_id=4, items=frozenset({1, 2})),
-            DigestAdvertisement(digests=(honest,)),
-            DigestAdvertisement(digests=(honest,)),
-            DigestAdvertisement(digests=(forged,)),
+            DigestPullReply(digests=(honest,)),
+            DigestPullReply(digests=(honest,)),
+            DigestPullReply(digests=(forged,)),
         ]
         recorded = self._recorded(self._trace(sent))
         assert recorded == sent
@@ -885,7 +747,7 @@ class TestTraceMergesEqualMessages:
 
         def fresh():
             return [
-                DigestAdvertisement(digests=(honest,)),
+                DigestPullReply(digests=(honest,)),
                 CommonItemsRequest(subject_id=3, items=frozenset({1, 2})),
                 CommonItemsReply(subject_id=3, actions=_interned(2)),
                 QueryForward(query=_query(2), remaining=(1, 2), cycle=3),

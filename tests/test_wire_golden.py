@@ -89,11 +89,8 @@ def golden_messages() -> List[Tuple[str, Message]]:
         cycle=4,
     )
     return [
-        (
-            "digests",
-            DigestAdvertisement(digests=(_digest(1, 3), _digest(200, 6), _digest(-5, 2))),
-        ),
-        ("digests_empty", DigestAdvertisement(digests=())),
+        ("digests", DigestAdvertisement(descriptors=((1, 4), (200, 7), (-5, 3)))),
+        ("digests_empty", DigestAdvertisement(descriptors=())),
         ("offer", DigestOffer(descriptors=((1, 4), (200, 7), (-5, 3)))),
         ("offer_empty", DigestOffer(descriptors=())),
         ("pull_req", DigestPullRequest(descriptors=((200, 7), (-5, 3)))),
@@ -121,33 +118,16 @@ def golden_messages() -> List[Tuple[str, Message]]:
 
 
 def build_frames() -> Dict[str, str]:
-    """Hex of every runtime frame shape, one fresh codec per message."""
+    """Hex of every runtime frame shape."""
+    codec = BinaryWireCodec()
     frames: Dict[str, str] = {}
     for name, message in golden_messages():
-        codec = BinaryWireCodec()
         request = Envelope(3, 4, message, 9, True)
         send = Envelope(-2, 130, message, None, False)
         frames[f"{name}/request"] = codec.encode_request(request, 17).hex()
-        codec.forget_sent(4)
         frames[f"{name}/send_no_query"] = codec.encode_send(send).hex()
-        codec.forget_sent(130)
         frames[f"{name}/reply"] = codec.encode_reply(300, DELIVERED, message).hex()
-    codec = BinaryWireCodec()
     frames["none/reply_dropped"] = codec.encode_reply(1, DROPPED, None).hex()
-    # Suppression: an advertisement shipped on a link is referenced on it,
-    # shipped in full on another, and a new digest mixes with references.
-    first = dict(golden_messages())["digests"]
-    frames["suppression/first"] = codec.encode_send(Envelope(1, 7, first, None, False)).hex()
-    frames["suppression/referenced"] = codec.encode_send(
-        Envelope(1, 7, first, None, False)
-    ).hex()
-    mixed = DigestAdvertisement(digests=first.digests[:1] + (_digest(31, 4),))
-    frames["suppression/mixed"] = codec.encode_request(
-        Envelope(1, 7, mixed, None, True), 2
-    ).hex()
-    frames["suppression/other_link"] = codec.encode_send(
-        Envelope(1, 8, first, None, False)
-    ).hex()
     return frames
 
 
