@@ -40,7 +40,6 @@ from ..simulator.transport import (
     UNREACHABLE,
     CommonItemsReply,
     CommonItemsRequest,
-    DigestAdvertisement,
     DigestOffer,
     DigestPullReply,
     DigestPullRequest,
@@ -67,12 +66,14 @@ _HAS_QUERY = 1 << 6
 
 #: The messages a trace records as the first equal one it holds: the lazy
 #: exchange's, which a converged overlay keeps repeating.  Every other
-#: message -- a query's forwards, returns and results, which rarely repeat
-#: (each forward carries its own cycle, and a ``QueryResult`` cannot be
-#: hashed: its ``PartialResult`` is mutable) -- is kept as its wire
-#: :class:`BinaryWireCodec` body, a fraction of the objects it decodes to.
+#: message -- a random-view swap, a query's forwards, returns and results,
+#: which rarely repeat (a swap is a fresh random sample of descriptor
+#: tuples, each forward carries its own cycle, and a ``QueryResult``
+#: cannot be hashed: its ``PartialResult`` is mutable) -- is kept as its
+#: wire :class:`BinaryWireCodec` body, a fraction of the objects it
+#: decodes to.
 _MERGED = frozenset({
-    DigestAdvertisement, DigestOffer, DigestPullRequest, DigestPullReply,
+    DigestOffer, DigestPullRequest, DigestPullReply,
     CommonItemsRequest, CommonItemsReply, FullProfileRequest, FullProfilePush,
 })
 
