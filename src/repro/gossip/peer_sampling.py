@@ -11,8 +11,8 @@ held the request (its descriptors then describe the initiator's view as it
 was cycles ago).  Each keeps a uniformly random subset of size r of the
 union.  Like the node descriptors of Jelasity et al., a swap carries no
 digest row (8 bytes a member, not 2 504): the random-view refresh of
-:mod:`repro.gossip.profile_exchange` pulls the row of a member it probes
-from the member itself.
+:mod:`repro.gossip.profile_exchange` pulls the row of a member it has not
+evaluated from the member itself.
 This is the classical gossip-based peer-sampling service of Jelasity et
 al., which keeps the overlay connected even when personal networks would
 otherwise partition into disjoint interest groups, and continuously
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects
+from ..simulator.effects import RequestEffect, WireEffects
 from ..simulator.transport import DigestAdvertisement, Envelope
 
 
@@ -44,16 +44,13 @@ class PeerSamplingProtocol:
         """Run one peer-sampling exchange initiated by ``initiator``.
 
         Yields wire effects.  Returns the partner's id, or ``None`` when no
-        exchange happened (empty view, partner offline, or message lost --
-        the slot is simply lost for this cycle, as in the paper's churn
-        experiments).
+        exchange happened (empty view, or the swap came back unreachable or
+        lost -- the slot is simply lost for this cycle, as in the paper's
+        churn experiments).
         """
         partner_id = initiator.random_view.random_partner(initiator.rng)
         if partner_id is None:
             return None
-        if not (yield ProbeEffect(partner_id)):
-            return None
-
         sent = initiator.random_view.descriptors()
         sent.append(initiator.own_descriptor())
         dispatch = yield RequestEffect(

@@ -72,7 +72,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..similarity.metrics import overlap_score_from_actions
-from ..simulator.effects import ProbeEffect, RequestEffect, WireEffects
+from ..simulator.effects import RequestEffect, WireEffects
 from ..simulator.transport import (
     CommonItemsRequest,
     Descriptor,
@@ -127,7 +127,9 @@ class LazyExchangeProtocol:
         (falling back to a random-view member while the personal network is
         still empty), performs the symmetric exchange, and refreshes
         candidates coming from the random view.  Returns the partner id, or
-        ``None`` if no partner was reachable.
+        ``None`` if the exchange did not happen.  A departed partner answers
+        the offer ``UNREACHABLE``: the cycle's slot is lost, but the random
+        view is still a source of fresh candidates.
         """
         partner_id = initiator.personal_network.select_oldest()
         if partner_id is None:
@@ -137,25 +139,17 @@ class LazyExchangeProtocol:
             return None
         if partner_id in initiator.personal_network:
             initiator.personal_network.mark_gossiped(partner_id)
-        # Reachability check BEFORE sampling: stored_digest_sample consumes
-        # the initiator's RNG stream, and an unreachable partner must not
-        # consume it (seed ordering; the transport re-checks on delivery).
-        if not (yield ProbeEffect(partner_id)):
-            # Partner departed: the cycle's slot is lost, but the random view
-            # is still a source of fresh candidates.
-            yield from self.refresh_from_random_view_effects(initiator)
-            return None
         exchanged = yield from self.exchange_effects(initiator, partner_id)
         yield from self.refresh_from_random_view_effects(initiator)
         return partner_id if exchanged else None
 
     def exchange_effects(self, initiator, partner_id: int) -> WireEffects:
-        """Symmetric digest/profile exchange between two online peers.
+        """Symmetric digest/profile exchange between two peers.
 
         Yields wire effects.  Returns ``True`` when the exchange was
         delivered (or deferred by a latency transport -- it will complete
-        when the queue drains), and ``False`` when the advertisement was
-        lost.
+        when the queue drains), and ``False`` when the offer was lost or
+        the partner was unreachable.
         """
         sent = initiator.stored_digest_sample(self.exchange_size)
         dispatch = yield RequestEffect(
@@ -388,14 +382,14 @@ class LazyExchangeProtocol:
 
         The view holds ``(user_id, version)`` descriptors.  A member ``v``
         whose version has not been evaluated yet and who is not already a
-        neighbour is probed, and her digest row at exactly that version is
-        pulled from ``v`` herself (a :class:`DigestPullRequest` of one
-        descriptor); when it shares at least one item the local user
-        tagged, ``v`` is scored by contacting her directly.  A member that
-        moved on from the advertised version answers the pull short and is
-        skipped, as if unavailable.  Stable views generate no traffic.
-        Yields wire effects; returns the ids added to the personal network,
-        which keeps the pulled row of each.
+        neighbour has her digest row at exactly that version pulled from
+        ``v`` herself (a :class:`DigestPullRequest` of one descriptor); when
+        it shares at least one item the local user tagged, ``v`` is scored
+        by contacting her directly.  A member that has gone answers the
+        pull ``UNREACHABLE``, and one that moved on from the advertised
+        version answers it short; either is skipped.  Stable views
+        generate no traffic.  Yields wire effects; returns the ids added to
+        the personal network, which keeps the pulled row of each.
         """
         own_ids = peer.profile.action_ids
         added: List[int] = []
@@ -407,8 +401,6 @@ class LazyExchangeProtocol:
                 continue
             evaluated[subject_id] = version
             if subject_id in peer.personal_network:
-                continue
-            if not (yield ProbeEffect(subject_id)):
                 continue
             pulled = yield from self._pull_digests_effects(
                 peer, subject_id, [(subject_id, version)]

@@ -18,7 +18,7 @@ already: the pull request costs 8 bytes per descriptor asked for, its
 reply 2,504 bytes per digest returned (a row with its user id).  All three
 are ``personal_digests`` traffic.  A random-view swap carries descriptors
 too, 8 bytes each (``random_view_digests``), and the refresh pulls the row
-of each member it probes from the member itself, one descriptor asked and
+of each member it evaluates from the member itself, one descriptor asked and
 one row returned (``personal_digests``).  The paper's model ships every
 offered or swapped row, so maintenance bytes fall below it by each row the
 receiver drops unread or already holds, less 8 bytes per descriptor sent

@@ -328,7 +328,7 @@ class RandomView:
 
     A member is a ``(user_id, version)`` descriptor, held as ``user_id ->
     version``: the view carries no digest row.  A refresh pulls the row of
-    a member it probes from the member itself.
+    a member it evaluates from the member itself.
     """
 
     def __init__(self, owner_id: int, size: int) -> None:

@@ -40,8 +40,8 @@ import random
 from typing import AbstractSet, Dict, List, Optional, Protocol, Sequence
 
 from ..data.queries import Query
-from ..simulator.effects import ProbeEffect, RequestEffect, SendEffect, WireEffects
-from ..simulator.transport import REPLY_DROPPED, QueryForward, QueryResult
+from ..simulator.effects import RequestEffect, SendEffect, WireEffects
+from ..simulator.transport import REPLY_DROPPED, UNREACHABLE, QueryForward, QueryResult
 from ..gossip.profile_exchange import LazyExchangeProtocol
 from .query import PartialResult
 from .scoring import partial_scores
@@ -62,21 +62,17 @@ class EagerGossipProtocol:
 
     # -- destination selection -------------------------------------------------
 
-    def select_destination_effects(
+    def select_destinations(
         self,
         initiator: "EagerParticipant",
         remaining: Sequence[int],
-    ) -> WireEffects:
-        """Pick a gossip destination from the remaining list (Algorithm 3, 4-9).
+    ) -> List[int]:
+        """The order in which to try gossip destinations (Algorithm 3, 4-9).
 
         Preference goes to remaining-list members that are also personal
-        network neighbours, oldest timestamp first; otherwise a random
-        remaining-list member.  Unreachable (departed) candidates are skipped,
-        which is how churn slows the processing down without deadlocking it.
-        Yields reachability probes; returns the destination id or ``None``.
+        network neighbours, oldest timestamp first; the other remaining-list
+        members follow in random order.
         """
-        if not remaining:
-            return None
         in_network = [uid for uid in remaining if uid in initiator.personal_network]
         ordered: List[int] = []
         if in_network:
@@ -89,10 +85,7 @@ class EagerGossipProtocol:
         others = [uid for uid in remaining if uid not in preferred]
         initiator.rng.shuffle(others)
         ordered.extend(others)
-        for candidate in ordered:
-            if (yield ProbeEffect(candidate)):
-                return candidate
-        return None
+        return ordered
 
     # -- one gossip step --------------------------------------------------------
 
@@ -104,6 +97,12 @@ class EagerGossipProtocol:
         cycle: int,
     ) -> WireEffects:
         """One eager gossip initiated by ``initiator`` for ``query``.
+
+        The forward goes to each candidate of :meth:`select_destinations` in
+        turn until one is not ``UNREACHABLE``: a departed or NAT-blocked
+        candidate is skipped, which is how churn slows the processing down
+        without deadlocking it.  Only the destination reached has its
+        personal-network timestamp reset.
 
         Yields wire effects.  Returns the initiator's new remaining list: the
         α share handed back by the destination when the forward was
@@ -117,24 +116,17 @@ class EagerGossipProtocol:
         performed).
         """
         remaining = list(remaining)
-        if not remaining:
-            return remaining
-        destination_id = yield from self.select_destination_effects(initiator, remaining)
-        if destination_id is None:
-            return remaining
-        # Reachability check BEFORE mark_gossiped: an unreachable destination
-        # must not have its personal-network timestamp reset (seed ordering).
-        if not (yield ProbeEffect(destination_id)):
+        forward = QueryForward(query=query, remaining=tuple(remaining), cycle=cycle)
+        for destination_id in self.select_destinations(initiator, remaining):
+            dispatch = yield RequestEffect(
+                initiator.node_id, destination_id, forward, query_id=query.query_id
+            )
+            if dispatch.status != UNREACHABLE:
+                break
+        else:
             return remaining
         if destination_id in initiator.personal_network:
             initiator.personal_network.mark_gossiped(destination_id)
-
-        dispatch = yield RequestEffect(
-            initiator.node_id,
-            destination_id,
-            QueryForward(query=query, remaining=tuple(remaining), cycle=cycle),
-            query_id=query.query_id,
-        )
         if dispatch.deferred or dispatch.status == REPLY_DROPPED:
             return []
         if dispatch.reply is None:
@@ -203,8 +195,6 @@ class EagerGossipProtocol:
         contributors: Sequence[int],
         cycle: int,
     ) -> WireEffects:
-        if not (yield ProbeEffect(query.querier)):
-            return None
         partial = PartialResult(
             query_id=query.query_id,
             sender=sender.node_id,

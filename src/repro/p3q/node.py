@@ -402,10 +402,19 @@ class P3QNode(Node):
     def _handle_digest_pull_request(self, envelope: Envelope) -> DigestPullReply:
         """Answer a pull from the digests held now, each at exactly the
         asked version (free riders too: they gossip digests).  No state is
-        kept per asker or per exchange."""
+        kept per asker or per exchange.  An honest pull names a subset of
+        one offer, so one that names more descriptors than an offer holds,
+        or one twice, is refused with ``ValueError``: the reply is bounded
+        by what the provider offered."""
+        descriptors = envelope.message.descriptors
+        if (
+            len(descriptors) > self.config.exchange_size + 1
+            or len(set(descriptors)) != len(descriptors)
+        ):
+            raise ValueError(f"refused a forged pull of {len(descriptors)} descriptors")
         held = self.held_digest
         return DigestPullReply(digests=tuple([
-            digest for user_id, version in envelope.message.descriptors
+            digest for user_id, version in descriptors
             if (digest := held(user_id, version)) is not None
         ]))
 

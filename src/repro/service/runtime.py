@@ -558,12 +558,12 @@ class NodeService:
         if pending is not None:
             done, value = False, pending
         else:
-            done, value = advance(gen, None, self.send, self.runtime.is_online)
+            done, value = advance(gen, None, self.send)
         while not done:
             dispatch = await self.request(
                 value.sender, value.receiver, value.message, query_id=value.query_id
             )
-            done, value = advance(gen, dispatch, self.send, self.runtime.is_online)
+            done, value = advance(gen, dispatch, self.send)
         return value
 
     # -- outbound -------------------------------------------------------------
@@ -676,7 +676,7 @@ class NodeService:
         # alpha split) and two mutually-requesting nodes would deadlock.
         try:
             gen = self.node.handle_message_effects(decoded["envelope"])
-            done, value = advance(gen, None, self.send, self.runtime.is_online)
+            done, value = advance(gen, None, self.send)
             if done:
                 self._reply(decoded, value)
                 return

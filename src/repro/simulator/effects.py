@@ -10,14 +10,15 @@ effect                  meaning                             sent back
 ======================  ==================================  ============
 :class:`RequestEffect`  round-trip send (request + reply)   ``Dispatch``
 :class:`SendEffect`     one-way, fire-and-forget send       status str
-:class:`ProbeEffect`    "is this peer reachable right now"  ``bool``
 ======================  ==================================  ============
 
 A generator never touches the :class:`~repro.simulator.network.Network`, the
 transport or the engine, so both runtimes drive the same protocol code
 through one stepper, :func:`advance`: a one-way send goes through the
-runtime's send call and a probe through its liveness table.  Only a round
-trip is carried differently.  The cycle engine's :func:`drive` answers it in
+runtime's send call.  There is no liveness query: a peer that has gone
+answers any send or round trip ``UNREACHABLE``, with no bytes accounted,
+and that status is all a protocol learns of churn.  Only a round trip is
+carried differently.  The cycle engine's :func:`drive` answers it in
 place with a synchronous transport call (the exact calls in the exact order
 the protocol makes them, pinned by the transport golden fixture); the
 asyncio runtime (:mod:`repro.service.runtime`) awaits the reply over a
@@ -73,29 +74,19 @@ class SendEffect(Effect):
         self.query_id = query_id
 
 
-class ProbeEffect(Effect):
-    """A reachability check; the driver answers ``True`` when the peer is up."""
-
-    __slots__ = ("node_id",)
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-
-
 def advance(
     gen: WireEffects,
     result: Any,
     send: Callable[..., str],
-    is_online: Callable[[int], bool],
     request: Optional[Callable[..., Dispatch]] = None,
 ) -> Tuple[bool, Any]:
     """Send ``result`` into ``gen`` and answer its effects until it stops.
 
-    One-way sends go through ``send`` and probes through ``is_online``.  A
-    round trip is answered in place through ``request`` when one is given;
-    without one the stepper returns ``(False, effect)`` at the
-    :class:`RequestEffect`, for the caller to answer by a later call.
-    Returns ``(True, value)`` when the generator finished.
+    One-way sends go through ``send``.  A round trip is answered in place
+    through ``request`` when one is given; without one the stepper returns
+    ``(False, effect)`` at the :class:`RequestEffect`, for the caller to
+    answer by a later call.  Returns ``(True, value)`` when the generator
+    finished.
     """
     try:
         effect = gen.send(result)
@@ -111,8 +102,6 @@ def advance(
                 result = send(
                     effect.sender, effect.receiver, effect.message, query_id=effect.query_id
                 )
-            elif etype is ProbeEffect:
-                result = is_online(effect.node_id)
             else:
                 raise TypeError(f"unknown wire effect {effect!r}")
             effect = gen.send(result)
@@ -127,4 +116,4 @@ def drive(gen: WireEffects, network: "Network"):
     synchronous transport call answered in place.
     """
     transport = network.transport
-    return advance(gen, None, transport.send, network.is_online, transport.request)[1]
+    return advance(gen, None, transport.send, transport.request)[1]

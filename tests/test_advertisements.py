@@ -17,7 +17,7 @@ unknown user whose common-item answer at these two versions its own memo
 holds empty, and pulls, in one round trip to the provider, only the rows it
 reads and does not hold at that exact version in its personal network
 (:meth:`P3QNode.held_digest`).  A random-view refresh pulls the row of each
-member it probes -- one whose version it has not evaluated and who is not a
+member it evaluates -- one whose version it has not evaluated and who is not a
 neighbour -- from the member herself.  On a run with no loss and no delay
 the exchange's rule changes ``personal_digests`` bytes and messages only:
 networks, replicas, views and query results are those of a run that pulls
@@ -26,11 +26,16 @@ every offered descriptor.
 
 from __future__ import annotations
 
+import asyncio
+import logging
+
 import pytest
 
+from repro.experiments.runner import converged_simulation
 from repro.gossip.profile_exchange import LazyExchangeProtocol
-from repro.service import ServiceTrace
+from repro.service import ServiceConfig, ServiceRuntime, ServiceTrace
 from repro.service.cli import main as service_main
+from repro.service.demo import build_demo_workload
 from repro.simtest import ChurnEvent, DynamicsSpec, ScenarioSpec, run_scenario
 from repro.simtest import runner as simtest_runner
 from repro.simtest.invariants import InvariantChecker, default_checkers
@@ -40,6 +45,7 @@ from repro.simulator.engine import PHASE_EAGER, PHASE_LAZY
 from repro.simulator.stats import KIND_DIGESTS, KIND_RANDOM_VIEW
 from repro.simulator.transport import (
     DELIVERED,
+    DROPPED,
     OP_DRAIN,
     OP_REPLY,
     OP_REQUEST,
@@ -617,3 +623,59 @@ def test_a_provider_answers_from_its_own_digest_and_entries_only(warm_simulation
     asker = next(uid for uid in warm_simulation.nodes if uid != node.node_id)
     reply = node.handle_message(Envelope(asker, node.node_id, DigestPullRequest(asked), None, True))
     assert reply == DigestPullReply((own, entry))
+
+
+def _pulls(provider):
+    """An honest pull of one offer's worth of descriptors (only the first,
+    the provider's own, is held) and the two forgeries a provider refuses:
+    one descriptor named twice, and one more descriptor than an offer
+    holds."""
+    user_id, version = provider.own_descriptor()
+    limit = provider.config.exchange_size + 1
+    honest = DigestPullRequest(tuple((user_id, version + v) for v in range(limit)))
+    forged = {
+        "repeated": DigestPullRequest(((user_id, version), (user_id, version))),
+        "oversized": DigestPullRequest(tuple((user_id, version + v) for v in range(limit + 1))),
+    }
+    return honest, forged
+
+
+@pytest.mark.parametrize("forgery", ["repeated", "oversized"])
+def test_an_engine_provider_refuses_a_forged_pull(warm_simulation, forgery):
+    asker, provider = list(warm_simulation.nodes.values())[:2]
+    honest, forged = _pulls(provider)
+    transport = warm_simulation.network.transport
+    with pytest.raises(ValueError, match="forged pull"):
+        transport.request(asker.node_id, provider.node_id, forged[forgery])
+    dispatch = transport.request(asker.node_id, provider.node_id, honest)
+    assert dispatch.reply == DigestPullReply((provider.own_digest(),))
+
+
+def test_a_service_provider_answers_no_forged_pull_and_keeps_serving(caplog):
+    simulation = converged_simulation(build_demo_workload(num_users=8, num_queries=1, seed=5), 3)
+    parked = 3600.0
+    runtime = ServiceRuntime(
+        simulation, ServiceConfig(gossip_interval=parked, eager_interval=parked, rpc_timeout=0.1)
+    )
+    asker, provider = list(simulation.nodes)[:2]
+    honest, forged = _pulls(simulation.nodes[provider])
+
+    async def go():
+        await runtime.start()
+        try:
+            service = runtime.services[asker]
+            return [
+                await service.request(asker, provider, pull)
+                for pull in (*forged.values(), honest)
+            ]
+        finally:
+            await runtime.stop()
+
+    with caplog.at_level(logging.ERROR, logger="repro.service.runtime"):
+        *refused, answered = asyncio.run(go())
+    assert [dispatch.status for dispatch in refused] == [DROPPED, DROPPED]
+    refusals = [record.exc_info[0] for record in caplog.records if record.exc_info]
+    assert refusals == [ValueError, ValueError]
+    assert answered.status == DELIVERED
+    assert _described(answered.reply) == (simulation.nodes[provider].own_descriptor(),)
+    assert [event.op for event in runtime.trace.events if event.op == OP_REPLY] == [OP_REPLY]

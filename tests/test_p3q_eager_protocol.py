@@ -7,6 +7,7 @@ import pytest
 from repro.p3q.config import P3QConfig
 from repro.p3q.eager import EagerGossipProtocol
 from repro.p3q.protocol import P3QSimulation
+from repro.simulator.conditions import NatBlock
 from repro.simulator.effects import drive
 from repro.simulator.stats import (
     KIND_DIGESTS,
@@ -14,6 +15,7 @@ from repro.simulator.stats import (
     KIND_REMAINING_FORWARD,
     KIND_REMAINING_RETURN,
 )
+from repro.simulator.transport import DELIVERED, UNREACHABLE, QueryForward
 
 
 @pytest.fixture()
@@ -35,40 +37,113 @@ class TestValidation:
             EagerGossipProtocol(alpha=1.5)
 
 
+class _Gossip:
+    """One ``gossip_query_effects`` call in the engine, with what it did on
+    the wire and which personal-network timestamps it reset."""
+
+    def __init__(self, simulation, node, remaining):
+        self.events = []
+        self.marked = []
+        simulation.network.transport.add_observer(self.events.append)
+        mark = node.personal_network.mark_gossiped
+        node.personal_network.mark_gossiped = lambda uid: (self.marked.append(uid), mark(uid))
+        query = _query_for(simulation, node.node_id)
+        self.returned = drive(
+            simulation.eager.gossip_query_effects(node, query, remaining, cycle=1),
+            simulation.network,
+        )
+
+    def forwards(self):
+        return [
+            (event.receiver, event.status)
+            for event in self.events
+            if type(event.message) is QueryForward
+        ]
+
+    def accounted_to(self, node_ids):
+        return [
+            event for event in self.events
+            if event.accounted and {event.sender, event.receiver} & set(node_ids)
+        ]
+
+
+def _unstored(simulation, minimum):
+    node = simulation.node(simulation.dataset.user_ids[0])
+    remaining = node.personal_network.unstored_ids()
+    if len(remaining) < minimum:
+        pytest.skip("not enough unstored neighbours")
+    return node, remaining
+
+
 class TestDestinationSelection:
     def test_prefers_personal_network_members(self, warm):
-        querier = warm.dataset.user_ids[0]
-        node = warm.node(querier)
-        remaining = node.personal_network.unstored_ids()
-        if not remaining:
-            pytest.skip("querier stores her whole network at this storage budget")
-        destination = drive(warm.eager.select_destination_effects(node, remaining), warm.network)
-        assert destination in remaining
-        assert destination in node.personal_network
+        node, remaining = _unstored(warm, 1)
+        strangers = [
+            uid for uid in warm.dataset.user_ids
+            if uid != node.node_id and uid not in node.personal_network
+        ][:5]
+        network = node.personal_network
+        neighbours = sorted(
+            remaining,
+            key=lambda uid: (
+                -network.entry(uid).timestamp, -network.entry(uid).score, uid
+            ),
+        )
+        order = warm.eager.select_destinations(node, strangers + remaining)
+        assert order[:len(neighbours)] == neighbours
+        assert sorted(order[len(neighbours):]) == sorted(strangers)
 
     def test_skips_offline_candidates(self, warm):
-        querier = warm.dataset.user_ids[0]
-        node = warm.node(querier)
-        remaining = node.personal_network.unstored_ids()
-        if len(remaining) < 2:
-            pytest.skip("not enough unstored neighbours")
-        warm.depart_users(remaining[:-1])
-        destination = drive(warm.eager.select_destination_effects(node, remaining), warm.network)
-        assert destination == remaining[-1]
+        node, remaining = _unstored(warm, 2)
+        order = warm.eager.select_destinations(node, remaining)
+        warm.depart_users(order[:-1])
+        gossip = _Gossip(warm, node, remaining)
+        assert gossip.forwards() == (
+            [(uid, UNREACHABLE) for uid in order[:-1]] + [(order[-1], DELIVERED)]
+        )
+        assert gossip.marked == [order[-1]]
+        assert gossip.accounted_to(order[:-1]) == []
 
-    def test_returns_none_when_everyone_is_offline(self, warm):
-        querier = warm.dataset.user_ids[0]
-        node = warm.node(querier)
-        remaining = node.personal_network.unstored_ids()
-        if not remaining:
-            pytest.skip("querier stores her whole network at this storage budget")
+    def test_all_offline_leaves_the_list_unchanged(self, warm):
+        node, remaining = _unstored(warm, 1)
         warm.depart_users(remaining)
-        assert drive(warm.eager.select_destination_effects(node, remaining), warm.network) is None
+        gossip = _Gossip(warm, node, remaining)
+        assert gossip.returned == remaining
+        assert sorted(gossip.forwards()) == sorted((uid, UNREACHABLE) for uid in remaining)
+        assert gossip.marked == []
+        assert gossip.accounted_to(remaining) == []
+
+    def test_a_nat_blocked_candidate_costs_no_cycle(self, warm):
+        """A NAT'd candidate is online but refuses the forward: the forward
+        moves on to the next candidate within the same cycle."""
+        nat = NatBlock(0.5, seed=1)
+        nat.attach(warm.network)
+        warm.network.transport.conditions = (nat,)
+        for querier in warm.dataset.user_ids:
+            node = warm.node(querier)
+            remaining = node.personal_network.unstored_ids()
+            order = warm.eager.select_destinations(node, remaining)
+            if (
+                querier not in nat.ids()
+                and order
+                and order[0] in nat.ids()
+                and set(order) - nat.ids()
+            ):
+                break
+        else:
+            pytest.skip("no querier whose first candidate alone is NAT'd")
+        reached = next(uid for uid in order if uid not in nat.ids())
+        gossip = _Gossip(warm, node, remaining)
+        assert gossip.forwards()[0] == (order[0], UNREACHABLE)
+        assert gossip.forwards()[-1] == (reached, DELIVERED)
+        assert gossip.marked == [reached]
+        assert gossip.returned != remaining
 
     def test_empty_remaining_list(self, warm):
-        querier = warm.dataset.user_ids[0]
-        selection = warm.eager.select_destination_effects(warm.node(querier), [])
-        assert drive(selection, warm.network) is None
+        node = warm.node(warm.dataset.user_ids[0])
+        assert warm.eager.select_destinations(node, []) == []
+        gossip = _Gossip(warm, node, [])
+        assert gossip.returned == [] and gossip.events == [] and gossip.marked == []
 
 
 class TestDestinationProcessing:

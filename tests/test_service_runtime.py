@@ -29,7 +29,7 @@ from repro.service.demo import (
     run_demo_sync,
 )
 from repro.service.runtime import FrameBatcher, NodeService, TimerWheel, _report_task_failure
-from repro.simulator.effects import ProbeEffect, RequestEffect
+from repro.simulator.effects import RequestEffect
 from repro.simulator.transport import (
     DEFERRED,
     DELIVERED,
@@ -124,6 +124,76 @@ class TestInProcRun:
             assert type(original.message) is type(reloaded.message)
 
 
+class TestChurn:
+    """A departed node is learnt from the wire: round trips to it come back
+    ``UNREACHABLE``, unaccounted, and the rest of the deployment serves on."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        workload = build_demo_workload(num_users=30, num_queries=4, seed=7)
+        simulation = converged_simulation(workload, 3)
+        queriers = {query.querier for query in workload.queries}
+        holders = {}
+        for node in simulation.nodes.values():
+            for user_id in node.personal_network.member_ids():
+                holders[user_id] = holders.get(user_id, 0) + 1
+        # Most held, yet in no querier's network: gossip keeps meeting it,
+        # and every query can still be answered without it.
+        departed = max(
+            (
+                user_id for user_id in simulation.nodes
+                if user_id not in queriers
+                and not any(user_id in simulation.nodes[q].personal_network for q in queriers)
+            ),
+            key=lambda user_id: (holders.get(user_id, 0), user_id),
+        )
+        simulation.depart_users([departed])
+        config = ServiceConfig(gossip_interval=0.05, eager_interval=0.02, query_deadline=8.0)
+
+        def met(runtime):
+            return any(event.receiver == departed for event in runtime.trace.events)
+
+        async def go():
+            runtime = ServiceRuntime(simulation, config)
+            await runtime.start()
+            try:
+                sessions = await runtime.run_queries(workload.queries)
+                loop = asyncio.get_running_loop()
+                cutoff = loop.time() + 5.0
+                while not met(runtime) and loop.time() < cutoff:
+                    await asyncio.sleep(0.05)
+            finally:
+                await runtime.stop()
+            return runtime, sessions
+
+        runtime, sessions = asyncio.run(go())
+        return runtime, simulation, sessions, workload, departed
+
+    def test_round_trips_to_the_departed_node_come_back_unreachable(self, run):
+        runtime, _, _, _, departed = run
+        contacts = [
+            event for event in runtime.trace.events
+            if departed in (event.sender, event.receiver)
+        ]
+        assert any(event.op == OP_REQUEST for event in contacts)
+        assert {(event.receiver, event.status) for event in contacts} == {(departed, UNREACHABLE)}
+        assert not any(event.accounted for event in contacts)
+
+    def test_trace_passes_invariants(self, run):
+        runtime, simulation, _, _, _ = run
+        assert set(check_trace(runtime.trace.events, simulation)) == {
+            "byte-conservation",
+            "view-bounds",
+            "replica-freshness",
+            "query-lifecycle",
+        }
+
+    def test_every_query_of_an_online_querier_completes(self, run):
+        _, _, sessions, workload, _ = run
+        assert set(sessions) == {query.query_id for query in workload.queries}
+        assert all(session.closed for session in sessions.values())
+
+
 class TestEventsView:
     """``trace.events`` reads like the list of ``WireEvent``s it replaced."""
 
@@ -149,8 +219,7 @@ class TestEventsView:
             await runtime.start()
             try:
                 await runtime.run_queries(workload.queries)
-                # The protocols probe before they send, so a run rarely
-                # meets a departed peer: address one directly.
+                # Address a departed peer directly, whatever the run met.
                 here, gone = list(runtime.services)[:2]
                 simulation.network.depart([gone])
                 service = runtime.services[here]
@@ -313,9 +382,7 @@ class TestServiceHardening:
         node.forwarded[10_002] = SimpleNamespace(active=False)
         with pytest.raises(StopIteration):
             while True:
-                if isinstance(effect, ProbeEffect):
-                    effect = gen.send(False)
-                elif isinstance(effect, RequestEffect):
+                if isinstance(effect, RequestEffect):
                     effect = gen.send(Dispatch(DROPPED, None))
                 else:
                     effect = gen.send(DROPPED)

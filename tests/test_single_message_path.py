@@ -5,7 +5,9 @@ cycle engine drives them and the service runtime delegates to them.  A
 synchronous twin ``name`` next to ``name_effects`` is a second copy of the
 same protocol step, so the only such pair allowed is the node's two wire
 entry points, one per driver.  Both drivers step a generator through one
-stepper, so they answer every effect but a round trip alike.
+stepper, so they answer every effect but a round trip alike, and neither
+answers a question about liveness: a peer that is gone answers
+``UNREACHABLE``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from repro.p3q import node as node_module
 from repro.service.demo import build_demo_workload
 from repro.service.runtime import NodeService, ServiceRuntime
 from repro.simulator import transport
-from repro.simulator.effects import Effect, ProbeEffect, RequestEffect, SendEffect, drive
+from repro.simulator.effects import Effect, RequestEffect, SendEffect, drive
+from repro.simulator.transport import UNREACHABLE, DigestPullRequest
 
 SRC = Path(node_module.__file__).resolve().parents[1]
 
@@ -91,8 +94,8 @@ def test_node_handler_tables_cover_every_message_a_node_receives():
     assert handled == sent | deferred
 
 
-def test_the_effect_vocabulary_is_request_send_probe():
-    assert set(Effect.__subclasses__()) == {RequestEffect, SendEffect, ProbeEffect}
+def test_the_effect_vocabulary_is_request_and_send():
+    assert set(Effect.__subclasses__()) == {RequestEffect, SendEffect}
 
 
 def _drive_in_engine(simulation, gen):
@@ -116,15 +119,26 @@ def simulation():
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
-def test_both_drivers_answer_probes_from_the_liveness_table(driver, simulation):
-    def probes(node_ids):
+def test_both_drivers_answer_offline_and_unknown_unreachable(driver, simulation):
+    """No effect asks whether a peer is up: a request or send to one that
+    is not comes back ``UNREACHABLE``, and no byte is charged for it."""
+    sender = 1
+
+    def contacts(node_ids):
         answers = []
         for node_id in node_ids:
-            answers.append((yield ProbeEffect(node_id)))
+            pull = DigestPullRequest(descriptors=((node_id, 0),))
+            dispatch = yield RequestEffect(sender, node_id, pull)
+            answers.append((dispatch.status, dispatch.reply))
+            answers.append((yield SendEffect(sender, node_id, pull)))
         return answers
 
-    online, offline, unknown = 1, 2, 10_000
-    assert DRIVERS[driver](simulation, probes([online, offline, unknown])) == [True, False, False]
+    offline, unknown = 2, 10_000
+    before = simulation.stats.total_bytes()
+    assert DRIVERS[driver](simulation, contacts([offline, unknown])) == [
+        (UNREACHABLE, None), UNREACHABLE, (UNREACHABLE, None), UNREACHABLE,
+    ]
+    assert simulation.stats.total_bytes() == before
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
